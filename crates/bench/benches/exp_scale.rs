@@ -8,11 +8,15 @@
 //! simulated second. The acceptance bar: the 1024-switch fat-tree
 //! trunk-cut reconfiguration completes in under 10 s of wall clock.
 //!
-//! Each row is measured twice:
+//! Each row is measured as a controlled matrix plus one observed run:
 //!
-//! 1. a **perf pass** — the untraced scale preset on the single-shard
+//! 1. a **perf pass** — the untraced scale preset on the classic
 //!    kernel, exactly the configuration the committed trajectory (and
-//!    the acceptance bar) was recorded under;
+//!    the acceptance bar) was recorded under — and the same scenario,
+//!    still untraced, through [`PartitionedNetwork`] at 1 and at 2
+//!    partitions, so the price of the sharded executor (×1 − classic)
+//!    and what the second core buys (×1 / ×2) are each one subtraction
+//!    with tracing held fixed;
 //! 2. a **profile pass** — the same scenario through
 //!    [`PartitionedNetwork`] with tracing and shard telemetry on, which
 //!    answers *where the wall time goes*: barrier-wait fraction,
@@ -44,6 +48,9 @@ struct Row {
     events: u64,
     events_per_sec: f64,
     wall_per_sim_sec: f64,
+    // The same scenario, untraced, on the sharded executor.
+    sharded1: Walls,
+    sharded2: Walls,
     // Attribution columns from the profile pass.
     profile_wall: f64,
     profile_events: u64,
@@ -55,6 +62,32 @@ struct Row {
     route_cache: Option<RouteCacheStats>,
     shards: Vec<ShardTelemetry>,
     trace_path: Option<std::path::PathBuf>,
+}
+
+/// Wall clock of one untraced run: bring-up, then cut to healed.
+struct Walls {
+    bring_wall: f64,
+    cut_wall: f64,
+    events: u64,
+}
+
+/// The perf-pass scenario on the sharded executor, untraced.
+fn sharded_walls(topo: &Topology, nparts: usize) -> Option<Walls> {
+    let mut net = PartitionedNetwork::new(topo.clone(), NetParams::scale(), 2, nparts);
+    let wall = Instant::now();
+    net.run_until_stable_every(SimDuration::from_millis(100), SimTime::from_secs(300))?;
+    let bring_wall = wall.elapsed().as_secs_f64();
+    net.schedule_link_down(net.now() + SimDuration::from_millis(10), LinkId(0));
+    let wall = Instant::now();
+    net.run_until_stable_every(
+        SimDuration::from_millis(50),
+        net.now() + SimDuration::from_secs(60),
+    )?;
+    Some(Walls {
+        bring_wall,
+        cut_wall: wall.elapsed().as_secs_f64(),
+        events: net.events_processed(),
+    })
 }
 
 /// How many event-loop shards the profile pass runs with: the machine's
@@ -95,6 +128,8 @@ fn measure(name: &str, topo: Topology, trace_to: Option<&str>) -> Option<Row> {
     let total_wall = bring_wall + cut_wall;
     let total_sim = net.now().as_nanos() as f64 / 1e9;
     drop(net);
+    let sharded1 = sharded_walls(&topo, 1)?;
+    let sharded2 = sharded_walls(&topo, 2)?;
 
     // Profile pass: same scenario, partitioned kernel, tracing and shard
     // telemetry on. The scale preset disables tracing; the profile pass
@@ -148,6 +183,8 @@ fn measure(name: &str, topo: Topology, trace_to: Option<&str>) -> Option<Row> {
         events,
         events_per_sec: events as f64 / total_wall,
         wall_per_sim_sec: total_wall / total_sim,
+        sharded1,
+        sharded2,
         profile_wall,
         profile_events: prof.events_processed(),
         barrier_wait_frac: prof.barrier_wait_fraction().unwrap_or(0.0),
@@ -240,7 +277,15 @@ fn main() {
                     row.switches.to_string(),
                     row.links.to_string(),
                     format!("{:.1}", row.bring_wall),
-                    format!("{:.1}", row.cut_wall),
+                    format!("{:.2}", row.cut_wall),
+                    format!(
+                        "{:.1} / {:.2}",
+                        row.sharded1.bring_wall, row.sharded1.cut_wall
+                    ),
+                    format!(
+                        "{:.1} / {:.2}",
+                        row.sharded2.bring_wall, row.sharded2.cut_wall
+                    ),
                     format!("{:.0}k", row.events_per_sec / 1e3),
                     format!("{:.1}%", row.barrier_wait_frac * 100.0),
                     format!("{:.2}", row.load_imbalance),
@@ -258,6 +303,8 @@ fn main() {
             "links",
             "bring-up wall (s)",
             "cut wall (s)",
+            "sharded x1 (s)",
+            "sharded x2 (s)",
             "events/s",
             "barrier wait",
             "imbalance",
@@ -276,10 +323,14 @@ fn main() {
                  \"cut_sim_ms\": {:.3}, \"cut_wall_s\": {:.3}, \
                  \"events\": {}, \"events_per_sec\": {:.0}, \
                  \"wall_per_sim_sec\": {:.3}, \
+                 \"sharded1_bringup_wall_s\": {:.3}, \"sharded1_cut_wall_s\": {:.3}, \
+                 \"sharded1_events\": {}, \
+                 \"sharded2_bringup_wall_s\": {:.3}, \"sharded2_cut_wall_s\": {:.3}, \
+                 \"sharded2_events\": {}, \
                  \"profile_wall_s\": {:.3}, \"profile_events\": {}, \
                  \"barrier_wait_frac\": {:.4}, \"load_imbalance\": {:.4}, \
-                 \"barrier_wait_p50_ms\": {:.3}, \"barrier_wait_p99_ms\": {:.3}, \
-                 \"barrier_wait_p999_ms\": {:.3}, \
+                 \"barrier_wait_p50_us\": {:.3}, \"barrier_wait_p99_us\": {:.3}, \
+                 \"barrier_wait_p999_us\": {:.3}, \
                  \"route_cache\": {}, \
                  \"shards\": [{}] }}",
                 r.name,
@@ -293,13 +344,19 @@ fn main() {
                 r.events,
                 r.events_per_sec,
                 r.wall_per_sim_sec,
+                r.sharded1.bring_wall,
+                r.sharded1.cut_wall,
+                r.sharded1.events,
+                r.sharded2.bring_wall,
+                r.sharded2.cut_wall,
+                r.sharded2.events,
                 r.profile_wall,
                 r.profile_events,
                 r.barrier_wait_frac,
                 r.load_imbalance,
-                r.barrier_wait_p50.as_millis_f64(),
-                r.barrier_wait_p99.as_millis_f64(),
-                r.barrier_wait_p999.as_millis_f64(),
+                r.barrier_wait_p50.as_micros_f64(),
+                r.barrier_wait_p99.as_micros_f64(),
+                r.barrier_wait_p999.as_micros_f64(),
                 r.route_cache
                     .as_ref()
                     .map(route_cache_json)

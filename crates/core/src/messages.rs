@@ -209,8 +209,12 @@ struct Writer {
 }
 
 impl Writer {
+    /// Sized so every probe, reply, ack and position message encodes in
+    /// one allocation; topology reports grow from there.
     fn new() -> Self {
-        Writer { buf: Vec::new() }
+        Writer {
+            buf: Vec::with_capacity(64),
+        }
     }
 
     fn u8(&mut self, v: u8) {

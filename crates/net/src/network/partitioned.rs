@@ -86,7 +86,8 @@ impl Latched {
     }
 }
 
-/// One shard's slice of the latch, exchanged at every window barrier.
+/// One shard's slice of the latch, exchanged at every window barrier:
+/// only the rows and ports that changed since the shard's previous export.
 #[derive(Default)]
 pub(super) struct NetMirror {
     dead: Vec<(u32, [bool; MAX_PORTS])>,
@@ -99,15 +100,30 @@ pub(super) struct PartWorld {
     me: u32,
     owner: Vec<u32>,
     n_switches: usize,
+    /// Own nodes that handled an event since the last window boundary —
+    /// the only ones whose latched observables can have moved (a node's
+    /// state changes only inside its own events). Filled by
+    /// `handle_sharded`, read by `export_mirror`, emptied by the
+    /// `apply_mirror` calls that follow every export.
+    touched: Vec<u32>,
 }
 
 impl PartWorld {
-    fn owns_switch(&self, s: usize) -> bool {
-        self.owner[s] == self.me
+    fn latched(&self) -> &Latched {
+        self.net
+            .latched
+            .as_ref()
+            .expect("partitioned world is latched")
     }
 
-    fn owns_host(&self, h: usize) -> bool {
-        self.owner[self.n_switches + h] == self.me
+    /// Whether own node `n` shows something other than what the latch
+    /// holds, i.e. than its last export.
+    fn moved(&self, n: usize) -> bool {
+        let latched = self.latched();
+        match n.checked_sub(self.n_switches) {
+            None => *self.net.switches.nodes.dead_row(n) != latched.dead[n],
+            Some(h) => self.net.hosts.ctl[h].active_port() != latched.host_active(h),
+        }
     }
 }
 
@@ -155,7 +171,12 @@ impl ShardWorld for PartWorld {
                 | Event::HostLinkDown { .. }
                 | Event::HostLinkUp { .. }
         );
-        let primary = !broadcast || self.owner[self.node_of(&event) as usize] == self.me;
+        let node = self.node_of(&event);
+        let own = self.owner[node as usize] == self.me;
+        let primary = !broadcast || own;
+        if own && self.touched.last() != Some(&node) {
+            self.touched.push(node);
+        }
         let events_len = self.net.events.len();
         let trace_len = self.net.trace.len();
         let stats_before = self.net.stats;
@@ -174,23 +195,30 @@ impl ShardWorld for PartWorld {
     }
 
     fn export_mirror(&self, into: &mut NetMirror) {
+        debug_assert!(
+            (0..self.owner.len()).all(|n| self.owner[n] != self.me
+                || self.touched.contains(&(n as u32))
+                || !self.moved(n)),
+            "a node changed outside its own events"
+        );
         into.dead.clear();
         into.host_active.clear();
-        for s in 0..self.net.switches.len() {
-            if self.owns_switch(s) {
-                into.dead
-                    .push((s as u32, *self.net.switches.nodes.dead_row(s)));
+        for &node in &self.touched {
+            let n = node as usize;
+            if !self.moved(n) {
+                continue;
             }
-        }
-        for h in 0..self.net.hosts.len() {
-            if self.owns_host(h) {
-                into.host_active
-                    .push((h as u32, self.net.hosts.ctl[h].active_port() as u8));
+            match n.checked_sub(self.n_switches) {
+                None => into.dead.push((node, *self.net.switches.nodes.dead_row(n))),
+                Some(h) => into
+                    .host_active
+                    .push((h as u32, self.net.hosts.ctl[h].active_port() as u8)),
             }
         }
     }
 
     fn apply_mirror(&mut self, from: &NetMirror) {
+        self.touched.clear();
         let latched = self
             .net
             .latched
@@ -286,6 +314,7 @@ impl PartitionedNetwork {
                     me,
                     owner: owner.clone(),
                     n_switches,
+                    touched: Vec::new(),
                 }
             })
             .collect();
@@ -410,8 +439,9 @@ impl PartitionedNetwork {
     /// The kernel's execution profile as one merged [`MetricsRegistry`]
     /// (`None` unless `params.tracing`): per-shard registries folded with
     /// [`MetricsRegistry::merge`], so counters sum across shards, the
-    /// `*_max` gauges keep the hottest shard, and the per-shard
-    /// histograms expose wait/work quantiles. Route-cache counters and
+    /// `*_max` gauges keep the hottest shard, and the histograms hold one
+    /// sample per shard-window, so their quantiles are per-window work and
+    /// barrier wait. Route-cache counters and
     /// wall split are folded in when the cache is enabled.
     pub fn kernel_metrics(&self) -> Option<autonet_trace::MetricsRegistry> {
         use autonet_trace::MetricsRegistry;
@@ -434,10 +464,11 @@ impl PartitionedNetwork {
                 "kernel.shard_barrier_wait_ns_max",
                 t.barrier_wait_ns.min(i64::MAX as u64) as i64,
             );
-            shard.observe("kernel.shard_work", SimDuration::from_nanos(t.work_ns));
-            shard.observe(
+            shard.observe_buckets("kernel.shard_work", &t.work_buckets, t.work_ns);
+            shard.observe_buckets(
                 "kernel.shard_barrier_wait",
-                SimDuration::from_nanos(t.barrier_wait_ns),
+                &t.barrier_wait_buckets,
+                t.barrier_wait_ns,
             );
             merged.merge(&shard);
         }

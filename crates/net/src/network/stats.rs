@@ -20,6 +20,42 @@ pub(super) fn consistent_with<'a>(
     switch_up: &[bool],
     autopilot: &dyn Fn(usize) -> &'a Autopilot,
 ) -> bool {
+    // A pure conjunction, evaluated cheapest-first: while a fault or a
+    // heal is still being absorbed (most polls) one of the two O(N + E)
+    // checks fails and the per-component map comparisons never run.
+    //
+    // Every up switch open (`switch_up` is the slice `view` was built
+    // from, so these are exactly the component members below), and the
+    // agreed topology lists exactly the usable physical links: a failed
+    // link still listed means the fault is not yet absorbed; a repaired
+    // link missing means readmission is still pending. Combined with the
+    // containment check at the end, matching end-counts give exact
+    // equality.
+    let mut listed_ends = 0usize;
+    for (s, &up) in switch_up.iter().enumerate() {
+        if !up {
+            continue;
+        }
+        let ap = autopilot(s);
+        if !ap.is_open() {
+            return false;
+        }
+        if let Some(info) = ap.global().and_then(|g| g.switch(ap.uid())) {
+            listed_ends += info.links.len();
+        }
+    }
+    let mut usable_ends = 0usize;
+    for lid in view.usable_links() {
+        let spec = topo.link(lid);
+        if view.switch_up(spec.a.switch) && view.switch_up(spec.b.switch) {
+            usable_ends += 2;
+        }
+    }
+    if usable_ends != listed_ends {
+        return false;
+    }
+    // Within each physical component: one epoch, one numbering, one
+    // topology covering exactly the component, rooted at its smallest UID.
     for component in autonet_topo::connected_components(view) {
         let min_uid = component
             .iter()
@@ -28,11 +64,7 @@ pub(super) fn consistent_with<'a>(
             .expect("components are non-empty");
         let mut first: Option<&GlobalTopology> = None;
         for &sid in &component {
-            let ap = autopilot(sid.0);
-            if !ap.is_open() {
-                return false;
-            }
-            let Some(g) = ap.global() else {
+            let Some(g) = autopilot(sid.0).global() else {
                 return false;
             };
             if g.root != min_uid || g.switches.len() != component.len() {
@@ -47,33 +79,6 @@ pub(super) fn consistent_with<'a>(
                 }
             }
         }
-    }
-    // The agreed topology must list exactly the usable physical links:
-    // a failed link still listed means the fault is not yet absorbed; a
-    // repaired link missing means readmission is still pending. Combined
-    // with the containment check below, matching end-counts give
-    // exact equality.
-    let mut usable_ends = 0usize;
-    for lid in view.usable_links() {
-        let spec = topo.link(lid);
-        if view.switch_up(spec.a.switch) && view.switch_up(spec.b.switch) {
-            usable_ends += 2;
-        }
-    }
-    let mut listed_ends = 0usize;
-    for (s, &up) in switch_up.iter().enumerate() {
-        if !up {
-            continue;
-        }
-        let ap = autopilot(s);
-        if let Some(g) = ap.global() {
-            if let Some(info) = g.switch(ap.uid()) {
-                listed_ends += info.links.len();
-            }
-        }
-    }
-    if usable_ends != listed_ends {
-        return false;
     }
     for lid in view.usable_links() {
         let spec = topo.link(lid);

@@ -2,7 +2,12 @@
 //!
 //! Same contract as [`EventQueue`](crate::EventQueue) — events pop in
 //! `(time, scheduling order)` — but backed by a timing wheel instead of a
-//! binary heap. Each pending event lives in the bucket addressed by its
+//! binary heap. The tie-break is a type parameter: the classic
+//! [`Simulator`](crate::Simulator) uses the default, a queue-assigned
+//! sequence number (FIFO among simultaneous events); the sharded executor
+//! supplies its canonical `(src, seq)` stamp through
+//! [`push_keyed`](CalendarQueue::push_keyed) so pop order is independent of
+//! insertion order. Each pending event lives in the bucket addressed by its
 //! *bucket number* `time >> shift` masked into a power-of-two ring; events
 //! more than one full rotation past the current minimum wait in a small
 //! overflow heap. Pops scan forward from the last minimum's bucket, so the
@@ -17,42 +22,42 @@
 //! is a pure function of the push/pop history, so runs stay bit-for-bit
 //! reproducible.
 //!
-//! Because `(time, seq)` is a total order (the sequence number is unique),
-//! *any* correct priority queue pops in the identical order; the proptest
-//! suite in `tests/` checks this queue against the binary-heap reference on
-//! adversarial batches.
+//! Because `(time, key)` is a total order (keys are unique among pending
+//! entries), *any* correct priority queue pops in the identical order; the
+//! proptest suite in `tests/` checks this queue against the binary-heap
+//! reference on adversarial batches.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// A pending event.
-struct Entry<E> {
+/// A pending event; `seq` is the tie-break key among equal times.
+struct Entry<E, K> {
     time: SimTime,
-    seq: u64,
+    seq: K,
     event: E,
 }
 
-impl<E> PartialEq for Entry<E> {
+impl<E, K: Ord> PartialEq for Entry<E, K> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
 
-impl<E> Eq for Entry<E> {}
+impl<E, K: Ord> Eq for Entry<E, K> {}
 
-impl<E> PartialOrd for Entry<E> {
+impl<E, K: Ord> PartialOrd for Entry<E, K> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry<E> {
+impl<E, K: Ord> Ord for Entry<E, K> {
     // BinaryHeap is a max-heap; invert so the earliest (time, seq) is the
     // overflow top.
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+        (other.time, &other.seq).cmp(&(self.time, &self.seq))
     }
 }
 
@@ -60,27 +65,44 @@ impl<E> Ord for Entry<E> {
 const MIN_BUCKETS: usize = 16;
 const MAX_BUCKETS: usize = 1 << 20;
 
-/// A time-ordered queue of simulation events on a timing wheel.
-pub struct CalendarQueue<E> {
+/// A time-ordered queue of simulation events on a timing wheel, popping in
+/// `(time, K)` order.
+pub struct CalendarQueue<E, K = u64> {
     /// The ring. An entry with bucket number `b = time >> shift` lives at
     /// physical index `b & mask`.
-    buckets: Vec<Vec<Entry<E>>>,
+    buckets: Vec<Vec<Entry<E, K>>>,
     mask: u64,
     shift: u32,
     /// Events at least one full rotation past the minimum at push time.
-    overflow: BinaryHeap<Entry<E>>,
+    overflow: BinaryHeap<Entry<E, K>>,
     /// Entries currently in the ring (excludes overflow).
     wheel_len: usize,
     len: usize,
     /// `(time, seq)` of the earliest entry, maintained eagerly so peeks
     /// are O(1) and pops know where to look.
-    min: Option<(SimTime, u64)>,
+    min: Option<(SimTime, K)>,
+    /// Next queue-assigned key (FIFO queues only).
     next_seq: u64,
 }
 
 impl<E> CalendarQueue<E> {
-    /// Creates an empty queue.
+    /// Creates an empty FIFO-tie-break queue.
     pub fn new() -> Self {
+        CalendarQueue::keyed()
+    }
+
+    /// Schedules `event` for delivery at absolute time `time`, after every
+    /// event already scheduled for the same instant.
+    pub fn push(&mut self, time: SimTime, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.push_keyed(time, seq, event);
+    }
+}
+
+impl<E, K: Ord + Copy> CalendarQueue<E, K> {
+    /// Creates an empty queue whose callers supply the tie-break key.
+    pub fn keyed() -> Self {
         CalendarQueue {
             buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
             mask: (MIN_BUCKETS - 1) as u64,
@@ -98,18 +120,21 @@ impl<E> CalendarQueue<E> {
         time.as_nanos() >> self.shift
     }
 
-    /// Schedules `event` for delivery at absolute time `time`.
-    pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.insert(Entry { time, seq, event });
+    /// Schedules `event` at `time` with an explicit tie-break `key`, which
+    /// must be unique among pending entries.
+    pub fn push_keyed(&mut self, time: SimTime, key: K, event: E) {
+        self.insert(Entry {
+            time,
+            seq: key,
+            event,
+        });
         self.len += 1;
         if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
             self.rebuild();
         }
     }
 
-    fn insert(&mut self, e: Entry<E>) {
+    fn insert(&mut self, e: Entry<E, K>) {
         let key = (e.time, e.seq);
         let b = self.bnum(e.time);
         let horizon = self
@@ -162,7 +187,7 @@ impl<E> CalendarQueue<E> {
 
     /// Finds the new `(time, seq)` minimum, scanning the ring forward from
     /// bucket number `b0` (every remaining entry is at `b0` or later).
-    fn search_min(&self, b0: u64) -> Option<(SimTime, u64)> {
+    fn search_min(&self, b0: u64) -> Option<(SimTime, K)> {
         if self.len == 0 {
             return None;
         }
@@ -197,7 +222,7 @@ impl<E> CalendarQueue<E> {
     /// Rebuilds the ring with a bucket count near the population and a
     /// bucket width near the mean event spacing.
     fn rebuild(&mut self) {
-        let mut entries: Vec<Entry<E>> = Vec::with_capacity(self.len);
+        let mut entries: Vec<Entry<E, K>> = Vec::with_capacity(self.len);
         for b in &mut self.buckets {
             entries.append(b);
         }

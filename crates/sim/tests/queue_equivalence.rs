@@ -1,7 +1,9 @@
 //! The calendar queue must be a drop-in replacement for the binary-heap
 //! reference: identical pop order — including FIFO tie-breaking among
 //! simultaneous events — on adversarial batches of clustered, spread, and
-//! far-future timestamps, under arbitrary push/pop interleavings.
+//! far-future timestamps, under arbitrary push/pop interleavings. The
+//! caller-keyed form the sharded executor uses is checked the same way
+//! against a heap of full `(time, src, seq)` stamps.
 
 use proptest::prelude::*;
 
@@ -129,6 +131,77 @@ proptest! {
             if a.is_none() {
                 break;
             }
+        }
+    }
+}
+
+/// The sharded executor's queue: ordered by the canonical `(time, src,
+/// seq)` stamp supplied by the caller, not by insertion order. Reference:
+/// the `BinaryHeap<Reverse<stamp>>` it replaced.
+mod stamp_keyed {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use super::*;
+
+    /// One scripted operation: push a stamped event, or pop.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// (time, src): the per-src sequence number is assigned by the
+        /// script so stamps stay unique.
+        Push(u64, u32),
+        Pop,
+    }
+
+    /// Few distinct instants and few sources (including the external
+    /// one), so most pushes tie on time and many on `(time, src)`.
+    fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
+        let src = prop_oneof![0u32..4, Just(u32::MAX)];
+        let time = prop_oneof![
+            3 => (0u64..6).prop_map(|t| t * 1_000),
+            1 => time_strategy(),
+        ];
+        prop::collection::vec(
+            prop_oneof![
+                4 => (time, src).prop_map(|(t, s)| Op::Push(t, s)),
+                1 => Just(Op::Pop),
+            ],
+            1..600,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Equal-time batches pushed in an order unrelated to their
+        /// stamps (the cross-shard mailbox's arrival order is racy): every
+        /// pop and every peek agrees with the heap's.
+        #[test]
+        fn pops_in_stamp_order(ops in ops_strategy()) {
+            let mut heap: BinaryHeap<Reverse<(SimTime, u32, u64, usize)>> = BinaryHeap::new();
+            let mut cal: CalendarQueue<usize, (u32, u64)> = CalendarQueue::keyed();
+            for (payload, op) in ops.into_iter().enumerate() {
+                match op {
+                    Op::Push(t, src) => {
+                        // A bijection of the op index: unique per stamp,
+                        // and not monotone in insertion order.
+                        let seq = (payload as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        let time = SimTime::from_nanos(t);
+                        heap.push(Reverse((time, src, seq, payload)));
+                        cal.push_keyed(time, (src, seq), payload);
+                    }
+                    Op::Pop => {
+                        let expect = heap.pop().map(|Reverse((t, _, _, p))| (t, p));
+                        prop_assert_eq!(cal.pop(), expect);
+                    }
+                }
+                prop_assert_eq!(cal.peek_time(), heap.peek().map(|Reverse(e)| e.0));
+                prop_assert_eq!(cal.len(), heap.len());
+            }
+            while let Some(Reverse((t, _, _, p))) = heap.pop() {
+                prop_assert_eq!(cal.pop(), Some((t, p)));
+            }
+            prop_assert!(cal.is_empty());
         }
     }
 }

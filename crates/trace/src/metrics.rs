@@ -55,6 +55,22 @@ impl Histogram {
         self.sum_ns += u128::from(ns);
     }
 
+    /// Adds pre-bucketed samples: `counts[i]` durations in bucket `i`
+    /// (this type's own power-of-two layout), `sum_ns` their exact total.
+    /// For sources that bucket on their own hot path and keep only the
+    /// counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts` has more buckets than the histogram.
+    pub fn record_buckets(&mut self, counts: &[u64], sum_ns: u64) {
+        for (mine, theirs) in self.buckets[..counts.len()].iter_mut().zip(counts) {
+            *mine += theirs;
+        }
+        self.count += counts.iter().sum::<u64>();
+        self.sum_ns += u128::from(sum_ns);
+    }
+
     /// Adds another histogram into this one. Elementwise, so
     /// `a.merge(b)` then `.merge(c)` equals `b.merge(c)` then
     /// `a.merge(that)` — associativity is what lets per-node histograms
@@ -158,6 +174,15 @@ impl MetricsRegistry {
     /// Records a duration into the named histogram.
     pub fn observe(&mut self, name: &'static str, d: SimDuration) {
         self.histograms.entry(name).or_default().record(d);
+    }
+
+    /// Records pre-bucketed samples into the named histogram (see
+    /// [`Histogram::record_buckets`]).
+    pub fn observe_buckets(&mut self, name: &'static str, counts: &[u64], sum_ns: u64) {
+        self.histograms
+            .entry(name)
+            .or_default()
+            .record_buckets(counts, sum_ns);
     }
 
     /// Reads a histogram, if it has ever been observed into.
@@ -305,6 +330,20 @@ mod tests {
         assert_eq!(h.mean().as_nanos(), (3_000_000 + 1) / 3);
         assert!(h.quantile_upper_bound(1.0) >= SimDuration::from_millis(3));
         assert!(h.quantile_upper_bound(0.1) <= SimDuration::from_nanos(1));
+    }
+
+    #[test]
+    fn pre_bucketed_samples_equal_recorded_ones() {
+        let samples = [0u64, 1, 3, 700, 700, 5_000];
+        let mut recorded = Histogram::new();
+        let mut counts = [0u64; 32];
+        for &ns in &samples {
+            recorded.record(SimDuration::from_nanos(ns));
+            counts[ns.max(1).ilog2() as usize] += 1;
+        }
+        let mut bucketed = Histogram::new();
+        bucketed.record_buckets(&counts, samples.iter().sum());
+        assert_eq!(bucketed, recorded);
     }
 
     #[test]

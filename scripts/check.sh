@@ -46,6 +46,14 @@ python3 scripts/check_trace_schema.py \
     artifacts/e22_fat_tree_256.trace.json \
     tests/goldens/single_link_cut.trace.json
 
+echo "==> repo benchmark (smoke) + sharded/classic cycle gate"
+# The frozen benchmark crate builds against the workspace as is, so this
+# also proves the public surface it uses still compiles. The run exits
+# non-zero if any workload's output check fails; the gate then holds the
+# 2-partition cycle within 3x of the classic one, same run, same box.
+benchmark/run.sh --smoke
+python3 scripts/check_benchmark_gate.py benchmark/out/results-smoke.json
+
 # Opt-in: regenerate the machine-readable experiment results at the repo
 # root (BENCH_reconfig.json, BENCH_interruption.json) and gate the fresh
 # E1 numbers against the committed baseline: the dominant critical-path

@@ -44,6 +44,17 @@ def check_scale(path, doc):
         ):
             if require(path, row, key, (int, float)) <= 0:
                 fail(path, f"{row['topology']}: {key} must be positive")
+        # The untraced sharded executor at 1 and 2 partitions: same
+        # scenario as the classic columns above, one variable apart.
+        for n in (1, 2):
+            for key in (f"sharded{n}_bringup_wall_s", f"sharded{n}_cut_wall_s"):
+                if require(path, row, key, (int, float)) <= 0:
+                    fail(path, f"{row['topology']}: {key} must be positive")
+            if require(path, row, f"sharded{n}_events", int) <= 0:
+                fail(path, f"{row['topology']}: sharded{n}_events must be positive")
+        # A fault is delivered to every shard: one more event per extra shard.
+        if row["sharded2_events"] != row["sharded1_events"] + 1:
+            fail(path, f"{row['topology']}: 1 and 2 partitions did different work")
         # Kernel-telemetry attribution columns (causal-profiler PR).
         if require(path, row, "partitions", int) <= 0:
             fail(path, f"{row['topology']}: partitions must be positive")
@@ -59,9 +70,9 @@ def check_scale(path, doc):
         quantiles = [
             require(path, row, k, (int, float))
             for k in (
-                "barrier_wait_p50_ms",
-                "barrier_wait_p99_ms",
-                "barrier_wait_p999_ms",
+                "barrier_wait_p50_us",
+                "barrier_wait_p99_us",
+                "barrier_wait_p999_us",
             )
         ]
         if any(q < 0 for q in quantiles) or quantiles != sorted(quantiles):

@@ -148,6 +148,34 @@ fn disabled_tracing_keeps_the_datapath_byte_identical() {
     assert_eq!(events(&on), events(&off), "event log must be bit-identical");
 }
 
+/// A 16-switch torus on 2 partitions: bring-up, then one trunk cut.
+fn cut_on_two_partitions(tracing: bool) -> PartitionedNetwork {
+    let params = NetParams {
+        tracing,
+        ..NetParams::tuned()
+    };
+    let mut net = PartitionedNetwork::new(gen::torus(4, 4, 21), params, 6, 2);
+    net.run_for(SimDuration::from_millis(600)); // bring-up
+    net.schedule_link_down(net.now() + SimDuration::from_millis(1), LinkId(1));
+    net.run_for(SimDuration::from_millis(600));
+    net
+}
+
+/// Per switch: open, epoch, installed-table digest.
+fn control_plane(net: &PartitionedNetwork) -> Vec<(bool, u64, u64)> {
+    net.topology()
+        .switch_ids()
+        .map(|s| {
+            let ap = net.autopilot(s);
+            (
+                ap.is_open(),
+                ap.epoch().0,
+                net.forwarding_table(s).canonical_digest(),
+            )
+        })
+        .collect()
+}
+
 /// The observability layers added on top of the raw records inherit the
 /// same guarantee: with tracing off the span tree derived from the run
 /// is empty (its Chrome-trace export carries metadata only, no spans)
@@ -158,18 +186,7 @@ fn disabled_tracing_keeps_the_datapath_byte_identical() {
 /// overhead gate in scripts/check.sh.)
 #[test]
 fn disabled_tracing_disables_spans_and_kernel_telemetry() {
-    let run = |tracing: bool| {
-        let params = NetParams {
-            tracing,
-            ..NetParams::tuned()
-        };
-        let mut net = PartitionedNetwork::new(gen::torus(4, 4, 21), params, 6, 2);
-        net.run_for(SimDuration::from_millis(600)); // bring-up
-        net.schedule_link_down(net.now() + SimDuration::from_millis(1), LinkId(1));
-        net.run_for(SimDuration::from_millis(600));
-        net
-    };
-    let off = run(false);
+    let off = cut_on_two_partitions(false);
     assert!(off.shard_telemetry().is_none(), "no telemetry allocated");
     assert!(off.kernel_metrics().is_none());
     assert!(off.barrier_wait_fraction().is_none());
@@ -182,7 +199,7 @@ fn disabled_tracing_disables_spans_and_kernel_telemetry() {
         "untraced export must hold no spans: {export}"
     );
 
-    let on = run(true);
+    let on = cut_on_two_partitions(true);
     let tel = on.shard_telemetry().expect("telemetry allocated");
     assert_eq!(tel.len(), 2, "one telemetry block per shard");
     assert!(tel.iter().map(|t| t.events).sum::<u64>() > 0);
@@ -199,8 +216,43 @@ fn disabled_tracing_disables_spans_and_kernel_telemetry() {
     tree.check_well_formed().expect("well-formed span tree");
 }
 
+/// Kernel telemetry observes and never steers: the same run with it on
+/// and off ends in the same control-plane state after the same number of
+/// events. And its wait/work histograms hold one sample per shard-window
+/// (they used to hold one sample per shard: the run total), so their
+/// quantiles are per-window costs.
+#[test]
+fn kernel_histograms_are_per_window_and_telemetry_is_neutral() {
+    let (off, on) = (cut_on_two_partitions(false), cut_on_two_partitions(true));
+    assert_eq!(control_plane(&off), control_plane(&on));
+    assert_eq!(off.events_processed(), on.events_processed());
+    let traffic = |net: &PartitionedNetwork| {
+        let s = net.stats();
+        (s.control_sent, s.opens, s.closes, s.last_state_change)
+    };
+    assert_eq!(traffic(&off), traffic(&on));
+
+    let tel = on.shard_telemetry().expect("telemetry allocated");
+    let windows: u64 = tel.iter().map(|t| t.windows).sum();
+    assert!(windows > 1_000, "a real run: {windows} shard-windows");
+    let metrics = on.kernel_metrics().expect("kernel metrics materialize");
+    assert_eq!(metrics.counter("kernel.windows"), windows);
+    for name in ["kernel.shard_barrier_wait", "kernel.shard_work"] {
+        let hist = metrics.histogram(name).expect("histogram exported");
+        assert_eq!(hist.count(), windows, "{name}: one sample per window");
+    }
+    // A window of this 16-switch run is microseconds of work; the old
+    // run-total sample put the median in the hundreds of milliseconds.
+    let p50 = metrics
+        .histogram("kernel.shard_work")
+        .expect("histogram exported")
+        .quantile_upper_bound(0.5);
+    assert!(p50 < SimDuration::from_millis(10), "per-window p50: {p50}");
+}
+
 /// Everything observable a partitioned campaign produces, in canonical
 /// (partition-count-independent) form.
+#[derive(Debug, PartialEq)]
 struct PartitionedHistory {
     trace_jsonl: String,
     switches: Vec<(bool, u64, u64)>,
@@ -240,18 +292,7 @@ fn partitioned_campaign(nparts: usize) -> PartitionedHistory {
     // The merged trace is the canonical artifact: stable-sorted by
     // (time, node), serialized to JSONL, byte-comparable across runs.
     let trace_jsonl = autonet::trace::to_jsonl(&net.merged_trace_records());
-    let switches = net
-        .topology()
-        .switch_ids()
-        .map(|s| {
-            let ap = net.autopilot(s);
-            (
-                ap.is_open(),
-                ap.epoch().0,
-                net.forwarding_table(s).canonical_digest(),
-            )
-        })
-        .collect();
+    let switches = control_plane(&net);
     // Deliveries and events are concatenated per shard, so same-instant
     // records from different shards have no canonical concat order;
     // sort by full content before comparing.
@@ -296,6 +337,29 @@ fn partition_count_is_invisible() {
         assert_eq!(base.events, other.events, "{nparts} shards");
         assert_eq!(base.reconfigs, other.reconfigs, "{nparts} shards");
     }
+}
+
+/// More shards than cores, twice over: two 8-partition campaigns at once
+/// on a 2-core box (plus whatever else `cargo test` is running). The
+/// round barrier spins only briefly, then yields, then parks, so the
+/// oversubscribed case costs about what the blocking barriers it replaced
+/// did (~2 s each here, debug build) instead of livelocking.
+#[test]
+fn oversubscribed_partitions_finish_within_budget() {
+    let started = std::time::Instant::now();
+    let runs: Vec<_> = (0..2)
+        .map(|_| std::thread::spawn(|| partitioned_campaign(8)))
+        .collect();
+    let histories: Vec<_> = runs
+        .into_iter()
+        .map(|run| run.join().expect("campaign completes"))
+        .collect();
+    assert_eq!(histories[0], histories[1]);
+    let wall = started.elapsed();
+    assert!(
+        wall < std::time::Duration::from_secs(120),
+        "two concurrent 8-partition campaigns took {wall:?} (budget 120 s)"
+    );
 }
 
 #[test]
