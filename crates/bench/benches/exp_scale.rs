@@ -30,7 +30,7 @@
 
 use autonet_bench::{print_table, write_artifact, write_bench_json};
 use autonet_core::RouteCacheStats;
-use autonet_net::{NetParams, Network, PartitionedNetwork};
+use autonet_net::{Driver, Net, NetParams, Network, PartitionedNetwork};
 use autonet_sim::{ShardTelemetry, SimDuration, SimTime};
 use autonet_topo::{gen, LinkId, Topology};
 use autonet_trace::SpanTree;
@@ -41,11 +41,8 @@ struct Row {
     switches: usize,
     links: usize,
     partitions: usize,
-    bring_sim: SimDuration,
-    bring_wall: f64,
-    cut_sim: SimDuration,
-    cut_wall: f64,
-    events: u64,
+    // The perf pass on the classic kernel.
+    classic: Walls,
     events_per_sec: f64,
     wall_per_sim_sec: f64,
     // The same scenario, untraced, on the sharded executor.
@@ -64,27 +61,33 @@ struct Row {
     trace_path: Option<std::path::PathBuf>,
 }
 
-/// Wall clock of one untraced run: bring-up, then cut to healed.
+/// Sim and wall clock of one run: bring-up, then cut to healed.
 struct Walls {
+    bring_sim: SimDuration,
     bring_wall: f64,
+    cut_sim: SimDuration,
     cut_wall: f64,
     events: u64,
 }
 
-/// The perf-pass scenario on the sharded executor, untraced.
-fn sharded_walls(topo: &Topology, nparts: usize) -> Option<Walls> {
-    let mut net = PartitionedNetwork::new(topo.clone(), NetParams::scale(), 2, nparts);
+/// The scenario every pass runs, on either kernel: cold bring-up, cut
+/// trunk 0, run until healed.
+fn cycle<D: Driver>(net: &mut Net<D>) -> Option<Walls> {
     let wall = Instant::now();
     net.run_until_stable_every(SimDuration::from_millis(100), SimTime::from_secs(300))?;
     let bring_wall = wall.elapsed().as_secs_f64();
+    let bring_sim = SimDuration::from_nanos(net.now().as_nanos());
     net.schedule_link_down(net.now() + SimDuration::from_millis(10), LinkId(0));
+    let cut_from = net.now();
     let wall = Instant::now();
     net.run_until_stable_every(
         SimDuration::from_millis(50),
         net.now() + SimDuration::from_secs(60),
     )?;
     Some(Walls {
+        bring_sim,
         bring_wall,
+        cut_sim: net.now().saturating_since(cut_from),
         cut_wall: wall.elapsed().as_secs_f64(),
         events: net.events_processed(),
     })
@@ -108,28 +111,14 @@ fn measure(name: &str, topo: Topology, trace_to: Option<&str>) -> Option<Row> {
     let links = topo.num_links();
     let nparts = partitions();
 
-    // Perf pass: the committed-trajectory configuration, untouched.
-    let mut net = Network::new(topo.clone(), NetParams::scale(), 2);
-    let wall = Instant::now();
-    net.run_until_stable_every(SimDuration::from_millis(100), SimTime::from_secs(300))?;
-    let bring_wall = wall.elapsed().as_secs_f64();
-    let bring_sim = SimDuration::from_nanos(net.now().as_nanos());
-
-    net.schedule_link_down(net.now() + SimDuration::from_millis(10), LinkId(0));
-    let cut_from = net.now();
-    let wall = Instant::now();
-    net.run_until_stable_every(
-        SimDuration::from_millis(50),
-        net.now() + SimDuration::from_secs(60),
-    )?;
-    let cut_wall = wall.elapsed().as_secs_f64();
-    let cut_sim = net.now().saturating_since(cut_from);
-    let events = net.events_processed();
-    let total_wall = bring_wall + cut_wall;
-    let total_sim = net.now().as_nanos() as f64 / 1e9;
-    drop(net);
-    let sharded1 = sharded_walls(&topo, 1)?;
-    let sharded2 = sharded_walls(&topo, 2)?;
+    // Perf pass: the committed-trajectory configuration, untouched, then
+    // the same scenario, still untraced, on the sharded kernel.
+    let scale = NetParams::scale();
+    let classic = cycle(&mut Network::new(topo.clone(), scale, 2))?;
+    let total_wall = classic.bring_wall + classic.cut_wall;
+    let total_sim = (classic.bring_sim + classic.cut_sim).as_nanos() as f64 / 1e9;
+    let sharded1 = cycle(&mut PartitionedNetwork::new(topo.clone(), scale, 2, 1))?;
+    let sharded2 = cycle(&mut PartitionedNetwork::new(topo.clone(), scale, 2, 2))?;
 
     // Profile pass: same scenario, partitioned kernel, tracing and shard
     // telemetry on. The scale preset disables tracing; the profile pass
@@ -139,14 +128,8 @@ fn measure(name: &str, topo: Topology, trace_to: Option<&str>) -> Option<Row> {
         ..NetParams::scale()
     };
     let mut prof = PartitionedNetwork::new(topo, params, 2, nparts);
-    let wall = Instant::now();
-    prof.run_until_stable_every(SimDuration::from_millis(100), SimTime::from_secs(300))?;
-    prof.schedule_link_down(prof.now() + SimDuration::from_millis(10), LinkId(0));
-    prof.run_until_stable_every(
-        SimDuration::from_millis(50),
-        prof.now() + SimDuration::from_secs(60),
-    )?;
-    let profile_wall = wall.elapsed().as_secs_f64();
+    let profiled = cycle(&mut prof)?;
+    let profile_wall = profiled.bring_wall + profiled.cut_wall;
 
     let shards = prof.shard_telemetry().unwrap_or_default();
     let metrics = prof.kernel_metrics();
@@ -176,17 +159,13 @@ fn measure(name: &str, topo: Topology, trace_to: Option<&str>) -> Option<Row> {
         switches,
         links,
         partitions: nparts,
-        bring_sim,
-        bring_wall,
-        cut_sim,
-        cut_wall,
-        events,
-        events_per_sec: events as f64 / total_wall,
+        events_per_sec: classic.events as f64 / total_wall,
+        classic,
         wall_per_sim_sec: total_wall / total_sim,
         sharded1,
         sharded2,
         profile_wall,
-        profile_events: prof.events_processed(),
+        profile_events: profiled.events,
         barrier_wait_frac: prof.barrier_wait_fraction().unwrap_or(0.0),
         load_imbalance: prof.load_imbalance().unwrap_or(1.0),
         barrier_wait_p50: q(0.50),
@@ -276,8 +255,8 @@ fn main() {
                     row.name.clone(),
                     row.switches.to_string(),
                     row.links.to_string(),
-                    format!("{:.1}", row.bring_wall),
-                    format!("{:.2}", row.cut_wall),
+                    format!("{:.1}", row.classic.bring_wall),
+                    format!("{:.2}", row.classic.cut_wall),
                     format!(
                         "{:.1} / {:.2}",
                         row.sharded1.bring_wall, row.sharded1.cut_wall
@@ -337,11 +316,11 @@ fn main() {
                 r.switches,
                 r.links,
                 r.partitions,
-                r.bring_sim.as_millis_f64(),
-                r.bring_wall,
-                r.cut_sim.as_millis_f64(),
-                r.cut_wall,
-                r.events,
+                r.classic.bring_sim.as_millis_f64(),
+                r.classic.bring_wall,
+                r.classic.cut_sim.as_millis_f64(),
+                r.classic.cut_wall,
+                r.classic.events,
                 r.events_per_sec,
                 r.wall_per_sim_sec,
                 r.sharded1.bring_wall,
@@ -380,15 +359,12 @@ fn main() {
     // core trunk cut in under 10 s of wall clock (perf pass — observation
     // cost is accounted separately in profile_wall_s).
     if let Some(big) = rows.iter().find(|r| r.name == "fat_tree 1024") {
+        let cut_wall = big.classic.cut_wall;
         assert!(
-            big.cut_wall < 10.0,
-            "1024-switch trunk-cut reconfiguration took {:.1} s wall (bar: 10 s)",
-            big.cut_wall
+            cut_wall < 10.0,
+            "1024-switch trunk-cut reconfiguration took {cut_wall:.1} s wall (bar: 10 s)"
         );
-        println!(
-            "acceptance: 1024-switch cut healed in {:.1} s wall (< 10 s)",
-            big.cut_wall
-        );
+        println!("acceptance: 1024-switch cut healed in {cut_wall:.1} s wall (< 10 s)");
     }
     // The flagship row must have produced a Perfetto-loadable trace.
     if let Some(f) = rows.iter().find(|r| r.name == flagship) {

@@ -4,14 +4,15 @@
 //! time, apply a fault, drain the typed event spine, sample
 //! the switches' externally visible state, and answer "has the control
 //! plane settled?". [`Substrate`] is that contract; [`PacketSubstrate`]
-//! implements it over the packet-level `Network` (full fault vocabulary)
-//! and [`SlotSubstrate`] over the slot-level `SlotNet`, where cable
+//! implements it over the packet-level `Net` facade on either event
+//! kernel (full fault vocabulary) and [`SlotSubstrate`] over the
+//! slot-level `SlotNet`, where cable
 //! faults are emulated the way the real hardware would see them: heavy
 //! code-violation noise on both ends of the link until the samplers
 //! condemn it, silence to let the skeptics readmit it.
 
 use autonet_core::{AutopilotParams, Epoch, PortState};
-use autonet_net::{Network, SlotNet};
+use autonet_net::{Driver, Net, Network, PartitionedNetwork, SlotNet};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{HostId, LinkId, NetView, SwitchId, Topology};
 use autonet_trace::TraceRecord;
@@ -94,24 +95,68 @@ fn crossing_links(topo: &Topology, side: &[usize]) -> Vec<LinkId> {
         .collect()
 }
 
-/// The packet-level backend.
-pub struct PacketSubstrate {
-    net: Network,
+/// The packet-level backend, on event kernel `D`: wrap a `Network` for
+/// the classic kernel or a `PartitionedNetwork` for the sharded one.
+pub struct PacketSubstrate<D> {
+    net: Net<D>,
 }
 
-impl PacketSubstrate {
+impl<D> PacketSubstrate<D> {
     /// Wraps a freshly built network.
-    pub fn new(net: Network) -> Self {
+    pub fn new(net: Net<D>) -> Self {
         PacketSubstrate { net }
     }
 
     /// The wrapped network, for backend-specific assertions.
-    pub fn network(&self) -> &Network {
+    pub fn network(&self) -> &Net<D> {
         &self.net
     }
 }
 
-impl Substrate for PacketSubstrate {
+/// The one thing a campaign needs that only the classic kernel has:
+/// service-interruption probe flows. The defaults are the sharded
+/// kernel's answer.
+pub trait ProbeFlows {
+    /// See [`Substrate::start_probes`].
+    ///
+    /// # Panics
+    ///
+    /// Unless overridden: an armed blackout oracle with no probes behind
+    /// it would pass vacuously. Run hosted campaigns on the classic
+    /// kernel, or with `check_blackouts` off.
+    fn start_probes(&mut self, _pairs: &[(HostId, HostId)], _interval: SimDuration) {
+        panic!("probes are unsupported in partitioned mode (one network-wide tick)");
+    }
+    /// See [`Substrate::probe_records`].
+    fn probe_records(&self) -> Vec<autonet_core::ProbeRecord> {
+        Vec::new()
+    }
+    /// See [`Substrate::probe_pairs`].
+    fn probe_pairs(&self) -> Vec<(usize, usize)> {
+        Vec::new()
+    }
+}
+
+impl ProbeFlows for PartitionedNetwork {}
+
+impl ProbeFlows for Network {
+    fn start_probes(&mut self, pairs: &[(HostId, HostId)], interval: SimDuration) {
+        Network::start_probes(self, pairs, interval);
+    }
+
+    fn probe_records(&self) -> Vec<autonet_core::ProbeRecord> {
+        Network::probe_records(self).to_vec()
+    }
+
+    fn probe_pairs(&self) -> Vec<(usize, usize)> {
+        Network::probe_pairs(self)
+    }
+}
+
+impl<D: Driver> Substrate for PacketSubstrate<D>
+where
+    Net<D>: ProbeFlows,
+{
     fn now(&self) -> SimTime {
         self.net.now()
     }
@@ -228,15 +273,15 @@ impl Substrate for PacketSubstrate {
     }
 
     fn start_probes(&mut self, pairs: &[(HostId, HostId)], interval: SimDuration) {
-        self.net.start_probes(pairs, interval);
+        ProbeFlows::start_probes(&mut self.net, pairs, interval);
     }
 
     fn probe_records(&self) -> Vec<autonet_core::ProbeRecord> {
-        self.net.probe_records().to_vec()
+        ProbeFlows::probe_records(&self.net)
     }
 
     fn probe_pairs(&self) -> Vec<(usize, usize)> {
-        self.net.probe_pairs()
+        ProbeFlows::probe_pairs(&self.net)
     }
 }
 

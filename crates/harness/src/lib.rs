@@ -25,6 +25,10 @@
 //! The packet-level `Network` and the slot-level `SlotNet` in
 //! `autonet-net` are both thin wrappers over this layer; a future real
 //! hardware shim would be a third.
+//!
+//! [`Autopilot`]: autonet_core::Autopilot
+//! [`Action`]: autonet_core::Action
+//! [`AutopilotParams`]: autonet_core::AutopilotParams
 
 mod env;
 mod node;

@@ -36,8 +36,11 @@ mod telemetry;
 pub mod workload;
 
 pub use autonet_core::{ProbeOutcome, ProbeRecord};
+#[doc(hidden)]
+pub use network::Driver;
 pub use network::{
-    DeliveryRecord, NetEvent, NetEventKind, NetStats, Network, NetworkStats, PartitionedNetwork,
+    DeliveryRecord, Net, NetEvent, NetEventKind, NetStats, Network, NetworkStats,
+    PartitionedNetwork,
 };
 pub use params::{CpuModel, NetParams};
 pub use ring::{RingStats, TokenRing};

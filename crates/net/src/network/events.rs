@@ -2,7 +2,7 @@
 
 use autonet_core::{Epoch, SrpPayload};
 use autonet_sim::SimTime;
-use autonet_topo::{HostId, SwitchId};
+use autonet_topo::{HostId, LinkId, SwitchId, Topology};
 use autonet_wire::{Packet, PortIndex, ShortAddress, Uid};
 
 /// Which physical path carried a packet (checked again at delivery so
@@ -17,6 +17,7 @@ pub enum Via {
 
 /// Simulation events (public only because the `World` impl exposes the
 /// type; constructed exclusively through `Network` methods).
+#[derive(Clone)]
 #[doc(hidden)]
 pub enum Event {
     SwitchBoot {
@@ -90,6 +91,53 @@ pub enum Event {
     },
     /// One round of service-interruption probes (self-rescheduling).
     ProbeTick,
+}
+
+impl Event {
+    /// Whether the event flips replicated plant state (link, host-link
+    /// and power flags). Under the sharded driver such an event goes to
+    /// every shard under one stamp, and only the shard owning its
+    /// [`node`](Event::node) keeps the observable effects.
+    pub(super) fn is_plant_fault(&self) -> bool {
+        matches!(
+            self,
+            Event::LinkDown { .. }
+                | Event::LinkUp { .. }
+                | Event::SwitchDown { .. }
+                | Event::SwitchUp { .. }
+                | Event::HostPowerOff { .. }
+                | Event::HostPowerOn { .. }
+                | Event::HostLinkDown { .. }
+                | Event::HostLinkUp { .. }
+        )
+    }
+
+    /// The dense id (switches, then hosts) of the node the event is
+    /// addressed to; a link fault anchors at the link's `a` end.
+    pub(super) fn node(&self, topo: &Topology) -> usize {
+        match *self {
+            Event::SwitchBoot { s }
+            | Event::SwitchTick { s }
+            | Event::SwitchSample { s }
+            | Event::SwitchRx { s, .. }
+            | Event::SwitchCpuDone { s, .. }
+            | Event::SrpRequest { s, .. }
+            | Event::SwitchDown { s }
+            | Event::SwitchUp { s } => s,
+            Event::LinkDown { l } | Event::LinkUp { l } => topo.link(LinkId(l)).a.switch.0,
+            Event::HostBoot { h }
+            | Event::HostTick { h }
+            | Event::HostRx { h, .. }
+            | Event::HostSend { h, .. }
+            | Event::HostPowerOff { h }
+            | Event::HostPowerOn { h }
+            | Event::HostLinkDown { h, .. }
+            | Event::HostLinkUp { h, .. } => topo.num_switches() + h,
+            // One network-wide tick drawing on one shared world: only the
+            // classic facade has the probe API that schedules it.
+            Event::ProbeTick => unreachable!("probes exist only on the classic driver"),
+        }
+    }
 }
 
 /// Observable network happenings, timestamped.

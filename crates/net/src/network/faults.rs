@@ -6,7 +6,7 @@ use autonet_sim::{Scheduler, SimDuration, SimTime};
 use autonet_topo::{HostId, LinkId, SwitchId};
 
 use super::events::{Event, NetEventKind};
-use super::{NetWorld, Network};
+use super::{Driver, Net, NetWorld};
 
 impl NetWorld {
     pub(super) fn on_link_down(&mut self, now: SimTime, l: usize) {
@@ -77,25 +77,25 @@ impl NetWorld {
     }
 }
 
-impl Network {
+impl<D: Driver> Net<D> {
     /// Schedules a link failure.
     pub fn schedule_link_down(&mut self, at: SimTime, l: LinkId) {
-        self.sim.schedule_at(at, Event::LinkDown { l: l.0 });
+        self.sim.schedule(at, Event::LinkDown { l: l.0 });
     }
 
     /// Schedules a link repair.
     pub fn schedule_link_up(&mut self, at: SimTime, l: LinkId) {
-        self.sim.schedule_at(at, Event::LinkUp { l: l.0 });
+        self.sim.schedule(at, Event::LinkUp { l: l.0 });
     }
 
     /// Schedules a switch crash.
     pub fn schedule_switch_down(&mut self, at: SimTime, s: SwitchId) {
-        self.sim.schedule_at(at, Event::SwitchDown { s: s.0 });
+        self.sim.schedule(at, Event::SwitchDown { s: s.0 });
     }
 
     /// Schedules a switch power-on (reboots a fresh Autopilot).
     pub fn schedule_switch_up(&mut self, at: SimTime, s: SwitchId) {
-        self.sim.schedule_at(at, Event::SwitchUp { s: s.0 });
+        self.sim.schedule(at, Event::SwitchUp { s: s.0 });
     }
 
     /// Schedules a host power-off with cables left attached: the
@@ -103,24 +103,22 @@ impl Network {
     /// broadcast storm possible, until the switch's status sampler counts
     /// enough code violations to kill the ports.
     pub fn schedule_host_power_off(&mut self, at: SimTime, h: HostId) {
-        self.sim.schedule_at(at, Event::HostPowerOff { h: h.0 });
+        self.sim.schedule(at, Event::HostPowerOff { h: h.0 });
     }
 
     /// Schedules the host powering back on.
     pub fn schedule_host_power_on(&mut self, at: SimTime, h: HostId) {
-        self.sim.schedule_at(at, Event::HostPowerOn { h: h.0 });
+        self.sim.schedule(at, Event::HostPowerOn { h: h.0 });
     }
 
     /// Schedules a host-link failure (`which`: 0 primary, 1 alternate).
     pub fn schedule_host_link_down(&mut self, at: SimTime, h: HostId, which: usize) {
-        self.sim
-            .schedule_at(at, Event::HostLinkDown { h: h.0, which });
+        self.sim.schedule(at, Event::HostLinkDown { h: h.0, which });
     }
 
     /// Schedules a host-link repair.
     pub fn schedule_host_link_up(&mut self, at: SimTime, h: HostId, which: usize) {
-        self.sim
-            .schedule_at(at, Event::HostLinkUp { h: h.0, which });
+        self.sim.schedule(at, Event::HostLinkUp { h: h.0, which });
     }
 
     /// Schedules `2 * cycles` alternating down/up events on a link: a

@@ -8,7 +8,7 @@ use autonet_topo::HostId;
 use autonet_wire::{Packet, Uid};
 
 use super::events::{DeliveryRecord, Event, NetEventKind, Via};
-use super::{NetWorld, Network};
+use super::{Driver, Net, NetWorld};
 
 impl NetWorld {
     /// Executes a batch of host controller actions.
@@ -122,15 +122,16 @@ impl NetWorld {
     }
 }
 
-impl Network {
+impl<D: Driver> Net<D> {
     /// A host's controller, for inspection.
     pub fn host(&self, h: HostId) -> &HostController {
-        &self.sim.world().hosts.ctl[h.0]
+        let node = self.topology().num_switches() + h.0;
+        &self.sim.world_of(node).hosts.ctl[h.0]
     }
 
     /// Schedules a host data frame.
     pub fn schedule_host_send(&mut self, at: SimTime, h: HostId, dst: Uid, len: usize, tag: u64) {
-        self.sim.schedule_at(
+        self.sim.schedule(
             at,
             Event::HostSend {
                 h: h.0,

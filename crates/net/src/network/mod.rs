@@ -6,9 +6,13 @@
 //! serialization, no per-byte flow control — that lives in the slot-level
 //! model of `autonet-switch::datapath`).
 //!
-//! [`Network`] is a facade over focused submodules:
+//! [`Net`] is one facade over both event kernels — [`Network`] on the
+//! classic single-queue `Simulator`, [`PartitionedNetwork`] on the sharded
+//! one — assembled from focused submodules:
 //!
 //! - `events`: the event vocabulary ([`Event`], [`NetEvent`], ...);
+//! - `driver`: the seam to the kernels (clock, scheduling, which world
+//!   owns a node); `partitioned`: the sharded kernel's world and latch;
 //! - `switch_node`: one switch = one `autonet_harness::NodeHarness`
 //!   driving its Autopilot over a packet-level `Environment` view;
 //! - `host_node`: host controllers and data injection;
@@ -17,6 +21,7 @@
 //! - `faults`: fault injection and repair;
 //! - `stats`: convergence checks, the reference comparison, traces.
 
+mod driver;
 mod events;
 mod faults;
 mod host_node;
@@ -29,9 +34,9 @@ mod switch_node;
 #[cfg(test)]
 mod tests;
 
-pub use partitioned::PartitionedNetwork;
-
 pub use autonet_harness::NetStats;
+#[doc(hidden)]
+pub use driver::Driver;
 #[doc(hidden)]
 pub use events::Event;
 pub use events::{DeliveryRecord, NetEvent, NetEventKind};
@@ -40,13 +45,17 @@ pub use events::{DeliveryRecord, NetEvent, NetEventKind};
 /// [`NetStats`].
 pub type NetworkStats = NetStats;
 
-use autonet_sim::{Scheduler, SimDuration, SimRng, SimTime, Simulator, World};
-use autonet_topo::Topology;
+use std::sync::Arc;
+
+use autonet_core::RouteCache;
+use autonet_sim::{Scheduler, ShardedSimulator, SimDuration, SimRng, SimTime, Simulator, World};
+use autonet_topo::{LinkId, SwitchId, Topology};
 
 use crate::params::NetParams;
 use pool::{HostPool, SwitchPool};
 
-/// The simulation world (driven through [`Network`]).
+/// The simulation world (driven through [`Net`]).
+#[doc(hidden)]
 pub struct NetWorld {
     topo: Topology,
     params: NetParams,
@@ -85,23 +94,51 @@ pub struct NetWorld {
     latched: Option<partitioned::Latched>,
 }
 
-/// A running Autonet built from a topology.
-pub struct Network {
-    sim: Simulator<NetWorld>,
+/// A running Autonet built from a topology, on event kernel `D`.
+///
+/// Everything that does not depend on the kernel is a method of
+/// `Net<D>` itself, written once; [`Network`] and [`PartitionedNetwork`]
+/// add their constructor and what only their kernel can offer.
+pub struct Net<D> {
+    sim: D,
 }
+
+/// A running Autonet on the classic single-queue kernel.
+pub type Network = Net<Simulator<NetWorld>>;
+
+/// A running Autonet sharded across CPU cores, bit-for-bit deterministic
+/// for any partition count (see [`PartitionedNetwork::new`]).
+///
+/// Service-interruption probes draw on one network-wide tick, so the
+/// probe API exists on [`Network`] only:
+///
+/// ```compile_fail,E0599
+/// use autonet_net::{NetParams, PartitionedNetwork};
+/// use autonet_sim::SimDuration;
+/// use autonet_topo::{gen, HostId};
+///
+/// let mut topo = gen::ring(4, 5);
+/// gen::add_dual_homed_hosts(&mut topo, 1, 9);
+/// let mut net = PartitionedNetwork::new(topo, NetParams::tuned(), 1, 2);
+/// net.start_probes(&[(HostId(0), HostId(2))], SimDuration::from_millis(2));
+/// ```
+pub type PartitionedNetwork = Net<ShardedSimulator<partitioned::PartWorld>>;
 
 impl NetWorld {
     /// Builds the world plus its boot schedule (every switch and host
     /// booting within the configured jitter of t = 0). Shared by the
-    /// classic [`Network`] and every shard of a
-    /// [`PartitionedNetwork`](partitioned::PartitionedNetwork) — same
-    /// seed, bit-identical worlds.
-    fn build(topo: Topology, params: NetParams, seed: u64) -> (NetWorld, Vec<(SimTime, Event)>) {
+    /// classic [`Network`] and every shard of a [`PartitionedNetwork`] —
+    /// same seed, bit-identical worlds. `route_cache` is the fleet-shared
+    /// cache every Autopilot gets (one per network, also across shards).
+    fn build(
+        topo: Topology,
+        params: NetParams,
+        seed: u64,
+        route_cache: Option<Arc<RouteCache>>,
+    ) -> (NetWorld, Vec<(SimTime, Event)>) {
         let mut rng = SimRng::new(seed);
         let mut switches = SwitchPool::new();
-        if params.route_cache {
-            switches.route_cache = Some(std::sync::Arc::new(autonet_core::RouteCache::new()));
-        }
+        switches.route_cache = route_cache;
         for s in topo.switch_ids() {
             switches.push(
                 topo.switch(s).uid,
@@ -158,12 +195,38 @@ impl Network {
     /// Builds a network and schedules every switch and host to boot within
     /// the configured jitter of t = 0.
     pub fn new(topo: Topology, params: NetParams, seed: u64) -> Self {
-        let (world, boots) = NetWorld::build(topo, params, seed);
+        let cache = params.route_cache.then(|| Arc::new(RouteCache::new()));
+        let (world, boots) = NetWorld::build(topo, params, seed, cache);
         let mut sim = Simulator::new(world);
         for (at, event) in boots {
             sim.schedule_at(at, event);
         }
-        Network { sim }
+        Net { sim }
+    }
+
+    /// The observable event log, in processing order.
+    pub fn events(&self) -> &[NetEvent] {
+        &self.sim.world().events
+    }
+
+    /// Delivered data frames, in processing order.
+    pub fn deliveries(&self) -> &[DeliveryRecord] {
+        &self.sim.world().deliveries
+    }
+
+    /// The undrained typed event spine (see [`autonet_trace::EventLog`]):
+    /// every port transition, skeptic decision, table install and
+    /// open/close, node-attributed and timestamped.
+    pub fn trace_log(&self) -> &autonet_trace::EventLog {
+        &self.sim.world().trace
+    }
+}
+
+impl<D: Driver> Net<D> {
+    /// Any world, for state every world holds alike: the topology, the
+    /// plant flags, the shared route cache.
+    fn plant(&self) -> &NetWorld {
+        self.sim.world_of(0)
     }
 
     /// Current simulation time.
@@ -179,42 +242,24 @@ impl Network {
 
     /// The static topology.
     pub fn topology(&self) -> &Topology {
-        &self.sim.world().topo
-    }
-
-    /// The observable event log.
-    pub fn events(&self) -> &[NetEvent] {
-        &self.sim.world().events
-    }
-
-    /// Delivered data frames.
-    pub fn deliveries(&self) -> &[DeliveryRecord] {
-        &self.sim.world().deliveries
-    }
-
-    /// The undrained typed event spine (see [`autonet_trace::EventLog`]):
-    /// every port transition, skeptic decision, table install and
-    /// open/close, node-attributed and timestamped.
-    pub fn trace_log(&self) -> &autonet_trace::EventLog {
-        &self.sim.world().trace
+        &self.plant().topo
     }
 
     /// Whether trunk link `l` is physically up right now (fault schedules
     /// — flaps in particular — change this underneath the caller).
-    pub fn link_is_up(&self, l: autonet_topo::LinkId) -> bool {
-        self.sim.world().link_up[l.0]
+    pub fn link_is_up(&self, l: LinkId) -> bool {
+        self.plant().link_up[l.0]
     }
 
     /// Whether switch `s` is powered right now.
-    pub fn switch_is_up(&self, s: autonet_topo::SwitchId) -> bool {
-        self.sim.world().switches.up[s.0]
+    pub fn switch_is_up(&self, s: SwitchId) -> bool {
+        self.plant().switches.up[s.0]
     }
 
     /// Work counters of the fleet-shared route cache, if
     /// [`NetParams::route_cache`](crate::NetParams) is on.
     pub fn route_cache_stats(&self) -> Option<autonet_core::RouteCacheStats> {
-        self.sim
-            .world()
+        self.plant()
             .switches
             .route_cache
             .as_ref()
@@ -222,9 +267,11 @@ impl Network {
     }
 
     /// Drains the typed event spine accumulated since the last drain —
-    /// the scenario engine's online-checking hook.
+    /// the scenario engine's online-checking hook. [`Network`] returns
+    /// processing order; [`PartitionedNetwork`] the canonical
+    /// `(time, node)` merge, identical at any partition count.
     pub fn drain_trace_records(&mut self) -> Vec<autonet_trace::TraceRecord> {
-        self.sim.world_mut().trace.drain()
+        self.sim.drain_trace()
     }
 
     /// Runs for a span of virtual time.
@@ -240,7 +287,7 @@ impl Network {
         self.run_until_stable_every(SimDuration::from_millis(20), deadline)
     }
 
-    /// [`run_until_stable`](Network::run_until_stable) with an explicit
+    /// [`run_until_stable`](Net::run_until_stable) with an explicit
     /// consistency-polling period. The check walks every switch's agreed
     /// topology (quadratic in network size), so large-network callers
     /// poll at a coarser grain than the 20 ms default.
@@ -252,7 +299,7 @@ impl Network {
         while self.sim.now() < deadline {
             self.sim.run_for(step);
             if self.control_plane_consistent() {
-                return Some(self.sim.world().stats.last_state_change);
+                return Some(self.stats().last_state_change);
             }
         }
         None

@@ -1,7 +1,8 @@
 //! The sharded (multi-core) execution mode of the packet-level network.
 //!
-//! [`PartitionedNetwork`] runs the same [`NetWorld`] model as [`Network`],
-//! but partitions the nodes (switches, then hosts, in dense-id order)
+//! [`PartitionedNetwork`] runs the same [`NetWorld`] model as
+//! [`Network`](super::Network) behind the same [`Net`] facade, but
+//! partitions the nodes (switches, then hosts, in dense-id order)
 //! across the shards of an [`autonet_sim::ShardedSimulator`]. The
 //! conservative lookahead bound is physical: no packet crosses between
 //! two nodes faster than the smallest wire-plus-propagation delay in the
@@ -34,22 +35,22 @@
 //!   including one, which is what makes results bit-identical at 1, 2
 //!   or 8 shards.
 //!
-//! Unsupported here (asserted at construction / unreachable): control
-//! packet loss (`control_loss_rate > 0` draws from one shared RNG) and
-//! service-interruption probes (a single network-wide tick).
+//! Unsupported here: control packet loss (`control_loss_rate > 0` draws
+//! from one shared RNG; asserted at construction) and service-interruption
+//! probes (one network-wide tick; this facade instantiation has no probe API).
 
-use autonet_core::Autopilot;
-use autonet_harness::NetStats;
+use std::sync::Arc;
+
 use autonet_sim::{Scheduler, ShardWorld, ShardedSimulator, SimDuration, SimTime, World};
-use autonet_topo::{HostId, LinkId, SwitchId, Topology};
+use autonet_topo::{LinkId, Topology};
 use autonet_trace::TraceRecord;
-use autonet_wire::{PortIndex, Uid, MAX_PORTS};
+use autonet_wire::{PortIndex, MAX_PORTS};
 
 use crate::params::NetParams;
 
 use super::events::{DeliveryRecord, Event, NetEvent};
 use super::links::HOST_LINK_LATENCY_NS;
-use super::{stats, NetWorld};
+use super::{Driver, Net, NetWorld, PartitionedNetwork};
 
 /// Barrier-latched cross-node observations: what `synthesize_status` is
 /// allowed to see of nodes that may live on other shards.
@@ -89,17 +90,21 @@ impl Latched {
 /// One shard's slice of the latch, exchanged at every window barrier:
 /// only the rows and ports that changed since the shard's previous export.
 #[derive(Default)]
-pub(super) struct NetMirror {
+#[doc(hidden)]
+pub struct NetMirror {
     dead: Vec<(u32, [bool; MAX_PORTS])>,
     host_active: Vec<(u32, u8)>,
 }
 
 /// One shard: a full world replica plus its place in the partition.
-pub(super) struct PartWorld {
-    net: NetWorld,
+#[doc(hidden)]
+pub struct PartWorld {
+    pub(super) net: NetWorld,
     me: u32,
     owner: Vec<u32>,
-    n_switches: usize,
+    /// The node each entry of `net.events` is about (the node of the
+    /// event whose handler logged it) — the canonical merge's tie-break.
+    event_nodes: Vec<u32>,
     /// Own nodes that handled an event since the last window boundary —
     /// the only ones whose latched observables can have moved (a node's
     /// state changes only inside its own events). Filled by
@@ -120,7 +125,7 @@ impl PartWorld {
     /// holds, i.e. than its last export.
     fn moved(&self, n: usize) -> bool {
         let latched = self.latched();
-        match n.checked_sub(self.n_switches) {
+        match n.checked_sub(self.net.topo.num_switches()) {
             None => *self.net.switches.nodes.dead_row(n) != latched.dead[n],
             Some(h) => self.net.hosts.ctl[h].active_port() != latched.host_active(h),
         }
@@ -132,48 +137,13 @@ impl ShardWorld for PartWorld {
     type Mirror = NetMirror;
 
     fn node_of(&self, event: &Event) -> u32 {
-        let host = |h: usize| (self.n_switches + h) as u32;
-        match *event {
-            Event::SwitchBoot { s }
-            | Event::SwitchTick { s }
-            | Event::SwitchSample { s }
-            | Event::SwitchRx { s, .. }
-            | Event::SwitchCpuDone { s, .. }
-            | Event::SrpRequest { s, .. }
-            | Event::SwitchDown { s }
-            | Event::SwitchUp { s } => s as u32,
-            // Faults anchor to a deterministic node for stamping; they are
-            // *broadcast* to every shard regardless.
-            Event::LinkDown { l } | Event::LinkUp { l } => {
-                self.net.topo.link(LinkId(l)).a.switch.0 as u32
-            }
-            Event::HostBoot { h }
-            | Event::HostTick { h }
-            | Event::HostRx { h, .. }
-            | Event::HostSend { h, .. }
-            | Event::HostPowerOff { h }
-            | Event::HostPowerOn { h }
-            | Event::HostLinkDown { h, .. }
-            | Event::HostLinkUp { h, .. } => host(h),
-            Event::ProbeTick => unreachable!("probes are unsupported in partitioned mode"),
-        }
+        event.node(&self.net.topo) as u32
     }
 
     fn handle_sharded(&mut self, now: SimTime, event: Event, out: &mut Vec<(SimTime, Event)>) {
-        let broadcast = matches!(
-            event,
-            Event::LinkDown { .. }
-                | Event::LinkUp { .. }
-                | Event::SwitchDown { .. }
-                | Event::SwitchUp { .. }
-                | Event::HostPowerOff { .. }
-                | Event::HostPowerOn { .. }
-                | Event::HostLinkDown { .. }
-                | Event::HostLinkUp { .. }
-        );
         let node = self.node_of(&event);
         let own = self.owner[node as usize] == self.me;
-        let primary = !broadcast || own;
+        let primary = own || !event.is_plant_fault();
         if own && self.touched.last() != Some(&node) {
             self.touched.push(node);
         }
@@ -192,6 +162,7 @@ impl ShardWorld for PartWorld {
             self.net.trace.truncate(trace_len);
             self.net.stats = stats_before;
         }
+        self.event_nodes.resize(self.net.events.len(), node);
     }
 
     fn export_mirror(&self, into: &mut NetMirror) {
@@ -208,7 +179,7 @@ impl ShardWorld for PartWorld {
             if !self.moved(n) {
                 continue;
             }
-            match n.checked_sub(self.n_switches) {
+            match n.checked_sub(self.net.topo.num_switches()) {
                 None => into.dead.push((node, *self.net.switches.nodes.dead_row(n))),
                 Some(h) => into
                     .host_active
@@ -254,18 +225,25 @@ fn lookahead_window(topo: &Topology, params: &NetParams) -> SimDuration {
     SimDuration::from_nanos((wire_min + latency).max(1))
 }
 
-/// A running Autonet sharded across CPU cores, bit-for-bit deterministic
-/// for any partition count.
-pub struct PartitionedNetwork {
-    sim: ShardedSimulator<PartWorld>,
-    n_switches: usize,
+/// One history out of per-shard logs: stable-sorted by `(time, subject
+/// node)`, the rule [`autonet_trace::merge_sorted`] applies to trace
+/// records. All of a node's entries come from the shard that owns it, in
+/// that shard's processing order, so the result does not depend on the
+/// partition count.
+fn merge_by_node<'a, T: Clone + 'a>(
+    keyed: impl Iterator<Item = ((SimTime, u32), &'a T)>,
+) -> Vec<T> {
+    let mut keyed: Vec<_> = keyed.collect();
+    keyed.sort_by_key(|&(key, _)| key);
+    keyed.into_iter().map(|(_, entry)| entry.clone()).collect()
 }
 
 impl PartitionedNetwork {
     /// Builds a network partitioned into `nparts` shards (clamped to the
-    /// node count). Semantics match [`Network::new`] except for event
-    /// interleaving at identical timestamps and the barrier-latched
-    /// cross-node observations; results are identical for any `nparts`.
+    /// node count). Semantics match [`Network::new`](super::Network::new)
+    /// except for event interleaving at identical timestamps and the
+    /// barrier-latched cross-node observations; results are identical for
+    /// any `nparts`.
     ///
     /// # Panics
     ///
@@ -277,8 +255,7 @@ impl PartitionedNetwork {
             params.control_loss_rate == 0.0,
             "control loss is unsupported in partitioned mode (shared RNG)"
         );
-        let n_switches = topo.num_switches();
-        let n_nodes = (n_switches + topo.num_hosts()).max(1);
+        let n_nodes = (topo.num_switches() + topo.num_hosts()).max(1);
         let nparts = nparts.min(n_nodes);
         // Block partition: contiguous dense-id ranges, a pure function of
         // (n_nodes, nparts).
@@ -293,19 +270,12 @@ impl PartitionedNetwork {
         // only ever reads what it would have computed itself.
         let shared_cache = params
             .route_cache
-            .then(|| std::sync::Arc::new(autonet_core::RouteCache::new()));
+            .then(|| Arc::new(autonet_core::RouteCache::new()));
         let worlds: Vec<PartWorld> = (0..nparts as u32)
             .map(|me| {
-                let (mut net, b) = NetWorld::build(topo.clone(), params, seed);
+                let (mut net, b) =
+                    NetWorld::build(topo.clone(), params, seed, shared_cache.clone());
                 net.latched = Some(Latched::initial(&net));
-                if let Some(cache) = &shared_cache {
-                    net.switches.route_cache = Some(std::sync::Arc::clone(cache));
-                    for s in 0..net.switches.len() {
-                        net.switches
-                            .autopilot_mut(s)
-                            .set_route_cache(std::sync::Arc::clone(cache));
-                    }
-                }
                 if me == 0 {
                     boots = b;
                 }
@@ -313,7 +283,7 @@ impl PartitionedNetwork {
                     net,
                     me,
                     owner: owner.clone(),
-                    n_switches,
+                    event_nodes: Vec::new(),
                     touched: Vec::new(),
                 }
             })
@@ -329,91 +299,12 @@ impl PartitionedNetwork {
         for (at, event) in boots {
             sim.schedule_external(at, event);
         }
-        PartitionedNetwork { sim, n_switches }
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
+        Net { sim }
     }
 
     /// Number of shards actually running.
     pub fn num_partitions(&self) -> usize {
         self.sim.num_shards()
-    }
-
-    /// The static topology.
-    pub fn topology(&self) -> &Topology {
-        &self.sim.world(0).net.topo
-    }
-
-    /// Total events processed across all shards.
-    pub fn events_processed(&self) -> u64 {
-        self.sim.events_processed()
-    }
-
-    /// Runs for a span of virtual time.
-    pub fn run_for(&mut self, span: SimDuration) {
-        self.sim.run_for(span);
-    }
-
-    /// Switch `s`'s control program, read from the shard that owns it.
-    pub fn autopilot(&self, s: SwitchId) -> &Autopilot {
-        self.shard_of(s.0).net.switches.autopilot(s.0)
-    }
-
-    /// Switch `s`'s installed forwarding table, from the owning shard.
-    pub fn forwarding_table(&self, s: SwitchId) -> &autonet_switch::ForwardingTable {
-        &self.shard_of(s.0).net.switches.table[s.0]
-    }
-
-    fn shard_of(&self, node: usize) -> &PartWorld {
-        self.sim.world(self.sim.owner_of(node))
-    }
-
-    /// Whether the control plane has converged to the physical truth
-    /// (same predicate as [`Network::control_plane_consistent`]).
-    pub fn control_plane_consistent(&self) -> bool {
-        let w0 = &self.sim.world(0).net;
-        let view = w0.physical_view();
-        stats::consistent_with(&w0.topo, &view, &w0.switches.up, &|s| {
-            self.autopilot(SwitchId(s))
-        })
-    }
-
-    /// Runs until the control plane is stable, polling every `step`.
-    /// Returns the time of the last open/close state change, or `None`
-    /// if the deadline passed first.
-    pub fn run_until_stable_every(
-        &mut self,
-        step: SimDuration,
-        deadline: SimTime,
-    ) -> Option<SimTime> {
-        while self.sim.now() < deadline {
-            self.sim.run_for(step);
-            if self.control_plane_consistent() {
-                return Some(self.stats().last_state_change);
-            }
-        }
-        None
-    }
-
-    /// Aggregate counters summed across shards.
-    pub fn stats(&self) -> NetStats {
-        let mut total = NetStats::default();
-        for k in 0..self.sim.num_shards() {
-            let s = self.sim.world(k).net.stats;
-            total.data_sent += s.data_sent;
-            total.data_delivered += s.data_delivered;
-            total.data_discarded += s.data_discarded;
-            total.control_sent += s.control_sent;
-            total.lost_in_flight += s.lost_in_flight;
-            total.cpu_queue_drops += s.cpu_queue_drops;
-            total.opens += s.opens;
-            total.closes += s.closes;
-            total.last_state_change = total.last_state_change.max(s.last_state_change);
-        }
-        total
     }
 
     /// Per-shard kernel telemetry (`None` unless `params.tracing`): what
@@ -422,27 +313,14 @@ impl PartitionedNetwork {
         self.sim.telemetry()
     }
 
-    /// Work counters (and wall-clock split) of the fleet-shared route
-    /// cache, if [`NetParams::route_cache`](crate::NetParams) is on. The
-    /// cache is one `Arc` shared by every shard, so any shard's view is
-    /// the global one.
-    pub fn route_cache_stats(&self) -> Option<autonet_core::RouteCacheStats> {
-        self.sim
-            .world(0)
-            .net
-            .switches
-            .route_cache
-            .as_ref()
-            .map(|c| c.stats())
-    }
-
-    /// The kernel's execution profile as one merged [`MetricsRegistry`]
-    /// (`None` unless `params.tracing`): per-shard registries folded with
-    /// [`MetricsRegistry::merge`], so counters sum across shards, the
-    /// `*_max` gauges keep the hottest shard, and the histograms hold one
-    /// sample per shard-window, so their quantiles are per-window work and
-    /// barrier wait. Route-cache counters and
-    /// wall split are folded in when the cache is enabled.
+    /// The kernel's execution profile as one merged
+    /// [`MetricsRegistry`](autonet_trace::MetricsRegistry) (`None` unless
+    /// `params.tracing`): per-shard registries folded with
+    /// [`MetricsRegistry::merge`](autonet_trace::MetricsRegistry::merge),
+    /// so counters sum across shards, the `*_max` gauges keep the hottest
+    /// shard, and the histograms hold one sample per shard-window, so
+    /// their quantiles are per-window work and barrier wait. Route-cache
+    /// counters and wall split are folded in when the cache is enabled.
     pub fn kernel_metrics(&self) -> Option<autonet_trace::MetricsRegistry> {
         use autonet_trace::MetricsRegistry;
         let tel = self.sim.telemetry()?;
@@ -511,120 +389,43 @@ impl PartitionedNetwork {
         Some(max as f64 * tel.len() as f64 / total as f64)
     }
 
-    /// Total reconfigurations initiated across all switches.
-    pub fn total_reconfigs_triggered(&self) -> u64 {
-        (0..self.n_switches)
-            .map(|s| self.autopilot(SwitchId(s)).reconfigs_triggered())
-            .sum()
-    }
-
     /// The typed event spine of the whole run, canonically merged (by
     /// time, then node): each shard records only the nodes it owns, so
     /// concatenation plus a stable sort reconstructs the one history.
     /// This is the artifact the determinism tests digest.
     pub fn merged_trace_records(&self) -> Vec<TraceRecord> {
-        let mut all = Vec::new();
-        for k in 0..self.sim.num_shards() {
-            all.extend_from_slice(self.sim.world(k).net.trace.records());
-        }
-        autonet_trace::merge_sorted(&all)
+        let logs = self.sim.worlds().flat_map(|w| w.trace.records());
+        autonet_trace::merge_sorted(&logs.cloned().collect::<Vec<_>>())
     }
 
-    /// Observable network events from every shard, time-ordered (ties in
-    /// shard order).
+    /// Observable network events from every shard, in canonical order
+    /// (by time, then subject node) — the same at any partition count.
     pub fn events(&self) -> Vec<NetEvent> {
-        let mut all = Vec::new();
-        for k in 0..self.sim.num_shards() {
-            all.extend_from_slice(&self.sim.world(k).net.events);
-        }
-        all.sort_by_key(|e| e.time);
-        all
+        let shards = (0..self.sim.num_shards()).map(|k| self.sim.world(k));
+        merge_by_node(shards.flat_map(|w| {
+            let log = w.net.events.iter().zip(&w.event_nodes);
+            log.map(|(e, &node)| ((e.time, node), e))
+        }))
     }
 
-    /// Delivered data frames from every shard, time-ordered.
+    /// Delivered data frames from every shard, in canonical order (by
+    /// time, then receiving host).
     pub fn deliveries(&self) -> Vec<DeliveryRecord> {
-        let mut all = Vec::new();
-        for k in 0..self.sim.num_shards() {
-            all.extend_from_slice(&self.sim.world(k).net.deliveries);
-        }
-        all.sort_by_key(|d| d.time);
-        all
-    }
-
-    /// Schedules a fault event on every shard with one shared stamp (the
-    /// plant flags are replicated state).
-    fn broadcast(&mut self, at: SimTime, make: impl FnMut() -> Event) {
-        self.sim.schedule_external_all(at, make);
-    }
-
-    /// Schedules a link failure.
-    pub fn schedule_link_down(&mut self, at: SimTime, l: LinkId) {
-        self.broadcast(at, || Event::LinkDown { l: l.0 });
-    }
-
-    /// Schedules a link repair.
-    pub fn schedule_link_up(&mut self, at: SimTime, l: LinkId) {
-        self.broadcast(at, || Event::LinkUp { l: l.0 });
-    }
-
-    /// Schedules a switch crash.
-    pub fn schedule_switch_down(&mut self, at: SimTime, s: SwitchId) {
-        self.broadcast(at, || Event::SwitchDown { s: s.0 });
-    }
-
-    /// Schedules a switch power-on (reboots a fresh Autopilot).
-    pub fn schedule_switch_up(&mut self, at: SimTime, s: SwitchId) {
-        self.broadcast(at, || Event::SwitchUp { s: s.0 });
-    }
-
-    /// Schedules a host power-off with cables left attached.
-    pub fn schedule_host_power_off(&mut self, at: SimTime, h: HostId) {
-        self.broadcast(at, || Event::HostPowerOff { h: h.0 });
-    }
-
-    /// Schedules the host powering back on.
-    pub fn schedule_host_power_on(&mut self, at: SimTime, h: HostId) {
-        self.broadcast(at, || Event::HostPowerOn { h: h.0 });
-    }
-
-    /// Schedules a host-link failure (`which`: 0 primary, 1 alternate).
-    pub fn schedule_host_link_down(&mut self, at: SimTime, h: HostId, which: usize) {
-        self.broadcast(at, || Event::HostLinkDown { h: h.0, which });
-    }
-
-    /// Schedules a host-link repair.
-    pub fn schedule_host_link_up(&mut self, at: SimTime, h: HostId, which: usize) {
-        self.broadcast(at, || Event::HostLinkUp { h: h.0, which });
-    }
-
-    /// Schedules a host data frame (delivered to the host's shard).
-    pub fn schedule_host_send(&mut self, at: SimTime, h: HostId, dst: Uid, len: usize, tag: u64) {
-        self.sim.schedule_external(
-            at,
-            Event::HostSend {
-                h: h.0,
-                dst,
-                len,
-                tag,
-            },
-        );
+        let log = self.sim.worlds().flat_map(|w| &w.deliveries);
+        merge_by_node(log.map(|d| ((d.time, d.host.0 as u32), d)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autonet_topo::gen;
-
-    fn tuned_traced() -> NetParams {
-        NetParams::tuned()
-    }
+    use autonet_topo::{gen, SwitchId};
 
     /// A short fault campaign on a small torus; returns the canonical
     /// trace digest plus final control-plane state.
     fn campaign(nparts: usize) -> (String, Vec<(bool, Option<u64>)>) {
         let topo = gen::torus(3, 3, 7);
-        let mut net = PartitionedNetwork::new(topo, tuned_traced(), 11, nparts);
+        let mut net = PartitionedNetwork::new(topo, NetParams::tuned(), 11, nparts);
         net.run_for(SimDuration::from_millis(400));
         net.schedule_link_down(net.now() + SimDuration::from_millis(1), LinkId(2));
         net.run_for(SimDuration::from_millis(300));
@@ -652,11 +453,24 @@ mod tests {
     #[test]
     fn partitioned_torus_converges() {
         let topo = gen::torus(3, 3, 7);
-        let mut net = PartitionedNetwork::new(topo, tuned_traced(), 11, 4);
+        let mut net = PartitionedNetwork::new(topo, NetParams::tuned(), 11, 4);
         let t = net.run_until_stable_every(SimDuration::from_millis(20), SimTime::from_secs(5));
         assert!(t.is_some(), "partitioned bring-up did not converge");
         assert!(net.control_plane_consistent());
         assert!(net.events_processed() > 0);
+        // Plant flags are replicated: any shard answers for any link or
+        // switch, whoever owns the fault's anchor.
+        let at = net.now() + SimDuration::from_millis(1);
+        net.schedule_link_down(at, LinkId(2));
+        net.schedule_switch_down(at, SwitchId(8));
+        net.run_for(SimDuration::from_millis(2));
+        assert!(!net.link_is_up(LinkId(2)) && net.link_is_up(LinkId(3)));
+        assert!(!net.switch_is_up(SwitchId(8)) && net.switch_is_up(SwitchId(0)));
+        // Draining hands out the canonical merge and empties every shard.
+        let whole = net.merged_trace_records();
+        assert!(!whole.is_empty());
+        assert_eq!(net.drain_trace_records(), whole);
+        assert!(net.merged_trace_records().is_empty());
     }
 
     #[test]

@@ -176,7 +176,8 @@ impl Network {
     }
 
     /// The datapath telemetry collector; `None` whenever
-    /// `NetParams::tracing` is off (the zero-cost gate).
+    /// `NetParams::tracing` is off (the zero-cost gate). One collector
+    /// per world, so only the one-world classic driver exports it.
     pub fn telemetry(&self) -> Option<&crate::DatapathTelemetry> {
         self.sim.world().telemetry.as_deref()
     }

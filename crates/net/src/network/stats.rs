@@ -6,107 +6,29 @@ use std::collections::BTreeMap;
 use autonet_core::{global_from_view, Autopilot, Epoch, Event, GlobalTopology};
 use autonet_harness::NetStats;
 use autonet_sim::{TraceEntry, TraceLog};
-use autonet_topo::{NetView, SwitchId, Topology};
+use autonet_topo::SwitchId;
 use autonet_wire::{PortIndex, SwitchNumber, Uid};
 
-use super::Network;
+use super::{Driver, Net};
 
-/// The convergence predicate, parameterized over where a switch's control
-/// program lives: the classic world reads its own pool, the partitioned
-/// facade routes each lookup to the shard that owns the switch.
-pub(super) fn consistent_with<'a>(
-    topo: &Topology,
-    view: &NetView<'_>,
-    switch_up: &[bool],
-    autopilot: &dyn Fn(usize) -> &'a Autopilot,
-) -> bool {
-    // A pure conjunction, evaluated cheapest-first: while a fault or a
-    // heal is still being absorbed (most polls) one of the two O(N + E)
-    // checks fails and the per-component map comparisons never run.
-    //
-    // Every up switch open (`switch_up` is the slice `view` was built
-    // from, so these are exactly the component members below), and the
-    // agreed topology lists exactly the usable physical links: a failed
-    // link still listed means the fault is not yet absorbed; a repaired
-    // link missing means readmission is still pending. Combined with the
-    // containment check at the end, matching end-counts give exact
-    // equality.
-    let mut listed_ends = 0usize;
-    for (s, &up) in switch_up.iter().enumerate() {
-        if !up {
-            continue;
-        }
-        let ap = autopilot(s);
-        if !ap.is_open() {
-            return false;
-        }
-        if let Some(info) = ap.global().and_then(|g| g.switch(ap.uid())) {
-            listed_ends += info.links.len();
-        }
-    }
-    let mut usable_ends = 0usize;
-    for lid in view.usable_links() {
-        let spec = topo.link(lid);
-        if view.switch_up(spec.a.switch) && view.switch_up(spec.b.switch) {
-            usable_ends += 2;
-        }
-    }
-    if usable_ends != listed_ends {
-        return false;
-    }
-    // Within each physical component: one epoch, one numbering, one
-    // topology covering exactly the component, rooted at its smallest UID.
-    for component in autonet_topo::connected_components(view) {
-        let min_uid = component
-            .iter()
-            .map(|&s| topo.switch(s).uid)
-            .min()
-            .expect("components are non-empty");
-        let mut first: Option<&GlobalTopology> = None;
-        for &sid in &component {
-            let Some(g) = autopilot(sid.0).global() else {
-                return false;
-            };
-            if g.root != min_uid || g.switches.len() != component.len() {
-                return false;
-            }
-            match first {
-                None => first = Some(g),
-                Some(f) => {
-                    if g.epoch != f.epoch || g.numbers != f.numbers {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-    for lid in view.usable_links() {
-        let spec = topo.link(lid);
-        let a_uid = topo.switch(spec.a.switch).uid;
-        let b_uid = topo.switch(spec.b.switch).uid;
-        let listed = |s: usize, my_port: PortIndex, far: Uid, far_port: PortIndex| {
-            let ap = autopilot(s);
-            ap.global().is_some_and(|g| {
-                g.switch(ap.uid()).is_some_and(|info| {
-                    info.links.iter().any(|l| {
-                        l.local_port == my_port && l.neighbor == far && l.neighbor_port == far_port
-                    })
-                })
-            })
-        };
-        if !listed(spec.a.switch.0, spec.a.port, b_uid, spec.b.port)
-            || !listed(spec.b.switch.0, spec.b.port, a_uid, spec.a.port)
-        {
-            return false;
-        }
-    }
-    true
-}
-
-impl Network {
-    /// Aggregate counters (shared across backends; see [`NetStats`]).
+impl<D: Driver> Net<D> {
+    /// Aggregate counters (shared across backends; see [`NetStats`]),
+    /// summed over the driver's worlds.
     pub fn stats(&self) -> NetStats {
-        self.sim.world().stats
+        let mut total = NetStats::default();
+        for w in self.sim.worlds() {
+            let s = w.stats;
+            total.data_sent += s.data_sent;
+            total.data_delivered += s.data_delivered;
+            total.data_discarded += s.data_discarded;
+            total.control_sent += s.control_sent;
+            total.lost_in_flight += s.lost_in_flight;
+            total.cpu_queue_drops += s.cpu_queue_drops;
+            total.opens += s.opens;
+            total.closes += s.closes;
+            total.last_state_change = total.last_state_change.max(s.last_state_change);
+        }
+        total
     }
 
     /// Whether the control plane has converged to the physical truth:
@@ -115,9 +37,92 @@ impl Network {
     /// one topology that covers exactly that component, rooted at its
     /// smallest UID.
     pub fn control_plane_consistent(&self) -> bool {
-        let w = self.sim.world();
+        let w = self.plant();
+        let topo = &w.topo;
         let view = w.physical_view();
-        consistent_with(&w.topo, &view, &w.switches.up, &|s| w.switches.autopilot(s))
+        // A pure conjunction, evaluated cheapest-first: while a fault or a
+        // heal is still being absorbed (most polls) one of the two O(N + E)
+        // checks fails and the per-component map comparisons never run.
+        //
+        // Every up switch open (`switches.up` is the slice `view` was built
+        // from, so these are exactly the component members below), and the
+        // agreed topology lists exactly the usable physical links: a failed
+        // link still listed means the fault is not yet absorbed; a repaired
+        // link missing means readmission is still pending. Combined with the
+        // containment check at the end, matching end-counts give exact
+        // equality.
+        let mut listed_ends = 0usize;
+        for (s, &up) in w.switches.up.iter().enumerate() {
+            if !up {
+                continue;
+            }
+            let ap = self.autopilot(SwitchId(s));
+            if !ap.is_open() {
+                return false;
+            }
+            if let Some(info) = ap.global().and_then(|g| g.switch(ap.uid())) {
+                listed_ends += info.links.len();
+            }
+        }
+        let mut usable_ends = 0usize;
+        for lid in view.usable_links() {
+            let spec = topo.link(lid);
+            if view.switch_up(spec.a.switch) && view.switch_up(spec.b.switch) {
+                usable_ends += 2;
+            }
+        }
+        if usable_ends != listed_ends {
+            return false;
+        }
+        // Within each physical component: one epoch, one numbering, one
+        // topology covering exactly the component, rooted at its smallest UID.
+        for component in autonet_topo::connected_components(&view) {
+            let min_uid = component
+                .iter()
+                .map(|&s| topo.switch(s).uid)
+                .min()
+                .expect("components are non-empty");
+            let mut first: Option<&GlobalTopology> = None;
+            for &sid in &component {
+                let Some(g) = self.autopilot(sid).global() else {
+                    return false;
+                };
+                if g.root != min_uid || g.switches.len() != component.len() {
+                    return false;
+                }
+                match first {
+                    None => first = Some(g),
+                    Some(f) => {
+                        if g.epoch != f.epoch || g.numbers != f.numbers {
+                            return false;
+                        }
+                    }
+                }
+            }
+        }
+        for lid in view.usable_links() {
+            let spec = topo.link(lid);
+            let a_uid = topo.switch(spec.a.switch).uid;
+            let b_uid = topo.switch(spec.b.switch).uid;
+            let listed = |s: usize, my_port: PortIndex, far: Uid, far_port: PortIndex| {
+                let ap = self.autopilot(SwitchId(s));
+                ap.global().is_some_and(|g| {
+                    g.switch(ap.uid()).is_some_and(|info| {
+                        info.links.iter().any(|l| {
+                            l.local_port == my_port
+                                && l.neighbor == far
+                                && l.neighbor_port == far_port
+                        })
+                    })
+                })
+            };
+            if !listed(spec.a.switch.0, spec.a.port, b_uid, spec.b.port)
+                || !listed(spec.b.switch.0, spec.b.port, a_uid, spec.a.port)
+            {
+                return false;
+            }
+        }
+        true
     }
 
     /// Verifies the converged control plane against the graph-theoretic
@@ -127,7 +132,7 @@ impl Network {
     ///
     /// Returns a description of the first discrepancy.
     pub fn check_against_reference(&self) -> Result<(), String> {
-        let w = self.sim.world();
+        let w = self.plant();
         let view = w.physical_view();
         let proposals: BTreeMap<Uid, SwitchNumber> = BTreeMap::new();
         let Some(reference) = global_from_view(&view, Epoch(0), &proposals) else {
@@ -142,7 +147,8 @@ impl Network {
             if !ref_levels.contains_key(&uid) {
                 continue; // A partition not containing the reference root.
             }
-            let Some(g) = w.switches.autopilot(si).global() else {
+            let ap = self.autopilot(SwitchId(si));
+            let Some(g) = ap.global() else {
                 return Err(format!("switch {si} has no topology"));
             };
             if g.root != reference.root {
@@ -165,7 +171,6 @@ impl Network {
             // over the switch's own agreed topology produces — the
             // end-to-end proof that the shared route cache (when on)
             // changed no table byte.
-            let ap = w.switches.autopilot(si);
             if ap.is_open() {
                 let hosts = ap.host_ports();
                 if let Some(scratch) = autonet_core::compute_forwarding_table(
@@ -174,7 +179,7 @@ impl Network {
                     &hosts,
                     autonet_core::RouteKind::UpDown,
                 ) {
-                    let installed = w.switches.table[si].canonical_digest();
+                    let installed = self.forwarding_table(SwitchId(si)).canonical_digest();
                     if scratch.canonical_digest() != installed {
                         return Err(format!(
                             "switch {si}: installed table {installed:#x} != from-scratch {:#x}",
@@ -187,28 +192,19 @@ impl Network {
         Ok(())
     }
 
+    /// Every switch's control program, in dense-id order.
+    fn autopilots(&self) -> impl Iterator<Item = &Autopilot> {
+        self.topology().switch_ids().map(|s| self.autopilot(s))
+    }
+
     /// Merges every switch's circular trace log into one time-ordered
     /// history — the paper's primary debugging tool (§6.7).
     pub fn merged_trace(&self) -> Vec<TraceEntry<Event>> {
-        let logs: Vec<&TraceLog<Event>> = self
-            .sim
-            .world()
-            .switches
-            .nodes
-            .autopilots()
-            .map(|ap| &ap.log)
-            .collect();
-        TraceLog::merge(logs)
+        TraceLog::merge(self.autopilots().map(|ap| &ap.log))
     }
 
     /// Total reconfigurations initiated across all switches.
     pub fn total_reconfigs_triggered(&self) -> u64 {
-        self.sim
-            .world()
-            .switches
-            .nodes
-            .autopilots()
-            .map(|ap| ap.reconfigs_triggered())
-            .sum()
+        self.autopilots().map(|ap| ap.reconfigs_triggered()).sum()
     }
 }

@@ -15,7 +15,7 @@ use autonet_topo::SwitchId;
 use autonet_wire::{PacketType, PortIndex, MAX_PORTS};
 
 use super::events::{Event, NetEventKind};
-use super::{NetWorld, Network};
+use super::{Driver, Net, NetWorld};
 
 /// The per-event [`Environment`] for switch `s`: the whole world (with
 /// `s`'s own harness temporarily removed) plus the event scheduler.
@@ -238,20 +238,20 @@ impl NetWorld {
     }
 }
 
-impl Network {
+impl<D: Driver> Net<D> {
     /// A switch's control program, for inspection.
     pub fn autopilot(&self, s: SwitchId) -> &Autopilot {
-        self.sim.world().switches.autopilot(s.0)
+        self.sim.world_of(s.0).switches.autopilot(s.0)
     }
 
     /// A switch's currently loaded forwarding table.
     pub fn forwarding_table(&self, s: SwitchId) -> &ForwardingTable {
-        &self.sim.world().switches.table[s.0]
+        &self.sim.world_of(s.0).switches.table[s.0]
     }
 
     /// Schedules a source-routed (SRP, §6.7) request originating at a
     /// switch's control processor. Collect answers with
-    /// [`take_srp_replies`](Network::take_srp_replies).
+    /// [`take_srp_replies`](Net::take_srp_replies).
     pub fn schedule_srp(
         &mut self,
         at: SimTime,
@@ -259,7 +259,7 @@ impl Network {
         route: Vec<PortIndex>,
         payload: SrpPayload,
     ) {
-        self.sim.schedule_at(
+        self.sim.schedule(
             at,
             Event::SrpRequest {
                 s: from.0,
@@ -272,7 +272,7 @@ impl Network {
     /// Drains the SRP answers received by a switch's control processor.
     pub fn take_srp_replies(&mut self, s: SwitchId) -> Vec<SrpPayload> {
         self.sim
-            .world_mut()
+            .world_of_mut(s.0)
             .switches
             .autopilot_mut(s.0)
             .srp_replies()

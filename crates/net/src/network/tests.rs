@@ -1,14 +1,22 @@
 use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{gen, HostId, LinkId, SwitchId, Topology};
 
-use super::Network;
+use super::{DeliveryRecord, Driver, Net, Network, PartitionedNetwork};
 use crate::params::NetParams;
 
-fn stable_net(topo: Topology, seed: u64) -> Network {
-    let mut net = Network::new(topo, NetParams::tuned(), seed);
+fn stable<D: Driver>(mut net: Net<D>) -> Net<D> {
     let done = net.run_until_stable(SimTime::from_secs(30));
     assert!(done.is_some(), "network failed to converge");
     net
+}
+
+fn stable_net(topo: Topology, seed: u64) -> Network {
+    stable(Network::new(topo, NetParams::tuned(), seed))
+}
+
+/// The same bring-up on the sharded kernel, two partitions.
+fn stable_sharded(topo: Topology, seed: u64) -> PartitionedNetwork {
+    stable(PartitionedNetwork::new(topo, NetParams::tuned(), seed, 2))
 }
 
 #[test]
@@ -17,21 +25,27 @@ fn line_converges_and_matches_reference() {
     net.check_against_reference().expect("reference match");
 }
 
-#[test]
-fn torus_converges() {
-    let net = stable_net(gen::torus(4, 4, 7), 2);
+fn torus_matches_reference<D: Driver>(net: Net<D>) {
     net.check_against_reference().expect("reference match");
     // Every switch has 4 good ports on a 4x4 torus.
     for s in net.topology().switch_ids() {
         assert_eq!(net.autopilot(s).good_ports().len(), 4);
     }
+    // Bring-up leaves ring-log entries from every switch.
+    let sources: std::collections::BTreeSet<u32> =
+        net.merged_trace().iter().map(|e| e.source).collect();
+    assert_eq!(sources.len(), 16);
 }
 
 #[test]
-fn hosts_learn_addresses_and_exchange_data() {
-    let mut topo = gen::line(2, 0);
-    gen::add_dual_homed_hosts(&mut topo, 1, 3);
-    let mut net = stable_net(topo, 3);
+fn torus_converges() {
+    torus_matches_reference(stable_net(gen::torus(4, 4, 7), 2));
+    torus_matches_reference(stable_sharded(gen::torus(4, 4, 7), 2));
+}
+
+/// Lets the hosts learn their addresses, then sends one tagged frame
+/// from host 0 to host 1.
+fn exchange<D: Driver>(mut net: Net<D>) -> Net<D> {
     let h0 = HostId(0);
     let h1 = HostId(1);
     // Hosts poll the switch for addresses on their own (slower)
@@ -43,9 +57,20 @@ fn hosts_learn_addresses_and_exchange_data() {
     let t0 = net.now();
     net.schedule_host_send(t0 + SimDuration::from_millis(10), h0, dst, 256, 99);
     net.run_for(SimDuration::from_secs(1));
-    let d: Vec<_> = net.deliveries().iter().filter(|d| d.tag == 99).collect();
-    assert_eq!(d.len(), 1);
-    assert_eq!(d[0].host, h1);
+    net
+}
+
+#[test]
+fn hosts_learn_addresses_and_exchange_data() {
+    let mut topo = gen::line(2, 0);
+    gen::add_dual_homed_hosts(&mut topo, 1, 3);
+    let delivered_once = |deliveries: &[DeliveryRecord]| {
+        let d: Vec<_> = deliveries.iter().filter(|d| d.tag == 99).collect();
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].host, HostId(1));
+    };
+    delivered_once(exchange(stable_net(topo.clone(), 3)).deliveries());
+    delivered_once(&exchange(stable_sharded(topo, 3)).deliveries());
 }
 
 #[test]

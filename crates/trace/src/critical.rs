@@ -207,6 +207,31 @@ fn argmax_time(map: &std::collections::BTreeMap<usize, SimTime>) -> Option<usize
     best.map(|(k, _)| k)
 }
 
+/// Folds a superseded epoch's detect/close data into its burst's report:
+/// the earliest detection, the earliest close, the *first* close per
+/// node. All folds are min-folds, so the fold order does not matter.
+pub(crate) fn fold_burst(merged: &mut EpochReport, r: &EpochReport) {
+    if let Some(d) = r.detected {
+        if merged.detected.is_none_or(|m| d < m) {
+            merged.detected = Some(d);
+            merged.detected_node = r.detected_node;
+        }
+    }
+    if let Some(c) = r.closed {
+        if merged.closed.is_none_or(|m| c < m) {
+            merged.closed = Some(c);
+        }
+    }
+    for (&node, &t) in &r.closed_by_node {
+        merged
+            .closed_by_node
+            .entry(node)
+            .and_modify(|e| *e = (*e).min(t))
+            .or_insert(t);
+    }
+    merged.closes += r.closes;
+}
+
 impl Timeline {
     /// The critical path of one epoch, if all six phases completed.
     pub fn critical_path(&self, e: Epoch) -> Option<CriticalPath> {
@@ -245,26 +270,7 @@ impl Timeline {
             if r.opened.is_some() {
                 break;
             }
-            if let Some(d) = r.detected {
-                if merged.detected.is_none_or(|m| d < m) {
-                    merged.detected = Some(d);
-                    merged.detected_node = r.detected_node;
-                }
-            }
-            if let Some(c) = r.closed {
-                if merged.closed.is_none_or(|m| c < m) {
-                    merged.closed = Some(c);
-                }
-            }
-            // Keep the *first* close per node across the burst.
-            for (&node, &t) in &r.closed_by_node {
-                merged
-                    .closed_by_node
-                    .entry(node)
-                    .and_modify(|e| *e = (*e).min(t))
-                    .or_insert(t);
-            }
-            merged.closes += r.closes;
+            fold_burst(&mut merged, r);
         }
         CriticalPath::from_report(&merged)
     }

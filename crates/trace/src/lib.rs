@@ -6,7 +6,7 @@
 //! stream of truth:
 //!
 //! - [`EventLog`] — the network-wide spine. Backends forward each node's
-//!   typed [`Event`](autonet_core::Event)s (recorded first into the
+//!   typed [`Event`]s (recorded first into the
 //!   per-switch circular ring of [`Autopilot`](autonet_core::Autopilot))
 //!   into one append-only, timestamped, node-attributed log. The
 //!   invariant oracles of `autonet-check` drain it online; experiments

@@ -34,7 +34,7 @@ use std::fmt::Write as _;
 use autonet_core::Epoch;
 use autonet_sim::{SimDuration, SimTime};
 
-use crate::critical::{CriticalPath, Segment};
+use crate::critical::{fold_burst, CriticalPath, Segment};
 use crate::interruption::InterruptionReport;
 use crate::timeline::{EpochReport, Timeline};
 
@@ -93,31 +93,6 @@ pub struct SpanTree {
     pub orphan_blackouts: Vec<BlackoutSpan>,
     /// The latest instant any span reaches.
     pub horizon: SimTime,
-}
-
-/// Folds a superseded epoch's detect/close data into a burst report —
-/// the exact merge [`Timeline::last_fault_critical_path`] performs. All
-/// folds are min-folds, so the fold order does not matter.
-fn fold_burst(merged: &mut EpochReport, r: &EpochReport) {
-    if let Some(d) = r.detected {
-        if merged.detected.is_none_or(|m| d < m) {
-            merged.detected = Some(d);
-            merged.detected_node = r.detected_node;
-        }
-    }
-    if let Some(c) = r.closed {
-        if merged.closed.is_none_or(|m| c < m) {
-            merged.closed = Some(c);
-        }
-    }
-    for (&node, &t) in &r.closed_by_node {
-        merged
-            .closed_by_node
-            .entry(node)
-            .and_modify(|e| *e = (*e).min(t))
-            .or_insert(t);
-    }
-    merged.closes += r.closes;
 }
 
 impl SpanTree {

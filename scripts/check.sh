@@ -11,6 +11,9 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+
 echo "==> cargo test"
 cargo test -q
 

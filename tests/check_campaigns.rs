@@ -14,13 +14,17 @@
 //! 3. **Slot-level campaign** — a cable fault driven through the
 //!    slot-accurate backend (emulated as line noise), proving the engine
 //!    and oracles are substrate-independent.
+//! 4. **Sharded corpus** — the seeded corpus again through the packet
+//!    backend on the sharded kernel: the same oracles, the same final
+//!    reference audit, zero violations.
 
 use autonet::autopilot::AutopilotParams;
-use autonet::net::{NetParams, SlotNet};
+use autonet::net::{NetParams, PartitionedNetwork, SlotNet};
 use autonet_check::{
     default_postmortem_dir, degraded_params, packet_reproducer, postmortem_on_failure,
-    random_scenario, run_packet, run_slot, write_postmortem, CheckOutcome, FaultEvent, FaultOp,
-    OracleConfig, PostmortemConfig, Reproducer, Scenario, TopoSpec,
+    random_scenario, run_packet, run_scenario, run_slot, write_postmortem, CheckOutcome,
+    FaultEvent, FaultOp, OracleConfig, PacketSubstrate, PostmortemConfig, Reproducer, Scenario,
+    TopoSpec,
 };
 
 /// Shrinks a failing campaign, drops a postmortem bundle, and panics with
@@ -62,6 +66,28 @@ fn run_corpus(seeds: impl Iterator<Item = u64>, n_events: usize) {
     }
 }
 
+/// The corpus on the sharded kernel at 2 partitions. Verdicts only, not
+/// histories: the classic kernel reads neighbours live and the sharded
+/// one through the window latch, so the two legitimately interleave
+/// differently and a classic reproducer would not replay a failure here.
+fn run_corpus_sharded(seeds: impl Iterator<Item = u64>, n_events: usize) {
+    let params = NetParams::tuned();
+    let cfg = OracleConfig::from_params(&params.autopilot);
+    for seed in seeds {
+        let scenario = random_scenario(seed, n_events);
+        let topo = scenario.topo.build();
+        let net = PartitionedNetwork::new(topo.clone(), params, scenario.seed, 2);
+        let outcome = run_scenario(&scenario, &mut PacketSubstrate::new(net), &topo, &cfg);
+        assert!(
+            outcome.passed(),
+            "{} (sharded): {}",
+            scenario.name,
+            outcome.violation.unwrap()
+        );
+        assert!(outcome.quiescences >= 2, "{} (sharded)", scenario.name);
+    }
+}
+
 /// The tier-1 corpus: small but honest — every oracle armed, every fault
 /// class reachable by the generator.
 #[test]
@@ -75,6 +101,13 @@ fn seeded_campaign_corpus() {
 #[ignore = "release-mode corpus; run explicitly (scripts/check.sh does)"]
 fn seeded_campaign_corpus_extended() {
     run_corpus(1..=12, 10);
+    run_corpus_sharded(1..=12, 10);
+}
+
+/// Tier-1 slice of the sharded corpus (the release tier runs all of it).
+#[test]
+fn seeded_campaign_corpus_sharded() {
+    run_corpus_sharded(1..=2, 6);
 }
 
 /// The planted-bug acceptance check: disable the skeptic hysteresis, keep

@@ -16,7 +16,7 @@
 //! out of service, which is what the protocol requires.
 
 use autonet::autopilot::PortState;
-use autonet::net::{CpuModel, NetParams, Network, PartitionedNetwork, SlotNet};
+use autonet::net::{CpuModel, Driver, Net, NetParams, Network, PartitionedNetwork, SlotNet};
 use autonet::sim::{SimDuration, SimTime};
 use autonet::topo::{gen, HostId, LinkId, PortUse, SwitchId, Topology};
 use autonet::wire::{LinkTiming, PortIndex, Uid, MAX_PORTS};
@@ -306,60 +306,43 @@ fn pooled_executors_agree_on_16x16_torus() {
     let topo = gen::torus(16, 16, 31);
     let n = topo.num_switches();
 
-    let mut classic = Network::new(topo.clone(), NetParams::scale(), 2);
-    classic
-        .run_until_stable_every(SimDuration::from_millis(100), SimTime::from_secs(300))
-        .expect("classic bring-up converges");
-    classic.schedule_link_down(classic.now() + SimDuration::from_millis(10), LinkId(0));
-    classic
-        .run_until_stable_every(
+    /// Bring-up, a trunk cut, the reference audit, and one network-wide
+    /// epoch with every switch open.
+    fn cut_and_settle<D: Driver>(name: &str, mut net: Net<D>) -> Net<D> {
+        net.run_until_stable_every(SimDuration::from_millis(100), SimTime::from_secs(300))
+            .unwrap_or_else(|| panic!("{name} bring-up converges"));
+        net.schedule_link_down(net.now() + SimDuration::from_millis(10), LinkId(0));
+        net.run_until_stable_every(
             SimDuration::from_millis(50),
-            classic.now() + SimDuration::from_secs(60),
+            net.now() + SimDuration::from_secs(60),
         )
-        .expect("classic reconverges after cut");
-
-    let mut sharded = PartitionedNetwork::new(topo.clone(), NetParams::scale(), 2, 4);
-    sharded
-        .run_until_stable_every(SimDuration::from_millis(100), SimTime::from_secs(300))
-        .expect("sharded bring-up converges");
-    sharded.schedule_link_down(sharded.now() + SimDuration::from_millis(10), LinkId(0));
-    sharded
-        .run_until_stable_every(
-            SimDuration::from_millis(50),
-            sharded.now() + SimDuration::from_secs(60),
-        )
-        .expect("sharded reconverges after cut");
+        .unwrap_or_else(|| panic!("{name} reconverges after cut"));
+        net.check_against_reference()
+            .unwrap_or_else(|e| panic!("{name} reference: {e}"));
+        let epochs: Vec<_> = (net.topology().switch_ids())
+            .map(|s| {
+                let ap = net.autopilot(s);
+                assert!(ap.is_open(), "{name}: switch {} reopens", s.0);
+                ap.epoch()
+            })
+            .collect();
+        assert!(
+            epochs.windows(2).all(|w| w[0] == w[1]),
+            "{name}: one network-wide epoch: {epochs:?}"
+        );
+        net
+    }
+    let classic = cut_and_settle("classic", Network::new(topo.clone(), NetParams::scale(), 2));
+    let sharded = cut_and_settle(
+        "sharded",
+        PartitionedNetwork::new(topo.clone(), NetParams::scale(), 2, 4),
+    );
 
     assert_eq!(
         trunk_states(&topo, |s, p| classic.autopilot(s).port_state(p)),
         trunk_states(&topo, |s, p| sharded.autopilot(s).port_state(p)),
         "trunk classifications after cut"
     );
-    classic
-        .check_against_reference()
-        .expect("classic reference");
-    assert!(sharded.control_plane_consistent(), "sharded consistency");
-    for backend_epochs in [
-        (0..n)
-            .map(|s| {
-                let ap = classic.autopilot(SwitchId(s));
-                assert!(ap.is_open(), "classic: switch {s} reopens");
-                ap.epoch()
-            })
-            .collect::<Vec<_>>(),
-        (0..n)
-            .map(|s| {
-                let ap = sharded.autopilot(SwitchId(s));
-                assert!(ap.is_open(), "sharded: switch {s} reopens");
-                ap.epoch()
-            })
-            .collect::<Vec<_>>(),
-    ] {
-        assert!(
-            backend_epochs.windows(2).all(|w| w[0] == w[1]),
-            "one network-wide epoch per backend: {backend_epochs:?}"
-        );
-    }
     // Both executors reconstruct the same network: same root, same
     // membership, and (from the classification equality above) the same
     // link set.

@@ -3,13 +3,13 @@
 //! exists for ("SRP packets continue to work during reconfiguration").
 
 use autonet::autopilot::SrpPayload;
-use autonet::net::{NetParams, Network};
+use autonet::net::{Driver, Net, NetParams, Network, PartitionedNetwork};
 use autonet::sim::{SimDuration, SimTime};
 use autonet::topo::{gen, LinkId, PortUse, SwitchId};
 use autonet::wire::PortIndex;
 
 /// The ports to walk from `from` along a switch path.
-fn route_along(net: &Network, path: &[SwitchId]) -> Vec<PortIndex> {
+fn route_along<D: Driver>(net: &Net<D>, path: &[SwitchId]) -> Vec<PortIndex> {
     let topo = net.topology();
     let mut ports = Vec::new();
     for pair in path.windows(2) {
@@ -24,12 +24,10 @@ fn route_along(net: &Network, path: &[SwitchId]) -> Vec<PortIndex> {
     ports
 }
 
-#[test]
-fn multi_hop_ping_and_state() {
-    let topo = gen::line(4, 0);
-    let uid_of = |i: usize| topo.switch(SwitchId(i)).uid;
-    let far_uid = uid_of(3);
-    let mut net = Network::new(topo, NetParams::tuned(), 3);
+/// On either kernel; on the sharded one every hop of the line crosses a
+/// shard boundary and the replies are read from the shard owning switch 0.
+fn multi_hop_ping_and_state_on<D: Driver>(mut net: Net<D>) {
+    let far_uid = net.topology().switch(SwitchId(3)).uid;
     net.run_until_stable(SimTime::from_secs(60))
         .expect("converges");
     // Ping switch 3 from switch 0, three hops down the line.
@@ -56,6 +54,13 @@ fn multi_hop_ping_and_state() {
     assert!(replies
         .iter()
         .any(|r| matches!(r, SrpPayload::State { uid, open: true, .. } if *uid == far_uid)));
+}
+
+#[test]
+fn multi_hop_ping_and_state() {
+    let topo = gen::line(4, 0);
+    multi_hop_ping_and_state_on(Network::new(topo.clone(), NetParams::tuned(), 3));
+    multi_hop_ping_and_state_on(PartitionedNetwork::new(topo, NetParams::tuned(), 3, 4));
 }
 
 #[test]
