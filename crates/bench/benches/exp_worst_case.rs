@@ -11,6 +11,12 @@
 //! the payoff of searching instead of sampling — and the champion
 //! schedules are pinned as goldens in `tests/worst_case_goldens.rs`.
 //!
+//! Every candidate of a search shares its topology, parameters and seed,
+//! so the search boots the network once and resumes a clone per
+//! evaluation: `boots` (counted by the engine, gated at exactly 1 by
+//! `scripts/check_bench_schema.py`) and the search's `wall_s` ride along
+//! in the JSON.
+//!
 //! `WORST_CASE_SMOKE=1` runs the CI-budget variant (ring-8 only, smoke
 //! search budget) and writes `BENCH_worst_case_smoke.json` instead.
 
@@ -90,7 +96,9 @@ fn main() {
     let mut json = Vec::new();
     for (name, topo, params, budget) in cases {
         let oracle = OracleConfig::from_params(&params.autopilot);
+        let started = std::time::Instant::now();
         let res = worst_case_search(&topo, &params, &oracle, &budget);
+        let wall_s = started.elapsed().as_secs_f64();
         let ratio = if res.random_median_blackout.as_nanos() > 0 {
             ms_f64(res.damage.blackout) / ms_f64(res.random_median_blackout)
         } else {
@@ -109,12 +117,14 @@ fn main() {
             res.damage.affected_pairs.to_string(),
             ms(res.damage.skeptic_hold),
             res.evaluations.to_string(),
+            res.boots.to_string(),
+            format!("{wall_s:.2} s"),
         ]);
         json.push(format!(
             "    {{\"topology\": {name:?}, \"events\": {}, \"worst_blackout_ms\": {:.3}, \
              \"random_median_blackout_ms\": {:.3}, \"affected_pairs\": {}, \
              \"skeptic_hold_ms\": {:.3}, \"unroutable_ms\": {:.3}, \"evaluations\": {}, \
-             \"violations\": {}}}",
+             \"violations\": {}, \"boots\": {}, \"wall_s\": {wall_s:.3}}}",
             res.champion.events.len(),
             ms_f64(res.damage.blackout),
             ms_f64(res.random_median_blackout),
@@ -123,6 +133,7 @@ fn main() {
             ms_f64(res.damage.unroutable),
             res.evaluations,
             res.violations,
+            res.boots,
         ));
     }
     print_table(
@@ -136,6 +147,8 @@ fn main() {
             "pairs dark",
             "skeptic hold",
             "evals",
+            "boots",
+            "wall",
         ],
         &rows,
     );

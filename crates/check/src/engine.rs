@@ -7,7 +7,14 @@
 //! through the online oracles. A firing oracle stops the run immediately
 //! with the violation; the caller (usually a test) hands the scenario to
 //! the shrinker and prints a minimal reproducer.
+//!
+//! The run is two halves, `boot` (to first quiescence) and `resume` (the
+//! schedule from there), with a [`BootedCampaign`] in between. A single
+//! run does both in place; callers with many schedules for one world —
+//! the worst-case search, the shrinker — boot once and resume a clone of
+//! the settled campaign per schedule.
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
 
 use autonet_core::AutopilotParams;
@@ -19,11 +26,11 @@ use autonet_trace::{
 };
 
 use crate::oracle::{check_blackouts, OracleConfig, OracleState, Violation};
-use crate::scenario::{FaultOp, Scenario};
+use crate::scenario::{FaultOp, Scenario, TopoSpec};
 use crate::substrate::{PacketSubstrate, SlotSubstrate, Substrate};
 
 /// What a campaign run produced.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CheckOutcome {
     /// The first oracle firing, if any.
     pub violation: Option<Violation>,
@@ -87,236 +94,392 @@ fn mirror(view: &mut NetView<'_>, topo: &Topology, op: &FaultOp) {
     }
 }
 
-/// Runs a prepared substrate through a scenario. Shared by both backends
-/// (and by any future one).
+/// Whether a campaign over `topo` runs service-interruption probes.
+fn probing(topo: &Topology, cfg: &OracleConfig) -> bool {
+    cfg.check_blackouts && topo.num_hosts() >= 2
+}
+
+/// The engine's own state at first quiescence: everything a run has
+/// accumulated besides the substrate itself. Plain data, so a settled
+/// campaign can be copied and walked more than once.
+#[derive(Clone)]
+struct Settled {
+    /// The online oracles, armed.
+    oracle: OracleState,
+    /// Every record drained during bring-up (the end-of-run timeline
+    /// needs the whole spine, bring-up included).
+    spine: Vec<TraceRecord>,
+    /// First quiescence: the instant `at_ms` offsets count from.
+    origin: SimTime,
+}
+
+/// One run in flight: the substrate plus what the engine keeps about it.
+struct Run<'a, S> {
+    sub: &'a mut S,
+    topo: &'a Topology,
+    cfg: &'a OracleConfig,
+    oracle: OracleState,
+    /// The drained spine is kept whole: the end-of-run blackout oracle
+    /// rebuilds the full reconfiguration timeline from it.
+    spine: Vec<TraceRecord>,
+    /// The engine's mirror of the intended physical state.
+    view: NetView<'a>,
+    quiescences: u32,
+    /// Pairs touching a host that ever lost power are exempt from the
+    /// blackout oracle (their outage is the fault itself, not an epoch).
+    exempt: BTreeSet<usize>,
+}
+
+impl<S: Substrate> Run<'_, S> {
+    /// Advances `span`, draining the observation log through the oracles
+    /// after every chunk.
+    fn advance(&mut self, span: SimDuration) -> Result<(), Violation> {
+        let step = SimDuration::from_millis(self.cfg.step_ms.max(1));
+        let mut left = span;
+        while left > SimDuration::ZERO {
+            let chunk = step.min(left);
+            self.sub.run_for(chunk);
+            left -= chunk;
+            let records = self.sub.drain_control();
+            let v = self.oracle.ingest(self.topo, &records);
+            self.spine.extend(records);
+            if let Some(v) = v {
+                return Err(v);
+            }
+            let obs = self.sub.observe_ports(self.topo);
+            if let Some(v) = self.oracle.observe_ports(self.sub.now(), &obs) {
+                return Err(v);
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs until the substrate reports quiescence, oracles firing along
+    /// the way, then counts the quiescence point and checks agreement at
+    /// it. Running out of budget is a [`Violation::SettleTimeout`].
+    fn settle(&mut self, budget_ms: u64) -> Result<(), Violation> {
+        let step = SimDuration::from_millis(self.cfg.step_ms.max(1));
+        let deadline = self.sub.now() + SimDuration::from_millis(budget_ms);
+        loop {
+            if self.sub.now() >= deadline {
+                return Err(Violation::SettleTimeout {
+                    at: self.sub.now(),
+                    budget_ms,
+                });
+            }
+            self.advance(step)?;
+            if self.sub.quiescent(&self.view) {
+                break;
+            }
+        }
+        self.quiescences += 1;
+        let snaps = self.sub.snapshots(self.topo);
+        match self
+            .oracle
+            .at_quiescence(self.sub.now(), &self.view, &snaps)
+        {
+            Some(v) => Err(v),
+            None => Ok(()),
+        }
+    }
+
+    /// Walks the fault schedule from first quiescence (`origin`) through
+    /// the final settle and the backend's audit.
+    fn walk(&mut self, scenario: &Scenario, origin: SimTime) -> Result<(), Violation> {
+        let mut events = scenario.events.clone();
+        events.sort_by_key(|e| e.at_ms);
+        for event in &events {
+            let due = origin + SimDuration::from_millis(event.at_ms);
+            if due > self.sub.now() {
+                self.advance(due - self.sub.now())?;
+            }
+            if let FaultOp::Waypoint { settle_ms } = event.op {
+                self.settle(settle_ms)?;
+            } else {
+                if let FaultOp::HostPowerOff(h) = event.op {
+                    self.exempt.insert(h);
+                }
+                self.sub.apply(&event.op, self.topo);
+                mirror(&mut self.view, self.topo, &event.op);
+                self.oracle.on_fault(&event.op);
+            }
+        }
+        // Final settle: the reconfiguration-termination liveness bound.
+        self.settle(scenario.settle_ms)?;
+        self.sub
+            .final_audit()
+            .map_err(|detail| Violation::ReferenceMismatch {
+                detail,
+                time: self.sub.now(),
+            })
+    }
+
+    /// Assembles the outcome from whatever the run produced: the timeline
+    /// is built once and feeds the interruption ledger, the damage
+    /// objectives, the critical path and the blackout oracle alike.
+    fn finish(self, verdict: Result<(), Violation>, origin: SimTime) -> CheckOutcome {
+        let end = self.sub.now();
+        let timeline = Timeline::build(&self.spine);
+        let interruption = probing(self.topo, self.cfg).then(|| {
+            InterruptionReport::build(
+                &self.sub.probe_pairs(),
+                &self.sub.probe_records(),
+                &timeline,
+                end,
+                InterruptionConfig {
+                    interval: self.cfg.probe_interval,
+                    min_run: 2,
+                },
+            )
+        });
+        // Every online oracle stayed silent: the blackout ledger gets the
+        // last word.
+        let violation = verdict.err().or_else(|| {
+            check_blackouts(
+                interruption.as_ref()?,
+                &timeline,
+                &self.exempt,
+                self.cfg.blackout_slack,
+                end,
+            )
+        });
+        CheckOutcome {
+            end,
+            origin,
+            quiescences: self.quiescences,
+            damage: DamageReport::measure(interruption.as_ref(), &timeline, end),
+            critical: timeline.last_fault_critical_path(),
+            interruption,
+            // The spine goes into the outcome only when an oracle fired:
+            // postmortems need it, passing runs don't pay for it.
+            records: if violation.is_some() {
+                self.spine
+            } else {
+                Vec::new()
+            },
+            violation,
+        }
+    }
+}
+
+thread_local! {
+    /// Bring-ups this thread has run through [`boot`].
+    static BOOTS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// How many bring-ups the calling thread has run so far. A search reads
+/// it before and after to report how many it paid for: counted where the
+/// booting happens, so going back to a boot per candidate shows as an
+/// exact number rather than as a slower wall clock.
+pub(crate) fn boots_so_far() -> usize {
+    BOOTS.get()
+}
+
+/// The boot half: brings the network up to first quiescence, where the
+/// skeptic oracle arms and the probe flows start. A run that dies during
+/// bring-up never reaches a schedule, so its outcome is already final.
+fn boot<S: Substrate>(
+    sub: &mut S,
+    topo: &Topology,
+    cfg: &OracleConfig,
+) -> Result<Settled, Box<CheckOutcome>> {
+    BOOTS.set(BOOTS.get() + 1);
+    let mut run = Run {
+        sub,
+        topo,
+        cfg,
+        oracle: OracleState::new(topo, cfg.clone()),
+        spine: Vec::new(),
+        view: topo.view_all(),
+        quiescences: 0,
+        exempt: BTreeSet::new(),
+    };
+    if let Err(v) = run.settle(cfg.bringup_budget_ms) {
+        let origin = run.sub.now();
+        return Err(Box::new(run.finish(Err(v), origin)));
+    }
+    if probing(topo, cfg) {
+        // Probe a ring over the hosts: every host both sends and
+        // receives, and a fault anywhere lands on some probed pair.
+        let n = topo.num_hosts();
+        let pairs: Vec<(HostId, HostId)> =
+            (0..n).map(|i| (HostId(i), HostId((i + 1) % n))).collect();
+        run.sub.start_probes(&pairs, cfg.probe_interval);
+    }
+    Ok(Settled {
+        origin: run.sub.now(),
+        oracle: run.oracle,
+        spine: run.spine,
+    })
+}
+
+/// The resume half: walks `scenario`'s schedule on a substrate that
+/// [`boot`] left at first quiescence.
+fn resume<S: Substrate>(
+    settled: Settled,
+    scenario: &Scenario,
+    sub: &mut S,
+    topo: &Topology,
+    cfg: &OracleConfig,
+) -> CheckOutcome {
+    let Settled {
+        oracle,
+        spine,
+        origin,
+    } = settled;
+    let mut run = Run {
+        sub,
+        topo,
+        cfg,
+        oracle,
+        spine,
+        view: topo.view_all(),
+        quiescences: 1,
+        exempt: BTreeSet::new(),
+    };
+    let verdict = run.walk(scenario, origin);
+    run.finish(verdict, origin)
+}
+
+/// Runs a prepared substrate through a scenario: boot, then resume in
+/// place. Shared by every backend.
 pub fn run_scenario<S: Substrate>(
     scenario: &Scenario,
     sub: &mut S,
     topo: &Topology,
     cfg: &OracleConfig,
 ) -> CheckOutcome {
-    let mut oracle = OracleState::new(topo, cfg.clone());
-    let mut view = topo.view_all();
-    let mut quiescences = 0u32;
-    let step = SimDuration::from_millis(cfg.step_ms.max(1));
-    // The drained spine is kept whole: the end-of-run blackout oracle
-    // rebuilds the full reconfiguration timeline from it.
-    let mut spine: Vec<TraceRecord> = Vec::new();
-    // Pairs touching a host that ever lost power are exempt from the
-    // blackout oracle (their outage is the fault itself, not an epoch).
-    let mut exempt: BTreeSet<usize> = BTreeSet::new();
-    let probing = cfg.check_blackouts && topo.num_hosts() >= 2;
+    match boot(sub, topo, cfg) {
+        Ok(settled) => resume(settled, scenario, sub, topo, cfg),
+        Err(outcome) => *outcome,
+    }
+}
 
-    // Advances `span`, draining the observation log through the oracles
-    // after every chunk.
-    fn advance<S: Substrate>(
-        sub: &mut S,
-        topo: &Topology,
-        oracle: &mut OracleState,
-        spine: &mut Vec<TraceRecord>,
-        span: SimDuration,
-        step: SimDuration,
-    ) -> Option<Violation> {
-        let mut left = span;
-        while left > SimDuration::ZERO {
-            let chunk = step.min(left);
-            sub.run_for(chunk);
-            left -= chunk;
-            let records = sub.drain_control();
-            let v = oracle.ingest(topo, &records);
-            spine.extend(records);
-            if v.is_some() {
-                return v;
-            }
-            let obs = sub.observe_ports(topo);
-            if let Some(v) = oracle.observe_ports(sub.now(), &obs) {
-                return Some(v);
-            }
+/// A campaign booted to first quiescence and not yet given a schedule:
+/// the settled substrate, the armed oracles, the bring-up spine, probes
+/// started. Every scenario on the same topology and seed begins with
+/// exactly this bring-up, so where the substrate is `Clone` (the classic
+/// packet kernel) a search boots once and resumes a clone per candidate;
+/// a clone resumed is indistinguishable from a cold run of the same
+/// scenario.
+#[derive(Clone)]
+pub struct BootedCampaign<S> {
+    sub: S,
+    topo: Topology,
+    cfg: OracleConfig,
+    /// What the world was booted for: [`resume`](Self::resume) refuses
+    /// a scenario that names anything else.
+    spec: TopoSpec,
+    seed: u64,
+    /// The engine state at first quiescence, or the final outcome of a
+    /// bring-up that never got there.
+    settled: Result<Settled, Box<CheckOutcome>>,
+}
+
+impl<S: Substrate> BootedCampaign<S> {
+    /// Builds `spec`'s topology, has `build` make the backend for it
+    /// (seeded with `seed`, nothing run yet), and boots that to first
+    /// quiescence under `cfg`.
+    pub fn boot(
+        spec: &TopoSpec,
+        seed: u64,
+        cfg: &OracleConfig,
+        build: impl FnOnce(&Topology) -> S,
+    ) -> Self {
+        let topo = spec.build();
+        let mut sub = build(&topo);
+        let settled = boot(&mut sub, &topo, cfg);
+        BootedCampaign {
+            sub,
+            topo,
+            cfg: cfg.clone(),
+            spec: spec.clone(),
+            seed,
+            settled,
         }
-        None
     }
 
-    // Runs until the substrate reports quiescence, oracles firing along
-    // the way; `None` on success, the violation (possibly SettleTimeout)
-    // otherwise.
-    #[allow(clippy::too_many_arguments)]
-    fn settle<S: Substrate>(
-        sub: &mut S,
-        topo: &Topology,
-        oracle: &mut OracleState,
-        spine: &mut Vec<TraceRecord>,
-        view: &NetView<'_>,
-        budget_ms: u64,
-        step: SimDuration,
-    ) -> Result<(), Violation> {
-        let deadline = sub.now() + SimDuration::from_millis(budget_ms);
-        while sub.now() < deadline {
-            if let Some(v) = advance(sub, topo, oracle, spine, step, step) {
-                return Err(v);
-            }
-            if sub.quiescent(view) {
-                return Ok(());
-            }
-        }
-        Err(Violation::SettleTimeout {
-            at: sub.now(),
-            budget_ms,
+    /// Walks `scenario`'s schedule from first quiescence, in place, and
+    /// hands back the substrate for backend-specific assertions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scenario` names another topology or seed than the
+    /// campaign was booted for: the run would be a silent evaluation on
+    /// the wrong world.
+    pub fn resume(mut self, scenario: &Scenario) -> (CheckOutcome, S) {
+        assert!(
+            scenario.topo == self.spec && scenario.seed == self.seed,
+            "campaign booted for {:?} seed {} cannot resume scenario '{}' on {:?} seed {}",
+            self.spec,
+            self.seed,
+            scenario.name,
+            scenario.topo,
+            scenario.seed,
+        );
+        let outcome = match self.settled {
+            Ok(settled) => resume(settled, scenario, &mut self.sub, &self.topo, &self.cfg),
+            Err(outcome) => *outcome,
+        };
+        (outcome, self.sub)
+    }
+}
+
+impl BootedCampaign<PacketSubstrate<Network>> {
+    /// Boots the packet-level backend on the classic kernel.
+    pub fn packet(spec: &TopoSpec, seed: u64, params: &NetParams, cfg: &OracleConfig) -> Self {
+        BootedCampaign::boot(spec, seed, cfg, |topo| {
+            PacketSubstrate::new(Network::new(topo.clone(), *params, seed))
         })
     }
-
-    // Assembles the outcome from whatever the run produced so far: the
-    // timeline is rebuilt once and feeds the interruption ledger, the
-    // damage objectives, and the critical path alike.
-    let outcome = |violation: Option<Violation>,
-                   sub: &S,
-                   quiescences: u32,
-                   spine: &[TraceRecord],
-                   origin: SimTime| {
-        let timeline = Timeline::build(spine);
-        let interruption = probing.then(|| {
-            InterruptionReport::build(
-                &sub.probe_pairs(),
-                &sub.probe_records(),
-                &timeline,
-                sub.now(),
-                InterruptionConfig {
-                    interval: cfg.probe_interval,
-                    min_run: 2,
-                },
-            )
-        });
-        let damage = DamageReport::measure(interruption.as_ref(), &timeline, sub.now());
-        let critical = timeline.last_fault_critical_path();
-        // The spine is cloned into the outcome only when an oracle fired:
-        // postmortems need it, passing runs don't pay for it.
-        let records = if violation.is_some() {
-            spine.to_vec()
-        } else {
-            Vec::new()
-        };
-        CheckOutcome {
-            violation,
-            end: sub.now(),
-            origin,
-            quiescences,
-            interruption,
-            damage,
-            critical,
-            records,
-        }
-    };
-
-    // Initial bring-up to first quiescence; the skeptic oracle arms here.
-    if let Err(v) = settle(
-        sub,
-        topo,
-        &mut oracle,
-        &mut spine,
-        &view,
-        cfg.bringup_budget_ms,
-        step,
-    ) {
-        let origin = sub.now();
-        return outcome(Some(v), sub, quiescences, &spine, origin);
-    }
-    quiescences += 1;
-    let snaps = sub.snapshots(topo);
-    if let Some(v) = oracle.at_quiescence(sub.now(), &view, &snaps) {
-        let origin = sub.now();
-        return outcome(Some(v), sub, quiescences, &spine, origin);
-    }
-    if probing {
-        // Probe a ring over the hosts: every host both sends and
-        // receives, and a fault anywhere lands on some probed pair.
-        let n = topo.num_hosts();
-        let pairs: Vec<(HostId, HostId)> =
-            (0..n).map(|i| (HostId(i), HostId((i + 1) % n))).collect();
-        sub.start_probes(&pairs, cfg.probe_interval);
-    }
-    let origin = sub.now();
-
-    let mut events = scenario.events.clone();
-    events.sort_by_key(|e| e.at_ms);
-    for event in &events {
-        let due = origin + SimDuration::from_millis(event.at_ms);
-        if due > sub.now() {
-            if let Some(v) = advance(sub, topo, &mut oracle, &mut spine, due - sub.now(), step) {
-                return outcome(Some(v), sub, quiescences, &spine, origin);
-            }
-        }
-        if let FaultOp::Waypoint { settle_ms } = event.op {
-            match settle(sub, topo, &mut oracle, &mut spine, &view, settle_ms, step) {
-                Err(v) => return outcome(Some(v), sub, quiescences, &spine, origin),
-                Ok(()) => {
-                    quiescences += 1;
-                    let snaps = sub.snapshots(topo);
-                    if let Some(v) = oracle.at_quiescence(sub.now(), &view, &snaps) {
-                        return outcome(Some(v), sub, quiescences, &spine, origin);
-                    }
-                }
-            }
-        } else {
-            if let FaultOp::HostPowerOff(h) = event.op {
-                exempt.insert(h);
-            }
-            sub.apply(&event.op, topo);
-            mirror(&mut view, topo, &event.op);
-            oracle.on_fault(&event.op);
-        }
-    }
-
-    // Final settle: the reconfiguration-termination liveness bound.
-    match settle(
-        sub,
-        topo,
-        &mut oracle,
-        &mut spine,
-        &view,
-        scenario.settle_ms,
-        step,
-    ) {
-        Err(v) => return outcome(Some(v), sub, quiescences, &spine, origin),
-        Ok(()) => {
-            quiescences += 1;
-            let snaps = sub.snapshots(topo);
-            if let Some(v) = oracle.at_quiescence(sub.now(), &view, &snaps) {
-                return outcome(Some(v), sub, quiescences, &spine, origin);
-            }
-        }
-    }
-    if let Err(detail) = sub.final_audit() {
-        let time = sub.now();
-        return outcome(
-            Some(Violation::ReferenceMismatch { detail, time }),
-            sub,
-            quiescences,
-            &spine,
-            origin,
-        );
-    }
-    // Every oracle stayed silent; the blackout ledger gets the last word.
-    let mut done = outcome(None, sub, quiescences, &spine, origin);
-    if let Some(report) = done.interruption.as_ref() {
-        let timeline = Timeline::build(&spine);
-        done.violation = check_blackouts(report, &timeline, &exempt, cfg.blackout_slack, sub.now());
-        if done.violation.is_some() {
-            done.records = spine;
-        }
-    }
-    done
 }
 
 /// Runs a scenario on the packet-level backend.
 pub fn run_packet(scenario: &Scenario, params: &NetParams, cfg: &OracleConfig) -> CheckOutcome {
-    let topo = scenario.topo.build();
-    let mut sub = PacketSubstrate::new(Network::new(topo.clone(), *params, scenario.seed));
-    run_scenario(scenario, &mut sub, &topo, cfg)
+    let booted = BootedCampaign::packet(&scenario.topo, scenario.seed, params, cfg);
+    booted.resume(scenario).0
 }
 
 /// Runs a scenario on the slot-level backend (link faults only; see
 /// [`SlotSubstrate`]).
 pub fn run_slot(scenario: &Scenario, params: AutopilotParams, cfg: &OracleConfig) -> CheckOutcome {
-    let topo = scenario.topo.build();
-    let mut sub = SlotSubstrate::new(&topo, params, scenario.seed);
-    run_scenario(scenario, &mut sub, &topo, cfg)
+    let booted = BootedCampaign::boot(&scenario.topo, scenario.seed, cfg, |topo| {
+        SlotSubstrate::new(topo, params, scenario.seed)
+    });
+    booted.resume(scenario).0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn booted_ring() -> BootedCampaign<PacketSubstrate<Network>> {
+        let params = NetParams::tuned();
+        let cfg = OracleConfig::from_params(&params.autopilot);
+        BootedCampaign::packet(&TopoSpec::Ring { n: 4, seed: 0 }, 7, &params, &cfg)
+    }
+
+    fn empty_scenario(topo: TopoSpec, seed: u64) -> Scenario {
+        Scenario {
+            name: "guard".into(),
+            topo,
+            seed,
+            events: Vec::new(),
+            settle_ms: 1_000,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "booted for Ring { n: 4, seed: 0 } seed 7 cannot resume \
+                               scenario 'guard' on Ring { n: 4, seed: 0 } seed 8")]
+    fn resume_refuses_another_seed() {
+        booted_ring().resume(&empty_scenario(TopoSpec::Ring { n: 4, seed: 0 }, 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "booted for Ring { n: 4, seed: 0 } seed 7 cannot resume \
+                               scenario 'guard' on Ring { n: 5, seed: 0 } seed 7")]
+    fn resume_refuses_another_topology() {
+        booted_ring().resume(&empty_scenario(TopoSpec::Ring { n: 5, seed: 0 }, 7));
+    }
 }

@@ -15,7 +15,9 @@
 //!   hooks both simulation backends surface through the harness layer;
 //! - [`run_packet`] / [`run_slot`] — one engine over both network
 //!   substrates (full-vocabulary packet level, link faults emulated as
-//!   line noise at slot level);
+//!   line noise at slot level); [`BootedCampaign`] is the same engine
+//!   stopped at first quiescence, to boot a world once and resume a clone
+//!   of it per schedule;
 //! - [`shrink_schedule`] / [`Reproducer`] — when an oracle fires, the
 //!   schedule is greedily minimized under deterministic re-runs and
 //!   printed as a self-contained Rust test.
@@ -35,7 +37,7 @@ mod substrate;
 mod tables;
 mod worst_case;
 
-pub use engine::{run_packet, run_scenario, run_slot, CheckOutcome};
+pub use engine::{run_packet, run_scenario, run_slot, BootedCampaign, CheckOutcome};
 pub use objective::{DamageVector, ParetoFront};
 pub use oracle::{check_blackouts, OracleConfig, OracleState, Violation};
 pub use postmortem::{

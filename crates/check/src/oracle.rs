@@ -348,6 +348,7 @@ pub fn check_blackouts(
 }
 
 /// The mutable state of all online oracles for one campaign run.
+#[derive(Clone)]
 pub struct OracleState {
     cfg: OracleConfig,
     /// Whether first quiescence has been reached (arms the skeptic

@@ -10,7 +10,7 @@
 
 use autonet_net::NetParams;
 
-use crate::engine::run_packet;
+use crate::engine::BootedCampaign;
 use crate::oracle::{OracleConfig, Violation};
 use crate::scenario::Scenario;
 
@@ -23,13 +23,13 @@ pub fn packet_reproducer(
     params: &NetParams,
     cfg: &OracleConfig,
 ) -> Option<Reproducer> {
-    let violation = run_packet(scenario, params, cfg).violation?;
+    // Shrinking only edits the schedule, so one bring-up serves the first
+    // run and every shrink step.
+    let booted = BootedCampaign::packet(&scenario.topo, scenario.seed, params, cfg);
+    let run = |s: &Scenario| booted.clone().resume(s).0.violation;
+    let violation = run(scenario)?;
     let kind = violation.kind();
-    let scenario = shrink_schedule(scenario, |s| {
-        run_packet(s, params, cfg)
-            .violation
-            .is_some_and(|v| v.kind() == kind)
-    });
+    let scenario = shrink_schedule(scenario, |s| run(s).is_some_and(|v| v.kind() == kind));
     Some(Reproducer {
         scenario,
         violation,

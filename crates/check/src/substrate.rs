@@ -95,20 +95,22 @@ fn crossing_links(topo: &Topology, side: &[usize]) -> Vec<LinkId> {
         .collect()
 }
 
-/// The packet-level backend, on event kernel `D`: wrap a `Network` for
-/// the classic kernel or a `PartitionedNetwork` for the sharded one.
-pub struct PacketSubstrate<D> {
-    net: Net<D>,
+/// The packet-level backend over network `N`: a `Network` for the classic
+/// kernel or a `PartitionedNetwork` for the sharded one. Only the classic
+/// one is `Clone` (see `BootedCampaign`).
+#[derive(Clone)]
+pub struct PacketSubstrate<N> {
+    net: N,
 }
 
-impl<D> PacketSubstrate<D> {
+impl<N> PacketSubstrate<N> {
     /// Wraps a freshly built network.
-    pub fn new(net: Net<D>) -> Self {
+    pub fn new(net: N) -> Self {
         PacketSubstrate { net }
     }
 
     /// The wrapped network, for backend-specific assertions.
-    pub fn network(&self) -> &Net<D> {
+    pub fn network(&self) -> &N {
         &self.net
     }
 }
@@ -153,7 +155,7 @@ impl ProbeFlows for Network {
     }
 }
 
-impl<D: Driver> Substrate for PacketSubstrate<D>
+impl<D: Driver> Substrate for PacketSubstrate<Net<D>>
 where
     Net<D>: ProbeFlows,
 {

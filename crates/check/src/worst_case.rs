@@ -36,7 +36,7 @@ use autonet_net::NetParams;
 use autonet_sim::{SimDuration, SimRng};
 use autonet_topo::Topology;
 
-use crate::engine::{run_packet, CheckOutcome};
+use crate::engine::{boots_so_far, BootedCampaign, CheckOutcome};
 use crate::objective::{DamageVector, ParetoFront};
 use crate::oracle::OracleConfig;
 use crate::scenario::{FaultEvent, FaultOp, Scenario, TopoSpec};
@@ -118,6 +118,10 @@ pub struct WorstCaseResult {
     pub random_median_blackout: SimDuration,
     /// Total engine runs spent (corpus + children + shrink re-runs).
     pub evaluations: usize,
+    /// Cold bring-ups paid for them, counted by the engine. Every
+    /// candidate shares the search's topology, parameters and seed, so
+    /// the world is booted once and each evaluation resumes a clone: 1.
+    pub boots: usize,
     /// Candidates discarded because a hard oracle fired.
     pub violations: usize,
     /// The champion as a self-contained, copy-pasteable Rust test.
@@ -314,9 +318,11 @@ pub fn worst_case_search(
         events,
         settle_ms: cfg.settle_ms,
     };
+    let boots_before = boots_so_far();
+    let booted = BootedCampaign::packet(topo, cfg.seed, params, oracle);
     let eval = |s: &Scenario, evaluations: &mut usize| {
         *evaluations += 1;
-        run_packet(s, params, oracle)
+        booted.clone().resume(s).0
     };
 
     // Phase 1: seed corpus — Pareto seeds plus the random baseline.
@@ -411,6 +417,7 @@ pub fn worst_case_search(
             .collect(),
         random_median_blackout,
         evaluations,
+        boots: boots_so_far() - boots_before,
         violations,
         reproducer,
     }

@@ -60,6 +60,7 @@ pub enum Action {
 }
 
 /// The per-switch control program.
+#[derive(Clone)]
 pub struct Autopilot {
     uid: Uid,
     params: AutopilotParams,

@@ -97,6 +97,7 @@ impl RouteCacheStats {
 
 /// The shared per-topology route state: one analyzer plus the complete
 /// pool of forward legal-distance fields and per-node link signatures.
+#[derive(Clone)]
 struct SharedRoutes {
     rc: RouteComputer,
     /// `from_up[v]` = legal distances from the fresh state `(v, Up)`.
@@ -184,6 +185,7 @@ impl SharedRoutes {
 /// One topology generation: the digest it is keyed by, the shared route
 /// state (absent when the topology is malformed), the topology itself
 /// (cheap: `Arc` fields), and the tables served so far.
+#[derive(Clone)]
 struct Generation {
     digest: u64,
     global: GlobalTopology,
@@ -191,6 +193,7 @@ struct Generation {
     tables: BTreeMap<(Uid, Vec<PortIndex>), Option<ForwardingTable>>,
 }
 
+#[derive(Clone)]
 struct Inner {
     current: Option<Generation>,
     previous: Option<Generation>,
@@ -247,6 +250,18 @@ impl RouteCache {
 impl Default for RouteCache {
     fn default() -> Self {
         RouteCache::new()
+    }
+}
+
+/// A deep copy: both generations, their memoized tables and the work
+/// counters, behind a lock of its own. A forked world continues from the
+/// copy exactly as the original would have — same memo hits, same delta
+/// proofs, same counters — without either side seeing the other's serves.
+impl Clone for RouteCache {
+    fn clone(&self) -> Self {
+        RouteCache {
+            inner: Mutex::new(self.inner.lock().expect("route cache poisoned").clone()),
+        }
     }
 }
 

@@ -72,6 +72,7 @@ impl RoutingStats {
 
 /// Analyzer for one global topology: link directions, legal distances,
 /// baseline distances, deadlock analysis and table synthesis.
+#[derive(Clone)]
 pub struct RouteComputer {
     uids: Vec<Uid>,
     index: BTreeMap<Uid, usize>,

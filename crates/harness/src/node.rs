@@ -15,6 +15,7 @@ use crate::env::Environment;
 /// schedules them in the packet-level network; the slot loop polls
 /// [`poll`](NodeHarness::poll) every slot), but the translation from
 /// actions to environment calls lives here exactly once.
+#[derive(Clone)]
 pub struct NodeHarness {
     ap: Autopilot,
     next_tick: SimTime,

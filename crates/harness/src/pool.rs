@@ -22,7 +22,7 @@ use crate::node::NodeHarness;
 
 /// Struct-of-arrays pool of [`NodeHarness`] slots, indexed by dense
 /// node id (the backend's switch index).
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct HarnessPool {
     /// The harness slots. `None` only while that node's entry point is
     /// running (between [`take`](Self::take) and [`put`](Self::put)).

@@ -80,6 +80,7 @@ pub enum HostAction {
 }
 
 /// The host controller + driver + LocalNet stack.
+#[derive(Clone)]
 pub struct HostController {
     uid: Uid,
     params: HostParams,

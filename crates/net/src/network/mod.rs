@@ -56,6 +56,7 @@ use pool::{HostPool, SwitchPool};
 
 /// The simulation world (driven through [`Net`]).
 #[doc(hidden)]
+#[derive(Clone)]
 pub struct NetWorld {
     topo: Topology,
     params: NetParams,
@@ -99,6 +100,11 @@ pub struct NetWorld {
 /// Everything that does not depend on the kernel is a method of
 /// `Net<D>` itself, written once; [`Network`] and [`PartitionedNetwork`]
 /// add their constructor and what only their kernel can offer.
+///
+/// [`Network`] is `Clone` — a clone is an independent fork of the whole
+/// simulation, pending events included, that continues exactly as the
+/// original would have. [`PartitionedNetwork`] is not.
+#[derive(Clone)]
 pub struct Net<D> {
     sim: D,
 }

@@ -54,6 +54,7 @@ use super::{Driver, Net, NetWorld, PartitionedNetwork};
 
 /// Barrier-latched cross-node observations: what `synthesize_status` is
 /// allowed to see of nodes that may live on other shards.
+#[derive(Clone)]
 pub(super) struct Latched {
     /// Per-switch dead-port verdict rows (the far end's `idhy` signal).
     dead: Vec<[bool; MAX_PORTS]>,

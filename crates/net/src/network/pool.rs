@@ -110,7 +110,32 @@ impl SwitchPool {
     }
 }
 
+/// A clone is a fork of the fleet, so it gets a route cache of its own:
+/// one deep copy, shared by the new pool and every cloned Autopilot the
+/// way the original is shared among the originals. Sharing the original
+/// instead would leave behaviour alone (serves are pure) but let forks
+/// see each other's memo hits and counters, which a cold run never does.
+impl Clone for SwitchPool {
+    fn clone(&self) -> Self {
+        let mut nodes = self.nodes.clone();
+        let route_cache = self.route_cache.as_deref().map(|c| Arc::new(c.clone()));
+        if let Some(cache) = &route_cache {
+            for s in 0..nodes.len() {
+                nodes.autopilot_mut(s).set_route_cache(Arc::clone(cache));
+            }
+        }
+        SwitchPool {
+            nodes,
+            table: self.table.clone(),
+            cpu_free: self.cpu_free.clone(),
+            up: self.up.clone(),
+            route_cache,
+        }
+    }
+}
+
 /// All hosts, one field per array, indexed by `HostId.0`.
+#[derive(Clone)]
 pub(super) struct HostPool {
     /// The host controllers.
     pub(super) ctl: Vec<HostController>,

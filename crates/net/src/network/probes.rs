@@ -33,6 +33,7 @@ pub(super) fn probe_tag(pair: u32, seq: u64) -> u64 {
 }
 
 /// The running probe generator's state.
+#[derive(Clone)]
 pub(super) struct ProbeState {
     /// Probed `(src, dst)` host-index pairs.
     pub(super) pairs: Vec<(usize, usize)>,

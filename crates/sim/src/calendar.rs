@@ -33,6 +33,7 @@ use std::collections::BinaryHeap;
 use crate::time::SimTime;
 
 /// A pending event; `seq` is the tie-break key among equal times.
+#[derive(Clone)]
 struct Entry<E, K> {
     time: SimTime,
     seq: K,
@@ -67,6 +68,7 @@ const MAX_BUCKETS: usize = 1 << 20;
 
 /// A time-ordered queue of simulation events on a timing wheel, popping in
 /// `(time, K)` order.
+#[derive(Clone)]
 pub struct CalendarQueue<E, K = u64> {
     /// The ring. An entry with bucket number `b = time >> shift` lives at
     /// physical index `b & mask`.

@@ -85,6 +85,10 @@ impl<'a, E> Scheduler<'a, E> {
 }
 
 /// Drives a [`World`] through its event queue in virtual time.
+///
+/// A clone is an independent fork: same clock, same pending events in
+/// the same order, its own copy of the world.
+#[derive(Clone)]
 pub struct Simulator<W: World> {
     world: W,
     queue: CalendarQueue<W::Event>,

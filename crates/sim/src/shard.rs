@@ -241,13 +241,25 @@ impl<W: ShardWorld> Shard<W> {
 }
 
 /// Rendezvous polls before a waiter starts yielding its time slice, and
-/// yields before it parks. With a core per shard the straggler is at most a
-/// window's work (~1 µs) behind, so the spin almost always catches it; with
+/// yields before it parks. With a core per shard the straggler is usually
+/// a window's work (~1 µs) behind, so the spin catches most rounds; with
 /// more shards than cores the spin is a bounded loss, the yields hand the
 /// core to a shard that has not arrived yet, and parking guarantees
 /// progress however the scheduler treats `yield_now`.
+///
+/// The spin stays short because it is what an oversubscribed waiter burns
+/// per window while its straggler is descheduled (two 2-shard runs at once
+/// on 2 cores: 6x slower at 4 096 polls, 24x at 16 384). The yield phase is
+/// long (~1 ms when nothing else wants the core, a `yield_now` costing
+/// ~0.25 µs) because parking is the expensive and the erratic exit: on
+/// fat_tree-256 one wait in six outlasts the spin (a burst of events, a
+/// route build), and a parked waiter pays a futex sleep and wake — on a
+/// virtual CPU a halt and a reschedule by the host — whose cost swings
+/// with whatever else the host is doing. Yielding costs a waiter with a
+/// core of its own no more than spinning, and hands the core over at once
+/// when something else wants it. DESIGN.md ("The barrier") has the sweep.
 const SPIN_POLLS: u32 = 256;
-const YIELD_POLLS: u32 = 16;
+const YIELD_POLLS: u32 = 4096;
 
 /// A reusable sense-reversing barrier on atomics: the low bit of
 /// `generation` is the sense, flipped by the last arrival of each round.
@@ -952,8 +964,9 @@ mod tests {
         }
     }
 
-    /// Nobody leaves a round before everybody has arrived, through all
-    /// three wait phases (8 parties on fewer cores do park).
+    /// Nobody leaves a round before everybody has arrived, with more
+    /// parties than cores (waits end in the spin or the yields, and in a
+    /// park when a descheduled straggler outlasts them).
     #[test]
     fn rendezvous_releases_only_full_rounds() {
         const PARTIES: usize = 8;
@@ -975,6 +988,36 @@ mod tests {
                             );
                         }
                     });
+                }
+            });
+        });
+    }
+
+    /// The park phase, entered for certain: the last party holds back until
+    /// it sees the other one registered as a sleeper, so every round is
+    /// released through the lock-and-notify path.
+    #[test]
+    fn a_late_party_wakes_a_parked_one() {
+        const ROUNDS: usize = 5;
+        let barrier = Rendezvous::new(2);
+        within(Duration::from_secs(60), move || {
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for _ in 0..ROUNDS {
+                        barrier.wait();
+                    }
+                });
+                for round in 0..ROUNDS {
+                    while barrier.sleepers.load(MemOrder::SeqCst) == 0 {
+                        std::thread::yield_now();
+                    }
+                    barrier.wait();
+                    assert_eq!(barrier.generation.load(MemOrder::SeqCst), round + 1);
+                    // Let the sleeper deregister before looking for the
+                    // next round's.
+                    while barrier.sleepers.load(MemOrder::SeqCst) != 0 {
+                        std::thread::yield_now();
+                    }
                 }
             });
         });

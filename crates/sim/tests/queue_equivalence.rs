@@ -4,10 +4,15 @@
 //! far-future timestamps, under arbitrary push/pop interleavings. The
 //! caller-keyed form the sharded executor uses is checked the same way
 //! against a heap of full `(time, src, seq)` stamps.
+//!
+//! Both forms, and the `Simulator` built on the first, are `Clone`: a
+//! clone taken at any point is an independent queue (kernel) that goes on
+//! exactly as the original does, which is what lets a campaign boot a
+//! network once and fork it per candidate.
 
 use proptest::prelude::*;
 
-use autonet_sim::{CalendarQueue, EventQueue, SimTime};
+use autonet_sim::{CalendarQueue, EventQueue, Scheduler, SimDuration, SimTime, Simulator, World};
 
 /// Strategy: timestamps drawn from several regimes the simulator actually
 /// produces — dense clusters (same-instant tick storms), microsecond-scale
@@ -135,6 +140,136 @@ proptest! {
     }
 }
 
+/// Grows `cal` past its first ring rebuilds (more than twice the 16
+/// initial buckets) with a few entries hours ahead of the rest — beyond
+/// any ring rotation, so in the overflow heap — runs `prefix` on it
+/// (`Some(t)` pushes at `t`, `None` pops), clones it, and runs `suffix` on
+/// both: every pop, peek and length must agree, down to the last entry.
+fn clone_pops_like_the_original<K: Ord + Copy>(
+    mut cal: CalendarQueue<usize, K>,
+    push: impl Fn(&mut CalendarQueue<usize, K>, SimTime, usize),
+    prefix: impl Iterator<Item = Option<u64>>,
+    suffix: impl Iterator<Item = Option<u64>>,
+) -> TestCaseResult {
+    let near = (0..80u64).map(|i| i * 37 % 1_000);
+    let far = (2..10u64).map(|h| h * 3_600_000_000_000);
+    let mut payload = 0usize;
+    for op in near.chain(far).map(Some).chain(prefix) {
+        match op {
+            Some(t) => push(&mut cal, SimTime::from_nanos(t), payload),
+            None => drop(cal.pop()),
+        }
+        payload += 1;
+    }
+    let mut fork = cal.clone();
+    for op in suffix {
+        match op {
+            Some(t) => {
+                push(&mut cal, SimTime::from_nanos(t), payload);
+                push(&mut fork, SimTime::from_nanos(t), payload);
+            }
+            None => prop_assert_eq!(cal.pop(), fork.pop()),
+        }
+        payload += 1;
+        prop_assert_eq!(cal.peek_time(), fork.peek_time());
+        prop_assert_eq!(cal.len(), fork.len());
+    }
+    while let Some(next) = cal.pop() {
+        prop_assert_eq!(fork.pop(), Some(next));
+    }
+    prop_assert!(fork.is_empty());
+    Ok(())
+}
+
+/// A world whose whole state is a running digest of its history, and
+/// whose follow-up events depend on that digest: any divergence between
+/// two runs snowballs into different clocks and counts.
+#[derive(Clone)]
+struct Digest {
+    digest: u64,
+    budget: u32,
+}
+
+impl World for Digest {
+    type Event = u64;
+
+    fn handle(&mut self, now: SimTime, ev: u64, sched: &mut Scheduler<'_, u64>) {
+        self.digest =
+            (self.digest.rotate_left(7) ^ ev ^ now.as_nanos()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        for k in 0..self.digest % 3 {
+            if self.budget == 0 {
+                break;
+            }
+            self.budget -= 1;
+            // Mostly near-term, ties included; now and then a timer far
+            // enough out to land in the queue's overflow heap.
+            let delay = match (self.digest >> (8 * k)) % 16 {
+                0 => 0,
+                15 => 3_600_000_000_000,
+                d => d * 1_000,
+            };
+            sched.after(SimDuration::from_nanos(delay), self.digest ^ k);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A FIFO queue cloned after rebuilds, with entries in the overflow
+    /// heap and a used sequence counter, answers every later push, pop
+    /// and peek exactly as the original does.
+    #[test]
+    fn fifo_clone_pops_like_the_original(prefix in ops_strategy(), suffix in ops_strategy()) {
+        let script = |ops: Vec<Op>| ops.into_iter().map(|op| match op {
+            Op::Push(t) => Some(t),
+            Op::Pop => None,
+        });
+        clone_pops_like_the_original(
+            CalendarQueue::new(),
+            |q, t, payload| q.push(t, payload),
+            script(prefix),
+            script(suffix),
+        )?;
+    }
+
+    /// A kernel cloned mid-run and its original reach the same clock,
+    /// event count and world, and both match a run that never cloned.
+    #[test]
+    fn simulator_clone_continues_like_the_original(
+        seeds in prop::collection::vec((0u64..2_000_000, 0u64..1_000), 1..40),
+        before in 0u64..400,
+        after in 0u64..400,
+    ) {
+        let start = || {
+            let mut sim = Simulator::new(Digest { digest: 1991, budget: 600 });
+            for &(t, ev) in &seeds {
+                sim.schedule_at(SimTime::from_nanos(t), ev);
+            }
+            sim
+        };
+        let mut straight = start();
+        straight.run_events(before);
+        straight.run_events(after);
+
+        let mut original = start();
+        original.run_events(before);
+        let mut fork = original.clone();
+        for sim in [&mut original, &mut fork] {
+            sim.run_events(after);
+            prop_assert_eq!(sim.now(), straight.now());
+            prop_assert_eq!(sim.events_processed(), straight.events_processed());
+            prop_assert_eq!(sim.pending_events(), straight.pending_events());
+            prop_assert_eq!(sim.world().digest, straight.world().digest);
+        }
+        // And they keep agreeing to the end of the schedule.
+        original.run();
+        fork.run();
+        prop_assert_eq!(original.now(), fork.now());
+        prop_assert_eq!(original.world().digest, fork.world().digest);
+    }
+}
+
 /// The sharded executor's queue: ordered by the canonical `(time, src,
 /// seq)` stamp supplied by the caller, not by insertion order. Reference:
 /// the `BinaryHeap<Reverse<stamp>>` it replaced.
@@ -202,6 +337,26 @@ mod stamp_keyed {
                 prop_assert_eq!(cal.pop(), Some((t, p)));
             }
             prop_assert!(cal.is_empty());
+        }
+
+        /// The keyed form likewise: the same `(time, key, event)` sequence
+        /// from the clone as from the original (the payload is the op
+        /// index, which the key is a bijection of).
+        #[test]
+        fn keyed_clone_pops_like_the_original(prefix in ops_strategy(), suffix in ops_strategy()) {
+            let script = |ops: Vec<Op>| ops.into_iter().map(|op| match op {
+                Op::Push(t, _) => Some(t),
+                Op::Pop => None,
+            });
+            clone_pops_like_the_original(
+                CalendarQueue::keyed(),
+                |q, t, payload| {
+                    let seq = (payload as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    q.push_keyed(t, ((payload % 5) as u32, seq), payload);
+                },
+                script(prefix),
+                script(suffix),
+            )?;
         }
     }
 }

@@ -55,8 +55,8 @@ fn main() {
     let res = worst_case_search(&topo, &params, &oracle, &budget);
 
     println!(
-        "evaluations: {} ({} oracle violations discarded)",
-        res.evaluations, res.violations
+        "evaluations: {} on {} boot(s) ({} oracle violations discarded)",
+        res.evaluations, res.boots, res.violations
     );
     println!(
         "random corpus median blackout: {}",

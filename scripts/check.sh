@@ -39,7 +39,7 @@ SCALE_SMOKE=1 cargo bench -q -p autonet-bench --bench exp_scale
 WORST_CASE_SMOKE=1 cargo bench -q -p autonet-bench --bench exp_worst_case
 python3 scripts/check_bench_schema.py \
     BENCH_scale_smoke.json BENCH_scale.json \
-    BENCH_worst_case_smoke.json \
+    BENCH_worst_case_smoke.json BENCH_worst_case.json \
     BENCH_reconfig.json BENCH_interruption.json
 
 echo "==> Perfetto trace schema"

@@ -206,6 +206,14 @@ def check_worst_case(path, doc):
             fail(path, f"{topo}: evaluations must be positive")
         if require(path, row, "violations", int) < 0:
             fail(path, f"{topo}: violations must be >= 0")
+        # Every candidate of a search resumes a clone of one booted world.
+        # An exact count, so going back to a boot per evaluation fails
+        # here and not as a noisy wall clock.
+        boots = require(path, row, "boots", int)
+        if boots != 1:
+            fail(path, f"{topo}: search booted {boots} times, must be exactly 1")
+        if require(path, row, "wall_s", (int, float)) <= 0:
+            fail(path, f"{topo}: wall_s must be positive")
 
 
 def check_generic(path, doc):

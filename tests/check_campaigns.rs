@@ -260,6 +260,15 @@ fn forced_failure_emits_a_complete_postmortem_bundle() {
     );
 
     let rep = packet_reproducer(&scenario, &params, &cfg).expect("the failure shrinks");
+    // The shrinker found it on forks of one booted world; the reproducer
+    // it emits boots its own (`run_packet`) and must convict the same way.
+    let replay = run_packet(&rep.scenario, &params, &cfg);
+    assert_eq!(
+        replay.violation.as_ref().map(|v| v.kind()),
+        Some(rep.violation.kind()),
+        "shrunk to {:?}",
+        rep.scenario.events
+    );
     let dir = write_postmortem(
         &default_postmortem_dir(),
         &scenario.name,

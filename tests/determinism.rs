@@ -2,9 +2,14 @@
 //! histories, which is what makes every experiment in EXPERIMENTS.md
 //! reproducible.
 
+use autonet::autopilot::AutopilotParams;
 use autonet::net::{NetParams, Network, PartitionedNetwork};
 use autonet::sim::{SimDuration, SimTime};
 use autonet::topo::{gen, HostId, LinkId, SwitchId};
+use autonet_check::{
+    degraded_params, random_scenario_with, run_packet, BootedCampaign, CheckOutcome, FaultEvent,
+    FaultOp, GenOptions, OracleConfig, PacketSubstrate, Scenario, TopoSpec,
+};
 
 fn run_once(seed: u64) -> (Vec<String>, Vec<(u64, usize)>) {
     let mut topo = gen::torus(3, 3, 77);
@@ -381,4 +386,176 @@ fn merged_trace_is_time_ordered() {
     // Bring-up leaves traces from every switch.
     let sources: std::collections::BTreeSet<u32> = merged.iter().map(|e| e.source).collect();
     assert_eq!(sources.len(), 4);
+}
+
+fn hosted(base: TopoSpec) -> TopoSpec {
+    TopoSpec::Hosted {
+        base: Box::new(base),
+        per_switch: 1,
+        seed: 7,
+    }
+}
+
+/// A seeded `random_scenario_with` schedule carried over to `topo`: the
+/// generator draws its targets on a topology of its own, so link, switch
+/// and host indices are folded into the target's ranges.
+fn schedule_on(topo: TopoSpec, seed: u64, schedule_seed: u64, n_events: usize) -> Scenario {
+    let built = topo.build();
+    let (links, switches) = (built.num_links(), built.num_switches());
+    let opts = GenOptions { same_slot_pct: 30 };
+    let drawn = random_scenario_with(schedule_seed, n_events, opts);
+    let events = drawn
+        .events
+        .into_iter()
+        .map(|e| FaultEvent {
+            at_ms: e.at_ms,
+            op: match e.op {
+                FaultOp::LinkDown(l) => FaultOp::LinkDown(l % links),
+                FaultOp::LinkUp(l) => FaultOp::LinkUp(l % links),
+                FaultOp::SwitchDown(s) => FaultOp::SwitchDown(s % switches),
+                FaultOp::SwitchUp(s) => FaultOp::SwitchUp(s % switches),
+                FaultOp::LinkFlaps {
+                    link,
+                    half_period_ms,
+                    cycles,
+                } => FaultOp::LinkFlaps {
+                    link: link % links,
+                    half_period_ms,
+                    cycles,
+                },
+                other => other,
+            },
+        })
+        .collect();
+    Scenario {
+        name: format!("fork-{seed}-{schedule_seed}"),
+        topo,
+        seed,
+        events,
+        settle_ms: 120_000,
+    }
+}
+
+/// A run's outcome plus the route cache's work counters at its end.
+type RunResult = (CheckOutcome, Option<(u64, u64, u64, u64, u64)>);
+
+fn with_cache_work((outcome, sub): (CheckOutcome, PacketSubstrate<Network>)) -> RunResult {
+    let work = sub.network().route_cache_stats().map(|s| s.work());
+    (outcome, work)
+}
+
+/// The cold path, exactly `run_packet`'s body: a fresh network, booted,
+/// resumed in place. No clone anywhere.
+fn cold(s: &Scenario, params: &NetParams, cfg: &OracleConfig) -> RunResult {
+    with_cache_work(BootedCampaign::packet(&s.topo, s.seed, params, cfg).resume(s))
+}
+
+fn forked(base: &BootedCampaign<PacketSubstrate<Network>>, s: &Scenario) -> RunResult {
+    with_cache_work(base.clone().resume(s))
+}
+
+/// Boot once, fork per candidate, and nobody can tell: a scenario resumed
+/// on a clone of the settled world produces the outcome a cold run does,
+/// field for field (violation, end, origin, quiescences, interruption
+/// ledger, damage, critical path, failing-run records), and leaves the
+/// route cache with the same work counters. Forks are isolated from each
+/// other and from the base they were cloned from.
+#[test]
+fn forked_campaigns_equal_cold_runs() {
+    let params = NetParams::tuned();
+    let cfg = OracleConfig::from_params(&params.autopilot);
+    let topos = [
+        hosted(TopoSpec::Ring { n: 8, seed: 2 }),
+        hosted(TopoSpec::Torus {
+            w: 4,
+            h: 4,
+            seed: 3,
+        }),
+        hosted(TopoSpec::Src { seed: 1991 }),
+    ];
+    for (k, topo) in topos.into_iter().enumerate() {
+        let seed = 40 + k as u64;
+        let base = BootedCampaign::packet(&topo, seed, &params, &cfg);
+        let a = schedule_on(topo.clone(), seed, seed, 4);
+        // The second schedule also powers a host off (its pairs become
+        // exempt) and is sure to stop at a waypoint on its way.
+        let mut b = schedule_on(topo.clone(), seed, 90 + seed, 3);
+        b.events.insert(
+            0,
+            FaultEvent {
+                at_ms: 10,
+                op: FaultOp::HostPowerOff(1),
+            },
+        );
+        b.events.insert(
+            2,
+            FaultEvent {
+                at_ms: b.events[1].at_ms,
+                op: FaultOp::Waypoint { settle_ms: 60_000 },
+            },
+        );
+
+        let fork_a = forked(&base, &a);
+        assert!(fork_a.0.quiescences >= 2, "{}: {:?}", a.name, fork_a.0);
+        assert_eq!(
+            fork_a,
+            cold(&a, &params, &cfg),
+            "{} on {:?}",
+            a.name,
+            a.topo
+        );
+        let fork_b = forked(&base, &b);
+        assert!(fork_b.0.quiescences >= 3, "{}: {:?}", b.name, fork_b.0);
+        assert_eq!(
+            fork_b,
+            cold(&b, &params, &cfg),
+            "{} on {:?}",
+            b.name,
+            b.topo
+        );
+        // Sibling isolation: B ran in between, A comes out the same.
+        assert_eq!(forked(&base, &a), fork_a, "{}: forks leak", a.name);
+        assert_ne!(fork_a.0, fork_b.0, "the two schedules must differ");
+        if k == 0 {
+            assert_eq!(run_packet(&a, &params, &cfg), fork_a.0);
+        }
+    }
+}
+
+/// The same on a failing run, where the outcome carries the whole event
+/// spine: the planted skeptic bug (hysteresis disabled, honest bounds)
+/// convicts identically from a fork and from a cold start.
+#[test]
+fn forked_violation_equals_the_cold_one() {
+    let params = NetParams {
+        autopilot: degraded_params(),
+        ..NetParams::tuned()
+    };
+    let cfg = OracleConfig {
+        step_ms: 5,
+        ..OracleConfig::from_params(&AutopilotParams::tuned())
+    };
+    let topo = hosted(TopoSpec::Ring { n: 8, seed: 2 });
+    let bounce = Scenario {
+        name: "fork-planted-skeptic".into(),
+        topo: topo.clone(),
+        seed: 7,
+        events: vec![
+            FaultEvent {
+                at_ms: 100,
+                op: FaultOp::LinkDown(0),
+            },
+            FaultEvent {
+                at_ms: 140,
+                op: FaultOp::LinkUp(0),
+            },
+        ],
+        settle_ms: 60_000,
+    };
+    let base = BootedCampaign::packet(&topo, 7, &params, &cfg);
+    let fork = forked(&base, &bounce);
+    let violation = fork.0.violation.as_ref().expect("the bug must fire");
+    assert_eq!(violation.kind(), "skeptic-hold");
+    assert!(!fork.0.records.is_empty(), "failing runs carry the spine");
+    assert_eq!(fork, cold(&bounce, &params, &cfg));
 }

@@ -11,7 +11,9 @@
 
 use autonet::net::NetParams;
 use autonet::sim::SimDuration;
-use autonet_check::{worst_case_search, DamageVector, OracleConfig, TopoSpec, WorstCaseConfig};
+use autonet_check::{
+    run_packet, worst_case_search, DamageVector, OracleConfig, TopoSpec, WorstCaseConfig,
+};
 
 fn hosted(base: TopoSpec) -> TopoSpec {
     TopoSpec::Hosted {
@@ -53,6 +55,11 @@ fn search_beats_its_random_corpus_on_a_hosted_ring() {
     // The reproducer is the full self-contained test, ready to pin.
     assert!(res.reproducer.contains("run_packet"));
     assert!(res.reproducer.contains(&res.champion.name));
+    // Every candidate was a fork of one booted world, and what the forks
+    // measured is what the reproducer's cold `run_packet` measures.
+    assert_eq!(res.boots, 1, "{} evaluations", res.evaluations);
+    let cold = run_packet(&res.champion, &params, &oracle);
+    assert_eq!(DamageVector::of(&cold), res.damage);
 }
 
 /// The returned front is a real Pareto front: no archived point
