@@ -295,23 +295,9 @@ impl ReconfigEngine {
             let hosts = self.host_ports.clone();
             out = self.reset_for_epoch(now, msg_epoch, neighbors, proposed, hosts);
         } else if msg_epoch < self.epoch {
-            // Stale epoch: if we are still forming, re-advertising our
-            // position pulls the laggard forward; otherwise ignore.
-            if self.running && !self.completed {
-                let (epoch, version, pos) = (self.epoch, self.version, self.pos);
-                if let Some(ns) = self.neighbors.get_mut(&port) {
-                    ns.last_pos_tx = Some(now);
-                    out.push(ReconfigOutput::Send {
-                        port,
-                        msg: ControlMsg::TreePosition {
-                            epoch,
-                            seq: version,
-                            from_port: port,
-                            pos,
-                        },
-                    });
-                }
-            }
+            // Stale epoch: ignore. The sender already has, or will get by
+            // retransmission, the join advertisement `reset_for_epoch`
+            // sent it; answering here buys nothing but traffic.
             return out;
         }
         if !self.running {
@@ -1213,6 +1199,63 @@ mod tests {
         let outs = net.engines[0].on_msg(net.now, 1, &stale);
         assert!(outs.is_empty(), "{outs:?}");
         assert!(net.engines[0].is_completed());
+    }
+
+    #[test]
+    fn stale_epoch_messages_are_ignored_while_forming() {
+        // The paper's epoch rule: join a higher epoch, ignore a lower one —
+        // also mid-formation, when the neighbor is known and unacked.
+        let mut net = TestNet::new(&[2, 1], &[(0, 1)], &params());
+        net.trigger(0);
+        net.run(SimTime::from_secs(1));
+        let old = net.engines[0].epoch();
+        let nbrs = net.neighbor_map(0);
+        let _ = net.engines[0].start(net.now, nbrs, 1, vec![]);
+        assert!(net.engines[0].is_running());
+        let (epoch, pos) = (net.engines[0].epoch(), net.engines[0].position());
+        for stale in [
+            ControlMsg::TreePosition {
+                epoch: old,
+                seq: 1,
+                from_port: 1,
+                pos: TreePosition::myself(Uid::new(1)),
+            },
+            ControlMsg::TopologyDownAck { epoch: old },
+        ] {
+            let outs = net.engines[0].on_msg(net.now, 1, &stale);
+            assert!(outs.is_empty(), "{outs:?}");
+        }
+        assert!(net.engines[0].is_running());
+        assert_eq!(
+            (net.engines[0].epoch(), net.engines[0].position()),
+            (epoch, pos)
+        );
+    }
+
+    #[test]
+    fn laggard_is_pulled_forward_by_retransmission_alone() {
+        // Engine 0 starts a new epoch and its join advertisement is lost.
+        // Nothing the laggard says is answered; the retransmission timer
+        // alone delivers the epoch, within one retransmit interval.
+        let p = params();
+        let mut net = TestNet::new(&[2, 1], &[(0, 1)], &p);
+        net.trigger(0);
+        net.run(SimTime::from_secs(1));
+        let old = net.engines[1].epoch();
+        let started = net.now;
+        let nbrs = net.neighbor_map(0);
+        let lost = net.engines[0].start(started, nbrs, 1, vec![]);
+        assert!(lost
+            .iter()
+            .any(|o| matches!(o, ReconfigOutput::Send { .. })));
+        net.completions = vec![None, None];
+        let just_before = started + p.retransmit_interval - SimDuration::from_nanos(1);
+        assert!(net.engines[0].on_tick(just_before).is_empty());
+        assert_eq!(net.engines[1].epoch(), old);
+        net.run(started + p.retransmit_interval + SimDuration::from_millis(2));
+        assert_eq!(net.engines[1].epoch(), old.next());
+        net.run(started + SimDuration::from_secs(1));
+        assert!(net.all_completed_consistently(), "{:?}", net.completions);
     }
 
     #[test]
