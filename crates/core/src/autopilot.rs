@@ -11,6 +11,7 @@
 //! non-preemptive scheduler (companion paper §5.4).
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use autonet_sim::{SimTime, TraceLog};
 use autonet_switch::{ForwardingTable, LinkUnitStatus};
@@ -57,6 +58,20 @@ pub enum Action {
     },
     /// Host traffic stopped (a reconfiguration began).
     NetworkClosed,
+}
+
+/// The table a switch runs with while an epoch forms: the constant
+/// one-hop entries and nothing else (reconfiguration step 1). It never
+/// varies, so it is built once and every join takes a copy.
+fn cleared_table() -> ForwardingTable {
+    static ONE_HOP: OnceLock<ForwardingTable> = OnceLock::new();
+    ONE_HOP
+        .get_or_init(|| {
+            let mut table = ForwardingTable::new();
+            program_one_hop(&mut table);
+            table
+        })
+        .clone()
 }
 
 /// The per-switch control program.
@@ -469,17 +484,7 @@ impl Autopilot {
                         );
                         actions.push(Action::NetworkClosed);
                     }
-                    let mut table = ForwardingTable::new();
-                    program_one_hop(&mut table);
-                    self.log.log(
-                        now,
-                        self.log_source,
-                        Event::TableInstalled {
-                            epoch: self.engine.epoch(),
-                            table: table.clone(),
-                        },
-                    );
-                    actions.push(Action::LoadTable(table));
+                    self.install_table(now, self.engine.epoch(), cleared_table(), actions);
                 }
                 ReconfigOutput::Completed(global) => {
                     if let Some(num) = global.number_of(self.uid) {
@@ -540,6 +545,26 @@ impl Autopilot {
             None => compute_forwarding_table(global, self.uid, &hosts, RouteKind::UpDown),
         };
         if let Some(table) = table {
+            self.install_table(now, epoch, table, actions);
+        } else {
+            // A malformed topology (timeout-baseline failure mode): leave
+            // the cleared table in place rather than load garbage routes.
+            self.log
+                .log(now, self.log_source, Event::UnroutableTopology { epoch });
+        }
+    }
+
+    /// Loads `table` into the hardware and traces the install. The trace
+    /// event carries its own copy of the table, made only when someone is
+    /// recording.
+    fn install_table(
+        &mut self,
+        now: SimTime,
+        epoch: Epoch,
+        table: ForwardingTable,
+        actions: &mut Vec<Action>,
+    ) {
+        if self.log.is_enabled() {
             self.log.log(
                 now,
                 self.log_source,
@@ -548,13 +573,8 @@ impl Autopilot {
                     table: table.clone(),
                 },
             );
-            actions.push(Action::LoadTable(table));
-        } else {
-            // A malformed topology (timeout-baseline failure mode): leave
-            // the cleared table in place rather than load garbage routes.
-            self.log
-                .log(now, self.log_source, Event::UnroutableTopology { epoch });
         }
+        actions.push(Action::LoadTable(table));
     }
 
     /// Originates a source-routed request: `route` is the sequence of
