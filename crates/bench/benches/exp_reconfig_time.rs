@@ -167,8 +167,9 @@ fn main() {
         );
     }
     // Beyond src-30: the same fault drill on a 256-switch fat-tree at the
-    // scale-tier CPU model (the 68000 model saturates at this size, see
-    // NetParams::scale). One row traced for the critical path, one at the
+    // scale-tier CPU model (see NetParams::scale: the 68000 model boots
+    // this size but spends ~13 ms per hop on the topology flood). One row
+    // traced for the critical path, one at the
     // full-speed tracing-off configuration.
     for (name, params) in [
         (

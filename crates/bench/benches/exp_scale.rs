@@ -29,10 +29,10 @@
 //! `SCALE_SMOKE=1` runs only the 256-switch rows (the CI smoke tier).
 
 use autonet_bench::{print_table, write_artifact, write_bench_json};
-use autonet_core::RouteCacheStats;
+use autonet_core::{MsgDisposition, RouteCacheStats};
 use autonet_net::{Driver, Net, NetParams, Network, PartitionedNetwork};
 use autonet_sim::{ShardTelemetry, SimDuration, SimTime};
-use autonet_topo::{gen, LinkId, Topology};
+use autonet_topo::{gen, LinkId, SwitchId, Topology};
 use autonet_trace::SpanTree;
 use std::time::Instant;
 
@@ -65,9 +65,38 @@ struct Row {
 struct Walls {
     bring_sim: SimDuration,
     bring_wall: f64,
+    bring: Work,
     cut_sim: SimDuration,
     cut_wall: f64,
     events: u64,
+}
+
+/// The exact work of a bring-up: a pure function of topology, preset and
+/// seed, so a change in any of these is a change in the protocol.
+struct Work {
+    events: u64,
+    by_kind: Vec<(&'static str, u64)>,
+    ctrl_msgs: u64,
+    epochs: u64,
+    msgs: MsgDisposition,
+}
+
+impl Work {
+    fn of<D: Driver>(net: &Net<D>) -> Work {
+        Work {
+            events: net.events_processed(),
+            by_kind: net.events_by_kind(),
+            ctrl_msgs: net.stats().control_sent,
+            epochs: net.autopilot(SwitchId(0)).epoch().0,
+            msgs: net.reconfig_msgs(),
+        }
+    }
+
+    /// Share of the handled reconfiguration messages that were stale.
+    fn stale_frac(&self) -> f64 {
+        let m = self.msgs;
+        m.stale as f64 / (m.joined + m.current + m.stale).max(1) as f64
+    }
 }
 
 /// The scenario every pass runs, on either kernel: cold bring-up, cut
@@ -77,6 +106,7 @@ fn cycle<D: Driver>(net: &mut Net<D>) -> Option<Walls> {
     net.run_until_stable_every(SimDuration::from_millis(100), SimTime::from_secs(300))?;
     let bring_wall = wall.elapsed().as_secs_f64();
     let bring_sim = SimDuration::from_nanos(net.now().as_nanos());
+    let bring = Work::of(net);
     net.schedule_link_down(net.now() + SimDuration::from_millis(10), LinkId(0));
     let cut_from = net.now();
     let wall = Instant::now();
@@ -87,6 +117,7 @@ fn cycle<D: Driver>(net: &mut Net<D>) -> Option<Walls> {
     Some(Walls {
         bring_sim,
         bring_wall,
+        bring,
         cut_sim: net.now().saturating_since(cut_from),
         cut_wall: wall.elapsed().as_secs_f64(),
         events: net.events_processed(),
@@ -115,6 +146,25 @@ fn measure(name: &str, topo: Topology, trace_to: Option<&str>) -> Option<Row> {
     // the same scenario, still untraced, on the sharded kernel.
     let scale = NetParams::scale();
     let classic = cycle(&mut Network::new(topo.clone(), scale, 2))?;
+    let (work, m) = (&classic.bring, classic.bring.msgs);
+    let kinds: Vec<String> = work
+        .by_kind
+        .iter()
+        .filter(|&&(_, n)| n > 0)
+        .map(|(kind, n)| format!("{kind} {n}"))
+        .collect();
+    println!(
+        "  {name}: bring-up {} events ({}), {} control messages, {} epochs; \
+         reconfiguration messages joined {} / current {} / stale {} ({:.1}% stale)",
+        work.events,
+        kinds.join(", "),
+        work.ctrl_msgs,
+        work.epochs,
+        m.joined,
+        m.current,
+        m.stale,
+        work.stale_frac() * 100.0,
+    );
     let total_wall = classic.bring_wall + classic.cut_wall;
     let total_sim = (classic.bring_sim + classic.cut_sim).as_nanos() as f64 / 1e9;
     let sharded1 = cycle(&mut PartitionedNetwork::new(topo.clone(), scale, 2, 1))?;
@@ -299,6 +349,8 @@ fn main() {
                 "    {{ \"topology\": \"{}\", \"switches\": {}, \"links\": {}, \
                  \"partitions\": {}, \
                  \"bringup_sim_ms\": {:.3}, \"bringup_wall_s\": {:.3}, \
+                 \"bringup_events\": {}, \"bringup_ctrl_msgs\": {}, \
+                 \"bringup_epochs\": {}, \"stale_msg_frac\": {:.4}, \
                  \"cut_sim_ms\": {:.3}, \"cut_wall_s\": {:.3}, \
                  \"events\": {}, \"events_per_sec\": {:.0}, \
                  \"wall_per_sim_sec\": {:.3}, \
@@ -318,6 +370,10 @@ fn main() {
                 r.partitions,
                 r.classic.bring_sim.as_millis_f64(),
                 r.classic.bring_wall,
+                r.classic.bring.events,
+                r.classic.bring.ctrl_msgs,
+                r.classic.bring.epochs,
+                r.classic.bring.stale_frac(),
                 r.classic.cut_sim.as_millis_f64(),
                 r.classic.cut_wall,
                 r.classic.events,

@@ -40,9 +40,11 @@ fn main() {
     println!("(total blackout over all probed pairs; schedules capped at 3 events)");
 
     let tuned = NetParams::tuned();
-    // The 256-switch fabric needs E22's scale CPU preset (the tuned
-    // 200 µs/packet control processor livelocks during bring-up at this
-    // size), with tracing back on for objective extraction.
+    // The 256-switch fabric rides E22's scale CPU preset, with tracing
+    // back on for objective extraction. The tuned 200 µs/packet control
+    // processor boots this size too (tests/scale.rs); the row stays on
+    // the preset its floor was searched under — moving it is a second
+    // variable.
     let scale = NetParams {
         tracing: true,
         ..NetParams::scale()

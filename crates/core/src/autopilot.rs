@@ -23,7 +23,9 @@ use crate::events::{Event, ReconfigCause, SkepticKind, SkepticVerdict, Transitio
 use crate::messages::{ControlMsg, SrpPayload};
 use crate::params::AutopilotParams;
 use crate::port_state::PortState;
-use crate::reconfig::{NeighborInfo, ReconfigEngine, ReconfigEvent, ReconfigOutput};
+use crate::reconfig::{
+    MsgDisposition, NeighborInfo, ReconfigEngine, ReconfigEvent, ReconfigOutput,
+};
 use crate::route_cache::RouteCache;
 use crate::routes::{compute_forwarding_table, program_one_hop, RouteKind};
 use crate::sampler::{SamplerEvent, StatusSampler};
@@ -169,6 +171,12 @@ impl Autopilot {
     /// The number of reconfigurations this switch has initiated.
     pub fn reconfigs_triggered(&self) -> u64 {
         self.reconfigs_triggered
+    }
+
+    /// Reconfiguration messages this switch has handled since power-on,
+    /// by disposition (joined a newer epoch / current / stale).
+    pub fn reconfig_msgs(&self) -> MsgDisposition {
+        self.engine.msg_disposition()
     }
 
     /// The topology of the last completed epoch.

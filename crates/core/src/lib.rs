@@ -54,7 +54,7 @@ pub use events::{Event, ReconfigCause, SkepticKind, SkepticVerdict, TransitionCa
 pub use messages::{ControlMsg, MsgCodecError, SrpPayload};
 pub use params::{AutopilotParams, TerminationMode};
 pub use port_state::PortState;
-pub use reconfig::{NeighborInfo, ReconfigEngine, ReconfigEvent, ReconfigOutput};
+pub use reconfig::{MsgDisposition, NeighborInfo, ReconfigEngine, ReconfigEvent, ReconfigOutput};
 pub use route_cache::{RouteCache, RouteCacheStats};
 pub use routes::{
     compute_forwarding_table, global_from_view, global_from_view_simple, program_one_hop,

@@ -31,6 +31,7 @@
 //!   all the way up and preventing a root from terminating on a stale
 //!   subtree description.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use autonet_sim::{SimDuration, SimTime};
@@ -82,6 +83,26 @@ pub enum ReconfigEvent {
     /// The root assigned short-address switch numbers to the completed
     /// tree (the count is how many switches were numbered).
     AddressesAssigned(Epoch, u32),
+}
+
+/// What became of the reconfiguration messages an engine was handed, by
+/// their epoch against the engine's own at arrival.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MsgDisposition {
+    /// Newer epoch: the engine joined it.
+    pub joined: u64,
+    /// Current epoch: processed.
+    pub current: u64,
+    /// Older epoch: ignored.
+    pub stale: u64,
+}
+
+impl std::ops::AddAssign for MsgDisposition {
+    fn add_assign(&mut self, o: MsgDisposition) {
+        self.joined += o.joined;
+        self.current += o.current;
+        self.stale += o.stale;
+    }
 }
 
 /// Per-neighbor protocol state within one epoch.
@@ -155,6 +176,7 @@ pub struct ReconfigEngine {
     global: Option<GlobalTopology>,
     /// For the quiescence baseline: last local state change.
     last_change: SimTime,
+    msgs: MsgDisposition,
 }
 
 impl ReconfigEngine {
@@ -178,7 +200,13 @@ impl ReconfigEngine {
             last_report_tx: None,
             global: None,
             last_change: SimTime::ZERO,
+            msgs: MsgDisposition::default(),
         }
+    }
+
+    /// Reconfiguration messages handled since power-on, by disposition.
+    pub fn msg_disposition(&self) -> MsgDisposition {
+        self.msgs
     }
 
     /// The current epoch.
@@ -262,10 +290,17 @@ impl ReconfigEngine {
             ReconfigOutput::Event(ReconfigEvent::Started(epoch)),
             ReconfigOutput::ClearTable,
         ];
-        self.send_position_to_all(now, &mut out);
+        self.send_position(now, false, &mut out);
         // A switch with no good neighbors configures itself immediately.
         self.after_event(now, &mut out);
         out
+    }
+
+    /// Enters `epoch` over the freshest neighbor view and local info.
+    fn join(&mut self, now: SimTime, epoch: Epoch) -> Vec<ReconfigOutput> {
+        let neighbors = self.latest_neighbors.clone();
+        let (proposed, hosts) = (self.proposed_number, self.host_ports.clone());
+        self.reset_for_epoch(now, epoch, neighbors, proposed, hosts)
     }
 
     /// Handles an arriving reconfiguration message. `port` is the local
@@ -288,17 +323,19 @@ impl ReconfigEngine {
             _ => return Vec::new(),
         };
         let mut out = Vec::new();
-        if msg_epoch > self.epoch {
-            // Join the newer epoch with the freshest neighbor view.
-            let neighbors = self.latest_neighbors.clone();
-            let proposed = self.proposed_number;
-            let hosts = self.host_ports.clone();
-            out = self.reset_for_epoch(now, msg_epoch, neighbors, proposed, hosts);
-        } else if msg_epoch < self.epoch {
-            // Stale epoch: ignore. The sender already has, or will get by
-            // retransmission, the join advertisement `reset_for_epoch`
-            // sent it; answering here buys nothing but traffic.
-            return out;
+        match msg_epoch.cmp(&self.epoch) {
+            Ordering::Greater => {
+                self.msgs.joined += 1;
+                out = self.join(now, msg_epoch);
+            }
+            Ordering::Less => {
+                // Stale epoch: ignore. The sender already has, or will get
+                // by retransmission, the join advertisement
+                // `reset_for_epoch` sent it; answering buys only traffic.
+                self.msgs.stale += 1;
+                return out;
+            }
+            Ordering::Equal => self.msgs.current += 1,
         }
         if !self.running {
             return out;
@@ -396,10 +433,7 @@ impl ReconfigEngine {
                     && mine[0].parent == self.pos.parent
                     && mine[0].parent_port == self.pos.parent_port;
                 if !self.completed && !truthful {
-                    let neighbors = self.latest_neighbors.clone();
-                    let (proposed, hosts) = (self.proposed_number, self.host_ports.clone());
-                    let epoch = self.epoch.next();
-                    out.extend(self.reset_for_epoch(now, epoch, neighbors, proposed, hosts));
+                    out.extend(self.join(now, self.epoch.next()));
                     return out;
                 }
                 out.push(ReconfigOutput::Send {
@@ -427,31 +461,7 @@ impl ReconfigEngine {
             return out;
         }
         if !self.completed {
-            // Retransmit unacknowledged positions.
-            let epoch = self.epoch;
-            let version = self.version;
-            let pos = self.pos;
-            let retransmit = self.retransmit;
-            for (&port, ns) in self.neighbors.iter_mut() {
-                if ns.acked == Some(version) {
-                    continue;
-                }
-                let due = ns
-                    .last_pos_tx
-                    .is_none_or(|t| now.saturating_since(t) >= retransmit);
-                if due {
-                    ns.last_pos_tx = Some(now);
-                    out.push(ReconfigOutput::Send {
-                        port,
-                        msg: ControlMsg::TreePosition {
-                            epoch,
-                            seq: version,
-                            from_port: port,
-                            pos,
-                        },
-                    });
-                }
-            }
+            self.send_position(now, true, &mut out);
             // Retransmit an unacknowledged report.
             if self.reported.is_some() && !self.report_acked {
                 let due = self
@@ -539,7 +549,7 @@ impl ReconfigEngine {
         self.reported = None;
         self.report_acked = false;
         self.last_change = now;
-        self.send_position_to_all(now, out);
+        self.send_position(now, false, out);
     }
 
     /// If we have reported at the current version but that report's
@@ -554,11 +564,19 @@ impl ReconfigEngine {
         }
     }
 
-    fn send_position_to_all(&mut self, now: SimTime, out: &mut Vec<ReconfigOutput>) {
-        let epoch = self.epoch;
-        let version = self.version;
-        let pos = self.pos;
+    /// Advertises our position: to every neighbor, or (`overdue_only`) to
+    /// those that have left it unacknowledged for a retransmit interval.
+    fn send_position(&mut self, now: SimTime, overdue_only: bool, out: &mut Vec<ReconfigOutput>) {
+        let (epoch, version, pos, retransmit) =
+            (self.epoch, self.version, self.pos, self.retransmit);
         for (&port, ns) in self.neighbors.iter_mut() {
+            let overdue = ns.acked != Some(version)
+                && ns
+                    .last_pos_tx
+                    .is_none_or(|t| now.saturating_since(t) >= retransmit);
+            if overdue_only && !overdue {
+                continue;
+            }
             ns.last_pos_tx = Some(now);
             out.push(ReconfigOutput::Send {
                 port,
@@ -621,6 +639,14 @@ impl ReconfigEngine {
         )
     }
 
+    /// What this termination mode reports: the strict or the lenient view.
+    fn report_for_mode(&self) -> SubtreeReport {
+        match self.termination {
+            TerminationMode::Stability => self.build_report(),
+            TerminationMode::RootQuiescence(_) => self.build_report_lenient(),
+        }
+    }
+
     fn send_report(&mut self, now: SimTime, out: &mut Vec<ReconfigOutput>) {
         let cached = match &self.reported {
             Some((v, r)) if *v == self.version => Some(r.clone()),
@@ -629,10 +655,7 @@ impl ReconfigEngine {
         let report = match cached {
             Some(r) => r,
             None => {
-                let r = match self.termination {
-                    TerminationMode::Stability => self.build_report(),
-                    TerminationMode::RootQuiescence(_) => self.build_report_lenient(),
-                };
+                let r = self.report_for_mode();
                 self.reported = Some((self.version, r.clone()));
                 self.report_acked = false;
                 r
@@ -681,10 +704,7 @@ impl ReconfigEngine {
             return;
         }
         if is_root {
-            let report = match self.termination {
-                TerminationMode::Stability => self.build_report(),
-                TerminationMode::RootQuiescence(_) => self.build_report_lenient(),
-            };
+            let report = self.report_for_mode();
             // Stability can hold at the root while a re-parenting notice is
             // still in flight along the old parent chain: the moved switch
             // then appears in both its old parent's (stale but
@@ -1183,53 +1203,41 @@ mod tests {
     }
 
     #[test]
-    fn stale_epoch_messages_are_ignored_after_completion() {
-        let mut net = TestNet::new(&[2, 1], &[(0, 1)], &params());
-        net.trigger(0);
-        net.run(SimTime::from_secs(1));
-        assert!(net.engines[0].is_completed());
-        // A stale tree-position (epoch 0 < current) produces no output and
-        // does not disturb the completed state.
-        let stale = ControlMsg::TreePosition {
-            epoch: Epoch(0),
-            seq: 1,
-            from_port: 1,
-            pos: TreePosition::myself(Uid::new(9)),
-        };
-        let outs = net.engines[0].on_msg(net.now, 1, &stale);
-        assert!(outs.is_empty(), "{outs:?}");
-        assert!(net.engines[0].is_completed());
-    }
-
-    #[test]
-    fn stale_epoch_messages_are_ignored_while_forming() {
+    fn stale_epoch_messages_are_ignored_completed_or_forming() {
         // The paper's epoch rule: join a higher epoch, ignore a lower one —
-        // also mid-formation, when the neighbor is known and unacked.
+        // after completion and mid-formation alike, even from a known
+        // neighbor that has not yet acknowledged our position.
         let mut net = TestNet::new(&[2, 1], &[(0, 1)], &params());
         net.trigger(0);
         net.run(SimTime::from_secs(1));
         let old = net.engines[0].epoch();
-        let nbrs = net.neighbor_map(0);
-        let _ = net.engines[0].start(net.now, nbrs, 1, vec![]);
-        assert!(net.engines[0].is_running());
-        let (epoch, pos) = (net.engines[0].epoch(), net.engines[0].position());
-        for stale in [
+        let stale = [
             ControlMsg::TreePosition {
-                epoch: old,
+                epoch: Epoch(old.0 - 1),
                 seq: 1,
                 from_port: 1,
                 pos: TreePosition::myself(Uid::new(1)),
             },
             ControlMsg::TopologyDownAck { epoch: old },
-        ] {
-            let outs = net.engines[0].on_msg(net.now, 1, &stale);
+        ];
+        assert!(net.engines[0].is_completed());
+        let outs = net.engines[0].on_msg(net.now, 1, &stale[0]);
+        assert!(outs.is_empty(), "{outs:?}");
+        assert!(net.engines[0].is_completed());
+
+        let nbrs = net.neighbor_map(0);
+        let _ = net.engines[0].start(net.now, nbrs, 1, vec![]);
+        let before = (net.engines[0].epoch(), net.engines[0].position());
+        let handled = net.engines[0].msg_disposition();
+        for msg in &stale {
+            let outs = net.engines[0].on_msg(net.now, 1, msg);
             assert!(outs.is_empty(), "{outs:?}");
         }
         assert!(net.engines[0].is_running());
-        assert_eq!(
-            (net.engines[0].epoch(), net.engines[0].position()),
-            (epoch, pos)
-        );
+        assert_eq!((net.engines[0].epoch(), net.engines[0].position()), before);
+        let mut expected = handled;
+        expected.stale += 2;
+        assert_eq!(net.engines[0].msg_disposition(), expected);
     }
 
     #[test]
@@ -1280,65 +1288,60 @@ mod tests {
         assert_eq!(net.engines[0].position(), pos_before);
     }
 
-    #[test]
-    fn untruthful_topology_down_triggers_fresh_epoch() {
-        // Engine 50 adopts neighbor 10 (port 1) as parent, then receives a
-        // down-flood whose topology still shows it under a stale parent —
-        // the fingerprint of a root that terminated while 50's
-        // re-parenting advert was in flight. The engine must reject the
-        // topology and start the next epoch instead of completing.
+    /// Engine 50 with one neighbor, 10 on port 1, adopted as parent.
+    fn child_of_ten() -> (ReconfigEngine, Epoch) {
         let mut e = ReconfigEngine::new(Uid::new(50), &params());
-        let mut nbrs = BTreeMap::new();
-        nbrs.insert(
-            1,
-            NeighborInfo {
-                uid: Uid::new(10),
-                their_port: 2,
-            },
-        );
-        let _ = e.start(SimTime::ZERO, nbrs, 1, vec![]);
+        let ten = NeighborInfo {
+            uid: Uid::new(10),
+            their_port: 2,
+        };
+        let _ = e.start(SimTime::ZERO, BTreeMap::from([(1, ten)]), 1, vec![]);
         let epoch = e.epoch();
-        let _ = e.on_msg(
-            SimTime::from_micros(10),
-            1,
-            &ControlMsg::TreePosition {
-                epoch,
-                seq: 1,
-                from_port: 2,
-                pos: TreePosition::myself(Uid::new(10)),
-            },
-        );
+        let _ = e.on_msg(SimTime::from_micros(10), 1, &ten_is_root(epoch));
         assert_eq!(e.position().parent, Uid::new(10));
-        let entry = |parent: u64, parent_port: PortIndex| SwitchInfo {
-            uid: Uid::new(50),
+        (e, epoch)
+    }
+
+    fn ten_is_root(epoch: Epoch) -> ControlMsg {
+        ControlMsg::TreePosition {
+            epoch,
+            seq: 1,
+            from_port: 2,
+            pos: TreePosition::myself(Uid::new(10)),
+        }
+    }
+
+    /// A down-flood from 10 describing `entries` below the root.
+    fn down_from_ten(epoch: Epoch, entries: &[(u64, u64, PortIndex)]) -> ControlMsg {
+        let info = |&(uid, parent, parent_port): &(u64, u64, PortIndex)| SwitchInfo {
+            uid: Uid::new(uid),
             proposed_number: 1,
             parent: Uid::new(parent),
             parent_port,
             links: Vec::new(),
             host_ports: Vec::new(),
         };
-        let root_info = SwitchInfo {
-            uid: Uid::new(10),
-            proposed_number: 1,
-            parent: Uid::new(10),
-            parent_port: 0,
-            links: Vec::new(),
-            host_ports: Vec::new(),
-        };
-        let stale = GlobalTopology {
+        let switches = [(10, 10, 0)].iter().chain(entries).map(info).collect();
+        ControlMsg::TopologyDown {
             epoch,
-            root: Uid::new(10),
-            switches: std::sync::Arc::new(vec![root_info.clone(), entry(99, 4)]),
-            numbers: std::sync::Arc::new(BTreeMap::new()),
-        };
-        let outs = e.on_msg(
-            SimTime::from_micros(20),
-            1,
-            &ControlMsg::TopologyDown {
+            global: GlobalTopology {
                 epoch,
-                global: stale,
+                root: Uid::new(10),
+                switches: std::sync::Arc::new(switches),
+                numbers: std::sync::Arc::new(BTreeMap::new()),
             },
-        );
+        }
+    }
+
+    #[test]
+    fn untruthful_topology_down_triggers_fresh_epoch() {
+        // 50 receives a down-flood whose topology still shows it under a
+        // stale parent — the fingerprint of a root that terminated while
+        // 50's re-parenting advert was in flight. The engine must reject
+        // the topology and start the next epoch instead of completing.
+        let (mut e, epoch) = child_of_ten();
+        let stale = down_from_ten(epoch, &[(50, 99, 4)]);
+        let outs = e.on_msg(SimTime::from_micros(20), 1, &stale);
         assert!(!e.is_completed(), "stale topology must not be adopted");
         assert_eq!(e.epoch(), epoch.next(), "a fresh epoch must start");
         assert!(
@@ -1348,87 +1351,18 @@ mod tests {
         );
         // Re-adopt the parent in the new epoch; a truthful topology then
         // completes normally.
-        let _ = e.on_msg(
-            SimTime::from_micros(30),
-            1,
-            &ControlMsg::TreePosition {
-                epoch: epoch.next(),
-                seq: 1,
-                from_port: 2,
-                pos: TreePosition::myself(Uid::new(10)),
-            },
-        );
+        let _ = e.on_msg(SimTime::from_micros(30), 1, &ten_is_root(epoch.next()));
         assert_eq!(e.position().parent, Uid::new(10));
-        let good = GlobalTopology {
-            epoch: epoch.next(),
-            root: Uid::new(10),
-            switches: std::sync::Arc::new(vec![root_info, entry(10, 1)]),
-            numbers: std::sync::Arc::new(BTreeMap::new()),
-        };
-        let _ = e.on_msg(
-            SimTime::from_micros(40),
-            1,
-            &ControlMsg::TopologyDown {
-                epoch: epoch.next(),
-                global: good,
-            },
-        );
+        let good = down_from_ten(epoch.next(), &[(50, 10, 1)]);
+        let _ = e.on_msg(SimTime::from_micros(40), 1, &good);
         assert!(e.is_completed());
     }
 
     #[test]
     fn duplicated_entry_in_topology_down_is_rejected() {
-        let mut e = ReconfigEngine::new(Uid::new(50), &params());
-        let mut nbrs = BTreeMap::new();
-        nbrs.insert(
-            1,
-            NeighborInfo {
-                uid: Uid::new(10),
-                their_port: 2,
-            },
-        );
-        let _ = e.start(SimTime::ZERO, nbrs, 1, vec![]);
-        let epoch = e.epoch();
-        let _ = e.on_msg(
-            SimTime::from_micros(10),
-            1,
-            &ControlMsg::TreePosition {
-                epoch,
-                seq: 1,
-                from_port: 2,
-                pos: TreePosition::myself(Uid::new(10)),
-            },
-        );
-        let mine = SwitchInfo {
-            uid: Uid::new(50),
-            proposed_number: 1,
-            parent: Uid::new(10),
-            parent_port: 1,
-            links: Vec::new(),
-            host_ports: Vec::new(),
-        };
-        let dup = GlobalTopology {
-            epoch,
-            root: Uid::new(10),
-            switches: std::sync::Arc::new(vec![
-                SwitchInfo {
-                    uid: Uid::new(10),
-                    proposed_number: 1,
-                    parent: Uid::new(10),
-                    parent_port: 0,
-                    links: Vec::new(),
-                    host_ports: Vec::new(),
-                },
-                mine.clone(),
-                mine,
-            ]),
-            numbers: std::sync::Arc::new(BTreeMap::new()),
-        };
-        let _ = e.on_msg(
-            SimTime::from_micros(20),
-            1,
-            &ControlMsg::TopologyDown { epoch, global: dup },
-        );
+        let (mut e, epoch) = child_of_ten();
+        let dup = down_from_ten(epoch, &[(50, 10, 1), (50, 10, 1)]);
+        let _ = e.on_msg(SimTime::from_micros(20), 1, &dup);
         assert!(!e.is_completed());
         assert_eq!(e.epoch(), epoch.next());
     }

@@ -94,6 +94,54 @@ pub enum Event {
 }
 
 impl Event {
+    /// The variants by name, in [`kind`](Event::kind) order.
+    pub(super) const KINDS: [&'static str; 19] = [
+        "SwitchBoot",
+        "SwitchTick",
+        "SwitchSample",
+        "SwitchRx",
+        "SwitchCpuDone",
+        "HostBoot",
+        "HostTick",
+        "HostRx",
+        "HostSend",
+        "SrpRequest",
+        "LinkDown",
+        "LinkUp",
+        "SwitchDown",
+        "SwitchUp",
+        "HostLinkDown",
+        "HostLinkUp",
+        "HostPowerOff",
+        "HostPowerOn",
+        "ProbeTick",
+    ];
+
+    /// This event's index into [`KINDS`](Event::KINDS).
+    pub(super) fn kind(&self) -> usize {
+        match self {
+            Event::SwitchBoot { .. } => 0,
+            Event::SwitchTick { .. } => 1,
+            Event::SwitchSample { .. } => 2,
+            Event::SwitchRx { .. } => 3,
+            Event::SwitchCpuDone { .. } => 4,
+            Event::HostBoot { .. } => 5,
+            Event::HostTick { .. } => 6,
+            Event::HostRx { .. } => 7,
+            Event::HostSend { .. } => 8,
+            Event::SrpRequest { .. } => 9,
+            Event::LinkDown { .. } => 10,
+            Event::LinkUp { .. } => 11,
+            Event::SwitchDown { .. } => 12,
+            Event::SwitchUp { .. } => 13,
+            Event::HostLinkDown { .. } => 14,
+            Event::HostLinkUp { .. } => 15,
+            Event::HostPowerOff { .. } => 16,
+            Event::HostPowerOn { .. } => 17,
+            Event::ProbeTick => 18,
+        }
+    }
+
     /// Whether the event flips replicated plant state (link, host-link
     /// and power flags). Under the sharded driver such an event goes to
     /// every shard under one stamp, and only the shard owning its

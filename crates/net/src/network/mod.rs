@@ -78,6 +78,8 @@ pub struct NetWorld {
     /// node-attributed, for online invariant checkers and trace exports.
     trace: autonet_trace::EventLog,
     stats: NetStats,
+    /// Events handled so far, by [`Event::kind`].
+    handled: [u64; Event::KINDS.len()],
     /// Data-plane telemetry; `None` (nothing allocated or recorded)
     /// whenever `NetParams::tracing` is off.
     telemetry: Option<Box<crate::DatapathTelemetry>>,
@@ -174,6 +176,7 @@ impl NetWorld {
             deliveries: Vec::new(),
             trace: autonet_trace::EventLog::new(),
             stats: NetStats::default(),
+            handled: [0; Event::KINDS.len()],
             telemetry: params
                 .tracing
                 .then(|| Box::new(crate::DatapathTelemetry::new())),
@@ -316,6 +319,7 @@ impl World for NetWorld {
     type Event = Event;
 
     fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<'_, Event>) {
+        self.handled[event.kind()] += 1;
         match event {
             Event::SwitchBoot { s } => self.on_switch_boot(now, s, sched),
             Event::SwitchTick { s } => self.on_switch_tick(now, s, sched),

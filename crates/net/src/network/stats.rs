@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use autonet_core::{global_from_view, Autopilot, Epoch, Event, GlobalTopology};
+use autonet_core::{global_from_view, Autopilot, Epoch, Event, GlobalTopology, MsgDisposition};
 use autonet_harness::NetStats;
 use autonet_sim::{TraceEntry, TraceLog};
 use autonet_topo::SwitchId;
@@ -27,6 +27,33 @@ impl<D: Driver> Net<D> {
             total.opens += s.opens;
             total.closes += s.closes;
             total.last_state_change = total.last_state_change.max(s.last_state_change);
+        }
+        total
+    }
+
+    /// Kernel events handled so far, by `Event` variant (every variant,
+    /// zeros included). Exact, always on, and summing to
+    /// [`events_processed`](Net::events_processed) on either kernel: like
+    /// that count, a plant fault replicated to every shard counts once
+    /// per shard.
+    pub fn events_by_kind(&self) -> Vec<(&'static str, u64)> {
+        let mut total = [0u64; super::Event::KINDS.len()];
+        for w in self.sim.worlds() {
+            for (sum, n) in total.iter_mut().zip(w.handled) {
+                *sum += n;
+            }
+        }
+        super::Event::KINDS.into_iter().zip(total).collect()
+    }
+
+    /// Reconfiguration messages handled by disposition — joined a newer
+    /// epoch, current, stale — summed over every switch's engine (each
+    /// since its last power-on, like
+    /// [`total_reconfigs_triggered`](Net::total_reconfigs_triggered)).
+    pub fn reconfig_msgs(&self) -> MsgDisposition {
+        let mut total = MsgDisposition::default();
+        for ap in self.autopilots() {
+            total += ap.reconfig_msgs();
         }
         total
     }

@@ -43,6 +43,31 @@ fn torus_converges() {
     torus_matches_reference(stable_sharded(gen::torus(4, 4, 7), 2));
 }
 
+fn counters_add_up<D: Driver>(mut net: Net<D>) {
+    net.schedule_link_down(net.now() + SimDuration::from_millis(1), LinkId(0));
+    net.run_for(SimDuration::from_millis(500));
+    let by_kind = net.events_by_kind();
+    assert_eq!(
+        by_kind.iter().map(|&(_, n)| n).sum::<u64>(),
+        net.events_processed()
+    );
+    let of = |kind| by_kind.iter().find(|&&(k, _)| k == kind).unwrap().1;
+    assert_eq!(of("SwitchBoot"), 16);
+    assert!(of("SwitchCpuDone") > 0 && of("ProbeTick") == 0);
+    // Every reconfiguration message was charged to the control processor
+    // first, and every epoch was joined by message at the other switches.
+    let msgs = net.reconfig_msgs();
+    let handled = msgs.joined + msgs.current + msgs.stale;
+    assert!(handled > 0 && handled <= of("SwitchCpuDone"));
+    assert!(msgs.joined >= 15 && msgs.current > msgs.joined);
+}
+
+#[test]
+fn event_and_message_counters_add_up_on_both_kernels() {
+    counters_add_up(stable_net(gen::torus(4, 4, 7), 2));
+    counters_add_up(stable_sharded(gen::torus(4, 4, 7), 2));
+}
+
 /// Lets the hosts learn their addresses, then sends one tagged frame
 /// from host 0 to host 1.
 fn exchange<D: Driver>(mut net: Net<D>) -> Net<D> {

@@ -138,13 +138,16 @@ impl NetParams {
     }
 
     /// The scale configuration: tuned protocol timers on a modern
-    /// control processor. The 68000 cost model saturates once topology
-    /// reports describe hundreds of switches (a 256-switch flood costs
-    /// ~13 ms of CPU per hop at 0.5 µs/byte, which backs the receive
-    /// pool up past its cap and churns epochs indefinitely); hundreds
-    /// of switches were never the paper's regime. The E22 scale tier
-    /// keeps the protocol and its timers bit-for-bit and swaps only the
-    /// per-packet cost for something a 1990s-end embedded CPU would do.
+    /// control processor, untraced. The 68000 cost model does boot
+    /// fabrics of hundreds of switches ([`tuned`](NetParams::tuned)
+    /// brings fat_tree-256 / 576 / 1024 to first quiescence in under a
+    /// simulated second with no receive-pool overrun), but a 256-switch
+    /// topology flood costs it ~13 ms of CPU per hop at 0.5 µs/byte, and
+    /// hundreds of switches were never the paper's regime. The E22 scale
+    /// tier keeps the protocol and its timers bit-for-bit and swaps only
+    /// the per-packet cost for something a 1990s-end embedded CPU would
+    /// do; it is the preset the committed scale trajectory was recorded
+    /// under.
     pub fn scale() -> Self {
         NetParams {
             cpu: CpuModel {

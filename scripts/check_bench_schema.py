@@ -44,6 +44,15 @@ def check_scale(path, doc):
         ):
             if require(path, row, key, (int, float)) <= 0:
                 fail(path, f"{row['topology']}: {key} must be positive")
+        # Exact bring-up work counters (classic kernel): functions of
+        # topology, preset and seed alone.
+        for key in ("bringup_events", "bringup_ctrl_msgs", "bringup_epochs"):
+            if require(path, row, key, int) <= 0:
+                fail(path, f"{row['topology']}: {key} must be positive")
+        if row["bringup_events"] >= row["events"]:
+            fail(path, f"{row['topology']}: bring-up is a prefix of the cycle")
+        if not 0.0 <= require(path, row, "stale_msg_frac", (int, float)) <= 1.0:
+            fail(path, f"{row['topology']}: stale_msg_frac out of [0, 1]")
         # The untraced sharded executor at 1 and 2 partitions: same
         # scenario as the classic columns above, one variable apart.
         for n in (1, 2):

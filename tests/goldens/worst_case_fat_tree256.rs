@@ -1,5 +1,5 @@
 // Pinned by: UPDATE_GOLDENS=1 cargo test --release --test worst_case_goldens
-// Search seed 24: blackout 19.288s / 47 pairs / hold 3.418s / unroutable 0ns
+// Search seed 24: blackout 21.501s / 47 pairs / hold 3.418s / unroutable 0ns
 // Random corpus median blackout: 0ns; 13 evaluations, 0 oracle violations.
 (
     Scenario {
@@ -12,5 +12,5 @@
         ],
         settle_ms: 30000,
     },
-    19288180037u64,
+    21501082877u64,
 )

@@ -118,3 +118,28 @@ fn fat_tree_256_sharded_cycle() {
     let net = PartitionedNetwork::new(gen::fat_tree(&[8, 2, 4], 99), NetParams::scale(), 2, 4);
     scale_tier_cycle("sharded fat_tree 256", net, 120);
 }
+
+/// Bring-up liveness under the paper-faithful control processor (200 µs a
+/// packet): the tuned preset must boot a fabric of hundreds of switches,
+/// promptly and without overrunning a single receive pool. While stale
+/// epochs were answered instead of ignored, fat_tree-256 never reached
+/// first quiescence under this preset (60 sim-s, 48 M events, 82 363
+/// queue drops, still unsettled).
+#[test]
+#[ignore = "scale tier: run with --release -- --ignored"]
+fn tuned_cpu_boots_hundreds_of_switches() {
+    for arities in [[8, 2, 4], [8, 3, 6]] {
+        let mut net = Network::new(gen::fat_tree(&arities, 99), NetParams::tuned(), 2);
+        let n = net.topology().num_switches();
+        let settled = net
+            .run_until_stable_every(SimDuration::from_millis(100), SimTime::from_secs(5))
+            .unwrap_or_else(|| panic!("tuned fat_tree-{n} never reached first quiescence"));
+        net.check_against_reference().expect("consistent");
+        assert!(
+            settled < SimTime::from_secs(1),
+            "tuned fat_tree-{n}: first quiescence at {settled}"
+        );
+        assert_eq!(net.stats().cpu_queue_drops, 0, "tuned fat_tree-{n}");
+        println!("tuned fat_tree-{n}: first quiescence at {settled}");
+    }
+}
