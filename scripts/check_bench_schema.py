@@ -174,14 +174,13 @@ def check_interruption(path, doc):
             fail(path, f"{topo}: pairs must be positive")
         if not 0 <= affected <= pairs:
             fail(path, f"{topo}: affected_pairs outside [0, pairs]")
-        for key in (
-            "median_blackout_ms",
-            "max_blackout_ms",
-            "p90_blackout_ms",
-            "critical_path_ms",
-        ):
-            if require(path, row, key, (int, float)) <= 0:
-                fail(path, f"{topo}: {key} must be positive")
+        if require(path, row, "critical_path_ms", (int, float)) <= 0:
+            fail(path, f"{topo}: critical_path_ms must be positive")
+        # A blackout is two or more probes lost in a row: a cut that costs
+        # every pair a single probe darkens no pair and has no window.
+        for key in ("median_blackout_ms", "max_blackout_ms", "p90_blackout_ms"):
+            if (require(path, row, key, (int, float)) > 0) != (affected > 0):
+                fail(path, f"{topo}: {key} must be positive exactly when pairs went dark")
         if row["median_blackout_ms"] > row["max_blackout_ms"]:
             fail(path, f"{topo}: median blackout exceeds max")
         cov = require(path, row, "critical_path_coverage", (int, float))
