@@ -94,8 +94,7 @@ impl Work {
 
     /// Share of the handled reconfiguration messages that were stale.
     fn stale_frac(&self) -> f64 {
-        let m = self.msgs;
-        m.stale as f64 / (m.joined + m.current + m.stale).max(1) as f64
+        self.msgs.stale as f64 / self.msgs.total().max(1) as f64
     }
 }
 

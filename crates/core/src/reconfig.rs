@@ -97,6 +97,13 @@ pub struct MsgDisposition {
     pub stale: u64,
 }
 
+impl MsgDisposition {
+    /// Every reconfiguration message handled.
+    pub fn total(&self) -> u64 {
+        self.joined + self.current + self.stale
+    }
+}
+
 impl std::ops::AddAssign for MsgDisposition {
     fn add_assign(&mut self, o: MsgDisposition) {
         self.joined += o.joined;

@@ -121,10 +121,10 @@ fn fat_tree_256_sharded_cycle() {
 
 /// Bring-up liveness under the paper-faithful control processor (200 µs a
 /// packet): the tuned preset must boot a fabric of hundreds of switches,
-/// promptly and without overrunning a single receive pool. While stale
-/// epochs were answered instead of ignored, fat_tree-256 never reached
-/// first quiescence under this preset (60 sim-s, 48 M events, 82 363
-/// queue drops, still unsettled).
+/// promptly and without overrunning a single receive pool. Any
+/// amplification of bring-up traffic shows here first: an engine that
+/// answers stale-epoch messages leaves fat_tree-256 unsettled after 60
+/// simulated seconds and 82 363 queue drops.
 #[test]
 #[ignore = "scale tier: run with --release -- --ignored"]
 fn tuned_cpu_boots_hundreds_of_switches() {
