@@ -5,7 +5,7 @@
 //! the link bandwidth." Permutation traffic (every host streams to a
 //! distinct partner) is the pattern where parallel switched paths pay off.
 
-use autonet_bench::{converge, print_table};
+use autonet_bench::{converge, Report, Table};
 use autonet_net::{workload, NetParams, TokenRing};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::gen;
@@ -64,27 +64,28 @@ fn ring_goodput(stations: usize, frames: usize, len: usize) -> f64 {
 fn main() {
     println!("E11: aggregate bandwidth, permutation traffic");
     println!("(every host streams 120 x 1400 B to a distinct partner)");
-    let mut rows = Vec::new();
+    let mut t = Table::new(
+        "E11: delivered aggregate goodput (link rate 100 Mbit/s)",
+        &[
+            "hosts",
+            "torus",
+            "Autonet (Mbit/s)",
+            "FDDI-style ring (Mbit/s)",
+            "advantage (x)",
+        ],
+    );
     for (w, h) in [(2, 2), (2, 4), (4, 4), (4, 8)] {
         let (hosts, autonet_bps) = autonet_goodput(w, h, 7);
         let ring_bps = ring_goodput(hosts, 120, 1400);
-        rows.push(vec![
-            format!("{hosts} hosts (torus {w}x{h})"),
-            format!("{:.0} Mbit/s", autonet_bps / 1e6),
-            format!("{:.0} Mbit/s", ring_bps / 1e6),
-            format!("{:.1}x", autonet_bps / ring_bps),
+        t.row([
+            hosts.into(),
+            format!("{w}×{h}").into(),
+            (autonet_bps / 1e6).into(),
+            (ring_bps / 1e6).into(),
+            (autonet_bps / ring_bps).into(),
         ]);
     }
-    print_table(
-        "E11: delivered aggregate goodput (link rate 100 Mbit/s)",
-        &[
-            "network size",
-            "Autonet (switched)",
-            "FDDI-style ring",
-            "advantage",
-        ],
-        &rows,
-    );
+    Report::new("aggregate_bw").table(t).finish();
     println!(
         "\nShape check: the ring is pinned just under the 100 Mbit/s link\n\
          rate regardless of size; Autonet's aggregate grows with the number\n\

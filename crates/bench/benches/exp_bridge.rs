@@ -5,99 +5,73 @@
 //! maximum-size packets/s forwarded, ~1 ms latency; CPU-bound for small
 //! packets, I/O-bus-bound for large ones.
 
-use autonet_bench::print_table;
-use autonet_host::{Bridge, BridgeParams, EthFrame, Side, IP_ETHERTYPE};
-use autonet_sim::SimTime;
+use autonet_bench::{Report, Table};
+use autonet_host::{Bridge, BridgeParams, BridgeVerdict, EthFrame, Side, IP_ETHERTYPE};
+use autonet_sim::{SimDuration, SimTime};
 use autonet_wire::Uid;
 
 fn frame(dst: u64, src: u64, len: usize) -> EthFrame {
     EthFrame::new(Uid::new(dst), Uid::new(src), IP_ETHERTYPE, vec![0u8; len])
 }
 
-/// Measures sustained rate for one packet class.
-fn sustained_rate(kind: &str, len: usize, discard: bool) -> f64 {
+/// When a small forwarded frame emerges from a bridge that was handed
+/// `backlog` frames of one class in the same instant.
+fn emerges_behind(backlog: u64, len: usize, discard: bool) -> SimTime {
     let mut b = Bridge::new(BridgeParams::default());
     let t0 = SimTime::ZERO;
-    // Teach the bridge two same-side endpoints for the discard case.
+    // Two same-side endpoints: frames between them are discarded.
     b.process(t0, Side::Ethernet, &frame(1, 2, 64));
     b.process(t0, Side::Ethernet, &frame(2, 1, 64));
-    let n = 2000u64;
-    let mut now = t0;
-    for i in 0..n {
-        let f = if discard {
-            frame(1, 2, len)
-        } else {
-            // Unknown destinations force forwarding.
-            frame(10_000 + i, 7, len)
-        };
-        let side = Side::Ethernet;
-        match b.process(now, side, &f) {
-            autonet_host::BridgeVerdict::Forward { ready_at, .. } => now = ready_at,
-            _ => now = now.saturating_add(autonet_sim::SimDuration::from_nanos(1)),
-        }
-        if discard {
-            // Discards are paced by the bridge's busy time, advanced by
-            // re-querying: use ready-at-free semantics.
-        }
+    for i in 0..backlog {
+        // Unknown destinations force forwarding.
+        let dst = if discard { 1 } else { 10_000 + i };
+        b.process(t0, Side::Ethernet, &frame(dst, 2, len));
     }
-    let _ = kind;
-    // For discards, busy time advanced internally; approximate the span by
-    // running a second pass that tracks process completion via Discard cost.
-    let span = if discard {
-        // Re-run with explicit busy tracking.
-        let mut b2 = Bridge::new(BridgeParams::default());
-        b2.process(t0, Side::Ethernet, &frame(1, 2, 64));
-        b2.process(t0, Side::Ethernet, &frame(2, 1, 64));
-        let mut now2 = t0;
-        for _ in 0..n {
-            b2.process(now2, Side::Ethernet, &frame(1, 2, len));
-            now2 = now2.saturating_add(autonet_sim::SimDuration::from_micros(200));
-        }
-        now2
-    } else {
-        now
-    };
-    n as f64 / span.as_secs_f64().max(1e-9)
+    match b.process(t0, Side::Ethernet, &frame(9, 7, 52)) {
+        BridgeVerdict::Forward { ready_at, .. } => ready_at,
+        v => panic!("an unknown destination is forwarded, got {v:?}"),
+    }
+}
+
+/// Sustained rate for one packet class: the frames queue on the bridge's
+/// one forwarding pipeline, and a probe frame offered behind them emerges
+/// one backlog later than it does from an idle bridge.
+fn sustained_rate(len: usize, discard: bool) -> f64 {
+    let n = 2000;
+    let busy: SimDuration = emerges_behind(n, len, discard) - emerges_behind(0, len, discard);
+    n as f64 / busy.as_secs_f64()
 }
 
 fn main() {
     println!("E14: bridge forwarding/discard rates (calibrated cost model)");
-    let mut rows = Vec::new();
-    let discard_rate = sustained_rate("discard", 52, true);
-    rows.push(vec![
-        "discard small (66 B)".into(),
-        "~5000 /s".into(),
-        format!("{:.0} /s", discard_rate),
-    ]);
-    let small = sustained_rate("small", 52, false);
-    rows.push(vec![
-        "forward small (66 B)".into(),
-        ">1000 /s".into(),
-        format!("{:.0} /s", small),
-    ]);
-    let large = sustained_rate("large", 1486, false);
-    rows.push(vec![
-        "forward max-size (1500 B)".into(),
-        "200-300 /s".into(),
-        format!("{:.0} /s", large),
-    ]);
-    // Latency for a single small packet through an idle bridge.
-    let mut b = Bridge::new(BridgeParams::default());
-    let t = SimTime::from_millis(5);
-    if let autonet_host::BridgeVerdict::Forward { ready_at, .. } =
-        b.process(t, Side::Autonet, &frame(42, 7, 52))
-    {
-        rows.push(vec![
-            "latency, small packet".into(),
-            "~1 ms".into(),
-            format!("{:.2} ms", ready_at.saturating_since(t).as_millis_f64()),
+    let mut rates = Table::new(
+        "E14: bridge sustained rates, paper vs measured",
+        &["packet class", "paper (/s)", "measured (/s)"],
+    );
+    for (class, paper, len, discard) in [
+        ("discard small (66 B)", "~5000", 52, true),
+        ("forward small (66 B)", ">1000", 52, false),
+        ("forward max-size (1500 B)", "200-300", 1486, false),
+    ] {
+        rates.row([
+            class.into(),
+            paper.into(),
+            sustained_rate(len, discard).into(),
         ]);
     }
-    print_table(
-        "E14: bridge, paper vs measured",
-        &["quantity", "paper", "measured"],
-        &rows,
+    // Latency for a single small packet through an idle bridge.
+    let mut b = Bridge::new(BridgeParams::default());
+    let at = SimTime::from_millis(5);
+    let BridgeVerdict::Forward { ready_at, .. } = b.process(at, Side::Autonet, &frame(42, 7, 52))
+    else {
+        panic!("an unknown destination is forwarded");
+    };
+    let mut latency = Table::new(
+        "E14: latency of one small packet through an idle bridge",
+        &["paper", "measured"],
     );
+    latency.row(["~1 ms".into(), ready_at.saturating_since(at).into()]);
+    Report::new("bridge").table(rates).table(latency).finish();
     println!(
         "\nShape check: small-packet forwarding is CPU-bound (~1000/s),\n\
          max-size forwarding is I/O-bus-bound (200-300/s), and receive-and-\n\

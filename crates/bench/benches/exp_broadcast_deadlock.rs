@@ -9,7 +9,7 @@
 //! above the ≈ 1550-byte maximum Ethernet-encapsulating broadcast the
 //! paper needs. Beyond the capacity headroom, overflows begin.
 
-use autonet_bench::print_table;
+use autonet_bench::{Report, Table};
 use autonet_switch::datapath::{DatapathConfig, DatapathSim, DpHostId, RunOutcome};
 use autonet_switch::{ForwardingEntry, PortSet};
 use autonet_wire::ShortAddress;
@@ -77,20 +77,7 @@ fn main() {
     println!("E7: broadcast deadlock (Figure 9) and the fix's size limit");
 
     // Part 1: the deadlock and the fix.
-    let mut rows = Vec::new();
-    for (name, fix) in [
-        ("honor stop (no fix)", false),
-        ("ignore stop (the fix)", true),
-    ] {
-        let (outcome, delivered, overflows) = fig9(fix, 3000);
-        rows.push(vec![
-            name.to_string(),
-            format!("{outcome:?}"),
-            delivered.to_string(),
-            overflows.to_string(),
-        ]);
-    }
-    print_table(
+    let mut scenario = Table::new(
         "E7a: Figure 9 scenario, 3000-byte broadcast",
         &[
             "broadcast transmitters",
@@ -98,25 +85,25 @@ fn main() {
             "deliveries",
             "FIFO overflows",
         ],
-        &rows,
     );
+    for (name, fix) in [
+        ("honor stop (no fix)", false),
+        ("ignore stop (the fix)", true),
+    ] {
+        let (outcome, delivered, overflows) = fig9(fix, 3000);
+        scenario.row([
+            name.into(),
+            format!("{outcome:?}").into(),
+            delivered.into(),
+            overflows.into(),
+        ]);
+    }
 
     // Part 2: sweep broadcast size under the fix. The stalled copy at W
     // must fit in the 4096-entry FIFO; the paper's engineering limit keeps
     // B under N - (1-f)N - (S-1) - 128.2L ≈ 1780 so it would fit even
     // behind a worst-case backlog.
-    let mut rows = Vec::new();
-    for b_len in [1000usize, 1550, 1780, 3000, 4000, 4200] {
-        let (outcome, _, overflows) = fig9(true, b_len);
-        let paper_safe = b_len <= 1780;
-        rows.push(vec![
-            b_len.to_string(),
-            if paper_safe { "yes" } else { "no" }.to_string(),
-            format!("{outcome:?}"),
-            overflows.to_string(),
-        ]);
-    }
-    print_table(
+    let mut sweep = Table::new(
         "E7b: broadcast size sweep with the fix enabled",
         &[
             "broadcast bytes",
@@ -124,8 +111,20 @@ fn main() {
             "outcome",
             "FIFO overflows",
         ],
-        &rows,
     );
+    for b_len in [1000usize, 1550, 1780, 3000, 4000, 4200] {
+        let (outcome, _, overflows) = fig9(true, b_len);
+        sweep.row([
+            b_len.into(),
+            (b_len <= 1780).into(),
+            format!("{outcome:?}").into(),
+            overflows.into(),
+        ]);
+    }
+    Report::new("broadcast_deadlock")
+        .table(scenario)
+        .table(sweep)
+        .finish();
     println!(
         "\nShape check: without the fix the classic cycle wedges; with it,\n\
          broadcasts up to (and beyond) the paper's conservative bound drain\n\

@@ -7,54 +7,54 @@
 //! datapath, where cyclically-routed traffic wedges the fabric and
 //! up\*/down\* drains it.
 
-use autonet_bench::print_table;
+use autonet_bench::{Report, Table, Value};
 use autonet_core::{global_from_view_simple, RouteComputer, RouteKind};
 use autonet_topo::{gen, Topology};
 
-fn cdg_row(name: &str, topo: &Topology, rows: &mut Vec<Vec<String>>) {
+fn cdg_row(name: &str, topo: &Topology) -> [Value; 5] {
     let global = global_from_view_simple(&topo.view_all()).expect("non-empty");
     let rc = RouteComputer::new(&global);
     let updown = rc.has_dependency_cycle(RouteKind::UpDown);
     let shortest = rc.has_dependency_cycle(RouteKind::Unrestricted);
-    rows.push(vec![
-        name.to_string(),
-        topo.num_switches().to_string(),
-        rc.num_links().to_string(),
-        if updown { "CYCLE (!)" } else { "acyclic" }.to_string(),
-        if shortest { "cycle" } else { "acyclic" }.to_string(),
-    ]);
     assert!(!updown, "{name}: up*/down* produced a dependency cycle");
+    [
+        name.into(),
+        topo.num_switches().into(),
+        rc.num_links().into(),
+        updown.into(),
+        shortest.into(),
+    ]
 }
 
 fn main() {
     println!("E4: channel-dependency-graph analysis per routing discipline");
-    let mut rows = Vec::new();
-    cdg_row("line 8", &gen::line(8, 1), &mut rows);
-    cdg_row("tree 2^4", &gen::tree(2, 3, 2), &mut rows);
-    cdg_row("ring 8", &gen::ring(8, 3), &mut rows);
-    cdg_row("grid 4x4", &gen::grid(4, 4, 4), &mut rows);
-    cdg_row("torus 4x4", &gen::torus(4, 4, 5), &mut rows);
-    cdg_row("torus 4x8", &gen::torus(8, 4, 6), &mut rows);
-    cdg_row("hypercube 4", &gen::hypercube(4, 7), &mut rows);
-    cdg_row("SRC network", &gen::src_network(8), &mut rows);
-    for seed in 10..20 {
-        cdg_row(
-            &format!("random n=16 seed={seed}"),
-            &gen::random_connected(16, 8, seed),
-            &mut rows,
-        );
-    }
-    print_table(
+    let mut t = Table::new(
         "E4: dependency cycles by topology and routing discipline",
         &[
             "topology",
             "switches",
             "links",
-            "up*/down*",
-            "unrestricted shortest",
+            "up*/down* cycle",
+            "unrestricted shortest-path cycle",
         ],
-        &rows,
     );
+    for (name, topo) in [
+        ("line 8", gen::line(8, 1)),
+        ("tree 2^4", gen::tree(2, 3, 2)),
+        ("ring 8", gen::ring(8, 3)),
+        ("grid 4x4", gen::grid(4, 4, 4)),
+        ("torus 4x4", gen::torus(4, 4, 5)),
+        ("torus 4x8", gen::torus(8, 4, 6)),
+        ("hypercube 4", gen::hypercube(4, 7)),
+        ("SRC network", gen::src_network(8)),
+    ] {
+        t.row(cdg_row(name, &topo));
+    }
+    for seed in 10..20 {
+        let name = format!("random n=16 seed={seed}");
+        t.row(cdg_row(&name, &gen::random_connected(16, 8, seed)));
+    }
+    Report::new("deadlock").table(t).finish();
     println!(
         "\nShape check: up*/down* is acyclic everywhere; unrestricted\n\
          shortest-path routing has cycles on every topology containing a\n\

@@ -7,12 +7,12 @@
 //! complete." We inject k near-simultaneous link failures and check that
 //! exactly one final epoch wins everywhere, counting the churn it cost.
 
-use autonet_bench::{converge, ms, print_table};
+use autonet_bench::{converge, Report, Table, Value};
 use autonet_net::NetParams;
 use autonet_sim::SimDuration;
 use autonet_topo::{gen, LinkId, SwitchId};
 
-fn run(k: usize, seed: u64) -> Option<Vec<String>> {
+fn run(k: usize, seed: u64) -> Option<Vec<Value>> {
     let topo = gen::torus(4, 4, 31);
     let mut net = converge(topo, NetParams::tuned(), seed);
     let epoch_before = net.autopilot(SwitchId(0)).epoch();
@@ -37,31 +37,17 @@ fn run(k: usize, seed: u64) -> Option<Vec<String>> {
         .all(|s| net.autopilot(s).epoch() == final_epoch);
     net.check_against_reference().ok()?;
     Some(vec![
-        k.to_string(),
-        format!("{}", final_epoch.0 - epoch_before.0),
-        (net.total_reconfigs_triggered() - reconfigs_before).to_string(),
-        if agree { "yes" } else { "NO" }.to_string(),
-        ms(done.saturating_since(fault_at)),
+        (final_epoch.0 - epoch_before.0).into(),
+        (net.total_reconfigs_triggered() - reconfigs_before).into(),
+        agree.into(),
+        done.saturating_since(fault_at).into(),
     ])
 }
 
 fn main() {
     println!("E15: epoch coalescing under k near-simultaneous link failures");
     println!("(4x4 torus; failures land within 1 ms of each other)");
-    let mut rows = Vec::new();
-    for k in [1usize, 2, 4, 8] {
-        match run(k, 40 + k as u64) {
-            Some(row) => rows.push(row),
-            None => rows.push(vec![
-                k.to_string(),
-                "-".into(),
-                "-".into(),
-                "FAILED".into(),
-                "-".into(),
-            ]),
-        }
-    }
-    print_table(
+    let mut t = Table::new(
         "E15: convergence after overlapping failures",
         &[
             "simultaneous faults",
@@ -70,8 +56,13 @@ fn main() {
             "single final epoch",
             "fault-to-stable",
         ],
-        &rows,
     );
+    for k in [1usize, 2, 4, 8] {
+        // A run that never settles leaves its cells empty.
+        let cells = run(k, 40 + k as u64).unwrap_or(vec![Value::Missing; 4]);
+        t.row([k.into()].into_iter().chain(cells));
+    }
+    Report::new("epochs").table(t).finish();
     println!(
         "\nShape check: every run ends with all 16 switches agreeing on one\n\
          final epoch and a topology matching the survivors, regardless of\n\

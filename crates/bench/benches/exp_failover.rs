@@ -6,7 +6,7 @@
 //! active switch and time the driver's failover, the address re-learn, and
 //! the end-to-end traffic outage, across a sweep of the failover threshold.
 
-use autonet_bench::{ms, print_table};
+use autonet_bench::{Report, Table};
 use autonet_net::{NetEventKind, NetParams, Network};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{gen, HostId};
@@ -88,32 +88,28 @@ fn run(threshold: SimDuration, seed: u64) -> Outcome {
 fn main() {
     println!("E9: host failover after the active switch crashes");
     println!("(4-switch ring, dual-homed hosts, 50 ms ping stream)");
-    let mut rows = Vec::new();
-    for (label, threshold, paper) in [
-        ("threshold 1 s", SimDuration::from_secs(1), "-"),
-        ("threshold 3 s (paper)", SimDuration::from_secs(3), "~3 s"),
-        ("threshold 5 s", SimDuration::from_secs(5), "-"),
-    ] {
-        let o = run(threshold, 61);
-        rows.push(vec![
-            label.to_string(),
-            paper.to_string(),
-            ms(o.failover),
-            ms(o.relearn),
-            ms(o.outage),
-        ]);
-    }
-    print_table(
+    let mut t = Table::new(
         "E9: failover timing vs driver threshold",
         &[
-            "configuration",
+            "driver threshold",
             "paper",
             "failover after crash",
             "address re-learned",
             "traffic outage",
         ],
-        &rows,
     );
+    for (secs, paper) in [(1, "-"), (3, "~3 s"), (5, "-")] {
+        let threshold = SimDuration::from_secs(secs);
+        let o = run(threshold, 61);
+        t.row([
+            threshold.into(),
+            paper.into(),
+            o.failover.into(),
+            o.relearn.into(),
+            o.outage.into(),
+        ]);
+    }
+    Report::new("failover").table(t).finish();
     println!(
         "\nShape check: failover tracks the configured threshold (minus up\n\
          to one liveness interval of pre-crash silence); the outage is the\n\

@@ -6,7 +6,7 @@
 //! f = 0.5, L = 2 km that gives N = 1024. We block a receiver, stream at
 //! full rate, and measure the true high-water mark against the law.
 
-use autonet_bench::print_table;
+use autonet_bench::{Report, Table};
 use autonet_switch::datapath::{DatapathConfig, DatapathSim};
 use autonet_switch::{ForwardingEntry, PortSet};
 use autonet_wire::{LinkTiming, ShortAddress};
@@ -48,7 +48,16 @@ fn high_water(latency_slots: usize, capacity: usize, stop_at: usize) -> (usize, 
 fn main() {
     println!("E6: receive-FIFO sizing law  N >= (S - 1 + 128.2 L) / f");
     println!("(receiver blocked, sender streaming; S = 256, stop threshold 512)");
-    let mut rows = Vec::new();
+    let mut sweep = Table::new(
+        "E6: worst-case FIFO occupancy vs the sizing bound",
+        &[
+            "cable (km)",
+            "W (slots)",
+            "bound: 512+255+2W",
+            "measured high-water",
+            "overflows",
+        ],
+    );
     let stop_at = 512;
     for length_km in [0.1f64, 0.5, 1.0, 2.0, 3.0] {
         let timing = LinkTiming::with_length_km(length_km);
@@ -57,12 +66,12 @@ fn main() {
         // exceeds threshold + (S - 1) + 2W.
         let bound = stop_at + 255 + 2 * w;
         let (hw, overflows) = high_water(w.max(1), 8192, stop_at);
-        rows.push(vec![
-            format!("{length_km} km"),
-            w.to_string(),
-            bound.to_string(),
-            hw.to_string(),
-            overflows.to_string(),
+        sweep.row([
+            length_km.into(),
+            w.into(),
+            bound.into(),
+            hw.into(),
+            overflows.into(),
         ]);
         assert!(
             hw <= bound + 4,
@@ -73,24 +82,19 @@ fn main() {
             "measurement not tight at {length_km} km: {hw} vs {bound}"
         );
     }
-    print_table(
-        "E6: worst-case FIFO occupancy vs the sizing bound",
-        &[
-            "cable",
-            "W (slots)",
-            "bound: 512+255+2W",
-            "measured high-water",
-            "overflows",
-        ],
-        &rows,
-    );
 
     // The paper's headline instance: N = 1024, f = 0.5, L = 2 km.
     let timing = LinkTiming::fiber_2km();
     let (hw, overflows) = high_water(timing.latency_slots() as usize, 1024, 512);
-    println!(
-        "\npaper instance (N = 1024, f = 0.5, 2 km fiber): high-water {hw}/1024, {overflows} overflows"
+    let mut paper = Table::new(
+        "E6: the paper's instance (N = 1024, f = 0.5, 2 km fiber)",
+        &["FIFO entries", "measured high-water", "overflows"],
     );
+    paper.row([1024u64.into(), hw.into(), overflows.into()]);
+    Report::new("fifo_sizing")
+        .table(sweep)
+        .table(paper)
+        .finish();
     assert_eq!(
         overflows, 0,
         "the paper's 1024-entry FIFO must suffice at 2 km"

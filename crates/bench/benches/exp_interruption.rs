@@ -8,7 +8,7 @@
 //! `InterruptionReport` — plus the critical-path attribution of the
 //! reconfiguration that caused them.
 
-use autonet_bench::{converge, median, ms, ms_f64, print_table, write_bench_json};
+use autonet_bench::{converge, quantile, Report, Table, Value};
 use autonet_net::NetParams;
 use autonet_sim::SimDuration;
 use autonet_topo::{gen, HostId, LinkId, Topology};
@@ -18,16 +18,9 @@ use autonet_trace::{InterruptionConfig, InterruptionReport, Timeline};
 /// sampled by several probes.
 const PROBE_INTERVAL: SimDuration = SimDuration::from_millis(10);
 
-struct Measurement {
-    pairs: usize,
-    affected: usize,
-    median_blackout: SimDuration,
-    max_blackout: SimDuration,
-    p90_blackout: SimDuration,
-    critical_path: Option<(SimDuration, f64, String)>,
-}
-
-fn measure(topo: Topology, cut: LinkId, seed: u64) -> Measurement {
+/// One row, after the topology's name: pairs, pairs dark, the median, p90
+/// and max over the dark pairs' longest windows, and the critical path.
+fn measure(topo: Topology, cut: LinkId, seed: u64) -> Vec<Value> {
     let n_hosts = topo.num_hosts();
     let mut net = converge(topo, NetParams::tuned(), seed);
     // Let the hosts learn addresses, then establish the steady baseline.
@@ -62,27 +55,23 @@ fn measure(topo: Topology, cut: LinkId, seed: u64) -> Measurement {
         .collect();
     // A cut usually triggers a short cascade of epochs; attribute the
     // longest one (the reconfiguration that dominated the blackout).
-    let critical_path = timeline
+    let cp = timeline
         .epochs
         .iter()
         .filter_map(|r| timeline.critical_path(r.epoch))
-        .max_by_key(|cp| cp.total)
-        .map(|cp| {
-            let d = cp.dominant();
-            (
-                cp.total,
-                cp.coverage(),
-                format!("{} on node {}", d.phase, d.node),
-            )
-        });
-    Measurement {
-        pairs: report.pairs.len(),
-        affected: per_pair_max.len(),
-        median_blackout: median(&per_pair_max),
-        max_blackout: report.max_blackout().unwrap_or(SimDuration::ZERO),
-        p90_blackout: report.blackout_quantile(0.9),
-        critical_path,
-    }
+        .max_by_key(|cp| cp.total);
+    let dominant = cp.as_ref().map(|cp| cp.dominant());
+    vec![
+        report.pairs.len().into(),
+        per_pair_max.len().into(),
+        quantile(&per_pair_max, 0.5).into(),
+        quantile(&per_pair_max, 0.9).into(),
+        report.max_blackout().into(),
+        cp.as_ref().map(|cp| cp.total).into(),
+        cp.as_ref().map(|cp| cp.coverage()).into(),
+        dominant.map(|d| d.phase).into(),
+        dominant.map(|d| d.node).into(),
+    ]
 }
 
 fn main() {
@@ -93,65 +82,30 @@ fn main() {
         ("ring-8", gen::ring(8, 2), LinkId(0)),
         ("torus-4x4", gen::torus(4, 4, 3), LinkId(5)),
     ];
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
-    for (name, mut topo, cut) in cases {
-        gen::add_dual_homed_hosts(&mut topo, 1, 7);
-        let m = measure(topo, cut, 42);
-        let cp = m
-            .critical_path
-            .as_ref()
-            .map(|(total, cov, dom)| format!("{} ({:.0}% -> {dom})", ms(*total), cov * 100.0))
-            .unwrap_or_else(|| "-".into());
-        rows.push(vec![
-            name.to_string(),
-            format!("{}/{}", m.affected, m.pairs),
-            ms(m.median_blackout),
-            ms(m.max_blackout),
-            ms(m.p90_blackout),
-            cp,
-        ]);
-        let (cp_ms, cp_cov) = m
-            .critical_path
-            .as_ref()
-            .map(|(t, c, _)| (ms_f64(*t), *c))
-            .unwrap_or((0.0, 0.0));
-        json.push(format!(
-            "    {{\"topology\": {name:?}, \"pairs\": {}, \"affected_pairs\": {}, \
-             \"median_blackout_ms\": {:.3}, \"max_blackout_ms\": {:.3}, \"p90_blackout_ms\": {:.3}, \
-             \"critical_path_ms\": {:.3}, \"critical_path_coverage\": {:.3}}}",
-            m.pairs,
-            m.affected,
-            ms_f64(m.median_blackout),
-            ms_f64(m.max_blackout),
-            ms_f64(m.p90_blackout),
-            cp_ms,
-            cp_cov,
-        ));
-    }
-    print_table(
-        "E21: blackout windows after one trunk cut, per topology",
+    let mut t = Table::new(
+        "E21: blackout windows after one trunk cut (10 ms probes; dark = two or more lost in a row)",
         &[
             "topology",
+            "pairs",
             "pairs dark",
             "median blackout",
+            "p90 blackout",
             "max blackout",
-            "p90",
-            "critical path (coverage -> dominant)",
+            "critical path",
+            "coverage",
+            "dominant phase",
+            "on node",
         ],
-        &rows,
     );
+    for (name, mut topo, cut) in cases {
+        gen::add_dual_homed_hosts(&mut topo, 1, 7);
+        t.row([name.into()].into_iter().chain(measure(topo, cut, 42)));
+    }
+    Report::new("interruption").table(t).finish();
     println!(
         "\nShape check: every pair goes dark for roughly the closed span\n\
          (the paper closes the whole network during reconfiguration), the\n\
          max stays well under one second, and the critical path accounts\n\
          for all of the reconfiguration latency."
     );
-    let body = format!(
-        "{{\n  \"experiment\": \"interruption\",\n  \"unit\": \"ms\",\n  \"probe_interval_ms\": {},\n  \"topologies\": [\n{}\n  ]\n}}\n",
-        PROBE_INTERVAL.as_millis_f64(),
-        json.join(",\n")
-    );
-    let path = write_bench_json("interruption", &body);
-    println!("wrote {}", path.display());
 }

@@ -5,7 +5,7 @@
 //! respond"), costs ~15 instructions per packet, and survives short-address
 //! changes without protocol timeouts.
 
-use autonet_bench::{converge, print_table};
+use autonet_bench::{converge, Report, Table, Value};
 use autonet_net::{workload, NetParams};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{gen, HostId};
@@ -50,49 +50,42 @@ fn main() {
         filtered += s.broadcast_filtered;
     }
     let data = unicast + bcast;
-    let mut rows = vec![
-        vec![
-            "data frames offered".into(),
-            "-".into(),
-            n_sends.to_string(),
-        ],
-        vec![
-            "broadcast-addressed data".into(),
-            "\"quite small\"".into(),
-            format!(
-                "{bcast} ({:.2}% of data)",
-                bcast as f64 * 100.0 / data.max(1) as f64
-            ),
-        ],
-        vec![
-            "ARP requests / data packet".into(),
-            "\"few\"".into(),
-            format!("{:.3}", arps as f64 / data.max(1) as f64),
-        ],
-        vec![
-            "cache ops / packet handled".into(),
-            "~15 instructions".into(),
-            format!(
-                "{:.2} ops",
-                cache_ops as f64 / (data + delivered).max(1) as f64
-            ),
-        ],
-        vec![
-            "stale-address unicast drops".into(),
-            "rare".into(),
-            misaddressed.to_string(),
-        ],
-        vec![
-            "broadcast copies UID-filtered".into(),
-            "(normal)".into(),
-            filtered.to_string(),
-        ],
-        vec![
-            "gratuitous/ARP replies".into(),
-            "-".into(),
-            arp_replies.to_string(),
-        ],
-    ];
+    let per = |n: u64, of: u64| Value::Real(n as f64 / of.max(1) as f64);
+    let mut t = Table::new(
+        "E10: learning-cache behaviour, paper vs measured",
+        &["quantity", "paper", "count", "per packet"],
+    );
+    t.row([
+        "data frames offered".into(),
+        "-".into(),
+        n_sends.into(),
+        Value::Missing,
+    ]);
+    t.row([
+        "broadcast-addressed data (per data packet sent)".into(),
+        "\"quite small\"".into(),
+        bcast.into(),
+        per(bcast, data),
+    ]);
+    t.row([
+        "ARP requests (per data packet sent)".into(),
+        "\"few\"".into(),
+        arps.into(),
+        per(arps, data),
+    ]);
+    t.row([
+        "cache ops (per packet sent or delivered)".into(),
+        "~15 instructions".into(),
+        cache_ops.into(),
+        per(cache_ops, data + delivered),
+    ]);
+    for (quantity, paper, n) in [
+        ("stale-address unicast drops", "rare", misaddressed),
+        ("broadcast copies UID-filtered", "(normal)", filtered),
+        ("gratuitous/ARP replies", "-", arp_replies),
+    ] {
+        t.row([quantity.into(), paper.into(), n.into(), Value::Missing]);
+    }
 
     // Address-change recovery: crash a host's switch mid-conversation and
     // check the peer keeps delivering without multi-second gaps beyond the
@@ -113,22 +106,18 @@ fn main() {
     let victim = net.topology().host(h).primary.switch;
     net.schedule_switch_down(t0 + SimDuration::from_secs(3), victim);
     net.run_for(SimDuration::from_secs(22));
-    let delivered_after: Vec<_> = net
+    let resumed = net
         .deliveries()
         .iter()
         .filter(|d| d.host == h && d.tag >= 50_000 && d.time > t0 + SimDuration::from_secs(10))
-        .collect();
-    rows.push(vec![
-        "deliveries after address change".into(),
+        .count();
+    t.row([
+        "frames delivered after the address change".into(),
         "\"without timeouts\"".into(),
-        format!("{} frames resumed", delivered_after.len()),
+        resumed.into(),
+        Value::Missing,
     ]);
-
-    print_table(
-        "E10: learning-cache behaviour, paper vs measured",
-        &["quantity", "paper", "measured"],
-        &rows,
-    );
+    Report::new("learning").table(t).finish();
     println!(
         "\nShape check: broadcast fallbacks are a small percentage of data\n\
          (gratuitous ARPs prime caches at bring-up); ARPs only ride along\n\

@@ -6,7 +6,7 @@
 //! correctly under heavy control-packet corruption, degrading only in
 //! latency (by roughly one retransmission interval per lost round trip).
 
-use autonet_bench::{measure_reconfiguration, ms, print_table};
+use autonet_bench::{mean, measure_reconfiguration, Report, Table};
 use autonet_net::{NetParams, Network};
 use autonet_sim::SimTime;
 use autonet_topo::{gen, LinkId};
@@ -14,12 +14,18 @@ use autonet_topo::{gen, LinkId};
 fn main() {
     println!("E16 (ablation): reconfiguration vs control-packet loss rate");
     println!("(4x4 torus, tuned preset, retransmit interval 10 ms)");
-    let mut rows = Vec::new();
-    for loss in [0.0f64, 0.01, 0.02, 0.05, 0.10, 0.25] {
+    let mut t = Table::new(
+        "E16: reconfiguration time vs loss",
+        &[
+            "control loss (%)",
+            "mean reconfiguration",
+            "completed (of 3)",
+        ],
+    );
+    for loss_pct in [0u64, 1, 2, 5, 10, 25] {
         let mut params = NetParams::tuned();
-        params.control_loss_rate = loss;
+        params.control_loss_rate = loss_pct as f64 / 100.0;
         let mut reconfigs = Vec::new();
-        let mut failures = 0;
         for (i, link) in [1usize, 9, 19].into_iter().enumerate() {
             let topo = gen::torus(4, 4, 77);
             let mut net = Network::new(topo, params, 300 + i as u64);
@@ -27,30 +33,19 @@ fn main() {
                 // Under extreme loss the connectivity monitors themselves
                 // thrash (probe replies are not retransmission-protected) —
                 // a real marginal-plant failure mode, not a protocol bug.
-                failures += 1;
                 continue;
             }
-            match measure_reconfiguration(&mut net, LinkId(link)) {
-                Some(m) => reconfigs.push(m.reconfiguration),
-                None => failures += 1,
+            if let Some(m) = measure_reconfiguration(&mut net, LinkId(link)) {
+                reconfigs.push(m.reconfiguration);
             }
         }
-        let mean = autonet_bench::mean(&reconfigs);
-        rows.push(vec![
-            format!("{:.0}%", loss * 100.0),
-            if reconfigs.is_empty() {
-                "-".into()
-            } else {
-                ms(mean)
-            },
-            format!("{}/3", 3 - failures),
+        t.row([
+            loss_pct.into(),
+            mean(&reconfigs).into(),
+            reconfigs.len().into(),
         ]);
     }
-    print_table(
-        "E16: reconfiguration time vs loss",
-        &["control loss", "mean reconfiguration", "completed"],
-        &rows,
-    );
+    Report::new("loss").table(t).finish();
     println!(
         "\nShape check: the acknowledgment/retransmission machinery keeps\n\
          reconfiguration *correct* under loss, degrading only in latency\n\

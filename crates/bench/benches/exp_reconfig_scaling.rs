@@ -6,57 +6,13 @@
 //! report reconfiguration time against both diameter and switch count —
 //! the correlation with diameter should dominate.
 
-use autonet_bench::{converge, measure_reconfiguration, ms, print_table};
+use autonet_bench::{converge, measure_reconfiguration, Report, Table};
 use autonet_net::NetParams;
-use autonet_sim::SimDuration;
 use autonet_topo::{diameter, gen, LinkId, Topology};
-
-fn row(name: &str, topo: Topology, rows: &mut Vec<Vec<String>>) -> Option<SimDuration> {
-    let n = topo.num_switches();
-    let d = diameter(&topo.view_all()).unwrap_or(0);
-    let link = LinkId(topo.num_links() - 1);
-    let mut net = converge(topo, NetParams::tuned(), 5);
-    let m = measure_reconfiguration(&mut net, link)?;
-    rows.push(vec![
-        name.to_string(),
-        n.to_string(),
-        d.to_string(),
-        ms(m.reconfiguration),
-        ms(m.total),
-    ]);
-    Some(m.reconfiguration)
-}
 
 fn main() {
     println!("E2: reconfiguration time vs size and topology (tuned preset)");
-    let mut rows = Vec::new();
-    let mut by_diameter: Vec<(u32, SimDuration)> = Vec::new();
-
-    let cases: Vec<(String, Topology)> = vec![
-        ("torus 2x2".into(), gen::torus(2, 2, 61)),
-        ("torus 3x3".into(), gen::torus(3, 3, 62)),
-        ("torus 4x4".into(), gen::torus(4, 4, 63)),
-        ("torus 5x5".into(), gen::torus(5, 5, 64)),
-        ("torus 6x6".into(), gen::torus(6, 6, 65)),
-        ("torus 4x8".into(), gen::torus(8, 4, 66)),
-        ("ring 8".into(), gen::ring(8, 67)),
-        ("ring 16".into(), gen::ring(16, 68)),
-        ("ring 32".into(), gen::ring(32, 69)),
-        ("line 8".into(), gen::line(8, 70)),
-        ("line 16".into(), gen::line(16, 71)),
-        ("random 24+12".into(), gen::random_connected(24, 12, 72)),
-        ("random 48+24".into(), gen::random_connected(48, 24, 73)),
-        ("torus 8x8".into(), gen::torus(8, 8, 74)),
-        ("torus 10x10".into(), gen::torus(10, 10, 75)),
-        ("ring 48".into(), gen::ring(48, 76)),
-    ];
-    for (name, topo) in cases {
-        let d = diameter(&topo.view_all()).unwrap_or(0);
-        if let Some(t) = row(&name, topo, &mut rows) {
-            by_diameter.push((d, t));
-        }
-    }
-    print_table(
+    let mut t = Table::new(
         "E2: reconfiguration time by topology",
         &[
             "topology",
@@ -65,16 +21,40 @@ fn main() {
             "reconfig",
             "fault-to-open",
         ],
-        &rows,
     );
-
-    // Correlation summary: group by diameter.
-    by_diameter.sort_by_key(|&(d, _)| d);
-    println!("\nreconfiguration time vs diameter (series):");
-    for (d, t) in &by_diameter {
-        let bar = "#".repeat((t.as_millis_f64() / 3.0).ceil() as usize);
-        println!("  diameter {d:>2}: {:>9} {bar}", ms(*t));
+    let cases: Vec<(&str, Topology)> = vec![
+        ("torus 2×2", gen::torus(2, 2, 61)),
+        ("torus 3×3", gen::torus(3, 3, 62)),
+        ("torus 4×4", gen::torus(4, 4, 63)),
+        ("torus 5×5", gen::torus(5, 5, 64)),
+        ("torus 6×6", gen::torus(6, 6, 65)),
+        ("torus 4×8", gen::torus(8, 4, 66)),
+        ("torus 8×8", gen::torus(8, 8, 74)),
+        ("torus 10×10", gen::torus(10, 10, 75)),
+        ("ring 8", gen::ring(8, 67)),
+        ("ring 16", gen::ring(16, 68)),
+        ("ring 32", gen::ring(32, 69)),
+        ("ring 48", gen::ring(48, 76)),
+        ("line 8", gen::line(8, 70)),
+        ("line 16", gen::line(16, 71)),
+        ("random 24+12", gen::random_connected(24, 12, 72)),
+        ("random 48+24", gen::random_connected(48, 24, 73)),
+    ];
+    for (name, topo) in cases {
+        let n = topo.num_switches();
+        let d = diameter(&topo.view_all()).unwrap_or(0);
+        let link = LinkId(topo.num_links() - 1);
+        let mut net = converge(topo, NetParams::tuned(), 5);
+        let m = measure_reconfiguration(&mut net, link);
+        t.row([
+            name.into(),
+            n.into(),
+            d.into(),
+            m.map(|m| m.reconfiguration).into(),
+            m.map(|m| m.total).into(),
+        ]);
     }
+    Report::new("reconfig_scaling").table(t).finish();
     println!(
         "\nShape check: time grows with the maximum switch-to-switch\n\
          distance; networks of very different sizes but similar diameter\n\

@@ -12,11 +12,10 @@
 //! Tracing-on rows also record the reconfiguration's critical path
 //! (`Timeline::critical_path`): which phase dominated and how long the
 //! table-distribute phase took — the acceptance instrument for the
-//! incremental pipeline (table-distribute must shrink vs `tuned`).
+//! incremental pipeline (table-distribute must shrink vs `tuned`). Every
+//! time is the median over the row's faults.
 
-use autonet_bench::{
-    converge, mean, measure_reconfiguration, median, ms, ms_f64, print_table, write_bench_json,
-};
+use autonet_bench::{converge, measure_reconfiguration, quantile, Report, Table, Value};
 use autonet_net::NetParams;
 use autonet_sim::SimDuration;
 use autonet_topo::{gen, LinkId, Topology};
@@ -31,14 +30,15 @@ struct PresetRow<'a> {
     faults: &'a [usize],
 }
 
-fn measure_preset(spec: &PresetRow<'_>, rows: &mut Vec<Vec<String>>, json: &mut Vec<String>) {
+/// Fills the row's times into table `times` and the route-cache work
+/// counters of its last network into table `cache`.
+fn measure_preset(spec: &PresetRow<'_>, times: &mut Table, cache: &mut Table) {
     let mut reconfig = Vec::new();
     let mut detection = Vec::new();
     let mut total = Vec::new();
     let mut table_dist: Vec<SimDuration> = Vec::new();
     let mut dominants: Vec<&'static str> = Vec::new();
     let mut cache_stats = None;
-    let wall_start = std::time::Instant::now();
     // Independent faults on different links of fresh networks.
     for (i, &link) in spec.faults.iter().enumerate() {
         let topo = (spec.mk_topo)();
@@ -66,52 +66,26 @@ fn measure_preset(spec: &PresetRow<'_>, rows: &mut Vec<Vec<String>>, json: &mut 
         }
         cache_stats = net.route_cache_stats();
     }
-    let wall_ms = wall_start.elapsed().as_secs_f64() * 1e3;
     // The phase that dominated most faults (ties to the last seen).
     let dominant = dominants
         .iter()
         .copied()
         .max_by_key(|p| dominants.iter().filter(|q| *q == p).count());
-    rows.push(vec![
-        format!("{} ({})", spec.name, spec.topo_label),
-        spec.paper.to_string(),
-        ms(mean(&reconfig)),
-        ms(mean(&detection)),
-        ms(mean(&total)),
-        dominant.unwrap_or("-").to_string(),
-    ]);
-    let dominant_json = match dominant {
-        Some(p) => format!("{p:?}"),
-        None => "null".to_string(),
-    };
-    let table_dist_json = if table_dist.is_empty() {
-        "null".to_string()
-    } else {
-        format!("{:.3}", ms_f64(median(&table_dist)))
-    };
-    let cache_json = match cache_stats {
-        Some(s) => format!(
-            "{{\"builds\": {}, \"served_memo\": {}, \"delta_reused\": {}, \"synthesized\": {}}}",
-            s.builds, s.served_memo, s.delta_reused, s.synthesized
-        ),
-        None => "null".to_string(),
-    };
-    json.push(format!(
-        "    {{\"preset\": {:?}, \"topology\": {:?}, \"faults\": {}, \
-         \"median_reconfig_ms\": {:.3}, \"median_detection_ms\": {:.3}, \"median_total_ms\": {:.3}, \
-         \"dominant_phase\": {}, \"median_table_distribute_ms\": {}, \"wall_ms\": {:.1}, \
-         \"route_cache\": {}}}",
-        spec.name,
-        spec.topo_label,
-        reconfig.len(),
-        ms_f64(median(&reconfig)),
-        ms_f64(median(&detection)),
-        ms_f64(median(&total)),
-        dominant_json,
-        table_dist_json,
-        wall_ms,
-        cache_json,
-    ));
+    let label = || [spec.name.into(), spec.topo_label.into()];
+    let cells = [
+        spec.paper.into(),
+        reconfig.len().into(),
+        quantile(&reconfig, 0.5).into(),
+        quantile(&detection, 0.5).into(),
+        quantile(&total, 0.5).into(),
+        dominant.into(),
+        quantile(&table_dist, 0.5).into(),
+    ];
+    times.row(label().into_iter().chain(cells));
+    let s = cache_stats.expect("every network shares a route cache");
+    let counters = [s.builds, s.served_memo, s.delta_reused, s.synthesized];
+    let counters = counters.map(Value::Count);
+    cache.row(label().into_iter().chain(counters));
 }
 
 fn main() {
@@ -120,8 +94,31 @@ fn main() {
     let src30: &dyn Fn() -> Topology = &|| gen::src_network(1991);
     let fat256: &dyn Fn() -> Topology = &|| gen::fat_tree(&[8, 2, 4], 99);
     let src_faults = [0usize, 11, 23];
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
+    let mut times = Table::new(
+        "E1: reconfiguration time (median over the faults), paper vs measured",
+        &[
+            "implementation",
+            "topology",
+            "paper reconfig",
+            "faults",
+            "reconfig",
+            "detection",
+            "fault-to-open",
+            "dominant phase",
+            "table-distribute",
+        ],
+    );
+    let mut cache = Table::new(
+        "E23: route-cache work of each row's last network (bring-up + one fault)",
+        &[
+            "implementation",
+            "topology",
+            "builds",
+            "served memo",
+            "delta reused",
+            "synthesized",
+        ],
+    );
     for (name, params, paper) in [
         ("naive", NetParams::naive(), "~5000 ms"),
         ("optimized", NetParams::optimized(), "~500 ms"),
@@ -133,17 +130,6 @@ fn main() {
             "tuned, tracing off",
             NetParams {
                 tracing: false,
-                ..NetParams::tuned()
-            },
-            "~170 ms",
-        ),
-        // The route cache off: virtual times must again match `tuned`
-        // exactly — the cache only removes redundant work, byte-identical
-        // tables either way.
-        (
-            "tuned, no route cache",
-            NetParams {
-                route_cache: false,
                 ..NetParams::tuned()
             },
             "~170 ms",
@@ -162,59 +148,33 @@ fn main() {
                 mk_topo: src30,
                 faults: &src_faults,
             },
-            &mut rows,
-            &mut json,
+            &mut times,
+            &mut cache,
         );
     }
     // Beyond src-30: the same fault drill on a 256-switch fat-tree at the
     // scale-tier CPU model (see NetParams::scale: the 68000 model boots
-    // this size but spends ~13 ms per hop on the topology flood). One row
-    // traced for the critical path, one at the
-    // full-speed tracing-off configuration.
-    for (name, params) in [
-        (
-            "scale, traced",
-            NetParams {
+    // this size but spends ~13 ms per hop on the topology flood), traced
+    // for the critical path.
+    measure_preset(
+        &PresetRow {
+            name: "scale, traced",
+            params: NetParams {
                 tracing: true,
                 ..NetParams::scale()
             },
-        ),
-        ("scale", NetParams::scale()),
-    ] {
-        measure_preset(
-            &PresetRow {
-                name,
-                params,
-                paper: "-",
-                topo_label: "fat_tree-256",
-                mk_topo: fat256,
-                faults: &src_faults,
-            },
-            &mut rows,
-            &mut json,
-        );
-    }
-    print_table(
-        "E1: reconfiguration time, paper vs measured",
-        &[
-            "implementation",
-            "paper reconfig",
-            "measured reconfig",
-            "detection",
-            "fault-to-open",
-            "dominant phase",
-        ],
-        &rows,
+            paper: "-",
+            topo_label: "fat_tree-256",
+            mk_topo: fat256,
+            faults: &src_faults,
+        },
+        &mut times,
+        &mut cache,
     );
+    Report::new("reconfig").table(times).table(cache).finish();
     println!(
         "\nShape check: each generation should improve by roughly an order\n\
          of magnitude, with the tuned version well under one second and\n\
          `incremental` beating `tuned`."
     );
-    let body = format!(
-        "{{\n  \"experiment\": \"reconfig_time\",\n  \"unit\": \"ms\",\n  \"presets\": [\n{}\n  ]\n}}\n",
-        json.join(",\n")
-    );
-    let path = write_bench_json("reconfig", &body);
-    println!("wrote {}", path.display());
 }

@@ -16,50 +16,26 @@
 //!    still untraced, through [`PartitionedNetwork`] at 1 and at 2
 //!    partitions, so the price of the sharded executor (×1 − classic)
 //!    and what the second core buys (×1 / ×2) are each one subtraction
-//!    with tracing held fixed;
+//!    with tracing held fixed; the shared route cache's work counters and
+//!    wall split are the classic run's (with threads, which of two
+//!    simultaneous asks builds and which is served the memo is a race);
 //! 2. a **profile pass** — the same scenario through
 //!    [`PartitionedNetwork`] with tracing and shard telemetry on, which
 //!    answers *where the wall time goes*: barrier-wait fraction,
-//!    load-imbalance index, the route-cache wall split, per-shard
-//!    execution profiles, and (for the flagship row) the causal span
+//!    load-imbalance index, per-shard execution profiles, and (for the flagship row) the causal span
 //!    tree exported as a Perfetto-loadable Chrome trace under
-//!    `artifacts/`. The profile pass's own wall cost is reported as
-//!    `profile_wall_s` so the price of observation stays visible.
+//!    `artifacts/`. The profile pass's own wall is in its row, so the
+//!    price of observation stays visible.
 //!
 //! `SCALE_SMOKE=1` runs only the 256-switch rows (the CI smoke tier).
 
-use autonet_bench::{print_table, write_artifact, write_bench_json};
-use autonet_core::{MsgDisposition, RouteCacheStats};
+use autonet_bench::{write_artifact, Report, Table, Value};
+use autonet_core::MsgDisposition;
 use autonet_net::{Driver, Net, NetParams, Network, PartitionedNetwork};
-use autonet_sim::{ShardTelemetry, SimDuration, SimTime};
+use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{gen, LinkId, SwitchId, Topology};
 use autonet_trace::SpanTree;
 use std::time::Instant;
-
-struct Row {
-    name: String,
-    switches: usize,
-    links: usize,
-    partitions: usize,
-    // The perf pass on the classic kernel.
-    classic: Walls,
-    events_per_sec: f64,
-    wall_per_sim_sec: f64,
-    // The same scenario, untraced, on the sharded executor.
-    sharded1: Walls,
-    sharded2: Walls,
-    // Attribution columns from the profile pass.
-    profile_wall: f64,
-    profile_events: u64,
-    barrier_wait_frac: f64,
-    load_imbalance: f64,
-    barrier_wait_p50: SimDuration,
-    barrier_wait_p99: SimDuration,
-    barrier_wait_p999: SimDuration,
-    route_cache: Option<RouteCacheStats>,
-    shards: Vec<ShardTelemetry>,
-    trace_path: Option<std::path::PathBuf>,
-}
 
 /// Sim and wall clock of one run: bring-up, then cut to healed.
 struct Walls {
@@ -75,7 +51,6 @@ struct Walls {
 /// seed, so a change in any of these is a change in the protocol.
 struct Work {
     events: u64,
-    by_kind: Vec<(&'static str, u64)>,
     ctrl_msgs: u64,
     epochs: u64,
     msgs: MsgDisposition,
@@ -85,7 +60,6 @@ impl Work {
     fn of<D: Driver>(net: &Net<D>) -> Work {
         Work {
             events: net.events_processed(),
-            by_kind: net.events_by_kind(),
             ctrl_msgs: net.stats().control_sent,
             epochs: net.autopilot(SwitchId(0)).epoch().0,
             msgs: net.reconfig_msgs(),
@@ -133,41 +107,167 @@ fn partitions() -> usize {
         .clamp(2, 8)
 }
 
-/// Perf pass then profile pass over one topology. When `trace_to` is
-/// set, the profile pass exports its causal span tree in Chrome Trace
-/// Event Format under `artifacts/` for Perfetto.
-fn measure(name: &str, topo: Topology, trace_to: Option<&str>) -> Option<Row> {
+/// The report's five tables, one row per topology in each but `shards`
+/// (one per shard of the profile pass).
+struct Tables {
+    cost: Table,
+    work: Table,
+    profile: Table,
+    route_cache: Table,
+    shards: Table,
+}
+
+fn tables() -> Tables {
+    Tables {
+        cost: Table::new(
+            "E22: bring-up + trunk-cut cost by topology (scale preset, untraced; wall in seconds)",
+            &[
+                "topology",
+                "switches",
+                "links",
+                "bring-up sim",
+                "cut sim",
+                "classic bring-up",
+                "classic cut",
+                "sharded x1 bring-up",
+                "sharded x1 cut",
+                "sharded x2 bring-up",
+                "sharded x2 cut",
+                "classic k events/s",
+                "classic wall per sim-second",
+            ],
+        ),
+        work: Table::new(
+            "E22: exact work of the run (classic bring-up, then whole cycles)",
+            &[
+                "topology",
+                "bring-up events",
+                "bring-up control messages",
+                "bring-up epochs",
+                "reconfiguration messages joined",
+                "current",
+                "stale",
+                "stale share",
+                "classic events",
+                "sharded x1 events",
+                "sharded x2 events",
+            ],
+        ),
+        profile: Table::new(
+            "E25: profile pass (sharded, tracing and telemetry on)",
+            &[
+                "topology",
+                "partitions",
+                "profile events",
+                "load imbalance",
+                "profile wall (s)",
+                "barrier wait fraction",
+                "barrier wait p50 (µs)",
+                "barrier wait p99 (µs)",
+                "barrier wait p99.9 (µs)",
+            ],
+        ),
+        route_cache: Table::new(
+            "E22: the shared route cache over the classic cycle",
+            &[
+                "topology",
+                "builds",
+                "served memo",
+                "delta reused",
+                "synthesized",
+                "unroutable",
+                "build wall (ms)",
+                "serve wall (ms)",
+                "delta wall (ms)",
+            ],
+        ),
+        shards: Table::new(
+            "E25: per-shard profile",
+            &[
+                "topology",
+                "shard",
+                "events",
+                "windows",
+                "busy windows",
+                "utilization",
+                "mailbox in",
+                "mailbox out",
+                "work (ms)",
+                "barrier wait (ms)",
+            ],
+        ),
+    }
+}
+
+/// Perf pass then profile pass over one topology, one row into each table.
+/// When `trace_to` is set, the profile pass exports its causal span tree in
+/// Chrome Trace Event Format under `artifacts/` for Perfetto. Returns the
+/// classic kernel's cut-to-healed wall seconds and the trace's path.
+fn measure(
+    name: &str,
+    topo: Topology,
+    trace_to: Option<&str>,
+    t: &mut Tables,
+) -> Option<(f64, Option<std::path::PathBuf>)> {
     let switches = topo.num_switches();
     let links = topo.num_links();
-    let nparts = partitions();
 
     // Perf pass: the committed-trajectory configuration, untouched, then
     // the same scenario, still untraced, on the sharded kernel.
     let scale = NetParams::scale();
-    let classic = cycle(&mut Network::new(topo.clone(), scale, 2))?;
-    let (work, m) = (&classic.bring, classic.bring.msgs);
-    let kinds: Vec<String> = work
-        .by_kind
-        .iter()
-        .filter(|&&(_, n)| n > 0)
-        .map(|(kind, n)| format!("{kind} {n}"))
-        .collect();
-    println!(
-        "  {name}: bring-up {} events ({}), {} control messages, {} epochs; \
-         reconfiguration messages joined {} / current {} / stale {} ({:.1}% stale)",
-        work.events,
-        kinds.join(", "),
-        work.ctrl_msgs,
-        work.epochs,
-        m.joined,
-        m.current,
-        m.stale,
-        work.stale_frac() * 100.0,
-    );
+    let mut net = Network::new(topo.clone(), scale, 2);
+    let classic = cycle(&mut net)?;
+    let rc = net
+        .route_cache_stats()
+        .expect("every network shares a route cache");
+    drop(net);
+    let work = &classic.bring;
     let total_wall = classic.bring_wall + classic.cut_wall;
-    let total_sim = (classic.bring_sim + classic.cut_sim).as_nanos() as f64 / 1e9;
+    let total_sim = (classic.bring_sim + classic.cut_sim).as_secs_f64();
     let sharded1 = cycle(&mut PartitionedNetwork::new(topo.clone(), scale, 2, 1))?;
     let sharded2 = cycle(&mut PartitionedNetwork::new(topo.clone(), scale, 2, 2))?;
+    let wall = Value::Wall;
+    let ms = |ns: u64| wall(ns as f64 / 1e6);
+    t.cost.row([
+        name.into(),
+        switches.into(),
+        links.into(),
+        classic.bring_sim.into(),
+        classic.cut_sim.into(),
+        wall(classic.bring_wall),
+        wall(classic.cut_wall),
+        wall(sharded1.bring_wall),
+        wall(sharded1.cut_wall),
+        wall(sharded2.bring_wall),
+        wall(sharded2.cut_wall),
+        wall(classic.events as f64 / total_wall / 1e3),
+        wall(total_wall / total_sim),
+    ]);
+    t.work.row([
+        name.into(),
+        work.events.into(),
+        work.ctrl_msgs.into(),
+        work.epochs.into(),
+        work.msgs.joined.into(),
+        work.msgs.current.into(),
+        work.msgs.stale.into(),
+        work.stale_frac().into(),
+        classic.events.into(),
+        sharded1.events.into(),
+        sharded2.events.into(),
+    ]);
+
+    t.route_cache.row([
+        name.into(),
+        rc.builds.into(),
+        rc.served_memo.into(),
+        rc.delta_reused.into(),
+        rc.synthesized.into(),
+        rc.unroutable.into(),
+        ms(rc.build_wall_ns),
+        ms(rc.serve_wall_ns),
+        ms(rc.delta_wall_ns),
+    ]);
 
     // Profile pass: same scenario, partitioned kernel, tracing and shard
     // telemetry on. The scale preset disables tracing; the profile pass
@@ -176,19 +276,41 @@ fn measure(name: &str, topo: Topology, trace_to: Option<&str>) -> Option<Row> {
         tracing: true,
         ..NetParams::scale()
     };
-    let mut prof = PartitionedNetwork::new(topo, params, 2, nparts);
+    let mut prof = PartitionedNetwork::new(topo, params, 2, partitions());
     let profiled = cycle(&mut prof)?;
-    let profile_wall = profiled.bring_wall + profiled.cut_wall;
-
-    let shards = prof.shard_telemetry().unwrap_or_default();
     let metrics = prof.kernel_metrics();
-    let q = |q: f64| {
-        metrics
+    let wait_us = |q: f64| {
+        let hist = metrics
             .as_ref()
-            .and_then(|m| m.histogram("kernel.shard_barrier_wait"))
-            .map(|h| h.quantile_upper_bound(q))
-            .unwrap_or(SimDuration::ZERO)
+            .and_then(|m| m.histogram("kernel.shard_barrier_wait"));
+        wall(hist.map_or(0.0, |h| h.quantile_upper_bound(q).as_micros_f64()))
     };
+    let shards = prof.shard_telemetry().unwrap_or_default();
+    t.profile.row([
+        name.into(),
+        shards.len().into(),
+        profiled.events.into(),
+        prof.load_imbalance().into(),
+        wall(profiled.bring_wall + profiled.cut_wall),
+        prof.barrier_wait_fraction().map(wall).into(),
+        wait_us(0.50),
+        wait_us(0.99),
+        wait_us(0.999),
+    ]);
+    for (i, s) in shards.iter().enumerate() {
+        t.shards.row([
+            name.into(),
+            i.into(),
+            s.events.into(),
+            s.windows.into(),
+            s.busy_windows.into(),
+            s.utilization().into(),
+            s.mailbox_in.into(),
+            s.mailbox_out.into(),
+            ms(s.work_ns),
+            ms(s.barrier_wait_ns),
+        ]);
+    }
 
     let trace_path = trace_to.map(|rel| {
         let records = prof.merged_trace_records();
@@ -202,65 +324,7 @@ fn measure(name: &str, topo: Topology, trace_to: Option<&str>) -> Option<Row> {
         );
         path
     });
-
-    Some(Row {
-        name: name.to_string(),
-        switches,
-        links,
-        partitions: nparts,
-        events_per_sec: classic.events as f64 / total_wall,
-        classic,
-        wall_per_sim_sec: total_wall / total_sim,
-        sharded1,
-        sharded2,
-        profile_wall,
-        profile_events: profiled.events,
-        barrier_wait_frac: prof.barrier_wait_fraction().unwrap_or(0.0),
-        load_imbalance: prof.load_imbalance().unwrap_or(1.0),
-        barrier_wait_p50: q(0.50),
-        barrier_wait_p99: q(0.99),
-        barrier_wait_p999: q(0.999),
-        route_cache: prof.route_cache_stats(),
-        shards,
-        trace_path,
-    })
-}
-
-fn ns_ms(ns: u64) -> f64 {
-    ns as f64 / 1e6
-}
-
-fn shard_json(t: &ShardTelemetry) -> String {
-    format!(
-        "{{ \"events\": {}, \"windows\": {}, \"busy_windows\": {}, \
-         \"work_ms\": {:.3}, \"barrier_wait_ms\": {:.3}, \
-         \"mailbox_in\": {}, \"mailbox_out\": {}, \"utilization\": {:.4} }}",
-        t.events,
-        t.windows,
-        t.busy_windows,
-        ns_ms(t.work_ns),
-        ns_ms(t.barrier_wait_ns),
-        t.mailbox_in,
-        t.mailbox_out,
-        t.utilization(),
-    )
-}
-
-fn route_cache_json(rc: &RouteCacheStats) -> String {
-    format!(
-        "{{ \"builds\": {}, \"served_memo\": {}, \"delta_reused\": {}, \
-         \"synthesized\": {}, \"unroutable\": {}, \
-         \"build_wall_ms\": {:.3}, \"serve_wall_ms\": {:.3}, \
-         \"delta_wall_ms\": {:.3} }}",
-        rc.builds,
-        rc.served_memo,
-        rc.delta_reused,
-        rc.synthesized,
-        rc.unroutable,
-        ns_ms(rc.build_wall_ns),
-        ns_ms(rc.serve_wall_ns),
-        ns_ms(rc.delta_wall_ns),
-    )
+    Some((classic.cut_wall, trace_path))
 }
 
 fn main() {
@@ -281,151 +345,51 @@ fn main() {
     } else {
         "fat_tree 1024"
     };
-    let mut cases: Vec<(String, Topology)> = vec![
-        ("fat_tree 256".into(), gen::fat_tree(&[8, 2, 4], 99)),
-        ("expander 256".into(), gen::expander(256, 4, 99)),
+    let mut cases: Vec<(&str, Topology)> = vec![
+        ("fat_tree 256", gen::fat_tree(&[8, 2, 4], 99)),
+        ("expander 256", gen::expander(256, 4, 99)),
     ];
     if !smoke {
-        cases.push(("fat_tree 576".into(), gen::fat_tree(&[8, 3, 6], 99)));
-        cases.push(("expander 576".into(), gen::expander(576, 4, 99)));
-        cases.push(("fat_tree 1024".into(), gen::fat_tree(&[8, 4, 8], 99)));
-        cases.push(("expander 1024".into(), gen::expander(1024, 4, 99)));
+        cases.push(("fat_tree 576", gen::fat_tree(&[8, 3, 6], 99)));
+        cases.push(("expander 576", gen::expander(576, 4, 99)));
+        cases.push(("fat_tree 1024", gen::fat_tree(&[8, 4, 8], 99)));
+        cases.push(("expander 1024", gen::expander(1024, 4, 99)));
     }
 
-    let mut rows = Vec::new();
-    let mut table = Vec::new();
+    let mut t = tables();
     for (name, topo) in cases {
         let n = topo.num_switches();
         let trace_to =
             (name == flagship).then(|| format!("e22_{}.trace.json", name.replace(' ', "_")));
-        match measure(&name, topo, trace_to.as_deref()) {
-            Some(row) => {
-                table.push(vec![
-                    row.name.clone(),
-                    row.switches.to_string(),
-                    row.links.to_string(),
-                    format!("{:.1}", row.classic.bring_wall),
-                    format!("{:.2}", row.classic.cut_wall),
-                    format!(
-                        "{:.1} / {:.2}",
-                        row.sharded1.bring_wall, row.sharded1.cut_wall
-                    ),
-                    format!(
-                        "{:.1} / {:.2}",
-                        row.sharded2.bring_wall, row.sharded2.cut_wall
-                    ),
-                    format!("{:.0}k", row.events_per_sec / 1e3),
-                    format!("{:.1}%", row.barrier_wait_frac * 100.0),
-                    format!("{:.2}", row.load_imbalance),
-                ]);
-                rows.push(row);
-            }
-            None => println!("  {name} ({n} switches): DID NOT CONVERGE"),
+        let Some((cut_wall, trace)) = measure(name, topo, trace_to.as_deref(), &mut t) else {
+            println!("  {name} ({n} switches): DID NOT CONVERGE");
+            continue;
+        };
+        // The acceptance bar from the roadmap: a 1024-switch fat-tree heals
+        // a core trunk cut in under 10 s of wall clock (perf pass — the cost
+        // of observation is the profile pass's own wall).
+        if name == "fat_tree 1024" {
+            assert!(
+                cut_wall < 10.0,
+                "1024-switch trunk-cut reconfiguration took {cut_wall:.1} s wall (bar: 10 s)"
+            );
+            println!("acceptance: 1024-switch cut healed in {cut_wall:.1} s wall (< 10 s)");
+        }
+        // The flagship row must have produced a Perfetto-loadable trace.
+        if name == flagship {
+            assert!(
+                trace.is_some_and(|p| p.exists()),
+                "flagship row {flagship} did not emit its span trace"
+            );
         }
     }
-    print_table(
-        "E22: bring-up + trunk-cut cost by topology",
-        &[
-            "topology",
-            "switches",
-            "links",
-            "bring-up wall (s)",
-            "cut wall (s)",
-            "sharded x1 (s)",
-            "sharded x2 (s)",
-            "events/s",
-            "barrier wait",
-            "imbalance",
-        ],
-        &table,
-    );
-
-    let json: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let shards: Vec<String> = r.shards.iter().map(shard_json).collect();
-            format!(
-                "    {{ \"topology\": \"{}\", \"switches\": {}, \"links\": {}, \
-                 \"partitions\": {}, \
-                 \"bringup_sim_ms\": {:.3}, \"bringup_wall_s\": {:.3}, \
-                 \"bringup_events\": {}, \"bringup_ctrl_msgs\": {}, \
-                 \"bringup_epochs\": {}, \"stale_msg_frac\": {:.4}, \
-                 \"cut_sim_ms\": {:.3}, \"cut_wall_s\": {:.3}, \
-                 \"events\": {}, \"events_per_sec\": {:.0}, \
-                 \"wall_per_sim_sec\": {:.3}, \
-                 \"sharded1_bringup_wall_s\": {:.3}, \"sharded1_cut_wall_s\": {:.3}, \
-                 \"sharded1_events\": {}, \
-                 \"sharded2_bringup_wall_s\": {:.3}, \"sharded2_cut_wall_s\": {:.3}, \
-                 \"sharded2_events\": {}, \
-                 \"profile_wall_s\": {:.3}, \"profile_events\": {}, \
-                 \"barrier_wait_frac\": {:.4}, \"load_imbalance\": {:.4}, \
-                 \"barrier_wait_p50_us\": {:.3}, \"barrier_wait_p99_us\": {:.3}, \
-                 \"barrier_wait_p999_us\": {:.3}, \
-                 \"route_cache\": {}, \
-                 \"shards\": [{}] }}",
-                r.name,
-                r.switches,
-                r.links,
-                r.partitions,
-                r.classic.bring_sim.as_millis_f64(),
-                r.classic.bring_wall,
-                r.classic.bring.events,
-                r.classic.bring.ctrl_msgs,
-                r.classic.bring.epochs,
-                r.classic.bring.stale_frac(),
-                r.classic.cut_sim.as_millis_f64(),
-                r.classic.cut_wall,
-                r.classic.events,
-                r.events_per_sec,
-                r.wall_per_sim_sec,
-                r.sharded1.bring_wall,
-                r.sharded1.cut_wall,
-                r.sharded1.events,
-                r.sharded2.bring_wall,
-                r.sharded2.cut_wall,
-                r.sharded2.events,
-                r.profile_wall,
-                r.profile_events,
-                r.barrier_wait_frac,
-                r.load_imbalance,
-                r.barrier_wait_p50.as_micros_f64(),
-                r.barrier_wait_p99.as_micros_f64(),
-                r.barrier_wait_p999.as_micros_f64(),
-                r.route_cache
-                    .as_ref()
-                    .map(route_cache_json)
-                    .unwrap_or_else(|| "null".to_string()),
-                shards.join(", "),
-            )
-        })
-        .collect();
-    let body = format!(
-        "{{\n  \"experiment\": \"scale\",\n  \"preset\": \"scale\",\n  \
-         \"smoke\": {},\n  \"topologies\": [\n{}\n  ]\n}}\n",
-        smoke,
-        json.join(",\n")
-    );
-    // The smoke tier writes its own artifact so a CI smoke run never
-    // clobbers the committed full trajectory point.
-    let path = write_bench_json(if smoke { "scale_smoke" } else { "scale" }, &body);
-    println!("wrote {}", path.display());
-
-    // The acceptance bar from the roadmap: a 1024-switch fat-tree heals a
-    // core trunk cut in under 10 s of wall clock (perf pass — observation
-    // cost is accounted separately in profile_wall_s).
-    if let Some(big) = rows.iter().find(|r| r.name == "fat_tree 1024") {
-        let cut_wall = big.classic.cut_wall;
-        assert!(
-            cut_wall < 10.0,
-            "1024-switch trunk-cut reconfiguration took {cut_wall:.1} s wall (bar: 10 s)"
-        );
-        println!("acceptance: 1024-switch cut healed in {cut_wall:.1} s wall (< 10 s)");
-    }
-    // The flagship row must have produced a Perfetto-loadable trace.
-    if let Some(f) = rows.iter().find(|r| r.name == flagship) {
-        assert!(
-            f.trace_path.as_ref().is_some_and(|p| p.exists()),
-            "flagship row {flagship} did not emit its span trace"
-        );
-    }
+    // The smoke tier writes its own file so a CI smoke run never clobbers
+    // the committed full trajectory point.
+    Report::new(if smoke { "scale_smoke" } else { "scale" })
+        .table(t.cost)
+        .table(t.work)
+        .table(t.route_cache)
+        .table(t.profile)
+        .table(t.shards)
+        .finish();
 }

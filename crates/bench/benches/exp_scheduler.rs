@@ -6,20 +6,25 @@
 //! accumulate reservations so they are never starved. A strict FCFS
 //! discipline stalls the whole queue behind one blocked head.
 
-use autonet_bench::print_table;
+use autonet_bench::{mean, Report, Table};
+use autonet_sim::SimDuration;
 use autonet_switch::datapath::{DatapathConfig, DatapathSim};
 use autonet_switch::{ForwardingEntry, PortSet};
 use autonet_wire::ShortAddress;
 
-const SLOT_NS: f64 = 80.0;
+/// One 80 ns slot per datapath tick.
+fn slots(ticks: u64) -> SimDuration {
+    SimDuration::from_nanos(ticks * 80)
+}
 
 struct Outcome {
     delivered: usize,
-    makespan_us: f64,
-    mean_wait_us: f64,
-    max_wait_us: f64,
-    short_mean_us: f64,
-    short_max_us: f64,
+    makespan: SimDuration,
+    /// Submit-to-grant wait of every request.
+    waits: Vec<SimDuration>,
+    /// The same for the short packets to the uncontended output (port 3)
+    /// — the class queue jumping is supposed to help.
+    short_waits: Vec<SimDuration>,
     bcast_done: bool,
 }
 
@@ -77,47 +82,26 @@ fn run(use_fcfs: bool) -> Outcome {
     sim.send(d, ShortAddress::BROADCAST_HOSTS, 500, true);
     let _ = sim.run_until_drained(20_000_000, 100_000);
     let records = sim.scheduling_records();
-    let waits: Vec<f64> = records
-        .iter()
-        .map(|r| (r.grant_tick - r.submit_tick) as f64 * SLOT_NS / 1000.0)
-        .collect();
-    // Port 3 carries the short packets to the uncontended output — the
-    // class queue jumping is supposed to help.
-    let short_waits: Vec<f64> = records
-        .iter()
-        .filter(|r| r.in_port == 3)
-        .map(|r| (r.grant_tick - r.submit_tick) as f64 * SLOT_NS / 1000.0)
-        .collect();
-    let bcast_done = records.iter().any(|r| r.broadcast);
+    let waits = |short_only: bool| {
+        records
+            .iter()
+            .filter(|r| !short_only || r.in_port == 3)
+            .map(|r| slots(r.grant_tick - r.submit_tick))
+            .collect()
+    };
     let last_delivery = sim.deliveries().iter().map(|d| d.tick).max().unwrap_or(0);
     Outcome {
         delivered: sim.deliveries().len(),
-        makespan_us: last_delivery as f64 * SLOT_NS / 1000.0,
-        mean_wait_us: waits.iter().sum::<f64>() / waits.len().max(1) as f64,
-        max_wait_us: waits.iter().cloned().fold(0.0, f64::max),
-        short_mean_us: short_waits.iter().sum::<f64>() / short_waits.len().max(1) as f64,
-        short_max_us: short_waits.iter().cloned().fold(0.0, f64::max),
-        bcast_done,
+        makespan: slots(last_delivery),
+        waits: waits(false),
+        short_waits: waits(true),
+        bcast_done: records.iter().any(|r| r.broadcast),
     }
 }
 
 fn main() {
     println!("E13: FCFC vs FCFS output-port scheduling under contention");
-    let mut rows = Vec::new();
-    for (name, fcfs) in [("FCFC (Autonet)", false), ("FCFS (baseline)", true)] {
-        let o = run(fcfs);
-        rows.push(vec![
-            name.to_string(),
-            o.delivered.to_string(),
-            format!("{:.0} us", o.makespan_us),
-            format!("{:.1} us", o.mean_wait_us),
-            format!("{:.1} us", o.max_wait_us),
-            format!("{:.1} us", o.short_mean_us),
-            format!("{:.1} us", o.short_max_us),
-            if o.bcast_done { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    print_table(
+    let mut t = Table::new(
         "E13: scheduling discipline comparison",
         &[
             "scheduler",
@@ -129,8 +113,21 @@ fn main() {
             "short-pkt max",
             "broadcast served",
         ],
-        &rows,
     );
+    for (name, fcfs) in [("FCFC (Autonet)", false), ("FCFS (baseline)", true)] {
+        let o = run(fcfs);
+        t.row([
+            name.into(),
+            o.delivered.into(),
+            o.makespan.into(),
+            mean(&o.waits).into(),
+            o.waits.iter().max().copied().into(),
+            mean(&o.short_waits).into(),
+            o.short_waits.iter().max().copied().into(),
+            o.bcast_done.into(),
+        ]);
+    }
+    Report::new("scheduler").table(t).finish();
     println!(
         "\nShape check: FCFC finishes the whole offered load sooner because\n\
          the short packets to the free output jump the blocked head-of-queue\n\

@@ -7,7 +7,7 @@
 //! with them neutered; we also verify a clean single fault is still
 //! handled in tens of milliseconds.
 
-use autonet_bench::{converge, measure_reconfiguration, ms, print_table};
+use autonet_bench::{converge, measure_reconfiguration, Report, Table};
 use autonet_net::NetParams;
 use autonet_sim::SimDuration;
 use autonet_topo::{gen, LinkId};
@@ -36,37 +36,29 @@ fn main() {
     without.autopilot.conn_min_hold = SimDuration::from_millis(10);
     without.autopilot.conn_max_hold = SimDuration::from_millis(10);
 
-    let mut rows = Vec::new();
-    for (label, half) in [
-        ("flap every 50 ms", SimDuration::from_millis(50)),
-        ("flap every 100 ms", SimDuration::from_millis(100)),
-        ("flap every 250 ms", SimDuration::from_millis(250)),
-        ("flap every 1 s", SimDuration::from_secs(1)),
-    ] {
-        let n_with = flap_run(with, half, 30, 3);
-        let n_without = flap_run(without, half, 30, 3);
-        rows.push(vec![
-            label.to_string(),
-            n_with.to_string(),
-            n_without.to_string(),
+    let mut flaps = Table::new(
+        "E8: reconfigurations caused by 30 flap cycles",
+        &["flap half-period", "with skeptics", "skeptics neutered"],
+    );
+    for half_ms in [50, 100, 250, 1000] {
+        let half = SimDuration::from_millis(half_ms);
+        flaps.row([
+            half.into(),
+            flap_run(with, half, 30, 3).into(),
+            flap_run(without, half, 30, 3).into(),
         ]);
     }
-    print_table(
-        "E8: reconfigurations caused by 30 flap cycles",
-        &["flap rate", "with skeptics", "skeptics neutered"],
-        &rows,
-    );
 
     // Responsiveness: a clean single fault is still handled promptly.
     let topo = gen::ring(6, 17);
     let mut net = converge(topo, with, 9);
     let m = measure_reconfiguration(&mut net, LinkId(2)).expect("reconverges");
-    println!(
-        "\nsingle clean fault: detection {} + reconfiguration {} = {}",
-        ms(m.detection),
-        ms(m.reconfiguration),
-        ms(m.total)
+    let mut clean = Table::new(
+        "E8: a single clean fault, skeptics on",
+        &["detection", "reconfiguration", "fault-to-open"],
     );
+    clean.row([m.detection.into(), m.reconfiguration.into(), m.total.into()]);
+    Report::new("skeptic").table(flaps).table(clean).finish();
     println!(
         "\nShape check: with skeptics the flapping link is quarantined after\n\
          its first few offenses (reconfiguration count far below two per\n\

@@ -7,7 +7,7 @@
 //! measure the storm's per-host packet rate and sweep the detection delay
 //! to show containment time tracks it.
 
-use autonet_bench::print_table;
+use autonet_bench::{Report, Table};
 use autonet_host::BROADCAST_UID;
 use autonet_net::{NetParams, Network};
 use autonet_sim::{SimDuration, SimTime};
@@ -50,24 +50,23 @@ fn main() {
     println!("E17: broadcast storm magnitude vs detection delay");
     println!("(3-switch line, 6 hosts; one host powered off with cable attached;");
     println!(" ONE broadcast packet injected)");
-    let mut rows = Vec::new();
-    for detect_ms in [20u64, 40, 80, 160] {
-        let (rate, copies) = run(detect_ms);
-        rows.push(vec![
-            format!("{detect_ms} ms"),
-            format!("{:.0} pkt/s/host", rate),
-            copies.to_string(),
-        ]);
-    }
-    print_table(
+    let mut t = Table::new(
         "E17: one broadcast packet under a reflecting link",
         &[
             "BadCode detection delay",
-            "storm rate per host",
+            "storm rate (pkt/s/host)",
             "total copies delivered",
         ],
-        &rows,
     );
+    for detect_ms in [20u64, 40, 80, 160] {
+        let (rate, copies) = run(detect_ms);
+        t.row([
+            SimDuration::from_millis(detect_ms).into(),
+            rate.into(),
+            copies.into(),
+        ]);
+    }
+    Report::new("storm").table(t).finish();
     println!(
         "\nShape check: the paper reports \"thousands of broadcast packets\n\
          per second\" per host — the measured storm rate is in exactly that\n\

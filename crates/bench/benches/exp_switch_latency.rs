@@ -5,15 +5,23 @@
 //! and an output is free; the router makes one forwarding decision every
 //! 480 ns, bounding the switch at ~2 million packets per second.
 
-use autonet_bench::print_table;
+use autonet_bench::{Report, Table};
+use autonet_sim::SimDuration;
 use autonet_switch::datapath::{DatapathConfig, DatapathSim};
 use autonet_switch::{ForwardingEntry, PortSet};
 use autonet_wire::ShortAddress;
 
-const SLOT_NS: f64 = 80.0;
+/// One 80 ns slot per datapath tick.
+fn slots(ticks: u64) -> SimDuration {
+    SimDuration::from_nanos(ticks * 80)
+}
 
 /// Idle-switch transit latency for a range of packet sizes.
-fn transit_latency(rows: &mut Vec<Vec<String>>) {
+fn transit_latency() -> Table {
+    let mut t = Table::new(
+        "E12: first bit in to first bit out of an idle switch (paper: 26-32 cycles, 2.1-2.6 µs)",
+        &["packet bytes", "cycles", "latency"],
+    );
     for len in [64usize, 200, 1000] {
         let mut sim = DatapathSim::new(DatapathConfig::default());
         let s = sim.add_switch();
@@ -28,23 +36,16 @@ fn transit_latency(rows: &mut Vec<Vec<String>>) {
         );
         sim.send(h0, ShortAddress::from_raw(0x0100), len, false);
         sim.run_until_drained(1_000_000, 10_000);
-        let t = sim.transits()[0];
-        let slots = t.out_tick - t.in_tick;
-        rows.push(vec![
-            format!("{len} B packet, idle switch"),
-            "26-32 cycles (2.1-2.6 us)".to_string(),
-            format!(
-                "{} cycles ({:.2} us)",
-                slots,
-                slots as f64 * SLOT_NS / 1000.0
-            ),
-        ]);
+        let transit = sim.transits()[0];
+        let cycles = transit.out_tick - transit.in_tick;
+        t.row([len.into(), cycles.into(), slots(cycles).into()]);
     }
+    t
 }
 
 /// Router decision throughput: 12 inputs hammer one switch with minimal
 /// packets; decisions are rate-limited to one per 6 slots.
-fn router_throughput(rows: &mut Vec<Vec<String>>) {
+fn router_throughput() -> Table {
     let mut sim = DatapathSim::new(DatapathConfig::default());
     let s = sim.add_switch();
     // Six senders, six receivers.
@@ -72,38 +73,27 @@ fn router_throughput(rows: &mut Vec<Vec<String>>) {
         }
     }
     sim.run_until_drained(10_000_000, 50_000);
-    let n = sim.scheduling_records().len() as f64;
-    let first = sim
-        .scheduling_records()
-        .iter()
-        .map(|r| r.grant_tick)
-        .min()
-        .unwrap();
-    let last = sim
-        .scheduling_records()
-        .iter()
-        .map(|r| r.grant_tick)
-        .max()
-        .unwrap();
-    let span_s = (last - first) as f64 * SLOT_NS * 1e-9;
-    let rate = (n - 1.0) / span_s;
-    rows.push(vec![
-        "router decisions under 6-way load".to_string(),
-        "~2.0 M packets/s".to_string(),
-        format!("{:.2} M decisions/s", rate / 1e6),
+    let grants = || sim.scheduling_records().iter().map(|r| r.grant_tick);
+    let decisions = grants().count();
+    let span = slots(grants().max().unwrap() - grants().min().unwrap());
+    let mut t = Table::new(
+        "E12: router decisions under 6-way load (paper: ~2.0 M packets/s)",
+        &["decisions", "first to last grant", "M decisions/s"],
+    );
+    t.row([
+        decisions.into(),
+        span.into(),
+        ((decisions - 1) as f64 / span.as_secs_f64() / 1e6).into(),
     ]);
+    t
 }
 
 fn main() {
     println!("E12: switch transit latency and router throughput (slot-level)");
-    let mut rows = Vec::new();
-    transit_latency(&mut rows);
-    router_throughput(&mut rows);
-    print_table(
-        "E12: paper vs measured",
-        &["quantity", "paper", "measured"],
-        &rows,
-    );
+    Report::new("switch_latency")
+        .table(transit_latency())
+        .table(router_throughput())
+        .finish();
     println!(
         "\nShape check: cut-through transit is independent of packet length\n\
          and sits in the paper's 26-32 cycle window; decision throughput\n\

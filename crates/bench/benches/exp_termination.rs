@@ -6,111 +6,112 @@
 //! topology (inconsistent tables — "to do so would invite deadlock").
 //! The stability extension tells the root the exact moment the tree is
 //! done. We run both on the same network and fault.
+//!
+//! An early timeout does not leave a wrong table behind for good: a switch
+//! refuses a topology that cannot route, and a later epoch repairs it. What
+//! it costs is churn — epochs burned, refused topologies, extra reopens —
+//! so that is what each row reports next to the reopen latency.
 
-use autonet_bench::{ms, print_table};
-use autonet_core::TerminationMode;
+use autonet_bench::{Report, Table, Value};
+use autonet_core::{Event, TerminationMode};
 use autonet_net::{NetEventKind, NetParams, Network};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{gen, LinkId, Topology};
 
-struct Outcome {
-    /// Fault to last reopen, if every switch reopened.
-    reopen: Option<SimDuration>,
-    /// Switches whose final topology is incomplete (missing switches).
-    incomplete: usize,
+/// Highest epoch any switch has reached.
+fn epoch(net: &Network) -> u64 {
+    let epochs = net
+        .topology()
+        .switch_ids()
+        .map(|s| net.autopilot(s).epoch().0);
+    epochs.max().unwrap_or(0)
 }
 
-fn run_mode(topo: Topology, mode: TerminationMode, seed: u64) -> Outcome {
+fn run_mode(topo: Topology, mode: TerminationMode, seed: u64) -> Vec<Value> {
     let mut params = NetParams::tuned();
     params.autopilot.termination = mode;
     let mut net = Network::new(topo, params, seed);
-    // Bring-up (the quiescence baseline may itself be slow or partial, so
-    // use a generous fixed budget instead of the consistency predicate).
+    // Bring-up: a fixed, generous budget rather than the consistency
+    // predicate, because an aggressive timeout may never satisfy it.
     net.run_for(SimTime::from_secs(20).saturating_since(net.now()));
     let n = net.topology().num_switches();
+    let settled = net.control_plane_consistent();
+    let bringup_epochs = epoch(&net);
     let fault_at = net.now() + SimDuration::from_millis(10);
     net.schedule_link_down(fault_at, LinkId(0));
     net.run_for(SimDuration::from_secs(20));
-    // Last reopen after the fault, per switch.
+    // What the one cut cost, from the event log: every reopen after it.
     let mut last_open = vec![None; n];
-    for e in net.events() {
-        if e.time <= fault_at {
-            continue;
-        }
+    let mut opens = 0u64;
+    for e in net.events().iter().filter(|e| e.time > fault_at) {
         if let NetEventKind::SwitchOpened(s, _) = e.kind {
             last_open[s.0] = Some(e.time);
+            opens += 1;
         }
     }
-    let reopen = if last_open.iter().all(|t| t.is_some()) {
-        last_open
-            .iter()
-            .flatten()
-            .max()
-            .map(|&t| t.saturating_since(fault_at))
-    } else {
-        None
-    };
-    let incomplete = net
-        .topology()
-        .switch_ids()
-        .filter(|&s| {
-            net.autopilot(s)
-                .global()
-                .is_none_or(|g| g.switches.len() < n || g.levels().is_none())
-        })
+    // And from the typed spine, over the whole run: every topology a switch
+    // was handed that could not route, so it kept its cleared table.
+    let unroutable = net
+        .trace_log()
+        .records()
+        .iter()
+        .filter(|r| matches!(r.event, Event::UnroutableTopology { .. }))
         .count();
-    Outcome { reopen, incomplete }
+    // Fault to last reopen, if every switch reopened.
+    let reopen = last_open
+        .iter()
+        .copied()
+        .collect::<Option<Vec<SimTime>>>()
+        .and_then(|t| t.into_iter().max())
+        .map(|t| t.saturating_since(fault_at));
+    vec![
+        reopen.into(),
+        settled.into(),
+        bringup_epochs.into(),
+        (epoch(&net) - bringup_epochs).into(),
+        opens.into(),
+        unroutable.into(),
+        net.control_plane_consistent().into(),
+    ]
 }
 
 fn main() {
     println!("E3: stability-based termination vs quiescence timeouts");
-    println!("(30-switch SRC network, one link failure; reopen latency and completeness)");
-    let mut rows = Vec::new();
-    let modes: Vec<(String, TerminationMode)> = vec![
-        ("stability (the paper)".into(), TerminationMode::Stability),
-        (
-            "timeout 1 ms".into(),
-            TerminationMode::RootQuiescence(SimDuration::from_millis(1)),
-        ),
-        (
-            "timeout 2 ms".into(),
-            TerminationMode::RootQuiescence(SimDuration::from_millis(2)),
-        ),
-        (
-            "timeout 5 ms".into(),
-            TerminationMode::RootQuiescence(SimDuration::from_millis(5)),
-        ),
-        (
-            "timeout 50 ms".into(),
-            TerminationMode::RootQuiescence(SimDuration::from_millis(50)),
-        ),
-        (
-            "timeout 250 ms".into(),
-            TerminationMode::RootQuiescence(SimDuration::from_millis(250)),
-        ),
-        (
-            "timeout 1000 ms".into(),
-            TerminationMode::RootQuiescence(SimDuration::from_millis(1000)),
-        ),
-    ];
-    for (name, mode) in modes {
-        let topo = gen::src_network(81);
-        let o = run_mode(topo, mode, 7);
-        rows.push(vec![
-            name,
-            o.reopen.map_or("never (all)".into(), ms),
-            format!("{}/30", o.incomplete),
-        ]);
-    }
-    print_table(
-        "E3: reopen latency and incomplete-topology switches",
-        &["termination", "fault-to-all-open", "incomplete topologies"],
-        &rows,
+    println!("(30-switch SRC network, 20 s of bring-up, one link failure, 20 s more)");
+    let mut t = Table::new(
+        "E3: what one link failure costs, by how the root decides the tree is done",
+        &[
+            "termination",
+            "fault-to-all-open",
+            "settled at fault",
+            "epochs in bring-up",
+            "epochs after fault",
+            "reopens after fault",
+            "unroutable topologies (whole run)",
+            "settled at end",
+        ],
     );
+    let timeout = |ms| TerminationMode::RootQuiescence(SimDuration::from_millis(ms));
+    for (name, mode) in [
+        ("stability (the paper)", TerminationMode::Stability),
+        ("timeout 1 ms", timeout(1)),
+        ("timeout 2 ms", timeout(2)),
+        ("timeout 5 ms", timeout(5)),
+        ("timeout 50 ms", timeout(50)),
+        ("timeout 250 ms", timeout(250)),
+        ("timeout 1000 ms", timeout(1000)),
+    ] {
+        let cells = run_mode(gen::src_network(81), mode, 7);
+        t.row([name.into()].into_iter().chain(cells));
+    }
+    Report::new("termination").table(t).finish();
     println!(
-        "\nShape check: stability reopens fastest with zero incompleteness.\n\
-         Small timeouts open early but with switches holding partial\n\
-         topologies (inconsistent tables); safe timeouts pay their margin\n\
-         on every reconfiguration."
+        "\nShape check: stability boots in a dozen epochs, heals in one and\n\
+         reopens at the earliest safe instant. Timeouts shorter than the\n\
+         tree's real convergence fire on partial trees: epochs by the\n\
+         hundred in bring-up, topologies that cannot route, a cut that\n\
+         costs extra epochs and reopens, or a network still unsettled when\n\
+         the fault arrives. Timeouts long enough to be safe do stability's\n\
+         work exactly and pay their margin on every reconfiguration."
     );
 }

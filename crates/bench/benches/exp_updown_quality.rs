@@ -6,11 +6,11 @@
 //! spanning-tree root. We quantify both across topologies, plus the
 //! multipath benefit (how many pairs have alternative minimal next hops).
 
-use autonet_bench::print_table;
+use autonet_bench::{Report, Table, Value};
 use autonet_core::{global_from_view_simple, RouteComputer};
 use autonet_topo::{gen, Topology};
 
-fn row(name: &str, topo: &Topology, rows: &mut Vec<Vec<String>>) {
+fn row(name: &str, topo: &Topology) -> [Value; 4] {
     let global = global_from_view_simple(&topo.view_all()).expect("non-empty");
     let rc = RouteComputer::new(&global);
     let stats = rc.stats();
@@ -34,38 +34,41 @@ fn row(name: &str, topo: &Topology, rows: &mut Vec<Vec<String>>) {
             }
         }
     }
-    rows.push(vec![
-        name.to_string(),
-        format!("{:.3}", inflation),
-        format!("{:.0}%", optimal_pairs as f64 * 100.0 / pairs.max(1) as f64),
-        format!("{:.2}x", max / mean.max(1e-9)),
-    ]);
+    [
+        name.into(),
+        inflation.into(),
+        (optimal_pairs as f64 * 100.0 / pairs.max(1) as f64).into(),
+        (max / mean.max(1e-9)).into(),
+    ]
 }
 
 fn main() {
     println!("E5: up*/down* route quality");
     println!("(inflation = mean legal hops / mean shortest hops over all pairs;");
     println!(" hotspot = most-loaded link vs mean link load on minimal routes)");
-    let mut rows = Vec::new();
-    row("line 8", &gen::line(8, 1), &mut rows);
-    row("tree 3^2", &gen::tree(3, 2, 2), &mut rows);
-    row("ring 12", &gen::ring(12, 3), &mut rows);
-    row("grid 4x4", &gen::grid(4, 4, 4), &mut rows);
-    row("torus 4x4", &gen::torus(4, 4, 5), &mut rows);
-    row("torus 4x8", &gen::torus(8, 4, 6), &mut rows);
-    row("hypercube 4", &gen::hypercube(4, 7), &mut rows);
-    row("SRC network", &gen::src_network(8), &mut rows);
-    row("random 24+12", &gen::random_connected(24, 12, 9), &mut rows);
-    print_table(
+    let mut t = Table::new(
         "E5: path inflation and hotspot by topology",
         &[
             "topology",
             "inflation",
-            "pairs at shortest",
-            "hotspot (max/mean)",
+            "pairs at shortest (%)",
+            "hotspot (max/mean link load)",
         ],
-        &rows,
     );
+    for (name, topo) in [
+        ("line 8", gen::line(8, 1)),
+        ("tree 3^2", gen::tree(3, 2, 2)),
+        ("ring 12", gen::ring(12, 3)),
+        ("grid 4x4", gen::grid(4, 4, 4)),
+        ("torus 4x4", gen::torus(4, 4, 5)),
+        ("torus 4x8", gen::torus(8, 4, 6)),
+        ("hypercube 4", gen::hypercube(4, 7)),
+        ("SRC network", gen::src_network(8)),
+        ("random 24+12", gen::random_connected(24, 12, 9)),
+    ] {
+        t.row(row(name, &topo));
+    }
+    Report::new("updown_quality").table(t).finish();
     println!(
         "\nShape check: trees and lines are exactly shortest (inflation 1.0,\n\
          every route is on the tree anyway); richly-connected topologies pay\n\

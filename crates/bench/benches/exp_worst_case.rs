@@ -13,14 +13,14 @@
 //!
 //! Every candidate of a search shares its topology, parameters and seed,
 //! so the search boots the network once and resumes a clone per
-//! evaluation: `boots` (counted by the engine, gated at exactly 1 by
-//! `scripts/check_bench_schema.py`) and the search's `wall_s` ride along
-//! in the JSON.
+//! evaluation: `boots` (counted by the engine, held at exactly 1 by
+//! `scripts/check_bench.py`) and the search's wall clock ride along in
+//! the row.
 //!
 //! `WORST_CASE_SMOKE=1` runs the CI-budget variant (ring-8 only, smoke
 //! search budget) and writes `BENCH_worst_case_smoke.json` instead.
 
-use autonet_bench::{ms, ms_f64, print_table, write_bench_json};
+use autonet_bench::{Report, Table, Value};
 use autonet_check::{worst_case_search, OracleConfig, TopoSpec, WorstCaseConfig};
 use autonet_net::NetParams;
 
@@ -94,52 +94,8 @@ fn main() {
         ]
     };
 
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
-    for (name, topo, params, budget) in cases {
-        let oracle = OracleConfig::from_params(&params.autopilot);
-        let started = std::time::Instant::now();
-        let res = worst_case_search(&topo, &params, &oracle, &budget);
-        let wall_s = started.elapsed().as_secs_f64();
-        let ratio = if res.random_median_blackout.as_nanos() > 0 {
-            ms_f64(res.damage.blackout) / ms_f64(res.random_median_blackout)
-        } else {
-            f64::INFINITY
-        };
-        rows.push(vec![
-            name.to_string(),
-            res.champion.events.len().to_string(),
-            ms(res.damage.blackout),
-            ms(res.random_median_blackout),
-            if ratio.is_finite() {
-                format!("{ratio:.1}x")
-            } else {
-                "inf".into()
-            },
-            res.damage.affected_pairs.to_string(),
-            ms(res.damage.skeptic_hold),
-            res.evaluations.to_string(),
-            res.boots.to_string(),
-            format!("{wall_s:.2} s"),
-        ]);
-        json.push(format!(
-            "    {{\"topology\": {name:?}, \"events\": {}, \"worst_blackout_ms\": {:.3}, \
-             \"random_median_blackout_ms\": {:.3}, \"affected_pairs\": {}, \
-             \"skeptic_hold_ms\": {:.3}, \"unroutable_ms\": {:.3}, \"evaluations\": {}, \
-             \"violations\": {}, \"boots\": {}, \"wall_s\": {wall_s:.3}}}",
-            res.champion.events.len(),
-            ms_f64(res.damage.blackout),
-            ms_f64(res.random_median_blackout),
-            res.damage.affected_pairs,
-            ms_f64(res.damage.skeptic_hold),
-            ms_f64(res.damage.unroutable),
-            res.evaluations,
-            res.violations,
-            res.boots,
-        ));
-    }
-    print_table(
-        "E24: worst found vs random median (total blackout)",
+    let mut t = Table::new(
+        &format!("E24: worst found vs random median, total blackout (search seed {SEARCH_SEED})"),
         &[
             "topology",
             "events",
@@ -148,12 +104,43 @@ fn main() {
             "ratio",
             "pairs dark",
             "skeptic hold",
+            "unroutable",
             "evals",
+            "violations",
             "boots",
-            "wall",
+            "search wall (s)",
         ],
-        &rows,
     );
+    for (name, topo, params, budget) in cases {
+        let oracle = OracleConfig::from_params(&params.autopilot);
+        let started = std::time::Instant::now();
+        let res = worst_case_search(&topo, &params, &oracle, &budget);
+        let wall_s = started.elapsed().as_secs_f64();
+        let (worst, median) = (res.damage.blackout, res.random_median_blackout);
+        // No ratio against a random corpus that found no blackout at all.
+        let ratio = (median.as_nanos() > 0).then(|| worst.as_secs_f64() / median.as_secs_f64());
+        t.row([
+            name.into(),
+            res.champion.events.len().into(),
+            worst.into(),
+            median.into(),
+            ratio.into(),
+            res.damage.affected_pairs.into(),
+            res.damage.skeptic_hold.into(),
+            res.damage.unroutable.into(),
+            res.evaluations.into(),
+            res.violations.into(),
+            res.boots.into(),
+            Value::Wall(wall_s),
+        ]);
+    }
+    Report::new(if smoke {
+        "worst_case_smoke"
+    } else {
+        "worst_case"
+    })
+    .table(t)
+    .finish();
     println!(
         "\nShape check: the searched schedule always at least matches its\n\
          own random corpus median (it is selected from a superset), and on\n\
@@ -161,17 +148,4 @@ fn main() {
          per-pair median — simultaneous and critical-path-timed faults\n\
          hurt more than any single cable."
     );
-    let body = format!(
-        "{{\n  \"experiment\": \"worst_case\",\n  \"unit\": \"ms\",\n  \"seed\": {SEARCH_SEED},\n  \"smoke\": {smoke},\n  \"topologies\": [\n{}\n  ]\n}}\n",
-        json.join(",\n")
-    );
-    let path = write_bench_json(
-        if smoke {
-            "worst_case_smoke"
-        } else {
-            "worst_case"
-        },
-        &body,
-    );
-    println!("wrote {}", path.display());
 }

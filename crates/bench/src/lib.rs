@@ -2,42 +2,266 @@
 //!
 //! Every `exp_*` bench target reproduces one quantitative claim from the
 //! paper (see DESIGN.md's experiment index and EXPERIMENTS.md for the
-//! paper-vs-measured record). These helpers keep the benches small:
-//! aligned table printing and the standard converge→fault→measure cycle.
+//! paper-vs-measured record). Each one pushes typed rows into [`Table`]s
+//! and hands them to a [`Report`], which prints them as EXPERIMENTS.md
+//! shows them and writes the same rows to `BENCH_<experiment>.json`, where
+//! `scripts/check_bench.py` holds every value that is not off a real clock
+//! to the committed copy.
 
 use autonet_net::{NetParams, Network};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{LinkId, Topology};
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
-/// Prints a titled, column-aligned table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+/// One cell of a [`Table`] row. Everything but [`Value::Wall`] is a pure
+/// function of the experiment's seeds and is gated for exact equality.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    /// An exact count.
+    Count(u64),
+    /// Simulated time, written as integer nanoseconds.
+    Time(SimDuration),
+    /// A deterministic ratio or rate, written (and so compared) to three
+    /// decimals.
+    Real(f64),
+    /// A label.
+    Text(String),
+    /// A yes/no outcome.
+    Bool(bool),
+    /// A number read off a real clock (or derived from one), in the unit
+    /// its column names: never compared, only checked finite and not negative.
+    Wall(f64),
+    /// No value on this row (a traced-only column on an untraced row).
+    Missing,
+}
+
+impl Value {
+    /// The tag written next to the column's name; `None` for `Missing`.
+    fn kind(&self) -> Option<&'static str> {
+        Some(match self {
+            Value::Count(_) => "count",
+            Value::Time(_) => "ns",
+            Value::Real(_) => "real",
+            Value::Text(_) => "text",
+            Value::Bool(_) => "bool",
+            Value::Wall(_) => "wall",
+            Value::Missing => return None,
+        })
+    }
+
+    fn json(&self) -> String {
+        match self {
+            Value::Count(n) => n.to_string(),
+            Value::Time(d) => d.as_nanos().to_string(),
+            Value::Real(x) | Value::Wall(x) => number(*x),
+            Value::Text(s) => json_string(s),
+            Value::Bool(b) => b.to_string(),
+            Value::Missing => "null".into(),
         }
     }
-    let fmt_row = |cells: &[String]| {
-        let mut line = String::new();
-        for (i, cell) in cells.iter().enumerate() {
-            line.push_str(&format!("{:<width$}  ", cell, width = widths[i]));
+
+    fn cell(&self) -> String {
+        match self {
+            Value::Count(n) => n.to_string(),
+            Value::Time(d) if d.as_nanos() < 1_000_000 => format!("{:.2} µs", d.as_micros_f64()),
+            Value::Time(d) => format!("{:.2} ms", d.as_millis_f64()),
+            Value::Real(x) | Value::Wall(x) => number(*x),
+            Value::Text(s) => s.clone(),
+            Value::Bool(b) => if *b { "yes" } else { "no" }.into(),
+            Value::Missing => "-".into(),
         }
-        println!("  {}", line.trim_end());
-    };
-    fmt_row(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    let total: usize = widths.iter().sum::<usize>() + widths.len() * 2;
-    println!("  {}", "-".repeat(total));
-    for row in rows {
-        fmt_row(row);
     }
 }
 
-/// Formats a duration in engineering-friendly milliseconds.
-pub fn ms(d: SimDuration) -> String {
-    format!("{:.1} ms", d.as_millis_f64())
+fn number(x: f64) -> String {
+    assert!(x.is_finite(), "a report cell must be finite, got {x}");
+    format!("{x:.3}")
+}
+
+fn json_string(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if c < ' ' => write!(out, "\\u{:04x}", c as u32).expect("writing to a String"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+macro_rules! value_from {
+    ($($x:ident: $t:ty => $value:expr),* $(,)?) => {$(
+        impl From<$t> for Value {
+            fn from($x: $t) -> Value {
+                $value
+            }
+        }
+    )*};
+}
+value_from! {
+    x: u64 => Value::Count(x),
+    x: u32 => Value::Count(x.into()),
+    x: usize => Value::Count(x as u64),
+    x: SimDuration => Value::Time(x),
+    x: f64 => Value::Real(x),
+    x: bool => Value::Bool(x),
+    x: &str => Value::Text(x.into()),
+    x: String => Value::Text(x),
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(x: Option<T>) -> Value {
+        x.map_or(Value::Missing, Into::into)
+    }
+}
+
+/// One titled table of an experiment's results: it names its columns once
+/// and takes typed rows.
+pub struct Table {
+    title: String,
+    /// Name and, once a row has filled it, the kind of each column.
+    columns: Vec<(String, Option<&'static str>)>,
+    rows: Vec<Vec<Value>>,
+}
+
+impl Table {
+    /// An empty table. The names become both the printed header and the
+    /// keys of each JSON row, so they must differ.
+    pub fn new(title: &str, columns: &[&str]) -> Table {
+        for (i, c) in columns.iter().enumerate() {
+            assert!(!columns[..i].contains(c), "{title}: column {c:?} twice");
+        }
+        Table {
+            title: title.to_string(),
+            columns: columns.iter().map(|c| (c.to_string(), None)).collect(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Appends a row. Panics if it does not have one cell per column, or
+    /// puts a second kind of value in a column.
+    pub fn row<I: IntoIterator<Item = Value>>(&mut self, cells: I) {
+        let cells: Vec<Value> = cells.into_iter().collect();
+        assert_eq!(
+            cells.len(),
+            self.columns.len(),
+            "{}: a row of {} cells for {} columns",
+            self.title,
+            cells.len(),
+            self.columns.len(),
+        );
+        for ((name, kind), cell) in self.columns.iter_mut().zip(&cells) {
+            let seen = cell.kind();
+            assert!(
+                kind.is_none() || seen.is_none() || *kind == seen,
+                "{}: column {name:?} holds {kind:?}, got {cell:?}",
+                self.title,
+            );
+            *kind = kind.or(seen);
+        }
+        self.rows.push(cells);
+    }
+
+    /// The aligned pipe form EXPERIMENTS.md pastes.
+    fn render(&self) -> String {
+        let mut grid: Vec<Vec<String>> = vec![self.columns.iter().map(|c| c.0.clone()).collect()];
+        grid.extend(
+            self.rows
+                .iter()
+                .map(|r| r.iter().map(Value::cell).collect()),
+        );
+        // Rust pads `{:<w$}` by characters, so count them the same way.
+        let widths: Vec<usize> = (0..self.columns.len())
+            .map(|i| grid.iter().map(|r| r[i].chars().count()).max().unwrap_or(0))
+            .collect();
+        let rule: Vec<String> = widths.iter().map(|w| "-".repeat(w + 2)).collect();
+        let mut out = format!("\n{}\n", self.title);
+        for (n, cells) in grid.iter().enumerate() {
+            out.push_str("\n|");
+            for (cell, &w) in cells.iter().zip(&widths) {
+                write!(out, " {cell:<w$} |").expect("writing to a String");
+            }
+            if n == 0 {
+                write!(out, "\n|{}|", rule.join("|")).expect("writing to a String");
+            }
+        }
+        out + "\n"
+    }
+
+    fn json(&self) -> String {
+        let columns: Vec<String> = self
+            .columns
+            .iter()
+            .map(|(name, kind)| format!("[{}, \"{}\"]", json_string(name), kind.unwrap_or("text")))
+            .collect();
+        let row = |r: &Vec<Value>| {
+            let cells: Vec<String> = self
+                .columns
+                .iter()
+                .zip(r)
+                .map(|((name, _), v)| format!("{}: {}", json_string(name), v.json()))
+                .collect();
+            format!("        {{{}}}", cells.join(", "))
+        };
+        let rows: Vec<String> = self.rows.iter().map(row).collect();
+        format!(
+            "    {{\n      \"title\": {},\n      \"columns\": [{}],\n      \"rows\": [\n{}\n      ]\n    }}",
+            json_string(&self.title),
+            columns.join(", "),
+            rows.join(",\n"),
+        )
+    }
+}
+
+/// The result of one experiment: its tables, in order. [`Report::finish`]
+/// prints them and writes `BENCH_<experiment>.json` from the same rows.
+pub struct Report {
+    experiment: String,
+    tables: Vec<Table>,
+}
+
+impl Report {
+    /// A report that will be written to `BENCH_<experiment>.json`.
+    pub fn new(experiment: &str) -> Report {
+        Report {
+            experiment: experiment.to_string(),
+            tables: Vec::new(),
+        }
+    }
+
+    /// Adds a filled table.
+    pub fn table(mut self, table: Table) -> Report {
+        self.tables.push(table);
+        self
+    }
+
+    fn to_json(&self) -> String {
+        let tables: Vec<String> = self.tables.iter().map(Table::json).collect();
+        format!(
+            "{{\n  \"experiment\": {},\n  \"tables\": [\n{}\n  ]\n}}\n",
+            json_string(&self.experiment),
+            tables.join(",\n"),
+        )
+    }
+
+    /// Prints the tables and writes `BENCH_<experiment>.json` at the
+    /// repository root (resolved relative to this crate's manifest, so the
+    /// bench can run from any working directory). Returns the path written.
+    pub fn finish(self) -> PathBuf {
+        self.tables.iter().for_each(|t| print!("{}", t.render()));
+        let path = repo_root().join(format!("BENCH_{}.json", self.experiment));
+        std::fs::write(&path, self.to_json()).expect("bench JSON must be writable");
+        println!("\nwrote {}", path.display());
+        path
+    }
+}
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Brings a network up to a consistent state; panics if it cannot.
@@ -93,49 +317,28 @@ pub fn measure_reconfiguration(net: &mut Network, link: LinkId) -> Option<Reconf
     })
 }
 
-/// Mean of a slice of durations.
-pub fn mean(durations: &[SimDuration]) -> SimDuration {
-    if durations.is_empty() {
-        return SimDuration::ZERO;
-    }
+/// Mean of a slice of durations; `None` when it is empty.
+pub fn mean(durations: &[SimDuration]) -> Option<SimDuration> {
     let total: u64 = durations.iter().map(|d| d.as_nanos()).sum();
-    SimDuration::from_nanos(total / durations.len() as u64)
+    (!durations.is_empty()).then(|| SimDuration::from_nanos(total / durations.len() as u64))
 }
 
-/// Median of a slice of durations (upper median for even counts).
-pub fn median(durations: &[SimDuration]) -> SimDuration {
-    if durations.is_empty() {
-        return SimDuration::ZERO;
-    }
+/// The `q`-quantile of a slice of durations, an element of the slice (the
+/// upper median at `q = 0.5`); `None` when it is empty.
+pub fn quantile(durations: &[SimDuration], q: f64) -> Option<SimDuration> {
     let mut sorted: Vec<SimDuration> = durations.to_vec();
     sorted.sort();
-    sorted[sorted.len() / 2]
-}
-
-/// Writes a machine-readable bench result as `BENCH_<name>.json` at the
-/// repository root (resolved relative to this crate's manifest, so the
-/// bench can run from any working directory). Returns the path written.
-pub fn write_bench_json(name: &str, json: &str) -> std::path::PathBuf {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, json).expect("bench JSON must be writable at the repo root");
-    path
-}
-
-/// A duration in fractional milliseconds for JSON bodies.
-pub fn ms_f64(d: SimDuration) -> f64 {
-    d.as_millis_f64()
+    let rank = (sorted.len() as f64 * q) as usize;
+    sorted
+        .get(rank.min(sorted.len().saturating_sub(1)))
+        .copied()
 }
 
 /// Writes a large emitted artifact (Perfetto traces, dumps) under the
 /// gitignored `<repo>/artifacts/` directory, creating it on demand.
 /// Returns the path written.
-pub fn write_artifact(relpath: &str, contents: &str) -> std::path::PathBuf {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("artifacts")
-        .join(relpath);
+pub fn write_artifact(relpath: &str, contents: &str) -> PathBuf {
+    let path = repo_root().join("artifacts").join(relpath);
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent).expect("artifacts dir must be creatable");
     }
@@ -147,32 +350,73 @@ pub fn write_artifact(relpath: &str, contents: &str) -> std::path::PathBuf {
 mod tests {
     use super::*;
 
+    const MS: fn(u64) -> SimDuration = SimDuration::from_millis;
+
     #[test]
-    fn mean_of_durations() {
-        let m = mean(&[SimDuration::from_millis(10), SimDuration::from_millis(30)]);
-        assert_eq!(m, SimDuration::from_millis(20));
-        assert_eq!(mean(&[]), SimDuration::ZERO);
+    fn mean_and_quantiles_of_durations() {
+        assert_eq!(mean(&[MS(10), MS(30)]), Some(MS(20)));
+        assert_eq!(mean(&[]), None);
+        assert_eq!(quantile(&[], 0.5), None);
+        assert_eq!(quantile(&[MS(30), MS(10), MS(20)], 0.5), Some(MS(20)));
+        assert_eq!(quantile(&[MS(10), MS(30)], 0.5), Some(MS(30)));
+        let ten: Vec<SimDuration> = (1..=10).map(MS).collect();
+        assert_eq!(quantile(&ten, 0.9), Some(MS(10)));
+        assert_eq!(quantile(&ten, 1.0), Some(MS(10)));
+    }
+
+    fn demo() -> Table {
+        let mut t = Table::new("T: a \"quoted\" title", &["topology", "n", "took", "wall"]);
+        t.row([
+            "torus 4×8".into(),
+            32usize.into(),
+            MS(5).into(),
+            Value::Wall(1.5),
+        ]);
+        t.row([
+            "a\\b".into(),
+            7u64.into(),
+            Value::Missing,
+            Value::Wall(1234.56),
+        ]);
+        t
     }
 
     #[test]
-    fn median_of_durations() {
-        assert_eq!(median(&[]), SimDuration::ZERO);
-        let odd = [
-            SimDuration::from_millis(30),
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(20),
-        ];
-        assert_eq!(median(&odd), SimDuration::from_millis(20));
-        let even = [SimDuration::from_millis(10), SimDuration::from_millis(30)];
-        assert_eq!(median(&even), SimDuration::from_millis(30));
+    fn json_escapes_names_and_tags_wall_apart_from_exact() {
+        let json = Report::new("demo").table(demo()).to_json();
+        for want in [
+            r#""experiment": "demo""#,
+            r#""title": "T: a \"quoted\" title""#,
+            r#""columns": [["topology", "text"], ["n", "count"], ["took", "ns"], ["wall", "wall"]]"#,
+            r#"{"topology": "torus 4×8", "n": 32, "took": 5000000, "wall": 1.500}"#,
+            r#"{"topology": "a\\b", "n": 7, "took": null, "wall": 1234.560}"#,
+        ] {
+            assert!(json.contains(want), "{want} not in {json}");
+        }
+        assert_eq!(json_string("a\nb"), r#""a\u000ab""#);
     }
 
     #[test]
-    fn table_prints_without_panic() {
-        print_table(
-            "demo",
-            &["a", "bb"],
-            &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
-        );
+    fn non_ascii_cells_keep_the_table_aligned() {
+        let text = demo().render();
+        let lines: Vec<&str> = text.lines().filter(|l| l.starts_with('|')).collect();
+        assert_eq!(lines.len(), 4);
+        let width = lines[0].chars().count();
+        assert!(lines.iter().all(|l| l.chars().count() == width), "{text}");
+        assert_eq!(lines[2], "| torus 4×8 | 32 | 5.00 ms | 1.500    |");
+    }
+
+    #[test]
+    #[should_panic(expected = "a row of 3 cells for 2 columns")]
+    fn a_wide_row_panics_at_row() {
+        Table::new("T", &["a", "b"]).row([1u64.into(), 2u64.into(), 3u64.into()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "column \"a\" holds Some(\"count\")")]
+    fn a_wall_value_in_an_exact_column_panics_at_row() {
+        let mut t = Table::new("T", &["a"]);
+        t.row([1u64.into()]);
+        t.row([Value::Wall(0.5)]);
     }
 }

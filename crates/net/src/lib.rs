@@ -39,8 +39,7 @@ pub use autonet_core::{ProbeOutcome, ProbeRecord};
 #[doc(hidden)]
 pub use network::Driver;
 pub use network::{
-    DeliveryRecord, Net, NetEvent, NetEventKind, NetStats, Network, NetworkStats,
-    PartitionedNetwork,
+    DeliveryRecord, Net, NetEvent, NetEventKind, NetStats, Network, PartitionedNetwork,
 };
 pub use params::{CpuModel, NetParams};
 pub use ring::{RingStats, TokenRing};

@@ -41,10 +41,6 @@ pub use driver::Driver;
 pub use events::Event;
 pub use events::{DeliveryRecord, NetEvent, NetEventKind};
 
-/// Former name of the aggregate counters, now the backend-shared
-/// [`NetStats`].
-pub type NetworkStats = NetStats;
-
 use std::sync::Arc;
 
 use autonet_core::RouteCache;
@@ -142,11 +138,11 @@ impl NetWorld {
         topo: Topology,
         params: NetParams,
         seed: u64,
-        route_cache: Option<Arc<RouteCache>>,
+        route_cache: Arc<RouteCache>,
     ) -> (NetWorld, Vec<(SimTime, Event)>) {
         let mut rng = SimRng::new(seed);
         let mut switches = SwitchPool::new();
-        switches.route_cache = route_cache;
+        switches.route_cache = Some(route_cache);
         for s in topo.switch_ids() {
             switches.push(
                 topo.switch(s).uid,
@@ -204,7 +200,7 @@ impl Network {
     /// Builds a network and schedules every switch and host to boot within
     /// the configured jitter of t = 0.
     pub fn new(topo: Topology, params: NetParams, seed: u64) -> Self {
-        let cache = params.route_cache.then(|| Arc::new(RouteCache::new()));
+        let cache = Arc::new(RouteCache::new());
         let (world, boots) = NetWorld::build(topo, params, seed, cache);
         let mut sim = Simulator::new(world);
         for (at, event) in boots {
@@ -265,8 +261,7 @@ impl<D: Driver> Net<D> {
         self.plant().switches.up[s.0]
     }
 
-    /// Work counters of the fleet-shared route cache, if
-    /// [`NetParams::route_cache`](crate::NetParams) is on.
+    /// Work counters of the fleet-shared route cache.
     pub fn route_cache_stats(&self) -> Option<autonet_core::RouteCacheStats> {
         self.plant()
             .switches

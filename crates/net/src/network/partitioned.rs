@@ -269,13 +269,11 @@ impl PartitionedNetwork {
         // of its inputs, so cross-shard sharing (and speculative serves
         // that later get truncated) cannot perturb behavior — a shard
         // only ever reads what it would have computed itself.
-        let shared_cache = params
-            .route_cache
-            .then(|| Arc::new(autonet_core::RouteCache::new()));
+        let shared_cache = Arc::new(autonet_core::RouteCache::new());
         let worlds: Vec<PartWorld> = (0..nparts as u32)
             .map(|me| {
                 let (mut net, b) =
-                    NetWorld::build(topo.clone(), params, seed, shared_cache.clone());
+                    NetWorld::build(topo.clone(), params, seed, Arc::clone(&shared_cache));
                 net.latched = Some(Latched::initial(&net));
                 if me == 0 {
                     boots = b;

@@ -93,12 +93,6 @@ pub struct NetParams {
     /// spine). On by default; benchmarks turn it off to measure the
     /// tracing-disabled fast path, which allocates no trace storage.
     pub tracing: bool,
-    /// Whether the world shares one [`autonet_core::RouteCache`] across
-    /// all switches, deduplicating per-epoch route analysis fleet-wide.
-    /// Behavior-neutral (cached tables are byte-identical to from-scratch
-    /// computation); off reproduces the every-switch-recomputes cost
-    /// model.
-    pub route_cache: bool,
 }
 
 impl NetParams {
@@ -115,7 +109,6 @@ impl NetParams {
             reflect_detect_delay: SimDuration::from_millis(40),
             control_loss_rate: 0.0,
             tracing: true,
-            route_cache: true,
         }
     }
 

@@ -2,10 +2,14 @@
 //!
 //! This crate provides the substrate on which every Autonet experiment runs:
 //! a virtual clock ([`SimTime`]), a deterministic event queue
-//! ([`EventQueue`]), a driver loop ([`Simulator`]), a seeded
+//! ([`CalendarQueue`], under both driver loops), the classic driver loop
+//! ([`Simulator`]) and the sharded one ([`ShardedSimulator`]), a seeded
 //! platform-independent random number generator ([`SimRng`]), and a
 //! timestamped circular trace log ([`TraceLog`]) modeled on the in-memory
-//! event log that Autopilot kept on every switch.
+//! event log that Autopilot kept on every switch. [`EventQueue`], a plain
+//! binary heap, is not the kernel's queue: it is the pop-order oracle the
+//! calendar queue is tested against (and a name the frozen `benchmark/`
+//! crate imports).
 //!
 //! Determinism is the design center. Two events scheduled for the same
 //! instant are delivered in the order they were scheduled (a monotonic

@@ -1,4 +1,6 @@
-//! The deterministic pending-event queue.
+//! The reference pending-event queue: a binary heap. The simulators run on
+//! [`CalendarQueue`](crate::CalendarQueue); this one defines the pop order
+//! that queue is proptested against.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -1,0 +1,174 @@
+#!/usr/bin/env python3
+"""The one gate on measured rows.
+
+  check_bench.py [BENCH_x.json ...]     experiment rows written by
+                                        `autonet_bench::Report`; with no
+                                        argument, every BENCH_*.json here
+                                        or committed
+  check_bench.py benchmark/out/results-smoke.json
+                                        a result set of `benchmark/run.sh`
+
+A Report file carries its own schema: each table lists its columns with a
+kind. Every value must have its column's kind; a `wall` value (read off a
+real clock) must be finite and not negative (a cache that served no delta
+spent no time on one) and is otherwise ignored; every
+other value is a pure function of the experiment's seeds and must equal
+the committed copy (`git show HEAD:<file name>`) exactly. A file with no
+committed copy (the smoke tiers) is held to its kinds and the predicates.
+To move a number on purpose, commit the regenerated file with the change
+that moved it.
+
+What must hold between values is PREDICATES below, and nothing else is.
+"""
+
+import glob
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+
+KINDS = {
+    "count": lambda v: type(v) is int and v >= 0,
+    "ns": lambda v: type(v) is int and v >= 0,
+    "real": lambda v: type(v) in (int, float) and math.isfinite(v),
+    "text": lambda v: type(v) is str,
+    "bool": lambda v: type(v) is bool,
+    "wall": lambda v: type(v) in (int, float) and math.isfinite(v) and v >= 0,
+}
+
+
+def rows(doc, table=0):
+    return doc["tables"][table]["rows"]
+
+
+def by(doc, key, table=0):
+    """Rows of a table grouped under one column's value."""
+    groups = {}
+    for row in rows(doc, table):
+        groups.setdefault(row[key], []).append(row)
+    return groups
+
+
+def reconfig_of(doc, implementation):
+    return by(doc, "implementation")[implementation][0]["reconfig"]
+
+
+def cycle_ms(doc, workload):
+    return doc["workloads"][workload]["end_to_end"]["op_wall_ms_p50"]["median"]
+
+
+def boot_events(doc):
+    return int(re.search(r"\bevents=(\d+)", doc["workloads"]["ft576_bringup"]["exact"])[1])
+
+
+# (experiment, what must hold, test over the whole document). A `_smoke`
+# file answers to its experiment's predicates; "benchmark" is a result set
+# of benchmark/run.sh, where both sides of a ratio come from one run on one
+# box, so host speed cancels.
+PREDICATES = [
+    ("reconfig", "incremental reconfigures strictly faster than tuned (E1)",
+     lambda d: reconfig_of(d, "incremental") < reconfig_of(d, "tuned")),
+    ("interruption", "median <= p90 <= max blackout on every row (E21)",
+     lambda d: all((r["median blackout"] or 0) <= (r["p90 blackout"] or 0) <= (r["max blackout"] or 0)
+                   for r in rows(d))),
+    ("scale", "a fault is delivered to every shard: two partitions do one event more than one (E22)",
+     lambda d: all(r["sharded x2 events"] == r["sharded x1 events"] + 1 for r in rows(d, 1))),
+    ("scale", "shard events sum to the profile pass's total (E25)",
+     lambda d: all(sum(s["events"] for s in by(d, "topology", 4)[r["topology"]]) == r["profile events"]
+                   for r in rows(d, 3))),
+    ("worst_case", "every search boots its world exactly once (E24)",
+     lambda d: all(r["boots"] == 1 for r in rows(d))),
+    ("benchmark", "no workload had a failed op or check",
+     lambda d: all(w["failed"] == 0 for w in d["workloads"].values())),
+    ("benchmark", "the 2-partition cut-and-heal cycle costs at most 3x the classic one",
+     lambda d: cycle_ms(d, "ft256_cut_heal_sharded2") <= 3 * cycle_ms(d, "ft256_cut_heal")),
+    ("benchmark", "the smoke tier's 256-switch cold boot takes at most 642 666 + 10% events at seed 1991"
+                  " (1 804 969 while stale epochs were answered)",
+     lambda d: not (d["smoke"] and d["seed"] == 1991) or boot_events(d) <= 642_666 * 1.1),
+]
+
+
+def check_kinds(doc):
+    """Yields what is wrong with the file by its own column lists."""
+    for table in doc["tables"]:
+        kinds = dict(table["columns"])
+        for n, row in enumerate(table["rows"]):
+            if list(row) != list(kinds):
+                yield f"{table['title']!r} row {n}: keys are not the column list"
+                continue
+            for name, value in row.items():
+                if value is not None and not KINDS[kinds[name]](value):
+                    yield f"{table['title']!r} row {n}: {name!r} = {value!r} is not a {kinds[name]}"
+
+
+def exact(doc):
+    """The document with every wall value blanked: what must not move."""
+    for table in doc.setdefault("tables", []):
+        for row in table["rows"]:
+            for name, kind in table["columns"]:
+                if kind == "wall" and name in row:
+                    row[name] = None
+    return doc
+
+
+def differences(base, fresh):
+    """Yields where two blanked documents differ, cell by cell when they line up."""
+    if len(base["tables"]) != len(fresh["tables"]):
+        yield f"{len(fresh['tables'])} tables, committed copy has {len(base['tables'])}"
+    for old, new in zip(base["tables"], fresh["tables"]):
+        title = new["title"]
+        if (old["title"], old["columns"], len(old["rows"])) != (title, new["columns"], len(new["rows"])):
+            yield f"{title!r}: title, columns or row count differ from the committed copy"
+            continue
+        for n, (a, b) in enumerate(zip(old["rows"], new["rows"])):
+            for name in a:
+                if a[name] != b[name]:
+                    yield f"{title!r} row {n}: {name!r} is {b[name]!r}, committed copy has {a[name]!r}"
+
+
+def committed(path):
+    show = subprocess.run(["git", "show", f"HEAD:{os.path.basename(path)}"], capture_output=True, text=True)
+    return json.loads(show.stdout) if show.returncode == 0 else None
+
+
+def check_doc(path, doc):
+    """Yields what is wrong with one loaded file."""
+    report = "workloads" not in doc
+    experiment = doc["experiment"].removesuffix("_smoke") if report else "benchmark"
+    problems = list(check_kinds(doc)) if report else []
+    problems += [f"does not hold: {claim}" for name, claim, holds in PREDICATES
+                 if name == experiment and not problems and not holds(doc)]
+    base = committed(path) if report else None
+    if base is not None and not problems:
+        problems += differences(exact(base), exact(doc))
+    if not problems:
+        held_to = "the committed copy" if base is not None else "its kinds" if report else "nothing"
+        print(f"bench OK: {path} (held to {held_to} and the predicates)")
+    return problems
+
+
+def check(path):
+    try:
+        with open(path, encoding="utf-8") as f:
+            problems = check_doc(path, json.load(f))
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as e:
+        problems = [f"unreadable or not in the expected shape: {e!r}"]
+    return [f"{path}: {p}" for p in problems]
+
+
+def main(argv):
+    paths = argv[1:]
+    if not paths:
+        os.chdir(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+        tracked = subprocess.run(["git", "ls-files", "BENCH_*.json"], capture_output=True, text=True, check=True)
+        paths = sorted(set(glob.glob("BENCH_*.json")) | set(tracked.stdout.split()))
+    problems = [p for path in paths for p in check(path)]
+    for p in problems:
+        print(f"bench gate FAILED: {p}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
