@@ -11,13 +11,9 @@ use autonet_net::{NetEventKind, NetParams, Network};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{gen, HostId};
 
-struct Outcome {
-    failover: SimDuration,
-    relearn: SimDuration,
-    outage: SimDuration,
-}
-
-fn run(threshold: SimDuration, seed: u64) -> Outcome {
+/// After the crash: when the driver failed over, when the host had its
+/// address again, and how long it received nothing.
+fn run(threshold: SimDuration, seed: u64) -> [SimDuration; 3] {
     let mut topo = gen::ring(4, 51);
     gen::add_dual_homed_hosts(&mut topo, 1, 53);
     let mut params = NetParams::tuned();
@@ -78,11 +74,11 @@ fn run(threshold: SimDuration, seed: u64) -> Outcome {
         .map(|d| d.time)
         .min()
         .expect("traffic resumes");
-    Outcome {
-        failover: failover.saturating_since(crash_at),
-        relearn: relearn.saturating_since(crash_at),
-        outage: first_after.saturating_since(last_before),
-    }
+    [
+        failover.saturating_since(crash_at),
+        relearn.saturating_since(crash_at),
+        first_after.saturating_since(last_before),
+    ]
 }
 
 fn main() {
@@ -100,13 +96,13 @@ fn main() {
     );
     for (secs, paper) in [(1, "-"), (3, "~3 s"), (5, "-")] {
         let threshold = SimDuration::from_secs(secs);
-        let o = run(threshold, 61);
+        let [failover, relearn, outage] = run(threshold, 61);
         t.row([
             threshold.into(),
             paper.into(),
-            o.failover.into(),
-            o.relearn.into(),
-            o.outage.into(),
+            failover.into(),
+            relearn.into(),
+            outage.into(),
         ]);
     }
     Report::new("failover").table(t).finish();

@@ -18,9 +18,9 @@ use autonet_trace::{InterruptionConfig, InterruptionReport, Timeline};
 /// sampled by several probes.
 const PROBE_INTERVAL: SimDuration = SimDuration::from_millis(10);
 
-/// One row, after the topology's name: pairs, pairs dark, the median, p90
-/// and max over the dark pairs' longest windows, and the critical path.
-fn measure(topo: Topology, cut: LinkId, seed: u64) -> Vec<Value> {
+/// One row: the topology's name, pairs, pairs dark, the median, p90 and max
+/// over the dark pairs' longest windows, and the critical path.
+fn measure(name: &str, topo: Topology, cut: LinkId, seed: u64) -> Vec<Value> {
     let n_hosts = topo.num_hosts();
     let mut net = converge(topo, NetParams::tuned(), seed);
     // Let the hosts learn addresses, then establish the steady baseline.
@@ -62,6 +62,7 @@ fn measure(topo: Topology, cut: LinkId, seed: u64) -> Vec<Value> {
         .max_by_key(|cp| cp.total);
     let dominant = cp.as_ref().map(|cp| cp.dominant());
     vec![
+        name.into(),
         report.pairs.len().into(),
         per_pair_max.len().into(),
         quantile(&per_pair_max, 0.5).into(),
@@ -99,7 +100,7 @@ fn main() {
     );
     for (name, mut topo, cut) in cases {
         gen::add_dual_homed_hosts(&mut topo, 1, 7);
-        t.row([name.into()].into_iter().chain(measure(topo, cut, 42)));
+        t.row(measure(name, topo, cut, 42));
     }
     Report::new("interruption").table(t).finish();
     println!(

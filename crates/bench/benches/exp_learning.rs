@@ -119,8 +119,8 @@ fn main() {
     ]);
     Report::new("learning").table(t).finish();
     println!(
-        "\nShape check: broadcast fallbacks are a small percentage of data\n\
-         (gratuitous ARPs prime caches at bring-up); ARPs only ride along\n\
+        "\nShape check: broadcast fallbacks are few or none (gratuitous\n\
+         ARPs prime caches at bring-up); ARPs only ride along\n\
          when an entry has gone stale; the per-packet cache cost is one or\n\
          two map operations — the moral equivalent of the paper's 15 VAX\n\
          instructions; and traffic resumes after an enforced short-address\n\

@@ -57,7 +57,8 @@ fn main() {
     Report::new("reconfig_scaling").table(t).finish();
     println!(
         "\nShape check: time grows with the maximum switch-to-switch\n\
-         distance; networks of very different sizes but similar diameter\n\
-         (e.g. torus 6x6 vs ring 8) should land close together."
+         distance (follow the rings); networks of very different sizes but\n\
+         similar diameter (e.g. torus 4×4 vs torus 5×5, torus 6×6 vs 4×8)\n\
+         land close together."
     );
 }

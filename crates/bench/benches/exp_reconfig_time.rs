@@ -15,7 +15,7 @@
 //! incremental pipeline (table-distribute must shrink vs `tuned`). Every
 //! time is the median over the row's faults.
 
-use autonet_bench::{converge, measure_reconfiguration, quantile, Report, Table, Value};
+use autonet_bench::{converge, measure_reconfiguration, quantile, Report, Table};
 use autonet_net::NetParams;
 use autonet_sim::SimDuration;
 use autonet_topo::{gen, LinkId, Topology};
@@ -71,8 +71,9 @@ fn measure_preset(spec: &PresetRow<'_>, times: &mut Table, cache: &mut Table) {
         .iter()
         .copied()
         .max_by_key(|p| dominants.iter().filter(|q| *q == p).count());
-    let label = || [spec.name.into(), spec.topo_label.into()];
-    let cells = [
+    times.row([
+        spec.name.into(),
+        spec.topo_label.into(),
         spec.paper.into(),
         reconfig.len().into(),
         quantile(&reconfig, 0.5).into(),
@@ -80,12 +81,16 @@ fn measure_preset(spec: &PresetRow<'_>, times: &mut Table, cache: &mut Table) {
         quantile(&total, 0.5).into(),
         dominant.into(),
         quantile(&table_dist, 0.5).into(),
-    ];
-    times.row(label().into_iter().chain(cells));
+    ]);
     let s = cache_stats.expect("every network shares a route cache");
-    let counters = [s.builds, s.served_memo, s.delta_reused, s.synthesized];
-    let counters = counters.map(Value::Count);
-    cache.row(label().into_iter().chain(counters));
+    cache.row([
+        spec.name.into(),
+        spec.topo_label.into(),
+        s.builds.into(),
+        s.served_memo.into(),
+        s.delta_reused.into(),
+        s.synthesized.into(),
+    ]);
 }
 
 fn main() {

@@ -22,10 +22,10 @@
 //! 2. a **profile pass** — the same scenario through
 //!    [`PartitionedNetwork`] with tracing and shard telemetry on, which
 //!    answers *where the wall time goes*: barrier-wait fraction,
-//!    load-imbalance index, per-shard execution profiles, and (for the flagship row) the causal span
-//!    tree exported as a Perfetto-loadable Chrome trace under
-//!    `artifacts/`. The profile pass's own wall is in its row, so the
-//!    price of observation stays visible.
+//!    load-imbalance index, per-shard execution profiles, and (for the
+//!    flagship row) the causal span tree exported as a Perfetto-loadable
+//!    Chrome trace under `artifacts/`. The profile pass's own wall is in
+//!    its row, so the price of observation stays visible.
 //!
 //! `SCALE_SMOKE=1` runs only the 256-switch rows (the CI smoke tier).
 
@@ -37,49 +37,32 @@ use autonet_topo::{gen, LinkId, SwitchId, Topology};
 use autonet_trace::SpanTree;
 use std::time::Instant;
 
-/// Sim and wall clock of one run: bring-up, then cut to healed.
-struct Walls {
+/// Sim and wall clock of one run — bring-up, then cut to healed — and the
+/// exact work of the bring-up: a pure function of topology, preset and
+/// seed, so a change in it is a change in the protocol.
+struct Cycle {
     bring_sim: SimDuration,
     bring_wall: f64,
-    bring: Work,
+    bring_events: u64,
+    bring_ctrl_msgs: u64,
+    bring_epochs: u64,
+    bring_msgs: MsgDisposition,
     cut_sim: SimDuration,
     cut_wall: f64,
     events: u64,
 }
 
-/// The exact work of a bring-up: a pure function of topology, preset and
-/// seed, so a change in any of these is a change in the protocol.
-struct Work {
-    events: u64,
-    ctrl_msgs: u64,
-    epochs: u64,
-    msgs: MsgDisposition,
-}
-
-impl Work {
-    fn of<D: Driver>(net: &Net<D>) -> Work {
-        Work {
-            events: net.events_processed(),
-            ctrl_msgs: net.stats().control_sent,
-            epochs: net.autopilot(SwitchId(0)).epoch().0,
-            msgs: net.reconfig_msgs(),
-        }
-    }
-
-    /// Share of the handled reconfiguration messages that were stale.
-    fn stale_frac(&self) -> f64 {
-        self.msgs.stale as f64 / self.msgs.total().max(1) as f64
-    }
-}
-
 /// The scenario every pass runs, on either kernel: cold bring-up, cut
 /// trunk 0, run until healed.
-fn cycle<D: Driver>(net: &mut Net<D>) -> Option<Walls> {
+fn cycle<D: Driver>(net: &mut Net<D>) -> Option<Cycle> {
     let wall = Instant::now();
     net.run_until_stable_every(SimDuration::from_millis(100), SimTime::from_secs(300))?;
     let bring_wall = wall.elapsed().as_secs_f64();
     let bring_sim = SimDuration::from_nanos(net.now().as_nanos());
-    let bring = Work::of(net);
+    let bring_events = net.events_processed();
+    let bring_ctrl_msgs = net.stats().control_sent;
+    let bring_epochs = net.autopilot(SwitchId(0)).epoch().0;
+    let bring_msgs = net.reconfig_msgs();
     net.schedule_link_down(net.now() + SimDuration::from_millis(10), LinkId(0));
     let cut_from = net.now();
     let wall = Instant::now();
@@ -87,10 +70,13 @@ fn cycle<D: Driver>(net: &mut Net<D>) -> Option<Walls> {
         SimDuration::from_millis(50),
         net.now() + SimDuration::from_secs(60),
     )?;
-    Some(Walls {
+    Some(Cycle {
         bring_sim,
         bring_wall,
-        bring,
+        bring_events,
+        bring_ctrl_msgs,
+        bring_epochs,
+        bring_msgs,
         cut_sim: net.now().saturating_since(cut_from),
         cut_wall: wall.elapsed().as_secs_f64(),
         events: net.events_processed(),
@@ -221,7 +207,6 @@ fn measure(
         .route_cache_stats()
         .expect("every network shares a route cache");
     drop(net);
-    let work = &classic.bring;
     let total_wall = classic.bring_wall + classic.cut_wall;
     let total_sim = (classic.bring_sim + classic.cut_sim).as_secs_f64();
     let sharded1 = cycle(&mut PartitionedNetwork::new(topo.clone(), scale, 2, 1))?;
@@ -243,15 +228,16 @@ fn measure(
         wall(classic.events as f64 / total_wall / 1e3),
         wall(total_wall / total_sim),
     ]);
+    let msgs = classic.bring_msgs;
     t.work.row([
         name.into(),
-        work.events.into(),
-        work.ctrl_msgs.into(),
-        work.epochs.into(),
-        work.msgs.joined.into(),
-        work.msgs.current.into(),
-        work.msgs.stale.into(),
-        work.stale_frac().into(),
+        classic.bring_events.into(),
+        classic.bring_ctrl_msgs.into(),
+        classic.bring_epochs.into(),
+        msgs.joined.into(),
+        msgs.current.into(),
+        msgs.stale.into(),
+        (msgs.stale as f64 / msgs.total().max(1) as f64).into(),
         classic.events.into(),
         sharded1.events.into(),
         sharded2.events.into(),

@@ -10,11 +10,11 @@ use autonet_bench::{mean, Report, Table};
 use autonet_sim::SimDuration;
 use autonet_switch::datapath::{DatapathConfig, DatapathSim};
 use autonet_switch::{ForwardingEntry, PortSet};
-use autonet_wire::ShortAddress;
+use autonet_wire::{ShortAddress, SLOT_NS};
 
-/// One 80 ns slot per datapath tick.
+/// One slot per datapath tick.
 fn slots(ticks: u64) -> SimDuration {
-    SimDuration::from_nanos(ticks * 80)
+    SimDuration::from_nanos(ticks * SLOT_NS)
 }
 
 struct Outcome {

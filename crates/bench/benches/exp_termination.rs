@@ -27,7 +27,7 @@ fn epoch(net: &Network) -> u64 {
     epochs.max().unwrap_or(0)
 }
 
-fn run_mode(topo: Topology, mode: TerminationMode, seed: u64) -> Vec<Value> {
+fn run_mode(name: &str, topo: Topology, mode: TerminationMode, seed: u64) -> Vec<Value> {
     let mut params = NetParams::tuned();
     params.autopilot.termination = mode;
     let mut net = Network::new(topo, params, seed);
@@ -65,6 +65,7 @@ fn run_mode(topo: Topology, mode: TerminationMode, seed: u64) -> Vec<Value> {
         .and_then(|t| t.into_iter().max())
         .map(|t| t.saturating_since(fault_at));
     vec![
+        name.into(),
         reopen.into(),
         settled.into(),
         bringup_epochs.into(),
@@ -101,8 +102,7 @@ fn main() {
         ("timeout 250 ms", timeout(250)),
         ("timeout 1000 ms", timeout(1000)),
     ] {
-        let cells = run_mode(gen::src_network(81), mode, 7);
-        t.row([name.into()].into_iter().chain(cells));
+        t.row(run_mode(name, gen::src_network(81), mode, 7));
     }
     Report::new("termination").table(t).finish();
     println!(

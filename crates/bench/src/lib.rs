@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 
 /// One cell of a [`Table`] row. Everything but [`Value::Wall`] is a pure
 /// function of the experiment's seeds and is gated for exact equality.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub enum Value {
     /// An exact count.
     Count(u64),
@@ -250,13 +250,12 @@ impl Report {
 
     /// Prints the tables and writes `BENCH_<experiment>.json` at the
     /// repository root (resolved relative to this crate's manifest, so the
-    /// bench can run from any working directory). Returns the path written.
-    pub fn finish(self) -> PathBuf {
+    /// bench can run from any working directory).
+    pub fn finish(self) {
         self.tables.iter().for_each(|t| print!("{}", t.render()));
         let path = repo_root().join(format!("BENCH_{}.json", self.experiment));
         std::fs::write(&path, self.to_json()).expect("bench JSON must be writable");
         println!("\nwrote {}", path.display());
-        path
     }
 }
 

@@ -35,10 +35,10 @@ cargo test --release -q --test worst_case -- --ignored
 cargo test --release -q --test worst_case_goldens -- --include-ignored
 
 echo "==> experiments: every exp_* target rewrites its BENCH_*.json"
+cargo test -q -p autonet-bench --lib
 # E22 and E24 run their smoke tiers, which write BENCH_*_smoke.json; their
 # full sizes (minutes) are a by-hand `cargo bench`. The rest rewrite their
 # committed rows, so the tree stays clean unless behaviour moved.
-cargo test -q -p autonet-bench --lib
 for bench in crates/bench/benches/exp_*.rs; do
     SCALE_SMOKE=1 WORST_CASE_SMOKE=1 \
         cargo bench -q -p autonet-bench --bench "$(basename "$bench" .rs)" >/dev/null

@@ -105,7 +105,7 @@ def check_kinds(doc):
 
 def exact(doc):
     """The document with every wall value blanked: what must not move."""
-    for table in doc.setdefault("tables", []):
+    for table in doc["tables"]:
         for row in table["rows"]:
             for name, kind in table["columns"]:
                 if kind == "wall" and name in row:
@@ -144,8 +144,8 @@ def check_doc(path, doc):
     if base is not None and not problems:
         problems += differences(exact(base), exact(doc))
     if not problems:
-        held_to = "the committed copy" if base is not None else "its kinds" if report else "nothing"
-        print(f"bench OK: {path} (held to {held_to} and the predicates)")
+        held_to = "the committed copy and " if base is not None else "its kinds and " if report else ""
+        print(f"bench OK: {path} (held to {held_to}the predicates)")
     return problems
 
 
