@@ -83,15 +83,10 @@ fn cycle<D: Driver>(net: &mut Net<D>) -> Option<Cycle> {
     })
 }
 
-/// How many event-loop shards the profile pass runs with: the machine's
-/// parallelism, clamped to [2, 8] so telemetry always exercises the
-/// threaded path and huge hosts don't shard a 256-switch world to dust.
-fn partitions() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(2, 8)
-}
+/// How many event-loop shards the profile pass runs with. A constant, not
+/// the host's core count: `profile events` (one extra event per fault per
+/// extra shard) and the per-shard table's row count are exact-gated.
+const PARTITIONS: usize = 2;
 
 /// The report's five tables, one row per topology in each but `shards`
 /// (one per shard of the profile pass).
@@ -262,7 +257,7 @@ fn measure(
         tracing: true,
         ..NetParams::scale()
     };
-    let mut prof = PartitionedNetwork::new(topo, params, 2, partitions());
+    let mut prof = PartitionedNetwork::new(topo, params, 2, PARTITIONS);
     let profiled = cycle(&mut prof)?;
     let metrics = prof.kernel_metrics();
     let wait_us = |q: f64| {
@@ -299,7 +294,7 @@ fn measure(
     }
 
     let trace_path = trace_to.map(|rel| {
-        let records = prof.merged_trace_records();
+        let records = prof.merged_trace();
         let timeline = autonet_trace::Timeline::build(&records);
         let tree = SpanTree::build(&timeline, None);
         let path = write_artifact(rel, &tree.to_chrome_trace());
@@ -318,8 +313,7 @@ fn main() {
         .map(|v| v == "1")
         .unwrap_or(false);
     println!(
-        "E22: sim-kernel scale (scale preset; profile pass: {} partitions + tracing{})",
-        partitions(),
+        "E22: sim-kernel scale (scale preset; profile pass: {PARTITIONS} partitions + tracing{})",
         if smoke { ", smoke tier" } else { "" }
     );
 

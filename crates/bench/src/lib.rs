@@ -167,7 +167,7 @@ impl Table {
     }
 
     /// The aligned pipe form EXPERIMENTS.md pastes.
-    fn render(&self) -> String {
+    pub fn render(&self) -> String {
         let mut grid: Vec<Vec<String>> = vec![self.columns.iter().map(|c| c.0.clone()).collect()];
         grid.extend(
             self.rows

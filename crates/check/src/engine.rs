@@ -27,7 +27,7 @@ use autonet_trace::{
 
 use crate::oracle::{check_blackouts, OracleConfig, OracleState, Violation};
 use crate::scenario::{FaultOp, Scenario, TopoSpec};
-use crate::substrate::{PacketSubstrate, SlotSubstrate, Substrate};
+use crate::substrate::{crossing_links, PacketSubstrate, SlotSubstrate, Substrate};
 
 /// What a campaign run produced.
 #[derive(Clone, Debug, PartialEq)]
@@ -70,17 +70,6 @@ impl CheckOutcome {
 
 /// Mirrors a fault op into the engine's view of intended physical state.
 fn mirror(view: &mut NetView<'_>, topo: &Topology, op: &FaultOp) {
-    let crossing: Vec<LinkId> = match op {
-        FaultOp::Partition { side } | FaultOp::Heal { side } => topo
-            .link_ids()
-            .filter(|&l| {
-                let spec = topo.link(l);
-                let inside = |s: SwitchId| side.contains(&s.0);
-                !spec.is_loopback() && inside(spec.a.switch) != inside(spec.b.switch)
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
     match op {
         FaultOp::LinkDown(l) => view.fail_link(LinkId(*l)),
         FaultOp::LinkUp(l) => view.repair_link(LinkId(*l)),
@@ -88,8 +77,16 @@ fn mirror(view: &mut NetView<'_>, topo: &Topology, op: &FaultOp) {
         FaultOp::SwitchUp(s) => view.repair_switch(SwitchId(*s)),
         // A completed flap sequence leaves the link up.
         FaultOp::LinkFlaps { link, .. } => view.repair_link(LinkId(*link)),
-        FaultOp::Partition { .. } => crossing.iter().for_each(|&l| view.fail_link(l)),
-        FaultOp::Heal { .. } => crossing.iter().for_each(|&l| view.repair_link(l)),
+        FaultOp::Partition { side } => {
+            for l in crossing_links(topo, side) {
+                view.fail_link(l);
+            }
+        }
+        FaultOp::Heal { side } => {
+            for l in crossing_links(topo, side) {
+                view.repair_link(l);
+            }
+        }
         FaultOp::HostPowerOff(_) | FaultOp::HostPowerOn(_) | FaultOp::Waypoint { .. } => {}
     }
 }

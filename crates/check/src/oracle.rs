@@ -49,14 +49,6 @@ pub struct OracleConfig {
     pub bringup_budget_ms: u64,
     /// Simulation chunk between oracle evaluations.
     pub step_ms: u64,
-    /// Individual oracle switches (all on by default).
-    pub check_epochs: bool,
-    /// Check the installed-table channel graph.
-    pub check_tables: bool,
-    /// Check the skeptic readmission bound.
-    pub check_skeptic: bool,
-    /// Check single-epoch agreement at quiescence waypoints.
-    pub check_quiescence: bool,
     /// Run service-interruption probes (topologies with ≥ 2 hosts only)
     /// and check every blackout window at campaign end.
     pub check_blackouts: bool,
@@ -91,10 +83,6 @@ impl OracleConfig {
                     .saturating_mul(u64::from(p.classify_samples.saturating_sub(1))),
             bringup_budget_ms: 120_000,
             step_ms: 20,
-            check_epochs: true,
-            check_tables: true,
-            check_skeptic: true,
-            check_quiescence: true,
             check_blackouts: true,
             probe_interval: SimDuration::from_millis(25),
             blackout_slack: SimDuration::from_secs(6),
@@ -423,16 +411,14 @@ impl OracleState {
         for rec in records {
             match &rec.event {
                 Event::NetworkOpened { epoch } => {
-                    if self.cfg.check_epochs {
-                        if let Some(prev) = self.last_open_epoch[rec.node] {
-                            if *epoch <= prev {
-                                return Some(Violation::EpochRegression {
-                                    node: rec.node,
-                                    prev,
-                                    new: *epoch,
-                                    time: rec.time,
-                                });
-                            }
+                    if let Some(prev) = self.last_open_epoch[rec.node] {
+                        if *epoch <= prev {
+                            return Some(Violation::EpochRegression {
+                                node: rec.node,
+                                prev,
+                                new: *epoch,
+                                time: rec.time,
+                            });
                         }
                     }
                     self.last_open_epoch[rec.node] = Some(*epoch);
@@ -461,9 +447,6 @@ impl OracleState {
     }
 
     fn check_tables(&self, topo: &Topology, node: usize, time: SimTime) -> Option<Violation> {
-        if !self.cfg.check_tables {
-            return None;
-        }
         // Tables are checked one epoch at a time: within an epoch every
         // open switch routes on the same agreed topology, and that union
         // is what the paper claims acyclic. While an epoch transition is
@@ -517,7 +500,7 @@ impl OracleState {
                     // Good closes the episode whether or not it is checked
                     // (bring-up admissions while unarmed still clear it).
                     if let Some(td) = self.dead_since[o.node].remove(&o.port) {
-                        if newly && self.armed && self.cfg.check_skeptic {
+                        if newly && self.armed {
                             let held = now - td;
                             let slop = SimDuration::from_millis(self.cfg.step_ms);
                             if held + slop < self.cfg.skeptic_bound {
@@ -551,9 +534,6 @@ impl OracleState {
         snapshots: &[NodeSnapshot],
     ) -> Option<Violation> {
         self.armed = true;
-        if !self.cfg.check_quiescence {
-            return None;
-        }
         for component in connected_components(view) {
             let mut agreed: Option<(usize, Epoch, Option<Uid>)> = None;
             for &sid in &component {

@@ -11,7 +11,7 @@
 //! code-violation noise on both ends of the link until the samplers
 //! condemn it, silence to let the skeptics readmit it.
 
-use autonet_core::{AutopilotParams, Epoch, PortState};
+use autonet_core::{Autopilot, AutopilotParams, Epoch, PortState};
 use autonet_net::{Driver, Net, Network, PartitionedNetwork, SlotNet};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{HostId, LinkId, NetView, SwitchId, Topology};
@@ -61,10 +61,41 @@ pub trait Substrate {
     fn apply(&mut self, op: &FaultOp, topo: &Topology);
     /// Drains the typed event spine since the last drain.
     fn drain_control(&mut self) -> Vec<TraceRecord>;
+    /// Switch `s`'s control program, for the two samplers below.
+    fn autopilot(&self, s: SwitchId) -> &Autopilot;
     /// Samples every switch's control-plane state.
-    fn snapshots(&self, topo: &Topology) -> Vec<NodeSnapshot>;
+    fn snapshots(&self, topo: &Topology) -> Vec<NodeSnapshot> {
+        topo.switch_ids()
+            .map(|s| {
+                let a = self.autopilot(s);
+                NodeSnapshot {
+                    node: s.0,
+                    open: a.is_open(),
+                    epoch: a.epoch(),
+                    root: a.global().map(|g| g.root),
+                    topo_size: a.global().map(|g| g.switches.len()),
+                }
+            })
+            .collect()
+    }
     /// Samples the classification of every cabled trunk port.
-    fn observe_ports(&self, topo: &Topology) -> Vec<PortObservation>;
+    fn observe_ports(&self, topo: &Topology) -> Vec<PortObservation> {
+        let mut obs = Vec::new();
+        for s in topo.switch_ids() {
+            let a = self.autopilot(s);
+            for (port, l) in topo.links_at(s) {
+                if topo.link(l).is_loopback() {
+                    continue;
+                }
+                obs.push(PortObservation {
+                    node: s.0,
+                    port,
+                    state: a.port_state(port),
+                });
+            }
+        }
+        obs
+    }
     /// Whether the control plane has settled, given the engine's mirror
     /// of the intended physical state.
     fn quiescent(&self, view: &NetView<'_>) -> bool;
@@ -85,7 +116,7 @@ pub trait Substrate {
 }
 
 /// Links with exactly one end inside `side`.
-fn crossing_links(topo: &Topology, side: &[usize]) -> Vec<LinkId> {
+pub(crate) fn crossing_links(topo: &Topology, side: &[usize]) -> Vec<LinkId> {
     let inside = |s: SwitchId| side.contains(&s.0);
     topo.link_ids()
         .filter(|&l| {
@@ -214,37 +245,8 @@ where
         self.net.drain_trace_records()
     }
 
-    fn snapshots(&self, topo: &Topology) -> Vec<NodeSnapshot> {
-        topo.switch_ids()
-            .map(|s| {
-                let a = self.net.autopilot(s);
-                NodeSnapshot {
-                    node: s.0,
-                    open: a.is_open(),
-                    epoch: a.epoch(),
-                    root: a.global().map(|g| g.root),
-                    topo_size: a.global().map(|g| g.switches.len()),
-                }
-            })
-            .collect()
-    }
-
-    fn observe_ports(&self, topo: &Topology) -> Vec<PortObservation> {
-        let mut obs = Vec::new();
-        for s in topo.switch_ids() {
-            let a = self.net.autopilot(s);
-            for (port, l) in topo.links_at(s) {
-                if topo.link(l).is_loopback() {
-                    continue;
-                }
-                obs.push(PortObservation {
-                    node: s.0,
-                    port,
-                    state: a.port_state(port),
-                });
-            }
-        }
-        obs
+    fn autopilot(&self, s: SwitchId) -> &Autopilot {
+        self.net.autopilot(s)
     }
 
     fn quiescent(&self, view: &NetView<'_>) -> bool {
@@ -351,37 +353,8 @@ impl Substrate for SlotSubstrate {
         self.net.drain_trace_records()
     }
 
-    fn snapshots(&self, topo: &Topology) -> Vec<NodeSnapshot> {
-        topo.switch_ids()
-            .map(|s| {
-                let a = self.net.autopilot(s);
-                NodeSnapshot {
-                    node: s.0,
-                    open: a.is_open(),
-                    epoch: a.epoch(),
-                    root: a.global().map(|g| g.root),
-                    topo_size: a.global().map(|g| g.switches.len()),
-                }
-            })
-            .collect()
-    }
-
-    fn observe_ports(&self, topo: &Topology) -> Vec<PortObservation> {
-        let mut obs = Vec::new();
-        for s in topo.switch_ids() {
-            let a = self.net.autopilot(s);
-            for (port, l) in topo.links_at(s) {
-                if topo.link(l).is_loopback() {
-                    continue;
-                }
-                obs.push(PortObservation {
-                    node: s.0,
-                    port,
-                    state: a.port_state(port),
-                });
-            }
-        }
-        obs
+    fn autopilot(&self, s: SwitchId) -> &Autopilot {
+        self.net.autopilot(s)
     }
 
     fn quiescent(&self, view: &NetView<'_>) -> bool {

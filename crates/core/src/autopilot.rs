@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-use autonet_sim::{SimTime, TraceLog};
+use autonet_sim::SimTime;
 use autonet_switch::{ForwardingTable, LinkUnitStatus};
 use autonet_wire::{PortIndex, ShortAddress, SwitchNumber, Uid, MAX_PORTS};
 
@@ -60,6 +60,10 @@ pub enum Action {
     },
     /// Host traffic stopped (a reconfiguration began).
     NetworkClosed,
+    /// Something observable happened (§6.7's event log): handed over by
+    /// value, in the order it happened, for the environment to record.
+    /// Emitted only while tracing is on.
+    Trace(Event),
 }
 
 /// The table a switch runs with while an epoch forms: the constant
@@ -86,10 +90,8 @@ pub struct Autopilot {
     engine: ReconfigEngine,
     open: bool,
     proposed_number: SwitchNumber,
-    /// Timestamped typed event log (§6.7); merged across switches for
-    /// debugging, flushed into the network-wide trace spine by harnesses.
-    pub log: TraceLog<Event>,
-    log_source: u32,
+    /// Whether entry points emit [`Action::Trace`] events.
+    tracing: bool,
     /// Cause of the reconfiguration currently being started locally, so
     /// the engine's `Started` event can be logged with it. `None` means
     /// the epoch was joined from a neighbor's message.
@@ -103,9 +105,9 @@ pub struct Autopilot {
 }
 
 impl Autopilot {
-    /// Creates the control program for the switch with the given UID.
-    /// `log_source` labels this switch's entries in merged trace logs.
-    pub fn new(uid: Uid, params: AutopilotParams, log_source: u32) -> Self {
+    /// Creates the control program for the switch with the given UID,
+    /// tracing on.
+    pub fn new(uid: Uid, params: AutopilotParams) -> Self {
         let samplers = (0..MAX_PORTS)
             .map(|_| StatusSampler::new(&params))
             .collect();
@@ -120,8 +122,7 @@ impl Autopilot {
             engine: ReconfigEngine::new(uid, &params),
             open: false,
             proposed_number: 1,
-            log: TraceLog::new(256),
-            log_source,
+            tracing: true,
             pending_cause: None,
             reconfigs_triggered: 0,
             srp_replies: Vec::new(),
@@ -136,15 +137,18 @@ impl Autopilot {
         self.route_cache = Some(cache);
     }
 
-    /// Turns event tracing on or off. Disabling replaces the ring with an
-    /// unallocated no-op log, so performance runs pay one branch per
-    /// would-be entry and allocate nothing.
+    /// Turns event tracing on or off. When off, no entry point returns an
+    /// [`Action::Trace`]: performance runs pay one branch per would-be
+    /// event and build no `TableInstalled` payload.
     pub fn set_tracing(&mut self, enabled: bool) {
-        self.log = if enabled {
-            TraceLog::new(256)
-        } else {
-            TraceLog::disabled()
-        };
+        self.tracing = enabled;
+    }
+
+    /// Hands `event` to the environment with the entry point's actions.
+    fn trace(&self, actions: &mut Vec<Action>, event: Event) {
+        if self.tracing {
+            actions.push(Action::Trace(event));
+        }
     }
 
     /// This switch's UID.
@@ -229,9 +233,10 @@ impl Autopilot {
 
     /// Power-on: configure the (so far lone) switch.
     pub fn boot(&mut self, now: SimTime) -> Vec<Action> {
-        self.log
-            .log(now, self.log_source, Event::Boot { uid: self.uid });
-        self.trigger_reconfiguration(now, ReconfigCause::Boot)
+        let mut actions = Vec::new();
+        self.trace(&mut actions, Event::Boot { uid: self.uid });
+        actions.extend(self.trigger_reconfiguration(now, ReconfigCause::Boot));
+        actions
     }
 
     /// Feeds one port's status snapshot (called every sampling interval).
@@ -253,9 +258,8 @@ impl Autopilot {
                 (PortState::Checking, _) if to != PortState::Dead => TransitionCause::Classified,
                 _ => TransitionCause::Relapse,
             };
-            self.log.log(
-                now,
-                self.log_source,
+            self.trace(
+                &mut actions,
                 Event::PortTransition {
                     port,
                     from,
@@ -268,9 +272,8 @@ impl Autopilot {
                 TransitionCause::Classified => SkepticVerdict::Accept,
                 _ => SkepticVerdict::Hold,
             };
-            self.log.log(
-                now,
-                self.log_source,
+            self.trace(
+                &mut actions,
                 Event::SkepticDecision {
                     port,
                     skeptic: SkepticKind::Status,
@@ -285,7 +288,7 @@ impl Autopilot {
                     let hosts = self.host_ports();
                     let proposed = self.proposed_number;
                     self.engine.update_local_info(proposed, hosts);
-                    self.reload_table(now, &mut actions);
+                    self.reload_table(&mut actions);
                     if from.is_switch() {
                         // Shouldn't happen (sampler goes via checking), but
                         // keep the monitor consistent.
@@ -339,9 +342,8 @@ impl Autopilot {
                 );
                 match ev {
                     Some(ConnectivityEvent::BecameGood(_)) => {
-                        self.log.log(
-                            now,
-                            self.log_source,
+                        self.trace(
+                            &mut actions,
                             Event::PortTransition {
                                 port,
                                 from: PortState::SwitchWho,
@@ -349,9 +351,8 @@ impl Autopilot {
                                 cause: TransitionCause::NeighborVerified,
                             },
                         );
-                        self.log.log(
-                            now,
-                            self.log_source,
+                        self.trace(
+                            &mut actions,
                             Event::SkepticDecision {
                                 port,
                                 skeptic: SkepticKind::Connectivity,
@@ -363,14 +364,13 @@ impl Autopilot {
                             .extend(self.trigger_reconfiguration(now, ReconfigCause::NewNeighbor));
                     }
                     Some(ConnectivityEvent::LostGood) => {
-                        self.log_connectivity_demotion(now, port);
+                        self.log_connectivity_demotion(port, &mut actions);
                         actions
                             .extend(self.trigger_reconfiguration(now, ReconfigCause::NeighborLost));
                     }
                     Some(ConnectivityEvent::BecameLoop) => {
-                        self.log.log(
-                            now,
-                            self.log_source,
+                        self.trace(
+                            &mut actions,
                             Event::PortTransition {
                                 port,
                                 from: PortState::SwitchWho,
@@ -405,7 +405,7 @@ impl Autopilot {
             _ => {
                 // Reconfiguration protocol.
                 let outs = self.engine.on_msg(now, port, msg);
-                self.apply_engine_outputs(now, outs, &mut actions);
+                self.apply_engine_outputs(outs, &mut actions);
             }
         }
         actions
@@ -423,21 +423,20 @@ impl Autopilot {
                 });
             }
             if let Some(ConnectivityEvent::LostGood) = ev {
-                self.log_connectivity_demotion(now, p as PortIndex);
+                self.log_connectivity_demotion(p as PortIndex, &mut actions);
                 actions.extend(self.trigger_reconfiguration(now, ReconfigCause::ProbeTimeout));
             }
         }
         let outs = self.engine.on_tick(now);
-        self.apply_engine_outputs(now, outs, &mut actions);
+        self.apply_engine_outputs(outs, &mut actions);
         actions
     }
 
     /// Logs a verified switch port falling back to `s.switch.who`, with
     /// the connectivity skeptic's raised hold.
-    fn log_connectivity_demotion(&mut self, now: SimTime, port: PortIndex) {
-        self.log.log(
-            now,
-            self.log_source,
+    fn log_connectivity_demotion(&self, port: PortIndex, actions: &mut Vec<Action>) {
+        self.trace(
+            actions,
             Event::PortTransition {
                 port,
                 from: PortState::SwitchGood,
@@ -445,9 +444,8 @@ impl Autopilot {
                 cause: TransitionCause::Relapse,
             },
         );
-        self.log.log(
-            now,
-            self.log_source,
+        self.trace(
+            actions,
             Event::SkepticDecision {
                 port,
                 skeptic: SkepticKind::Connectivity,
@@ -466,43 +464,36 @@ impl Autopilot {
         let proposed = self.proposed_number;
         let outs = self.engine.start(now, neighbors, proposed, hosts);
         let mut actions = Vec::new();
-        self.apply_engine_outputs(now, outs, &mut actions);
+        self.apply_engine_outputs(outs, &mut actions);
         self.pending_cause = None;
         actions
     }
 
-    fn apply_engine_outputs(
-        &mut self,
-        now: SimTime,
-        outs: Vec<ReconfigOutput>,
-        actions: &mut Vec<Action>,
-    ) {
+    fn apply_engine_outputs(&mut self, outs: Vec<ReconfigOutput>, actions: &mut Vec<Action>) {
         for out in outs {
             match out {
                 ReconfigOutput::Send { port, msg } => actions.push(Action::Send { port, msg }),
                 ReconfigOutput::ClearTable => {
                     if self.open {
                         self.open = false;
-                        self.log.log(
-                            now,
-                            self.log_source,
+                        self.trace(
+                            actions,
                             Event::NetworkClosed {
                                 epoch: self.engine.epoch(),
                             },
                         );
                         actions.push(Action::NetworkClosed);
                     }
-                    self.install_table(now, self.engine.epoch(), cleared_table(), actions);
+                    self.install_table(self.engine.epoch(), cleared_table(), actions);
                 }
                 ReconfigOutput::Completed(global) => {
                     if let Some(num) = global.number_of(self.uid) {
                         self.proposed_number = num;
                     }
-                    self.reload_table(now, actions);
+                    self.reload_table(actions);
                     self.open = true;
-                    self.log.log(
-                        now,
-                        self.log_source,
+                    self.trace(
+                        actions,
                         Event::NetworkOpened {
                             epoch: global.epoch,
                         },
@@ -512,9 +503,8 @@ impl Autopilot {
                     });
                 }
                 ReconfigOutput::Event(ReconfigEvent::Started(epoch)) => {
-                    self.log.log(
-                        now,
-                        self.log_source,
+                    self.trace(
+                        actions,
                         Event::ReconfigTriggered {
                             epoch,
                             // A locally detected cause if we started this
@@ -524,15 +514,10 @@ impl Autopilot {
                     );
                 }
                 ReconfigOutput::Event(ReconfigEvent::RootTerminated(epoch)) => {
-                    self.log
-                        .log(now, self.log_source, Event::TreeStable { epoch });
+                    self.trace(actions, Event::TreeStable { epoch });
                 }
                 ReconfigOutput::Event(ReconfigEvent::AddressesAssigned(epoch, switches)) => {
-                    self.log.log(
-                        now,
-                        self.log_source,
-                        Event::AddressesAssigned { epoch, switches },
-                    );
+                    self.trace(actions, Event::AddressesAssigned { epoch, switches });
                 }
             }
         }
@@ -542,7 +527,7 @@ impl Autopilot {
     /// and the live host-port set. The topology is borrowed in place —
     /// not cloned per reload — and served through the shared route cache
     /// when one is attached.
-    fn reload_table(&mut self, now: SimTime, actions: &mut Vec<Action>) {
+    fn reload_table(&mut self, actions: &mut Vec<Action>) {
         let hosts = self.host_ports();
         let Some(global) = self.engine.global() else {
             return;
@@ -553,34 +538,23 @@ impl Autopilot {
             None => compute_forwarding_table(global, self.uid, &hosts, RouteKind::UpDown),
         };
         if let Some(table) = table {
-            self.install_table(now, epoch, table, actions);
+            self.install_table(epoch, table, actions);
         } else {
             // A malformed topology (timeout-baseline failure mode): leave
             // the cleared table in place rather than load garbage routes.
-            self.log
-                .log(now, self.log_source, Event::UnroutableTopology { epoch });
+            self.trace(actions, Event::UnroutableTopology { epoch });
         }
     }
 
     /// Loads `table` into the hardware and traces the install. The trace
     /// event carries its own copy of the table, made only when someone is
     /// recording.
-    fn install_table(
-        &mut self,
-        now: SimTime,
-        epoch: Epoch,
-        table: ForwardingTable,
-        actions: &mut Vec<Action>,
-    ) {
-        if self.log.is_enabled() {
-            self.log.log(
-                now,
-                self.log_source,
-                Event::TableInstalled {
-                    epoch,
-                    table: table.clone(),
-                },
-            );
+    fn install_table(&self, epoch: Epoch, table: ForwardingTable, actions: &mut Vec<Action>) {
+        if self.tracing {
+            actions.push(Action::Trace(Event::TableInstalled {
+                epoch,
+                table: table.clone(),
+            }));
         }
         actions.push(Action::LoadTable(table));
     }
@@ -705,18 +679,29 @@ mod tests {
         queue: std::collections::VecDeque<(SimTime, usize, ControlMsg)>,
         now: SimTime,
         opened: [Vec<Epoch>; 2],
+        loads: usize,
+        traced: Vec<Event>,
     }
 
     impl Pair {
         fn new() -> Pair {
             Pair {
                 aps: [
-                    Autopilot::new(Uid::new(10), AutopilotParams::tuned(), 0),
-                    Autopilot::new(Uid::new(20), AutopilotParams::tuned(), 1),
+                    Autopilot::new(Uid::new(10), AutopilotParams::tuned()),
+                    Autopilot::new(Uid::new(20), AutopilotParams::tuned()),
                 ],
                 queue: std::collections::VecDeque::new(),
                 now: SimTime::ZERO,
                 opened: [Vec::new(), Vec::new()],
+                loads: 0,
+                traced: Vec::new(),
+            }
+        }
+
+        fn boot(&mut self) {
+            for who in 0..2 {
+                let actions = self.aps[who].boot(SimTime::ZERO);
+                self.apply(who, actions);
             }
         }
 
@@ -732,7 +717,9 @@ mod tests {
                     }
                     Action::Send { .. } => {}
                     Action::NetworkOpen { epoch } => self.opened[who].push(epoch),
-                    _ => {}
+                    Action::LoadTable(_) => self.loads += 1,
+                    Action::Trace(event) => self.traced.push(event),
+                    Action::NetworkClosed => {}
                 }
             }
         }
@@ -766,7 +753,7 @@ mod tests {
 
     #[test]
     fn lone_switch_boots_open() {
-        let mut ap = Autopilot::new(Uid::new(1), AutopilotParams::tuned(), 0);
+        let mut ap = Autopilot::new(Uid::new(1), AutopilotParams::tuned());
         let actions = ap.boot(SimTime::ZERO);
         assert!(actions
             .iter()
@@ -778,10 +765,7 @@ mod tests {
     #[test]
     fn two_switches_discover_and_configure() {
         let mut pair = Pair::new();
-        let a0 = pair.aps[0].boot(SimTime::ZERO);
-        pair.apply(0, a0);
-        let a1 = pair.aps[1].boot(SimTime::ZERO);
-        pair.apply(1, a1);
+        pair.boot();
         pair.run_for(SimDuration::from_secs(3));
         // Both ends verified the link and reconfigured together.
         assert_eq!(pair.aps[0].port_state(1), PortState::SwitchGood);
@@ -796,9 +780,31 @@ mod tests {
         assert_eq!(pair.aps[0].epoch(), pair.aps[1].epoch());
     }
 
+    /// Tracing off is free at the source: no entry point of an untraced
+    /// Autopilot returns an [`Action::Trace`], so no `TableInstalled`
+    /// payload is ever built, while a traced twin fed the same inputs
+    /// reports one install per table load and ends in the same state.
+    #[test]
+    fn untraced_autopilot_returns_no_trace_events() {
+        let run = |tracing: bool| {
+            let mut pair = Pair::new();
+            pair.aps.iter_mut().for_each(|ap| ap.set_tracing(tracing));
+            pair.boot();
+            pair.run_for(SimDuration::from_secs(3));
+            pair
+        };
+        let (on, off) = (run(true), run(false));
+        assert!(off.traced.is_empty(), "{:?}", off.traced);
+        assert!(off.loads > 0 && off.loads == on.loads);
+        let installed = |e: &&Event| matches!(e, Event::TableInstalled { .. });
+        assert_eq!(on.traced.iter().filter(installed).count(), on.loads);
+        assert_eq!(on.opened, off.opened);
+        assert!(off.aps[0].is_open() && off.aps[1].is_open());
+    }
+
     #[test]
     fn host_port_classification_patches_table() {
-        let mut ap = Autopilot::new(Uid::new(1), AutopilotParams::tuned(), 0);
+        let mut ap = Autopilot::new(Uid::new(1), AutopilotParams::tuned());
         ap.boot(SimTime::ZERO);
         // Drive port 2 through dead -> checking -> host.
         let mut now = SimTime::ZERO;
@@ -821,7 +827,7 @@ mod tests {
 
     #[test]
     fn short_address_service() {
-        let mut ap = Autopilot::new(Uid::new(1), AutopilotParams::tuned(), 0);
+        let mut ap = Autopilot::new(Uid::new(1), AutopilotParams::tuned());
         ap.boot(SimTime::ZERO);
         let req = ControlMsg::ShortAddrRequest {
             host_uid: Uid::new(500),
@@ -842,7 +848,7 @@ mod tests {
 
     #[test]
     fn srp_ping_answered_at_target() {
-        let mut ap = Autopilot::new(Uid::new(9), AutopilotParams::tuned(), 0);
+        let mut ap = Autopilot::new(Uid::new(9), AutopilotParams::tuned());
         ap.boot(SimTime::ZERO);
         // hop == route.len(): we are the target.
         let msg = ControlMsg::Srp {
@@ -874,7 +880,7 @@ mod tests {
 
     #[test]
     fn srp_forwards_along_route() {
-        let mut ap = Autopilot::new(Uid::new(9), AutopilotParams::tuned(), 0);
+        let mut ap = Autopilot::new(Uid::new(9), AutopilotParams::tuned());
         ap.boot(SimTime::ZERO);
         let msg = ControlMsg::Srp {
             route: vec![3, 7],
@@ -896,7 +902,7 @@ mod tests {
 
     #[test]
     fn probe_ignored_on_dead_port() {
-        let mut ap = Autopilot::new(Uid::new(9), AutopilotParams::tuned(), 0);
+        let mut ap = Autopilot::new(Uid::new(9), AutopilotParams::tuned());
         ap.boot(SimTime::ZERO);
         let probe = ControlMsg::Probe {
             seq: 1,

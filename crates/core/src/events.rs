@@ -5,11 +5,12 @@
 //! reproduction the machine-readable version: a *closed* enum covering
 //! exactly the observable happenings the paper reasons about — port-state
 //! transitions up and down the tower, skeptic hysteresis decisions, and
-//! the epoch lifecycle from failure detection to reopening. Every
-//! [`Autopilot`](crate::Autopilot) records these into its circular
-//! [`TraceLog`](autonet_sim::TraceLog); backends forward them into a
-//! network-wide spine (`autonet-trace`) that checkers, timelines and
-//! golden-trace tests all consume.
+//! the epoch lifecycle from failure detection to reopening. An
+//! [`Autopilot`](crate::Autopilot) stores none of them: each entry point
+//! returns the events it produced by value
+//! ([`Action::Trace`](crate::Action::Trace)) and the backend moves them
+//! into the one network-wide spine (`autonet-trace`) that checkers,
+//! timelines and golden-trace tests all consume.
 //!
 //! Keep the enum closed: downstream consumers (oracles, the JSONL
 //! serializer, timeline reconstruction) match exhaustively so that adding

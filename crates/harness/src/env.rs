@@ -52,10 +52,10 @@ pub trait Environment {
     /// no-op.
     fn sample_datapath(&mut self, _now: SimTime, _is_root: bool) {}
 
-    /// One typed event from this node's Autopilot trace ring, forwarded
-    /// by the harness right after the entry point that produced it.
-    /// Backends that maintain a network-wide event spine (see
-    /// `autonet-trace`) append it there with the node attributed; the
-    /// default drops it.
-    fn trace(&mut self, _time: SimTime, _event: &Event) {}
+    /// One typed event this node's Autopilot produced, handed over by
+    /// value with the other actions of the entry point that produced it
+    /// (never when tracing is off). Backends that maintain a network-wide
+    /// event spine (see `autonet-trace`) move it there with the node
+    /// attributed; the default drops it.
+    fn trace(&mut self, _time: SimTime, _event: Event) {}
 }

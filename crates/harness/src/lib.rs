@@ -4,9 +4,11 @@
 //! §5.4): interrupt handlers feed it packets, status samples and timer
 //! ticks, and it answers with [`Action`]s for the surrounding hardware to
 //! execute. Every backend that hosts an Autopilot therefore needs the same
-//! four pieces of glue — transmit a control message, load a forwarding
-//! table, read a port's hardware status, and drive the tick/sample
-//! cadences. This crate factors that glue out once:
+//! pieces of glue — transmit a control message, load a forwarding table,
+//! read a port's hardware status, drive the tick/sample cadences, and
+//! take the typed events an entry point hands over by value into whatever
+//! log the backend keeps (the Autopilot keeps none). This crate factors
+//! that glue out once:
 //!
 //! - [`Environment`] is the substrate contract: the handful of operations
 //!   a backend must provide (and nothing about *when* they happen);

@@ -20,10 +20,6 @@ pub struct NodeHarness {
     ap: Autopilot,
     next_tick: SimTime,
     next_sample: SimTime,
-    /// How many trace-ring entries have already been forwarded to the
-    /// environment (the ring wraps; this cursor counts appends, so the
-    /// flush after each entry point never misses or repeats an event).
-    trace_cursor: u64,
 }
 
 impl NodeHarness {
@@ -33,7 +29,6 @@ impl NodeHarness {
             ap,
             next_tick: SimTime::ZERO,
             next_sample: SimTime::ZERO,
-            trace_cursor: 0,
         }
     }
 
@@ -42,7 +37,7 @@ impl NodeHarness {
         &self.ap
     }
 
-    /// The control program, mutably (trace-log draining, SRP replies).
+    /// The control program, mutably (the tracing switch, SRP replies).
     pub fn autopilot_mut(&mut self) -> &mut Autopilot {
         &mut self.ap
     }
@@ -154,21 +149,18 @@ impl NodeHarness {
     }
 
     /// Executes a batch of Autopilot actions against the environment —
-    /// the single translation point both simulation backends share —
-    /// then forwards any typed events the entry point traced.
-    fn execute<E: Environment>(&mut self, now: SimTime, actions: Vec<Action>, env: &mut E) {
+    /// the single translation point both simulation backends share,
+    /// traced events included.
+    fn execute<E: Environment>(&self, now: SimTime, actions: Vec<Action>, env: &mut E) {
         for action in actions {
             match action {
                 Action::Send { port, msg } => env.send(now, port, &msg),
                 Action::LoadTable(table) => env.load_table(now, table),
                 Action::NetworkOpen { epoch } => env.network_opened(now, epoch),
                 Action::NetworkClosed => env.network_closed(now),
+                Action::Trace(event) => env.trace(now, event),
             }
         }
-        for entry in self.ap.log.entries_since(self.trace_cursor) {
-            env.trace(entry.time, &entry.event);
-        }
-        self.trace_cursor = self.ap.log.appended();
     }
 }
 
@@ -216,13 +208,13 @@ mod tests {
             self.closed += 1;
         }
 
-        fn trace(&mut self, time: SimTime, event: &Event) {
-            self.traced.push((time, event.clone()));
+        fn trace(&mut self, time: SimTime, event: Event) {
+            self.traced.push((time, event));
         }
     }
 
     fn harness() -> NodeHarness {
-        NodeHarness::new(Autopilot::new(Uid::new(7), AutopilotParams::tuned(), 0))
+        NodeHarness::new(Autopilot::new(Uid::new(7), AutopilotParams::tuned()))
     }
 
     #[test]
@@ -243,19 +235,25 @@ mod tests {
     fn trace_events_flow_through_the_environment_hook() {
         let mut h = harness();
         let mut env = Recorder::default();
-        h.boot(SimTime::from_millis(3), &mut env);
+        let t0 = SimTime::from_millis(3);
+        h.boot(t0, &mut env);
         // A lone switch boots, closes, numbers itself, installs a table
-        // and reopens — all visible as typed events, exactly once each.
+        // and reopens — all visible as typed events, in that order,
+        // stamped with the entry point's time.
         let kinds: Vec<&str> = env.traced.iter().map(|(_, e)| e.kind()).collect();
-        assert!(kinds.contains(&"boot"), "{kinds:?}");
-        assert!(kinds.contains(&"reconfig-triggered"), "{kinds:?}");
-        assert!(kinds.contains(&"network-opened"), "{kinds:?}");
+        let at = |kind| kinds.iter().position(|&k| k == kind);
+        assert_eq!(at("boot"), Some(0), "{kinds:?}");
+        assert!(at("reconfig-triggered") < at("network-opened"), "{kinds:?}");
+        assert_eq!(at("network-opened"), Some(kinds.len() - 1), "{kinds:?}");
+        assert!(env.traced.iter().all(|&(t, _)| t == t0));
+        // Events are handed over once: an entry point with no new work
+        // hands over nothing.
         let before = env.traced.len();
-        // The cursor advances: re-polling without new work repeats nothing.
-        h.poll(
-            SimTime::from_millis(3) + SimDuration::from_nanos(1),
-            &mut env,
-        );
+        h.poll(t0 + SimDuration::from_nanos(1), &mut env);
+        assert_eq!(env.traced.len(), before);
+        // And none at all once tracing is off.
+        h.autopilot_mut().set_tracing(false);
+        h.boot(t0 + SimDuration::from_millis(1), &mut env);
         assert_eq!(env.traced.len(), before);
     }
 

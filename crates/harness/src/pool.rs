@@ -132,7 +132,7 @@ mod tests {
     use autonet_wire::Uid;
 
     fn harness(uid: u64) -> NodeHarness {
-        NodeHarness::new(Autopilot::new(Uid::new(uid), AutopilotParams::tuned(), 0))
+        NodeHarness::new(Autopilot::new(Uid::new(uid), AutopilotParams::tuned()))
     }
 
     #[test]

@@ -46,6 +46,7 @@ use std::sync::Arc;
 use autonet_core::RouteCache;
 use autonet_sim::{Scheduler, ShardedSimulator, SimDuration, SimRng, SimTime, Simulator, World};
 use autonet_topo::{LinkId, SwitchId, Topology};
+use autonet_trace::TraceRecord;
 
 use crate::params::NetParams;
 use pool::{HostPool, SwitchPool};
@@ -141,13 +142,11 @@ impl NetWorld {
         route_cache: Arc<RouteCache>,
     ) -> (NetWorld, Vec<(SimTime, Event)>) {
         let mut rng = SimRng::new(seed);
-        let mut switches = SwitchPool::new();
-        switches.route_cache = Some(route_cache);
+        let mut switches = SwitchPool::new(route_cache);
         for s in topo.switch_ids() {
             switches.push(
                 topo.switch(s).uid,
                 params.autopilot,
-                s.0 as u32,
                 SimTime::ZERO,
                 params.tracing,
             );
@@ -221,7 +220,7 @@ impl Network {
 
     /// The undrained typed event spine (see [`autonet_trace::EventLog`]):
     /// every port transition, skeptic decision, table install and
-    /// open/close, node-attributed and timestamped.
+    /// open/close, node-attributed and timestamped, in processing order.
     pub fn trace_log(&self) -> &autonet_trace::EventLog {
         &self.sim.world().trace
     }
@@ -261,21 +260,27 @@ impl<D: Driver> Net<D> {
         self.plant().switches.up[s.0]
     }
 
-    /// Work counters of the fleet-shared route cache.
+    /// Work counters of the fleet-shared route cache. `Some` on every
+    /// network; the `Option` is what the frozen `benchmark/` crate matches.
     pub fn route_cache_stats(&self) -> Option<autonet_core::RouteCacheStats> {
-        self.plant()
-            .switches
-            .route_cache
-            .as_ref()
-            .map(|c| c.stats())
+        Some(self.plant().switches.route_cache.stats())
     }
 
     /// Drains the typed event spine accumulated since the last drain —
     /// the scenario engine's online-checking hook. [`Network`] returns
     /// processing order; [`PartitionedNetwork`] the canonical
     /// `(time, node)` merge, identical at any partition count.
-    pub fn drain_trace_records(&mut self) -> Vec<autonet_trace::TraceRecord> {
+    pub fn drain_trace_records(&mut self) -> Vec<TraceRecord> {
         self.sim.drain_trace()
+    }
+
+    /// The undrained typed event spine as one history in canonical
+    /// `(time, node)` order, each node's events in the order it produced
+    /// them — the paper's primary debugging tool (§6.7), and the same at
+    /// any partition count. Empty when `NetParams::tracing` is off.
+    pub fn merged_trace(&self) -> Vec<TraceRecord> {
+        let spines = self.sim.worlds().flat_map(|w| w.trace.records());
+        autonet_trace::merge_sorted(&spines.cloned().collect::<Vec<_>>())
     }
 
     /// Runs for a span of virtual time.

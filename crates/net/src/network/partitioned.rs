@@ -43,7 +43,6 @@ use std::sync::Arc;
 
 use autonet_sim::{Scheduler, ShardWorld, ShardedSimulator, SimDuration, SimTime, World};
 use autonet_topo::{LinkId, Topology};
-use autonet_trace::TraceRecord;
 use autonet_wire::{PortIndex, MAX_PORTS};
 
 use crate::params::NetParams;
@@ -388,15 +387,6 @@ impl PartitionedNetwork {
         Some(max as f64 * tel.len() as f64 / total as f64)
     }
 
-    /// The typed event spine of the whole run, canonically merged (by
-    /// time, then node): each shard records only the nodes it owns, so
-    /// concatenation plus a stable sort reconstructs the one history.
-    /// This is the artifact the determinism tests digest.
-    pub fn merged_trace_records(&self) -> Vec<TraceRecord> {
-        let logs = self.sim.worlds().flat_map(|w| w.trace.records());
-        autonet_trace::merge_sorted(&logs.cloned().collect::<Vec<_>>())
-    }
-
     /// Observable network events from every shard, in canonical order
     /// (by time, then subject node) — the same at any partition count.
     pub fn events(&self) -> Vec<NetEvent> {
@@ -430,7 +420,7 @@ mod tests {
         net.run_for(SimDuration::from_millis(300));
         net.schedule_link_up(net.now() + SimDuration::from_millis(1), LinkId(2));
         net.run_for(SimDuration::from_millis(300));
-        let digest = autonet_trace::to_jsonl(&net.merged_trace_records());
+        let digest = autonet_trace::to_jsonl(&net.merged_trace());
         let state = (0..net.topology().num_switches())
             .map(|s| {
                 let ap = net.autopilot(SwitchId(s));
@@ -466,10 +456,10 @@ mod tests {
         assert!(!net.link_is_up(LinkId(2)) && net.link_is_up(LinkId(3)));
         assert!(!net.switch_is_up(SwitchId(8)) && net.switch_is_up(SwitchId(0)));
         // Draining hands out the canonical merge and empties every shard.
-        let whole = net.merged_trace_records();
+        let whole = net.merged_trace();
         assert!(!whole.is_empty());
         assert_eq!(net.drain_trace_records(), whole);
-        assert!(net.merged_trace_records().is_empty());
+        assert!(net.merged_trace().is_empty());
     }
 
     #[test]

@@ -30,33 +30,25 @@ pub(super) struct SwitchPool {
     /// Powered and running.
     pub(super) up: Vec<bool>,
     /// Fleet-shared route cache handed to every Autopilot (including
-    /// reboots); `None` leaves each switch computing tables from scratch.
-    pub(super) route_cache: Option<Arc<RouteCache>>,
+    /// reboots).
+    pub(super) route_cache: Arc<RouteCache>,
 }
 
 impl SwitchPool {
-    pub(super) fn new() -> Self {
+    pub(super) fn new(route_cache: Arc<RouteCache>) -> Self {
         SwitchPool {
             nodes: HarnessPool::new(),
             table: Vec::new(),
             cpu_free: Vec::new(),
             up: Vec::new(),
-            route_cache: None,
+            route_cache,
         }
     }
 
-    fn fresh_harness(
-        &self,
-        uid: Uid,
-        params: AutopilotParams,
-        number_hint: u32,
-        tracing: bool,
-    ) -> NodeHarness {
-        let mut ap = Autopilot::new(uid, params, number_hint);
+    fn fresh_harness(&self, uid: Uid, params: AutopilotParams, tracing: bool) -> NodeHarness {
+        let mut ap = Autopilot::new(uid, params);
         ap.set_tracing(tracing);
-        if let Some(cache) = &self.route_cache {
-            ap.set_route_cache(Arc::clone(cache));
-        }
+        ap.set_route_cache(Arc::clone(&self.route_cache));
         NodeHarness::new(ap)
     }
 
@@ -65,11 +57,10 @@ impl SwitchPool {
         &mut self,
         uid: Uid,
         params: AutopilotParams,
-        number_hint: u32,
         cpu_free: SimTime,
         tracing: bool,
     ) -> usize {
-        let h = self.fresh_harness(uid, params, number_hint, tracing);
+        let h = self.fresh_harness(uid, params, tracing);
         let s = self.nodes.push(h);
         self.table.push(ForwardingTable::new());
         self.cpu_free.push(cpu_free);
@@ -87,7 +78,7 @@ impl SwitchPool {
         now: SimTime,
         tracing: bool,
     ) {
-        let h = self.fresh_harness(uid, params, s as u32, tracing);
+        let h = self.fresh_harness(uid, params, tracing);
         self.nodes.reset(s, h);
         self.table[s] = ForwardingTable::new();
         self.cpu_free[s] = now;
@@ -118,11 +109,11 @@ impl SwitchPool {
 impl Clone for SwitchPool {
     fn clone(&self) -> Self {
         let mut nodes = self.nodes.clone();
-        let route_cache = self.route_cache.as_deref().map(|c| Arc::new(c.clone()));
-        if let Some(cache) = &route_cache {
-            for s in 0..nodes.len() {
-                nodes.autopilot_mut(s).set_route_cache(Arc::clone(cache));
-            }
+        let route_cache = Arc::new(RouteCache::clone(&self.route_cache));
+        for s in 0..nodes.len() {
+            nodes
+                .autopilot_mut(s)
+                .set_route_cache(Arc::clone(&route_cache));
         }
         SwitchPool {
             nodes,

@@ -1,11 +1,10 @@
-//! Observability: convergence/consistency checks, the graph-theoretic
-//! reference comparison, and the merged trace log.
+//! Observability: counters, convergence/consistency checks and the
+//! graph-theoretic reference comparison.
 
 use std::collections::BTreeMap;
 
-use autonet_core::{global_from_view, Autopilot, Epoch, Event, GlobalTopology, MsgDisposition};
+use autonet_core::{global_from_view, Autopilot, Epoch, GlobalTopology, MsgDisposition};
 use autonet_harness::NetStats;
-use autonet_sim::{TraceEntry, TraceLog};
 use autonet_topo::SwitchId;
 use autonet_wire::{PortIndex, SwitchNumber, Uid};
 
@@ -222,12 +221,6 @@ impl<D: Driver> Net<D> {
     /// Every switch's control program, in dense-id order.
     fn autopilots(&self) -> impl Iterator<Item = &Autopilot> {
         self.topology().switch_ids().map(|s| self.autopilot(s))
-    }
-
-    /// Merges every switch's circular trace log into one time-ordered
-    /// history — the paper's primary debugging tool (§6.7).
-    pub fn merged_trace(&self) -> Vec<TraceEntry<Event>> {
-        TraceLog::merge(self.autopilots().map(|ap| &ap.log))
     }
 
     /// Total reconfigurations initiated across all switches.

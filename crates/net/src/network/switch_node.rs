@@ -85,8 +85,8 @@ impl Environment for PacketEnv<'_, '_> {
         }
     }
 
-    fn trace(&mut self, time: SimTime, event: &autonet_core::Event) {
-        self.w.trace.record(time, self.s, event.clone());
+    fn trace(&mut self, time: SimTime, event: autonet_core::Event) {
+        self.w.trace.record(time, self.s, event);
     }
 }
 

@@ -31,10 +31,10 @@ fn torus_matches_reference<D: Driver>(net: Net<D>) {
     for s in net.topology().switch_ids() {
         assert_eq!(net.autopilot(s).good_ports().len(), 4);
     }
-    // Bring-up leaves ring-log entries from every switch.
-    let sources: std::collections::BTreeSet<u32> =
-        net.merged_trace().iter().map(|e| e.source).collect();
-    assert_eq!(sources.len(), 16);
+    // Bring-up leaves trace records from every switch.
+    let nodes: std::collections::BTreeSet<usize> =
+        net.merged_trace().iter().map(|r| r.node).collect();
+    assert_eq!(nodes.len(), 16);
 }
 
 #[test]

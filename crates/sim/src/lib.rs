@@ -3,13 +3,12 @@
 //! This crate provides the substrate on which every Autonet experiment runs:
 //! a virtual clock ([`SimTime`]), a deterministic event queue
 //! ([`CalendarQueue`], under both driver loops), the classic driver loop
-//! ([`Simulator`]) and the sharded one ([`ShardedSimulator`]), a seeded
-//! platform-independent random number generator ([`SimRng`]), and a
-//! timestamped circular trace log ([`TraceLog`]) modeled on the in-memory
-//! event log that Autopilot kept on every switch. [`EventQueue`], a plain
-//! binary heap, is not the kernel's queue: it is the pop-order oracle the
-//! calendar queue is tested against (and a name the frozen `benchmark/`
-//! crate imports).
+//! ([`Simulator`]) and the sharded one ([`ShardedSimulator`]), and a seeded
+//! platform-independent random number generator ([`SimRng`]).
+//! [`EventQueue`], a plain binary heap, is not the kernel's queue: it is
+//! the pop-order oracle the calendar queue is tested against (and a name
+//! the frozen `benchmark/` crate imports). The kernel keeps no event log:
+//! the one trace log is the typed spine of `autonet-trace`.
 //!
 //! Determinism is the design center. Two events scheduled for the same
 //! instant are delivered in the order they were scheduled (a monotonic
@@ -49,7 +48,6 @@ mod queue;
 mod rng;
 mod shard;
 mod time;
-mod trace;
 
 pub use calendar::CalendarQueue;
 pub use engine::{Scheduler, Simulator, World};
@@ -57,4 +55,3 @@ pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use shard::{ShardTelemetry, ShardWorld, ShardedSimulator, EXTERNAL_SOURCE};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEntry, TraceLog};

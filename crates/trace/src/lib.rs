@@ -5,12 +5,14 @@
 //! machine-readable form, shared by every consumer so there is exactly one
 //! stream of truth:
 //!
-//! - [`EventLog`] — the network-wide spine. Backends forward each node's
-//!   typed [`Event`]s (recorded first into the
-//!   per-switch circular ring of [`Autopilot`](autonet_core::Autopilot))
-//!   into one append-only, timestamped, node-attributed log. The
-//!   invariant oracles of `autonet-check` drain it online; experiments
-//!   read it whole.
+//! - [`EventLog`] — the network-wide spine, and the only trace log there
+//!   is. Every [`Autopilot`](autonet_core::Autopilot) entry point hands
+//!   the typed [`Event`]s it produced to its backend by value, and the
+//!   backend moves them into one append-only, timestamped,
+//!   node-attributed log. The invariant oracles of `autonet-check` drain
+//!   it online; experiments read it whole. (A substitution: the paper's
+//!   per-switch circular buffer is not modelled — the merged log is kept,
+//!   a retention limit that overwrites old entries is not.)
 //! - [`Timeline`] — reconstruction: merges the spine into a per-epoch
 //!   phase breakdown (failure detected → closed → tree stable → addresses
 //!   assigned → tables installed → reopened) with settle times.
@@ -55,11 +57,16 @@ pub struct TraceRecord {
     pub event: Event,
 }
 
+impl std::fmt::Display for TraceRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "[{}] #{}: {}", self.time, self.node, self.event)
+    }
+}
+
 /// The network-wide append-only event log.
 ///
-/// Unlike the per-switch rings this never wraps: it is the complete
-/// history of a run (or, for online checkers, of the interval since the
-/// last [`drain`](EventLog::drain)).
+/// It never wraps: it is the complete history of a run (or, for online
+/// checkers, of the interval since the last [`drain`](EventLog::drain)).
 #[derive(Clone, Debug, Default)]
 pub struct EventLog {
     records: Vec<TraceRecord>,
@@ -135,6 +142,7 @@ mod tests {
         assert_eq!(drained.len(), 2);
         assert!(log.is_empty());
         assert_eq!(drained[0].node, 0);
+        assert_eq!(drained[0].to_string(), "[1.000ms] #0: closed for e2");
         assert!(matches!(
             drained[1].event,
             Event::NetworkOpened { epoch: Epoch(2) }

@@ -82,10 +82,10 @@ fn main() {
     assert!(net.deliveries().iter().any(|d| d.tag == 2));
     println!("post-reconfiguration delivery confirmed");
 
-    // Merge the per-switch circular logs, exactly like the debugging
-    // workflow in the paper.
+    // The merged event log of every switch, the paper's debugging
+    // workflow (§6.7).
     println!("\nmerged reconfiguration log (last 12 entries):");
-    for entry in net.merged_trace().iter().rev().take(12).rev() {
-        println!("  {entry}");
+    for record in net.merged_trace().iter().rev().take(12).rev() {
+        println!("  {record}");
     }
 }

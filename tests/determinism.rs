@@ -3,9 +3,10 @@
 //! reproducible.
 
 use autonet::autopilot::AutopilotParams;
-use autonet::net::{NetParams, Network, PartitionedNetwork};
+use autonet::net::{Driver, Net, NetParams, Network, PartitionedNetwork};
 use autonet::sim::{SimDuration, SimTime};
 use autonet::topo::{gen, HostId, LinkId, SwitchId};
+use autonet::trace::TraceRecord;
 use autonet_check::{
     degraded_params, random_scenario_with, run_packet, BootedCampaign, CheckOutcome, FaultEvent,
     FaultOp, GenOptions, OracleConfig, PacketSubstrate, Scenario, TopoSpec,
@@ -58,10 +59,10 @@ fn different_seeds_differ_somewhere() {
 }
 
 /// Tracing off must be free and behavior-neutral: a 16-switch run with
-/// `tracing: false` records zero trace entries anywhere (the per-switch
-/// rings are zero-capacity, the network spine stays empty) yet converges
-/// to exactly the same control-plane state as the traced run — same final
-/// epochs, same installed-table digests.
+/// `tracing: false` records nothing in the one trace log there is (the
+/// Autopilots hand over no events, the network spine stays empty) yet
+/// converges to exactly the same control-plane state as the traced run —
+/// same final epochs, same installed-table digests.
 #[test]
 fn disabled_tracing_is_zero_cost_and_behavior_neutral() {
     let run = |tracing: bool| {
@@ -79,11 +80,12 @@ fn disabled_tracing_is_zero_cost_and_behavior_neutral() {
     };
     let on = run(true);
     let off = run(false);
-    // Zero trace entries with tracing off: spine and rings both empty.
+    // Zero trace records with tracing off.
     assert!(off.trace_log().is_empty(), "spine must stay empty");
-    assert!(off.merged_trace().is_empty(), "rings must stay empty");
-    // The traced run actually traced.
-    assert!(!on.trace_log().is_empty() && !on.merged_trace().is_empty());
+    assert!(off.merged_trace().is_empty(), "nothing to merge");
+    // The traced run actually traced, and the merged view is all of it.
+    assert!(!on.trace_log().is_empty());
+    assert_eq!(on.merged_trace().len(), on.trace_log().len());
     // Identical control-plane outcome, switch by switch.
     for s in on.topology().switch_ids() {
         let (a, b) = (on.autopilot(s), off.autopilot(s));
@@ -196,7 +198,7 @@ fn disabled_tracing_disables_spans_and_kernel_telemetry() {
     assert!(off.kernel_metrics().is_none());
     assert!(off.barrier_wait_fraction().is_none());
     assert!(off.load_imbalance().is_none());
-    let tree = autonet::trace::Timeline::build(&off.merged_trace_records()).span_tree();
+    let tree = autonet::trace::Timeline::build(&off.merged_trace()).span_tree();
     assert!(tree.is_empty(), "no records, no spans");
     let export = tree.to_chrome_trace();
     assert!(
@@ -216,7 +218,7 @@ fn disabled_tracing_disables_spans_and_kernel_telemetry() {
     );
     assert!(on.barrier_wait_fraction().is_some());
     assert!(on.load_imbalance().unwrap() >= 1.0);
-    let tree = autonet::trace::Timeline::build(&on.merged_trace_records()).span_tree();
+    let tree = autonet::trace::Timeline::build(&on.merged_trace()).span_tree();
     assert!(!tree.is_empty(), "traced run settles epochs");
     tree.check_well_formed().expect("well-formed span tree");
 }
@@ -305,7 +307,7 @@ fn partitioned_campaign(nparts: usize) -> PartitionedHistory {
     net.run_for(SimDuration::from_millis(600));
     // The merged trace is the canonical artifact: stable-sorted by
     // (time, node), serialized to JSONL, byte-comparable across runs.
-    let trace_jsonl = autonet::trace::to_jsonl(&net.merged_trace_records());
+    let trace_jsonl = autonet::trace::to_jsonl(&net.merged_trace());
     let switches = control_plane(&net);
     // Deliveries and events come out merged by (time, subject node), so
     // their order is part of what must not depend on the partitioning.
@@ -384,8 +386,58 @@ fn merged_trace_is_time_ordered() {
     assert!(!merged.is_empty());
     assert!(merged.windows(2).all(|w| w[0].time <= w[1].time));
     // Bring-up leaves traces from every switch.
-    let sources: std::collections::BTreeSet<u32> = merged.iter().map(|e| e.source).collect();
-    assert_eq!(sources.len(), 4);
+    let nodes: std::collections::BTreeSet<usize> = merged.iter().map(|r| r.node).collect();
+    assert_eq!(nodes.len(), 4);
+}
+
+/// A cut-and-heal campaign in three fixed legs. Returns what draining the
+/// spine after every leg handed out (nothing unless `drain`) and
+/// `merged_trace()` at the end.
+fn traced_legs<D: Driver>(mut net: Net<D>, drain: bool) -> (Vec<TraceRecord>, Vec<TraceRecord>) {
+    let mut drained = Vec::new();
+    for link_up in [None, Some(false), Some(true)] {
+        let at = net.now() + SimDuration::from_millis(1);
+        match link_up {
+            Some(false) => net.schedule_link_down(at, LinkId(2)),
+            Some(true) => net.schedule_link_up(at, LinkId(2)),
+            None => {}
+        }
+        net.run_for(SimDuration::from_millis(400));
+        if drain {
+            drained.extend(net.drain_trace_records());
+        }
+    }
+    (drained, net.merged_trace())
+}
+
+/// One trace log, one merged view. `merged_trace()` is the same canonical
+/// history at 1, 2 and 4 partitions, and on either kernel a second run of
+/// the same campaign that drains the spine as it goes is handed exactly
+/// that history in pieces.
+#[test]
+fn merged_trace_is_partition_invariant_and_equals_the_drains() {
+    let sharded =
+        |nparts| PartitionedNetwork::new(gen::torus(3, 3, 7), NetParams::tuned(), 11, nparts);
+    let classic = || Network::new(gen::torus(3, 3, 7), NetParams::tuned(), 11);
+    let (_, base) = traced_legs(sharded(1), false);
+    assert!(base.len() > 100, "a real campaign: {} records", base.len());
+    for nparts in [2, 4] {
+        assert_eq!(
+            traced_legs(sharded(nparts), false).1,
+            base,
+            "{nparts} shards"
+        );
+    }
+    let (_, classic_base) = traced_legs(classic(), false);
+    let canonical = |w: &[TraceRecord]| (w[0].time, w[0].node) <= (w[1].time, w[1].node);
+    assert!(base.windows(2).all(canonical) && classic_base.windows(2).all(canonical));
+    for ((drained, left), base) in [
+        (traced_legs(sharded(2), true), &base),
+        (traced_legs(classic(), true), &classic_base),
+    ] {
+        assert!(left.is_empty(), "everything was drained");
+        assert_eq!(&autonet::trace::merge_sorted(&drained), base);
+    }
 }
 
 fn hosted(base: TopoSpec) -> TopoSpec {

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use autonet::autopilot::Epoch;
 use autonet::autopilot::{
     assign_switch_numbers, global_from_view_simple, AutopilotParams, ConnectivityEvent,
-    ConnectivityMonitor, ControlMsg, PortState, RouteComputer, RouteKind, Skeptic, SrpPayload,
-    SwitchInfo, TreePosition,
+    ConnectivityMonitor, ControlMsg, MsgCodecError, PortState, RouteComputer, RouteKind, Skeptic,
+    SrpPayload, SubtreeReport, SwitchInfo, TreePosition,
 };
 use autonet::autopilot::{Event, ReconfigCause};
 use autonet::sim::{SimDuration, SimTime};
@@ -189,6 +189,90 @@ proptest! {
         ] {
             let bytes = msg.encode();
             prop_assert_eq!(ControlMsg::decode(&bytes).unwrap(), msg);
+        }
+    }
+
+    /// Nothing that arrives off the wire can panic a decoder: on random
+    /// bytes (as they are, steered into every tag's parser, and sealed
+    /// under a valid CRC) `ControlMsg::decode` and `Packet::decode` return.
+    #[test]
+    fn decoders_are_total_on_random_bytes(
+        junk in prop::collection::vec(any::<u8>(), 0..256),
+        tag in 0u8..16,
+    ) {
+        let _ = ControlMsg::decode(&junk);
+        let _ = Packet::decode(&junk);
+        let mut tagged = junk.clone();
+        tagged.insert(0, tag);
+        let _ = ControlMsg::decode(&tagged);
+        let mut sealed = junk.clone();
+        sealed.extend(crc32(&junk).to_be_bytes());
+        let _ = Packet::decode(&sealed);
+    }
+
+    /// The same on damaged valid encodings, classic and compact (more than
+    /// 128 switches take tags 12/13): every strict prefix is an error, a
+    /// single changed byte decodes or errs, and a compact reference past
+    /// the end of the UID table is a `BadValue`, not an index panic.
+    #[test]
+    fn decoders_are_total_on_damaged_encodings(
+        compact in any::<bool>(),
+        extra in 0usize..10,
+        seed in 1u64..10_000,
+        cut in any::<prop::sample::Index>(),
+        at in any::<prop::sample::Index>(),
+        byte in any::<u8>(),
+    ) {
+        let n = if compact { 129 + extra } else { 2 + extra };
+        let topo = gen::random_connected(n, extra, seed);
+        let global = global_from_view_simple(&topo.view_all()).expect("non-empty");
+        let report = SubtreeReport { switches: global.switches.to_vec() };
+        let (epoch, root) = (global.epoch, global.root);
+        let msgs = [
+            ControlMsg::TopologyReport { epoch, seq: seed, report },
+            ControlMsg::TopologyDown { epoch, global },
+            ControlMsg::Srp {
+                route: vec![1, 2],
+                hop: 2,
+                back_route: vec![3],
+                payload: SrpPayload::State { uid: root, epoch, good_ports: 4, open: true },
+            },
+        ];
+        for msg in msgs {
+            let bytes = msg.encode();
+            prop_assert_eq!(ControlMsg::decode(&bytes), Ok(msg));
+            prop_assert!(ControlMsg::decode(&bytes[..cut.index(bytes.len())]).is_err());
+            let mut damaged = bytes.clone();
+            damaged[at.index(bytes.len())] = byte;
+            let _ = ControlMsg::decode(&damaged);
+            // The same message as a packet on the wire.
+            let (dst, src) = (ShortAddress::one_hop(1), ShortAddress::TO_LOCAL_SWITCH);
+            let wire = Packet::new(dst, src, PacketType::Reconfig, bytes.clone()).encode();
+            prop_assert!(Packet::decode(&wire[..cut.index(wire.len())]).is_err());
+            let mut damaged = wire.clone();
+            damaged[at.index(wire.len())] = byte;
+            let _ = Packet::decode(&damaged);
+            // The first switch entry's parent reference sits right after
+            // the header, the UID table and the entry's proposed number.
+            let header = match bytes[0] {
+                12 => 1 + 8 + 8,
+                13 => 1 + 8 + 6,
+                tag => {
+                    prop_assert!(!compact || tag == 11, "tag {} at {} switches", tag, n);
+                    continue;
+                }
+            };
+            let parent_ref = header + 2 + 6 * n + 2;
+            let mut dangling = bytes.clone();
+            dangling[parent_ref..parent_ref + 2].copy_from_slice(&0xFFFEu16.to_be_bytes());
+            prop_assert_eq!(ControlMsg::decode(&dangling), Err(MsgCodecError::BadValue));
+            if bytes[0] == 13 {
+                // The last number assignment: reference, then number.
+                let last_ref = bytes.len() - 4;
+                let mut dangling = bytes.clone();
+                dangling[last_ref..last_ref + 2].copy_from_slice(&0xFFFEu16.to_be_bytes());
+                prop_assert_eq!(ControlMsg::decode(&dangling), Err(MsgCodecError::BadValue));
+            }
         }
     }
 
