@@ -13,7 +13,7 @@ use autonet_topo::{gen, Topology};
 
 fn cdg_row(name: &str, topo: &Topology) -> [Value; 5] {
     let global = global_from_view_simple(&topo.view_all()).expect("non-empty");
-    let rc = RouteComputer::new(&global);
+    let rc = RouteComputer::new(&global).expect("well-formed");
     let updown = rc.has_dependency_cycle(RouteKind::UpDown);
     let shortest = rc.has_dependency_cycle(RouteKind::Unrestricted);
     assert!(!updown, "{name}: up*/down* produced a dependency cycle");

@@ -12,7 +12,7 @@ use autonet_topo::{gen, Topology};
 
 fn row(name: &str, topo: &Topology) -> [Value; 4] {
     let global = global_from_view_simple(&topo.view_all()).expect("non-empty");
-    let rc = RouteComputer::new(&global);
+    let rc = RouteComputer::new(&global).expect("well-formed");
     let stats = rc.stats();
     let inflation = stats.inflation();
     // Hotspot measure: max link load over mean link load.

@@ -27,7 +27,7 @@ use autonet_trace::{
 
 use crate::oracle::{check_blackouts, OracleConfig, OracleState, Violation};
 use crate::scenario::{FaultOp, Scenario, TopoSpec};
-use crate::substrate::{crossing_links, PacketSubstrate, SlotSubstrate, Substrate};
+use crate::substrate::{crossing_links, SlotSubstrate, Substrate};
 
 /// What a campaign run produced.
 #[derive(Clone, Debug, PartialEq)]
@@ -422,11 +422,11 @@ impl<S: Substrate> BootedCampaign<S> {
     }
 }
 
-impl BootedCampaign<PacketSubstrate<Network>> {
+impl BootedCampaign<Network> {
     /// Boots the packet-level backend on the classic kernel.
     pub fn packet(spec: &TopoSpec, seed: u64, params: &NetParams, cfg: &OracleConfig) -> Self {
         BootedCampaign::boot(spec, seed, cfg, |topo| {
-            PacketSubstrate::new(Network::new(topo.clone(), *params, seed))
+            Network::new(topo.clone(), *params, seed)
         })
     }
 }
@@ -437,8 +437,9 @@ pub fn run_packet(scenario: &Scenario, params: &NetParams, cfg: &OracleConfig) -
     booted.resume(scenario).0
 }
 
-/// Runs a scenario on the slot-level backend (link faults only; see
-/// [`SlotSubstrate`]).
+/// Runs a scenario on the slot-level backend: link faults only, emulated
+/// with line noise on both ends, so the campaign must keep the switch set
+/// fixed.
 pub fn run_slot(scenario: &Scenario, params: AutopilotParams, cfg: &OracleConfig) -> CheckOutcome {
     let booted = BootedCampaign::boot(&scenario.topo, scenario.seed, cfg, |topo| {
         SlotSubstrate::new(topo, params, scenario.seed)
@@ -450,7 +451,7 @@ pub fn run_slot(scenario: &Scenario, params: AutopilotParams, cfg: &OracleConfig
 mod tests {
     use super::*;
 
-    fn booted_ring() -> BootedCampaign<PacketSubstrate<Network>> {
+    fn booted_ring() -> BootedCampaign<Network> {
         let params = NetParams::tuned();
         let cfg = OracleConfig::from_params(&params.autopilot);
         BootedCampaign::packet(&TopoSpec::Ring { n: 4, seed: 0 }, 7, &params, &cfg)

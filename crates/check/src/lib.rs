@@ -10,9 +10,9 @@
 //! - [`Scenario`] / [`FaultOp`] — a declarative fault-campaign DSL
 //!   (schedules of link/switch/host faults, flapping cables, partitions,
 //!   timed waypoints), replayable deterministically from a seed;
-//! - [`OracleState`] — online invariant checkers evaluated at every table
-//!   install and epoch transition, fed by the `ControlLog` observation
-//!   hooks both simulation backends surface through the harness layer;
+//! - online invariant checkers ([`OracleConfig`], [`Violation`]) evaluated
+//!   at every table install and epoch transition, fed by the typed event
+//!   spine both simulation backends drain;
 //! - [`run_packet`] / [`run_slot`] — one engine over both network
 //!   substrates (full-vocabulary packet level, link faults emulated as
 //!   line noise at slot level); [`BootedCampaign`] is the same engine
@@ -38,8 +38,7 @@ mod tables;
 mod worst_case;
 
 pub use engine::{run_packet, run_scenario, run_slot, BootedCampaign, CheckOutcome};
-pub use objective::{DamageVector, ParetoFront};
-pub use oracle::{check_blackouts, OracleConfig, OracleState, Violation};
+pub use oracle::{OracleConfig, Violation};
 pub use postmortem::{
     default_postmortem_dir, postmortem_on_failure, write_postmortem, PostmortemConfig,
 };
@@ -47,8 +46,7 @@ pub use scenario::{
     random_scenario, random_scenario_with, FaultEvent, FaultOp, GenOptions, Scenario, TopoSpec,
 };
 pub use shrink::{packet_reproducer, shrink_schedule, Reproducer};
-pub use substrate::{NodeSnapshot, PacketSubstrate, PortObservation, SlotSubstrate, Substrate};
-pub use tables::find_table_cycle;
+pub use substrate::{NodeSnapshot, PortObservation, Substrate};
 pub use worst_case::{worst_case_search, WorstCaseConfig, WorstCaseResult};
 
 use autonet_core::AutopilotParams;

@@ -2,11 +2,10 @@
 //! search.
 //!
 //! The hard oracles answer "was an invariant violated?"; the worst-case
-//! search (`crate::worst_case`) instead *maximizes* graded damage. This
-//! module gives that search its objective space: [`DamageVector`], a
-//! point extracted from a run's [`DamageReport`](autonet_trace::DamageReport)
-//! with a total dominance order per axis, and [`ParetoFront`], the
-//! archive of mutually non-dominated candidates the search breeds from.
+//! search (`crate::worst_case`) instead *maximizes* graded damage. Its
+//! objective space is a run's [`DamageReport`], with a total dominance
+//! order per axis; this module is [`ParetoFront`], the archive of
+//! mutually non-dominated candidates the search breeds from.
 //!
 //! Keeping a *front* instead of a single best matters because the axes
 //! trade off: a clean bisection maximizes affected pairs but settles
@@ -14,79 +13,12 @@
 //! with few pairs darkened. Mutating from every non-dominated corner
 //! keeps the search from collapsing into one damage mode.
 
-use autonet_sim::SimDuration;
 use autonet_trace::DamageReport;
-
-use crate::engine::CheckOutcome;
-
-/// A point in damage-objective space; every axis is monotone in
-/// "worse for the network".
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DamageVector {
-    /// Sum of all pairs' blackout-window durations.
-    pub blackout: SimDuration,
-    /// Number of probed pairs with at least one blackout window.
-    pub affected_pairs: usize,
-    /// Total trunk-port dead-episode (skeptic quarantine) time.
-    pub skeptic_hold: SimDuration,
-    /// Total time spent in epochs that settled unroutable.
-    pub unroutable: SimDuration,
-}
-
-impl DamageVector {
-    /// Extracts the objective point of a finished run.
-    pub fn of(outcome: &CheckOutcome) -> DamageVector {
-        DamageVector::from(&outcome.damage)
-    }
-
-    /// Pareto dominance: at least as bad on every axis and strictly
-    /// worse on one.
-    pub fn dominates(&self, other: &DamageVector) -> bool {
-        let ge = self.blackout >= other.blackout
-            && self.affected_pairs >= other.affected_pairs
-            && self.skeptic_hold >= other.skeptic_hold
-            && self.unroutable >= other.unroutable;
-        ge && self != other
-    }
-
-    /// The total order used to crown a champion out of the front:
-    /// blackout first (the headline objective the goldens pin), then
-    /// blast radius, then the quarantine and unroutable axes.
-    pub fn rank(&self) -> (SimDuration, usize, SimDuration, SimDuration) {
-        (
-            self.blackout,
-            self.affected_pairs,
-            self.skeptic_hold,
-            self.unroutable,
-        )
-    }
-}
-
-impl From<&DamageReport> for DamageVector {
-    fn from(d: &DamageReport) -> DamageVector {
-        DamageVector {
-            blackout: d.blackout_total,
-            affected_pairs: d.affected_pairs,
-            skeptic_hold: d.skeptic_hold,
-            unroutable: d.unroutable_window,
-        }
-    }
-}
-
-impl std::fmt::Display for DamageVector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "blackout {} / {} pairs / hold {} / unroutable {}",
-            self.blackout, self.affected_pairs, self.skeptic_hold, self.unroutable
-        )
-    }
-}
 
 /// The archive of mutually non-dominated candidates.
 #[derive(Clone, Debug, Default)]
 pub struct ParetoFront<T> {
-    entries: Vec<(DamageVector, T)>,
+    entries: Vec<(DamageReport, T)>,
 }
 
 impl<T> ParetoFront<T> {
@@ -100,7 +32,7 @@ impl<T> ParetoFront<T> {
     /// Offers a candidate: rejected if some archived point dominates it
     /// (or duplicates its objective), otherwise inserted, evicting every
     /// point it dominates. Returns whether it was admitted.
-    pub fn offer(&mut self, v: DamageVector, item: T) -> bool {
+    pub fn offer(&mut self, v: DamageReport, item: T) -> bool {
         if self
             .entries
             .iter()
@@ -114,22 +46,12 @@ impl<T> ParetoFront<T> {
     }
 
     /// The archived candidates.
-    pub fn entries(&self) -> &[(DamageVector, T)] {
+    pub fn entries(&self) -> &[(DamageReport, T)] {
         &self.entries
     }
 
-    /// Number of archived candidates.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the front is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The champion: the entry maximal under [`DamageVector::rank`].
-    pub fn champion(&self) -> Option<&(DamageVector, T)> {
+    /// The champion: the entry maximal under [`DamageReport::rank`].
+    pub fn champion(&self) -> Option<&(DamageReport, T)> {
         self.entries.iter().max_by_key(|(v, _)| v.rank())
     }
 }
@@ -138,8 +60,9 @@ impl<T> ParetoFront<T> {
 mod tests {
     use super::*;
 
-    fn v(blackout_ms: u64, pairs: usize, hold_ms: u64, unroutable_ms: u64) -> DamageVector {
-        DamageVector {
+    fn v(blackout_ms: u64, pairs: usize, hold_ms: u64, unroutable_ms: u64) -> DamageReport {
+        use autonet_sim::SimDuration;
+        DamageReport {
             blackout: SimDuration::from_millis(blackout_ms),
             affected_pairs: pairs,
             skeptic_hold: SimDuration::from_millis(hold_ms),
@@ -164,7 +87,7 @@ mod tests {
         assert!(!front.offer(v(2, 1, 0, 0), "c")); // dominated by a
         assert!(!front.offer(v(5, 1, 0, 0), "dup")); // duplicate point
         assert!(front.offer(v(6, 4, 0, 0), "d")); // dominates both
-        assert_eq!(front.len(), 1);
+        assert_eq!(front.entries().len(), 1);
         assert_eq!(front.champion().unwrap().1, "d");
     }
 

@@ -374,11 +374,6 @@ impl OracleState {
         }
     }
 
-    /// Whether the skeptic oracle is armed (first quiescence reached).
-    pub fn armed(&self) -> bool {
-        self.armed
-    }
-
     /// The engine applied a fault: adjust incarnation-scoped state.
     pub fn on_fault(&mut self, op: &FaultOp) {
         match *op {

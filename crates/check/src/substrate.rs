@@ -3,13 +3,12 @@
 //! The scenario engine needs five things from a network: advance virtual
 //! time, apply a fault, drain the typed event spine, sample
 //! the switches' externally visible state, and answer "has the control
-//! plane settled?". [`Substrate`] is that contract; [`PacketSubstrate`]
-//! implements it over the packet-level `Net` facade on either event
-//! kernel (full fault vocabulary) and [`SlotSubstrate`] over the
-//! slot-level `SlotNet`, where cable
-//! faults are emulated the way the real hardware would see them: heavy
-//! code-violation noise on both ends of the link until the samplers
-//! condemn it, silence to let the skeptics readmit it.
+//! plane settled?". [`Substrate`] is that contract; the packet-level
+//! `Net` facade implements it directly on either event kernel (full
+//! fault vocabulary) and [`SlotSubstrate`] over the slot-level `SlotNet`,
+//! where cable faults are emulated the way the real hardware would see
+//! them: heavy code-violation noise on both ends of the link until the
+//! samplers condemn it, silence to let the skeptics readmit it.
 
 use autonet_core::{Autopilot, AutopilotParams, Epoch, PortState};
 use autonet_net::{Driver, Net, Network, PartitionedNetwork, SlotNet};
@@ -126,26 +125,6 @@ pub(crate) fn crossing_links(topo: &Topology, side: &[usize]) -> Vec<LinkId> {
         .collect()
 }
 
-/// The packet-level backend over network `N`: a `Network` for the classic
-/// kernel or a `PartitionedNetwork` for the sharded one. Only the classic
-/// one is `Clone` (see `BootedCampaign`).
-#[derive(Clone)]
-pub struct PacketSubstrate<N> {
-    net: N,
-}
-
-impl<N> PacketSubstrate<N> {
-    /// Wraps a freshly built network.
-    pub fn new(net: N) -> Self {
-        PacketSubstrate { net }
-    }
-
-    /// The wrapped network, for backend-specific assertions.
-    pub fn network(&self) -> &N {
-        &self.net
-    }
-}
-
 /// The one thing a campaign needs that only the classic kernel has:
 /// service-interruption probe flows. The defaults are the sharded
 /// kernel's answer.
@@ -186,25 +165,28 @@ impl ProbeFlows for Network {
     }
 }
 
-impl<D: Driver> Substrate for PacketSubstrate<Net<D>>
+/// The packet-level backend: a `Network` for the classic kernel or a
+/// `PartitionedNetwork` for the sharded one. Only the classic one is
+/// `Clone` (see `BootedCampaign`).
+impl<D: Driver> Substrate for Net<D>
 where
     Net<D>: ProbeFlows,
 {
     fn now(&self) -> SimTime {
-        self.net.now()
+        Net::now(self)
     }
 
     fn run_for(&mut self, span: SimDuration) {
-        self.net.run_for(span);
+        Net::run_for(self, span);
     }
 
     fn apply(&mut self, op: &FaultOp, topo: &Topology) {
-        let at = self.net.now();
+        let at = Net::now(self);
         match op {
-            FaultOp::LinkDown(l) => self.net.schedule_link_down(at, LinkId(*l)),
-            FaultOp::LinkUp(l) => self.net.schedule_link_up(at, LinkId(*l)),
-            FaultOp::SwitchDown(s) => self.net.schedule_switch_down(at, SwitchId(*s)),
-            FaultOp::SwitchUp(s) => self.net.schedule_switch_up(at, SwitchId(*s)),
+            FaultOp::LinkDown(l) => self.schedule_link_down(at, LinkId(*l)),
+            FaultOp::LinkUp(l) => self.schedule_link_up(at, LinkId(*l)),
+            FaultOp::SwitchDown(s) => self.schedule_switch_down(at, SwitchId(*s)),
+            FaultOp::SwitchUp(s) => self.schedule_switch_up(at, SwitchId(*s)),
             FaultOp::HostPowerOff(h) | FaultOp::HostPowerOn(h) => {
                 assert!(
                     *h < topo.num_hosts(),
@@ -212,16 +194,16 @@ where
                     topo.num_hosts()
                 );
                 if matches!(op, FaultOp::HostPowerOff(_)) {
-                    self.net.schedule_host_power_off(at, HostId(*h));
+                    self.schedule_host_power_off(at, HostId(*h));
                 } else {
-                    self.net.schedule_host_power_on(at, HostId(*h));
+                    self.schedule_host_power_on(at, HostId(*h));
                 }
             }
             FaultOp::LinkFlaps {
                 link,
                 half_period_ms,
                 cycles,
-            } => self.net.schedule_link_flaps(
+            } => self.schedule_link_flaps(
                 at,
                 LinkId(*link),
                 SimDuration::from_millis(*half_period_ms),
@@ -229,12 +211,12 @@ where
             ),
             FaultOp::Partition { side } => {
                 for l in crossing_links(topo, side) {
-                    self.net.schedule_link_down(at, l);
+                    self.schedule_link_down(at, l);
                 }
             }
             FaultOp::Heal { side } => {
                 for l in crossing_links(topo, side) {
-                    self.net.schedule_link_up(at, l);
+                    self.schedule_link_up(at, l);
                 }
             }
             FaultOp::Waypoint { .. } => {}
@@ -242,11 +224,11 @@ where
     }
 
     fn drain_control(&mut self) -> Vec<TraceRecord> {
-        self.net.drain_trace_records()
+        self.drain_trace_records()
     }
 
     fn autopilot(&self, s: SwitchId) -> &Autopilot {
-        self.net.autopilot(s)
+        Net::autopilot(self, s)
     }
 
     fn quiescent(&self, view: &NetView<'_>) -> bool {
@@ -259,7 +241,7 @@ where
         let topo = view.topology();
         let switches_match = topo
             .switch_ids()
-            .all(|s| self.net.switch_is_up(s) == view.switch_up(s));
+            .all(|s| self.switch_is_up(s) == view.switch_up(s));
         // `link_usable` folds in endpoint switch state, so raw cable state
         // is only comparable where both ends are up (and never loopback).
         let links_match = topo.link_ids().all(|l| {
@@ -267,25 +249,25 @@ where
             spec.is_loopback()
                 || !view.switch_up(spec.a.switch)
                 || !view.switch_up(spec.b.switch)
-                || self.net.link_is_up(l) == view.link_usable(l)
+                || self.link_is_up(l) == view.link_usable(l)
         });
-        switches_match && links_match && self.net.control_plane_consistent()
+        switches_match && links_match && self.control_plane_consistent()
     }
 
     fn final_audit(&self) -> Result<(), String> {
-        self.net.check_against_reference()
+        self.check_against_reference()
     }
 
     fn start_probes(&mut self, pairs: &[(HostId, HostId)], interval: SimDuration) {
-        ProbeFlows::start_probes(&mut self.net, pairs, interval);
+        ProbeFlows::start_probes(self, pairs, interval);
     }
 
     fn probe_records(&self) -> Vec<autonet_core::ProbeRecord> {
-        ProbeFlows::probe_records(&self.net)
+        ProbeFlows::probe_records(self)
     }
 
     fn probe_pairs(&self) -> Vec<(usize, usize)> {
-        ProbeFlows::probe_pairs(&self.net)
+        ProbeFlows::probe_pairs(self)
     }
 }
 
@@ -307,11 +289,6 @@ impl SlotSubstrate {
         let mut net = SlotNet::new(topo, params);
         net.boot();
         SlotSubstrate { net, noise_seed }
-    }
-
-    /// The wrapped network, for backend-specific assertions.
-    pub fn slotnet(&self) -> &SlotNet {
-        &self.net
     }
 }
 

@@ -6,7 +6,7 @@
 //! storm we can construct?* — the schedule a Saia/Trehan-style attacker
 //! who times faults to land mid-reconvergence would pick. The search is
 //! an optimizer over the existing [`Scenario`]/[`FaultOp`] DSL that
-//! maximizes the soft damage objectives of [`DamageVector`] instead of
+//! maximizes the soft damage objectives of [`DamageReport`] instead of
 //! hunting hard oracle violations:
 //!
 //! 1. **seed corpus** — a handful of random k-event schedules on the
@@ -35,9 +35,10 @@
 use autonet_net::NetParams;
 use autonet_sim::{SimDuration, SimRng};
 use autonet_topo::Topology;
+use autonet_trace::DamageReport;
 
 use crate::engine::{boots_so_far, BootedCampaign, CheckOutcome};
-use crate::objective::{DamageVector, ParetoFront};
+use crate::objective::ParetoFront;
 use crate::oracle::OracleConfig;
 use crate::scenario::{FaultEvent, FaultOp, Scenario, TopoSpec};
 use crate::shrink::shrink_schedule;
@@ -107,12 +108,12 @@ pub struct WorstCaseResult {
     /// The shrunk champion schedule.
     pub champion: Scenario,
     /// The champion's damage, re-measured after shrinking.
-    pub damage: DamageVector,
+    pub damage: DamageReport,
     /// The champion's damage before shrinking (shrinking must not lower
     /// the blackout axis; the others may move).
-    pub pre_shrink: DamageVector,
+    pub pre_shrink: DamageReport,
     /// The final Pareto front (objective point and schedule).
-    pub front: Vec<(DamageVector, Scenario)>,
+    pub front: Vec<(DamageReport, Scenario)>,
     /// Median blackout across the seed corpus: the random baseline the
     /// champion is compared against in E24.
     pub random_median_blackout: SimDuration,
@@ -327,12 +328,12 @@ pub fn worst_case_search(
 
     // Phase 1: seed corpus — Pareto seeds plus the random baseline.
     let mut front: ParetoFront<Scenario> = ParetoFront::new();
-    let mut corpus_runs: Vec<(DamageVector, Scenario, bool)> = Vec::new();
-    let mut best_rank = DamageVector::default().rank();
+    let mut corpus_runs: Vec<(DamageReport, Scenario, bool)> = Vec::new();
+    let mut best_rank = DamageReport::default().rank();
     for _ in 0..cfg.corpus.max(1) {
         let s = mk(random_schedule(&targets, &mut rng, cfg));
         let outcome = eval(&s, &mut evaluations);
-        let v = DamageVector::of(&outcome);
+        let v = outcome.damage;
         let legal = outcome.passed();
         if !legal {
             violations += 1;
@@ -369,7 +370,7 @@ pub fn worst_case_search(
             mutate(&mut events, &targets, &mut rng, cfg);
             let child = mk(events);
             let outcome = eval(&child, &mut evaluations);
-            let v = DamageVector::of(&outcome);
+            let v = outcome.damage;
             let legal = outcome.passed();
             if !legal {
                 violations += 1;
@@ -400,10 +401,10 @@ pub fn worst_case_search(
             return false;
         }
         let outcome = eval(s, &mut evaluations);
-        (outcome.passed() || !legal_only) && outcome.damage.blackout_total >= floor
+        (outcome.passed() || !legal_only) && outcome.damage.blackout >= floor
     });
     let final_outcome = eval(&champion, &mut evaluations);
-    let damage = DamageVector::of(&final_outcome);
+    let damage = final_outcome.damage;
     let reproducer = render_reproducer(&champion, &damage);
 
     WorstCaseResult {
@@ -425,7 +426,7 @@ pub fn worst_case_search(
 
 /// Renders a champion as a self-contained `#[test]` asserting its
 /// blackout floor (the shape the golden pins use).
-fn render_reproducer(scenario: &Scenario, damage: &DamageVector) -> String {
+fn render_reproducer(scenario: &Scenario, damage: &DamageReport) -> String {
     format!(
         "// Worst-case champion: {damage}\n\
          #[test]\n\
@@ -436,7 +437,7 @@ fn render_reproducer(scenario: &Scenario, damage: &DamageVector) -> String {
              let scenario = {code};\n    \
              let outcome = run_packet(&scenario, &params, &cfg);\n    \
              assert!(\n        \
-                 outcome.damage.blackout_total\n            \
+                 outcome.damage.blackout\n            \
                      >= autonet_sim::SimDuration::from_nanos({floor}),\n        \
                  \"blackout objective regressed: {{}}\",\n        \
                  outcome.damage,\n    \
@@ -481,7 +482,7 @@ mod tests {
         assert!(!a.front.is_empty());
         assert!(a.evaluations >= 5);
         assert!(a.reproducer.contains("Scenario {"));
-        assert!(a.reproducer.contains("blackout_total"));
+        assert!(a.reproducer.contains("outcome.damage.blackout"));
         // Shrinking never lowers the blackout axis.
         assert!(a.damage.blackout >= a.pre_shrink.blackout);
         let b = worst_case_search(&hosted_ring(4), &params, &oracle, &cfg);

@@ -31,16 +31,6 @@ use crate::routes::{compute_forwarding_table, program_one_hop, RouteKind};
 use crate::sampler::{SamplerEvent, StatusSampler};
 use crate::topology::GlobalTopology;
 
-/// One port's hardware status snapshot, as read by the sampling task.
-#[derive(Clone, Copy, Debug)]
-pub struct PortHardwareReport {
-    /// The port the snapshot belongs to.
-    pub port: PortIndex,
-    /// The latched status bits (read-and-clear semantics are the
-    /// environment's responsibility).
-    pub status: LinkUnitStatus,
-}
-
 /// What Autopilot asks its environment to do.
 #[derive(Clone, Debug)]
 pub enum Action {
@@ -654,6 +644,7 @@ impl Autopilot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::TreePosition;
     use autonet_sim::SimDuration;
 
     fn clean_switch_status() -> LinkUnitStatus {
@@ -800,6 +791,77 @@ mod tests {
         assert_eq!(on.traced.iter().filter(installed).count(), on.loads);
         assert_eq!(on.opened, off.opened);
         assert!(off.aps[0].is_open() && off.aps[1].is_open());
+    }
+
+    /// What the wire hands `on_packet`: the message after a trip through
+    /// the codec.
+    fn from_wire(msg: &ControlMsg) -> ControlMsg {
+        ControlMsg::decode(&msg.encode()).expect("well-formed")
+    }
+
+    /// A reconfiguration message claiming the top epoch is dropped, not
+    /// joined, so the switch still has a next epoch to mint when its own
+    /// port dies.
+    #[test]
+    fn reserved_epoch_from_the_wire_is_dropped() {
+        let mut pair = Pair::new();
+        pair.boot();
+        pair.run_for(SimDuration::from_secs(3));
+        let settled = pair.aps[1].epoch();
+        let hostile = from_wire(&ControlMsg::TreePosition {
+            epoch: Epoch(u64::MAX),
+            seq: 1,
+            from_port: 1,
+            pos: TreePosition::myself(Uid::new(10)),
+        });
+        let now = pair.now;
+        assert!(pair.aps[1].on_packet(now, 1, &hostile).is_empty());
+        assert_eq!(pair.aps[1].epoch(), settled);
+        assert_eq!(pair.aps[1].reconfig_msgs().dropped, 1);
+        // The cable goes silent: the sampler condemns port 1 and the
+        // switch starts the next epoch on its own.
+        let before = pair.aps[1].reconfigs_triggered();
+        for i in 1..200 {
+            let at = now + SimDuration::from_millis(5 * i);
+            pair.aps[1].on_status_sample(at, 1, LinkUnitStatus::new());
+        }
+        assert!(pair.aps[1].reconfigs_triggered() > before);
+        assert_eq!(pair.aps[1].epoch(), settled.next());
+    }
+
+    /// A flooded topology whose parent pointers hold a cycle is adopted
+    /// (it tells the truth about this switch) and found unroutable: the
+    /// cleared table stays, nothing panics.
+    #[test]
+    fn cyclic_topology_from_the_wire_is_unroutable() {
+        let mut pair = Pair::new();
+        pair.aps[1].set_tracing(true);
+        pair.boot();
+        pair.run_for(SimDuration::from_secs(3));
+        let epoch = pair.aps[1].epoch().next();
+        let now = pair.now;
+        // 10 opens a new epoch as root; 20 joins as its child on port 1.
+        let join = from_wire(&ControlMsg::TreePosition {
+            epoch,
+            seq: 1,
+            from_port: 1,
+            pos: TreePosition::myself(Uid::new(10)),
+        });
+        pair.aps[1].on_packet(now, 1, &join);
+        assert_eq!(pair.aps[1].epoch(), epoch);
+        let down = from_wire(&ControlMsg::TopologyDown {
+            epoch,
+            global: crate::topology::tests::cyclic_topology(epoch),
+        });
+        let actions = pair.aps[1].on_packet(now, 1, &down);
+        let unroutable = Event::UnroutableTopology { epoch };
+        assert!(
+            actions
+                .iter()
+                .any(|a| matches!(a, Action::Trace(e) if *e == unroutable)),
+            "{actions:?}"
+        );
+        assert!(!actions.iter().any(|a| matches!(a, Action::LoadTable(_))));
     }
 
     #[test]

@@ -94,11 +94,6 @@ impl ConnectivityMonitor {
         self.neighbor
     }
 
-    /// Whether the sampler currently approves this port for probing.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// The error-free good-response period the connectivity skeptic
     /// currently requires before it will promote this port (§6.5.5).
     pub fn required_hold(&self) -> autonet_sim::SimDuration {

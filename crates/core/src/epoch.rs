@@ -4,8 +4,11 @@
 //! paper §6.6.2). A switch initiating a reconfiguration increments its
 //! local epoch; switches join any epoch greater than their own, so
 //! overlapping reconfigurations collapse onto the highest epoch. The
-//! counter is large enough that wraparound will never occur in the life of
-//! an installation.
+//! counter is large enough that counting will never wrap it in the life of
+//! an installation. But the number also arrives from the wire, so the top
+//! value is reserved: a message carrying [`Epoch::RESERVED`] is never
+//! joined (the engine drops it, counted), which leaves every epoch a switch
+//! can join a successor.
 
 use std::fmt;
 
@@ -17,14 +20,15 @@ impl Epoch {
     /// The power-on epoch.
     pub const ZERO: Epoch = Epoch(0);
 
-    /// The next epoch, used when initiating a reconfiguration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on wraparound, which cannot occur in practice (2⁶⁴
-    /// reconfigurations).
+    /// The top epoch number, which no switch joins: see the module docs.
+    pub const RESERVED: Epoch = Epoch(u64::MAX);
+
+    /// The next epoch, used when initiating a reconfiguration. Saturates
+    /// at [`RESERVED`](Self::RESERVED): a switch that has counted that far
+    /// is out of epochs and mints one its neighbours drop, rather than
+    /// wrapping to one they would all call stale.
     pub fn next(self) -> Epoch {
-        Epoch(self.0.checked_add(1).expect("epoch overflow"))
+        Epoch(self.0.saturating_add(1))
     }
 }
 
@@ -49,5 +53,7 @@ mod tests {
         assert!(Epoch(1) > Epoch::ZERO);
         assert_eq!(Epoch::ZERO.next(), Epoch(1));
         assert!(Epoch(5).next() > Epoch(5));
+        assert_eq!(Epoch(u64::MAX - 1).next(), Epoch::RESERVED);
+        assert_eq!(Epoch::RESERVED.next(), Epoch::RESERVED);
     }
 }

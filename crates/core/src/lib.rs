@@ -6,16 +6,16 @@
 //! with prompt termination detection so the network reopens quickly:
 //!
 //! - [`PortState`] and the monitoring tower: hardware status bits feed the
-//!   [`StatusSampler`], which classifies ports; the [`ConnectivityMonitor`]
+//!   status sampler, which classifies ports; the [`ConnectivityMonitor`]
 //!   verifies switch neighbors by packet exchange; two [`Skeptic`]s add the
 //!   hysteresis that keeps flapping links from thrashing the network.
 //! - [`Epoch`]-tagged reconfiguration: any change to the set of usable
 //!   switch-to-switch links starts a higher epoch; all switches converge on
 //!   the highest.
 //! - The distributed spanning tree with termination detection
-//!   ([`TreePosition`], [`ReconfigEngine`]): Perlman's algorithm extended
-//!   with the stability protocol of Rodeheffer and Lamport, so the root
-//!   learns promptly and provably when the tree is complete.
+//!   ([`TreePosition`], the reconfiguration engine): Perlman's algorithm
+//!   extended with the stability protocol of Rodeheffer and Lamport, so the
+//!   root learns promptly and provably when the tree is complete.
 //! - Topology accumulation up the tree, short-address assignment at the
 //!   root ([`assign_switch_numbers`]), distribution down the tree, and
 //!   local computation of up\*/down\* minimal multipath routes
@@ -46,7 +46,7 @@ mod topology;
 mod tree;
 
 pub use addressing::assign_switch_numbers;
-pub use autopilot::{Action, Autopilot, PortHardwareReport};
+pub use autopilot::{Action, Autopilot};
 pub use connectivity::{ConnectivityEvent, ConnectivityMonitor, NeighborId};
 pub use dataplane::{ProbeOutcome, ProbeRecord};
 pub use epoch::Epoch;
@@ -54,13 +54,12 @@ pub use events::{Event, ReconfigCause, SkepticKind, SkepticVerdict, TransitionCa
 pub use messages::{ControlMsg, MsgCodecError, SrpPayload};
 pub use params::{AutopilotParams, TerminationMode};
 pub use port_state::PortState;
-pub use reconfig::{MsgDisposition, NeighborInfo, ReconfigEngine, ReconfigEvent, ReconfigOutput};
+pub use reconfig::{MsgDisposition, NeighborInfo};
 pub use route_cache::{RouteCache, RouteCacheStats};
 pub use routes::{
-    compute_forwarding_table, global_from_view, global_from_view_simple, program_one_hop,
-    RouteComputer, RouteKind, RoutingStats,
+    compute_forwarding_table, global_from_view, global_from_view_simple, RouteComputer, RouteKind,
+    RoutingStats,
 };
-pub use sampler::{SamplerEvent, StatusSampler};
 pub use skeptic::Skeptic;
 pub use topology::{GlobalTopology, LinkInfo, SubtreeReport, SwitchInfo};
 pub use tree::TreePosition;

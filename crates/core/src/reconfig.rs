@@ -95,12 +95,14 @@ pub struct MsgDisposition {
     pub current: u64,
     /// Older epoch: ignored.
     pub stale: u64,
+    /// The reserved top epoch ([`Epoch::RESERVED`]): dropped unprocessed.
+    pub dropped: u64,
 }
 
 impl MsgDisposition {
     /// Every reconfiguration message handled.
     pub fn total(&self) -> u64 {
-        self.joined + self.current + self.stale
+        self.joined + self.current + self.stale + self.dropped
     }
 }
 
@@ -109,6 +111,7 @@ impl std::ops::AddAssign for MsgDisposition {
         self.joined += o.joined;
         self.current += o.current;
         self.stale += o.stale;
+        self.dropped += o.dropped;
     }
 }
 
@@ -221,22 +224,6 @@ impl ReconfigEngine {
         self.epoch
     }
 
-    /// Whether a reconfiguration is in progress (started and not yet
-    /// completed at this switch).
-    pub fn is_running(&self) -> bool {
-        self.running && !self.completed
-    }
-
-    /// Whether the current epoch has completed at this switch.
-    pub fn is_completed(&self) -> bool {
-        self.completed
-    }
-
-    /// This switch's current tree position.
-    pub fn position(&self) -> TreePosition {
-        self.pos
-    }
-
     /// The topology of the last completed epoch.
     pub fn global(&self) -> Option<&GlobalTopology> {
         self.global.as_ref()
@@ -254,13 +241,6 @@ impl ReconfigEngine {
         self.latest_neighbors = neighbors.clone();
         let epoch = self.epoch.next();
         self.reset_for_epoch(now, epoch, neighbors, proposed_number, host_ports)
-    }
-
-    /// Refreshes the neighbor view used when this switch is pulled into a
-    /// newer epoch by a message rather than by a local trigger. The active
-    /// epoch's link set is never changed (§6.6.2 fixes it per epoch).
-    pub fn update_neighbors(&mut self, neighbors: BTreeMap<PortIndex, NeighborInfo>) {
-        self.latest_neighbors = neighbors;
     }
 
     /// Refreshes the local information used at the next epoch join.
@@ -329,6 +309,10 @@ impl ReconfigEngine {
             | ControlMsg::TopologyDownAck { epoch } => *epoch,
             _ => return Vec::new(),
         };
+        if msg_epoch == Epoch::RESERVED {
+            self.msgs.dropped += 1;
+            return Vec::new();
+        }
         let mut out = Vec::new();
         match msg_epoch.cmp(&self.epoch) {
             Ordering::Greater => {
@@ -854,7 +838,7 @@ mod tests {
             // harness mirrors that by refreshing all caches first.
             for j in 0..self.engines.len() {
                 let nbrs = self.neighbor_map(j);
-                self.engines[j].update_neighbors(nbrs);
+                self.engines[j].latest_neighbors = nbrs;
             }
             let nbrs = self.neighbor_map(i);
             let outs = self.engines[i].start(self.now, nbrs, 1, vec![]);
@@ -944,7 +928,7 @@ mod tests {
         assert_eq!(g.root, Uid::new(5));
         assert_eq!(g.switches.len(), 1);
         assert_eq!(g.switches[0].host_ports, vec![3, 4]);
-        assert!(e.is_completed());
+        assert!(e.completed);
     }
 
     #[test]
@@ -1013,7 +997,7 @@ mod tests {
         net.trigger(0);
         net.run(SimTime::from_secs(1));
         let first_epoch = net.engines[0].epoch();
-        assert!(net.engines[0].is_completed());
+        assert!(net.engines[0].completed);
         // A second trigger at the other switch starts a higher epoch.
         net.completions = vec![None, None];
         net.trigger(1);
@@ -1227,21 +1211,21 @@ mod tests {
             },
             ControlMsg::TopologyDownAck { epoch: old },
         ];
-        assert!(net.engines[0].is_completed());
+        assert!(net.engines[0].completed);
         let outs = net.engines[0].on_msg(net.now, 1, &stale[0]);
         assert!(outs.is_empty(), "{outs:?}");
-        assert!(net.engines[0].is_completed());
+        assert!(net.engines[0].completed);
 
         let nbrs = net.neighbor_map(0);
         let _ = net.engines[0].start(net.now, nbrs, 1, vec![]);
-        let before = (net.engines[0].epoch(), net.engines[0].position());
+        let before = (net.engines[0].epoch(), net.engines[0].pos);
         let handled = net.engines[0].msg_disposition();
         for msg in &stale {
             let outs = net.engines[0].on_msg(net.now, 1, msg);
             assert!(outs.is_empty(), "{outs:?}");
         }
-        assert!(net.engines[0].is_running());
-        assert_eq!((net.engines[0].epoch(), net.engines[0].position()), before);
+        assert!(!net.engines[0].completed);
+        assert_eq!((net.engines[0].epoch(), net.engines[0].pos), before);
         let mut expected = handled;
         expected.stale += 2;
         assert_eq!(net.engines[0].msg_disposition(), expected);
@@ -1282,7 +1266,7 @@ mod tests {
         net.trigger(0);
         net.run(SimTime::from_secs(1));
         let epoch = net.engines[0].epoch();
-        let pos_before = net.engines[0].position();
+        let pos_before = net.engines[0].pos;
         let rogue = ControlMsg::TreePosition {
             epoch,
             seq: 1,
@@ -1292,7 +1276,7 @@ mod tests {
         // Port 9 is not wired; the engine must not adopt through it.
         let outs = net.engines[0].on_msg(net.now, 9, &rogue);
         assert!(outs.is_empty());
-        assert_eq!(net.engines[0].position(), pos_before);
+        assert_eq!(net.engines[0].pos, pos_before);
     }
 
     /// Engine 50 with one neighbor, 10 on port 1, adopted as parent.
@@ -1305,7 +1289,7 @@ mod tests {
         let _ = e.start(SimTime::ZERO, BTreeMap::from([(1, ten)]), 1, vec![]);
         let epoch = e.epoch();
         let _ = e.on_msg(SimTime::from_micros(10), 1, &ten_is_root(epoch));
-        assert_eq!(e.position().parent, Uid::new(10));
+        assert_eq!(e.pos.parent, Uid::new(10));
         (e, epoch)
     }
 
@@ -1349,7 +1333,7 @@ mod tests {
         let (mut e, epoch) = child_of_ten();
         let stale = down_from_ten(epoch, &[(50, 99, 4)]);
         let outs = e.on_msg(SimTime::from_micros(20), 1, &stale);
-        assert!(!e.is_completed(), "stale topology must not be adopted");
+        assert!(!e.completed, "stale topology must not be adopted");
         assert_eq!(e.epoch(), epoch.next(), "a fresh epoch must start");
         assert!(
             outs.iter()
@@ -1359,10 +1343,10 @@ mod tests {
         // Re-adopt the parent in the new epoch; a truthful topology then
         // completes normally.
         let _ = e.on_msg(SimTime::from_micros(30), 1, &ten_is_root(epoch.next()));
-        assert_eq!(e.position().parent, Uid::new(10));
+        assert_eq!(e.pos.parent, Uid::new(10));
         let good = down_from_ten(epoch.next(), &[(50, 10, 1)]);
         let _ = e.on_msg(SimTime::from_micros(40), 1, &good);
-        assert!(e.is_completed());
+        assert!(e.completed);
     }
 
     #[test]
@@ -1370,7 +1354,7 @@ mod tests {
         let (mut e, epoch) = child_of_ten();
         let dup = down_from_ten(epoch, &[(50, 10, 1), (50, 10, 1)]);
         let _ = e.on_msg(SimTime::from_micros(20), 1, &dup);
-        assert!(!e.is_completed());
+        assert!(!e.completed);
         assert_eq!(e.epoch(), epoch.next());
     }
 

@@ -114,8 +114,7 @@ impl SharedRoutes {
     /// Builds the shared state; `None` if the tree cannot be leveled (the
     /// same condition under which `compute_forwarding_table` bails).
     fn build(global: &GlobalTopology) -> Option<SharedRoutes> {
-        global.levels()?;
-        let rc = RouteComputer::new(global);
+        let rc = RouteComputer::new(global)?;
         let n = rc.num_switches();
         let from_up: Vec<Vec<u32>> = (0..n)
             .map(|v| rc.legal_dists_from_state(v, Phase::Up))

@@ -98,16 +98,18 @@ impl RouteComputer {
     /// reported it, so an asymmetric view cannot route into a link the far
     /// end will not use.
     ///
-    /// # Panics
-    ///
-    /// Panics if the topology's parent pointers are broken (no consistent
-    /// level assignment) — a malformed input that a correct reconfiguration
-    /// never produces.
-    pub fn new(global: &GlobalTopology) -> Self {
+    /// Returns `None` if the topology's parent pointers are broken (a
+    /// cycle, a missing parent or root: no consistent level assignment).
+    /// A correct reconfiguration never floods one, but the topology
+    /// arrives from the wire; such a topology cannot be routed.
+    pub fn new(global: &GlobalTopology) -> Option<Self> {
         let uids: Vec<Uid> = global.switches.iter().map(|s| s.uid).collect();
         let index: BTreeMap<Uid, usize> = uids.iter().enumerate().map(|(i, &u)| (u, i)).collect();
-        let level_map = global.levels().expect("well-formed spanning tree");
-        let levels: Vec<u32> = uids.iter().map(|u| level_map[u]).collect();
+        let level_map = global.levels()?;
+        let levels = uids
+            .iter()
+            .map(|u| level_map.get(u).copied())
+            .collect::<Option<Vec<u32>>>()?;
         // Deduplicate links: keep one GLink per (end, end) pair reported by
         // both sides.
         let mut links: Vec<GLink> = Vec::new();
@@ -153,13 +155,13 @@ impl RouteComputer {
             adj[l.a].push((li, l.b));
             adj[l.b].push((li, l.a));
         }
-        RouteComputer {
+        Some(RouteComputer {
             uids,
             index,
             levels,
             links,
             adj,
-        }
+        })
     }
 
     /// Number of usable (deduplicated, non-loopback) links.
@@ -520,8 +522,7 @@ pub fn compute_forwarding_table(
     // A malformed topology (possible with the timeout-termination baseline,
     // which can ship partial trees) cannot be routed; the caller keeps the
     // cleared table.
-    global.levels()?;
-    let rc = RouteComputer::new(global);
+    let rc = RouteComputer::new(global)?;
     let me = rc.node(my_uid)?;
     let link_ports = link_ports_of(&rc, me);
 
@@ -845,7 +846,7 @@ mod tests {
 
     fn rc_for(topo: &autonet_topo::Topology) -> (GlobalTopology, RouteComputer) {
         let g = global_from_view_simple(&topo.view_all()).expect("non-empty");
-        let rc = RouteComputer::new(&g);
+        let rc = RouteComputer::new(&g).expect("well-formed");
         (g, rc)
     }
 
@@ -1002,12 +1003,21 @@ mod tests {
     }
 
     #[test]
+    fn cyclic_parent_pointers_cannot_be_routed() {
+        // 30 and 40 name each other as parent: neither ever gets a level.
+        let g = crate::topology::tests::cyclic_topology(Epoch(1));
+        assert!(RouteComputer::new(&g).is_none());
+        let me = Uid::new(20);
+        assert!(compute_forwarding_table(&g, me, &[], RouteKind::UpDown).is_none());
+    }
+
+    #[test]
     fn down_to_up_entries_discard() {
         // On a ring, some destinations are unreachable legally from a
         // down-phase arrival; those entries must discard.
         let topo = gen::ring(6, 0);
         let g = global_from_view_simple(&topo.view_all()).unwrap();
-        let rc = RouteComputer::new(&g);
+        let rc = RouteComputer::new(&g).expect("well-formed");
         let mut found_discard = false;
         for s in g.switches.iter() {
             let table = compute_forwarding_table(&g, s.uid, &[], RouteKind::UpDown).unwrap();

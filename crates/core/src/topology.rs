@@ -228,7 +228,7 @@ impl GlobalTopology {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn info(uid: u64, parent: u64) -> SwitchInfo {
@@ -253,6 +253,17 @@ mod tests {
             root: Uid::new(1),
             switches: Arc::new(vec![info(1, 1), info(2, 1), info(3, 2)]),
             numbers: Arc::new(numbers),
+        }
+    }
+
+    /// Root 10 with child 20 on its port 1 — and 30 and 40, which name
+    /// each other as parent. Shared with the route and Autopilot tests.
+    pub(crate) fn cyclic_topology(epoch: Epoch) -> GlobalTopology {
+        GlobalTopology {
+            epoch,
+            root: Uid::new(10),
+            switches: Arc::new(vec![info(10, 10), info(20, 10), info(30, 40), info(40, 30)]),
+            numbers: Arc::new(BTreeMap::new()),
         }
     }
 

@@ -15,9 +15,6 @@
 //! - [`NodeHarness`] owns one Autopilot, executes its actions against any
 //!   `Environment`, and owns the tick/sample cadence bookkeeping derived
 //!   from [`AutopilotParams`];
-//! - [`HarnessPool`] stores many harnesses struct-of-arrays (dense node
-//!   ids, dead-port mirrors in a flat side array) so backends iterate
-//!   nodes without chasing per-node allocations;
 //! - [`control_packet`] is the one place a [`ControlMsg`] becomes a wire
 //!   [`Packet`] (type tag + one-hop addressing);
 //! - [`NetStats`] is the counters struct both simulation backends expose,
@@ -34,12 +31,10 @@
 
 mod env;
 mod node;
-mod pool;
 mod stats;
 
 pub use env::Environment;
 pub use node::NodeHarness;
-pub use pool::HarnessPool;
 pub use stats::NetStats;
 
 use autonet_core::ControlMsg;

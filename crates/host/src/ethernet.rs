@@ -92,11 +92,6 @@ impl EthernetSegment {
         self.bytes_carried += frame.wire_len() as u64;
         done
     }
-
-    /// Whether the bus is idle at `now`.
-    pub fn is_idle(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
 }
 
 #[cfg(test)]
@@ -131,8 +126,6 @@ mod tests {
         let done2 = seg.transmit(t0, &frame(1000));
         assert!(done2 > done1);
         assert_eq!(done2.saturating_since(done1), seg.frame_time(&frame(1000)));
-        assert!(!seg.is_idle(t0));
-        assert!(seg.is_idle(done2));
     }
 
     #[test]

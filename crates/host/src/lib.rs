@@ -16,21 +16,16 @@
 //!   substrate for bridging experiments;
 //! - [`Bridge`]: the Autonet-to-Ethernet bridge of §6.8.2 with the
 //!   Firefly-calibrated CPU/bus cost model (CPU-bound on small packets,
-//!   I/O-bus-bound on large ones);
-//! - [`DualNetHost`]: the Figure 4 generic-LAN interface for hosts attached
-//!   to both networks, which can flip the active network in the middle of a
-//!   conversation (§5.5).
+//!   I/O-bus-bound on large ones).
 
 mod bridge;
 mod controller;
-mod dualnet;
 mod ethernet;
 mod frame;
 mod localnet;
 
 pub use bridge::{Bridge, BridgeParams, BridgeStats, BridgeVerdict, Side};
 pub use controller::{HostAction, HostController, HostParams, HostStats};
-pub use dualnet::{DualNetHost, DualSend, GenericNet, NetInfo};
 pub use ethernet::EthernetSegment;
 pub use frame::{EthFrame, FrameError, ARP_ETHERTYPE, BROADCAST_UID, IP_ETHERTYPE};
-pub use localnet::{ArpOp, LocalNet, LocalNetStats};
+pub use localnet::{LocalNet, LocalNetStats};

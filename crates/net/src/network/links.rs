@@ -218,7 +218,7 @@ impl NetWorld {
                     // snapshot instead of the live pool.
                     status.idhy_seen = match &self.latched {
                         Some(l) => l.is_dead(other.switch.0, other.port),
-                        None => self.switches.nodes.is_dead(other.switch.0, other.port),
+                        None => self.switches.dead[other.switch.0][other.port as usize],
                     };
                     Some(status)
                 }

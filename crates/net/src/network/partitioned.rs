@@ -66,9 +66,7 @@ impl Latched {
     /// condemned, every host on its primary port).
     fn initial(net: &NetWorld) -> Latched {
         Latched {
-            dead: (0..net.switches.len())
-                .map(|s| *net.switches.nodes.dead_row(s))
-                .collect(),
+            dead: net.switches.dead.clone(),
             host_active: net
                 .hosts
                 .ctl
@@ -126,7 +124,7 @@ impl PartWorld {
     fn moved(&self, n: usize) -> bool {
         let latched = self.latched();
         match n.checked_sub(self.net.topo.num_switches()) {
-            None => *self.net.switches.nodes.dead_row(n) != latched.dead[n],
+            None => self.net.switches.dead[n] != latched.dead[n],
             Some(h) => self.net.hosts.ctl[h].active_port() != latched.host_active(h),
         }
     }
@@ -150,8 +148,7 @@ impl ShardWorld for PartWorld {
         let events_len = self.net.events.len();
         let trace_len = self.net.trace.len();
         let stats_before = self.net.stats;
-        let mut stop = false;
-        let mut sched = Scheduler::collecting(now, out, &mut stop);
+        let mut sched = Scheduler::collecting(now, out);
         self.net.handle(now, event, &mut sched);
         if !primary {
             // A replicated fault on a shard that doesn't own its anchor:
@@ -180,7 +177,7 @@ impl ShardWorld for PartWorld {
                 continue;
             }
             match n.checked_sub(self.net.topo.num_switches()) {
-                None => into.dead.push((node, *self.net.switches.nodes.dead_row(n))),
+                None => into.dead.push((node, self.net.switches.dead[n])),
                 Some(h) => into
                     .host_active
                     .push((h as u32, self.net.hosts.ctl[h].active_port() as u8)),
@@ -298,11 +295,6 @@ impl PartitionedNetwork {
             sim.schedule_external(at, event);
         }
         Net { sim }
-    }
-
-    /// Number of shards actually running.
-    pub fn num_partitions(&self) -> usize {
-        self.sim.num_shards()
     }
 
     /// Per-shard kernel telemetry (`None` unless `params.tracing`): what

@@ -6,23 +6,36 @@
 //! the dead-port mirror, the receive path reads and writes the CPU
 //! backlog. Keeping every field in its own `Vec` (instead of a `Vec`
 //! of per-node structs) means those paths scan small dense arrays and
-//! never load the harness boxes at all; the harnesses themselves live
-//! in an [`autonet_harness::HarnessPool`] with the same dense ids.
+//! never load the harnesses at all.
+//!
+//! An entry point takes the switch's harness out of its slot (so the
+//! environment view may borrow the rest of the world), runs it, and
+//! puts it back; [`put`](SwitchPool::put) refreshes the dead-port mirror
+//! from the Autopilot's verdicts at that moment, so other switches
+//! reading the mirror between entry points see exactly the live state.
 
 use std::sync::Arc;
 
-use autonet_core::{Autopilot, AutopilotParams, RouteCache};
-use autonet_harness::{HarnessPool, NodeHarness};
+use autonet_core::{Autopilot, AutopilotParams, PortState, RouteCache};
+use autonet_harness::NodeHarness;
 use autonet_host::HostController;
 use autonet_sim::SimTime;
 use autonet_switch::ForwardingTable;
-use autonet_wire::Uid;
+use autonet_wire::{PortIndex, Uid, MAX_PORTS};
 
 /// All switches, one field per array, indexed by `SwitchId.0`.
 pub(super) struct SwitchPool {
-    /// The control programs (take/put around entry points, dead-port
-    /// mirrors) — see [`HarnessPool`].
-    pub(super) nodes: HarnessPool,
+    /// The control programs. `None` only while that switch's entry
+    /// point is running (between [`take`](Self::take) and
+    /// [`put`](Self::put)).
+    slots: Vec<Option<NodeHarness>>,
+    /// Per-switch dead-port mirror: the packet-level stand-in for the
+    /// link unit's `idhy` hook, readable without touching the harness.
+    /// Two writers: [`put`](Self::put) re-derives a row after every entry
+    /// point (which covers tick-time skeptic releases), and the
+    /// environment's `set_port_dead` hook writes one entry while the
+    /// harness is out (what a looped-back cable reads mid-round).
+    pub(super) dead: Vec<[bool; MAX_PORTS]>,
     /// The currently loaded forwarding table (data-plane hot path).
     pub(super) table: Vec<ForwardingTable>,
     /// When the control processor finishes its current backlog.
@@ -37,7 +50,8 @@ pub(super) struct SwitchPool {
 impl SwitchPool {
     pub(super) fn new(route_cache: Arc<RouteCache>) -> Self {
         SwitchPool {
-            nodes: HarnessPool::new(),
+            slots: Vec::new(),
+            dead: Vec::new(),
             table: Vec::new(),
             cpu_free: Vec::new(),
             up: Vec::new(),
@@ -52,20 +66,21 @@ impl SwitchPool {
         NodeHarness::new(ap)
     }
 
-    /// Appends a switch; returns its dense id.
+    /// Appends a switch. Ports boot Dead, so the mirror starts
+    /// all-condemned.
     pub(super) fn push(
         &mut self,
         uid: Uid,
         params: AutopilotParams,
         cpu_free: SimTime,
         tracing: bool,
-    ) -> usize {
+    ) {
         let h = self.fresh_harness(uid, params, tracing);
-        let s = self.nodes.push(h);
+        self.slots.push(Some(h));
+        self.dead.push([true; MAX_PORTS]);
         self.table.push(ForwardingTable::new());
         self.cpu_free.push(cpu_free);
         self.up.push(true);
-        s
     }
 
     /// Reboots slot `s` with a fresh Autopilot: new harness, condemned
@@ -78,8 +93,8 @@ impl SwitchPool {
         now: SimTime,
         tracing: bool,
     ) {
-        let h = self.fresh_harness(uid, params, tracing);
-        self.nodes.reset(s, h);
+        self.slots[s] = Some(self.fresh_harness(uid, params, tracing));
+        self.dead[s] = [true; MAX_PORTS];
         self.table[s] = ForwardingTable::new();
         self.cpu_free[s] = now;
         self.up[s] = true;
@@ -90,14 +105,41 @@ impl SwitchPool {
         self.up.len()
     }
 
+    /// Removes switch `s`'s harness for an entry-point run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the harness is already taken (a re-entered switch).
+    pub(super) fn take(&mut self, s: usize) -> NodeHarness {
+        self.slots[s].take().expect("harness re-entered")
+    }
+
+    /// Returns switch `s`'s harness after an entry-point run and
+    /// refreshes its dead-port mirror from the Autopilot's verdicts
+    /// (port states only change inside entry points).
+    pub(super) fn put(&mut self, s: usize, harness: NodeHarness) {
+        for (port, dead) in self.dead[s].iter_mut().enumerate() {
+            *dead = harness.autopilot().port_state(port as PortIndex) == PortState::Dead;
+        }
+        self.slots[s] = Some(harness);
+    }
+
+    /// Switch `s`'s harness, for inspection.
+    pub(super) fn harness(&self, s: usize) -> &NodeHarness {
+        self.slots[s].as_ref().expect("harness in place")
+    }
+
     /// Switch `s`'s control program, for inspection.
     pub(super) fn autopilot(&self, s: usize) -> &Autopilot {
-        self.nodes.autopilot(s)
+        self.harness(s).autopilot()
     }
 
     /// Switch `s`'s control program, mutably (SRP reply draining).
     pub(super) fn autopilot_mut(&mut self, s: usize) -> &mut Autopilot {
-        self.nodes.autopilot_mut(s)
+        self.slots[s]
+            .as_mut()
+            .expect("harness in place")
+            .autopilot_mut()
     }
 }
 
@@ -108,15 +150,14 @@ impl SwitchPool {
 /// see each other's memo hits and counters, which a cold run never does.
 impl Clone for SwitchPool {
     fn clone(&self) -> Self {
-        let mut nodes = self.nodes.clone();
+        let mut slots = self.slots.clone();
         let route_cache = Arc::new(RouteCache::clone(&self.route_cache));
-        for s in 0..nodes.len() {
-            nodes
-                .autopilot_mut(s)
-                .set_route_cache(Arc::clone(&route_cache));
+        for h in slots.iter_mut().flatten() {
+            h.autopilot_mut().set_route_cache(Arc::clone(&route_cache));
         }
         SwitchPool {
-            nodes,
+            slots,
+            dead: self.dead.clone(),
             table: self.table.clone(),
             cpu_free: self.cpu_free.clone(),
             up: self.up.clone(),
@@ -152,5 +193,69 @@ impl HostPool {
     /// Number of hosts.
     pub(super) fn len(&self) -> usize {
         self.up.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn pool(uids: &[u64]) -> SwitchPool {
+        let mut pool = SwitchPool::new(Arc::new(RouteCache::new()));
+        for &uid in uids {
+            pool.push(
+                Uid::new(uid),
+                AutopilotParams::tuned(),
+                SimTime::ZERO,
+                false,
+            );
+        }
+        pool
+    }
+
+    #[test]
+    fn push_take_put_round_trips() {
+        let mut pool = pool(&[1, 2]);
+        assert_eq!(pool.len(), 2);
+        let h = pool.take(1);
+        assert_eq!(h.autopilot().uid(), Uid::new(2));
+        pool.put(1, h);
+        assert_eq!(pool.autopilot(0).uid(), Uid::new(1));
+        assert_eq!(pool.autopilot(1).uid(), Uid::new(2));
+    }
+
+    #[test]
+    fn mirror_starts_condemned_and_tracks_port_states() {
+        let mut pool = pool(&[1]);
+        assert!(pool.dead[0][3]);
+        pool.dead[0][3] = false;
+        // put() re-derives the mirror from the Autopilot: a fresh one
+        // has every port Dead again.
+        let h = pool.take(0);
+        pool.put(0, h);
+        assert!(pool.dead[0][3]);
+    }
+
+    #[test]
+    fn reset_installs_a_fresh_node() {
+        let mut pool = pool(&[1]);
+        pool.dead[0][2] = false;
+        pool.reset_slot(
+            0,
+            Uid::new(9),
+            AutopilotParams::tuned(),
+            SimTime::ZERO,
+            false,
+        );
+        assert_eq!(pool.autopilot(0).uid(), Uid::new(9));
+        assert!(pool.dead[0][2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "harness re-entered")]
+    fn double_take_panics() {
+        let mut pool = pool(&[1]);
+        let _h = pool.take(0);
+        pool.take(0);
     }
 }

@@ -42,7 +42,7 @@ impl Environment for PacketEnv<'_, '_> {
     }
 
     fn set_port_dead(&mut self, port: PortIndex, dead: bool) {
-        self.w.switches.nodes.set_dead(self.s, port, dead);
+        self.w.switches.dead[self.s][port as usize] = dead;
     }
 
     fn network_opened(&mut self, now: SimTime, epoch: Epoch) {
@@ -101,14 +101,14 @@ impl NetWorld {
         sched: &mut Scheduler<'_, Event>,
         f: impl FnOnce(&mut NodeHarness, &mut PacketEnv<'_, '_>) -> R,
     ) -> R {
-        let mut h = self.switches.nodes.take(s);
+        let mut h = self.switches.take(s);
         let mut env = PacketEnv {
             w: &mut *self,
             sched,
             s,
         };
         let r = f(&mut h, &mut env);
-        self.switches.nodes.put(s, h);
+        self.switches.put(s, h);
         r
     }
 
@@ -122,7 +122,7 @@ impl NetWorld {
             return;
         }
         self.with_harness(s, sched, |h, env| h.boot(now, env));
-        let h = self.switches.nodes.harness(s);
+        let h = self.switches.harness(s);
         let (tick, sample) = (h.next_tick(), h.next_sample());
         sched.at(tick, Event::SwitchTick { s });
         sched.at(sample, Event::SwitchSample { s });
@@ -138,7 +138,7 @@ impl NetWorld {
             return;
         }
         self.with_harness(s, sched, |h, env| h.tick(now, env));
-        let next = self.switches.nodes.harness(s).next_tick();
+        let next = self.switches.harness(s).next_tick();
         sched.at(next, Event::SwitchTick { s });
     }
 
@@ -152,7 +152,7 @@ impl NetWorld {
             return;
         }
         self.with_harness(s, sched, |h, env| h.sample(now, env));
-        let next = self.switches.nodes.harness(s).next_sample();
+        let next = self.switches.harness(s).next_sample();
         sched.at(next, Event::SwitchSample { s });
     }
 

@@ -84,13 +84,6 @@ impl DatapathTelemetry {
         self.metrics.count("datapath.root_link_busy", busy);
     }
 
-    /// Fraction of root link-port samples found busy, if any were taken.
-    pub fn root_link_utilization(&self) -> Option<f64> {
-        let samples = self.metrics.counter("datapath.root_link_samples");
-        (samples > 0)
-            .then(|| self.metrics.counter("datapath.root_link_busy") as f64 / samples as f64)
-    }
-
     /// Backlog high-water mark observed so far.
     pub fn backlog_hwm(&self) -> SimDuration {
         self.backlog_hwm
@@ -139,9 +132,9 @@ mod tests {
         assert_eq!(t.queue_depth_hwm(), 4);
         assert_eq!(t.metrics().gauge("datapath.queue_depth"), 1);
 
-        assert_eq!(t.root_link_utilization(), None);
         t.sample_root_link(4, 1);
         t.sample_root_link(4, 3);
-        assert_eq!(t.root_link_utilization(), Some(0.5));
+        assert_eq!(t.metrics().counter("datapath.root_link_samples"), 8);
+        assert_eq!(t.metrics().counter("datapath.root_link_busy"), 4);
     }
 }

@@ -100,44 +100,6 @@ pub fn permutation(
     out
 }
 
-/// Client-server traffic: every other host sends requests to a small set
-/// of server hosts (RPC-like), exercising the learning cache's hot
-/// destinations.
-pub fn client_server(
-    topo: &Topology,
-    start: SimTime,
-    duration: SimDuration,
-    mean_interval: SimDuration,
-    servers: usize,
-    len: usize,
-    seed: u64,
-) -> Vec<Send> {
-    let n = topo.num_hosts();
-    assert!(n > servers && servers >= 1, "need clients and servers");
-    let mut rng = SimRng::new(seed);
-    let mut out = Vec::new();
-    let mut t = start;
-    let end = start + duration;
-    let mut tag = 1u64;
-    loop {
-        t += SimDuration::from_nanos(rng.exp_nanos(mean_interval.as_nanos() as f64).max(1));
-        if t >= end {
-            break;
-        }
-        let from = servers + rng.index(n - servers);
-        let to = rng.index(servers);
-        out.push(Send {
-            at: t,
-            from: HostId(from),
-            to: topo.host(HostId(to)).uid,
-            len,
-            tag,
-        });
-        tag += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,25 +157,5 @@ mod tests {
             assert_ne!(topo.host(s.from).uid, s.to);
         }
         assert!(counts.iter().all(|&c| c == 3));
-    }
-
-    #[test]
-    fn client_server_targets_servers_only() {
-        let topo = hosts_topo();
-        let sends = client_server(
-            &topo,
-            SimTime::ZERO,
-            SimDuration::from_secs(1),
-            SimDuration::from_millis(5),
-            2,
-            128,
-            9,
-        );
-        assert!(!sends.is_empty());
-        let server_uids: Vec<Uid> = (0..2).map(|i| topo.host(HostId(i)).uid).collect();
-        for s in &sends {
-            assert!(server_uids.contains(&s.to));
-            assert!(s.from.0 >= 2, "clients only send");
-        }
     }
 }

@@ -30,18 +30,16 @@ enum Sink<'a, E> {
 pub struct Scheduler<'a, E> {
     sink: Sink<'a, E>,
     now: SimTime,
-    stop: &'a mut bool,
 }
 
 impl<'a, E> Scheduler<'a, E> {
     /// A scheduler that records emissions as `(time, event)` pairs instead
     /// of queueing them, for drivers that order and route events
     /// themselves (see [`ShardedSimulator`](crate::ShardedSimulator)).
-    pub fn collecting(now: SimTime, out: &'a mut Vec<(SimTime, E)>, stop: &'a mut bool) -> Self {
+    pub fn collecting(now: SimTime, out: &'a mut Vec<(SimTime, E)>) -> Self {
         Scheduler {
             sink: Sink::Collect(out),
             now,
-            stop,
         }
     }
 
@@ -77,11 +75,6 @@ impl<'a, E> Scheduler<'a, E> {
         );
         self.push(at, event);
     }
-
-    /// Requests that the driver loop stop after the current event.
-    pub fn request_stop(&mut self) {
-        *self.stop = true;
-    }
 }
 
 /// Drives a [`World`] through its event queue in virtual time.
@@ -94,7 +87,6 @@ pub struct Simulator<W: World> {
     queue: CalendarQueue<W::Event>,
     now: SimTime,
     events_processed: u64,
-    stop_requested: bool,
 }
 
 impl<W: World> Simulator<W> {
@@ -105,7 +97,6 @@ impl<W: World> Simulator<W> {
             queue: CalendarQueue::new(),
             now: SimTime::ZERO,
             events_processed: 0,
-            stop_requested: false,
         }
     }
 
@@ -130,11 +121,6 @@ impl<W: World> Simulator<W> {
     /// inject faults and inspect state between phases.
     pub fn world_mut(&mut self) -> &mut W {
         &mut self.world
-    }
-
-    /// Consumes the simulator and returns the world.
-    pub fn into_world(self) -> W {
-        self.world
     }
 
     /// Returns the number of pending events.
@@ -162,11 +148,8 @@ impl<W: World> Simulator<W> {
     }
 
     /// Processes the next event, if any. Returns `false` when the queue is
-    /// empty or a stop was requested.
+    /// empty.
     pub fn step(&mut self) -> bool {
-        if self.stop_requested {
-            return false;
-        }
         let Some((time, event)) = self.queue.pop() else {
             return false;
         };
@@ -179,13 +162,12 @@ impl<W: World> Simulator<W> {
         let mut sched = Scheduler {
             sink: Sink::Queue(&mut self.queue),
             now: self.now,
-            stop: &mut self.stop_requested,
         };
         self.world.handle(time, event, &mut sched);
         true
     }
 
-    /// Runs until the queue is empty or a stop is requested.
+    /// Runs until the queue is empty.
     pub fn run(&mut self) {
         while self.step() {}
     }
@@ -195,7 +177,7 @@ impl<W: World> Simulator<W> {
     /// the queue drains early, so repeated phase-by-phase runs stay aligned.
     pub fn run_until(&mut self, deadline: SimTime) {
         while let Some(t) = self.queue.peek_time() {
-            if t > deadline || self.stop_requested {
+            if t > deadline {
                 break;
             }
             self.step();
@@ -219,11 +201,6 @@ impl<W: World> Simulator<W> {
         }
         n
     }
-
-    /// Clears a previously requested stop so the simulation can resume.
-    pub fn clear_stop(&mut self) {
-        self.stop_requested = false;
-    }
 }
 
 #[cfg(test)]
@@ -241,9 +218,6 @@ mod tests {
             self.seen.push((now, ev));
             if ev == 7 {
                 sched.after(SimDuration::from_nanos(5), 8);
-            }
-            if ev == 99 {
-                sched.request_stop();
             }
         }
     }
@@ -281,18 +255,6 @@ mod tests {
         s.run_until(SimTime::from_nanos(100));
         assert_eq!(s.world().seen.len(), 3);
         assert_eq!(s.now(), SimTime::from_nanos(100));
-    }
-
-    #[test]
-    fn stop_request_halts_run() {
-        let mut s = sim();
-        s.schedule_at(SimTime::from_nanos(1), 99);
-        s.schedule_at(SimTime::from_nanos(2), 1);
-        s.run();
-        assert_eq!(s.world().seen.len(), 1);
-        s.clear_stop();
-        s.run();
-        assert_eq!(s.world().seen.len(), 2);
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl SimRng {
         result
     }
 
-    /// Returns the next 32 uniformly distributed bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniformly distributed value in `[0, bound)`.
     ///
     /// Uses Lemire's multiply-shift rejection method, which is unbiased.

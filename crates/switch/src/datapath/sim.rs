@@ -357,12 +357,6 @@ impl DatapathSim {
         h
     }
 
-    /// Makes a host endpoint record full packet payloads in its
-    /// [`Delivery`] records.
-    pub fn set_record_payloads(&mut self, h: DpHostId, on: bool) {
-        self.hosts[h.0].record_payloads = on;
-    }
-
     /// Queues explicit wire bytes for transmission (the first two bytes
     /// must be the destination short address, as the router reads them).
     ///

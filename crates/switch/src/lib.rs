@@ -26,7 +26,5 @@ mod status;
 
 pub use forwarding::{ForwardingEntry, ForwardingTable};
 pub use portset::PortSet;
-pub use scheduler::{
-    FcfcScheduler, FcfsScheduler, Grant, Request, Scheduler, ROUTER_DECISION_SLOTS,
-};
+pub use scheduler::{FcfcScheduler, FcfsScheduler, Grant, Request, Scheduler};
 pub use status::LinkUnitStatus;

@@ -15,9 +15,8 @@
 //!   are eventually scheduled — the starvation-freedom property the paper
 //!   calls out.
 //!
-//! The engine makes one scheduling decision per 480 ns
-//! ([`ROUTER_DECISION_SLOTS`] slots), bounding the switch at about 2 million
-//! packets per second.
+//! The engine makes one scheduling decision per 480 ns (six 80 ns slots),
+//! bounding the switch at about 2 million packets per second.
 //!
 //! [`FcfsScheduler`] is the strict first-come-first-*served* baseline used
 //! by the ablation experiment: the head request blocks all younger ones.
@@ -27,10 +26,6 @@ use std::collections::VecDeque;
 use autonet_wire::PortIndex;
 
 use crate::portset::PortSet;
-
-/// The router makes one forwarding decision every 6 slots (6 × 80 ns =
-/// 480 ns).
-pub const ROUTER_DECISION_SLOTS: u64 = 6;
 
 /// A forwarding request from a receive port.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -6,71 +6,16 @@
 //! edge from channel `c1` to channel `c2` whenever some route uses `c1`
 //! immediately followed by `c2` — a packet holding `c1` may be waiting for
 //! `c2`. Autonet's up\*/down\* rule (companion paper §6.6.4) works because
-//! the spanning-tree direction assignment admits no such cycle; this module
-//! provides the checker the experiments use to demonstrate that, and to
-//! demonstrate that unrestricted shortest-path routing *does* have cycles.
-
-use std::collections::BTreeSet;
-
-use crate::graph::{LinkId, SwitchId, Topology};
-
-/// One directed channel: a traversal of `link` delivering into `to`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Channel {
-    /// The physical link.
-    pub link: LinkId,
-    /// The switch the traversal arrives at.
-    pub to: SwitchId,
-}
-
-impl Channel {
-    /// A dense index for this channel: `2 * link + side`, where side 0
-    /// delivers into the link's `a` end and side 1 into its `b` end.
-    pub fn index(&self, topo: &Topology) -> usize {
-        let spec = topo.link(self.link);
-        let side = if spec.a.switch == self.to {
-            0
-        } else {
-            debug_assert_eq!(spec.b.switch, self.to, "channel endpoint not on link");
-            1
-        };
-        self.link.0 * 2 + side
-    }
-}
-
-/// A route is the sequence of directed channels a packet occupies, in order.
-pub type Route = Vec<Channel>;
-
-/// Builds the channel-dependency edge set of a route collection.
-///
-/// Returns `(num_channels, edges)` where edges are pairs of dense channel
-/// indices (see [`Channel::index`]), deduplicated.
-pub fn dependency_edges(topo: &Topology, routes: &[Route]) -> (usize, Vec<(usize, usize)>) {
-    let num_channels = topo.num_links() * 2;
-    let mut edges = BTreeSet::new();
-    for route in routes {
-        for pair in route.windows(2) {
-            edges.insert((pair[0].index(topo), pair[1].index(topo)));
-        }
-    }
-    (num_channels, edges.into_iter().collect())
-}
-
-/// Searches the channel dependency graph of `routes` for a cycle.
-///
-/// Returns a witness cycle as a sequence of dense channel indices (first
-/// element repeated at the end), or `None` if the graph is acyclic — i.e.
-/// the route set is deadlock-free.
-pub fn find_dependency_cycle(topo: &Topology, routes: &[Route]) -> Option<Vec<usize>> {
-    let (n, edge_list) = dependency_edges(topo, routes);
-    find_cycle(n, &edge_list)
-}
+//! the spanning-tree direction assignment admits no such cycle. Callers
+//! number their channels densely and build the edge list themselves (the
+//! route computer in `autonet-core` from its per-destination next hops,
+//! `autonet-check` from loaded forwarding tables); this module is the
+//! cycle search they share.
 
 /// Searches an arbitrary directed graph for a cycle.
 ///
 /// Returns a witness as a node sequence with the first node repeated at
-/// the end, or `None` if the graph is acyclic. Used both for channel
-/// dependency graphs here and by the route computer in `autonet-core`.
+/// the end, or `None` if the graph is acyclic.
 pub fn find_cycle(n: usize, edge_list: &[(usize, usize)]) -> Option<Vec<usize>> {
     let mut adj = vec![Vec::new(); n];
     for &(a, b) in edge_list {
@@ -127,120 +72,32 @@ pub fn find_cycle(n: usize, edge_list: &[(usize, usize)]) -> Option<Vec<usize>> 
     None
 }
 
-/// Convenience: `true` if the route set is deadlock-free (no cycle).
-pub fn is_deadlock_free(topo: &Topology, routes: &[Route]) -> bool {
-    find_dependency_cycle(topo, routes).is_none()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autonet_wire::{LinkTiming, Uid};
-
-    /// A ring of n switches, returning (topology, links in ring order).
-    fn ring(n: usize) -> (Topology, Vec<LinkId>) {
-        let mut t = Topology::new();
-        let ids: Vec<SwitchId> = (0..n)
-            .map(|i| t.add_switch(Uid::new(i as u64 + 1)).unwrap())
-            .collect();
-        let links = (0..n)
-            .map(|i| {
-                t.connect(ids[i], ids[(i + 1) % n], LinkTiming::coax_100m())
-                    .unwrap()
-            })
-            .collect();
-        (t, links)
-    }
-
-    /// The channel on `link` delivering into switch `to`.
-    fn ch(link: LinkId, to: usize) -> Channel {
-        Channel {
-            link,
-            to: SwitchId(to),
-        }
-    }
 
     #[test]
     fn clockwise_ring_routes_deadlock() {
-        // The classic example: every switch forwards one hop clockwise, so
-        // each channel waits on the next and the dependency graph is a cycle.
-        let (t, links) = ring(4);
-        let routes: Vec<Route> = (0..4)
-            .map(|i| {
-                vec![
-                    ch(links[i], (i + 1) % 4),
-                    ch(links[(i + 1) % 4], (i + 2) % 4),
-                ]
-            })
-            .collect();
-        let cycle = find_dependency_cycle(&t, &routes).expect("must find the ring cycle");
-        assert!(cycle.len() >= 3);
+        // The classic example: every switch of a 4-ring forwards one hop
+        // clockwise, so channel i waits on channel i + 1 and the dependency
+        // graph is one cycle. Channel 4 hangs off it and is not part of it.
+        let edges = [(4, 0), (0, 1), (1, 2), (2, 3), (3, 0)];
+        let cycle = find_cycle(5, &edges).expect("must find the ring cycle");
+        assert_eq!(cycle.len(), 5, "four channels, the first repeated");
         assert_eq!(cycle.first(), cycle.last());
-        assert!(!is_deadlock_free(&t, &routes));
+        assert!(!cycle.contains(&4));
+        for pair in cycle.windows(2) {
+            assert!(edges.contains(&(pair[0], pair[1])), "{pair:?} not an edge");
+        }
     }
 
     #[test]
     fn updown_style_ring_routes_are_free() {
-        // Orient the ring from a root at switch 0: no route turns "up"
-        // after going "down", so the dependency graph is acyclic.
-        let (t, links) = ring(4);
-        // Legal min-hop routes on the oriented 4-ring (up ends toward 0):
-        // 1->0, 2->1->0 forbidden? Use simple up-only and down-only chains.
-        let routes: Vec<Route> = vec![
-            // 2 -> 1 -> 0 (up, up).
-            vec![ch(links[1], 1), ch(links[0], 0)],
-            // 2 -> 3 -> 0 (up, up on the other side).
-            vec![ch(links[2], 3), ch(links[3], 0)],
-            // 0 -> 1 -> 2 (down, down).
-            vec![ch(links[0], 1), ch(links[1], 2)],
-            // 0 -> 3 -> 2 (down, down).
-            vec![ch(links[3], 3), ch(links[2], 2)],
-        ];
-        assert!(is_deadlock_free(&t, &routes));
-    }
-
-    #[test]
-    fn empty_and_single_hop_routes_are_free() {
-        let (t, links) = ring(3);
-        assert!(is_deadlock_free(&t, &[]));
-        let routes: Vec<Route> = vec![vec![ch(links[0], 1)], vec![ch(links[0], 0)]];
-        assert!(is_deadlock_free(&t, &routes));
-    }
-
-    #[test]
-    fn two_link_mutual_wait_detected() {
-        // a -> b (via l0) then b -> a (via l0 reverse) chained with the
-        // reverse order elsewhere produces a 2-cycle.
-        let mut t = Topology::new();
-        let a = t.add_switch(Uid::new(1)).unwrap();
-        let b = t.add_switch(Uid::new(2)).unwrap();
-        let l0 = t.connect(a, b, LinkTiming::coax_100m()).unwrap();
-        let l1 = t.connect(a, b, LinkTiming::coax_100m()).unwrap();
-        let routes: Vec<Route> = vec![vec![ch(l0, 1), ch(l1, 0)], vec![ch(l1, 0), ch(l0, 1)]];
-        assert!(!is_deadlock_free(&t, &routes));
-    }
-
-    #[test]
-    fn dependency_edges_deduplicate() {
-        let (t, links) = ring(3);
-        let r: Route = vec![ch(links[0], 1), ch(links[1], 2)];
-        let routes = vec![r.clone(), r];
-        let (n, edges) = dependency_edges(&t, &routes);
-        assert_eq!(n, 6);
-        assert_eq!(edges.len(), 1);
-    }
-
-    #[test]
-    fn channel_index_is_dense_and_distinct() {
-        let (t, links) = ring(3);
-        let mut seen = std::collections::BTreeSet::new();
-        for (i, &l) in links.iter().enumerate() {
-            let fwd = ch(l, (i + 1) % 3).index(&t);
-            let rev = ch(l, i).index(&t);
-            assert!(seen.insert(fwd));
-            assert!(seen.insert(rev));
-        }
-        assert_eq!(seen.len(), 6);
-        assert!(seen.iter().all(|&i| i < 6));
+        // The same ring oriented from a root: up channels 0..4 only wait on
+        // up channels nearer the root or on down channels 4..8, and down
+        // channels only on down channels farther out. Diamonds, no cycle.
+        let edges = [(1, 0), (2, 3), (0, 4), (3, 4), (4, 5), (4, 6), (5, 7)];
+        assert_eq!(find_cycle(8, &edges), None);
+        assert_eq!(find_cycle(0, &[]), None);
     }
 }

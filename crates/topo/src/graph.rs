@@ -5,10 +5,6 @@ use std::fmt;
 
 use autonet_wire::{LinkTiming, PortIndex, Uid, MAX_PORTS};
 
-/// Number of external (cable-bearing) ports per switch; port 0 is the
-/// internal control-processor port.
-pub const EXTERNAL_PORTS: usize = MAX_PORTS - 1;
-
 /// Index of a switch within a [`Topology`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SwitchId(pub usize);
@@ -99,21 +95,6 @@ impl LinkSpec {
             self.a
         } else {
             panic!("{from:?} is not an endpoint of this link")
-        }
-    }
-
-    /// Returns the end attached to `switch`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `switch` is on neither end.
-    pub fn end_at(&self, switch: SwitchId) -> LinkEnd {
-        if self.a.switch == switch {
-            self.a
-        } else if self.b.switch == switch {
-            self.b
-        } else {
-            panic!("{switch:?} is not an endpoint of this link")
         }
     }
 

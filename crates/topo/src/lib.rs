@@ -10,9 +10,9 @@
 //!   network), hypercubes, and random connected graphs;
 //! - graph analysis over a live view of the network ([`NetView`]): BFS
 //!   distances, diameter, connected components;
-//! - the deadlock checker ([`deadlock`]): builds the channel-dependency
-//!   graph of a route set and finds cycles, the formal criterion for
-//!   wormhole/cut-through deadlock possibility.
+//! - the deadlock checker ([`deadlock`]): finds cycles in a
+//!   channel-dependency graph, the formal criterion for wormhole/cut-through
+//!   deadlock possibility.
 
 pub mod deadlock;
 pub mod gen;
@@ -23,5 +23,5 @@ mod graph;
 pub use analysis::{bfs_distances, connected_components, diameter, is_connected};
 pub use graph::{
     HostAttachment, HostId, HostSpec, LinkEnd, LinkId, LinkSpec, NetView, PortUse, SwitchId,
-    SwitchSpec, Topology, TopologyError, EXTERNAL_PORTS,
+    SwitchSpec, Topology, TopologyError,
 };

@@ -238,19 +238,14 @@ impl Timeline {
         self.epoch(e).and_then(CriticalPath::from_report)
     }
 
-    /// The critical path of the latest complete epoch.
-    pub fn last_critical_path(&self) -> Option<CriticalPath> {
-        self.last_complete().and_then(CriticalPath::from_report)
-    }
-
     /// The critical path of the last *fault*, merging coalesced epochs.
     ///
     /// A single physical fault can span several epochs: the first epoch
     /// carries the detection and close wave, then a second proposal
     /// supersedes it mid-reconfiguration and carries the tree, address
     /// and table phases to settlement. No single epoch then has all six
-    /// phases and [`last_critical_path`](Self::last_critical_path)
-    /// returns `None`, even though the fault's end-to-end path is fully
+    /// phases and [`critical_path`](Self::critical_path) returns `None`
+    /// for each, even though the fault's end-to-end path is fully
     /// recorded.
     ///
     /// This method finds the last *settled* epoch (one with an `opened`
@@ -369,7 +364,7 @@ mod tests {
             epochs: vec![early, late],
         };
         // No single epoch is complete…
-        assert!(tl.last_critical_path().is_none());
+        assert!(tl.last_complete().is_none());
         // …but the fault's end-to-end path is recoverable.
         let cp = tl.last_fault_critical_path().expect("burst merges");
         assert_eq!(cp.epoch, Epoch(4), "attributed to the settled epoch");
@@ -391,12 +386,13 @@ mod tests {
     #[test]
     fn complete_last_epoch_needs_no_merge() {
         // When the last settled epoch already has all six phases, the
-        // burst walk is bypassed and both queries agree.
+        // burst walk is bypassed and the fault's path is that epoch's.
         let tl = Timeline {
             records: Vec::new(),
             epochs: vec![report()],
         };
-        assert_eq!(tl.last_fault_critical_path(), tl.last_critical_path());
+        let only = tl.epochs[0].epoch;
+        assert_eq!(tl.last_fault_critical_path(), tl.critical_path(only));
     }
 
     #[test]

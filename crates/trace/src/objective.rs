@@ -28,20 +28,19 @@ use autonet_sim::{SimDuration, SimTime};
 use crate::interruption::InterruptionReport;
 use crate::timeline::Timeline;
 
-/// The damage objectives of one run, each monotone in "worse".
+/// The damage objectives of one run: a point in the objective space the
+/// worst-case search maximizes, each axis monotone in "worse".
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DamageReport {
     /// Sum of all blackout-window durations across all probed pairs.
-    pub blackout_total: SimDuration,
-    /// The single longest blackout window.
-    pub max_blackout: SimDuration,
+    pub blackout: SimDuration,
     /// Number of probed pairs with at least one blackout window.
     pub affected_pairs: usize,
     /// Total trunk-port dead-episode time (`s.dead` observed →
     /// `s.switch.good` reached, open episodes clipped at the horizon).
     pub skeptic_hold: SimDuration,
     /// Total time spent in epochs that settled unroutable.
-    pub unroutable_window: SimDuration,
+    pub unroutable: SimDuration,
 }
 
 impl DamageReport {
@@ -54,31 +53,49 @@ impl DamageReport {
         timeline: &Timeline,
         horizon: SimTime,
     ) -> DamageReport {
-        let (blackout_total, max_blackout, affected_pairs) = interruption
+        let (blackout, affected_pairs) = interruption
             .map(|r| {
                 let mut total = SimDuration::ZERO;
-                let mut max = SimDuration::ZERO;
                 let mut affected = 0usize;
                 for p in &r.pairs {
                     if !p.windows.is_empty() {
                         affected += 1;
                     }
                     for w in &p.windows {
-                        let d = w.duration();
-                        total += d;
-                        max = max.max(d);
+                        total += w.duration();
                     }
                 }
-                (total, max, affected)
+                (total, affected)
             })
-            .unwrap_or((SimDuration::ZERO, SimDuration::ZERO, 0));
+            .unwrap_or((SimDuration::ZERO, 0));
         DamageReport {
-            blackout_total,
-            max_blackout,
+            blackout,
             affected_pairs,
             skeptic_hold: skeptic_hold_total(timeline, horizon),
-            unroutable_window: unroutable_window_total(timeline, horizon),
+            unroutable: unroutable_window_total(timeline, horizon),
         }
+    }
+
+    /// Pareto dominance: at least as bad on every axis and strictly
+    /// worse on one.
+    pub fn dominates(&self, other: &DamageReport) -> bool {
+        let ge = self.blackout >= other.blackout
+            && self.affected_pairs >= other.affected_pairs
+            && self.skeptic_hold >= other.skeptic_hold
+            && self.unroutable >= other.unroutable;
+        ge && self != other
+    }
+
+    /// The total order used to crown a champion out of a Pareto front:
+    /// blackout first (the headline objective the goldens pin), then
+    /// blast radius, then the quarantine and unroutable axes.
+    pub fn rank(&self) -> (SimDuration, usize, SimDuration, SimDuration) {
+        (
+            self.blackout,
+            self.affected_pairs,
+            self.skeptic_hold,
+            self.unroutable,
+        )
     }
 }
 
@@ -86,12 +103,8 @@ impl std::fmt::Display for DamageReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "blackout {} over {} pairs (max {}), skeptic hold {}, unroutable {}",
-            self.blackout_total,
-            self.affected_pairs,
-            self.max_blackout,
-            self.skeptic_hold,
-            self.unroutable_window,
+            "blackout {} / {} pairs / hold {} / unroutable {}",
+            self.blackout, self.affected_pairs, self.skeptic_hold, self.unroutable
         )
     }
 }
@@ -230,8 +243,7 @@ mod tests {
         );
         let d = DamageReport::measure(Some(&report), &tl, ms(100));
         assert_eq!(d.affected_pairs, 1);
-        assert_eq!(d.blackout_total, SimDuration::from_millis(41));
-        assert_eq!(d.max_blackout, SimDuration::from_millis(41));
+        assert_eq!(d.blackout, SimDuration::from_millis(41));
     }
 
     #[test]
@@ -269,11 +281,11 @@ mod tests {
             },
         ]);
         let d = DamageReport::measure(None, &tl, ms(100));
-        assert_eq!(d.unroutable_window, SimDuration::from_millis(20));
+        assert_eq!(d.unroutable, SimDuration::from_millis(20));
 
         // With no later settle, the window runs to the horizon.
         let tl2 = Timeline::build(&tl.records[..2]);
         let d2 = DamageReport::measure(None, &tl2, ms(100));
-        assert_eq!(d2.unroutable_window, SimDuration::from_millis(90));
+        assert_eq!(d2.unroutable, SimDuration::from_millis(90));
     }
 }

@@ -94,14 +94,6 @@ impl EpochReport {
             self.opened?,
         ])
     }
-
-    /// Whether all six phases happened with non-decreasing timestamps.
-    pub fn phases_ordered(&self) -> bool {
-        match self.phases() {
-            Some(p) => p.windows(2).all(|w| w[0] <= w[1]),
-            None => false,
-        }
-    }
 }
 
 impl fmt::Display for EpochReport {
@@ -350,7 +342,6 @@ mod tests {
         assert_eq!(r.opened, Some(SimTime::from_nanos(46)));
         assert_eq!(r.clears, 1);
         assert_eq!(r.tables_installed, 2);
-        assert!(r.phases_ordered());
         assert_eq!(r.time_to_settle(), Some(SimDuration::from_nanos(36)));
         assert_eq!(tl.last_complete().unwrap().epoch, e);
         let m = tl.metrics();
@@ -367,7 +358,6 @@ mod tests {
         let r = tl.epoch(Epoch(9)).unwrap();
         assert_eq!(r.closed, Some(SimTime::from_nanos(5)));
         assert_eq!(r.detected, None);
-        assert!(!r.phases_ordered());
         assert!(tl.last_complete().is_none());
     }
 }

@@ -109,11 +109,6 @@ impl ReceiveFifo {
         self.entries.is_empty()
     }
 
-    /// Returns `true` if the FIFO is completely full.
-    pub fn is_full(&self) -> bool {
-        self.entries.len() == self.capacity
-    }
-
     /// The capacity in entries.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -199,7 +194,6 @@ mod tests {
         let mut f = ReceiveFifo::new(2, 0.5);
         assert!(f.push(FifoEntry::Byte(0)));
         assert!(f.push(FifoEntry::Byte(1)));
-        assert!(f.is_full());
         assert!(!f.push(FifoEntry::Byte(2)));
         assert_eq!(f.overflows(), 1);
         assert_eq!(f.len(), 2);

@@ -66,12 +66,6 @@ impl LinkTiming {
         (data_slots + fc_slots) * SLOT_NS
     }
 
-    /// End-to-end time for the first byte of a message to arrive:
-    /// propagation only (cut-through means we do not wait for the tail).
-    pub fn first_byte_ns(&self) -> u64 {
-        self.latency_ns()
-    }
-
     /// End-to-end time for an entire `bytes`-byte message to arrive.
     pub fn message_ns(&self, bytes: usize) -> u64 {
         self.latency_ns() + self.transmission_ns(bytes)

@@ -125,15 +125,6 @@ impl ShortAddress {
         )
     }
 
-    /// Returns `true` for a one-hop switch-to-switch address, and the port.
-    pub fn as_one_hop(self) -> Option<PortIndex> {
-        if (0x0001..=0x000F).contains(&self.0) {
-            Some(self.0 as PortIndex)
-        } else {
-            None
-        }
-    }
-
     /// Returns `true` for the reserved discard range `FFF0`–`FFFB`.
     pub fn is_reserved_discard(self) -> bool {
         (0xFFF0..=0xFFFB).contains(&self.0)
@@ -225,9 +216,6 @@ mod tests {
     fn one_hop_addresses() {
         assert_eq!(ShortAddress::one_hop(1).as_u16(), 0x0001);
         assert_eq!(ShortAddress::one_hop(15).as_u16(), 0x000F);
-        assert_eq!(ShortAddress::one_hop(4).as_one_hop(), Some(4));
-        assert_eq!(ShortAddress::TO_LOCAL_SWITCH.as_one_hop(), None);
-        assert_eq!(ShortAddress::FIRST_ASSIGNABLE.as_one_hop(), None);
     }
 
     #[test]

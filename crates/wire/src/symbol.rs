@@ -43,11 +43,6 @@ impl Command {
             Command::Start | Command::Stop | Command::Host | Command::Idhy | Command::Panic
         )
     }
-
-    /// Returns `true` for the packet-framing commands.
-    pub fn is_framing(self) -> bool {
-        matches!(self, Command::Begin | Command::End)
-    }
 }
 
 /// One slot on a link: a data byte or a command.
@@ -98,9 +93,6 @@ mod tests {
         assert!(Command::Idhy.is_flow_control());
         assert!(!Command::Sync.is_flow_control());
         assert!(!Command::Begin.is_flow_control());
-        assert!(Command::Begin.is_framing());
-        assert!(Command::End.is_framing());
-        assert!(!Command::Start.is_framing());
     }
 
     #[test]

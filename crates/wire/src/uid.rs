@@ -14,9 +14,6 @@ use std::fmt;
 pub struct Uid(u64);
 
 impl Uid {
-    /// The number of significant bits in a UID.
-    pub const BITS: u32 = 48;
-
     /// Mask of the significant bits.
     pub const MASK: u64 = (1 << 48) - 1;
 

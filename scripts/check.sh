@@ -4,6 +4,7 @@
 # experiments step below.
 set -eu
 cd "$(dirname "$0")/.."
+start=$(date +%s)
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
@@ -16,12 +17,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
 echo "==> cargo test"
 cargo test -q
-
-echo "==> golden traces"
-cargo test -q --test golden_traces
-
-echo "==> tracing overhead"
-cargo test -q --test determinism disabled_tracing
 
 echo "==> campaign corpus (release)"
 cargo test --release -q --test check_campaigns -- --ignored
@@ -40,10 +35,7 @@ cargo test -q -p autonet-bench --lib
 # full sizes (minutes) are a by-hand `cargo bench`; the gate below holds the
 # E22 smoke rows to the committed full file. The rest rewrite their
 # committed rows, so the tree stays clean unless behaviour moved.
-for bench in crates/bench/benches/exp_*.rs; do
-    SCALE_SMOKE=1 WORST_CASE_SMOKE=1 \
-        cargo bench -q -p autonet-bench --bench "$(basename "$bench" .rs)" >/dev/null
-done
+SCALE_SMOKE=1 WORST_CASE_SMOKE=1 cargo bench -q -p autonet-bench --benches >/dev/null
 
 echo "==> bench gate: rows equal their committed copies"
 python3 scripts/check_bench.py
@@ -86,7 +78,7 @@ echo "==> repo benchmark (smoke)"
 benchmark/run.sh --smoke
 python3 scripts/check_bench.py benchmark/out/results-smoke.json
 
-echo "==> tracked Rust lines outside benchmark/ (ROADMAP item 5: this number falls)"
+echo "==> tracked Rust lines outside benchmark/ (ROADMAP item 7: this number falls)"
 git ls-files '*.rs' ':!benchmark' | xargs wc -l | tail -1
 
-echo "OK"
+echo "OK in $(($(date +%s) - start)) s"

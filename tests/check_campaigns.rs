@@ -23,8 +23,7 @@ use autonet::net::{NetParams, PartitionedNetwork, SlotNet};
 use autonet_check::{
     default_postmortem_dir, degraded_params, packet_reproducer, postmortem_on_failure,
     random_scenario, run_packet, run_scenario, run_slot, write_postmortem, CheckOutcome,
-    FaultEvent, FaultOp, OracleConfig, PacketSubstrate, PostmortemConfig, Reproducer, Scenario,
-    TopoSpec,
+    FaultEvent, FaultOp, OracleConfig, PostmortemConfig, Reproducer, Scenario, TopoSpec,
 };
 
 /// Shrinks a failing campaign, drops a postmortem bundle, and panics with
@@ -76,8 +75,8 @@ fn run_corpus_sharded(seeds: impl Iterator<Item = u64>, n_events: usize) {
     for seed in seeds {
         let scenario = random_scenario(seed, n_events);
         let topo = scenario.topo.build();
-        let net = PartitionedNetwork::new(topo.clone(), params, scenario.seed, 2);
-        let outcome = run_scenario(&scenario, &mut PacketSubstrate::new(net), &topo, &cfg);
+        let mut net = PartitionedNetwork::new(topo.clone(), params, scenario.seed, 2);
+        let outcome = run_scenario(&scenario, &mut net, &topo, &cfg);
         assert!(
             outcome.passed(),
             "{} (sharded): {}",

@@ -9,7 +9,7 @@ use autonet::topo::{gen, HostId, LinkId, SwitchId};
 use autonet::trace::TraceRecord;
 use autonet_check::{
     degraded_params, random_scenario_with, run_packet, BootedCampaign, CheckOutcome, FaultEvent,
-    FaultOp, GenOptions, OracleConfig, PacketSubstrate, Scenario, TopoSpec,
+    FaultOp, GenOptions, OracleConfig, Scenario, TopoSpec,
 };
 
 fn run_once(seed: u64) -> (Vec<String>, Vec<(u64, usize)>) {
@@ -491,8 +491,8 @@ fn schedule_on(topo: TopoSpec, seed: u64, schedule_seed: u64, n_events: usize) -
 /// A run's outcome plus the route cache's work counters at its end.
 type RunResult = (CheckOutcome, Option<(u64, u64, u64, u64, u64)>);
 
-fn with_cache_work((outcome, sub): (CheckOutcome, PacketSubstrate<Network>)) -> RunResult {
-    let work = sub.network().route_cache_stats().map(|s| s.work());
+fn with_cache_work((outcome, net): (CheckOutcome, Network)) -> RunResult {
+    let work = net.route_cache_stats().map(|s| s.work());
     (outcome, work)
 }
 
@@ -502,7 +502,7 @@ fn cold(s: &Scenario, params: &NetParams, cfg: &OracleConfig) -> RunResult {
     with_cache_work(BootedCampaign::packet(&s.topo, s.seed, params, cfg).resume(s))
 }
 
-fn forked(base: &BootedCampaign<PacketSubstrate<Network>>, s: &Scenario) -> RunResult {
+fn forked(base: &BootedCampaign<Network>, s: &Scenario) -> RunResult {
     with_cache_work(base.clone().resume(s))
 }
 

@@ -60,7 +60,7 @@ proptest! {
     ) {
         let topo = gen::random_connected(n, extra, seed);
         let global = global_from_view_simple(&topo.view_all()).expect("non-empty");
-        let rc = RouteComputer::new(&global);
+        let rc = RouteComputer::new(&global).expect("well-formed");
         prop_assert!(!rc.has_dependency_cycle(RouteKind::UpDown));
     }
 
@@ -74,7 +74,7 @@ proptest! {
     ) {
         let topo = gen::random_connected(n, extra, seed);
         let global = global_from_view_simple(&topo.view_all()).expect("non-empty");
-        let rc = RouteComputer::new(&global);
+        let rc = RouteComputer::new(&global).expect("well-formed");
         for a in global.switches.iter() {
             for b in global.switches.iter() {
                 let legal = rc.legal_dist(a.uid, b.uid);
@@ -94,7 +94,7 @@ proptest! {
     ) {
         let topo = gen::random_connected(n, extra, seed);
         let global = global_from_view_simple(&topo.view_all()).expect("non-empty");
-        let rc = RouteComputer::new(&global);
+        let rc = RouteComputer::new(&global).expect("well-formed");
         let stats = rc.stats();
         for (li, &load) in stats.link_loads.iter().enumerate() {
             prop_assert!(load > 0, "link {li} unused (seed {seed})");
@@ -666,18 +666,18 @@ proptest! {
         };
         let outcome = run_packet(&scenario, &params, &cfg);
         prop_assume!(outcome.passed());
-        let floor = outcome.damage.blackout_total;
+        let floor = outcome.damage.blackout;
         let pred = |s: &Scenario| {
             let o = run_packet(s, &params, &cfg);
-            o.passed() && o.damage.blackout_total >= floor
+            o.passed() && o.damage.blackout >= floor
         };
         let shrunk = shrink_schedule(&scenario, pred);
         let after = run_packet(&shrunk, &params, &cfg);
         prop_assert!(after.passed());
         prop_assert!(
-            after.damage.blackout_total >= floor,
+            after.damage.blackout >= floor,
             "shrinking lowered the blackout objective: {} < {}",
-            after.damage.blackout_total,
+            after.damage.blackout,
             floor
         );
         let again = shrink_schedule(&shrunk, pred);

@@ -11,9 +11,7 @@
 
 use autonet::net::NetParams;
 use autonet::sim::SimDuration;
-use autonet_check::{
-    run_packet, worst_case_search, DamageVector, OracleConfig, TopoSpec, WorstCaseConfig,
-};
+use autonet_check::{run_packet, worst_case_search, OracleConfig, TopoSpec, WorstCaseConfig};
 
 fn hosted(base: TopoSpec) -> TopoSpec {
     TopoSpec::Hosted {
@@ -59,7 +57,7 @@ fn search_beats_its_random_corpus_on_a_hosted_ring() {
     // measured is what the reproducer's cold `run_packet` measures.
     assert_eq!(res.boots, 1, "{} evaluations", res.evaluations);
     let cold = run_packet(&res.champion, &params, &oracle);
-    assert_eq!(DamageVector::of(&cold), res.damage);
+    assert_eq!(cold.damage, res.damage);
 }
 
 /// The returned front is a real Pareto front: no archived point
@@ -83,7 +81,7 @@ fn front_entries_are_mutually_non_dominated() {
         &oracle,
         &cfg,
     );
-    let points: Vec<DamageVector> = res.front.iter().map(|(v, _)| *v).collect();
+    let points: Vec<_> = res.front.iter().map(|(v, _)| *v).collect();
     for (i, a) in points.iter().enumerate() {
         for (j, b) in points.iter().enumerate() {
             if i != j {

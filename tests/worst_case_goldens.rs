@@ -89,7 +89,7 @@ fn assert_golden(
         scenario.events.len()
     );
     let outcome = run_packet(&scenario, params, &oracle);
-    let blackout = outcome.damage.blackout_total;
+    let blackout = outcome.damage.blackout;
     assert!(
         blackout > SimDuration::ZERO,
         "golden '{name}': pinned adversarial schedule produced zero blackout — \
