@@ -31,7 +31,7 @@
 
 use autonet_bench::{write_artifact, Report, Table, Value};
 use autonet_core::MsgDisposition;
-use autonet_net::{Driver, Net, NetParams, Network, PartitionedNetwork};
+use autonet_net::{Driver, Net, NetParams, NetStats, Network, PartitionedNetwork};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{gen, LinkId, SwitchId, Topology};
 use autonet_trace::SpanTree;
@@ -49,7 +49,12 @@ struct Cycle {
     bring_msgs: MsgDisposition,
     cut_sim: SimDuration,
     cut_wall: f64,
+    /// Events the cut cost, by `Event` variant: what the kernel handles
+    /// between the stable network and the healed one.
+    cut_kinds: Vec<(&'static str, u64)>,
     events: u64,
+    /// The whole run's counters, for its `TopologyDown` floods.
+    stats: NetStats,
 }
 
 /// The scenario every pass runs, on either kernel: cold bring-up, cut
@@ -65,11 +70,13 @@ fn cycle<D: Driver>(net: &mut Net<D>) -> Option<Cycle> {
     let bring_msgs = net.reconfig_msgs();
     net.schedule_link_down(net.now() + SimDuration::from_millis(10), LinkId(0));
     let cut_from = net.now();
+    let kinds_before = net.events_by_kind();
     let wall = Instant::now();
     net.run_until_stable_every(
         SimDuration::from_millis(50),
         net.now() + SimDuration::from_secs(60),
     )?;
+    let cut_kinds = net.events_by_kind().into_iter().zip(kinds_before);
     Some(Cycle {
         bring_sim,
         bring_wall,
@@ -79,7 +86,9 @@ fn cycle<D: Driver>(net: &mut Net<D>) -> Option<Cycle> {
         bring_msgs,
         cut_sim: net.now().saturating_since(cut_from),
         cut_wall: wall.elapsed().as_secs_f64(),
+        cut_kinds: cut_kinds.map(|((k, n), (_, n0))| (k, n - n0)).collect(),
         events: net.events_processed(),
+        stats: net.stats(),
     })
 }
 
@@ -88,7 +97,7 @@ fn cycle<D: Driver>(net: &mut Net<D>) -> Option<Cycle> {
 /// extra shard) and the per-shard table's row count are exact-gated.
 const PARTITIONS: usize = 2;
 
-/// The report's five tables, one row per topology in each but `shards`
+/// The report's six tables, one row per topology in each but `shards`
 /// (one per shard of the profile pass).
 struct Tables {
     cost: Table,
@@ -96,7 +105,11 @@ struct Tables {
     profile: Table,
     route_cache: Table,
     shards: Table,
+    kinds: Table,
 }
+
+/// The `Event` variants the cut table names; the rest are its `other`.
+const KINDS: [&str; 4] = ["SwitchTick", "SwitchSample", "SwitchRx", "SwitchCpuDone"];
 
 fn tables() -> Tables {
     Tables {
@@ -132,6 +145,9 @@ fn tables() -> Tables {
                 "classic events",
                 "sharded x1 events",
                 "sharded x2 events",
+                "topology floods sent",
+                "encoded",
+                "decoded",
             ],
         ),
         profile: Table::new(
@@ -175,6 +191,18 @@ fn tables() -> Tables {
                 "mailbox out",
                 "work (ms)",
                 "barrier wait (ms)",
+            ],
+        ),
+        kinds: Table::new(
+            "E22: kernel events of the classic trunk cut, by kind",
+            &[
+                "topology",
+                KINDS[0],
+                KINDS[1],
+                KINDS[2],
+                KINDS[3],
+                "other",
+                "timer share",
             ],
         ),
     }
@@ -236,6 +264,28 @@ fn measure(
         classic.events.into(),
         sharded1.events.into(),
         sharded2.events.into(),
+        classic.stats.topology_sent.into(),
+        classic.stats.topology_encoded.into(),
+        classic.stats.topology_decoded.into(),
+    ]);
+    let of = |kind| {
+        classic
+            .cut_kinds
+            .iter()
+            .find(|&&(k, _)| k == kind)
+            .unwrap()
+            .1
+    };
+    let total: u64 = classic.cut_kinds.iter().map(|&(_, n)| n).sum();
+    let [tick, sample, rx, cpu_done] = KINDS.map(of);
+    t.kinds.row([
+        name.into(),
+        tick.into(),
+        sample.into(),
+        rx.into(),
+        cpu_done.into(),
+        (total - tick - sample - rx - cpu_done).into(),
+        ((tick + sample) as f64 / total.max(1) as f64).into(),
     ]);
 
     t.route_cache.row([
@@ -371,5 +421,6 @@ fn main() {
         .table(t.route_cache)
         .table(t.profile)
         .table(t.shards)
+        .table(t.kinds)
         .finish();
 }

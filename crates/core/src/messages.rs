@@ -11,7 +11,7 @@
 //! do all of this in software, and the experiments charge transmission
 //! time by encoded size, so the encoding is real, not estimated.
 
-use autonet_wire::{PortIndex, ShortAddress, SwitchNumber, Uid};
+use autonet_wire::{PortIndex, ShortAddress, SwitchNumber, Uid, MAX_PORTS};
 
 use crate::epoch::Epoch;
 use crate::topology::{GlobalTopology, LinkInfo, SubtreeReport, SwitchInfo};
@@ -315,6 +315,18 @@ impl Writer {
     }
 }
 
+/// A port number, or how many links or host ports one switch lists: all
+/// below [`MAX_PORTS`] in every honest report, in either form. Checked at
+/// decode because a forwarding switch re-encodes what it accepted, and
+/// the compact form has a nibble for each.
+fn port_bound(v: u16) -> Result<PortIndex, MsgCodecError> {
+    if usize::from(v) < MAX_PORTS {
+        Ok(v as PortIndex)
+    } else {
+        Err(MsgCodecError::BadValue)
+    }
+}
+
 struct Reader<'a> {
     buf: &'a [u8],
     at: usize,
@@ -354,6 +366,11 @@ impl<'a> Reader<'a> {
         Ok(Uid::from_bytes(self.take(6)?.try_into().expect("len 6")))
     }
 
+    /// A port number inside a topology report.
+    fn port(&mut self) -> Result<PortIndex, MsgCodecError> {
+        port_bound(self.u8()?.into())
+    }
+
     fn pos(&mut self) -> Result<TreePosition, MsgCodecError> {
         Ok(TreePosition {
             root: self.uid()?,
@@ -367,20 +384,20 @@ impl<'a> Reader<'a> {
         let uid = self.uid()?;
         let proposed_number: SwitchNumber = self.u16()?;
         let parent = self.uid()?;
-        let parent_port = self.u8()?;
-        let n_links = self.u16()? as usize;
-        let mut links = Vec::with_capacity(n_links.min(64));
+        let parent_port = self.port()?;
+        let n_links = port_bound(self.u16()?)?;
+        let mut links = Vec::with_capacity(n_links.into());
         for _ in 0..n_links {
             links.push(LinkInfo {
-                local_port: self.u8()?,
+                local_port: self.port()?,
                 neighbor: self.uid()?,
-                neighbor_port: self.u8()?,
+                neighbor_port: self.port()?,
             });
         }
-        let n_hosts = self.u16()? as usize;
-        let mut host_ports = Vec::with_capacity(n_hosts.min(16));
+        let n_hosts = port_bound(self.u16()?)?;
+        let mut host_ports = Vec::with_capacity(n_hosts.into());
         for _ in 0..n_hosts {
-            host_ports.push(self.u8()?);
+            host_ports.push(self.port()?);
         }
         Ok(SwitchInfo {
             uid,
@@ -411,10 +428,10 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Two nibble-packed port numbers.
+    /// Two nibble-packed port numbers (or per-switch port counts).
     fn port_pair(&mut self) -> Result<(PortIndex, PortIndex), MsgCodecError> {
         let b = self.u8()?;
-        Ok((b >> 4, b & 0x0F))
+        Ok((port_bound((b >> 4).into())?, port_bound((b & 0x0F).into())?))
     }
 
     fn compact_report(&mut self) -> Result<SubtreeReport, MsgCodecError> {
@@ -428,7 +445,7 @@ impl<'a> Reader<'a> {
             let proposed_number: SwitchNumber = self.u16()?;
             let parent = self.uid_ref(&uids)?;
             let (n_links, n_hosts) = self.port_pair()?;
-            let parent_port = self.u8()?;
+            let parent_port = self.port()?;
             let mut links = Vec::with_capacity(n_links as usize);
             for _ in 0..n_links {
                 let (local_port, neighbor_port) = self.port_pair()?;
@@ -440,7 +457,7 @@ impl<'a> Reader<'a> {
             }
             let mut host_ports = Vec::with_capacity(n_hosts as usize);
             for _ in 0..n_hosts {
-                host_ports.push(self.u8()?);
+                host_ports.push(self.port()?);
             }
             switches.push(SwitchInfo {
                 uid,
@@ -983,6 +1000,93 @@ mod tests {
             "1024-switch TopologyDown is {} bytes",
             bytes.len()
         );
+    }
+
+    /// A classic-form (tag 7) flood of `n` switches, written byte by byte
+    /// as a hostile sender would: the first switch lists `links` links,
+    /// each `(local_port, neighbor_port)`, and `hosts` as its host ports.
+    fn classic_flood(n: u16, parent_port: u8, links: &[(u8, u8)], hosts: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u8(7);
+        w.u64(3);
+        w.uid(Uid::new(1000));
+        w.u16(n);
+        for i in 0..u64::from(n) {
+            w.uid(Uid::new(1000 + i));
+            w.u16(i as u16);
+            w.uid(Uid::new(1000));
+            w.u8(if i == 0 { parent_port } else { 1 });
+            let (links, hosts) = if i == 0 {
+                (links, hosts)
+            } else {
+                (&[][..], &[][..])
+            };
+            w.u16(links.len() as u16);
+            for &(local, far) in links {
+                w.u8(local);
+                w.uid(Uid::new(1001));
+                w.u8(far);
+            }
+            w.u16(hosts.len() as u16);
+            for &p in hosts {
+                w.u8(p);
+            }
+        }
+        w.u16(0);
+        w.buf
+    }
+
+    #[test]
+    fn out_of_range_ports_and_counts_are_rejected_at_decode() {
+        // The reproducer: more than 128 switches in the classic form, one
+        // port past the nibble. It used to decode `Ok` and then panic the
+        // forwarding switch in the compact re-encode ("port out of nibble
+        // range: 200/3").
+        let bad = MsgCodecError::BadValue;
+        assert_eq!(
+            ControlMsg::decode(&classic_flood(130, 0, &[(200, 3)], &[])),
+            Err(bad)
+        );
+        // Every bounded field, at the first value out of range.
+        let max = MAX_PORTS as u8;
+        let full = [(1, 1); MAX_PORTS];
+        for (parent_port, links, hosts) in [
+            (max, &[][..], &[][..]),
+            (0, &[(max, 1)][..], &[][..]),
+            (0, &[(1, max)][..], &[][..]),
+            (0, &[][..], &[max][..]),
+            (0, &full[..], &[][..]),
+            (0, &[][..], &[1; MAX_PORTS][..]),
+        ] {
+            let bytes = classic_flood(130, parent_port, links, hosts);
+            assert_eq!(
+                ControlMsg::decode(&bytes),
+                Err(bad),
+                "{parent_port} {links:?} {hosts:?}"
+            );
+        }
+        // The compact form's nibbles reach 15: flip one of a valid
+        // encoding's port pairs past the last port.
+        let down = ControlMsg::TopologyDown {
+            epoch: Epoch(3),
+            global: GlobalTopology {
+                epoch: Epoch(3),
+                root: Uid::new(1000),
+                switches: std::sync::Arc::new(big_report(130).switches),
+                numbers: Default::default(),
+            },
+        };
+        let mut bytes = down.encode();
+        let first_entry = 1 + 8 + 6 + 2 + 6 * 130;
+        let counts = first_entry + 2 + 2; // proposed number, in-table parent
+        assert_eq!(bytes[counts], 12 << 4, "12 links, no host ports");
+        bytes[counts] = 13 << 4;
+        assert_eq!(ControlMsg::decode(&bytes), Err(bad));
+        // At the bounds, both forms decode and re-encode.
+        let edge = &[(max - 1, max - 1); MAX_PORTS - 1];
+        let bytes = classic_flood(130, max - 1, edge, &[max - 1; MAX_PORTS - 1]);
+        let msg = ControlMsg::decode(&bytes).expect("in range");
+        assert_eq!(ControlMsg::decode(&msg.encode()), Ok(msg));
     }
 
     #[test]

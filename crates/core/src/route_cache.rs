@@ -35,6 +35,14 @@
 //!   the output is equal and need not be rebuilt. Switches whose up/down
 //!   neighborhood actually changed fall through to synthesis.
 //!
+//! The digest reads the whole topology, so a serve skips it when the
+//! topology asked about is the current generation's held one by identity
+//! ([`GlobalTopology::same_object`]). The generation keeps its clone
+//! alive and an `Arc` with two owners is never edited in place, so
+//! identity implies the digest would match; any other topology is hashed,
+//! and the generation its digest names takes over the new handle. One
+//! switch per flood hashes, the rest are recognised.
+//!
 //! A full rebuild is forced whenever the digest is new (switch set,
 //! spanning tree, numbering or any adjacency changed) or the topology
 //! cannot be leveled (malformed tree from the timeout-termination
@@ -239,9 +247,15 @@ impl RouteCache {
         my_uid: Uid,
         live_host_ports: &[PortIndex],
     ) -> Option<ForwardingTable> {
-        let digest = global.content_digest();
         let mut inner = self.inner.lock().expect("route cache poisoned");
-        inner.ensure_generation(digest, global);
+        let held = inner.current.as_ref();
+        if !held.is_some_and(|g| g.global.same_object(global)) {
+            // Hash outside the lock: shards share one cache.
+            drop(inner);
+            let digest = global.content_digest();
+            inner = self.inner.lock().expect("route cache poisoned");
+            inner.ensure_generation(digest, global);
+        }
         inner.serve(my_uid, live_host_ports)
     }
 }
@@ -282,12 +296,15 @@ impl Inner {
     /// as needed. A digest matching `previous` (a fault that healed back
     /// to the prior shape) promotes it back without rebuilding.
     fn ensure_generation(&mut self, digest: u64, global: &GlobalTopology) {
-        if self.current.as_ref().is_some_and(|g| g.digest == digest) {
-            return;
-        }
         if self.previous.as_ref().is_some_and(|g| g.digest == digest) {
+            // `delta_ok` is symmetric; the swap preserves it.
             std::mem::swap(&mut self.current, &mut self.previous);
-            return; // `delta_ok` is symmetric; the swap preserves it.
+        }
+        if let Some(g) = self.current.as_mut().filter(|g| g.digest == digest) {
+            // Same content under new allocations (the next epoch's flood):
+            // hold those, so the rest of that flood is served by identity.
+            g.global = global.clone();
+            return;
         }
         let t0 = std::time::Instant::now();
         let shared = SharedRoutes::build(global);
@@ -456,6 +473,35 @@ mod tests {
         g.epoch = Epoch(7);
         digests_match(&g, &cache, &[]);
         assert_eq!(cache.stats().builds, 1, "same content must coalesce");
+    }
+
+    #[test]
+    fn identity_path_serves_what_the_hash_path_serves() {
+        let topo = gen::torus(4, 4, 9);
+        let g = global_from_view_simple(&topo.view_all()).unwrap();
+        let cache = RouteCache::new();
+        // Equal content behind fresh allocations: only the digest can tell.
+        let fresh = GlobalTopology {
+            switches: std::sync::Arc::new((*g.switches).clone()),
+            numbers: std::sync::Arc::new((*g.numbers).clone()),
+            ..g.clone()
+        };
+        assert!(!fresh.same_object(&g));
+        let uid = g.switches[3].uid;
+        let hashed = cache.table_for(&g, uid, &[5]);
+        let rehashed = cache.table_for(&fresh, uid, &[5]);
+        // The generation now holds `fresh`'s allocations: its clone is
+        // served by identity, and `g` goes back through the digest.
+        let by_identity = cache.table_for(&fresh.clone(), uid, &[5]);
+        let back = cache.table_for(&g, uid, &[5]);
+        assert!(hashed.is_some());
+        assert!(hashed == rehashed && hashed == by_identity && hashed == back);
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.builds, stats.synthesized, stats.served_memo),
+            (1, 1, 3)
+        );
+        digests_match(&fresh, &cache, &[5]);
     }
 
     #[test]

@@ -180,6 +180,17 @@ impl GlobalTopology {
             .filter(move |s| s.parent == uid && s.uid != uid)
     }
 
+    /// Whether `other` is this topology by identity — the same root and
+    /// the same two allocations — whatever their epoch numbers. Both
+    /// sides keep the allocations alive and an `Arc` with two owners is
+    /// never mutated in place ([`Arc::make_mut`] copies), so identity
+    /// implies equal content; the converse does not hold.
+    pub fn same_object(&self, other: &GlobalTopology) -> bool {
+        self.root == other.root
+            && Arc::ptr_eq(&self.switches, &other.switches)
+            && Arc::ptr_eq(&self.numbers, &other.numbers)
+    }
+
     /// A canonical 64-bit digest of the topology *content* — everything
     /// forwarding tables are derived from — excluding the epoch number.
     ///

@@ -16,7 +16,9 @@
 //!   `Environment`, and owns the tick/sample cadence bookkeeping derived
 //!   from [`AutopilotParams`];
 //! - [`control_packet`] is the one place a [`ControlMsg`] becomes a wire
-//!   [`Packet`] (type tag + one-hop addressing);
+//!   [`Packet`] (type tag + one-hop addressing), and
+//!   [`encoded_control_packet`] the same for a backend that already holds
+//!   the message's encoding;
 //! - [`NetStats`] is the counters struct both simulation backends expose,
 //!   so tests and benches read convergence and traffic metrics from one
 //!   API regardless of substrate.
@@ -38,7 +40,7 @@ pub use node::NodeHarness;
 pub use stats::NetStats;
 
 use autonet_core::ControlMsg;
-use autonet_wire::{Packet, PacketType, PortIndex, ShortAddress};
+use autonet_wire::{Bytes, Packet, PacketType, PortIndex, ShortAddress};
 
 /// The wire packet type carrying a control message.
 pub fn control_packet_type(msg: &ControlMsg) -> PacketType {
@@ -56,6 +58,12 @@ pub fn control_packet_type(msg: &ControlMsg) -> PacketType {
 /// the wire: one-hop addressed out of `port` (port 0 loops back to the
 /// local control processor).
 pub fn control_packet(port: PortIndex, msg: &ControlMsg) -> Packet {
+    encoded_control_packet(port, msg, msg.encode().into())
+}
+
+/// [`control_packet`] around a `payload` the caller vouches is
+/// `msg.encode()`.
+pub fn encoded_control_packet(port: PortIndex, msg: &ControlMsg, payload: Bytes) -> Packet {
     let dst = if port >= 1 {
         ShortAddress::one_hop(port)
     } else {
@@ -65,7 +73,7 @@ pub fn control_packet(port: PortIndex, msg: &ControlMsg) -> Packet {
         dst,
         ShortAddress::TO_LOCAL_SWITCH,
         control_packet_type(msg),
-        msg.encode(),
+        payload,
     )
 }
 

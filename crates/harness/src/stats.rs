@@ -16,6 +16,15 @@ pub struct NetStats {
     pub data_discarded: u64,
     /// Control packets transmitted.
     pub control_sent: u64,
+    /// `TopologyDown` floods among them (one per tree edge per completed
+    /// epoch, plus retransmissions).
+    pub topology_sent: u64,
+    /// How many of those ran through `ControlMsg::encode`; the rest left
+    /// with the bytes already held for the same topology.
+    pub topology_encoded: u64,
+    /// `TopologyDown` arrivals that ran through `ControlMsg::decode`; the
+    /// rest were byte-equal to the flood already held.
+    pub topology_decoded: u64,
     /// Packets lost on failed links/switches.
     pub lost_in_flight: u64,
     /// Control packets dropped because the control processor's receive

@@ -75,6 +75,10 @@ pub struct NetWorld {
     /// node-attributed, for online invariant checkers and trace exports.
     trace: autonet_trace::EventLog,
     stats: NetStats,
+    /// The last topology flood this world sent or received, as one pair:
+    /// its payload beside the `TopologyDown` it encodes (see
+    /// `switch_node`). A pure-function memo of the codec, one entry.
+    flood: Option<(autonet_wire::Bytes, autonet_core::ControlMsg)>,
     /// Events handled so far, by [`Event::kind`].
     handled: [u64; Event::KINDS.len()],
     /// Data-plane telemetry; `None` (nothing allocated or recorded)
@@ -171,6 +175,7 @@ impl NetWorld {
             deliveries: Vec::new(),
             trace: autonet_trace::EventLog::new(),
             stats: NetStats::default(),
+            flood: None,
             handled: [0; Event::KINDS.len()],
             telemetry: params
                 .tracing

@@ -21,6 +21,9 @@ impl<D: Driver> Net<D> {
             total.data_delivered += s.data_delivered;
             total.data_discarded += s.data_discarded;
             total.control_sent += s.control_sent;
+            total.topology_sent += s.topology_sent;
+            total.topology_encoded += s.topology_encoded;
+            total.topology_decoded += s.topology_decoded;
             total.lost_in_flight += s.lost_in_flight;
             total.cpu_queue_drops += s.cpu_queue_drops;
             total.opens += s.opens;

@@ -6,13 +6,21 @@
 //! handlers that decide *when* the harness entry points run. Switch
 //! state itself lives struct-of-arrays in the
 //! [`SwitchPool`](super::pool::SwitchPool), indexed by dense id.
+//!
+//! The topology flood of step 4 is the same message at every switch, so
+//! the world holds the last one as a pair — payload and decoded
+//! `TopologyDown` — and [`NetWorld::encode`] / [`NetWorld::decode`] are
+//! `ControlMsg::{encode, decode}` through it. Both are memos of a pure
+//! function keyed by its whole input (the arriving bytes; on send, an
+//! allocation the held clone keeps alive and immutable), so a hit is
+//! what the codec would return; debug builds assert that on every hit.
 
-use autonet_core::{Autopilot, ControlMsg, Epoch, PortState, SrpPayload};
-use autonet_harness::{control_packet, Environment, NodeHarness};
+use autonet_core::{Autopilot, ControlMsg, Epoch, GlobalTopology, PortState, SrpPayload};
+use autonet_harness::{encoded_control_packet, Environment, NodeHarness};
 use autonet_sim::{Scheduler, SimTime};
 use autonet_switch::{ForwardingTable, LinkUnitStatus};
 use autonet_topo::SwitchId;
-use autonet_wire::{PacketType, PortIndex, MAX_PORTS};
+use autonet_wire::{Bytes, PacketType, PortIndex, MAX_PORTS};
 
 use super::events::{Event, NetEventKind};
 use super::{Driver, Net, NetWorld};
@@ -27,7 +35,7 @@ struct PacketEnv<'a, 'b> {
 
 impl Environment for PacketEnv<'_, '_> {
     fn send(&mut self, now: SimTime, port: PortIndex, msg: &ControlMsg) {
-        let packet = control_packet(port, msg);
+        let packet = encoded_control_packet(port, msg, self.w.encode(msg));
         self.w.stats.control_sent += 1;
         self.w
             .transmit_from_switch(now, self.s, port, packet, self.sched);
@@ -91,6 +99,67 @@ impl Environment for PacketEnv<'_, '_> {
 }
 
 impl NetWorld {
+    /// `msg.encode()`, through the held flood: a `TopologyDown` that is
+    /// the held message by identity (same epoch, [`same_object`]
+    /// topology) leaves with the held bytes; any other is encoded and
+    /// becomes the held flood.
+    ///
+    /// [`same_object`]: GlobalTopology::same_object
+    pub(super) fn encode(&mut self, msg: &ControlMsg) -> Bytes {
+        let ControlMsg::TopologyDown { epoch, global } = msg else {
+            return msg.encode().into();
+        };
+        self.stats.topology_sent += 1;
+        if let Some((
+            payload,
+            ControlMsg::TopologyDown {
+                epoch: e,
+                global: g,
+            },
+        )) = &self.flood
+        {
+            if e == epoch && g.same_object(global) {
+                debug_assert_eq!(*payload, msg.encode());
+                return payload.clone();
+            }
+        }
+        self.stats.topology_encoded += 1;
+        let payload = Bytes::from(msg.encode());
+        // Held as `decode` would return it: the topology's own epoch field
+        // is not on the wire, the message's is.
+        let global = GlobalTopology {
+            epoch: *epoch,
+            ..global.clone()
+        };
+        let held = ControlMsg::TopologyDown {
+            epoch: *epoch,
+            global,
+        };
+        self.flood = Some((payload.clone(), held));
+        payload
+    }
+
+    /// `ControlMsg::decode(payload)`, through the held flood: a payload
+    /// byte-equal to the held one is the held message; any other is
+    /// decoded and, if a `TopologyDown`, becomes the held flood.
+    pub(super) fn decode(&mut self, payload: &Bytes) -> Option<ControlMsg> {
+        if let Some((held, msg)) = &self.flood {
+            // Length, then the sender's own buffer, then the bytes.
+            if held.len() == payload.len()
+                && (std::ptr::eq(held.as_ptr(), payload.as_ptr()) || held == payload)
+            {
+                debug_assert_eq!(ControlMsg::decode(payload).as_ref(), Ok(msg));
+                return Some(msg.clone());
+            }
+        }
+        let msg = ControlMsg::decode(payload).ok()?;
+        if matches!(msg, ControlMsg::TopologyDown { .. }) {
+            self.stats.topology_decoded += 1;
+            self.flood = Some((payload.clone(), msg.clone()));
+        }
+        Some(msg)
+    }
+
     /// Runs one harness entry point for switch `s`; the pool's put
     /// refreshes the dead-port mirror from the Autopilot's verdicts
     /// (port states only change inside entry points, so other switches
@@ -218,7 +287,7 @@ impl NetWorld {
         if !self.switches.up[s] {
             return;
         }
-        if let Ok(msg) = ControlMsg::decode(&packet.payload) {
+        if let Some(msg) = self.decode(&packet.payload) {
             self.with_harness(s, sched, |h, env| h.deliver(now, port, &msg, env));
         }
     }

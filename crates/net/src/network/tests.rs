@@ -1,7 +1,11 @@
+use std::sync::Arc;
+
+use autonet_core::{global_from_view_simple, ControlMsg, Epoch, GlobalTopology, RouteCache};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{gen, HostId, LinkId, SwitchId, Topology};
+use autonet_wire::Bytes;
 
-use super::{DeliveryRecord, Driver, Net, Network, PartitionedNetwork};
+use super::{DeliveryRecord, Driver, Net, NetWorld, Network, PartitionedNetwork};
 use crate::params::NetParams;
 
 fn stable<D: Driver>(mut net: Net<D>) -> Net<D> {
@@ -274,4 +278,106 @@ fn tracing_off_disables_telemetry_entirely() {
     net.run_for(SimDuration::from_secs(5));
     assert!(net.telemetry().is_none());
     assert!(net.probe_records().is_empty());
+}
+
+/// A world to drive the held flood by hand, its topology's flood content,
+/// and that content as the `TopologyDown` of a given epoch.
+fn flood_world() -> (NetWorld, GlobalTopology) {
+    let cache = Arc::new(RouteCache::new());
+    let (w, _) = NetWorld::build(gen::torus(3, 3, 5), NetParams::tuned(), 1, cache);
+    let global = global_from_view_simple(&w.topo.view_all()).expect("non-empty");
+    (w, global)
+}
+
+fn down(global: &GlobalTopology, epoch: u64) -> ControlMsg {
+    let epoch = Epoch(epoch);
+    let global = GlobalTopology {
+        epoch,
+        ..global.clone()
+    };
+    ControlMsg::TopologyDown { epoch, global }
+}
+
+#[test]
+fn held_flood_misses_on_a_payload_one_byte_off() {
+    let (mut w, g) = flood_world();
+    let first = w.encode(&down(&g, 3));
+    assert_eq!(w.decode(&first), Some(down(&g, 3)));
+    // A copy of the bytes in another buffer is still the held flood.
+    assert_eq!(w.decode(&Bytes::copy_from_slice(&first)), Some(down(&g, 3)));
+    assert_eq!((w.stats.topology_encoded, w.stats.topology_decoded), (1, 0));
+    // The next epoch's flood of the same topology: same length, one byte.
+    let next = Bytes::from(down(&g, 4).encode());
+    let differing = first.iter().zip(next.iter()).filter(|(a, b)| a != b);
+    assert_eq!((first.len(), differing.count()), (next.len(), 1));
+    assert_eq!(w.decode(&next), Some(down(&g, 4)), "its own epoch");
+    assert_eq!(w.stats.topology_decoded, 1);
+    // The single entry now holds epoch 4, so epoch 3 is a miss in turn —
+    // and a send of the decoded message reuses the arriving bytes.
+    let held = w.decode(&next).expect("held");
+    assert_eq!(w.stats.topology_decoded, 1);
+    assert!(std::ptr::eq(w.encode(&held).as_ptr(), next.as_ptr()));
+    assert_eq!(w.decode(&first), Some(down(&g, 3)));
+    assert_eq!((w.stats.topology_encoded, w.stats.topology_decoded), (1, 2));
+    // Other messages, and bytes that are no message, never touch it.
+    let ack = ControlMsg::TopologyDownAck { epoch: Epoch(3) };
+    let ack_bytes = w.encode(&ack);
+    assert_eq!(w.decode(&ack_bytes), Some(ack));
+    assert_eq!(w.decode(&Bytes::from(vec![200u8])), None);
+    assert_eq!(w.stats.topology_sent, 2);
+}
+
+#[test]
+fn held_flood_misses_on_a_topology_edited_through_make_mut() {
+    let (mut w, g) = flood_world();
+    let first = w.encode(&down(&g, 3));
+    assert!(std::ptr::eq(
+        w.encode(&down(&g, 3)).as_ptr(),
+        first.as_ptr()
+    ));
+    // The world holds a clone, so `make_mut` copies: the edit lands in a
+    // new allocation and the held one keeps the content it was encoded from.
+    let mut edited = g.clone();
+    let before = Arc::as_ptr(&edited.switches);
+    Arc::make_mut(&mut edited.switches)[0].proposed_number += 1;
+    assert_ne!(before, Arc::as_ptr(&edited.switches));
+    let msg = down(&edited, 3);
+    let payload = w.encode(&msg);
+    assert_eq!(payload, msg.encode());
+    assert_ne!(payload, first);
+    assert_eq!((w.stats.topology_sent, w.stats.topology_encoded), (3, 2));
+}
+
+#[test]
+fn two_components_flooding_alternately_converge() {
+    // A ring cut into two halves at one instant: both halves reconfigure
+    // at once, their floods interleave, and the single held entry thrashes
+    // between two topologies. It may miss; it must never serve one half
+    // the other's flood.
+    let mut net = stable_net(gen::ring(16, 5), 4);
+    let before = net.stats();
+    assert_eq!(before.topology_decoded, 0, "one component never decodes");
+    let t = net.now() + SimDuration::from_millis(50);
+    net.schedule_link_down(t, LinkId(0));
+    net.schedule_link_down(t, LinkId(8));
+    net.run_for(SimDuration::from_millis(100));
+    let done = net.run_until_stable(net.now() + SimDuration::from_secs(30));
+    assert!(done.is_some(), "both halves must stabilize");
+    net.check_against_reference().expect("reference match");
+    let roots: std::collections::BTreeSet<_> = net
+        .topology()
+        .switch_ids()
+        .map(|s| {
+            let g = net.autopilot(s).global().expect("configured");
+            assert_eq!(g.switches.len(), 8);
+            assert!(g.switch(net.autopilot(s).uid()).is_some());
+            g.root
+        })
+        .collect();
+    assert_eq!(roots.len(), 2);
+    let after = net.stats();
+    assert!(
+        after.topology_decoded > 0,
+        "the halves displaced each other"
+    );
 }

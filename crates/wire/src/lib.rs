@@ -27,6 +27,8 @@ mod shortaddr;
 mod symbol;
 mod uid;
 
+/// The type of [`Packet::payload`]: immutable, refcounted bytes.
+pub use bytes::Bytes;
 pub use crc::crc32;
 pub use fifo::{FifoEntry, ReceiveFifo};
 pub use link::{LinkTiming, SLOT_NS};

@@ -76,6 +76,8 @@ PREDICATES = [
                    for r in rows(d))),
     ("scale", "a fault is delivered to every shard: two partitions do one event more than one (E22)",
      lambda d: all(r["sharded x2 events"] == r["sharded x1 events"] + 1 for r in rows(d, 1))),
+    ("scale", "a topology flood is encoded or decoded at most once per 16 sends (E22)",
+     lambda d: all(16 * (r["encoded"] + r["decoded"]) <= r["topology floods sent"] for r in rows(d, 1))),
     ("scale", "shard events sum to the profile pass's total (E25)",
      lambda d: all(sum(s["events"] for s in by(d, "topology", 4)[r["topology"]]) == r["profile events"]
                    for r in rows(d, 3))),

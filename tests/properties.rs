@@ -194,17 +194,19 @@ proptest! {
 
     /// Nothing that arrives off the wire can panic a decoder: on random
     /// bytes (as they are, steered into every tag's parser, and sealed
-    /// under a valid CRC) `ControlMsg::decode` and `Packet::decode` return.
+    /// under a valid CRC) `ControlMsg::decode` and `Packet::decode` return
+    /// — and what `ControlMsg::decode` accepts, a forwarding switch can
+    /// encode again.
     #[test]
     fn decoders_are_total_on_random_bytes(
         junk in prop::collection::vec(any::<u8>(), 0..256),
         tag in 0u8..16,
     ) {
-        let _ = ControlMsg::decode(&junk);
+        let _ = ControlMsg::decode(&junk).map(|m| m.encode());
         let _ = Packet::decode(&junk);
         let mut tagged = junk.clone();
         tagged.insert(0, tag);
-        let _ = ControlMsg::decode(&tagged);
+        let _ = ControlMsg::decode(&tagged).map(|m| m.encode());
         let mut sealed = junk.clone();
         sealed.extend(crc32(&junk).to_be_bytes());
         let _ = Packet::decode(&sealed);
@@ -244,7 +246,7 @@ proptest! {
             prop_assert!(ControlMsg::decode(&bytes[..cut.index(bytes.len())]).is_err());
             let mut damaged = bytes.clone();
             damaged[at.index(bytes.len())] = byte;
-            let _ = ControlMsg::decode(&damaged);
+            let _ = ControlMsg::decode(&damaged).map(|m| m.encode());
             // The same message as a packet on the wire.
             let (dst, src) = (ShortAddress::one_hop(1), ShortAddress::TO_LOCAL_SWITCH);
             let wire = Packet::new(dst, src, PacketType::Reconfig, bytes.clone()).encode();
