@@ -3,21 +3,23 @@
 //! One instance runs on every switch's control processor and composes the
 //! whole tower: per-port status samplers, per-port connectivity monitors,
 //! the reconfiguration engine, forwarding-table synthesis, and the
-//! host-facing short-address service. It is a *pure* state machine — the
-//! environment (a simulator, or conceivably real hardware glue) feeds it
-//! packets, status samples and timer ticks, and executes the [`Action`]s
-//! it returns. That is also how the real Autopilot was structured: interrupt
-//! handlers fed queues consumed by run-to-completion tasks under a
-//! non-preemptive scheduler (companion paper §5.4).
+//! host-facing short-address service. It is a run-to-completion state
+//! machine — the backend (a simulator, or conceivably real hardware glue)
+//! feeds it packets, status samples and timer ticks, and each entry point
+//! calls the [`Environment`] it is handed for whatever must happen to the
+//! switch, in the order it happens. That is also how the real Autopilot was
+//! structured: interrupt handlers fed queues consumed by run-to-completion
+//! tasks under a non-preemptive scheduler (companion paper §5.4).
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use autonet_sim::SimTime;
 use autonet_switch::{ForwardingTable, LinkUnitStatus};
 use autonet_wire::{PortIndex, ShortAddress, SwitchNumber, Uid, MAX_PORTS};
 
 use crate::connectivity::{ConnectivityEvent, ConnectivityMonitor};
+use crate::env::Environment;
 use crate::epoch::Epoch;
 use crate::events::{Event, ReconfigCause, SkepticKind, SkepticVerdict, TransitionCause};
 use crate::messages::{ControlMsg, SrpPayload};
@@ -27,34 +29,9 @@ use crate::reconfig::{
     MsgDisposition, NeighborInfo, ReconfigEngine, ReconfigEvent, ReconfigOutput,
 };
 use crate::route_cache::RouteCache;
-use crate::routes::{compute_forwarding_table, program_one_hop, RouteKind};
+use crate::routes::program_one_hop;
 use crate::sampler::{SamplerEvent, StatusSampler};
 use crate::topology::GlobalTopology;
-
-/// What Autopilot asks its environment to do.
-#[derive(Clone, Debug)]
-pub enum Action {
-    /// Transmit a control message on a port.
-    Send {
-        /// The local port.
-        port: PortIndex,
-        /// The message.
-        msg: ControlMsg,
-    },
-    /// Load a complete forwarding table into the switch hardware.
-    LoadTable(ForwardingTable),
-    /// Host traffic is enabled again after a completed reconfiguration.
-    NetworkOpen {
-        /// The completed epoch.
-        epoch: Epoch,
-    },
-    /// Host traffic stopped (a reconfiguration began).
-    NetworkClosed,
-    /// Something observable happened (§6.7's event log): handed over by
-    /// value, in the order it happened, for the environment to record.
-    /// Emitted only while tracing is on.
-    Trace(Event),
-}
 
 /// The table a switch runs with while an epoch forms: the constant
 /// one-hop entries and nothing else (reconfiguration step 1). It never
@@ -80,7 +57,7 @@ pub struct Autopilot {
     engine: ReconfigEngine,
     open: bool,
     proposed_number: SwitchNumber,
-    /// Whether entry points emit [`Action::Trace`] events.
+    /// Whether entry points hand events to [`Environment::trace`].
     tracing: bool,
     /// Cause of the reconfiguration currently being started locally, so
     /// the engine's `Started` event can be logged with it. `None` means
@@ -88,10 +65,10 @@ pub struct Autopilot {
     pending_cause: Option<ReconfigCause>,
     reconfigs_triggered: u64,
     srp_replies: Vec<SrpPayload>,
-    /// Fleet-shared route cache (see [`RouteCache`]). `None` computes
-    /// tables from scratch — the two paths are byte-identical; sharing
-    /// only removes redundant work.
-    route_cache: Option<std::sync::Arc<RouteCache>>,
+    /// Where tables come from (see [`RouteCache`]): a private cache until
+    /// [`set_route_cache`](Autopilot::set_route_cache) swaps in the
+    /// fleet's.
+    route_cache: Arc<RouteCache>,
 }
 
 impl Autopilot {
@@ -116,28 +93,28 @@ impl Autopilot {
             pending_cause: None,
             reconfigs_triggered: 0,
             srp_replies: Vec::new(),
-            route_cache: None,
+            route_cache: Arc::new(RouteCache::new()),
         }
     }
 
     /// Shares a fleet-wide [`RouteCache`] with this instance: table
-    /// reloads are served from it instead of recomputed from scratch.
+    /// reloads are served from it instead of from the private one.
     /// Behavior-neutral by the cache's contract; only wall-clock changes.
-    pub fn set_route_cache(&mut self, cache: std::sync::Arc<RouteCache>) {
-        self.route_cache = Some(cache);
+    pub fn set_route_cache(&mut self, cache: Arc<RouteCache>) {
+        self.route_cache = cache;
     }
 
-    /// Turns event tracing on or off. When off, no entry point returns an
-    /// [`Action::Trace`]: performance runs pay one branch per would-be
-    /// event and build no `TableInstalled` payload.
+    /// Turns event tracing on or off. When off, no entry point calls
+    /// [`Environment::trace`]: performance runs pay one branch per
+    /// would-be event and build no `TableInstalled` payload.
     pub fn set_tracing(&mut self, enabled: bool) {
         self.tracing = enabled;
     }
 
-    /// Hands `event` to the environment with the entry point's actions.
-    fn trace(&self, actions: &mut Vec<Action>, event: Event) {
+    /// Hands `event` to the environment, if anyone is recording.
+    fn trace(&self, env: &mut impl Environment, event: Event) {
         if self.tracing {
-            actions.push(Action::Trace(event));
+            env.trace(event);
         }
     }
 
@@ -222,11 +199,9 @@ impl Autopilot {
     }
 
     /// Power-on: configure the (so far lone) switch.
-    pub fn boot(&mut self, now: SimTime) -> Vec<Action> {
-        let mut actions = Vec::new();
-        self.trace(&mut actions, Event::Boot { uid: self.uid });
-        actions.extend(self.trigger_reconfiguration(now, ReconfigCause::Boot));
-        actions
+    pub fn boot(&mut self, now: SimTime, env: &mut impl Environment) {
+        self.trace(env, Event::Boot { uid: self.uid });
+        self.trigger_reconfiguration(now, ReconfigCause::Boot, env);
     }
 
     /// Feeds one port's status snapshot (called every sampling interval).
@@ -235,8 +210,8 @@ impl Autopilot {
         now: SimTime,
         port: PortIndex,
         status: LinkUnitStatus,
-    ) -> Vec<Action> {
-        let mut actions = Vec::new();
+        env: &mut impl Environment,
+    ) {
         let event = self.samplers[port as usize].on_sample(now, status);
         if let Some(SamplerEvent::Transition { from, to }) = event {
             // The cause follows from the direction on the tower: only the
@@ -249,7 +224,7 @@ impl Autopilot {
                 _ => TransitionCause::Relapse,
             };
             self.trace(
-                &mut actions,
+                env,
                 Event::PortTransition {
                     port,
                     from,
@@ -263,7 +238,7 @@ impl Autopilot {
                 _ => SkepticVerdict::Hold,
             };
             self.trace(
-                &mut actions,
+                env,
                 Event::SkepticDecision {
                     port,
                     skeptic: SkepticKind::Status,
@@ -278,7 +253,7 @@ impl Autopilot {
                     let hosts = self.host_ports();
                     let proposed = self.proposed_number;
                     self.engine.update_local_info(proposed, hosts);
-                    self.reload_table(&mut actions);
+                    self.reload_table(env);
                     if from.is_switch() {
                         // Shouldn't happen (sampler goes via checking), but
                         // keep the monitor consistent.
@@ -292,7 +267,7 @@ impl Autopilot {
                     let was_good = self.monitors[port as usize].state() == PortState::SwitchGood;
                     let _ = self.monitors[port as usize].deactivate(now);
                     if was_good {
-                        actions.extend(self.trigger_reconfiguration(now, ReconfigCause::PortDied));
+                        self.trigger_reconfiguration(now, ReconfigCause::PortDied, env);
                     }
                 }
                 _ => {}
@@ -301,17 +276,21 @@ impl Autopilot {
         // Keep the sampler's switch refinement in sync for reporting.
         let refined = self.monitors[port as usize].state();
         self.samplers[port as usize].set_switch_refinement(refined);
-        actions
     }
 
     /// Handles an arriving control packet.
-    pub fn on_packet(&mut self, now: SimTime, port: PortIndex, msg: &ControlMsg) -> Vec<Action> {
-        let mut actions = Vec::new();
+    pub fn on_packet(
+        &mut self,
+        now: SimTime,
+        port: PortIndex,
+        msg: &ControlMsg,
+        env: &mut impl Environment,
+    ) {
         match msg {
             ControlMsg::Probe { .. } => {
                 if self.samplers[port as usize].state() != PortState::Dead {
                     if let Some(reply) = ConnectivityMonitor::make_reply(self.uid, port, msg) {
-                        actions.push(Action::Send { port, msg: reply });
+                        env.send(port, &reply);
                     }
                 }
             }
@@ -333,7 +312,7 @@ impl Autopilot {
                 match ev {
                     Some(ConnectivityEvent::BecameGood(_)) => {
                         self.trace(
-                            &mut actions,
+                            env,
                             Event::PortTransition {
                                 port,
                                 from: PortState::SwitchWho,
@@ -342,7 +321,7 @@ impl Autopilot {
                             },
                         );
                         self.trace(
-                            &mut actions,
+                            env,
                             Event::SkepticDecision {
                                 port,
                                 skeptic: SkepticKind::Connectivity,
@@ -350,17 +329,15 @@ impl Autopilot {
                                 hold: self.monitors[port as usize].required_hold(),
                             },
                         );
-                        actions
-                            .extend(self.trigger_reconfiguration(now, ReconfigCause::NewNeighbor));
+                        self.trigger_reconfiguration(now, ReconfigCause::NewNeighbor, env);
                     }
                     Some(ConnectivityEvent::LostGood) => {
-                        self.log_connectivity_demotion(port, &mut actions);
-                        actions
-                            .extend(self.trigger_reconfiguration(now, ReconfigCause::NeighborLost));
+                        self.log_connectivity_demotion(port, env);
+                        self.trigger_reconfiguration(now, ReconfigCause::NeighborLost, env);
                     }
                     Some(ConnectivityEvent::BecameLoop) => {
                         self.trace(
-                            &mut actions,
+                            env,
                             Event::PortTransition {
                                 port,
                                 from: PortState::SwitchWho,
@@ -374,13 +351,11 @@ impl Autopilot {
             }
             ControlMsg::ShortAddrRequest { host_uid } => {
                 if let Some(num) = self.switch_number() {
-                    actions.push(Action::Send {
-                        port,
-                        msg: ControlMsg::ShortAddrReply {
-                            host_uid: *host_uid,
-                            addr: ShortAddress::assigned(num, port),
-                        },
-                    });
+                    let reply = ControlMsg::ShortAddrReply {
+                        host_uid: *host_uid,
+                        addr: ShortAddress::assigned(num, port),
+                    };
+                    env.send(port, &reply);
                 }
             }
             ControlMsg::Srp {
@@ -389,44 +364,38 @@ impl Autopilot {
                 back_route,
                 payload,
             } => {
-                actions.extend(self.handle_srp(port, route, *hop, back_route, payload));
+                self.handle_srp(port, route, *hop, back_route, payload, env);
             }
             ControlMsg::ShortAddrReply { .. } => {}
             _ => {
                 // Reconfiguration protocol.
                 let outs = self.engine.on_msg(now, port, msg);
-                self.apply_engine_outputs(outs, &mut actions);
+                self.apply_engine_outputs(outs, env);
             }
         }
-        actions
     }
 
     /// Timer tick at `params.timer_resolution` granularity.
-    pub fn on_tick(&mut self, now: SimTime) -> Vec<Action> {
-        let mut actions = Vec::new();
+    pub fn on_tick(&mut self, now: SimTime, env: &mut impl Environment) {
         for p in 1..MAX_PORTS {
             let (probe, ev) = self.monitors[p].on_tick(now);
             if let Some(probe) = probe {
-                actions.push(Action::Send {
-                    port: p as PortIndex,
-                    msg: probe,
-                });
+                env.send(p as PortIndex, &probe);
             }
             if let Some(ConnectivityEvent::LostGood) = ev {
-                self.log_connectivity_demotion(p as PortIndex, &mut actions);
-                actions.extend(self.trigger_reconfiguration(now, ReconfigCause::ProbeTimeout));
+                self.log_connectivity_demotion(p as PortIndex, env);
+                self.trigger_reconfiguration(now, ReconfigCause::ProbeTimeout, env);
             }
         }
         let outs = self.engine.on_tick(now);
-        self.apply_engine_outputs(outs, &mut actions);
-        actions
+        self.apply_engine_outputs(outs, env);
     }
 
     /// Logs a verified switch port falling back to `s.switch.who`, with
     /// the connectivity skeptic's raised hold.
-    fn log_connectivity_demotion(&self, port: PortIndex, actions: &mut Vec<Action>) {
+    fn log_connectivity_demotion(&self, port: PortIndex, env: &mut impl Environment) {
         self.trace(
-            actions,
+            env,
             Event::PortTransition {
                 port,
                 from: PortState::SwitchGood,
@@ -435,7 +404,7 @@ impl Autopilot {
             },
         );
         self.trace(
-            actions,
+            env,
             Event::SkepticDecision {
                 port,
                 skeptic: SkepticKind::Connectivity,
@@ -446,55 +415,56 @@ impl Autopilot {
     }
 
     /// Starts a new epoch over the currently verified neighbor set.
-    fn trigger_reconfiguration(&mut self, now: SimTime, cause: ReconfigCause) -> Vec<Action> {
+    fn trigger_reconfiguration(
+        &mut self,
+        now: SimTime,
+        cause: ReconfigCause,
+        env: &mut impl Environment,
+    ) {
         self.reconfigs_triggered += 1;
         self.pending_cause = Some(cause);
         let neighbors = self.good_ports();
         let hosts = self.host_ports();
         let proposed = self.proposed_number;
         let outs = self.engine.start(now, neighbors, proposed, hosts);
-        let mut actions = Vec::new();
-        self.apply_engine_outputs(outs, &mut actions);
+        self.apply_engine_outputs(outs, env);
         self.pending_cause = None;
-        actions
     }
 
-    fn apply_engine_outputs(&mut self, outs: Vec<ReconfigOutput>, actions: &mut Vec<Action>) {
+    fn apply_engine_outputs(&mut self, outs: Vec<ReconfigOutput>, env: &mut impl Environment) {
         for out in outs {
             match out {
-                ReconfigOutput::Send { port, msg } => actions.push(Action::Send { port, msg }),
+                ReconfigOutput::Send { port, msg } => env.send(port, &msg),
                 ReconfigOutput::ClearTable => {
                     if self.open {
                         self.open = false;
                         self.trace(
-                            actions,
+                            env,
                             Event::NetworkClosed {
                                 epoch: self.engine.epoch(),
                             },
                         );
-                        actions.push(Action::NetworkClosed);
+                        env.network_closed();
                     }
-                    self.install_table(self.engine.epoch(), cleared_table(), actions);
+                    self.install_table(self.engine.epoch(), cleared_table(), env);
                 }
                 ReconfigOutput::Completed(global) => {
                     if let Some(num) = global.number_of(self.uid) {
                         self.proposed_number = num;
                     }
-                    self.reload_table(actions);
+                    self.reload_table(env);
                     self.open = true;
                     self.trace(
-                        actions,
+                        env,
                         Event::NetworkOpened {
                             epoch: global.epoch,
                         },
                     );
-                    actions.push(Action::NetworkOpen {
-                        epoch: global.epoch,
-                    });
+                    env.network_opened(global.epoch);
                 }
                 ReconfigOutput::Event(ReconfigEvent::Started(epoch)) => {
                     self.trace(
-                        actions,
+                        env,
                         Event::ReconfigTriggered {
                             epoch,
                             // A locally detected cause if we started this
@@ -504,10 +474,10 @@ impl Autopilot {
                     );
                 }
                 ReconfigOutput::Event(ReconfigEvent::RootTerminated(epoch)) => {
-                    self.trace(actions, Event::TreeStable { epoch });
+                    self.trace(env, Event::TreeStable { epoch });
                 }
                 ReconfigOutput::Event(ReconfigEvent::AddressesAssigned(epoch, switches)) => {
-                    self.trace(actions, Event::AddressesAssigned { epoch, switches });
+                    self.trace(env, Event::AddressesAssigned { epoch, switches });
                 }
             }
         }
@@ -515,38 +485,33 @@ impl Autopilot {
 
     /// Rebuilds and loads the forwarding table from the current topology
     /// and the live host-port set. The topology is borrowed in place —
-    /// not cloned per reload — and served through the shared route cache
-    /// when one is attached.
-    fn reload_table(&mut self, actions: &mut Vec<Action>) {
+    /// not cloned per reload — and served through the route cache.
+    fn reload_table(&mut self, env: &mut impl Environment) {
         let hosts = self.host_ports();
         let Some(global) = self.engine.global() else {
             return;
         };
         let epoch = global.epoch;
-        let table = match &self.route_cache {
-            Some(cache) => cache.table_for(global, self.uid, &hosts),
-            None => compute_forwarding_table(global, self.uid, &hosts, RouteKind::UpDown),
-        };
-        if let Some(table) = table {
-            self.install_table(epoch, table, actions);
+        if let Some(table) = self.route_cache.table_for(global, self.uid, &hosts) {
+            self.install_table(epoch, table, env);
         } else {
             // A malformed topology (timeout-baseline failure mode): leave
             // the cleared table in place rather than load garbage routes.
-            self.trace(actions, Event::UnroutableTopology { epoch });
+            self.trace(env, Event::UnroutableTopology { epoch });
         }
     }
 
     /// Loads `table` into the hardware and traces the install. The trace
     /// event carries its own copy of the table, made only when someone is
     /// recording.
-    fn install_table(&self, epoch: Epoch, table: ForwardingTable, actions: &mut Vec<Action>) {
+    fn install_table(&self, epoch: Epoch, table: ForwardingTable, env: &mut impl Environment) {
         if self.tracing {
-            actions.push(Action::Trace(Event::TableInstalled {
+            env.trace(Event::TableInstalled {
                 epoch,
                 table: table.clone(),
-            }));
+            });
         }
-        actions.push(Action::LoadTable(table));
+        env.load_table(table);
     }
 
     /// Originates a source-routed request: `route` is the sequence of
@@ -555,18 +520,21 @@ impl Autopilot {
     /// # Panics
     ///
     /// Panics if `route` is empty.
-    pub fn srp_request(&mut self, route: Vec<PortIndex>, payload: SrpPayload) -> Vec<Action> {
+    pub fn srp_request(
+        &mut self,
+        route: Vec<PortIndex>,
+        payload: SrpPayload,
+        env: &mut impl Environment,
+    ) {
         assert!(!route.is_empty(), "an SRP route needs at least one hop");
         let first = route[0];
-        vec![Action::Send {
-            port: first,
-            msg: ControlMsg::Srp {
-                route,
-                hop: 1,
-                back_route: Vec::new(),
-                payload,
-            },
-        }]
+        let msg = ControlMsg::Srp {
+            route,
+            hop: 1,
+            back_route: Vec::new(),
+            payload,
+        };
+        env.send(first, &msg);
     }
 
     /// Answers received by previously originated SRP requests, in arrival
@@ -586,22 +554,20 @@ impl Autopilot {
         hop: u8,
         back_route: &[PortIndex],
         payload: &SrpPayload,
-    ) -> Vec<Action> {
-        let mut actions = Vec::new();
+        env: &mut impl Environment,
+    ) {
         if (hop as usize) < route.len() {
             // Forward one more hop, recording where we would send a reply.
             let mut back = back_route.to_vec();
             back.push(in_port);
-            actions.push(Action::Send {
-                port: route[hop as usize],
-                msg: ControlMsg::Srp {
-                    route: route.to_vec(),
-                    hop: hop + 1,
-                    back_route: back,
-                    payload: payload.clone(),
-                },
-            });
-            return actions;
+            let msg = ControlMsg::Srp {
+                route: route.to_vec(),
+                hop: hop + 1,
+                back_route: back,
+                payload: payload.clone(),
+            };
+            env.send(route[hop as usize], &msg);
+            return;
         }
         // We are the final hop: either the target of a request, or the
         // originator receiving an answer.
@@ -626,26 +592,24 @@ impl Autopilot {
             // reversed, ending with our own arrival port first.
             let mut reply_route = vec![in_port];
             reply_route.extend(back_route.iter().rev());
-            let first = reply_route[0];
-            actions.push(Action::Send {
-                port: first,
-                msg: ControlMsg::Srp {
-                    route: reply_route,
-                    hop: 1,
-                    back_route: Vec::new(),
-                    payload,
-                },
-            });
+            let msg = ControlMsg::Srp {
+                route: reply_route,
+                hop: 1,
+                back_route: Vec::new(),
+                payload,
+            };
+            env.send(in_port, &msg);
         }
-        actions
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::recording::{Call, Recorder};
     use crate::tree::TreePosition;
     use autonet_sim::SimDuration;
+    use std::collections::VecDeque;
 
     fn clean_switch_status() -> LinkUnitStatus {
         LinkUnitStatus {
@@ -667,11 +631,11 @@ mod tests {
     /// Two Autopilots wired port 1 <-> port 1, with ideal links.
     struct Pair {
         aps: [Autopilot; 2],
-        queue: std::collections::VecDeque<(SimTime, usize, ControlMsg)>,
+        queue: VecDeque<(SimTime, usize, ControlMsg)>,
         now: SimTime,
-        opened: [Vec<Epoch>; 2],
-        loads: usize,
-        traced: Vec<Event>,
+        /// What each entry point so far asked of its environment, with
+        /// the switch it ran on (entry points that asked nothing aside).
+        log: Vec<(usize, Vec<Call>)>,
     }
 
     impl Pair {
@@ -681,37 +645,36 @@ mod tests {
                     Autopilot::new(Uid::new(10), AutopilotParams::tuned()),
                     Autopilot::new(Uid::new(20), AutopilotParams::tuned()),
                 ],
-                queue: std::collections::VecDeque::new(),
+                queue: VecDeque::new(),
                 now: SimTime::ZERO,
-                opened: [Vec::new(), Vec::new()],
-                loads: 0,
-                traced: Vec::new(),
+                log: Vec::new(),
             }
+        }
+
+        /// Runs one entry point of switch `who` and puts what it sent out
+        /// of port 1 on the wire to the other switch.
+        fn enter(&mut self, who: usize, f: impl FnOnce(&mut Autopilot, &mut Recorder)) {
+            let mut env = Recorder::default();
+            f(&mut self.aps[who], &mut env);
+            for call in &env.calls {
+                if let Call::Send(1, msg) = call {
+                    let at = self.now + SimDuration::from_micros(20);
+                    self.queue.push_back((at, 1 - who, msg.clone()));
+                }
+            }
+            if !env.calls.is_empty() {
+                self.log.push((who, env.calls));
+            }
+        }
+
+        /// Every call so far, in order.
+        fn calls(&self) -> impl Iterator<Item = &Call> {
+            self.log.iter().flat_map(|(_, calls)| calls)
         }
 
         fn boot(&mut self) {
             for who in 0..2 {
-                let actions = self.aps[who].boot(SimTime::ZERO);
-                self.apply(who, actions);
-            }
-        }
-
-        fn apply(&mut self, who: usize, actions: Vec<Action>) {
-            for a in actions {
-                match a {
-                    Action::Send { port: 1, msg } => {
-                        self.queue.push_back((
-                            self.now + SimDuration::from_micros(20),
-                            1 - who,
-                            msg,
-                        ));
-                    }
-                    Action::Send { .. } => {}
-                    Action::NetworkOpen { epoch } => self.opened[who].push(epoch),
-                    Action::LoadTable(_) => self.loads += 1,
-                    Action::Trace(event) => self.traced.push(event),
-                    Action::NetworkClosed => {}
-                }
+                self.enter(who, |ap, env| ap.boot(SimTime::ZERO, env));
             }
         }
 
@@ -720,44 +683,59 @@ mod tests {
             let tick = SimDuration::from_micros(1200);
             while self.now < deadline {
                 self.now += tick;
+                let now = self.now;
                 while let Some(&(t, ..)) = self.queue.front() {
-                    if t > self.now {
+                    if t > now {
                         break;
                     }
                     let (_, to, msg) = self.queue.pop_front().expect("peeked");
-                    let acts = self.aps[to].on_packet(self.now, 1, &msg);
-                    self.apply(to, acts);
+                    self.enter(to, |ap, env| ap.on_packet(now, 1, &msg, env));
                 }
                 for who in 0..2 {
-                    let acts = self.aps[who].on_tick(self.now);
-                    self.apply(who, acts);
+                    self.enter(who, |ap, env| ap.on_tick(now, env));
                     // Status sampling every ~5 ms.
-                    if self.now.as_nanos() % 5_000_000 < 1_200_000 {
-                        let acts =
-                            self.aps[who].on_status_sample(self.now, 1, clean_switch_status());
-                        self.apply(who, acts);
+                    if now.as_nanos() % 5_000_000 < 1_200_000 {
+                        self.enter(who, |ap, env| {
+                            ap.on_status_sample(now, 1, clean_switch_status(), env)
+                        });
                     }
                 }
             }
         }
+
+        /// A booted pair that has run long enough to configure together.
+        fn settled() -> Pair {
+            let mut pair = Pair::new();
+            pair.boot();
+            pair.run_for(SimDuration::from_secs(3));
+            pair
+        }
+
+        fn count(&self, pred: impl Fn(&Call) -> bool) -> usize {
+            self.calls().filter(|c| pred(c)).count()
+        }
+    }
+
+    /// A lone booted switch.
+    fn booted(uid: u64) -> Autopilot {
+        let mut ap = Autopilot::new(Uid::new(uid), AutopilotParams::tuned());
+        ap.boot(SimTime::ZERO, &mut Recorder::default());
+        ap
     }
 
     #[test]
     fn lone_switch_boots_open() {
         let mut ap = Autopilot::new(Uid::new(1), AutopilotParams::tuned());
-        let actions = ap.boot(SimTime::ZERO);
-        assert!(actions
-            .iter()
-            .any(|a| matches!(a, Action::NetworkOpen { .. })));
+        let mut env = Recorder::default();
+        ap.boot(SimTime::ZERO, &mut env);
+        assert_eq!(env.count(|c| matches!(c, Call::NetworkOpened(_))), 1);
         assert!(ap.is_open());
         assert_eq!(ap.switch_number(), Some(1));
     }
 
     #[test]
     fn two_switches_discover_and_configure() {
-        let mut pair = Pair::new();
-        pair.boot();
-        pair.run_for(SimDuration::from_secs(3));
+        let pair = Pair::settled();
         // Both ends verified the link and reconfigured together.
         assert_eq!(pair.aps[0].port_state(1), PortState::SwitchGood);
         assert_eq!(pair.aps[1].port_state(1), PortState::SwitchGood);
@@ -771,8 +749,71 @@ mod tests {
         assert_eq!(pair.aps[0].epoch(), pair.aps[1].epoch());
     }
 
+    /// One call as a word: a traced event is its kind, an effect is in
+    /// capitals. Probe traffic is left out.
+    fn word(call: &Call) -> Option<String> {
+        Some(match call {
+            Call::Send(_, ControlMsg::Probe { .. } | ControlMsg::ProbeReply { .. }) => return None,
+            Call::Send(port, msg) => {
+                let debug = format!("{msg:?}");
+                format!(
+                    "SEND({port},{})",
+                    debug.split(' ').next().unwrap_or_default()
+                )
+            }
+            Call::LoadTable(_) => "LOAD".into(),
+            Call::SetPortDead(..) => return None,
+            Call::NetworkOpened(epoch) => format!("OPEN({})", epoch.0),
+            Call::NetworkClosed => "CLOSE".into(),
+            Call::Trace(event) => event.kind().into(),
+        })
+    }
+
+    /// The seam's contract is an order: every effect of a two-switch
+    /// bring-up, one line per entry point, in the order it made its calls.
+    /// Moving a call inside an entry point moves a word here.
+    #[test]
+    fn bring_up_makes_its_environment_calls_in_this_order() {
+        let pair = Pair::settled();
+        let got: Vec<String> = pair
+            .log
+            .iter()
+            .filter_map(|(who, calls)| {
+                let words: Vec<String> = calls.iter().filter_map(word).collect();
+                (!words.is_empty()).then(|| format!("{who}: {}", words.join(" ")))
+            })
+            .collect();
+        // Each boots alone (epoch 1); both classify port 1 (dead ->
+        // checking -> s.switch.who) and verify the neighbour; each starts
+        // epoch 2 on its own `BecameGood`; 10 becomes root, floods the
+        // topology and opens; 20 opens on the flood.
+        const ALONE: &str = "boot reconfig-triggered table-installed LOAD tree-stable \
+            addresses-assigned table-installed LOAD network-opened OPEN(1)";
+        const START: &str = "port-transition skeptic-decision reconfig-triggered \
+            network-closed CLOSE table-installed LOAD SEND(1,TreePosition)";
+        let want = [
+            format!("0: {ALONE}"),
+            format!("1: {ALONE}"),
+            "0: port-transition skeptic-decision".into(),
+            "1: port-transition skeptic-decision".into(),
+            "0: port-transition skeptic-decision".into(),
+            "1: port-transition skeptic-decision".into(),
+            format!("0: {START}"),
+            format!("1: {START}"),
+            "1: SEND(1,TreePosition) SEND(1,TreePositionAck)".into(),
+            "0: SEND(1,TreePositionAck)".into(),
+            "0: SEND(1,TreePositionAck)".into(),
+            "1: SEND(1,TopologyReport)".into(),
+            "0: SEND(1,TopologyReportAck) tree-stable addresses-assigned SEND(1,TopologyDown) \
+                table-installed LOAD network-opened OPEN(2)"
+                .into(),
+            "1: SEND(1,TopologyDownAck) table-installed LOAD network-opened OPEN(2)".into(),
+        ];
+        assert_eq!(got, want, "{got:#?}");
+    }
+
     /// Tracing off is free at the source: no entry point of an untraced
-    /// Autopilot returns an [`Action::Trace`], so no `TableInstalled`
+    /// Autopilot calls [`Environment::trace`], so no `TableInstalled`
     /// payload is ever built, while a traced twin fed the same inputs
     /// reports one install per table load and ends in the same state.
     #[test]
@@ -785,11 +826,16 @@ mod tests {
             pair
         };
         let (on, off) = (run(true), run(false));
-        assert!(off.traced.is_empty(), "{:?}", off.traced);
-        assert!(off.loads > 0 && off.loads == on.loads);
-        let installed = |e: &&Event| matches!(e, Event::TableInstalled { .. });
-        assert_eq!(on.traced.iter().filter(installed).count(), on.loads);
-        assert_eq!(on.opened, off.opened);
+        assert_eq!(off.count(|c| matches!(c, Call::Trace(_))), 0);
+        let loads = |p: &Pair| p.count(|c| matches!(c, Call::LoadTable(_)));
+        assert!(loads(&off) > 0 && loads(&off) == loads(&on));
+        let installed = |c: &Call| matches!(c, Call::Trace(Event::TableInstalled { .. }));
+        assert_eq!(on.count(installed), loads(&on));
+        let untraced = |p: &Pair| -> Vec<Call> {
+            let keep = |c: &&Call| !matches!(c, Call::Trace(_));
+            p.calls().filter(keep).cloned().collect()
+        };
+        assert_eq!(untraced(&on), untraced(&off));
         assert!(off.aps[0].is_open() && off.aps[1].is_open());
     }
 
@@ -804,9 +850,7 @@ mod tests {
     /// port dies.
     #[test]
     fn reserved_epoch_from_the_wire_is_dropped() {
-        let mut pair = Pair::new();
-        pair.boot();
-        pair.run_for(SimDuration::from_secs(3));
+        let mut pair = Pair::settled();
         let settled = pair.aps[1].epoch();
         let hostile = from_wire(&ControlMsg::TreePosition {
             epoch: Epoch(u64::MAX),
@@ -815,7 +859,9 @@ mod tests {
             pos: TreePosition::myself(Uid::new(10)),
         });
         let now = pair.now;
-        assert!(pair.aps[1].on_packet(now, 1, &hostile).is_empty());
+        let mut env = Recorder::default();
+        pair.aps[1].on_packet(now, 1, &hostile, &mut env);
+        assert!(env.calls.is_empty(), "{:?}", env.calls);
         assert_eq!(pair.aps[1].epoch(), settled);
         assert_eq!(pair.aps[1].reconfig_msgs().dropped, 1);
         // The cable goes silent: the sampler condemns port 1 and the
@@ -823,7 +869,7 @@ mod tests {
         let before = pair.aps[1].reconfigs_triggered();
         for i in 1..200 {
             let at = now + SimDuration::from_millis(5 * i);
-            pair.aps[1].on_status_sample(at, 1, LinkUnitStatus::new());
+            pair.aps[1].on_status_sample(at, 1, LinkUnitStatus::new(), &mut env);
         }
         assert!(pair.aps[1].reconfigs_triggered() > before);
         assert_eq!(pair.aps[1].epoch(), settled.next());
@@ -834,10 +880,7 @@ mod tests {
     /// cleared table stays, nothing panics.
     #[test]
     fn cyclic_topology_from_the_wire_is_unroutable() {
-        let mut pair = Pair::new();
-        pair.aps[1].set_tracing(true);
-        pair.boot();
-        pair.run_for(SimDuration::from_secs(3));
+        let mut pair = Pair::settled();
         let epoch = pair.aps[1].epoch().next();
         let now = pair.now;
         // 10 opens a new epoch as root; 20 joins as its child on port 1.
@@ -847,71 +890,60 @@ mod tests {
             from_port: 1,
             pos: TreePosition::myself(Uid::new(10)),
         });
-        pair.aps[1].on_packet(now, 1, &join);
+        pair.aps[1].on_packet(now, 1, &join, &mut Recorder::default());
         assert_eq!(pair.aps[1].epoch(), epoch);
         let down = from_wire(&ControlMsg::TopologyDown {
             epoch,
             global: crate::topology::tests::cyclic_topology(epoch),
         });
-        let actions = pair.aps[1].on_packet(now, 1, &down);
+        let mut env = Recorder::default();
+        pair.aps[1].on_packet(now, 1, &down, &mut env);
         let unroutable = Event::UnroutableTopology { epoch };
-        assert!(
-            actions
-                .iter()
-                .any(|a| matches!(a, Action::Trace(e) if *e == unroutable)),
-            "{actions:?}"
-        );
-        assert!(!actions.iter().any(|a| matches!(a, Action::LoadTable(_))));
+        assert!(env.traced().contains(&&unroutable), "{:?}", env.calls);
+        assert_eq!(env.count(|c| matches!(c, Call::LoadTable(_))), 0);
     }
 
     #[test]
     fn host_port_classification_patches_table() {
-        let mut ap = Autopilot::new(Uid::new(1), AutopilotParams::tuned());
-        ap.boot(SimTime::ZERO);
+        let mut ap = booted(1);
         // Drive port 2 through dead -> checking -> host.
         let mut now = SimTime::ZERO;
-        let mut table_loads = 0;
+        let mut env = Recorder::default();
         for _ in 0..200 {
             now += SimDuration::from_millis(5);
-            let acts = ap.on_status_sample(now, 2, clean_host_status());
-            table_loads += acts
-                .iter()
-                .filter(|a| matches!(a, Action::LoadTable(_)))
-                .count();
+            ap.on_status_sample(now, 2, clean_host_status(), &mut env);
             if ap.port_state(2) == PortState::Host {
                 break;
             }
         }
         assert_eq!(ap.port_state(2), PortState::Host);
-        assert!(table_loads > 0, "host arrival must reload the table");
+        assert!(
+            env.count(|c| matches!(c, Call::LoadTable(_))) > 0,
+            "host arrival must reload the table"
+        );
         assert_eq!(ap.host_ports(), vec![2]);
     }
 
     #[test]
     fn short_address_service() {
-        let mut ap = Autopilot::new(Uid::new(1), AutopilotParams::tuned());
-        ap.boot(SimTime::ZERO);
+        let mut ap = booted(1);
         let req = ControlMsg::ShortAddrRequest {
             host_uid: Uid::new(500),
         };
-        let actions = ap.on_packet(SimTime::from_millis(1), 4, &req);
-        let reply = actions.iter().find_map(|a| match a {
-            Action::Send { port: 4, msg } => Some(msg.clone()),
-            _ => None,
-        });
+        let mut env = Recorder::default();
+        ap.on_packet(SimTime::from_millis(1), 4, &req, &mut env);
         assert_eq!(
-            reply,
-            Some(ControlMsg::ShortAddrReply {
+            env.sent_on(4),
+            [&ControlMsg::ShortAddrReply {
                 host_uid: Uid::new(500),
                 addr: ShortAddress::assigned(1, 4),
-            })
+            }]
         );
     }
 
     #[test]
     fn srp_ping_answered_at_target() {
-        let mut ap = Autopilot::new(Uid::new(9), AutopilotParams::tuned());
-        ap.boot(SimTime::ZERO);
+        let mut ap = booted(9);
         // hop == route.len(): we are the target.
         let msg = ControlMsg::Srp {
             route: vec![3],
@@ -919,22 +951,20 @@ mod tests {
             back_route: vec![7],
             payload: SrpPayload::Ping,
         };
-        let actions = ap.on_packet(SimTime::from_millis(1), 5, &msg);
-        let reply = actions.iter().find_map(|a| match a {
-            Action::Send { port: 5, msg } => Some(msg.clone()),
-            _ => None,
-        });
+        let mut env = Recorder::default();
+        ap.on_packet(SimTime::from_millis(1), 5, &msg, &mut env);
         // The reply is source-routed back: first out our arrival port (5),
         // then the recorded back-route in reverse (7).
+        let reply = env.sent_on(5);
         assert!(
             matches!(
-                &reply,
-                Some(ControlMsg::Srp {
+                reply.as_slice(),
+                [ControlMsg::Srp {
                     route,
                     hop: 1,
                     payload: SrpPayload::Pong { uid, .. },
                     ..
-                }) if *uid == Uid::new(9) && route == &vec![5, 7]
+                }] if *uid == Uid::new(9) && route == &vec![5, 7]
             ),
             "{reply:?}"
         );
@@ -942,37 +972,34 @@ mod tests {
 
     #[test]
     fn srp_forwards_along_route() {
-        let mut ap = Autopilot::new(Uid::new(9), AutopilotParams::tuned());
-        ap.boot(SimTime::ZERO);
+        let mut ap = booted(9);
         let msg = ControlMsg::Srp {
             route: vec![3, 7],
             hop: 1,
             back_route: vec![],
             payload: SrpPayload::GetState,
         };
-        let actions = ap.on_packet(SimTime::from_millis(1), 5, &msg);
+        let mut env = Recorder::default();
+        ap.on_packet(SimTime::from_millis(1), 5, &msg, &mut env);
         // Forwarded out port 7 with our arrival port recorded for the way
         // back.
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            Action::Send {
-                port: 7,
-                msg: ControlMsg::Srp { hop: 2, back_route, .. }
-            } if back_route == &vec![5]
-        )));
+        assert!(matches!(
+            env.sent_on(7).as_slice(),
+            [ControlMsg::Srp { hop: 2, back_route, .. }] if back_route == &vec![5]
+        ));
     }
 
     #[test]
     fn probe_ignored_on_dead_port() {
-        let mut ap = Autopilot::new(Uid::new(9), AutopilotParams::tuned());
-        ap.boot(SimTime::ZERO);
+        let mut ap = booted(9);
         let probe = ControlMsg::Probe {
             seq: 1,
             origin: Uid::new(1),
             origin_port: 1,
         };
         // Port 6 has never produced clean samples: still s.dead.
-        let actions = ap.on_packet(SimTime::from_millis(1), 6, &probe);
-        assert!(actions.is_empty());
+        let mut env = Recorder::default();
+        ap.on_packet(SimTime::from_millis(1), 6, &probe, &mut env);
+        assert!(env.calls.is_empty());
     }
 }

@@ -7,10 +7,10 @@
 //! transitions up and down the tower, skeptic hysteresis decisions, and
 //! the epoch lifecycle from failure detection to reopening. An
 //! [`Autopilot`](crate::Autopilot) stores none of them: each entry point
-//! returns the events it produced by value
-//! ([`Action::Trace`](crate::Action::Trace)) and the backend moves them
-//! into the one network-wide spine (`autonet-trace`) that checkers,
-//! timelines and golden-trace tests all consume.
+//! hands the events it produces to
+//! [`Environment::trace`](crate::Environment::trace) by value, and the
+//! backend moves them into the one network-wide spine (`autonet-trace`)
+//! that checkers, timelines and golden-trace tests all consume.
 //!
 //! Keep the enum closed: downstream consumers (oracles, the JSONL
 //! serializer, timeline reconstruction) match exhaustively so that adding

@@ -21,9 +21,11 @@
 //!   local computation of up\*/down\* minimal multipath routes
 //!   ([`compute_forwarding_table`], [`RouteComputer`]).
 //! - [`Autopilot`]: the per-switch control program tying it all together as
-//!   a pure state machine (`on_packet` / `on_status_sample` / `on_tick` →
-//!   actions), directly testable without a simulator and bindable to any
-//!   transport.
+//!   a run-to-completion state machine (`on_packet` / `on_status_sample` /
+//!   `on_tick`) that reaches its switch through one trait, [`Environment`]
+//!   — directly testable without a simulator and bindable to any
+//!   transport; [`NodeHarness`] adds the tick/sample cadence every backend
+//!   drives it at.
 //! - Baselines for the experiments: timeout-based termination
 //!   ([`TerminationMode::RootQuiescence`]) and unrestricted shortest-path
 //!   routing ([`RouteKind::Unrestricted`]).
@@ -32,9 +34,11 @@ mod addressing;
 mod autopilot;
 mod connectivity;
 pub mod dataplane;
+mod env;
 mod epoch;
 pub mod events;
 mod messages;
+mod node;
 mod params;
 mod port_state;
 mod reconfig;
@@ -46,12 +50,14 @@ mod topology;
 mod tree;
 
 pub use addressing::assign_switch_numbers;
-pub use autopilot::{Action, Autopilot};
+pub use autopilot::Autopilot;
 pub use connectivity::{ConnectivityEvent, ConnectivityMonitor, NeighborId};
 pub use dataplane::{ProbeOutcome, ProbeRecord};
+pub use env::Environment;
 pub use epoch::Epoch;
 pub use events::{Event, ReconfigCause, SkepticKind, SkepticVerdict, TransitionCause};
 pub use messages::{ControlMsg, MsgCodecError, SrpPayload};
+pub use node::NodeHarness;
 pub use params::{AutopilotParams, TerminationMode};
 pub use port_state::PortState;
 pub use reconfig::{MsgDisposition, NeighborInfo};

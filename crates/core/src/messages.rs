@@ -11,7 +11,10 @@
 //! do all of this in software, and the experiments charge transmission
 //! time by encoded size, so the encoding is real, not estimated.
 
-use autonet_wire::{PortIndex, ShortAddress, SwitchNumber, Uid, MAX_PORTS};
+use autonet_wire::{
+    decode_short_addr_reply, decode_short_addr_request, encode_short_addr_reply,
+    encode_short_addr_request, PortIndex, ShortAddress, SwitchNumber, Uid, MAX_PORTS,
+};
 
 use crate::epoch::Epoch;
 use crate::topology::{GlobalTopology, LinkInfo, SubtreeReport, SwitchInfo};
@@ -591,13 +594,10 @@ impl ControlMsg {
                 w.u64(epoch.0);
             }
             ControlMsg::ShortAddrRequest { host_uid } => {
-                w.u8(9);
-                w.uid(*host_uid);
+                return encode_short_addr_request(*host_uid)
             }
             ControlMsg::ShortAddrReply { host_uid, addr } => {
-                w.u8(10);
-                w.uid(*host_uid);
-                w.u16(addr.as_u16());
+                return encode_short_addr_reply(*host_uid, *addr)
             }
             ControlMsg::Srp {
                 route,
@@ -709,11 +709,18 @@ impl ControlMsg {
             8 => ControlMsg::TopologyDownAck {
                 epoch: Epoch(r.u64()?),
             },
-            9 => ControlMsg::ShortAddrRequest { host_uid: r.uid()? },
-            10 => ControlMsg::ShortAddrReply {
-                host_uid: r.uid()?,
-                addr: ShortAddress::from_raw(r.u16()?),
-            },
+            // The two fixed-length service messages: any other length is
+            // not one.
+            9 => {
+                return decode_short_addr_request(bytes)
+                    .map(|host_uid| ControlMsg::ShortAddrRequest { host_uid })
+                    .ok_or(MsgCodecError::BadValue)
+            }
+            10 => {
+                return decode_short_addr_reply(bytes)
+                    .map(|(host_uid, addr)| ControlMsg::ShortAddrReply { host_uid, addr })
+                    .ok_or(MsgCodecError::BadValue)
+            }
             12 => ControlMsg::TopologyReport {
                 epoch: Epoch(r.u64()?),
                 seq: r.u64()?,

@@ -12,7 +12,9 @@
 use std::collections::VecDeque;
 
 use autonet_sim::{SimDuration, SimTime};
-use autonet_wire::{Packet, PacketType, ShortAddress, Uid};
+use autonet_wire::{
+    decode_short_addr_reply, encode_short_addr_request, Packet, PacketType, ShortAddress, Uid,
+};
 
 use crate::frame::EthFrame;
 use crate::localnet::{LocalNet, LocalNetStats};
@@ -175,10 +177,9 @@ impl HostController {
         let mut actions = Vec::new();
         match packet.ptype {
             PacketType::HostSwitch => {
-                if let Ok(msg) = autonet_core_shim::decode_short_addr_reply(&packet.payload) {
-                    if msg.0 == self.uid {
+                if let Some((host_uid, addr)) = decode_short_addr_reply(&packet.payload) {
+                    if host_uid == self.uid {
                         self.last_contact = Some(now);
-                        let addr = msg.1;
                         let changed = self.localnet.my_short() != Some(addr);
                         for p in self.localnet.set_own_address(addr) {
                             actions.push(HostAction::Transmit {
@@ -274,38 +275,12 @@ impl HostController {
                 .my_short()
                 .unwrap_or(ShortAddress::BROADCAST_HOSTS),
             PacketType::HostSwitch,
-            autonet_core_shim::encode_short_addr_request(self.uid),
+            encode_short_addr_request(self.uid),
         );
         vec![HostAction::Transmit {
             port: self.active,
             packet,
         }]
-    }
-}
-
-/// Minimal codec for the host↔switch service messages, byte-compatible
-/// with `autonet-core`'s `ControlMsg::{ShortAddrRequest, ShortAddrReply}`
-/// (tags 9 and 10). Duplicated here so the host crate does not depend on
-/// the control-plane crate.
-mod autonet_core_shim {
-    use autonet_wire::{ShortAddress, Uid};
-
-    /// Encodes a short-address request for `host_uid`.
-    pub fn encode_short_addr_request(host_uid: Uid) -> Vec<u8> {
-        let mut v = Vec::with_capacity(7);
-        v.push(9);
-        v.extend_from_slice(&host_uid.to_bytes());
-        v
-    }
-
-    /// Decodes a short-address reply into `(host_uid, addr)`.
-    pub fn decode_short_addr_reply(payload: &[u8]) -> Result<(Uid, ShortAddress), ()> {
-        if payload.len() != 9 || payload[0] != 10 {
-            return Err(());
-        }
-        let uid = Uid::from_bytes(payload[1..7].try_into().expect("6 bytes"));
-        let addr = ShortAddress::from_bytes([payload[7], payload[8]]);
-        Ok((uid, addr))
     }
 }
 
@@ -315,15 +290,11 @@ mod tests {
     use crate::frame::IP_ETHERTYPE;
 
     fn reply_packet(host_uid: Uid, addr: ShortAddress) -> Packet {
-        let mut payload = Vec::with_capacity(9);
-        payload.push(10);
-        payload.extend_from_slice(&host_uid.to_bytes());
-        payload.extend_from_slice(&addr.to_bytes());
         Packet::new(
             addr,
             ShortAddress::TO_LOCAL_SWITCH,
             PacketType::HostSwitch,
-            payload,
+            autonet_wire::encode_short_addr_reply(host_uid, addr),
         )
     }
 

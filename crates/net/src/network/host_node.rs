@@ -8,6 +8,7 @@ use autonet_topo::HostId;
 use autonet_wire::{Packet, Uid};
 
 use super::events::{DeliveryRecord, Event, NetEventKind, Via};
+use super::links::HOST_TICK;
 use super::{Driver, Net, NetWorld};
 
 impl NetWorld {
@@ -66,7 +67,7 @@ impl NetWorld {
         }
         let actions = self.hosts.ctl[h].boot(now);
         self.apply_host_actions(now, h, actions, sched);
-        sched.after(self.params.host_tick, Event::HostTick { h });
+        sched.after(HOST_TICK, Event::HostTick { h });
     }
 
     pub(super) fn on_host_tick(
@@ -80,7 +81,7 @@ impl NetWorld {
         }
         let actions = self.hosts.ctl[h].on_tick(now);
         self.apply_host_actions(now, h, actions, sched);
-        sched.after(self.params.host_tick, Event::HostTick { h });
+        sched.after(HOST_TICK, Event::HostTick { h });
     }
 
     pub(super) fn on_host_rx(

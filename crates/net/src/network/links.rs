@@ -10,7 +10,16 @@ use super::events::{Event, NetEvent, NetEventKind, Via};
 use super::NetWorld;
 
 pub(super) const HOST_LINK_LATENCY_NS: u64 = 7 * 80; // 100 m coax.
+/// Link bandwidth in bits per second (100 Mbit/s).
+const LINK_BPS: u64 = 100_000_000;
+/// Host driver tick period.
+pub(super) const HOST_TICK: SimDuration = SimDuration::from_millis(100);
 pub(super) const SWITCH_TRANSIT: SimDuration = SimDuration::from_micros(2);
+
+/// Wire time of a packet at the link rate.
+pub(super) fn wire_time(bytes: usize) -> SimDuration {
+    SimDuration::from_nanos(bytes as u64 * 8 * 1_000_000_000 / LINK_BPS)
+}
 
 impl NetWorld {
     /// The live physical view: up links and switches.
@@ -31,11 +40,6 @@ impl NetWorld {
 
     pub(super) fn log_event(&mut self, time: SimTime, kind: NetEventKind) {
         self.events.push(NetEvent { time, kind });
-    }
-
-    /// Wire time of a packet at the configured link rate.
-    fn wire_time(&self, bytes: usize) -> SimDuration {
-        SimDuration::from_nanos(bytes as u64 * 8 * 1_000_000_000 / self.params.link_bps)
     }
 
     /// Transmits `packet` out of switch `s` port `port`.
@@ -61,10 +65,7 @@ impl NetWorld {
                     (1, spec.a.switch.0, spec.a.port)
                 };
                 let start = self.link_busy[lid.0][dir].max(now);
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.record_stall(start.saturating_since(now));
-                }
-                let done = start + self.wire_time(packet.wire_len());
+                let done = start + wire_time(packet.wire_len());
                 self.link_busy[lid.0][dir] = done;
                 let arrive = done + SimDuration::from_nanos(spec.timing.latency_ns());
                 sched.at(
@@ -83,10 +84,7 @@ impl NetWorld {
                     return;
                 }
                 let start = self.host_link_busy[hid.0][which][1].max(now);
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.record_stall(start.saturating_since(now));
-                }
-                let done = start + self.wire_time(packet.wire_len());
+                let done = start + wire_time(packet.wire_len());
                 self.host_link_busy[hid.0][which][1] = done;
                 if self.host_powered_off_at[hid.0].is_some() {
                     // The cable ends at an unpowered controller: the signal
@@ -162,10 +160,7 @@ impl NetWorld {
             return;
         }
         let start = self.host_link_busy[h][cport][0].max(now);
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.record_stall(start.saturating_since(now));
-        }
-        let done = start + self.wire_time(packet.wire_len());
+        let done = start + wire_time(packet.wire_len());
         self.host_link_busy[h][cport][0] = done;
         let arrive = done + SimDuration::from_nanos(HOST_LINK_LATENCY_NS);
         sched.at(
@@ -179,24 +174,24 @@ impl NetWorld {
         );
     }
 
-    /// Synthesizes the hardware status bits for one switch port from the
-    /// physical state of whatever is cabled there.
+    /// Synthesizes the hardware status bits for one switch port (1 and up;
+    /// port 0 is never sampled) from the physical state of whatever is
+    /// cabled there.
     pub(super) fn synthesize_status(
         &self,
         now: SimTime,
         s: usize,
         port: PortIndex,
-    ) -> Option<LinkUnitStatus> {
+    ) -> LinkUnitStatus {
         let mut status = LinkUnitStatus::new();
         status.start_seen = true;
         status.progress_seen = true;
+        // Broken cable, dark or unpowered far end: code violations.
+        let mut broken = false;
         match self.topo.port_use(SwitchId(s), port) {
-            PortUse::ControlProcessor => None,
-            PortUse::Free => {
-                // Reflection: the port hears its own (switch-style) flow
-                // control, so it looks like a clean switch link.
-                Some(status)
-            }
+            // Reflection: a free port hears its own (switch-style) flow
+            // control, so it looks like a clean switch link.
+            PortUse::ControlProcessor | PortUse::Free => {}
             PortUse::Link(lid) => {
                 let spec = self.topo.link(lid);
                 let other = if spec.a.switch.0 == s && spec.a.port == port {
@@ -205,10 +200,7 @@ impl NetWorld {
                     spec.a
                 };
                 if !self.link_up[lid.0] || !self.switches.up[other.switch.0] {
-                    // Broken cable or dark far end: code violations.
-                    status.bad_code = true;
-                    status.start_seen = false;
-                    Some(status)
+                    broken = true;
                 } else {
                     // The far end sends idhy while it condemns the link
                     // (the pool mirrors the verdict into the dead-port
@@ -220,7 +212,6 @@ impl NetWorld {
                         Some(l) => l.is_dead(other.switch.0, other.port),
                         None => self.switches.dead[other.switch.0][other.port as usize],
                     };
-                    Some(status)
                 }
             }
             PortUse::Host(hid, alt) => {
@@ -230,33 +221,26 @@ impl NetWorld {
                     // control (looks switch-like) until the noise of the
                     // unterminated cable registers as code violations —
                     // "almost always", per §7; modeled as a detection delay.
-                    if now.saturating_since(off_at) > self.params.reflect_detect_delay {
-                        status.bad_code = true;
-                        status.start_seen = false;
-                    } else {
-                        status.is_host = false;
-                        status.start_seen = true;
-                    }
-                    Some(status)
+                    broken = now.saturating_since(off_at) > self.params.reflect_detect_delay;
                 } else if !self.host_link_up[hid.0][which] || !self.hosts.up[hid.0] {
-                    status.bad_code = true;
-                    status.start_seen = false;
-                    Some(status)
+                    broken = true;
                 } else if match &self.latched {
                     Some(l) => l.host_active(hid.0) == which,
                     None => self.hosts.ctl[hid.0].active_port() == which,
                 } {
                     status.is_host = true;
-                    Some(status)
                 } else {
                     // The alternate port carries sync only: the constant
                     // BadSyntax signature with no flow-control directives.
                     status.bad_syntax = true;
-                    status.is_host = false;
-                    Some(status)
                 }
             }
         }
+        if broken {
+            status.bad_code = true;
+            status.start_seen = false;
+        }
+        status
     }
 
     /// Data-plane forwarding of one packet arriving at a switch.

@@ -13,8 +13,8 @@
 //! - `events`: the event vocabulary ([`Event`], [`NetEvent`], ...);
 //! - `driver`: the seam to the kernels (clock, scheduling, which world
 //!   owns a node); `partitioned`: the sharded kernel's world and latch;
-//! - `switch_node`: one switch = one `autonet_harness::NodeHarness`
-//!   driving its Autopilot over a packet-level `Environment` view;
+//! - `switch_node`: one switch = one `autonet_core::NodeHarness` whose
+//!   Autopilot calls a packet-level `Environment` view;
 //! - `host_node`: host controllers and data injection;
 //! - `links`: the wires — serialization, propagation, reflection, status
 //!   synthesis, data forwarding;
@@ -34,7 +34,7 @@ mod switch_node;
 #[cfg(test)]
 mod tests;
 
-pub use autonet_harness::NetStats;
+pub use crate::stats::NetStats;
 #[doc(hidden)]
 pub use driver::Driver;
 #[doc(hidden)]
@@ -81,9 +81,6 @@ pub struct NetWorld {
     flood: Option<(autonet_wire::Bytes, autonet_core::ControlMsg)>,
     /// Events handled so far, by [`Event::kind`].
     handled: [u64; Event::KINDS.len()],
-    /// Data-plane telemetry; `None` (nothing allocated or recorded)
-    /// whenever `NetParams::tracing` is off.
-    telemetry: Option<Box<crate::DatapathTelemetry>>,
     /// Service-interruption probe flows; `None` until
     /// [`Network::start_probes`].
     probes: Option<probes::ProbeState>,
@@ -177,9 +174,6 @@ impl NetWorld {
             stats: NetStats::default(),
             flood: None,
             handled: [0; Event::KINDS.len()],
-            telemetry: params
-                .tracing
-                .then(|| Box::new(crate::DatapathTelemetry::new())),
             probes: None,
             rng: rng.fork(1),
             latched: None,

@@ -48,7 +48,7 @@ use autonet_wire::{PortIndex, MAX_PORTS};
 use crate::params::NetParams;
 
 use super::events::{DeliveryRecord, Event, NetEvent};
-use super::links::HOST_LINK_LATENCY_NS;
+use super::links::{wire_time, HOST_LINK_LATENCY_NS};
 use super::{Driver, Net, NetWorld, PartitionedNetwork};
 
 /// Barrier-latched cross-node observations: what `synthesize_status` is
@@ -205,8 +205,7 @@ impl ShardWorld for PartWorld {
 /// reach another node — minimum wire time (smallest packet is a bare
 /// header plus CRC, 36 bytes) plus the smallest propagation delay of any
 /// cross-node channel.
-fn lookahead_window(topo: &Topology, params: &NetParams) -> SimDuration {
-    let wire_min = 36u64 * 8 * 1_000_000_000 / params.link_bps;
+fn lookahead_window(topo: &Topology) -> SimDuration {
     let mut latency = u64::MAX;
     for l in 0..topo.num_links() {
         latency = latency.min(topo.link(LinkId(l)).timing.latency_ns());
@@ -219,7 +218,7 @@ fn lookahead_window(topo: &Topology, params: &NetParams) -> SimDuration {
         // window works.
         latency = 1_000;
     }
-    SimDuration::from_nanos((wire_min + latency).max(1))
+    wire_time(36) + SimDuration::from_nanos(latency)
 }
 
 /// One history out of per-shard logs: stable-sorted by `(time, subject
@@ -259,7 +258,7 @@ impl PartitionedNetwork {
         let owner: Vec<u32> = (0..n_nodes)
             .map(|i| (i * nparts / n_nodes) as u32)
             .collect();
-        let window = lookahead_window(&topo, &params);
+        let window = lookahead_window(&topo);
         let mut boots = Vec::new();
         // One route cache for ALL shards: every serve is a pure function
         // of its inputs, so cross-shard sharing (and speculative serves

@@ -16,8 +16,7 @@
 
 use std::sync::Arc;
 
-use autonet_core::{Autopilot, AutopilotParams, PortState, RouteCache};
-use autonet_harness::NodeHarness;
+use autonet_core::{Autopilot, AutopilotParams, NodeHarness, PortState, RouteCache};
 use autonet_host::HostController;
 use autonet_sim::SimTime;
 use autonet_switch::ForwardingTable;

@@ -175,11 +175,4 @@ impl Network {
     pub fn probe_interval(&self) -> Option<SimDuration> {
         self.sim.world().probes.as_ref().map(|ps| ps.interval)
     }
-
-    /// The datapath telemetry collector; `None` whenever
-    /// `NetParams::tracing` is off (the zero-cost gate). One collector
-    /// per world, so only the one-world classic driver exports it.
-    pub fn telemetry(&self) -> Option<&crate::DatapathTelemetry> {
-        self.sim.world().telemetry.as_deref()
-    }
 }

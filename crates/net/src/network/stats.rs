@@ -4,11 +4,10 @@
 use std::collections::BTreeMap;
 
 use autonet_core::{global_from_view, Autopilot, Epoch, GlobalTopology, MsgDisposition};
-use autonet_harness::NetStats;
 use autonet_topo::SwitchId;
 use autonet_wire::{PortIndex, SwitchNumber, Uid};
 
-use super::{Driver, Net};
+use super::{Driver, Net, NetStats};
 
 impl<D: Driver> Net<D> {
     /// Aggregate counters (shared across backends; see [`NetStats`]),

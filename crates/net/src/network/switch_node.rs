@@ -1,11 +1,11 @@
-//! One switch: a [`NodeHarness`] driving its Autopilot over a
-//! packet-level [`Environment`] view.
+//! One switch: a [`NodeHarness`] whose Autopilot calls a packet-level
+//! [`Environment`] view.
 //!
-//! The harness owns the control program and the action translation; this
-//! module supplies the substrate view ([`PacketEnv`]) and the event
-//! handlers that decide *when* the harness entry points run. Switch
-//! state itself lives struct-of-arrays in the
-//! [`SwitchPool`](super::pool::SwitchPool), indexed by dense id.
+//! The harness owns the control program and its cadence; this module
+//! supplies the substrate view ([`PacketEnv`]) and the event handlers
+//! that decide *when* the entry points run. Switch state itself lives
+//! struct-of-arrays in the [`SwitchPool`](super::pool::SwitchPool),
+//! indexed by dense id.
 //!
 //! The topology flood of step 4 is the same message at every switch, so
 //! the world holds the last one as a pair — payload and decoded
@@ -15,86 +15,64 @@
 //! allocation the held clone keeps alive and immutable), so a hit is
 //! what the codec would return; debug builds assert that on every hit.
 
-use autonet_core::{Autopilot, ControlMsg, Epoch, GlobalTopology, PortState, SrpPayload};
-use autonet_harness::{encoded_control_packet, Environment, NodeHarness};
+use autonet_core::{
+    Autopilot, ControlMsg, Environment, Epoch, GlobalTopology, NodeHarness, PortState, SrpPayload,
+};
 use autonet_sim::{Scheduler, SimTime};
 use autonet_switch::{ForwardingTable, LinkUnitStatus};
 use autonet_topo::SwitchId;
-use autonet_wire::{Bytes, PacketType, PortIndex, MAX_PORTS};
+use autonet_wire::{Bytes, PacketType, PortIndex};
 
 use super::events::{Event, NetEventKind};
 use super::{Driver, Net, NetWorld};
+use crate::encoded_control_packet;
 
 /// The per-event [`Environment`] for switch `s`: the whole world (with
-/// `s`'s own harness temporarily removed) plus the event scheduler.
+/// `s`'s own harness temporarily removed), the event scheduler and the
+/// event's time.
 struct PacketEnv<'a, 'b> {
     w: &'a mut NetWorld,
     sched: &'a mut Scheduler<'b, Event>,
     s: usize,
+    now: SimTime,
 }
 
 impl Environment for PacketEnv<'_, '_> {
-    fn send(&mut self, now: SimTime, port: PortIndex, msg: &ControlMsg) {
+    fn send(&mut self, port: PortIndex, msg: &ControlMsg) {
         let packet = encoded_control_packet(port, msg, self.w.encode(msg));
         self.w.stats.control_sent += 1;
         self.w
-            .transmit_from_switch(now, self.s, port, packet, self.sched);
+            .transmit_from_switch(self.now, self.s, port, packet, self.sched);
     }
 
-    fn load_table(&mut self, _now: SimTime, table: ForwardingTable) {
+    fn load_table(&mut self, table: ForwardingTable) {
         self.w.switches.table[self.s] = table;
     }
 
-    fn read_status(&mut self, now: SimTime, port: PortIndex) -> Option<LinkUnitStatus> {
-        self.w.synthesize_status(now, self.s, port)
+    fn read_status(&mut self, port: PortIndex) -> LinkUnitStatus {
+        self.w.synthesize_status(self.now, self.s, port)
     }
 
     fn set_port_dead(&mut self, port: PortIndex, dead: bool) {
         self.w.switches.dead[self.s][port as usize] = dead;
     }
 
-    fn network_opened(&mut self, now: SimTime, epoch: Epoch) {
-        self.w.stats.note_open(now);
+    fn network_opened(&mut self, epoch: Epoch) {
+        self.w.stats.note_open(self.now);
+        self.w.log_event(
+            self.now,
+            NetEventKind::SwitchOpened(SwitchId(self.s), epoch),
+        );
+    }
+
+    fn network_closed(&mut self) {
+        self.w.stats.note_close(self.now);
         self.w
-            .log_event(now, NetEventKind::SwitchOpened(SwitchId(self.s), epoch));
+            .log_event(self.now, NetEventKind::SwitchClosed(SwitchId(self.s)));
     }
 
-    fn network_closed(&mut self, now: SimTime) {
-        self.w.stats.note_close(now);
-        self.w
-            .log_event(now, NetEventKind::SwitchClosed(SwitchId(self.s)));
-    }
-
-    fn sample_datapath(&mut self, now: SimTime, is_root: bool) {
-        use autonet_sim::SimDuration;
-        use autonet_topo::PortUse;
-        let Some(t) = self.w.telemetry.as_deref_mut() else {
-            return;
-        };
-        // Link backlog is the packet model's queue-depth analog: how far
-        // each outgoing link direction is committed beyond now.
-        let mut max_backlog = SimDuration::ZERO;
-        let (mut links, mut busy) = (0u64, 0u64);
-        for port in 1..MAX_PORTS as PortIndex {
-            if let PortUse::Link(lid) = self.w.topo.port_use(SwitchId(self.s), port) {
-                let spec = self.w.topo.link(lid);
-                let dir = usize::from(!(spec.a.switch.0 == self.s && spec.a.port == port));
-                let backlog = self.w.link_busy[lid.0][dir].saturating_since(now);
-                max_backlog = max_backlog.max(backlog);
-                links += 1;
-                if backlog > SimDuration::ZERO {
-                    busy += 1;
-                }
-            }
-        }
-        t.sample_backlog(max_backlog);
-        if is_root && links > 0 {
-            t.sample_root_link(links, busy);
-        }
-    }
-
-    fn trace(&mut self, time: SimTime, event: autonet_core::Event) {
-        self.w.trace.record(time, self.s, event);
+    fn trace(&mut self, event: autonet_core::Event) {
+        self.w.trace.record(self.now, self.s, event);
     }
 }
 
@@ -160,25 +138,26 @@ impl NetWorld {
         Some(msg)
     }
 
-    /// Runs one harness entry point for switch `s`; the pool's put
+    /// Runs one entry point of switch `s` at `now`; the pool's put
     /// refreshes the dead-port mirror from the Autopilot's verdicts
     /// (port states only change inside entry points, so other switches
     /// reading the mirror see exactly the live state).
-    fn with_harness<R>(
+    fn with_harness(
         &mut self,
+        now: SimTime,
         s: usize,
         sched: &mut Scheduler<'_, Event>,
-        f: impl FnOnce(&mut NodeHarness, &mut PacketEnv<'_, '_>) -> R,
-    ) -> R {
+        f: impl FnOnce(&mut NodeHarness, &mut PacketEnv<'_, '_>),
+    ) {
         let mut h = self.switches.take(s);
         let mut env = PacketEnv {
             w: &mut *self,
             sched,
             s,
+            now,
         };
-        let r = f(&mut h, &mut env);
+        f(&mut h, &mut env);
         self.switches.put(s, h);
-        r
     }
 
     pub(super) fn on_switch_boot(
@@ -190,7 +169,7 @@ impl NetWorld {
         if !self.switches.up[s] {
             return;
         }
-        self.with_harness(s, sched, |h, env| h.boot(now, env));
+        self.with_harness(now, s, sched, |h, env| h.boot(now, env));
         let h = self.switches.harness(s);
         let (tick, sample) = (h.next_tick(), h.next_sample());
         sched.at(tick, Event::SwitchTick { s });
@@ -206,7 +185,7 @@ impl NetWorld {
         if !self.switches.up[s] {
             return;
         }
-        self.with_harness(s, sched, |h, env| h.tick(now, env));
+        self.with_harness(now, s, sched, |h, env| h.tick(now, env));
         let next = self.switches.harness(s).next_tick();
         sched.at(next, Event::SwitchTick { s });
     }
@@ -220,7 +199,7 @@ impl NetWorld {
         if !self.switches.up[s] {
             return;
         }
-        self.with_harness(s, sched, |h, env| h.sample(now, env));
+        self.with_harness(now, s, sched, |h, env| h.sample(now, env));
         let next = self.switches.harness(s).next_sample();
         sched.at(next, Event::SwitchSample { s });
     }
@@ -288,7 +267,9 @@ impl NetWorld {
             return;
         }
         if let Some(msg) = self.decode(&packet.payload) {
-            self.with_harness(s, sched, |h, env| h.deliver(now, port, &msg, env));
+            self.with_harness(now, s, sched, |h, env| {
+                h.autopilot_mut().on_packet(now, port, &msg, env)
+            });
         }
     }
 
@@ -303,7 +284,9 @@ impl NetWorld {
         if !self.switches.up[s] {
             return;
         }
-        self.with_harness(s, sched, |h, env| h.srp_request(now, route, payload, env));
+        self.with_harness(now, s, sched, |h, env| {
+            h.autopilot_mut().srp_request(route, payload, env)
+        });
     }
 }
 

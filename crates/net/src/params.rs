@@ -71,10 +71,6 @@ pub struct NetParams {
     pub cpu: CpuModel,
     /// Host driver parameters.
     pub host: HostParams,
-    /// Host driver tick period.
-    pub host_tick: SimDuration,
-    /// Link bandwidth in bits per second (100 Mbit/s).
-    pub link_bps: u64,
     /// Random jitter bound on boot times, for realistic desynchronization.
     pub boot_jitter: SimDuration,
     /// Maximum control-processor backlog; packets arriving beyond it are
@@ -102,8 +98,6 @@ impl NetParams {
             autopilot: AutopilotParams::tuned(),
             cpu: CpuModel::tuned(),
             host: HostParams::default(),
-            host_tick: SimDuration::from_millis(100),
-            link_bps: 100_000_000,
             boot_jitter: SimDuration::from_millis(10),
             cpu_backlog_cap: SimDuration::from_millis(250),
             reflect_detect_delay: SimDuration::from_millis(40),

@@ -51,11 +51,6 @@ impl NetStats {
         self.closes += 1;
         self.last_state_change = now;
     }
-
-    /// Fraction of injected data frames that were delivered.
-    pub fn delivery_rate(&self) -> f64 {
-        self.data_delivered as f64 / self.data_sent.max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -70,8 +65,5 @@ mod tests {
         assert_eq!(s.opens, 1);
         assert_eq!(s.closes, 1);
         assert_eq!(s.last_state_change, SimTime::from_millis(9));
-        s.data_sent = 4;
-        s.data_delivered = 3;
-        assert!((s.delivery_rate() - 0.75).abs() < 1e-9);
     }
 }

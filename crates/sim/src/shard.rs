@@ -1001,10 +1001,12 @@ mod tests {
         const ROUNDS: usize = 5;
         let barrier = Rendezvous::new(2);
         within(Duration::from_secs(60), move || {
+            let left = AtomicUsize::new(0);
             std::thread::scope(|scope| {
                 scope.spawn(|| {
                     for _ in 0..ROUNDS {
                         barrier.wait();
+                        left.fetch_add(1, MemOrder::SeqCst);
                     }
                 });
                 for round in 0..ROUNDS {
@@ -1013,9 +1015,11 @@ mod tests {
                     }
                     barrier.wait();
                     assert_eq!(barrier.generation.load(MemOrder::SeqCst), round + 1);
-                    // Let the sleeper deregister before looking for the
-                    // next round's.
-                    while barrier.sleepers.load(MemOrder::SeqCst) != 0 {
+                    // Let the sleeper leave this round's wait (and so
+                    // deregister) before looking for the next round's. A
+                    // count, not `sleepers == 0`: a descheduled observer
+                    // can miss that window and wait for it forever.
+                    while left.load(MemOrder::SeqCst) <= round {
                         std::thread::yield_now();
                     }
                 }

@@ -489,11 +489,6 @@ impl DatapathSim {
         self.switches[s.0].ports[port as usize].fifo.max_occupancy()
     }
 
-    /// Current occupancy of the receive FIFO at (`s`, `port`).
-    pub fn fifo_len(&self, s: DpSwitchId, port: PortIndex) -> usize {
-        self.switches[s.0].ports[port as usize].fifo.len()
-    }
-
     /// Returns `true` if any packet data remains anywhere in the network.
     pub fn in_flight(&self) -> bool {
         self.hosts

@@ -13,6 +13,8 @@
 //!   switch-number/port-number packing;
 //! - the Autonet packet format and its byte codec with a software CRC-32
 //!   ([`Packet`], [`crc32`]);
+//! - the host↔switch short-address service messages
+//!   ([`encode_short_addr_request`] and its three siblings);
 //! - the receive FIFO with half-full flow-control threshold and
 //!   overflow/underflow accounting ([`ReceiveFifo`]).
 //!
@@ -23,6 +25,7 @@ mod crc;
 mod fifo;
 mod link;
 mod packet;
+mod service;
 mod shortaddr;
 mod symbol;
 mod uid;
@@ -34,6 +37,10 @@ pub use fifo::{FifoEntry, ReceiveFifo};
 pub use link::{LinkTiming, SLOT_NS};
 pub use packet::{
     Packet, PacketCodecError, PacketType, AUTONET_HEADER_LEN, CRC_LEN, MAX_PAYLOAD_LEN,
+};
+pub use service::{
+    decode_short_addr_reply, decode_short_addr_request, encode_short_addr_reply,
+    encode_short_addr_request,
 };
 pub use shortaddr::{PortIndex, ShortAddress, SwitchNumber, MAX_PORTS, MAX_SWITCH_NUMBER};
 pub use symbol::{is_flow_control_slot, Command, Symbol, FLOW_CONTROL_INTERVAL};

@@ -83,9 +83,20 @@ echo "==> repo benchmark (smoke)"
 # predicates then hold the sharded/classic cycle ratio and the cold boot's
 # event count.
 benchmark/run.sh --smoke
+# The frozen crate's committed lock file is stale and every build rewrites
+# it; leave the tree as we found it.
+git checkout -- benchmark/Cargo.lock
 python3 scripts/check_bench.py benchmark/out/results-smoke.json
 
 echo "==> tracked Rust lines outside benchmark/ (ROADMAP item 7: this number falls)"
 git ls-files '*.rs' ':!benchmark' | xargs wc -l | tail -1
+
+echo "==> one seam: no harness crate, no Action enum, no datapath telemetry"
+if [ -e crates/harness ] ||
+    grep -rEn 'enum Action|Action::|DatapathTelemetry|sample_datapath' \
+        crates src tests examples --include='*.rs' | grep -v HostAction; then
+    echo "the Autopilot reaches its switch through Environment only (DESIGN.md, The seam)" >&2
+    exit 1
+fi
 
 echo "OK in $(($(date +%s) - start)) s"

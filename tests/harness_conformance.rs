@@ -1,12 +1,12 @@
 //! Conformance between the two simulation backends.
 //!
-//! The same Autopilot — inside the same `autonet_harness::NodeHarness` —
-//! runs over two very different `Environment` implementations: the
+//! The same Autopilot — inside the same `autonet_core::NodeHarness` —
+//! calls two very different `Environment` implementations: the
 //! packet-level transport of [`Network`] (synthesized status bits,
 //! abstract links) and the slot-accurate datapath of [`SlotNet`] (real
 //! symbols, real FIFOs, status bits latched by link units). If the
-//! harness layer is faithful, the control plane must reach the same
-//! conclusions about what the network *is* on both: identical
+//! packet model's synthesis is faithful, the control plane must reach
+//! the same conclusions about what the network *is* on both: identical
 //! classifications for every cabled port, and the same final epoch.
 //!
 //! Uncabled ports are the one place the substrates legitimately differ:
