@@ -32,7 +32,7 @@
 use autonet_bench::{write_artifact, Report, Table, Value};
 use autonet_core::MsgDisposition;
 use autonet_net::{Driver, Net, NetParams, NetStats, Network, PartitionedNetwork};
-use autonet_sim::{SimDuration, SimTime};
+use autonet_sim::{bucket_quantile, SimDuration, SimTime};
 use autonet_topo::{gen, LinkId, SwitchId, Topology};
 use autonet_trace::SpanTree;
 use std::time::Instant;
@@ -309,14 +309,11 @@ fn measure(
     };
     let mut prof = PartitionedNetwork::new(topo, params, 2, PARTITIONS);
     let profiled = cycle(&mut prof)?;
-    let metrics = prof.kernel_metrics();
-    let wait_us = |q: f64| {
-        let hist = metrics
-            .as_ref()
-            .and_then(|m| m.histogram("kernel.shard_barrier_wait"));
-        wall(hist.map_or(0.0, |h| h.quantile_upper_bound(q).as_micros_f64()))
-    };
     let shards = prof.shard_telemetry().unwrap_or_default();
+    let wait_us = |q: f64| {
+        let waits = shards.iter().map(|s| &s.barrier_wait_buckets);
+        wall(bucket_quantile(waits, q).as_secs_f64() * 1e6)
+    };
     t.profile.row([
         name.into(),
         shards.len().into(),

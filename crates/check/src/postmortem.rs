@@ -4,9 +4,8 @@
 //! worst-case search, the violation message alone rarely explains *why*.
 //! This module packages everything a human needs into one bounded
 //! directory — the event window around the violation, the causal span
-//! export (opens in Perfetto), the metrics snapshot with tail quantiles,
-//! and the shrunken reproducer — so the failure arrives ready to debug
-//! instead of ready to re-run.
+//! export (opens in Perfetto) and the shrunken reproducer — so the
+//! failure arrives ready to debug instead of ready to re-run.
 //!
 //! Writing is **explicit**, not wired into the engine: the shrinker and
 //! the worst-case search re-run failing scenarios hundreds of times on
@@ -68,7 +67,6 @@ pub fn default_postmortem_dir() -> PathBuf {
 ///   (bounded by `cfg`);
 /// - `spans.trace.json` — the causal span tree of the whole run in
 ///   Chrome Trace Event Format (drop onto <https://ui.perfetto.dev>);
-/// - `metrics.jsonl` — the timeline's metrics with p50/p99/p99.9;
 /// - `reproducer.rs` — the shrunken self-contained test, when the caller
 ///   ran the shrinker.
 ///
@@ -109,9 +107,8 @@ pub fn write_postmortem(
     let timeline = Timeline::build(&merged);
     let tree = SpanTree::build(&timeline, outcome.interruption.as_ref());
     fs::write(dir.join("spans.trace.json"), tree.to_chrome_trace())?;
-    fs::write(dir.join("metrics.jsonl"), timeline.metrics().to_jsonl())?;
 
-    let mut files = vec!["events.jsonl", "spans.trace.json", "metrics.jsonl"];
+    let mut files = vec!["events.jsonl", "spans.trace.json"];
     if let Some(rep) = reproducer {
         fs::write(
             dir.join("reproducer.rs"),

@@ -302,56 +302,6 @@ impl PartitionedNetwork {
         self.sim.telemetry()
     }
 
-    /// The kernel's execution profile as one merged
-    /// [`MetricsRegistry`](autonet_trace::MetricsRegistry) (`None` unless
-    /// `params.tracing`): per-shard registries folded with
-    /// [`MetricsRegistry::merge`](autonet_trace::MetricsRegistry::merge),
-    /// so counters sum across shards, the `*_max` gauges keep the hottest
-    /// shard, and the histograms hold one sample per shard-window, so
-    /// their quantiles are per-window work and barrier wait. Route-cache
-    /// counters and wall split are folded in when the cache is enabled.
-    pub fn kernel_metrics(&self) -> Option<autonet_trace::MetricsRegistry> {
-        use autonet_trace::MetricsRegistry;
-        let tel = self.sim.telemetry()?;
-        let mut merged = MetricsRegistry::new();
-        for t in &tel {
-            let mut shard = MetricsRegistry::new();
-            shard.count("kernel.events", t.events);
-            shard.count("kernel.windows", t.windows);
-            shard.count("kernel.busy_windows", t.busy_windows);
-            shard.count("kernel.work_ns", t.work_ns);
-            shard.count("kernel.barrier_wait_ns", t.barrier_wait_ns);
-            shard.count("kernel.mailbox_in", t.mailbox_in);
-            shard.count("kernel.mailbox_out", t.mailbox_out);
-            shard.gauge_set(
-                "kernel.shard_events_max",
-                t.events.min(i64::MAX as u64) as i64,
-            );
-            shard.gauge_set(
-                "kernel.shard_barrier_wait_ns_max",
-                t.barrier_wait_ns.min(i64::MAX as u64) as i64,
-            );
-            shard.observe_buckets("kernel.shard_work", &t.work_buckets, t.work_ns);
-            shard.observe_buckets(
-                "kernel.shard_barrier_wait",
-                &t.barrier_wait_buckets,
-                t.barrier_wait_ns,
-            );
-            merged.merge(&shard);
-        }
-        if let Some(rc) = self.route_cache_stats() {
-            merged.count("route_cache.builds", rc.builds);
-            merged.count("route_cache.served_memo", rc.served_memo);
-            merged.count("route_cache.delta_reused", rc.delta_reused);
-            merged.count("route_cache.synthesized", rc.synthesized);
-            merged.count("route_cache.unroutable", rc.unroutable);
-            merged.count("route_cache.build_wall_ns", rc.build_wall_ns);
-            merged.count("route_cache.serve_wall_ns", rc.serve_wall_ns);
-            merged.count("route_cache.delta_wall_ns", rc.delta_wall_ns);
-        }
-        Some(merged)
-    }
-
     /// Fraction of accounted wall time the shards spent blocked at round
     /// barriers (`barrier / (barrier + work)`); `None` without telemetry,
     /// zero when nothing was measured yet.

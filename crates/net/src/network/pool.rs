@@ -10,9 +10,9 @@
 //!
 //! An entry point takes the switch's harness out of its slot (so the
 //! environment view may borrow the rest of the world), runs it, and
-//! puts it back; [`put`](SwitchPool::put) refreshes the dead-port mirror
-//! from the Autopilot's verdicts at that moment, so other switches
-//! reading the mirror between entry points see exactly the live state.
+//! puts it back. The dead-port mirror is written as each verdict is
+//! reached, so other switches reading it between entry points see
+//! exactly the live state.
 
 use std::sync::Arc;
 
@@ -30,10 +30,11 @@ pub(super) struct SwitchPool {
     slots: Vec<Option<NodeHarness>>,
     /// Per-switch dead-port mirror: the packet-level stand-in for the
     /// link unit's `idhy` hook, readable without touching the harness.
-    /// Two writers: [`put`](Self::put) re-derives a row after every entry
-    /// point (which covers tick-time skeptic releases), and the
-    /// environment's `set_port_dead` hook writes one entry while the
-    /// harness is out (what a looped-back cable reads mid-round).
+    /// A port enters or leaves `Dead` only inside a status sample, and
+    /// the sampling round writes each verdict here through the
+    /// environment's `set_port_dead` hook while the harness is out (what
+    /// a looped-back cable reads mid-round); a boot or reboot condemns
+    /// the whole row. [`put`](Self::put) holds debug builds to that.
     pub(super) dead: Vec<[bool; MAX_PORTS]>,
     /// The currently loaded forwarding table (data-plane hot path).
     pub(super) table: Vec<ForwardingTable>,
@@ -113,13 +114,12 @@ impl SwitchPool {
         self.slots[s].take().expect("harness re-entered")
     }
 
-    /// Returns switch `s`'s harness after an entry-point run and
-    /// refreshes its dead-port mirror from the Autopilot's verdicts
-    /// (port states only change inside entry points).
+    /// Returns switch `s`'s harness after an entry-point run.
     pub(super) fn put(&mut self, s: usize, harness: NodeHarness) {
-        for (port, dead) in self.dead[s].iter_mut().enumerate() {
-            *dead = harness.autopilot().port_state(port as PortIndex) == PortState::Dead;
-        }
+        debug_assert!(
+            (0..MAX_PORTS).all(|p| self.dead[s][p] == is_dead(&harness, p)),
+            "switch {s}: the dead-port mirror missed a verdict"
+        );
         self.slots[s] = Some(harness);
     }
 
@@ -140,6 +140,10 @@ impl SwitchPool {
             .expect("harness in place")
             .autopilot_mut()
     }
+}
+
+fn is_dead(harness: &NodeHarness, port: usize) -> bool {
+    harness.autopilot().port_state(port as PortIndex) == PortState::Dead
 }
 
 /// A clone is a fork of the fleet, so it gets a route cache of its own:
@@ -226,13 +230,12 @@ mod tests {
     #[test]
     fn mirror_starts_condemned_and_tracks_port_states() {
         let mut pool = pool(&[1]);
-        assert!(pool.dead[0][3]);
-        pool.dead[0][3] = false;
-        // put() re-derives the mirror from the Autopilot: a fresh one
-        // has every port Dead again.
+        assert_eq!(pool.dead[0], [true; MAX_PORTS]);
+        // Which is a fresh Autopilot's verdict on every port: the row
+        // put() holds the mirror to.
         let h = pool.take(0);
+        assert!((0..MAX_PORTS).all(|p| is_dead(&h, p)));
         pool.put(0, h);
-        assert!(pool.dead[0][3]);
     }
 
     #[test]

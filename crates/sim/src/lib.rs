@@ -53,5 +53,5 @@ pub use calendar::CalendarQueue;
 pub use engine::{Scheduler, Simulator, World};
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use shard::{ShardTelemetry, ShardWorld, ShardedSimulator};
+pub use shard::{bucket_quantile, nearest_rank, ShardTelemetry, ShardWorld, ShardedSimulator};
 pub use time::{SimDuration, SimTime};

@@ -112,6 +112,49 @@ fn bucket_of(ns: u64) -> usize {
     (ns.max(1).ilog2() as usize).min(TELEMETRY_BUCKETS - 1)
 }
 
+/// The nearest rank of the `q`-quantile (`q` in 0.0..=1.0) among `count`
+/// sorted samples: the 1-based position of the smallest sample with at
+/// least `⌈q·count⌉` samples at or below it. Always in `1..=count` for
+/// `count >= 1`: `q` outside `[0, 1]` clamps, and `NaN` reads as 1.0 (the
+/// top) instead of aliasing to the minimum through float-to-int
+/// saturation.
+pub fn nearest_rank(q: f64, count: u64) -> u64 {
+    let q = if q.is_nan() { 1.0 } else { q.clamp(0.0, 1.0) };
+    // The product can round up past an exact rank (0.57 * 100 is
+    // 57.000…01 in f64), hence the clamp from above as well.
+    ((q * count as f64).ceil() as u64).clamp(1, count.max(1))
+}
+
+/// The `q`-quantile (by [`nearest_rank`]) of the samples in
+/// [`ShardTelemetry`] bucket arrays, summed elementwise — pass one array
+/// for a shard's own distribution, every shard's for the kernel's. The
+/// answer is the containing bucket's upper edge, `2^(i+1) - 1` ns: an
+/// upper bound on the quantile, except in the last bucket, which also
+/// holds everything longer. No samples answers zero.
+pub fn bucket_quantile<'a>(
+    buckets: impl IntoIterator<Item = &'a [u64; TELEMETRY_BUCKETS]>,
+    q: f64,
+) -> Duration {
+    let mut sum = [0u64; TELEMETRY_BUCKETS];
+    for shard in buckets {
+        for (total, n) in sum.iter_mut().zip(shard) {
+            *total += n;
+        }
+    }
+    let count: u64 = sum.iter().sum();
+    if count == 0 {
+        return Duration::ZERO;
+    }
+    let rank = nearest_rank(q, count);
+    let mut seen = 0;
+    let top = sum.iter().position(|&n| {
+        seen += n;
+        seen >= rank
+    });
+    let i = top.expect("rank <= count, so some bucket reaches it");
+    Duration::from_nanos((1u64 << (i + 1)) - 1)
+}
+
 impl ShardTelemetry {
     fn note_window(&mut self, events: u64, work: Duration) {
         let ns = work.as_nanos() as u64;
@@ -885,6 +928,50 @@ mod tests {
         // Every delivery with hops > 0 also fired a local event (+10).
         let total: u64 = counters.iter().sum();
         assert_eq!(total, 4 * 201 + 10 * 4 * 200);
+    }
+
+    #[test]
+    fn bucket_quantile_edge_cases() {
+        let ns = |buckets: &[u64; TELEMETRY_BUCKETS], q| bucket_quantile([buckets], q).as_nanos();
+        let empty = [0u64; TELEMETRY_BUCKETS];
+        assert_eq!(ns(&empty, 0.5), 0);
+        assert_eq!(ns(&empty, f64::NAN), 0);
+        assert_eq!(bucket_quantile([], 0.5), Duration::ZERO);
+
+        // One populated bucket: every quantile answers its top edge.
+        let mut one = empty;
+        one[bucket_of(700)] = 10; // [512, 1024)
+        for q in [0.0, 0.5, 1.0] {
+            assert_eq!(ns(&one, q), 1023);
+        }
+
+        // Two buckets: q = 0 is the minimum's, q = 1 the maximum's, and
+        // out-of-range or NaN q clamps to one of those.
+        let mut two = empty;
+        two[bucket_of(0)] = 1;
+        two[bucket_of(1_000_000_000)] = 1;
+        assert_eq!(ns(&two, 0.0), 1);
+        assert!(ns(&two, 1.0) >= 1_000_000_000);
+        assert_eq!(ns(&two, -3.0), ns(&two, 0.0));
+        assert_eq!(ns(&two, 7.0), ns(&two, 1.0));
+        assert_eq!(ns(&two, f64::NAN), ns(&two, 1.0));
+
+        // Arrays sum before the rank is taken: 100 samples, one per
+        // nanosecond count 1..=100, split across two shards.
+        let (mut a, mut b) = (empty, empty);
+        for i in 1..=100u64 {
+            let shard = if i % 2 == 0 { &mut a } else { &mut b };
+            shard[bucket_of(i)] += 1;
+        }
+        let both = |q| bucket_quantile([&a, &b], q).as_nanos();
+        assert_eq!(both(0.5), 63, "rank 50 lies in [32, 64)");
+        assert_eq!(both(1.0), 127);
+        let qs: Vec<u128> = (0..=100).map(|i| both(f64::from(i) / 100.0)).collect();
+        assert!(qs.windows(2).all(|w| w[0] <= w[1]), "monotone in q: {qs:?}");
+        // The last bucket's edge does not overflow.
+        let mut last = empty;
+        last[TELEMETRY_BUCKETS - 1] = 1;
+        assert_eq!(ns(&last, 1.0), u128::from(u32::MAX));
     }
 
     #[test]

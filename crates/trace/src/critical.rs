@@ -209,8 +209,8 @@ fn argmax_time(map: &std::collections::BTreeMap<usize, SimTime>) -> Option<usize
 
 /// Folds a superseded epoch's detect/close data into its burst's report:
 /// the earliest detection, the earliest close, the *first* close per
-/// node. All folds are min-folds, so the fold order does not matter.
-pub(crate) fn fold_burst(merged: &mut EpochReport, r: &EpochReport) {
+/// node.
+fn fold_burst(merged: &mut EpochReport, r: &EpochReport) {
     if let Some(d) = r.detected {
         if merged.detected.is_none_or(|m| d < m) {
             merged.detected = Some(d);
@@ -238,35 +238,45 @@ impl Timeline {
         self.epoch(e).and_then(CriticalPath::from_report)
     }
 
-    /// The critical path of the last *fault*, merging coalesced epochs.
+    /// The settled fault bursts, in settle order: each settled epoch's
+    /// report and the epochs folded into it.
     ///
     /// A single physical fault can span several epochs: the first epoch
     /// carries the detection and close wave, then a second proposal
     /// supersedes it mid-reconfiguration and carries the tree, address
     /// and table phases to settlement. No single epoch then has all six
-    /// phases and [`critical_path`](Self::critical_path) returns `None`
-    /// for each, even though the fault's end-to-end path is fully
-    /// recorded.
-    ///
-    /// This method finds the last *settled* epoch (one with an `opened`
-    /// instant) and, while it is incomplete, folds in the detect/close
-    /// data of the superseded epochs immediately preceding it — those
-    /// without an `opened` of their own, i.e. the same fault burst. The
-    /// merged report spans first detection to final settlement; the walk
-    /// stops at any earlier settled epoch (a previous reconfiguration).
-    pub fn last_fault_critical_path(&self) -> Option<CriticalPath> {
-        let settled_idx = self.epochs.iter().rposition(|r| r.opened.is_some())?;
-        let settled = &self.epochs[settled_idx];
-        if settled.phases().is_some() {
-            return CriticalPath::from_report(settled);
-        }
-        let mut merged = settled.clone();
-        for r in self.epochs[..settled_idx].iter().rev() {
-            if r.opened.is_some() {
-                break;
+    /// phases, even though the fault's end-to-end path is fully recorded.
+    /// So a settled epoch (one with an `opened` instant) that is
+    /// incomplete absorbs the detect/close data of the superseded epochs
+    /// immediately preceding it — those without an `opened` of their own,
+    /// back to the previous settled epoch (a previous reconfiguration).
+    /// The merged report spans first detection to final settlement.
+    pub(crate) fn bursts(&self) -> impl DoubleEndedIterator<Item = (EpochReport, Vec<Epoch>)> + '_ {
+        let settled = |r: &EpochReport| r.opened.is_some();
+        let epochs = self.epochs.iter().enumerate();
+        epochs.filter(move |(_, r)| settled(r)).map(move |(i, r)| {
+            let mut merged = r.clone();
+            let mut merged_from = Vec::new();
+            if merged.phases().is_none() {
+                let earlier = &self.epochs[..i];
+                let burst = earlier.iter().rposition(settled).map_or(0, |prev| prev + 1);
+                for p in &earlier[burst..] {
+                    fold_burst(&mut merged, p);
+                    merged_from.push(p.epoch);
+                }
             }
-            fold_burst(&mut merged, r);
-        }
+            (merged, merged_from)
+        })
+    }
+
+    /// The critical path of the last *fault*, merging coalesced epochs:
+    /// [`critical_path`](Self::critical_path) of a burst's settled epoch
+    /// is `None` when superseded epochs carry its detection and close
+    /// wave. This one reads the last settled epoch with those folded in —
+    /// first detection to final settlement — and stops at any earlier
+    /// settled epoch (a previous reconfiguration).
+    pub fn last_fault_critical_path(&self) -> Option<CriticalPath> {
+        let (merged, _) = self.bursts().next_back()?;
         CriticalPath::from_report(&merged)
     }
 }

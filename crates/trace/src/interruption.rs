@@ -33,7 +33,6 @@ use std::fmt::Write as _;
 use autonet_core::{Epoch, ProbeOutcome, ProbeRecord};
 use autonet_sim::{SimDuration, SimTime};
 
-use crate::metrics::Histogram;
 use crate::timeline::Timeline;
 
 /// Analyzer parameters; must mirror the probe generator's settings.
@@ -119,8 +118,6 @@ pub struct InterruptionReport {
     pub horizon: SimTime,
     /// One entry per probed pair, in pair-index order.
     pub pairs: Vec<PairReport>,
-    /// Distribution of blackout-window durations across all pairs.
-    pub blackout_hist: Histogram,
 }
 
 impl InterruptionReport {
@@ -149,7 +146,6 @@ impl InterruptionReport {
         intervals.sort_by_key(|&(_, start, _)| start);
 
         let mut pairs = Vec::with_capacity(pair_hosts.len());
-        let mut blackout_hist = Histogram::new();
         for (i, &(src, dst)) in pair_hosts.iter().enumerate() {
             let pair = i as u32;
             let mut records: Vec<&ProbeRecord> = probes.iter().filter(|p| p.pair == pair).collect();
@@ -219,9 +215,6 @@ impl InterruptionReport {
                 &intervals,
                 &mut windows,
             );
-            for w in &windows {
-                blackout_hist.record(w.duration());
-            }
             pairs.push(PairReport {
                 pair,
                 src,
@@ -237,7 +230,6 @@ impl InterruptionReport {
             config,
             horizon,
             pairs,
-            blackout_hist,
         }
     }
 
@@ -252,9 +244,17 @@ impl InterruptionReport {
         self.windows().map(BlackoutWindow::duration).max()
     }
 
-    /// Upper bound on the `q`-quantile of blackout durations.
+    /// The `q`-quantile of blackout durations: the window duration at
+    /// [`nearest_rank`](autonet_sim::nearest_rank), zero when there are
+    /// no windows.
     pub fn blackout_quantile(&self, q: f64) -> SimDuration {
-        self.blackout_hist.quantile_upper_bound(q)
+        let mut durations: Vec<SimDuration> =
+            self.windows().map(BlackoutWindow::duration).collect();
+        if durations.is_empty() {
+            return SimDuration::ZERO;
+        }
+        durations.sort_unstable();
+        durations[autonet_sim::nearest_rank(q, durations.len() as u64) as usize - 1]
     }
 
     /// Windows not explained by any reconfiguration interval.
@@ -338,7 +338,7 @@ impl fmt::Display for InterruptionReport {
         if n_windows > 0 {
             writeln!(
                 f,
-                "  blackout p50 <= {}  p99 <= {}  max {}",
+                "  blackout p50 {}  p99 {}  max {}",
                 self.blackout_quantile(0.5),
                 self.blackout_quantile(0.99),
                 self.max_blackout().unwrap_or(SimDuration::ZERO),
@@ -508,6 +508,39 @@ mod tests {
         assert_eq!((p.dead_letters, p.dropped), (1, 1));
         assert_eq!(p.windows.len(), 1);
         assert_eq!(p.windows[0].probes_lost, 2);
+    }
+
+    #[test]
+    fn quantiles_are_window_durations_bounded_by_the_max() {
+        // Three pairs lose 2, 3 and 5 probes: windows of 31, 41 and 61 ms.
+        let mut probes = Vec::new();
+        for (pair, lost) in [(0u32, 2u64), (1, 3), (2, 5)] {
+            probes.push(probe(pair, 0, 10, Some(10)));
+            for seq in 1..=lost {
+                probes.push(probe(pair, seq, 10 + 10 * seq, None));
+            }
+            let back = 20 + 10 * lost;
+            probes.push(probe(pair, lost + 1, back, Some(back + 1)));
+        }
+        let tl = timeline_with_epoch(5, 80);
+        let r = InterruptionReport::build(&[(0, 1), (2, 3), (4, 5)], &probes, &tl, ms(200), cfg());
+        let durations: Vec<SimDuration> = r.windows().map(BlackoutWindow::duration).collect();
+        assert_eq!(durations, [31, 41, 61].map(SimDuration::from_millis));
+        let max = r.max_blackout().unwrap();
+        for q in [-1.0, 0.0, 0.01, 0.34, 0.5, 0.67, 0.99, 1.0, 2.0, f64::NAN] {
+            let v = r.blackout_quantile(q);
+            assert!(v <= max, "q={q}: {v} above the max {max}");
+            assert!(durations.contains(&v), "q={q}: {v} is no window's duration");
+        }
+        assert_eq!(r.blackout_quantile(0.0), durations[0]);
+        assert_eq!(r.blackout_quantile(0.5), durations[1]);
+        assert_eq!(r.blackout_quantile(f64::NAN), max);
+        assert!(r
+            .to_string()
+            .contains("blackout p50 41.000ms  p99 61.000ms  max 61.000ms"));
+        // No windows: zero for every q.
+        let none = InterruptionReport::build(&[(0, 1)], &[], &tl, ms(200), cfg());
+        assert_eq!(none.blackout_quantile(0.5), SimDuration::ZERO);
     }
 
     #[test]

@@ -22,15 +22,16 @@
 //! - [`InterruptionReport`] — data-plane service-interruption analysis:
 //!   per-pair blackout windows from probe flows, attributed to the
 //!   reconfiguration epochs that explain them.
-//! - [`MetricsRegistry`] — counters, gauges and mergeable time
-//!   histograms, with per-epoch snapshots.
+//! - [`SpanTree`] — the profiler view: one span per settled fault burst
+//!   with its six phases and its blackouts, exported as a Chrome trace.
+//! - [`DamageReport`] — the graded objectives a worst-case schedule
+//!   search maximizes, distilled from the two reports above.
 //! - [`to_jsonl`] — a canonical, dependency-free JSONL serialization so
 //!   traces diff cleanly and golden-trace tests can assert byte equality.
 
 mod critical;
 mod interruption;
 mod jsonl;
-mod metrics;
 mod objective;
 mod spans;
 mod timeline;
@@ -41,7 +42,6 @@ use autonet_sim::SimTime;
 pub use critical::{CriticalPath, Segment};
 pub use interruption::{BlackoutWindow, InterruptionConfig, InterruptionReport, PairReport};
 pub use jsonl::to_jsonl;
-pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use objective::DamageReport;
 pub use spans::{BlackoutSpan, EpochSpan, SpanTree};
 pub use timeline::{EpochReport, Timeline};

@@ -34,9 +34,9 @@ use std::fmt::Write as _;
 use autonet_core::Epoch;
 use autonet_sim::{SimDuration, SimTime};
 
-use crate::critical::{fold_burst, CriticalPath, Segment};
+use crate::critical::{CriticalPath, Segment};
 use crate::interruption::InterruptionReport;
-use crate::timeline::{EpochReport, Timeline};
+use crate::timeline::Timeline;
 
 /// A probe blackout nested under the epoch span that explains it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,25 +104,7 @@ impl SpanTree {
     /// span: a span needs both ends.
     pub fn build(timeline: &Timeline, interruption: Option<&InterruptionReport>) -> SpanTree {
         let mut epochs = Vec::new();
-        // Forward burst grouping: unsettled epochs accumulate until a
-        // settled epoch absorbs them — the forward image of the backward
-        // walk in `last_fault_critical_path` (min-folds commute).
-        let mut pending: Vec<&EpochReport> = Vec::new();
-        for r in &timeline.epochs {
-            if r.opened.is_none() {
-                pending.push(r);
-                continue;
-            }
-            let mut merged = r.clone();
-            let mut merged_from = Vec::new();
-            if merged.phases().is_none() {
-                for p in pending.drain(..) {
-                    fold_burst(&mut merged, p);
-                    merged_from.push(p.epoch);
-                }
-            } else {
-                pending.clear();
-            }
+        for (merged, merged_from) in timeline.bursts() {
             if let Some(cp) = CriticalPath::from_report(&merged) {
                 let start = cp.segments.first().expect("six segments").start;
                 let end = cp.segments.last().expect("six segments").end;
@@ -394,7 +376,7 @@ impl Timeline {
 mod tests {
     use super::*;
     use crate::interruption::{BlackoutWindow, InterruptionConfig, PairReport};
-    use crate::metrics::Histogram;
+    use crate::timeline::EpochReport;
     use std::collections::BTreeMap;
 
     fn t(ns: u64) -> SimTime {
@@ -524,7 +506,6 @@ mod tests {
                 pending: 0,
                 windows: vec![w],
             }],
-            blackout_hist: Histogram::new(),
         }
     }
 

@@ -23,7 +23,6 @@ use std::fmt;
 
 use autonet_core::{Epoch, Event};
 
-use crate::metrics::MetricsRegistry;
 use crate::{merge_sorted, TraceRecord};
 
 use autonet_sim::{SimDuration, SimTime};
@@ -222,44 +221,6 @@ impl Timeline {
     pub fn last_complete(&self) -> Option<&EpochReport> {
         self.epochs.iter().rev().find(|r| r.phases().is_some())
     }
-
-    /// Derives a metrics registry: event-kind counters and phase-latency
-    /// histograms, with one snapshot per completed epoch.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut m = MetricsRegistry::new();
-        for rec in &self.records {
-            m.count("events.total", 1);
-            match rec.event.kind() {
-                "boot" => m.count("events.boot", 1),
-                "port-transition" => m.count("events.port_transition", 1),
-                "skeptic-decision" => m.count("events.skeptic_decision", 1),
-                "reconfig-triggered" => m.count("events.reconfig_triggered", 1),
-                "network-closed" => m.count("events.network_closed", 1),
-                "tree-stable" => m.count("events.tree_stable", 1),
-                "addresses-assigned" => m.count("events.addresses_assigned", 1),
-                "table-installed" => m.count("events.table_installed", 1),
-                "network-opened" => m.count("events.network_opened", 1),
-                _ => m.count("events.other", 1),
-            }
-        }
-        for r in &self.epochs {
-            if let Some(d) = r.time_to_close() {
-                m.observe("phase.time_to_close", d);
-            }
-            if let Some(d) = r.time_to_stable() {
-                m.observe("phase.time_to_stable", d);
-            }
-            if let Some(d) = r.time_to_settle() {
-                m.observe("phase.time_to_settle", d);
-            }
-            m.count("tables.routed", u64::from(r.tables_installed));
-            m.count("tables.cleared", u64::from(r.clears));
-            if r.phases().is_some() {
-                m.snapshot_epoch(r.epoch);
-            }
-        }
-        m
-    }
 }
 
 impl fmt::Display for Timeline {
@@ -344,10 +305,6 @@ mod tests {
         assert_eq!(r.tables_installed, 2);
         assert_eq!(r.time_to_settle(), Some(SimDuration::from_nanos(36)));
         assert_eq!(tl.last_complete().unwrap().epoch, e);
-        let m = tl.metrics();
-        assert_eq!(m.counter("events.total"), 10);
-        assert_eq!(m.counter("tables.routed"), 2);
-        assert_eq!(m.epoch_snapshots().len(), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Timeline reconstruction demo: run a named fault scenario, merge the
-//! typed event spine, and print the per-epoch phase breakdown plus the
-//! derived metrics — the observability workflow behind EXPERIMENTS.md E20.
+//! typed event spine, and print the per-epoch phase breakdown — the
+//! observability workflow behind EXPERIMENTS.md E20.
 //!
 //! Run with: `cargo run --example trace_timeline [scenario] [--critical-path]`
 //!
@@ -142,9 +142,6 @@ fn main() {
         }
         println!();
     }
-
-    println!("derived metrics:");
-    println!("{}", tl.metrics());
 
     if critical {
         println!("\ncritical paths:");

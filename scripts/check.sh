@@ -18,16 +18,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 echo "==> cargo test"
 cargo test -q
 
-echo "==> campaign corpus (release)"
-cargo test --release -q --test check_campaigns -- --ignored
-
-echo "==> scale tier (release)"
-cargo test --release -q --test scale -- --ignored
-cargo test --release -q --test harness_conformance -- --ignored
-
-echo "==> worst-case tier (release)"
-cargo test --release -q --test worst_case -- --ignored
-cargo test --release -q --test worst_case_goldens -- --include-ignored
+echo "==> release tiers: campaign corpus, scale, worst case"
+# The `#[ignore]`d tests only; the rest of these files ran under
+# `cargo test` above.
+cargo test --release -q --test check_campaigns --test scale --test harness_conformance \
+    --test worst_case --test worst_case_goldens -- --ignored
 
 echo "==> experiments: every exp_* target rewrites its BENCH_*.json"
 cargo test -q -p autonet-bench --lib
@@ -96,6 +91,13 @@ if [ -e crates/harness ] ||
     grep -rEn 'enum Action|Action::|DatapathTelemetry|sample_datapath' \
         crates src tests examples --include='*.rs' | grep -v HostAction; then
     echo "the Autopilot reaches its switch through Environment only (DESIGN.md, The seam)" >&2
+    exit 1
+fi
+
+echo "==> one bucket layout: no metrics registry beside the spine"
+if [ -e crates/trace/src/metrics.rs ] ||
+    grep -rEn 'MetricsRegistry|MetricsSnapshot|kernel_metrics|Histogram::' crates src tests examples; then
+    echo "quantiles come from autonet_sim::bucket_quantile or exact sorted values (DESIGN.md, Profiling and postmortems)" >&2
     exit 1
 fi
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Run a named fault scenario and pretty-print its merged reconfiguration
-# timeline (per-epoch phase breakdown + derived metrics).
+# timeline (per-epoch phase breakdown).
 #
 # Usage: scripts/trace.sh [scenario] [--critical-path] [--perfetto out.json]
 #   single_link_cut        one trunk cut on a 4-switch ring (default)

@@ -94,6 +94,17 @@ fn seeded_campaign_corpus() {
     run_corpus(1..=4, 6);
 }
 
+/// More seeds, longer schedules, still tier-1.
+#[test]
+fn random_fault_sequences_always_settle_consistently() {
+    run_corpus(1..=10, 8);
+}
+
+#[test]
+fn heavier_fault_barrage() {
+    run_corpus(100..=103, 20);
+}
+
 /// The release-mode corpus CI runs via `scripts/check.sh` (`--ignored`):
 /// more seeds, longer schedules.
 #[test]
@@ -222,8 +233,8 @@ fn planted_skeptic_bug_is_caught_and_shrunk() {
 /// The flight-recorder acceptance check: a forced oracle failure (the
 /// planted skeptic bug's two-event trigger) must produce a complete
 /// postmortem bundle — summary, bounded event window, Perfetto span
-/// export, metrics with quantiles, and the shrunken reproducer — in one
-/// directory under the gitignored artifacts root.
+/// export and the shrunken reproducer — in one directory under the
+/// gitignored artifacts root.
 #[test]
 fn forced_failure_emits_a_complete_postmortem_bundle() {
     let params = NetParams {
@@ -288,7 +299,7 @@ fn forced_failure_emits_a_complete_postmortem_bundle() {
         summary.contains("Scenario {"),
         "summary embeds the scenario"
     );
-    assert!(summary.contains("files: events.jsonl, spans.trace.json, metrics.jsonl, reproducer.rs"));
+    assert!(summary.contains("files: events.jsonl, spans.trace.json, reproducer.rs"));
     let events = read("events.jsonl");
     assert!(!events.is_empty(), "the violation window holds events");
     assert!(events.lines().all(|l| l.starts_with('{')));
@@ -297,11 +308,6 @@ fn forced_failure_emits_a_complete_postmortem_bundle() {
     assert!(
         trace.contains("\"ph\":\"X\""),
         "the run's epochs appear as spans"
-    );
-    let metrics = read("metrics.jsonl");
-    assert!(
-        metrics.contains("\"p999_ns\""),
-        "quantiles reach the bundle"
     );
     let repro = read("reproducer.rs");
     assert!(repro.contains("fn reproduces_skeptic_hold()"));

@@ -4,13 +4,14 @@
 
 use autonet::autopilot::AutopilotParams;
 use autonet::net::{Driver, Net, NetParams, Network, PartitionedNetwork};
-use autonet::sim::{SimDuration, SimTime};
+use autonet::sim::{bucket_quantile, SimDuration, SimTime};
 use autonet::topo::{gen, HostId, LinkId, SwitchId};
 use autonet::trace::TraceRecord;
 use autonet_check::{
     degraded_params, random_scenario_with, run_packet, BootedCampaign, CheckOutcome, FaultEvent,
     FaultOp, GenOptions, OracleConfig, Scenario, TopoSpec,
 };
+use std::time::Duration;
 
 fn run_once(seed: u64) -> (Vec<String>, Vec<(u64, usize)>) {
     let mut topo = gen::torus(3, 3, 77);
@@ -185,15 +186,12 @@ fn control_plane(net: &PartitionedNetwork) -> Vec<(bool, u64, u64)> {
 /// same guarantee: with tracing off the span tree derived from the run
 /// is empty (its Chrome-trace export carries metadata only, no spans)
 /// and the partitioned kernel allocates no shard telemetry at all —
-/// `shard_telemetry`, `kernel_metrics`, `barrier_wait_fraction` and
-/// `load_imbalance` are `None`, not zeros. With tracing on, all of them
-/// materialize. (The name keeps this under the `disabled_tracing`
-/// overhead gate in scripts/check.sh.)
+/// `shard_telemetry`, `barrier_wait_fraction` and `load_imbalance` are
+/// `None`, not zeros. With tracing on, all of them materialize.
 #[test]
 fn disabled_tracing_disables_spans_and_kernel_telemetry() {
     let off = cut_on_two_partitions(false);
     assert!(off.shard_telemetry().is_none(), "no telemetry allocated");
-    assert!(off.kernel_metrics().is_none());
     assert!(off.barrier_wait_fraction().is_none());
     assert!(off.load_imbalance().is_none());
     let tree = autonet::trace::Timeline::build(&off.merged_trace()).span_tree();
@@ -207,12 +205,10 @@ fn disabled_tracing_disables_spans_and_kernel_telemetry() {
     let on = cut_on_two_partitions(true);
     let tel = on.shard_telemetry().expect("telemetry allocated");
     assert_eq!(tel.len(), 2, "one telemetry block per shard");
-    assert!(tel.iter().map(|t| t.events).sum::<u64>() > 0);
-    let metrics = on.kernel_metrics().expect("kernel metrics materialize");
     assert_eq!(
-        metrics.counter("kernel.events"),
+        tel.iter().map(|t| t.events).sum::<u64>(),
         on.events_processed(),
-        "merged kernel.events counter covers every processed event"
+        "the shards' event counts cover every processed event"
     );
     assert!(on.barrier_wait_fraction().is_some());
     assert!(on.load_imbalance().unwrap() >= 1.0);
@@ -223,9 +219,8 @@ fn disabled_tracing_disables_spans_and_kernel_telemetry() {
 
 /// Kernel telemetry observes and never steers: the same run with it on
 /// and off ends in the same control-plane state after the same number of
-/// events. And its wait/work histograms hold one sample per shard-window
-/// (they used to hold one sample per shard: the run total), so their
-/// quantiles are per-window costs.
+/// events. And its wait/work buckets hold one sample per shard-window,
+/// so their quantiles are per-window costs.
 #[test]
 fn kernel_histograms_are_per_window_and_telemetry_is_neutral() {
     let (off, on) = (cut_on_two_partitions(false), cut_on_two_partitions(true));
@@ -240,19 +235,19 @@ fn kernel_histograms_are_per_window_and_telemetry_is_neutral() {
     let tel = on.shard_telemetry().expect("telemetry allocated");
     let windows: u64 = tel.iter().map(|t| t.windows).sum();
     assert!(windows > 1_000, "a real run: {windows} shard-windows");
-    let metrics = on.kernel_metrics().expect("kernel metrics materialize");
-    assert_eq!(metrics.counter("kernel.windows"), windows);
-    for name in ["kernel.shard_barrier_wait", "kernel.shard_work"] {
-        let hist = metrics.histogram(name).expect("histogram exported");
-        assert_eq!(hist.count(), windows, "{name}: one sample per window");
+    for t in &tel {
+        for buckets in [&t.barrier_wait_buckets, &t.work_buckets] {
+            assert_eq!(
+                buckets.iter().sum::<u64>(),
+                t.windows,
+                "one sample per window"
+            );
+        }
     }
-    // A window of this 16-switch run is microseconds of work; the old
-    // run-total sample put the median in the hundreds of milliseconds.
-    let p50 = metrics
-        .histogram("kernel.shard_work")
-        .expect("histogram exported")
-        .quantile_upper_bound(0.5);
-    assert!(p50 < SimDuration::from_millis(10), "per-window p50: {p50}");
+    // A window of this 16-switch run is microseconds of work, not the
+    // hundreds of milliseconds of a run total.
+    let p50 = bucket_quantile(tel.iter().map(|t| &t.work_buckets), 0.5);
+    assert!(p50 < Duration::from_millis(10), "per-window p50: {p50:?}");
 }
 
 /// Everything observable a partitioned campaign produces, in canonical

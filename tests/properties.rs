@@ -13,7 +13,7 @@ use autonet::autopilot::{
 use autonet::autopilot::{Event, ReconfigCause};
 use autonet::sim::{SimDuration, SimTime};
 use autonet::topo::gen;
-use autonet::trace::{merge_sorted, Histogram, Timeline, TraceRecord};
+use autonet::trace::{merge_sorted, Timeline, TraceRecord};
 use autonet::wire::{crc32, Packet, PacketType, ShortAddress, Uid};
 
 /// An arbitrary trace event for timeline-reconstruction properties
@@ -479,41 +479,6 @@ proptest! {
             .windows(2)
             .all(|w| (w[0].time, w[0].node) <= (w[1].time, w[1].node)));
     }
-
-    /// Histogram merge is associative (and commutative): per-node
-    /// histograms can be combined in any grouping.
-    #[test]
-    fn histogram_merge_is_associative(
-        xs in prop::collection::vec(0u64..u64::MAX / 2, 0..50),
-        ys in prop::collection::vec(0u64..u64::MAX / 2, 0..50),
-        zs in prop::collection::vec(0u64..u64::MAX / 2, 0..50),
-    ) {
-        let build = |ns: &[u64]| {
-            let mut h = Histogram::new();
-            for &n in ns {
-                h.record(SimDuration::from_nanos(n));
-            }
-            h
-        };
-        let (a, b, c) = (build(&xs), build(&ys), build(&zs));
-        // (a ⊕ b) ⊕ c
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        // a ⊕ (b ⊕ c)
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        prop_assert_eq!(&left, &right);
-        // Commutativity falls out of elementwise addition too.
-        let mut ba = b.clone();
-        ba.merge(&a);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        prop_assert_eq!(&ab, &ba);
-        prop_assert_eq!(left.count(), (xs.len() + ys.len() + zs.len()) as u64);
-    }
 }
 
 proptest! {
@@ -567,6 +532,10 @@ proptest! {
             prop_assert!(w.end <= report.horizon, "window outlives the run: {w:?}");
             prop_assert!(w.epoch.is_some(), "unexplained blackout: {w:?}");
             prop_assert!(w.probes_lost >= 2, "window below min_run: {w:?}");
+        }
+        let max = report.max_blackout().unwrap_or(SimDuration::ZERO);
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            prop_assert!(report.blackout_quantile(q) <= max, "p{q} above the max {max}");
         }
         for p in &report.pairs {
             prop_assert!(
