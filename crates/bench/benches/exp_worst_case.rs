@@ -13,9 +13,10 @@
 //!
 //! Every candidate of a search shares its topology, parameters and seed,
 //! so the search boots the network once and resumes a clone per
-//! evaluation: `boots` (counted by the engine, held at exactly 1 by
+//! evaluation, each generation's clones on one thread per core: `boots`
+//! (counted by each booted campaign, held at exactly 1 by
 //! `scripts/check_bench.py`) and the search's wall clock ride along in
-//! the row.
+//! the row. The gate also holds `worst blackout` ≥ `random median`.
 //!
 //! `WORST_CASE_SMOKE=1` runs the CI-budget variant (ring-8 only, smoke
 //! search budget) and writes `BENCH_worst_case_smoke.json` instead.

@@ -14,11 +14,10 @@
 //! the worst-case search, the shrinker — boot once and resume a clone of
 //! the settled campaign per schedule.
 
-use std::cell::Cell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use autonet_core::AutopilotParams;
-use autonet_net::{NetParams, Network};
+use autonet_net::{link_flap_events, NetParams, Network};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{HostId, LinkId, NetView, SwitchId, Topology};
 use autonet_trace::{
@@ -68,18 +67,47 @@ impl CheckOutcome {
     }
 }
 
-/// Mirrors a fault op into the engine's view of intended physical state.
-fn mirror(view: &mut NetView<'_>, topo: &Topology, op: &FaultOp) {
+/// Mirrors a fault op, applied at `now`, into the engine's view of
+/// intended physical state: where the plant *ends up* once the op has
+/// played out. `flap_ends` holds, per link, the instant its last flap's
+/// final repair lands (the plant's own [`link_flap_events`]); a cut of
+/// that link before then is undone by that repair in the plant, so the
+/// view keeps the link up. A cut at or after it stays.
+fn mirror(
+    view: &mut NetView<'_>,
+    topo: &Topology,
+    op: &FaultOp,
+    now: SimTime,
+    flap_ends: &mut BTreeMap<usize, SimTime>,
+) {
+    let cut = |view: &mut NetView<'_>, flap_ends: &BTreeMap<usize, SimTime>, l: LinkId| {
+        if flap_ends.get(&l.0).is_none_or(|&end| end <= now) {
+            view.fail_link(l);
+        }
+    };
     match op {
-        FaultOp::LinkDown(l) => view.fail_link(LinkId(*l)),
+        FaultOp::LinkDown(l) => cut(view, flap_ends, LinkId(*l)),
         FaultOp::LinkUp(l) => view.repair_link(LinkId(*l)),
         FaultOp::SwitchDown(s) => view.fail_switch(SwitchId(*s)),
         FaultOp::SwitchUp(s) => view.repair_switch(SwitchId(*s)),
-        // A completed flap sequence leaves the link up.
-        FaultOp::LinkFlaps { link, .. } => view.repair_link(LinkId(*link)),
+        // A flap ends on a repair; one of zero cycles does nothing.
+        FaultOp::LinkFlaps {
+            link,
+            half_period_ms,
+            cycles,
+        } => {
+            let half_period = SimDuration::from_millis(*half_period_ms);
+            if let Some((end, _)) = link_flap_events(now, half_period, *cycles).last() {
+                flap_ends
+                    .entry(*link)
+                    .and_modify(|last| *last = end.max(*last))
+                    .or_insert(end);
+                view.repair_link(LinkId(*link));
+            }
+        }
         FaultOp::Partition { side } => {
             for l in crossing_links(topo, side) {
-                view.fail_link(l);
+                cut(view, flap_ends, l);
             }
         }
         FaultOp::Heal { side } => {
@@ -121,6 +149,8 @@ struct Run<'a, S> {
     spine: Vec<TraceRecord>,
     /// The engine's mirror of the intended physical state.
     view: NetView<'a>,
+    /// Per link, when its last flap's final repair lands (see [`mirror`]).
+    flap_ends: BTreeMap<usize, SimTime>,
     quiescences: u32,
     /// Pairs touching a host that ever lost power are exempt from the
     /// blackout oracle (their outage is the fault itself, not an epoch).
@@ -197,7 +227,14 @@ impl<S: Substrate> Run<'_, S> {
                     self.exempt.insert(h);
                 }
                 self.sub.apply(&event.op, self.topo);
-                mirror(&mut self.view, self.topo, &event.op);
+                let now = self.sub.now();
+                mirror(
+                    &mut self.view,
+                    self.topo,
+                    &event.op,
+                    now,
+                    &mut self.flap_ends,
+                );
                 self.oracle.on_fault(&event.op);
             }
         }
@@ -259,19 +296,6 @@ impl<S: Substrate> Run<'_, S> {
     }
 }
 
-thread_local! {
-    /// Bring-ups this thread has run through [`boot`].
-    static BOOTS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// How many bring-ups the calling thread has run so far. A search reads
-/// it before and after to report how many it paid for: counted where the
-/// booting happens, so going back to a boot per candidate shows as an
-/// exact number rather than as a slower wall clock.
-pub(crate) fn boots_so_far() -> usize {
-    BOOTS.get()
-}
-
 /// The boot half: brings the network up to first quiescence, where the
 /// skeptic oracle arms and the probe flows start. A run that dies during
 /// bring-up never reaches a schedule, so its outcome is already final.
@@ -280,7 +304,6 @@ fn boot<S: Substrate>(
     topo: &Topology,
     cfg: &OracleConfig,
 ) -> Result<Settled, Box<CheckOutcome>> {
-    BOOTS.set(BOOTS.get() + 1);
     let mut run = Run {
         sub,
         topo,
@@ -288,6 +311,7 @@ fn boot<S: Substrate>(
         oracle: OracleState::new(topo, cfg.clone()),
         spine: Vec::new(),
         view: topo.view_all(),
+        flap_ends: BTreeMap::new(),
         quiescences: 0,
         exempt: BTreeSet::new(),
     };
@@ -331,6 +355,7 @@ fn resume<S: Substrate>(
         oracle,
         spine,
         view: topo.view_all(),
+        flap_ends: BTreeMap::new(),
         quiescences: 1,
         exempt: BTreeSet::new(),
     };
@@ -358,8 +383,8 @@ pub fn run_scenario<S: Substrate>(
 /// exactly this bring-up, so where the substrate is `Clone` (the classic
 /// packet kernel) a search boots once and resumes a clone per candidate;
 /// a clone resumed is indistinguishable from a cold run of the same
-/// scenario.
-#[derive(Clone)]
+/// scenario. `BootedCampaign<Network>` is `Send + Sync`, so forks of one
+/// booted world can be taken and resumed on any thread.
 pub struct BootedCampaign<S> {
     sub: S,
     topo: Topology,
@@ -371,7 +396,34 @@ pub struct BootedCampaign<S> {
     /// The engine state at first quiescence, or the final outcome of a
     /// bring-up that never got there.
     settled: Result<Settled, Box<CheckOutcome>>,
+    /// See [`boots`](Self::boots).
+    boots: usize,
 }
+
+/// A clone is a fork: it continues the world the original booted and
+/// pays no bring-up of its own, so its [`boots`](BootedCampaign::boots)
+/// is 0.
+impl<S: Clone> Clone for BootedCampaign<S> {
+    fn clone(&self) -> Self {
+        BootedCampaign {
+            sub: self.sub.clone(),
+            topo: self.topo.clone(),
+            cfg: self.cfg.clone(),
+            spec: self.spec.clone(),
+            seed: self.seed,
+            settled: self.settled.clone(),
+            boots: 0,
+        }
+    }
+}
+
+// Forks are resumed on worker threads and their outcomes sent back.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    const fn send<T: Send>() {}
+    send_sync::<BootedCampaign<Network>>();
+    send::<CheckOutcome>();
+};
 
 impl<S: Substrate> BootedCampaign<S> {
     /// Builds `spec`'s topology, has `build` make the backend for it
@@ -393,7 +445,17 @@ impl<S: Substrate> BootedCampaign<S> {
             spec: spec.clone(),
             seed,
             settled,
+            boots: 1,
         }
+    }
+
+    /// Cold bring-ups this value paid for: 1 for a campaign
+    /// [`boot`](Self::boot) made, 0 for a clone. Summing it over the
+    /// campaigns a search evaluated counts every boot where it happened,
+    /// on whichever thread, so going back to a boot per candidate shows
+    /// as an exact number rather than as a slower wall clock.
+    pub fn boots(&self) -> usize {
+        self.boots
     }
 
     /// Walks `scenario`'s schedule from first quiescence, in place, and
@@ -465,6 +527,56 @@ mod tests {
             events: Vec::new(),
             settle_ms: 1_000,
         }
+    }
+
+    /// Whether link 1 is up in the mirror after `ops`, each `(ms, op)`.
+    fn link_1_up_after(ops: &[(u64, FaultOp)]) -> bool {
+        let topo = TopoSpec::Ring { n: 4, seed: 0 }.build();
+        let mut view = topo.view_all();
+        let mut flap_ends = BTreeMap::new();
+        for (ms, op) in ops {
+            mirror(
+                &mut view,
+                &topo,
+                op,
+                SimTime::from_millis(*ms),
+                &mut flap_ends,
+            );
+        }
+        view.link_usable(LinkId(1))
+    }
+
+    /// In the plant a flap's closing repair undoes any earlier cut of its
+    /// link, so the mirror keeps the link up through such a cut; a cut at
+    /// or after that repair takes the link down. A 20 ms × 2 flap from
+    /// 100 ms goes down at 100 and 140 and up at 120 and 160.
+    #[test]
+    fn a_pending_flap_repair_wins_over_an_earlier_cut() {
+        let flap = FaultOp::LinkFlaps {
+            link: 1,
+            half_period_ms: 20,
+            cycles: 2,
+        };
+        let cut_at = |ms| link_1_up_after(&[(100, flap.clone()), (ms, FaultOp::LinkDown(1))]);
+        assert!(cut_at(100));
+        assert!(cut_at(159));
+        assert!(!cut_at(160));
+        assert!(!cut_at(179));
+        // A flap of zero cycles schedules nothing: it neither repairs a
+        // cut link nor shields a later cut.
+        let idle = FaultOp::LinkFlaps {
+            link: 1,
+            half_period_ms: 20,
+            cycles: 0,
+        };
+        assert!(!link_1_up_after(&[
+            (90, FaultOp::LinkDown(1)),
+            (100, idle.clone())
+        ]));
+        assert!(!link_1_up_after(&[
+            (100, idle),
+            (100, FaultOp::LinkDown(1))
+        ]));
     }
 
     #[test]

@@ -9,18 +9,29 @@
 //! maximizes the soft damage objectives of [`DamageReport`] instead of
 //! hunting hard oracle violations:
 //!
-//! 1. **seed corpus** — a handful of random k-event schedules on the
-//!    target topology establishes both the Pareto archive and the
+//! The first two steps run in **generations**: every schedule of a
+//! generation is drawn from the rng first, against the archive and the
+//! bias as they stood when the generation began; then each is evaluated
+//! on its own fork of the one booted world, on a pool of scoped threads
+//! (one per core, the caller's among them); then the outcomes are walked
+//! in candidate order. Nothing a fork computes feeds a draw of its own
+//! generation, so the result depends on the seed alone, at any worker
+//! count.
+//!
+//! 1. **seed corpus** — one generation of random k-event schedules on
+//!    the target topology establishes both the Pareto archive and the
 //!    random baseline (its median blackout is what E24 compares
-//!    against);
-//! 2. **guided mutation** — each round breeds children from random
-//!    archive entries by retiming, same-slot merging (simultaneous
-//!    faults), retargeting, op-swapping, adding or dropping events.
-//!    Retargeting is *biased toward the nodes named in the incumbent
-//!    champion's critical path* ([`Timeline::last_fault_critical_path`]
-//!    via [`CheckOutcome::critical`]): the switches the last
-//!    reconfiguration waited on are where a second fault hurts most —
-//!    the counter-example-guided step;
+//!    against; drawn before any run has biased the targets, it is an
+//!    unbiased sample);
+//! 2. **guided mutation** — each round is a generation of children bred
+//!    from random archive entries by retiming, same-slot merging
+//!    (simultaneous faults), retargeting, op-swapping, adding or
+//!    dropping events. Retargeting is *biased toward the nodes named in
+//!    the incumbent champion's critical path*
+//!    ([`Timeline::last_fault_critical_path`] via
+//!    [`CheckOutcome::critical`]): the switches the last reconfiguration
+//!    waited on are where a second fault hurts most — the
+//!    counter-example-guided step;
 //! 3. **Pareto archive** — children that survive the hard oracles are
 //!    offered to a [`ParetoFront`]; violating runs are counted but not
 //!    archived (a violation is a *bug* for the shrink-and-reproduce
@@ -28,16 +39,21 @@
 //! 4. **shrink** — the champion is minimized with [`shrink_schedule`]
 //!    under an objective-preserving predicate (still legal, blackout no
 //!    lower than found), then rendered with `to_code` as a
-//!    self-contained reproducer, ready to pin as a golden.
+//!    self-contained reproducer, ready to pin as a golden. Each shrink
+//!    step starts from the one before, so shrinking and the final
+//!    re-measure run one fork at a time.
 //!
 //! [`Timeline::last_fault_critical_path`]: autonet_trace::Timeline::last_fault_critical_path
 
-use autonet_net::NetParams;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use autonet_net::{NetParams, Network};
 use autonet_sim::{SimDuration, SimRng};
 use autonet_topo::Topology;
 use autonet_trace::DamageReport;
 
-use crate::engine::{boots_so_far, BootedCampaign, CheckOutcome};
+use crate::engine::{BootedCampaign, CheckOutcome};
 use crate::objective::ParetoFront;
 use crate::oracle::OracleConfig;
 use crate::scenario::{FaultEvent, FaultOp, Scenario, TopoSpec};
@@ -103,7 +119,7 @@ impl WorstCaseConfig {
 }
 
 /// What a search found.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorstCaseResult {
     /// The shrunk champion schedule.
     pub champion: Scenario,
@@ -119,9 +135,11 @@ pub struct WorstCaseResult {
     pub random_median_blackout: SimDuration,
     /// Total engine runs spent (corpus + children + shrink re-runs).
     pub evaluations: usize,
-    /// Cold bring-ups paid for them, counted by the engine. Every
-    /// candidate shares the search's topology, parameters and seed, so
-    /// the world is booted once and each evaluation resumes a clone: 1.
+    /// Cold bring-ups paid for them, on whichever thread: the booted
+    /// campaign's own plus any an evaluation paid for
+    /// ([`BootedCampaign::boots`]). Every candidate shares the search's
+    /// topology, parameters and seed, so the world is booted once and
+    /// each evaluation resumes a clone: 1.
     pub boots: usize,
     /// Candidates discarded because a hard oracle fired.
     pub violations: usize,
@@ -299,19 +317,79 @@ fn mutate(
 
 /// Runs the counter-example-guided worst-case search on `topo` (which
 /// must carry hosts for the blackout objectives to be non-trivial) and
-/// returns the shrunk champion with its Pareto front.
+/// returns the shrunk champion with its Pareto front. Each generation is
+/// evaluated on one thread per core; the result is the same at any
+/// count.
 pub fn worst_case_search(
     topo: &TopoSpec,
     params: &NetParams,
     oracle: &OracleConfig,
     cfg: &WorstCaseConfig,
 ) -> WorstCaseResult {
+    let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    search(topo, params, oracle, cfg, workers)
+}
+
+/// One candidate on its own fork of `booted`: the outcome and the
+/// bring-ups the evaluation paid for (a fork pays none).
+fn evaluate(booted: &BootedCampaign<Network>, s: &Scenario) -> (CheckOutcome, usize) {
+    let fork = booted.clone();
+    let boots = fork.boots();
+    (fork.resume(s).0, boots)
+}
+
+/// Evaluates one generation on `min(workers, batch.len())` threads, the
+/// caller's among them: each takes the next unclaimed candidate until
+/// none is left. The outcomes come back in candidate order, whichever
+/// fork finished first.
+fn evaluate_generation(
+    booted: &BootedCampaign<Network>,
+    batch: &[Scenario],
+    workers: usize,
+) -> Vec<(CheckOutcome, usize)> {
+    // The counter only hands out indices, each once (a read-modify-write
+    // is atomic at any ordering); the outcomes reach this thread through
+    // `join`, which synchronizes.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(s) = batch.get(i) else {
+                return done;
+            };
+            done.push((i, evaluate(booted, s)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(batch.len()))
+            .map(|_| scope.spawn(work))
+            .collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, evaluated)| evaluated).collect()
+}
+
+/// [`worst_case_search`] on `workers` threads.
+fn search(
+    topo: &TopoSpec,
+    params: &NetParams,
+    oracle: &OracleConfig,
+    cfg: &WorstCaseConfig,
+    workers: usize,
+) -> WorstCaseResult {
     let built = topo.build();
     let mut targets = Targets::new(&built);
     let mut rng = SimRng::new(cfg.seed ^ 0x40CA5E);
-    let mut evaluations = 0usize;
-    let mut violations = 0usize;
-
     let mk = |events: Vec<FaultEvent>| Scenario {
         name: format!("worst-{}", cfg.seed),
         topo: topo.clone(),
@@ -319,31 +397,43 @@ pub fn worst_case_search(
         events,
         settle_ms: cfg.settle_ms,
     };
-    let boots_before = boots_so_far();
     let booted = BootedCampaign::packet(topo, cfg.seed, params, oracle);
-    let eval = |s: &Scenario, evaluations: &mut usize| {
-        *evaluations += 1;
-        booted.clone().resume(s).0
+    let mut boots = booted.boots();
+    let mut evaluations = 0usize;
+    let mut violations = 0usize;
+    let mut best_rank = DamageReport::default().rank();
+
+    // Evaluates a generation, then walks it in candidate order: counts
+    // violations and re-points the bias at each legal run at least as
+    // damaging as every one before it. Hands back each candidate with its
+    // damage and legality.
+    let mut generation = |batch: Vec<Scenario>, targets: &mut Targets| {
+        evaluations += batch.len();
+        let outcomes = evaluate_generation(&booted, &batch, workers);
+        batch
+            .into_iter()
+            .zip(outcomes)
+            .map(|(s, (outcome, paid))| {
+                boots += paid;
+                let legal = outcome.passed();
+                if !legal {
+                    violations += 1;
+                }
+                if legal && outcome.damage.rank() >= best_rank {
+                    best_rank = outcome.damage.rank();
+                    targets.rebias(&built, &outcome);
+                }
+                (outcome.damage, s, legal)
+            })
+            .collect::<Vec<_>>()
     };
 
-    // Phase 1: seed corpus — Pareto seeds plus the random baseline.
-    let mut front: ParetoFront<Scenario> = ParetoFront::new();
-    let mut corpus_runs: Vec<(DamageReport, Scenario, bool)> = Vec::new();
-    let mut best_rank = DamageReport::default().rank();
-    for _ in 0..cfg.corpus.max(1) {
-        let s = mk(random_schedule(&targets, &mut rng, cfg));
-        let outcome = eval(&s, &mut evaluations);
-        let v = outcome.damage;
-        let legal = outcome.passed();
-        if !legal {
-            violations += 1;
-        }
-        if legal && v.rank() >= best_rank {
-            best_rank = v.rank();
-            targets.rebias(&built, &outcome);
-        }
-        corpus_runs.push((v, s, legal));
-    }
+    // Generation 0, the seed corpus: Pareto seeds plus the random
+    // baseline, every schedule drawn before any run has biased a target.
+    let corpus: Vec<Scenario> = (0..cfg.corpus.max(1))
+        .map(|_| mk(random_schedule(&targets, &mut rng, cfg)))
+        .collect();
+    let corpus_runs = generation(corpus, &mut targets);
     let mut blackouts: Vec<SimDuration> = corpus_runs.iter().map(|(v, _, _)| v.blackout).collect();
     blackouts.sort_unstable();
     let random_median_blackout = blackouts[blackouts.len() / 2];
@@ -352,47 +442,45 @@ pub fn worst_case_search(
     // everything — the search then degenerates into "worst bug", which
     // the caller sees via `violations`.
     let legal_only = corpus_runs.iter().any(|(_, _, legal)| *legal);
+    let mut front: ParetoFront<Scenario> = ParetoFront::new();
     for (v, s, legal) in corpus_runs {
         if legal || !legal_only {
             front.offer(v, s);
         }
     }
 
-    // Phase 2: guided mutation rounds.
+    // One generation per round of guided mutation, bred from the front
+    // and the bias as the previous generation left them.
     for _ in 0..cfg.rounds {
-        for _ in 0..cfg.children {
-            let parent = {
+        let children: Vec<Scenario> = (0..cfg.children)
+            .map(|_| {
                 let entries = front.entries();
-                let (_, p) = &entries[rng.index(entries.len())];
-                p.clone()
-            };
-            let mut events = parent.events;
-            mutate(&mut events, &targets, &mut rng, cfg);
-            let child = mk(events);
-            let outcome = eval(&child, &mut evaluations);
-            let v = outcome.damage;
-            let legal = outcome.passed();
-            if !legal {
-                violations += 1;
-            }
-            if legal && v.rank() >= best_rank {
-                best_rank = v.rank();
-                targets.rebias(&built, &outcome);
-            }
+                let mut events = entries[rng.index(entries.len())].1.events.clone();
+                mutate(&mut events, &targets, &mut rng, cfg);
+                mk(events)
+            })
+            .collect();
+        for (v, child, legal) in generation(children, &mut targets) {
             if legal || !legal_only {
                 front.offer(v, child);
             }
         }
     }
 
-    // Phase 3: shrink the champion, preserving legality and the blackout
-    // objective; the other axes may move (dropping a decoy flap can
-    // shed skeptic-hold time without touching the blackout).
+    // Shrink the champion, preserving legality and the blackout
+    // objective; the other axes may move (dropping a decoy flap can shed
+    // skeptic-hold time without touching the blackout).
     let (pre_shrink, champion_raw) = front
         .champion()
         .map(|(v, s)| (*v, s.clone()))
         .expect("corpus is non-empty, so the front is too");
     let floor = pre_shrink.blackout;
+    let mut eval = |s: &Scenario| {
+        let (outcome, paid) = evaluate(&booted, s);
+        evaluations += 1;
+        boots += paid;
+        outcome
+    };
     // A zero floor would let the shrinker discard every event (the empty
     // schedule is legal and trivially reaches blackout >= 0), so the
     // predicate also insists on a non-empty schedule.
@@ -400,11 +488,10 @@ pub fn worst_case_search(
         if s.events.is_empty() {
             return false;
         }
-        let outcome = eval(s, &mut evaluations);
+        let outcome = eval(s);
         (outcome.passed() || !legal_only) && outcome.damage.blackout >= floor
     });
-    let final_outcome = eval(&champion, &mut evaluations);
-    let damage = final_outcome.damage;
+    let damage = eval(&champion).damage;
     let reproducer = render_reproducer(&champion, &damage);
 
     WorstCaseResult {
@@ -418,7 +505,7 @@ pub fn worst_case_search(
             .collect(),
         random_median_blackout,
         evaluations,
-        boots: boots_so_far() - boots_before,
+        boots,
         violations,
         reproducer,
     }
@@ -488,5 +575,30 @@ mod tests {
         let b = worst_case_search(&hosted_ring(4), &params, &oracle, &cfg);
         assert_eq!(a.champion, b.champion);
         assert_eq!(a.damage, b.damage);
+    }
+
+    /// Outcomes are merged in candidate order, so the worker count is
+    /// invisible: one thread and three (more than the two-candidate
+    /// generations need, so one idles) find the same champion, damage,
+    /// front, counts and reproducer.
+    #[test]
+    fn worker_count_is_invisible() {
+        let params = NetParams::tuned();
+        let oracle = OracleConfig::from_params(&AutopilotParams::tuned());
+        let cfg = WorstCaseConfig {
+            corpus: 3,
+            rounds: 2,
+            children: 2,
+            max_events: 2,
+            horizon_ms: 400,
+            settle_ms: 60_000,
+            ..WorstCaseConfig::smoke(17)
+        };
+        let one = search(&hosted_ring(4), &params, &oracle, &cfg, 1);
+        let three = search(&hosted_ring(4), &params, &oracle, &cfg, 3);
+        // Corpus, children, then at least the final re-measure.
+        assert!(one.evaluations > 3 + 2 * 2, "{}", one.evaluations);
+        assert_eq!(one.boots, 1);
+        assert_eq!(one, three);
     }
 }

@@ -38,7 +38,8 @@ pub use autonet_core::{ProbeOutcome, ProbeRecord};
 #[doc(hidden)]
 pub use network::Driver;
 pub use network::{
-    DeliveryRecord, Net, NetEvent, NetEventKind, NetStats, Network, PartitionedNetwork,
+    link_flap_events, DeliveryRecord, Net, NetEvent, NetEventKind, NetStats, Network,
+    PartitionedNetwork,
 };
 pub use params::{CpuModel, NetParams};
 pub use ring::{RingStats, TokenRing};

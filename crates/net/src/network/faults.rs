@@ -122,7 +122,7 @@ impl<D: Driver> Net<D> {
     }
 
     /// Schedules `2 * cycles` alternating down/up events on a link: a
-    /// flapping (intermittent) cable.
+    /// flapping (intermittent) cable. The events are [`link_flap_events`].
     pub fn schedule_link_flaps(
         &mut self,
         from: SimTime,
@@ -130,12 +130,23 @@ impl<D: Driver> Net<D> {
         half_period: SimDuration,
         cycles: usize,
     ) {
-        let mut t = from;
-        for _ in 0..cycles {
-            self.schedule_link_down(t, l);
-            t += half_period;
-            self.schedule_link_up(t, l);
-            t += half_period;
+        for (t, up) in link_flap_events(from, half_period, cycles) {
+            if up {
+                self.schedule_link_up(t, l);
+            } else {
+                self.schedule_link_down(t, l);
+            }
         }
     }
+}
+
+/// The `(at, up)` events of a flap started at `from`: `2 * cycles`
+/// alternating transitions `half_period` apart, down first. The last
+/// one, if any, is the repair the link ends on.
+pub fn link_flap_events(
+    from: SimTime,
+    half_period: SimDuration,
+    cycles: usize,
+) -> impl Iterator<Item = (SimTime, bool)> {
+    (0..2 * cycles as u64).map(move |i| (from + half_period.saturating_mul(i), i % 2 == 1))
 }

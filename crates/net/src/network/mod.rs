@@ -40,6 +40,7 @@ pub use driver::Driver;
 #[doc(hidden)]
 pub use events::Event;
 pub use events::{DeliveryRecord, NetEvent, NetEventKind};
+pub use faults::link_flap_events;
 
 use std::sync::Arc;
 

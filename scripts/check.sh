@@ -39,18 +39,22 @@ echo "==> bench gate self-test"
 # So the gate cannot rot into always-pass: it must accept an untouched copy
 # of a committed file and one whose wall clock moved, and refuse one whose
 # exact value moved, and a smoke file (no committed copy: held to the full
-# file's rows) with one — and, by the predicate itself, a smoke file whose
-# flood was decoded more often than one send in 16. Each edit changes the
-# first match only.
+# file's rows) with one — and, by the predicates themselves, a smoke file
+# whose flood was decoded more often than one send in 16, and two E24 files:
+# one whose first champion (src-30's) was lowered to 1 ns, below its random
+# median, and one whose first champion over a zero median was lowered to 0.
+# Each edit changes the first match only.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 f=BENCH_worst_case.json
 smoke=BENCH_scale_smoke.json
 first() { awk -v re="$2" -v to="$3" '!done && sub(re, to) { done = 1 } { print }' "$1"; }
-mkdir "$tmp/same" "$tmp/wall" "$tmp/moved" "$tmp/decoded"
+mkdir "$tmp/same" "$tmp/wall" "$tmp/moved" "$tmp/decoded" "$tmp/weak" "$tmp/dark"
 cp $f "$tmp/same/"
 first $f '"search wall [^"]*": [0-9.]+' '"search wall (s)": 99.5' >"$tmp/wall/$f"
 first $f '"evals": [0-9]+' '"evals": 99' >"$tmp/moved/$f"
+first $f '"worst blackout": [0-9]+' '"worst blackout": 1' >"$tmp/weak/$f"
+first $f '"worst blackout": [0-9]+, "random median": 0,' '"worst blackout": 0, "random median": 0,' >"$tmp/dark/$f"
 first $smoke '"bring-up events": [0-9]+' '"bring-up events": 99' >"$tmp/moved/$smoke"
 first $smoke '"decoded": [0-9]+' '"decoded": 99' >"$tmp/decoded/$smoke"
 python3 scripts/check_bench.py "$tmp/same/$f" "$tmp/wall/$f" >/dev/null
@@ -61,6 +65,11 @@ if cmp -s $f "$tmp/wall/$f" || python3 scripts/check_bench.py "$tmp/moved/$f" >/
 fi
 if ! python3 scripts/check_bench.py "$tmp/decoded/$smoke" 2>&1 | grep -q 'does not hold: a topology flood'; then
     echo "the bench gate's flood predicate passed a smoke file that decoded 99 of 510 floods" >&2
+    exit 1
+fi
+if ! python3 scripts/check_bench.py "$tmp/weak/$f" 2>&1 | grep -q 'does not hold: every champion' ||
+    ! python3 scripts/check_bench.py "$tmp/dark/$f" 2>&1 | grep -q 'does not hold: every champion'; then
+    echo "the bench gate's E24 predicate passed a champion below its random median, or one with no blackout" >&2
     exit 1
 fi
 

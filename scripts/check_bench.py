@@ -83,6 +83,10 @@ PREDICATES = [
                    for r in rows(d, 3))),
     ("worst_case", "every search boots its world exactly once (E24)",
      lambda d: all(r["boots"] == 1 for r in rows(d))),
+    # Nonzero as well: on a row whose corpus found no blackout the median
+    # alone would pass a search that found nothing either.
+    ("worst_case", "every champion's blackout is nonzero and at least its random corpus median (E24)",
+     lambda d: all(r["worst blackout"] >= max(r["random median"], 1) for r in rows(d))),
     ("benchmark", "no workload had a failed op or check",
      lambda d: all(w["failed"] == 0 for w in d["workloads"].values())),
     ("benchmark", "the 2-partition cut-and-heal cycle costs at most 3x the classic one",

@@ -380,6 +380,104 @@ fn hosted_campaigns_explain_every_blackout() {
     }
 }
 
+/// A finding of the worst-case search (`src30_worst_case_search --seed
+/// 7` in `benchmark/`), shrunk to its three load-bearing events. It
+/// was an oracle false positive, not a protocol bug. A flap of link 2
+/// and a cut of link 2 in the same slot leave the cable *up*: the flap's
+/// closing repair lands 67 ms after the cut. The engine mirrored the flap
+/// as an instant repair with the cut after it, so it waited for link 2 to
+/// go down for good. Quiescence needs the plant to match that mirror, so
+/// once the repair landed the run could only end in
+/// `SettleTimeout { at: 30.362 s, budget_ms: 30000 }` (30.943 s at the
+/// unshrunk offsets 410 / 410 / 663 ms). All three events were needed:
+/// without the switch crash the network settled inside the flap, before
+/// the repair landed, so every 2-event subset passed. The mirror now lets
+/// a flap's pending repair win over an earlier cut of its link. The
+/// campaign settles after that repair, and every oracle stays silent.
+#[test]
+fn flap_and_cut_of_one_link_in_one_slot_settle() {
+    let params = NetParams::tuned();
+    let cfg = OracleConfig::from_params(&params.autopilot);
+    let scenario = Scenario {
+        name: "seed7-flap-and-cut".into(),
+        topo: TopoSpec::Hosted {
+            base: Box::new(TopoSpec::Src { seed: 1991 }),
+            per_switch: 1,
+            seed: 1505231282862050854,
+        },
+        seed: 4930668020354992713,
+        events: vec![
+            FaultEvent {
+                at_ms: 51,
+                op: FaultOp::LinkFlaps {
+                    link: 2,
+                    half_period_ms: 67,
+                    cycles: 1,
+                },
+            },
+            FaultEvent {
+                at_ms: 51,
+                op: FaultOp::LinkDown(2),
+            },
+            FaultEvent {
+                at_ms: 82,
+                op: FaultOp::SwitchDown(15),
+            },
+        ],
+        settle_ms: 30_000,
+    };
+    let outcome = run_packet(&scenario, &params, &cfg);
+    if !outcome.passed() {
+        fail_with_reproducer(&scenario, &outcome, &params, &cfg);
+    }
+    assert_eq!(outcome.quiescences, 2);
+    // The final quiescence waited for the flap's repair.
+    let repaired = outcome.origin + autonet::sim::SimDuration::from_millis(51 + 67);
+    assert!(outcome.end > repaired, "ended at {}", outcome.end);
+}
+
+/// The other side of that boundary, as the search's retime and same-slot
+/// mutations can draw it: a cut of a flapped link at or after the flap's
+/// final repair (40 ms × 2 from 50 ms: up for good at 170 ms, the flap's
+/// span ends at 210 ms) takes the link down for good, in the plant and in
+/// the engine's mirror, so the campaign settles with the link cut.
+#[test]
+fn a_cut_after_a_flaps_final_repair_settles() {
+    let params = NetParams::tuned();
+    let cfg = OracleConfig::from_params(&params.autopilot);
+    for cut_ms in [170, 200] {
+        let scenario = Scenario {
+            name: format!("flap-then-cut-at-{cut_ms}"),
+            topo: TopoSpec::Hosted {
+                base: Box::new(TopoSpec::Ring { n: 6, seed: 0 }),
+                per_switch: 1,
+                seed: 0,
+            },
+            seed: 3,
+            events: vec![
+                FaultEvent {
+                    at_ms: 50,
+                    op: FaultOp::LinkFlaps {
+                        link: 2,
+                        half_period_ms: 40,
+                        cycles: 2,
+                    },
+                },
+                FaultEvent {
+                    at_ms: cut_ms,
+                    op: FaultOp::LinkDown(2),
+                },
+            ],
+            settle_ms: 30_000,
+        };
+        let outcome = run_packet(&scenario, &params, &cfg);
+        if !outcome.passed() {
+            fail_with_reproducer(&scenario, &outcome, &params, &cfg);
+        }
+        assert_eq!(outcome.quiescences, 2, "{}", scenario.name);
+    }
+}
+
 /// The same engine and oracles over the slot-accurate backend: a cable is
 /// killed with line noise, the network must reconfigure around it and
 /// every oracle must stay silent.

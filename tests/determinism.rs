@@ -504,7 +504,8 @@ fn forked(base: &BootedCampaign<Network>, s: &Scenario) -> RunResult {
 /// field for field (violation, end, origin, quiescences, interruption
 /// ledger, damage, critical path, failing-run records), and leaves the
 /// route cache with the same work counters. Forks are isolated from each
-/// other and from the base they were cloned from.
+/// other and from the base they were cloned from, and a fork resumed on
+/// another thread is the same fork.
 #[test]
 fn forked_campaigns_equal_cold_runs() {
     let params = NetParams::tuned();
@@ -542,13 +543,17 @@ fn forked_campaigns_equal_cold_runs() {
 
         let fork_a = forked(&base, &a);
         assert!(fork_a.0.quiescences >= 2, "{}: {:?}", a.name, fork_a.0);
-        assert_eq!(
-            fork_a,
-            cold(&a, &params, &cfg),
-            "{} on {:?}",
-            a.name,
-            a.topo
-        );
+        let cold_a = cold(&a, &params, &cfg);
+        assert_eq!(fork_a, cold_a, "{} on {:?}", a.name, a.topo);
+        // Nor can the thread it runs on: a fork resumed on a spawned
+        // thread, as the search's worker pool does, equals the cold run
+        // on this one.
+        let on_thread = std::thread::scope(|s| {
+            s.spawn(|| forked(&base, &a))
+                .join()
+                .expect("fork completes")
+        });
+        assert_eq!(on_thread, cold_a, "{} on a spawned thread", a.name);
         let fork_b = forked(&base, &b);
         assert!(fork_b.0.quiescences >= 3, "{}: {:?}", b.name, fork_b.0);
         assert_eq!(
