@@ -2,11 +2,13 @@
 //!
 //! The engine turns a declarative [`Scenario`] into a simulation run:
 //! bring the network up and wait for first quiescence, then walk the
-//! fault schedule, advancing virtual time in small chunks and — after
-//! every chunk — draining the backend's control-plane observation log
-//! through the online oracles. A firing oracle stops the run immediately
-//! with the violation; the caller (usually a test) hands the scenario to
-//! the shrinker and prints a minimal reproducer.
+//! fault schedule, running the backend from one fault to the next and
+//! folding each gap's drained event spine through the online oracles. A
+//! firing oracle stops the run at the end of that gap with the violation
+//! (timed where the spine put it); the caller (usually a test) hands the
+//! scenario to the shrinker and prints a minimal reproducer. Waiting for
+//! quiescence is the one poll: the engine asks the backend every
+//! `step_ms` whether it has settled.
 //!
 //! The run is two halves, `boot` (to first quiescence) and `resume` (the
 //! schedule from there), with a [`BootedCampaign`] in between. A single
@@ -24,7 +26,7 @@ use autonet_trace::{
     CriticalPath, DamageReport, InterruptionConfig, InterruptionReport, Timeline, TraceRecord,
 };
 
-use crate::oracle::{check_blackouts, OracleConfig, OracleState, Violation};
+use crate::oracle::{audit_blackouts, OracleConfig, OracleState, Violation};
 use crate::scenario::{FaultOp, Scenario, TopoSpec};
 use crate::substrate::{crossing_links, SlotSubstrate, Substrate};
 
@@ -43,8 +45,8 @@ pub struct CheckOutcome {
     /// How many quiescence points were reached (initial bring-up,
     /// waypoints, final settle).
     pub quiescences: u32,
-    /// The service-interruption ledger, when probes ran (blackout
-    /// checking on and the topology has at least two hosts).
+    /// The service-interruption ledger, when probes ran (the topology
+    /// has at least two hosts).
     pub interruption: Option<InterruptionReport>,
     /// The damage objectives of the run (soft objectives the worst-case
     /// search maximizes; total over any run — zero axes when their
@@ -120,8 +122,8 @@ fn mirror(
 }
 
 /// Whether a campaign over `topo` runs service-interruption probes.
-fn probing(topo: &Topology, cfg: &OracleConfig) -> bool {
-    cfg.check_blackouts && topo.num_hosts() >= 2
+fn probing(topo: &Topology) -> bool {
+    topo.num_hosts() >= 2
 }
 
 /// The engine's own state at first quiescence: everything a run has
@@ -158,27 +160,13 @@ struct Run<'a, S> {
 }
 
 impl<S: Substrate> Run<'_, S> {
-    /// Advances `span`, draining the observation log through the oracles
-    /// after every chunk.
+    /// Advances `span`, then folds the drained spine through the oracles.
     fn advance(&mut self, span: SimDuration) -> Result<(), Violation> {
-        let step = SimDuration::from_millis(self.cfg.step_ms.max(1));
-        let mut left = span;
-        while left > SimDuration::ZERO {
-            let chunk = step.min(left);
-            self.sub.run_for(chunk);
-            left -= chunk;
-            let records = self.sub.drain_control();
-            let v = self.oracle.ingest(self.topo, &records);
-            self.spine.extend(records);
-            if let Some(v) = v {
-                return Err(v);
-            }
-            let obs = self.sub.observe_ports(self.topo);
-            if let Some(v) = self.oracle.observe_ports(self.sub.now(), &obs) {
-                return Err(v);
-            }
-        }
-        Ok(())
+        self.sub.run_for(span);
+        let records = self.sub.drain_control();
+        let verdict = self.oracle.ingest(self.topo, &records);
+        self.spine.extend(records);
+        verdict.map_or(Ok(()), Err)
     }
 
     /// Runs until the substrate reports quiescence, oracles firing along
@@ -200,14 +188,9 @@ impl<S: Substrate> Run<'_, S> {
             }
         }
         self.quiescences += 1;
-        let snaps = self.sub.snapshots(self.topo);
-        match self
-            .oracle
-            .at_quiescence(self.sub.now(), &self.view, &snaps)
-        {
-            Some(v) => Err(v),
-            None => Ok(()),
-        }
+        self.oracle
+            .at_quiescence(self.sub.now(), &self.view)
+            .map_or(Ok(()), Err)
     }
 
     /// Walks the fault schedule from first quiescence (`origin`) through
@@ -254,7 +237,7 @@ impl<S: Substrate> Run<'_, S> {
     fn finish(self, verdict: Result<(), Violation>, origin: SimTime) -> CheckOutcome {
         let end = self.sub.now();
         let timeline = Timeline::build(&self.spine);
-        let interruption = probing(self.topo, self.cfg).then(|| {
+        let interruption = probing(self.topo).then(|| {
             InterruptionReport::build(
                 &self.sub.probe_pairs(),
                 &self.sub.probe_records(),
@@ -269,7 +252,7 @@ impl<S: Substrate> Run<'_, S> {
         // Every online oracle stayed silent: the blackout ledger gets the
         // last word.
         let violation = verdict.err().or_else(|| {
-            check_blackouts(
+            audit_blackouts(
                 interruption.as_ref()?,
                 &timeline,
                 &self.exempt,
@@ -299,6 +282,12 @@ impl<S: Substrate> Run<'_, S> {
 /// The boot half: brings the network up to first quiescence, where the
 /// skeptic oracle arms and the probe flows start. A run that dies during
 /// bring-up never reaches a schedule, so its outcome is already final.
+///
+/// # Panics
+///
+/// Panics if bring-up drained no trace record: every switch logs `Boot`
+/// when tracing is on, and oracles folding over an empty spine would
+/// pass vacuously.
 fn boot<S: Substrate>(
     sub: &mut S,
     topo: &Topology,
@@ -315,11 +304,17 @@ fn boot<S: Substrate>(
         quiescences: 0,
         exempt: BTreeSet::new(),
     };
-    if let Err(v) = run.settle(cfg.bringup_budget_ms) {
+    let verdict = run.settle(cfg.bringup_budget_ms);
+    assert!(
+        !run.spine.is_empty(),
+        "bring-up drained no trace record: the oracles fold over the event spine, \
+         so campaigns need NetParams::tracing on"
+    );
+    if let Err(v) = verdict {
         let origin = run.sub.now();
         return Err(Box::new(run.finish(Err(v), origin)));
     }
-    if probing(topo, cfg) {
+    if probing(topo) {
         // Probe a ring over the hosts: every host both sends and
         // receives, and a fault anywhere lands on some probed pair.
         let n = topo.num_hosts();
@@ -577,6 +572,21 @@ mod tests {
             (100, idle),
             (100, FaultOp::LinkDown(1))
         ]));
+    }
+
+    #[test]
+    #[should_panic(expected = "bring-up drained no trace record")]
+    fn an_untraced_campaign_is_refused() {
+        let params = NetParams {
+            tracing: false,
+            ..NetParams::tuned()
+        };
+        let cfg = OracleConfig::from_params(&params.autopilot);
+        run_packet(
+            &empty_scenario(TopoSpec::Ring { n: 4, seed: 0 }, 7),
+            &params,
+            &cfg,
+        );
     }
 
     #[test]

@@ -46,13 +46,13 @@ pub use scenario::{
     random_scenario, random_scenario_with, FaultEvent, FaultOp, GenOptions, Scenario, TopoSpec,
 };
 pub use shrink::{packet_reproducer, shrink_schedule, Reproducer};
-pub use substrate::{NodeSnapshot, PortObservation, Substrate};
+pub use substrate::Substrate;
 pub use worst_case::{worst_case_search, WorstCaseConfig, WorstCaseResult};
 
 use autonet_core::AutopilotParams;
 use autonet_sim::SimDuration;
 
-/// Autopilot parameters with the skeptic hysteresis effectively disabled:
+/// [`AutopilotParams`] with the skeptic hysteresis effectively disabled:
 /// holds collapse to a single timer tick, so flapping hardware is
 /// readmitted almost immediately. The monitoring tower still *works* —
 /// ports classify, probes verify — but the damping the paper argues for

@@ -1,27 +1,32 @@
 //! Online invariant oracles.
 //!
-//! Each oracle watches the control-plane observations a backend surfaces
-//! (the typed [`TraceRecord`] spine plus sampled port-state and epoch
-//! snapshots) and fires the moment an invariant of the paper is violated:
+//! Every oracle is a fold over the typed [`TraceRecord`] spine, plus the
+//! fault notices ([`OracleState::on_fault`]) and quiescence instants
+//! ([`OracleState::at_quiescence`]) the engine hands it. None reads a
+//! switch, so every backend that logs the spine is judged alike. Each
+//! fires the moment an invariant of the paper is violated:
 //!
 //! - **Epoch monotonicity** (§6.2): every `network_opened` on a switch
 //!   carries a strictly larger epoch than its previous open; a reboot
-//!   resets the history (the fresh Autopilot legitimately rejoins low).
+//!   resets the history (the fresh control program legitimately rejoins
+//!   low).
 //! - **Installed-table cycle-freedom** (§4): the channel dependency graph
 //!   over the tables of all simultaneously *open* switches is acyclic —
 //!   see `crate::tables`.
 //! - **Skeptic hysteresis** (§6.5.5): once the network has converged, a
-//!   port's dead *episode* — from the first time it is observed `s.dead`
-//!   to the first `s.switch.good` after it — must last at least the
+//!   port's dead *episode* — from its first transition into `s.dead` (or
+//!   its switch's `Boot`, since every port of a fresh switch starts there)
+//!   to its next transition into `s.switch.good` — must last at least the
 //!   configured bound. The port is condemned on bad evidence, the status
-//!   skeptic keeps it in `s.dead` for its full hold *after* that
-//!   evidence, and the connectivity skeptic demands a probe streak of its
-//!   own hold before `s.switch.good` — so an honest episode lasts at
-//!   least `status_min_hold + classification + conn_min_hold` no matter
-//!   how quickly the cable itself recovered; a shorter observed episode
-//!   (after allowing one observation step of slop) is a sound violation.
+//!   skeptic keeps it in `s.dead` for its full hold *after* that evidence,
+//!   and the connectivity skeptic demands a probe streak of its own hold
+//!   before `s.switch.good` — so an honest episode lasts at least
+//!   `status_min_hold + classification + conn_min_hold` no matter how
+//!   quickly the cable itself recovered. Both ends are instants the switch
+//!   logged, so a shorter episode is a sound violation.
 //! - **Single-epoch agreement at quiescence**: inside each physical
-//!   component, every up switch is open on one common epoch.
+//!   component, every up switch is open on one common epoch and has
+//!   entered no later one.
 //! - **Reconfiguration termination** (liveness) is enforced by the engine
 //!   as a settle budget and reported as [`Violation::SettleTimeout`].
 
@@ -30,29 +35,25 @@ use std::collections::{BTreeMap, BTreeSet};
 use autonet_core::{AutopilotParams, Epoch, Event, PortState};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_switch::ForwardingTable;
-use autonet_topo::{connected_components, NetView, Topology};
+use autonet_topo::{connected_components, NetView, SwitchId, Topology};
 use autonet_trace::TraceRecord;
-use autonet_wire::{PortIndex, Uid};
+use autonet_wire::PortIndex;
 
 use crate::scenario::FaultOp;
-use crate::substrate::{NodeSnapshot, PortObservation};
 use crate::tables::find_table_cycle;
 
 /// What the oracles enforce and how the engine paces them.
 #[derive(Clone, Debug)]
 pub struct OracleConfig {
-    /// Minimum legal length of a dead episode: first observation of
-    /// `s.dead` to the next observation of `s.switch.good` (armed after
-    /// first quiescence, compared after one observation step of slop).
+    /// Minimum legal length of a dead episode: entry into `s.dead` to the
+    /// next entry into `s.switch.good` (armed after first quiescence).
     pub skeptic_bound: SimDuration,
     /// Budget for the initial bring-up convergence.
     pub bringup_budget_ms: u64,
-    /// Simulation chunk between oracle evaluations.
+    /// Period of the settle poll: while waiting for quiescence the engine
+    /// runs this long between two `Substrate::quiescent` checks.
     pub step_ms: u64,
-    /// Run service-interruption probes (topologies with ≥ 2 hosts only)
-    /// and check every blackout window at campaign end.
-    pub check_blackouts: bool,
-    /// Probe cadence when blackout checking is on.
+    /// Probe cadence on topologies with at least two hosts.
     pub probe_interval: SimDuration,
     /// How far past its epoch's reopen a blackout may run before the
     /// oracle fires: data-plane restoration includes host address
@@ -75,15 +76,13 @@ impl OracleConfig {
             // samples, and the connectivity monitor then demands a probe
             // streak of the connectivity hold (≥ conn_min_hold) before
             // promoting `s.switch.who` → `s.switch.good`. One sampling
-            // interval is surrendered to evidence-timing granularity; the
-            // observation-step slop is applied at comparison time.
+            // interval is surrendered to evidence-timing granularity.
             skeptic_bound: p.status_min_hold
                 + p.conn_min_hold
                 + p.sampling_interval
                     .saturating_mul(u64::from(p.classify_samples.saturating_sub(1))),
             bringup_budget_ms: 120_000,
             step_ms: 20,
-            check_blackouts: true,
             probe_interval: SimDuration::from_millis(25),
             blackout_slack: SimDuration::from_secs(6),
         }
@@ -268,7 +267,7 @@ impl std::fmt::Display for Violation {
 /// non-exempt pair (neither endpoint ever lost power) must be well
 /// formed, explained by a reconfiguration epoch, and contained in that
 /// epoch's trigger → reopen span plus `slack` for host relearning.
-pub fn check_blackouts(
+pub fn audit_blackouts(
     report: &autonet_trace::InterruptionReport,
     timeline: &autonet_trace::Timeline,
     exempt: &BTreeSet<usize>,
@@ -342,20 +341,20 @@ pub struct OracleState {
     /// Whether first quiescence has been reached (arms the skeptic
     /// oracle: bring-up admissions from cold boot are exempt).
     armed: bool,
-    /// Per node: the epoch of the last observed `network_opened` in the
-    /// current incarnation.
+    /// Per node: the epoch of its last `network_opened` in the current
+    /// incarnation.
     last_open_epoch: Vec<Option<Epoch>>,
+    /// Per node: the epoch it last started or joined (`reconfig_triggered`).
+    entered: Vec<Option<Epoch>>,
     /// Per node: currently open for host traffic.
     open: Vec<bool>,
     /// Per node: currently powered (engine faults update this).
     up: Vec<bool>,
     /// Per node: most recently installed forwarding table.
     tables: Vec<Option<ForwardingTable>>,
-    /// Per node: when each trunk port's current dead episode was first
-    /// observed (`s.dead`); cleared when the port reaches `s.switch.good`.
+    /// Per node: when each port's current dead episode began; cleared when
+    /// the port enters `s.switch.good`.
     dead_since: Vec<BTreeMap<PortIndex, SimTime>>,
-    /// Per node: trunk ports currently observed `s.switch.good`.
-    admitted: Vec<BTreeSet<PortIndex>>,
 }
 
 impl OracleState {
@@ -366,71 +365,99 @@ impl OracleState {
             cfg,
             armed: false,
             last_open_epoch: vec![None; n],
+            entered: vec![None; n],
             open: vec![false; n],
             up: vec![true; n],
             tables: vec![None; n],
             dead_since: vec![BTreeMap::new(); n],
-            admitted: vec![BTreeSet::new(); n],
         }
     }
 
     /// The engine applied a fault: adjust incarnation-scoped state.
     pub fn on_fault(&mut self, op: &FaultOp) {
-        match *op {
-            FaultOp::SwitchDown(s) => {
-                self.up[s] = false;
-                self.open[s] = false;
-                self.tables[s] = None;
-                self.dead_since[s].clear();
-                self.admitted[s].clear();
-            }
-            FaultOp::SwitchUp(s) => {
-                // A fresh Autopilot boots: epoch history and port
-                // observations restart from scratch.
-                self.up[s] = true;
-                self.open[s] = false;
-                self.tables[s] = None;
-                self.last_open_epoch[s] = None;
-                self.dead_since[s].clear();
-                self.admitted[s].clear();
-            }
-            _ => {}
-        }
+        let (FaultOp::SwitchDown(s) | FaultOp::SwitchUp(s)) = *op else {
+            return;
+        };
+        // Down, or a fresh control program booting: epoch history and
+        // port episodes restart from scratch.
+        self.up[s] = matches!(op, FaultOp::SwitchUp(_));
+        self.open[s] = false;
+        self.tables[s] = None;
+        self.last_open_epoch[s] = None;
+        self.entered[s] = None;
+        self.dead_since[s].clear();
     }
 
-    /// Feeds a drained batch of trace records through the epoch and
-    /// table oracles, in order. Only the control-plane events matter
-    /// here; port transitions, skeptic decisions and phase markers are
-    /// other consumers' business and are skipped.
+    /// Feeds a drained batch of trace records through the epoch, table
+    /// and skeptic oracles, in order, and tracks what the agreement check
+    /// at the next quiescence reads.
     pub fn ingest(&mut self, topo: &Topology, records: &[TraceRecord]) -> Option<Violation> {
         for rec in records {
+            let node = rec.node;
             match &rec.event {
+                Event::Boot { .. } => {
+                    // A fresh switch logs no transition for ports that
+                    // start `s.dead`: its cabled trunk ports' episodes
+                    // begin here.
+                    for (port, l) in topo.links_at(SwitchId(node)) {
+                        if !topo.link(l).is_loopback() {
+                            self.dead_since[node].entry(port).or_insert(rec.time);
+                        }
+                    }
+                }
+                Event::PortTransition {
+                    port,
+                    to: PortState::Dead,
+                    ..
+                } => {
+                    self.dead_since[node].entry(*port).or_insert(rec.time);
+                }
+                Event::PortTransition {
+                    port,
+                    to: PortState::SwitchGood,
+                    ..
+                } => {
+                    // Readmission closes the episode whether or not it is
+                    // judged (bring-up admissions while unarmed clear it).
+                    let Some(since) = self.dead_since[node].remove(port) else {
+                        continue;
+                    };
+                    let held = rec.time - since;
+                    if self.armed && held < self.cfg.skeptic_bound {
+                        return Some(Violation::SkepticHold {
+                            node,
+                            port: *port,
+                            held,
+                            bound: self.cfg.skeptic_bound,
+                            time: rec.time,
+                        });
+                    }
+                }
+                Event::ReconfigTriggered { epoch, .. } => self.entered[node] = Some(*epoch),
                 Event::NetworkOpened { epoch } => {
-                    if let Some(prev) = self.last_open_epoch[rec.node] {
+                    if let Some(prev) = self.last_open_epoch[node] {
                         if *epoch <= prev {
                             return Some(Violation::EpochRegression {
-                                node: rec.node,
+                                node,
                                 prev,
                                 new: *epoch,
                                 time: rec.time,
                             });
                         }
                     }
-                    self.last_open_epoch[rec.node] = Some(*epoch);
-                    self.open[rec.node] = true;
-                    if let Some(v) = self.check_tables(topo, rec.node, rec.time) {
+                    self.last_open_epoch[node] = Some(*epoch);
+                    self.open[node] = true;
+                    if let Some(v) = self.check_tables(topo, node, rec.time) {
                         return Some(v);
                     }
                 }
-                Event::NetworkClosed { .. } => {
-                    self.open[rec.node] = false;
-                }
+                Event::NetworkClosed { .. } => self.open[node] = false,
                 Event::TableInstalled { table, .. } => {
-                    self.tables[rec.node] = Some(table.clone());
-                    if self.open[rec.node] {
+                    self.tables[node] = Some(table.clone());
+                    if self.open[node] {
                         // A live patch (host arrival/departure) under an
                         // open network must keep the graph acyclic.
-                        if let Some(v) = self.check_tables(topo, rec.node, rec.time) {
+                        if let Some(v) = self.check_tables(topo, node, rec.time) {
                             return Some(v);
                         }
                     }
@@ -479,82 +506,165 @@ impl OracleState {
         None
     }
 
-    /// Feeds a round of sampled port states through the skeptic oracle.
-    pub fn observe_ports(&mut self, now: SimTime, obs: &[PortObservation]) -> Option<Violation> {
-        for o in obs {
-            if !self.up[o.node] {
-                continue;
-            }
-            match o.state {
-                PortState::Dead => {
-                    self.dead_since[o.node].entry(o.port).or_insert(now);
-                    self.admitted[o.node].remove(&o.port);
+    /// The engine reached quiescence: arm the skeptic oracle and check
+    /// that every up switch of each physical component is open on one
+    /// common epoch, and has entered none past it. One root per component
+    /// is the substrate's side of quiescence (`Substrate::quiescent`).
+    pub fn at_quiescence(&mut self, now: SimTime, view: &NetView<'_>) -> Option<Violation> {
+        self.armed = true;
+        let disagreement = |detail| Violation::QuiescenceDisagreement { detail, time: now };
+        for component in connected_components(view) {
+            let mut agreed: Option<(usize, Epoch)> = None;
+            for SwitchId(s) in component {
+                let (true, Some(epoch)) = (self.open[s], self.last_open_epoch[s]) else {
+                    return Some(disagreement(format!("switch {s} is closed at quiescence")));
+                };
+                if let Some(entered) = self.entered[s].filter(|&e| e > epoch) {
+                    return Some(disagreement(format!(
+                        "switch {s} is open on {epoch:?} but entered {entered:?}"
+                    )));
                 }
-                PortState::SwitchGood => {
-                    let newly = self.admitted[o.node].insert(o.port);
-                    // Good closes the episode whether or not it is checked
-                    // (bring-up admissions while unarmed still clear it).
-                    if let Some(td) = self.dead_since[o.node].remove(&o.port) {
-                        if newly && self.armed {
-                            let held = now - td;
-                            let slop = SimDuration::from_millis(self.cfg.step_ms);
-                            if held + slop < self.cfg.skeptic_bound {
-                                return Some(Violation::SkepticHold {
-                                    node: o.node,
-                                    port: o.port,
-                                    held,
-                                    bound: self.cfg.skeptic_bound,
-                                    time: now,
-                                });
-                            }
-                        }
+                match agreed {
+                    None => agreed = Some((s, epoch)),
+                    Some((first, e)) if e != epoch => {
+                        return Some(disagreement(format!(
+                            "switches {first} and {s} disagree: {e:?} vs {epoch:?}"
+                        )));
                     }
-                }
-                _ => {
-                    // Intermediate states interrupt an admission but do
-                    // not restart the dead clock.
-                    self.admitted[o.node].remove(&o.port);
+                    Some(_) => {}
                 }
             }
         }
         None
     }
+}
 
-    /// The engine reached quiescence: arm the skeptic oracle and check
-    /// single-epoch agreement inside every physical component.
-    pub fn at_quiescence(
-        &mut self,
-        now: SimTime,
-        view: &NetView<'_>,
-        snapshots: &[NodeSnapshot],
-    ) -> Option<Violation> {
-        self.armed = true;
-        for component in connected_components(view) {
-            let mut agreed: Option<(usize, Epoch, Option<Uid>)> = None;
-            for &sid in &component {
-                let snap = &snapshots[sid.0];
-                if !snap.open {
-                    return Some(Violation::QuiescenceDisagreement {
-                        detail: format!("switch {} is closed at quiescence", sid.0),
-                        time: now,
-                    });
-                }
-                match agreed {
-                    None => agreed = Some((sid.0, snap.epoch, snap.root)),
-                    Some((first, epoch, root)) => {
-                        if snap.epoch != epoch || snap.root != root {
-                            return Some(Violation::QuiescenceDisagreement {
-                                detail: format!(
-                                    "switches {} and {} disagree: {:?}/{:?} vs {:?}/{:?}",
-                                    first, sid.0, epoch, root, snap.epoch, snap.root
-                                ),
-                                time: now,
-                            });
-                        }
-                    }
-                }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use autonet_core::{ReconfigCause, TransitionCause};
+    use autonet_wire::{LinkTiming, Uid};
+
+    /// Switch 0: port 1 a trunk to switch 1, ports 2 and 3 a loopback
+    /// cable, port 4 a host, port 5 uncabled.
+    fn topo() -> Topology {
+        let mut t = Topology::new();
+        let a = t.add_switch(Uid::new(1)).unwrap();
+        let b = t.add_switch(Uid::new(2)).unwrap();
+        t.connect(a, b, LinkTiming::coax_100m()).unwrap();
+        t.connect(a, a, LinkTiming::coax_100m()).unwrap();
+        t.attach_host(Uid::new(100), a, None).unwrap();
+        t
+    }
+
+    fn ms(v: u64) -> SimTime {
+        SimTime::from_millis(v)
+    }
+
+    fn rec(node: usize, time: SimTime, event: Event) -> TraceRecord {
+        TraceRecord { time, node, event }
+    }
+
+    fn enters(node: usize, time: SimTime, port: PortIndex, to: PortState) -> TraceRecord {
+        let event = Event::PortTransition {
+            port,
+            from: PortState::Checking,
+            to,
+            cause: TransitionCause::Classified,
+        };
+        rec(node, time, event)
+    }
+
+    fn opens(node: usize, time: SimTime, epoch: u64) -> Vec<TraceRecord> {
+        let epoch = Epoch(epoch);
+        let cause = ReconfigCause::Boot;
+        vec![
+            rec(node, time, Event::ReconfigTriggered { epoch, cause }),
+            rec(node, time, Event::NetworkOpened { epoch }),
+        ]
+    }
+
+    /// Both switches open on epoch 1 at 1 s, which is first quiescence.
+    fn armed(topo: &Topology) -> OracleState {
+        let cfg = OracleConfig::from_params(&AutopilotParams::tuned());
+        let mut oracle = OracleState::new(topo, cfg);
+        let records = [opens(0, ms(1_000), 1), opens(1, ms(1_000), 1)].concat();
+        assert_eq!(oracle.ingest(topo, &records), None);
+        assert_eq!(oracle.at_quiescence(ms(1_000), &topo.view_all()), None);
+        oracle
+    }
+
+    #[test]
+    fn an_episode_one_nanosecond_short_of_the_bound_convicts() {
+        let topo = topo();
+        let bound = armed(&topo).cfg.skeptic_bound;
+        let episode = |held: SimDuration| {
+            let dead = ms(2_000);
+            armed(&topo).ingest(
+                &topo,
+                &[
+                    enters(1, dead, 1, PortState::Dead),
+                    enters(1, dead + held / 2, 1, PortState::Checking),
+                    enters(1, dead + held, 1, PortState::SwitchGood),
+                ],
+            )
+        };
+        let short = bound - SimDuration::from_nanos(1);
+        assert_eq!(
+            episode(short),
+            Some(Violation::SkepticHold {
+                node: 1,
+                port: 1,
+                held: short,
+                bound,
+                time: ms(2_000) + short,
+            })
+        );
+        assert_eq!(episode(bound), None);
+    }
+
+    #[test]
+    fn a_reboot_opens_an_episode_on_cabled_trunk_ports_only() {
+        let topo = topo();
+        let mut oracle = armed(&topo);
+        oracle.on_fault(&FaultOp::SwitchUp(0));
+        let boot = rec(0, ms(2_000), Event::Boot { uid: Uid::new(1) });
+        assert_eq!(oracle.ingest(&topo, &[boot]), None);
+        // Loopback, host and uncabled ports carry no episode to judge.
+        let elsewhere: Vec<TraceRecord> = (2..=5)
+            .map(|p| enters(0, ms(2_001), p, PortState::SwitchGood))
+            .collect();
+        assert_eq!(oracle.ingest(&topo, &elsewhere), None);
+        let trunk = enters(0, ms(2_001), 1, PortState::SwitchGood);
+        assert_eq!(
+            oracle.ingest(&topo, &[trunk]).map(|v| v.kind()),
+            Some("skeptic-hold")
+        );
+    }
+
+    #[test]
+    fn disagreement_fires_on_a_later_entered_epoch_and_on_a_closed_switch() {
+        let topo = topo();
+        let quiescence = |records: &[TraceRecord]| {
+            let mut oracle = armed(&topo);
+            assert_eq!(oracle.ingest(&topo, records), None);
+            match oracle.at_quiescence(ms(3_000), &topo.view_all()) {
+                Some(Violation::QuiescenceDisagreement { detail, .. }) => detail,
+                other => panic!("no disagreement: {other:?}"),
             }
-        }
-        None
+        };
+        let next = Event::ReconfigTriggered {
+            epoch: Epoch(2),
+            cause: ReconfigCause::NewNeighbor,
+        };
+        assert_eq!(
+            quiescence(&[rec(1, ms(2_000), next)]),
+            "switch 1 is open on e1 but entered e2"
+        );
+        let closed = Event::NetworkClosed { epoch: Epoch(2) };
+        assert_eq!(
+            quiescence(&[rec(1, ms(2_000), closed)]),
+            "switch 1 is closed at quiescence"
+        );
     }
 }

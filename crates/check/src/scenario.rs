@@ -123,7 +123,7 @@ pub enum FaultOp {
     LinkUp(usize),
     /// Crash switch `s` (its control program and crossbar freeze).
     SwitchDown(usize),
-    /// Power switch `s` back on: a fresh Autopilot boots from scratch.
+    /// Power switch `s` back on: a fresh control program boots from scratch.
     SwitchUp(usize),
     /// Power off host `h` with cables attached (reflecting stubs, §5.3).
     HostPowerOff(usize),

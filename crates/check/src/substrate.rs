@@ -1,49 +1,23 @@
 //! One engine, two simulation backends.
 //!
-//! The scenario engine needs five things from a network: advance virtual
-//! time, apply a fault, drain the typed event spine, sample
-//! the switches' externally visible state, and answer "has the control
-//! plane settled?". [`Substrate`] is that contract; the packet-level
-//! `Net` facade implements it directly on either event kernel (full
-//! fault vocabulary) and [`SlotSubstrate`] over the slot-level `SlotNet`,
-//! where cable faults are emulated the way the real hardware would see
-//! them: heavy code-violation noise on both ends of the link until the
-//! samplers condemn it, silence to let the skeptics readmit it.
+//! The scenario engine needs four things from a network: advance virtual
+//! time, apply a fault, drain the typed event spine the oracles fold over,
+//! and answer "has the control plane settled?". [`Substrate`] is that
+//! contract; the packet-level `Net` facade implements it directly on
+//! either event kernel (full fault vocabulary) and [`SlotSubstrate`] over
+//! the slot-level `SlotNet`, where cable faults are emulated the way the
+//! real hardware would see them: heavy code-violation noise on both ends
+//! of the link until the samplers condemn it, silence to let the skeptics
+//! readmit it.
 
-use autonet_core::{Autopilot, AutopilotParams, Epoch, PortState};
+use autonet_core::AutopilotParams;
 use autonet_net::{Driver, Net, Network, PartitionedNetwork, SlotNet};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{HostId, LinkId, NetView, SwitchId, Topology};
 use autonet_trace::TraceRecord;
-use autonet_wire::{PortIndex, Uid, SLOT_NS};
+use autonet_wire::SLOT_NS;
 
 use crate::scenario::FaultOp;
-
-/// One switch's externally visible control-plane state.
-#[derive(Clone, Debug)]
-pub struct NodeSnapshot {
-    /// Switch index in the topology.
-    pub node: usize,
-    /// Open for host traffic.
-    pub open: bool,
-    /// Current epoch.
-    pub epoch: Epoch,
-    /// Root of the agreed topology, if any.
-    pub root: Option<Uid>,
-    /// Number of switches in the agreed topology, if any.
-    pub topo_size: Option<usize>,
-}
-
-/// One sampled port classification.
-#[derive(Clone, Copy, Debug)]
-pub struct PortObservation {
-    /// Switch index.
-    pub node: usize,
-    /// Port number.
-    pub port: PortIndex,
-    /// The Autopilot's current classification.
-    pub state: PortState,
-}
 
 /// The backend contract the scenario engine runs against.
 pub trait Substrate {
@@ -60,43 +34,11 @@ pub trait Substrate {
     fn apply(&mut self, op: &FaultOp, topo: &Topology);
     /// Drains the typed event spine since the last drain.
     fn drain_control(&mut self) -> Vec<TraceRecord>;
-    /// Switch `s`'s control program, for the two samplers below.
-    fn autopilot(&self, s: SwitchId) -> &Autopilot;
-    /// Samples every switch's control-plane state.
-    fn snapshots(&self, topo: &Topology) -> Vec<NodeSnapshot> {
-        topo.switch_ids()
-            .map(|s| {
-                let a = self.autopilot(s);
-                NodeSnapshot {
-                    node: s.0,
-                    open: a.is_open(),
-                    epoch: a.epoch(),
-                    root: a.global().map(|g| g.root),
-                    topo_size: a.global().map(|g| g.switches.len()),
-                }
-            })
-            .collect()
-    }
-    /// Samples the classification of every cabled trunk port.
-    fn observe_ports(&self, topo: &Topology) -> Vec<PortObservation> {
-        let mut obs = Vec::new();
-        for s in topo.switch_ids() {
-            let a = self.autopilot(s);
-            for (port, l) in topo.links_at(s) {
-                if topo.link(l).is_loopback() {
-                    continue;
-                }
-                obs.push(PortObservation {
-                    node: s.0,
-                    port,
-                    state: a.port_state(port),
-                });
-            }
-        }
-        obs
-    }
-    /// Whether the control plane has settled, given the engine's mirror
-    /// of the intended physical state.
+    /// Whether the control plane has settled on the engine's mirror of
+    /// the intended physical state. Settled includes one root per
+    /// physical component, each switch's agreed topology rooted there:
+    /// the agreement oracle checks open flags and epochs from the spine
+    /// and leaves the root to this answer.
     fn quiescent(&self, view: &NetView<'_>) -> bool;
     /// A final consistency audit at campaign end (backend-specific;
     /// returns a discrepancy description on failure).
@@ -135,7 +77,7 @@ pub trait ProbeFlows {
     ///
     /// Unless overridden: an armed blackout oracle with no probes behind
     /// it would pass vacuously. Run hosted campaigns on the classic
-    /// kernel, or with `check_blackouts` off.
+    /// kernel.
     fn start_probes(&mut self, _pairs: &[(HostId, HostId)], _interval: SimDuration) {
         panic!("probes are unsupported in partitioned mode (one network-wide tick)");
     }
@@ -225,10 +167,6 @@ where
 
     fn drain_control(&mut self) -> Vec<TraceRecord> {
         self.drain_trace_records()
-    }
-
-    fn autopilot(&self, s: SwitchId) -> &Autopilot {
-        Net::autopilot(self, s)
     }
 
     fn quiescent(&self, view: &NetView<'_>) -> bool {
@@ -328,10 +266,6 @@ impl Substrate for SlotSubstrate {
 
     fn drain_control(&mut self) -> Vec<TraceRecord> {
         self.net.drain_trace_records()
-    }
-
-    fn autopilot(&self, s: SwitchId) -> &Autopilot {
-        self.net.autopilot(s)
     }
 
     fn quiescent(&self, view: &NetView<'_>) -> bool {

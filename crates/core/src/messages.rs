@@ -791,11 +791,6 @@ impl ControlMsg {
         r.done()?;
         Ok(msg)
     }
-
-    /// The encoded payload size, used to charge transmission time.
-    pub fn wire_size(&self) -> usize {
-        self.encode().len()
-    }
 }
 
 #[cfg(test)]
@@ -936,13 +931,6 @@ mod tests {
     fn unknown_tag_rejected() {
         assert_eq!(ControlMsg::decode(&[200]), Err(MsgCodecError::BadTag(200)));
         assert_eq!(ControlMsg::decode(&[]), Err(MsgCodecError::Truncated));
-    }
-
-    #[test]
-    fn wire_size_matches_encoding() {
-        for msg in all_samples() {
-            assert_eq!(msg.wire_size(), msg.encode().len());
-        }
     }
 
     /// A dense synthetic report: `n` switches, 12 links each, neighbors
@@ -1125,11 +1113,10 @@ mod tests {
             seq: 1,
             report,
         };
+        let compact = msg.encode().len();
         assert!(
-            msg.wire_size() < classic_estimate / 2,
-            "compact {} vs classic ≈ {}",
-            msg.wire_size(),
-            classic_estimate
+            compact < classic_estimate / 2,
+            "compact {compact} vs classic ≈ {classic_estimate}"
         );
     }
 
@@ -1143,6 +1130,7 @@ mod tests {
             from_port: 1,
             pos: TreePosition::myself(Uid::new(1)),
         };
-        assert!(msg.wire_size() <= 64, "{} bytes", msg.wire_size());
+        let bytes = msg.encode().len();
+        assert!(bytes <= 64, "{bytes} bytes");
     }
 }

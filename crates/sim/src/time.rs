@@ -101,20 +101,6 @@ impl SimDuration {
         SimDuration(secs * 1_000_000_000)
     }
 
-    /// Creates a span from fractional seconds, rounding to nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not representable in a u64 nanosecond
-    /// count.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(
-            secs >= 0.0 && secs <= u64::MAX as f64 / 1e9,
-            "duration out of range: {secs}"
-        );
-        SimDuration((secs * 1e9).round() as u64)
-    }
-
     /// Returns the raw nanosecond count.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -316,10 +302,6 @@ mod tests {
     #[test]
     fn fractional_conversions() {
         assert!((SimDuration::from_millis(1500).as_secs_f64() - 1.5).abs() < 1e-12);
-        assert_eq!(
-            SimDuration::from_secs_f64(0.25),
-            SimDuration::from_millis(250)
-        );
     }
 
     #[test]
@@ -335,11 +317,5 @@ mod tests {
         assert_eq!(SimTime::from_micros(2).to_string(), "2.000us");
         assert_eq!(SimTime::from_millis(7).to_string(), "7.000ms");
         assert_eq!(SimTime::from_secs(3).to_string(), "3.000s");
-    }
-
-    #[test]
-    #[should_panic(expected = "duration out of range")]
-    fn from_secs_f64_rejects_negative() {
-        let _ = SimDuration::from_secs_f64(-1.0);
     }
 }

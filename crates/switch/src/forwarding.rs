@@ -116,13 +116,6 @@ impl ForwardingTable {
         }
     }
 
-    /// Programs the same entry for `dst` on every receiving port.
-    pub fn set_all_in_ports(&mut self, dst: ShortAddress, entry: ForwardingEntry) {
-        for p in 0..MAX_PORTS as PortIndex {
-            self.set(p, dst, entry);
-        }
-    }
-
     /// Programs the entry used for *all 16 port addresses* of destination
     /// switch `number` arriving on `in_port` — the per-remote-switch run of
     /// identical entries the software loads into the dense RAM.
@@ -268,19 +261,6 @@ mod tests {
         assert_eq!(t.lookup(1, sa(0x0100)).ports, PortSet::from_ports([2, 5]));
         assert_eq!(t.lookup(2, sa(0x0100)).ports, PortSet::from_ports([7]));
         assert!(t.lookup(3, sa(0x0100)).is_discard());
-    }
-
-    #[test]
-    fn set_all_in_ports_covers_thirteen() {
-        let mut t = ForwardingTable::new();
-        t.set_all_in_ports(
-            sa(0x0200),
-            ForwardingEntry::alternatives(PortSet::single(4)),
-        );
-        for p in 0..13 {
-            assert_eq!(t.lookup(p, sa(0x0200)).ports, PortSet::single(4));
-        }
-        assert_eq!(t.len(), 13);
     }
 
     #[test]

@@ -43,5 +43,5 @@ pub use service::{
     encode_short_addr_request,
 };
 pub use shortaddr::{PortIndex, ShortAddress, SwitchNumber, MAX_PORTS, MAX_SWITCH_NUMBER};
-pub use symbol::{is_flow_control_slot, Command, Symbol, FLOW_CONTROL_INTERVAL};
+pub use symbol::{Command, Symbol, FLOW_CONTROL_INTERVAL};
 pub use uid::Uid;

@@ -65,11 +65,6 @@ impl LinkTiming {
         let fc_slots = data_slots / (s - 1);
         (data_slots + fc_slots) * SLOT_NS
     }
-
-    /// End-to-end time for an entire `bytes`-byte message to arrive.
-    pub fn message_ns(&self, bytes: usize) -> u64 {
-        self.latency_ns() + self.transmission_ns(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -100,12 +95,6 @@ mod tests {
         // 255 data bytes fit between flow-control slots exactly once.
         assert_eq!(t.transmission_ns(255), 256 * SLOT_NS);
         assert_eq!(t.transmission_ns(1), SLOT_NS);
-    }
-
-    #[test]
-    fn message_time_combines_latency_and_transmission() {
-        let t = LinkTiming::with_length_km(1.0);
-        assert_eq!(t.message_ns(100), t.latency_ns() + t.transmission_ns(100));
     }
 
     #[test]

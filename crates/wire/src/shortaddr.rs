@@ -125,11 +125,6 @@ impl ShortAddress {
         )
     }
 
-    /// Returns `true` for the reserved discard range `FFF0`–`FFFB`.
-    pub fn is_reserved_discard(self) -> bool {
-        (0xFFF0..=0xFFFB).contains(&self.0)
-    }
-
     /// Encodes the address as 2 big-endian bytes (wire format).
     pub fn to_bytes(self) -> [u8; 2] {
         self.0.to_be_bytes()
@@ -216,14 +211,6 @@ mod tests {
     fn one_hop_addresses() {
         assert_eq!(ShortAddress::one_hop(1).as_u16(), 0x0001);
         assert_eq!(ShortAddress::one_hop(15).as_u16(), 0x000F);
-    }
-
-    #[test]
-    fn reserved_discard_range() {
-        assert!(ShortAddress::from_raw(0xFFF0).is_reserved_discard());
-        assert!(ShortAddress::from_raw(0xFFFB).is_reserved_discard());
-        assert!(!ShortAddress::from_raw(0xFFEF).is_reserved_discard());
-        assert!(!ShortAddress::LOOPBACK.is_reserved_discard());
     }
 
     #[test]

@@ -57,28 +57,6 @@ pub enum Symbol {
 impl Symbol {
     /// The idle symbol.
     pub const SYNC: Symbol = Symbol::Command(Command::Sync);
-
-    /// Returns the data byte, if this is a data symbol.
-    pub fn data(self) -> Option<u8> {
-        match self {
-            Symbol::Data(b) => Some(b),
-            Symbol::Command(_) => None,
-        }
-    }
-
-    /// Returns the command, if this is a command symbol.
-    pub fn command(self) -> Option<Command> {
-        match self {
-            Symbol::Data(_) => None,
-            Symbol::Command(c) => Some(c),
-        }
-    }
-}
-
-/// Returns `true` if slot number `slot` (counting from 0) is a flow-control
-/// slot under the paper's time-multiplexing rule.
-pub fn is_flow_control_slot(slot: u64) -> bool {
-    slot % FLOW_CONTROL_INTERVAL == FLOW_CONTROL_INTERVAL - 1
 }
 
 #[cfg(test)]
@@ -93,19 +71,5 @@ mod tests {
         assert!(Command::Idhy.is_flow_control());
         assert!(!Command::Sync.is_flow_control());
         assert!(!Command::Begin.is_flow_control());
-    }
-
-    #[test]
-    fn symbol_accessors() {
-        assert_eq!(Symbol::Data(7).data(), Some(7));
-        assert_eq!(Symbol::Data(7).command(), None);
-        assert_eq!(Symbol::SYNC.command(), Some(Command::Sync));
-        assert_eq!(Symbol::SYNC.data(), None);
-    }
-
-    #[test]
-    fn flow_control_slots_every_256() {
-        let fc_slots: Vec<u64> = (0..1024).filter(|&s| is_flow_control_slot(s)).collect();
-        assert_eq!(fc_slots, vec![255, 511, 767, 1023]);
     }
 }

@@ -110,4 +110,10 @@ if [ -e crates/trace/src/metrics.rs ] ||
     exit 1
 fi
 
+echo "==> oracles fold over the spine: no port poll, no snapshots, no blackout switch"
+if grep -rEn 'observe_ports|PortObservation|NodeSnapshot|check_blackouts' crates src tests examples; then
+    echo "every oracle reads the event spine only (DESIGN.md, Oracle list)" >&2
+    exit 1
+fi
+
 echo "OK in $(($(date +%s) - start)) s"

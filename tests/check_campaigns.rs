@@ -131,12 +131,8 @@ fn planted_skeptic_bug_is_caught_and_shrunk() {
         ..NetParams::tuned()
     };
     // Bounds derived from the *tuned* parameters: what the skeptic is
-    // supposed to enforce. A 5 ms observation step keeps the episode
-    // measurement tight enough to convict.
-    let cfg = OracleConfig {
-        step_ms: 5,
-        ..OracleConfig::from_params(&AutopilotParams::tuned())
-    };
+    // supposed to enforce.
+    let cfg = OracleConfig::from_params(&AutopilotParams::tuned());
     // One short cable bounce (the actual bug trigger: down 40 ms, the
     // degraded skeptic readmits far inside the 100 ms hold) buried in
     // decoy events the shrinker must discard.
@@ -222,7 +218,7 @@ fn planted_skeptic_bug_is_caught_and_shrunk() {
     };
     let snippet = rep.snippet(
         "let params = autonet::net::NetParams { autopilot: degraded_params(), ..autonet::net::NetParams::tuned() };\n    \
-         let cfg = OracleConfig { step_ms: 5, ..OracleConfig::from_params(&autonet::autopilot::AutopilotParams::tuned()) };",
+         let cfg = OracleConfig::from_params(&autonet::autopilot::AutopilotParams::tuned());",
         "run_packet(&scenario, &params, &cfg)",
     );
     assert!(snippet.contains("fn reproduces_skeptic_hold()"));
@@ -241,10 +237,7 @@ fn forced_failure_emits_a_complete_postmortem_bundle() {
         autopilot: degraded_params(),
         ..NetParams::tuned()
     };
-    let cfg = OracleConfig {
-        step_ms: 5,
-        ..OracleConfig::from_params(&AutopilotParams::tuned())
-    };
+    let cfg = OracleConfig::from_params(&AutopilotParams::tuned());
     let scenario = Scenario {
         name: "forced-postmortem".into(),
         topo: TopoSpec::Ring { n: 4, seed: 0 },

@@ -581,10 +581,7 @@ fn forked_violation_equals_the_cold_one() {
         autopilot: degraded_params(),
         ..NetParams::tuned()
     };
-    let cfg = OracleConfig {
-        step_ms: 5,
-        ..OracleConfig::from_params(&AutopilotParams::tuned())
-    };
+    let cfg = OracleConfig::from_params(&AutopilotParams::tuned());
     let topo = hosted(TopoSpec::Ring { n: 8, seed: 2 });
     let bounce = Scenario {
         name: "fork-planted-skeptic".into(),
