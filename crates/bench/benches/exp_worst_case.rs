@@ -11,6 +11,14 @@
 //! the payoff of searching instead of sampling — and the champion
 //! schedules are pinned as goldens in `tests/worst_case_goldens.rs`.
 //!
+//! One search seed is an anecdote, so a second table runs each topology
+//! at consecutive search seeds from 24 (8, or 4 on the 256-switch fabric)
+//! and reports the champion blackout's spread, the median of the random
+//! medians, and the sweep's total evaluations, violations and wall. Seed
+//! 24 of the sweep is the first table's row, run once. The gate holds
+//! min ≤ median ≤ max and the median champion ≥ max(median random median,
+//! 1 ns); medians are upper medians.
+//!
 //! Every candidate of a search shares its topology, parameters and seed,
 //! so the search boots the network once and resumes a clone per
 //! evaluation, each generation's clones on one thread per core: `boots`
@@ -19,9 +27,10 @@
 //! the row. The gate also holds `worst blackout` ≥ `random median`.
 //!
 //! `WORST_CASE_SMOKE=1` runs the CI-budget variant (ring-8 only, smoke
-//! search budget) and writes `BENCH_worst_case_smoke.json` instead.
+//! search budget, 4 sweep seeds) and writes `BENCH_worst_case_smoke.json`
+//! instead.
 
-use autonet_bench::{Report, Table, Value};
+use autonet_bench::{quantile, Report, Table, Value};
 use autonet_check::{worst_case_search, OracleConfig, TopoSpec, WorstCaseConfig};
 use autonet_net::NetParams;
 
@@ -50,12 +59,21 @@ fn main() {
         tracing: true,
         ..NetParams::scale()
     };
-    let cases: Vec<(&str, TopoSpec, NetParams, WorstCaseConfig)> = if smoke {
+    // (name, topology, parameters, search budget by seed, sweep seeds)
+    type Case = (
+        &'static str,
+        TopoSpec,
+        NetParams,
+        fn(u64) -> WorstCaseConfig,
+        u64,
+    );
+    let cases: Vec<Case> = if smoke {
         vec![(
             "ring-8",
             hosted(TopoSpec::Ring { n: 8, seed: 2 }),
             tuned,
-            WorstCaseConfig::smoke(SEARCH_SEED),
+            WorstCaseConfig::smoke,
+            4,
         )]
     } else {
         vec![
@@ -63,13 +81,15 @@ fn main() {
                 "src-30",
                 hosted(TopoSpec::Src { seed: 1991 }),
                 tuned,
-                WorstCaseConfig::new(SEARCH_SEED),
+                WorstCaseConfig::new,
+                8,
             ),
             (
                 "ring-8",
                 hosted(TopoSpec::Ring { n: 8, seed: 2 }),
                 tuned,
-                WorstCaseConfig::new(SEARCH_SEED),
+                WorstCaseConfig::new,
+                8,
             ),
             (
                 "torus-4x4",
@@ -79,7 +99,8 @@ fn main() {
                     seed: 3,
                 }),
                 tuned,
-                WorstCaseConfig::new(SEARCH_SEED),
+                WorstCaseConfig::new,
+                8,
             ),
             (
                 // The 256-switch fabric gets the smoke budget: every
@@ -90,7 +111,8 @@ fn main() {
                     seed: 99,
                 }),
                 scale,
-                WorstCaseConfig::smoke(SEARCH_SEED),
+                WorstCaseConfig::smoke,
+                4,
             ),
         ]
     };
@@ -112,27 +134,64 @@ fn main() {
             "search wall (s)",
         ],
     );
-    for (name, topo, params, budget) in cases {
+    let mut sweep = Table::new(
+        &format!("E24: champion blackout over search seeds {SEARCH_SEED}.. (upper medians)"),
+        &[
+            "topology",
+            "seeds",
+            "min worst",
+            "median worst",
+            "max worst",
+            "median random median",
+            "evals",
+            "violations",
+            "search wall (s)",
+        ],
+    );
+    for (name, topo, params, budget, seeds) in cases {
         let oracle = OracleConfig::from_params(&params.autopilot);
-        let started = std::time::Instant::now();
-        let res = worst_case_search(&topo, &params, &oracle, &budget);
-        let wall_s = started.elapsed().as_secs_f64();
-        let (worst, median) = (res.damage.blackout, res.random_median_blackout);
-        // No ratio against a random corpus that found no blackout at all.
-        let ratio = (median.as_nanos() > 0).then(|| worst.as_secs_f64() / median.as_secs_f64());
-        t.row([
+        let (mut worsts, mut medians) = (Vec::new(), Vec::new());
+        let (mut evals, mut violations, mut sweep_wall) = (0, 0, 0.0);
+        for seed in SEARCH_SEED..SEARCH_SEED + seeds {
+            let started = std::time::Instant::now();
+            let res = worst_case_search(&topo, &params, &oracle, &budget(seed));
+            let wall_s = started.elapsed().as_secs_f64();
+            let (worst, median) = (res.damage.blackout, res.random_median_blackout);
+            worsts.push(worst);
+            medians.push(median);
+            evals += res.evaluations;
+            violations += res.violations;
+            sweep_wall += wall_s;
+            if seed != SEARCH_SEED {
+                continue;
+            }
+            // No ratio against a random corpus that found no blackout at all.
+            let ratio = (median.as_nanos() > 0).then(|| worst.as_secs_f64() / median.as_secs_f64());
+            t.row([
+                name.into(),
+                res.champion.events.len().into(),
+                worst.into(),
+                median.into(),
+                ratio.into(),
+                res.damage.affected_pairs.into(),
+                res.damage.skeptic_hold.into(),
+                res.damage.unroutable.into(),
+                res.evaluations.into(),
+                res.violations.into(),
+                res.boots.into(),
+                Value::Wall(wall_s),
+            ]);
+        }
+        sweep.row([
             name.into(),
-            res.champion.events.len().into(),
-            worst.into(),
-            median.into(),
-            ratio.into(),
-            res.damage.affected_pairs.into(),
-            res.damage.skeptic_hold.into(),
-            res.damage.unroutable.into(),
-            res.evaluations.into(),
-            res.violations.into(),
-            res.boots.into(),
-            Value::Wall(wall_s),
+            seeds.into(),
+            worsts.iter().min().copied().into(),
+            quantile(&worsts, 0.5).into(),
+            worsts.iter().max().copied().into(),
+            quantile(&medians, 0.5).into(),
+            evals.into(),
+            violations.into(),
+            Value::Wall(sweep_wall),
         ]);
     }
     Report::new(if smoke {
@@ -141,6 +200,7 @@ fn main() {
         "worst_case"
     })
     .table(t)
+    .table(sweep)
     .finish();
     println!(
         "\nShape check: the searched schedule always at least matches its\n\

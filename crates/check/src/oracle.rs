@@ -34,13 +34,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use autonet_core::{AutopilotParams, Epoch, Event, PortState};
 use autonet_sim::{SimDuration, SimTime};
-use autonet_switch::ForwardingTable;
 use autonet_topo::{connected_components, NetView, SwitchId, Topology};
 use autonet_trace::TraceRecord;
 use autonet_wire::PortIndex;
 
 use crate::scenario::FaultOp;
-use crate::tables::find_table_cycle;
+use crate::tables::{channel_cycle, table_edges};
 
 /// What the oracles enforce and how the engine paces them.
 #[derive(Clone, Debug)]
@@ -350,8 +349,9 @@ pub struct OracleState {
     open: Vec<bool>,
     /// Per node: currently powered (engine faults update this).
     up: Vec<bool>,
-    /// Per node: most recently installed forwarding table.
-    tables: Vec<Option<ForwardingTable>>,
+    /// Per node: the channel dependency edges of its most recently
+    /// installed table, folded once at install (empty before the first).
+    edges: Vec<Vec<(usize, usize)>>,
     /// Per node: when each port's current dead episode began; cleared when
     /// the port enters `s.switch.good`.
     dead_since: Vec<BTreeMap<PortIndex, SimTime>>,
@@ -368,7 +368,7 @@ impl OracleState {
             entered: vec![None; n],
             open: vec![false; n],
             up: vec![true; n],
-            tables: vec![None; n],
+            edges: vec![Vec::new(); n],
             dead_since: vec![BTreeMap::new(); n],
         }
     }
@@ -382,7 +382,7 @@ impl OracleState {
         // port episodes restart from scratch.
         self.up[s] = matches!(op, FaultOp::SwitchUp(_));
         self.open[s] = false;
-        self.tables[s] = None;
+        self.edges[s].clear();
         self.last_open_epoch[s] = None;
         self.entered[s] = None;
         self.dead_since[s].clear();
@@ -453,7 +453,7 @@ impl OracleState {
                 }
                 Event::NetworkClosed { .. } => self.open[node] = false,
                 Event::TableInstalled { table, .. } => {
-                    self.tables[node] = Some(table.clone());
+                    self.edges[node] = table_edges(topo, SwitchId(node), table);
                     if self.open[node] {
                         // A live patch (host arrival/departure) under an
                         // open network must keep the graph acyclic.
@@ -482,20 +482,17 @@ impl OracleState {
             .filter(|&(s, _)| self.open[s] && self.up[s])
             .filter_map(|(_, e)| *e)
             .collect();
+        // Each channel enters exactly one switch, so the open switches'
+        // edge lists are disjoint and concatenate to the epoch's graph.
+        let mut edges = Vec::new();
         for epoch in epochs {
-            let visible: Vec<Option<ForwardingTable>> = self
-                .tables
-                .iter()
-                .enumerate()
-                .map(|(s, t)| {
-                    if self.open[s] && self.up[s] && self.last_open_epoch[s] == Some(epoch) {
-                        t.clone()
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            if let Some(channels) = find_table_cycle(topo, &visible) {
+            edges.clear();
+            for (s, own) in self.edges.iter().enumerate() {
+                if self.open[s] && self.up[s] && self.last_open_epoch[s] == Some(epoch) {
+                    edges.extend_from_slice(own);
+                }
+            }
+            if let Some(channels) = channel_cycle(topo, &edges) {
                 return Some(Violation::TableCycle {
                     node,
                     channels,
@@ -543,6 +540,7 @@ impl OracleState {
 mod tests {
     use super::*;
     use autonet_core::{ReconfigCause, TransitionCause};
+    use autonet_switch::{ForwardingEntry, ForwardingTable, PortSet};
     use autonet_wire::{LinkTiming, Uid};
 
     /// Switch 0: port 1 a trunk to switch 1, ports 2 and 3 a loopback
@@ -665,6 +663,102 @@ mod tests {
         assert_eq!(
             quiescence(&[rec(1, ms(2_000), closed)]),
             "switch 1 is closed at quiescence"
+        );
+    }
+
+    /// `node` installs a table that sends packets for switch number 9
+    /// arriving over the trunk (port 1 on both switches) straight back
+    /// over it.
+    fn installs(node: usize, time: SimTime, epoch: u64) -> TraceRecord {
+        let mut table = ForwardingTable::new();
+        table.set_switch_prefix(1, 9, ForwardingEntry::alternatives(PortSet::single(1)));
+        let epoch = Epoch(epoch);
+        rec(node, time, Event::TableInstalled { epoch, table })
+    }
+
+    /// The two reflecting tables' ping-pong, as `find_cycle` names it.
+    fn ping_pong(node: usize, time: SimTime) -> Option<Violation> {
+        let channels = vec!["s0→s1 (link 0)".into(), "s1→s0 (link 0)".into()];
+        Some(Violation::TableCycle {
+            node,
+            channels,
+            time,
+        })
+    }
+
+    #[test]
+    fn the_reopen_closing_a_ping_pong_convicts_at_its_instant() {
+        let topo = topo();
+        let cfg = OracleConfig::from_params(&AutopilotParams::tuned());
+        let mut oracle = OracleState::new(&topo, cfg);
+        let first = [
+            vec![installs(0, ms(10), 1), installs(1, ms(10), 1)],
+            opens(0, ms(20), 1),
+        ];
+        assert_eq!(oracle.ingest(&topo, &first.concat()), None);
+        assert_eq!(
+            oracle.ingest(&topo, &opens(1, ms(30), 1)),
+            ping_pong(1, ms(30))
+        );
+    }
+
+    #[test]
+    fn an_install_on_an_open_switch_convicts_at_its_instant() {
+        let topo = topo();
+        let mut oracle = armed(&topo);
+        assert_eq!(oracle.ingest(&topo, &[installs(0, ms(2_000), 1)]), None);
+        assert_eq!(
+            oracle.ingest(&topo, &[installs(1, ms(3_000), 1)]),
+            ping_pong(1, ms(3_000))
+        );
+    }
+
+    #[test]
+    fn closed_down_and_other_epoch_switches_contribute_no_edge() {
+        let topo = topo();
+        let closed = [
+            rec(1, ms(2_000), Event::NetworkClosed { epoch: Epoch(2) }),
+            installs(1, ms(2_100), 2),
+            installs(0, ms(2_200), 1),
+        ];
+        assert_eq!(armed(&topo).ingest(&topo, &closed), None);
+
+        let mut down = armed(&topo);
+        assert_eq!(down.ingest(&topo, &[installs(1, ms(2_000), 1)]), None);
+        down.on_fault(&FaultOp::SwitchDown(1));
+        assert_eq!(down.ingest(&topo, &[installs(0, ms(2_100), 1)]), None);
+
+        // Switch 1 moves on to epoch 2 while switch 0 stays open on 1: two
+        // configurations, never one graph, until switch 0 reopens on 2.
+        let mut split = armed(&topo);
+        let moved = [
+            vec![
+                installs(0, ms(2_000), 1),
+                rec(1, ms(2_100), Event::NetworkClosed { epoch: Epoch(2) }),
+                installs(1, ms(2_200), 2),
+            ],
+            opens(1, ms(2_300), 2),
+        ];
+        assert_eq!(split.ingest(&topo, &moved.concat()), None);
+        assert_eq!(
+            split.ingest(&topo, &opens(0, ms(2_400), 2)),
+            ping_pong(0, ms(2_400))
+        );
+    }
+
+    #[test]
+    fn a_reboot_forgets_the_installed_edges() {
+        let topo = topo();
+        let mut oracle = armed(&topo);
+        assert_eq!(oracle.ingest(&topo, &[installs(1, ms(2_000), 1)]), None);
+        oracle.on_fault(&FaultOp::SwitchUp(1));
+        assert_eq!(oracle.ingest(&topo, &[installs(0, ms(2_100), 1)]), None);
+        // The fresh incarnation reopens beside switch 0's reflecting table
+        // before installing anything: it brings no edge of the old one.
+        assert_eq!(oracle.ingest(&topo, &opens(1, ms(2_200), 1)), None);
+        assert_eq!(
+            oracle.ingest(&topo, &[installs(1, ms(2_300), 1)]),
+            ping_pong(1, ms(2_300))
         );
     }
 }

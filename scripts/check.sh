@@ -40,21 +40,24 @@ echo "==> bench gate self-test"
 # of a committed file and one whose wall clock moved, and refuse one whose
 # exact value moved, and a smoke file (no committed copy: held to the full
 # file's rows) with one — and, by the predicates themselves, a smoke file
-# whose flood was decoded more often than one send in 16, and two E24 files:
-# one whose first champion (src-30's) was lowered to 1 ns, below its random
-# median, and one whose first champion over a zero median was lowered to 0.
+# whose flood was decoded more often than one send in 16, and three E24
+# files: one whose first champion (src-30's) was lowered to 1 ns, below its
+# random median, one whose first champion over a zero median was lowered to
+# 0, and one whose first seed sweep's min and median champion were both
+# lowered to 0, below the 1 ns floor (min <= median still holds).
 # Each edit changes the first match only.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 f=BENCH_worst_case.json
 smoke=BENCH_scale_smoke.json
 first() { awk -v re="$2" -v to="$3" '!done && sub(re, to) { done = 1 } { print }' "$1"; }
-mkdir "$tmp/same" "$tmp/wall" "$tmp/moved" "$tmp/decoded" "$tmp/weak" "$tmp/dark"
+mkdir "$tmp/same" "$tmp/wall" "$tmp/moved" "$tmp/decoded" "$tmp/weak" "$tmp/dark" "$tmp/sweep"
 cp $f "$tmp/same/"
 first $f '"search wall [^"]*": [0-9.]+' '"search wall (s)": 99.5' >"$tmp/wall/$f"
 first $f '"evals": [0-9]+' '"evals": 99' >"$tmp/moved/$f"
 first $f '"worst blackout": [0-9]+' '"worst blackout": 1' >"$tmp/weak/$f"
 first $f '"worst blackout": [0-9]+, "random median": 0,' '"worst blackout": 0, "random median": 0,' >"$tmp/dark/$f"
+first $f '"min worst": [0-9]+, "median worst": [0-9]+' '"min worst": 0, "median worst": 0' >"$tmp/sweep/$f"
 first $smoke '"bring-up events": [0-9]+' '"bring-up events": 99' >"$tmp/moved/$smoke"
 first $smoke '"decoded": [0-9]+' '"decoded": 99' >"$tmp/decoded/$smoke"
 python3 scripts/check_bench.py "$tmp/same/$f" "$tmp/wall/$f" >/dev/null
@@ -70,6 +73,10 @@ fi
 if ! python3 scripts/check_bench.py "$tmp/weak/$f" 2>&1 | grep -q 'does not hold: every champion' ||
     ! python3 scripts/check_bench.py "$tmp/dark/$f" 2>&1 | grep -q 'does not hold: every champion'; then
     echo "the bench gate's E24 predicate passed a champion below its random median, or one with no blackout" >&2
+    exit 1
+fi
+if ! python3 scripts/check_bench.py "$tmp/sweep/$f" 2>&1 | grep -q 'does not hold: every seed sweep'; then
+    echo "the bench gate's E24 sweep predicate passed a median champion of 0" >&2
     exit 1
 fi
 
@@ -113,6 +120,13 @@ fi
 echo "==> oracles fold over the spine: no port poll, no snapshots, no blackout switch"
 if grep -rEn 'observe_ports|PortObservation|NodeSnapshot|check_blackouts' crates src tests examples; then
     echo "every oracle reads the event spine only (DESIGN.md, Oracle list)" >&2
+    exit 1
+fi
+
+echo "==> the table oracle holds channel edges, not tables"
+# Everything above the unit tests, which build tables to install.
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FNR ": " $0 }' crates/check/src/oracle.rs | grep 'ForwardingTable'; then
+    echo "each installed table is folded once, at install (DESIGN.md, Oracle list)" >&2
     exit 1
 fi
 

@@ -87,6 +87,10 @@ PREDICATES = [
     # alone would pass a search that found nothing either.
     ("worst_case", "every champion's blackout is nonzero and at least its random corpus median (E24)",
      lambda d: all(r["worst blackout"] >= max(r["random median"], 1) for r in rows(d))),
+    ("worst_case", "every seed sweep has min <= median <= max champion, the median nonzero and"
+                   " at least the median random median (E24)",
+     lambda d: all(r["min worst"] <= r["median worst"] <= r["max worst"]
+                   and r["median worst"] >= max(r["median random median"], 1) for r in rows(d, 1))),
     ("benchmark", "no workload had a failed op or check",
      lambda d: all(w["failed"] == 0 for w in d["workloads"].values())),
     ("benchmark", "the 2-partition cut-and-heal cycle costs at most 3x the classic one",

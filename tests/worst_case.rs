@@ -9,9 +9,14 @@
 //! objective intact (the search asserts that internally; the golden in
 //! `tests/worst_case_goldens.rs` pins the found schedule).
 
+use std::time::{Duration, Instant};
+
 use autonet::net::NetParams;
 use autonet::sim::SimDuration;
-use autonet_check::{run_packet, worst_case_search, OracleConfig, TopoSpec, WorstCaseConfig};
+use autonet_check::{
+    run_packet, worst_case_search, BootedCampaign, FaultEvent, FaultOp, OracleConfig, Scenario,
+    TopoSpec, WorstCaseConfig,
+};
 
 fn hosted(base: TopoSpec) -> TopoSpec {
     TopoSpec::Hosted {
@@ -137,5 +142,60 @@ fn src30_worst_case_exceeds_e21_random_median() {
         "shrink lowered the objective: {} < {}",
         res.damage.blackout,
         res.pre_shrink.blackout
+    );
+}
+
+/// The cost of one E24 fat_tree-256 evaluation, held by a wall budget:
+/// boot the hosted 256-switch fabric under E24's parameters (scale CPU
+/// preset, tracing on, search seed 24) and resume one fixed cut-and-heal
+/// with every oracle on. The table oracle checks the open switches' edges
+/// at each of the fabric's ~256 reopens per epoch; rescanning whole tables
+/// there instead took ~22 s on a 2-core x86-64 host, against ~6 s with
+/// each table folded once at install. The budget sits ~3x above the
+/// latter. Release tier: `cargo test --release --test worst_case --
+/// --ignored`.
+#[test]
+#[ignore = "release tier: hosted fat_tree-256 boot plus one evaluation"]
+fn fat_tree_256_boot_and_cut_heal_within_budget() {
+    const BUDGET: Duration = Duration::from_secs(18);
+    let params = NetParams {
+        tracing: true,
+        ..NetParams::scale()
+    };
+    let oracle = OracleConfig::from_params(&params.autopilot);
+    let topo = hosted(TopoSpec::FatTree {
+        arities: vec![8, 2, 4],
+        seed: 99,
+    });
+    let wall = Instant::now();
+    let booted = BootedCampaign::packet(&topo, 24, &params, &oracle);
+    let boot = wall.elapsed();
+    let scenario = Scenario {
+        name: "fat-tree-cut-heal".into(),
+        topo,
+        seed: 24,
+        events: vec![
+            FaultEvent {
+                at_ms: 100,
+                op: FaultOp::LinkDown(0),
+            },
+            FaultEvent {
+                at_ms: 600,
+                op: FaultOp::LinkUp(0),
+            },
+        ],
+        settle_ms: 30_000,
+    };
+    let (outcome, _) = booted.resume(&scenario);
+    let elapsed = wall.elapsed();
+    assert!(outcome.passed(), "{}", outcome.violation.unwrap());
+    assert!(
+        outcome.damage.skeptic_hold > SimDuration::ZERO,
+        "the heal never went through the skeptic"
+    );
+    println!("fat_tree-256: boot {boot:?}, boot + cut-heal {elapsed:?}");
+    assert!(
+        elapsed < BUDGET,
+        "fat_tree-256 boot + cut-heal took {elapsed:?}, budget {BUDGET:?}"
     );
 }
