@@ -6,7 +6,7 @@
 //! packets, I/O-bus-bound for large ones.
 
 use autonet_bench::{Report, Table};
-use autonet_host::{Bridge, BridgeParams, BridgeVerdict, EthFrame, Side, IP_ETHERTYPE};
+use autonet_host::{Bridge, BridgeVerdict, EthFrame, Side, IP_ETHERTYPE};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_wire::Uid;
 
@@ -17,7 +17,7 @@ fn frame(dst: u64, src: u64, len: usize) -> EthFrame {
 /// When a small forwarded frame emerges from a bridge that was handed
 /// `backlog` frames of one class in the same instant.
 fn emerges_behind(backlog: u64, len: usize, discard: bool) -> SimTime {
-    let mut b = Bridge::new(BridgeParams::default());
+    let mut b = Bridge::new();
     let t0 = SimTime::ZERO;
     // Two same-side endpoints: frames between them are discarded.
     b.process(t0, Side::Ethernet, &frame(1, 2, 64));
@@ -60,7 +60,7 @@ fn main() {
         ]);
     }
     // Latency for a single small packet through an idle bridge.
-    let mut b = Bridge::new(BridgeParams::default());
+    let mut b = Bridge::new();
     let at = SimTime::from_millis(5);
     let BridgeVerdict::Forward { ready_at, .. } = b.process(at, Side::Autonet, &frame(42, 7, 52))
     else {

@@ -16,8 +16,12 @@ use autonet_wire::ShortAddress;
 
 const ADDR_C: u16 = 0x0100;
 
-/// The Figure 9 network (see `examples/broadcast_deadlock.rs` for the
-/// port map).
+/// Builds the Figure 9 network. Port assignments per switch:
+/// V: 1 = host A, 2 = link to W, 3 = link to X
+/// W: 1 = host B, 2 = link to V, 3 = link to Y
+/// X: 1 = link to V, 2 = link to Z
+/// Y: 1 = link to W, 2 = link to Z
+/// Z: 1 = host C, 2 = link to X, 3 = link to Y
 fn build_fig9(config: DatapathConfig) -> (DatapathSim, [DpHostId; 3]) {
     let mut sim = DatapathSim::new(config);
     let v = sim.add_switch();
@@ -34,6 +38,8 @@ fn build_fig9(config: DatapathConfig) -> (DatapathSim, [DpHostId; 3]) {
     sim.connect_switches(v, 2, w, 2, 7);
     sim.connect_switches(v, 3, x, 1, 7);
     sim.connect_switches(x, 2, z, 2, 7);
+    // The W–Y leg is a long fiber so B's packet reaches Z after the
+    // broadcast claims the Z→C link — the race in the figure.
     sim.connect_switches(w, 3, y, 1, 129);
     sim.connect_switches(y, 2, z, 3, 7);
     let c_addr = ShortAddress::from_raw(ADDR_C);

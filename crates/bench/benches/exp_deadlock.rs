@@ -63,6 +63,6 @@ fn main() {
          The live slot-level counterpart (cyclic routes wedging a ring while\n\
          up*/down* drains the same offered load) runs in the integration\n\
          test `routing_datapath::cyclic_routes_deadlock_on_a_ring_where_updown_does_not`\n\
-         and in `examples/broadcast_deadlock.rs`."
+         and, for Figure 9's broadcast case, in `exp_broadcast_deadlock` (E7)."
     );
 }

@@ -251,15 +251,9 @@ impl<S: Substrate> Run<'_, S> {
         });
         // Every online oracle stayed silent: the blackout ledger gets the
         // last word.
-        let violation = verdict.err().or_else(|| {
-            audit_blackouts(
-                interruption.as_ref()?,
-                &timeline,
-                &self.exempt,
-                self.cfg.blackout_slack,
-                end,
-            )
-        });
+        let violation = verdict
+            .err()
+            .or_else(|| audit_blackouts(interruption.as_ref()?, &timeline, &self.exempt, end));
         CheckOutcome {
             end,
             origin,
@@ -278,6 +272,9 @@ impl<S: Substrate> Run<'_, S> {
         }
     }
 }
+
+/// Budget for the initial bring-up convergence.
+const BRINGUP_BUDGET_MS: u64 = 120_000;
 
 /// The boot half: brings the network up to first quiescence, where the
 /// skeptic oracle arms and the probe flows start. A run that dies during
@@ -304,7 +301,7 @@ fn boot<S: Substrate>(
         quiescences: 0,
         exempt: BTreeSet::new(),
     };
-    let verdict = run.settle(cfg.bringup_budget_ms);
+    let verdict = run.settle(BRINGUP_BUDGET_MS);
     assert!(
         !run.spine.is_empty(),
         "bring-up drained no trace record: the oracles fold over the event spine, \

@@ -39,9 +39,7 @@ mod worst_case;
 
 pub use engine::{run_packet, run_scenario, run_slot, BootedCampaign, CheckOutcome};
 pub use oracle::{OracleConfig, Violation};
-pub use postmortem::{
-    default_postmortem_dir, postmortem_on_failure, write_postmortem, PostmortemConfig,
-};
+pub use postmortem::{default_postmortem_dir, postmortem_on_failure, write_postmortem};
 pub use scenario::{
     random_scenario, random_scenario_with, FaultEvent, FaultOp, GenOptions, Scenario, TopoSpec,
 };

@@ -47,18 +47,11 @@ pub struct OracleConfig {
     /// Minimum legal length of a dead episode: entry into `s.dead` to the
     /// next entry into `s.switch.good` (armed after first quiescence).
     pub skeptic_bound: SimDuration,
-    /// Budget for the initial bring-up convergence.
-    pub bringup_budget_ms: u64,
     /// Period of the settle poll: while waiting for quiescence the engine
     /// runs this long between two `Substrate::quiescent` checks.
     pub step_ms: u64,
     /// Probe cadence on topologies with at least two hosts.
     pub probe_interval: SimDuration,
-    /// How far past its epoch's reopen a blackout may run before the
-    /// oracle fires: data-plane restoration includes host address
-    /// relearning (ARP refresh / broadcast fallback), which trails the
-    /// control plane by up to a couple of seconds.
-    pub blackout_slack: SimDuration,
 }
 
 impl OracleConfig {
@@ -80,10 +73,8 @@ impl OracleConfig {
                 + p.conn_min_hold
                 + p.sampling_interval
                     .saturating_mul(u64::from(p.classify_samples.saturating_sub(1))),
-            bringup_budget_ms: 120_000,
             step_ms: 20,
             probe_interval: SimDuration::from_millis(25),
-            blackout_slack: SimDuration::from_secs(6),
         }
     }
 }
@@ -262,15 +253,21 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// How far past its epoch's reopen a blackout may run before the oracle
+/// fires: data-plane restoration includes host address relearning (ARP
+/// refresh / broadcast fallback), which trails the control plane by up to
+/// a couple of seconds.
+const BLACKOUT_SLACK: SimDuration = SimDuration::from_secs(6);
+
 /// The end-of-campaign blackout oracle: every recorded window on a
 /// non-exempt pair (neither endpoint ever lost power) must be well
 /// formed, explained by a reconfiguration epoch, and contained in that
-/// epoch's trigger → reopen span plus `slack` for host relearning.
+/// epoch's trigger → reopen span plus `BLACKOUT_SLACK` for host
+/// relearning.
 pub fn audit_blackouts(
     report: &autonet_trace::InterruptionReport,
     timeline: &autonet_trace::Timeline,
     exempt: &BTreeSet<usize>,
-    slack: SimDuration,
     horizon: SimTime,
 ) -> Option<Violation> {
     for p in &report.pairs {
@@ -318,7 +315,7 @@ pub fn audit_blackouts(
                     time: w.end,
                 });
             }
-            let bound = r.opened.unwrap_or(horizon) + slack;
+            let bound = r.opened.unwrap_or(horizon) + BLACKOUT_SLACK;
             if w.end > bound {
                 return Some(Violation::BlackoutOverrun {
                     pair: w.pair,

@@ -24,28 +24,14 @@ use crate::engine::CheckOutcome;
 use crate::scenario::Scenario;
 use crate::shrink::Reproducer;
 
-/// Bounds on what the bundle captures around the violation.
-#[derive(Clone, Copy, Debug)]
-pub struct PostmortemConfig {
-    /// Event-window reach before the violation instant.
-    pub before: SimDuration,
-    /// Event-window reach after the violation instant.
-    pub after: SimDuration,
-    /// Hard cap on bundled events; when the window holds more, the
-    /// **latest** `max_events` are kept (the records nearest the
-    /// violation matter most) and the summary says how many were cut.
-    pub max_events: usize,
-}
-
-impl Default for PostmortemConfig {
-    fn default() -> Self {
-        PostmortemConfig {
-            before: SimDuration::from_secs(2),
-            after: SimDuration::from_millis(500),
-            max_events: 20_000,
-        }
-    }
-}
+/// Event-window reach before the violation instant.
+const BEFORE: SimDuration = SimDuration::from_secs(2);
+/// Event-window reach after the violation instant.
+const AFTER: SimDuration = SimDuration::from_millis(500);
+/// Hard cap on bundled events; when the window holds more, the **latest**
+/// `MAX_EVENTS` are kept (the records nearest the violation matter most)
+/// and the summary says how many were cut.
+const MAX_EVENTS: usize = 20_000;
 
 /// The default bundle root: `<repo>/artifacts/postmortems` (gitignored).
 pub fn default_postmortem_dir() -> PathBuf {
@@ -64,7 +50,7 @@ pub fn default_postmortem_dir() -> PathBuf {
 /// - `summary.txt` — the violation, the scenario as code, run stats, the
 ///   critical path, and an index of the other files;
 /// - `events.jsonl` — the canonical event window around the violation
-///   (bounded by `cfg`);
+///   (bounded by `BEFORE`, `AFTER` and `MAX_EVENTS`);
 /// - `spans.trace.json` — the causal span tree of the whole run in
 ///   Chrome Trace Event Format (drop onto <https://ui.perfetto.dev>);
 /// - `reproducer.rs` — the shrunken self-contained test, when the caller
@@ -80,7 +66,6 @@ pub fn write_postmortem(
     scenario: &Scenario,
     outcome: &CheckOutcome,
     reproducer: Option<&Reproducer>,
-    cfg: &PostmortemConfig,
 ) -> io::Result<PathBuf> {
     let violation = outcome.violation.as_ref().ok_or_else(|| {
         io::Error::new(
@@ -93,14 +78,14 @@ pub fn write_postmortem(
 
     let merged = merge_sorted(&outcome.records);
     let vt = violation.time();
-    let lo = SimTime::from_nanos(vt.as_nanos().saturating_sub(cfg.before.as_nanos()));
-    let hi = vt.saturating_add(cfg.after);
+    let lo = SimTime::from_nanos(vt.as_nanos().saturating_sub(BEFORE.as_nanos()));
+    let hi = vt.saturating_add(AFTER);
     let windowed: Vec<TraceRecord> = merged
         .iter()
         .filter(|r| r.time >= lo && r.time <= hi)
         .cloned()
         .collect();
-    let cut = windowed.len().saturating_sub(cfg.max_events);
+    let cut = windowed.len().saturating_sub(MAX_EVENTS);
     let bundled = &windowed[cut..];
     fs::write(dir.join("events.jsonl"), to_jsonl(bundled))?;
 
@@ -115,7 +100,6 @@ pub fn write_postmortem(
             rep.snippet(
                 "let params = NetParams::tuned();\n    \
                  let cfg = OracleConfig::from_params(&params.autopilot);",
-                "run_packet(&scenario, &params, &cfg)",
             ),
         )?;
         files.push("reproducer.rs");
@@ -174,7 +158,6 @@ pub fn postmortem_on_failure(
         scenario,
         outcome,
         reproducer,
-        &PostmortemConfig::default(),
     ) {
         Ok(dir) => {
             eprintln!("postmortem bundle written to {}", dir.display());
@@ -211,15 +194,8 @@ mod tests {
             events: Vec::new(),
             settle_ms: 100,
         };
-        let err = write_postmortem(
-            Path::new("/nonexistent"),
-            "unit",
-            &scenario,
-            &outcome,
-            None,
-            &PostmortemConfig::default(),
-        )
-        .unwrap_err();
+        let err = write_postmortem(Path::new("/nonexistent"), "unit", &scenario, &outcome, None)
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(postmortem_on_failure("unit", &scenario, &outcome, None).is_none());
     }

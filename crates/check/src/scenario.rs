@@ -24,15 +24,6 @@ pub enum TopoSpec {
     Torus { w: usize, h: usize, seed: u64 },
     /// `gen::random_connected(n, extra, seed)`.
     RandomConnected { n: usize, extra: usize, seed: u64 },
-    /// `gen::random_connected(n, extra, seed)` plus `per_switch`
-    /// dual-homed hosts on every switch — the hosted corpus the blackout
-    /// oracle runs probes over.
-    RandomConnectedHosts {
-        n: usize,
-        extra: usize,
-        per_switch: usize,
-        seed: u64,
-    },
     /// `gen::src_network(seed)`: the paper's 30-switch SRC fabric.
     Src { seed: u64 },
     /// `gen::fat_tree(&arities, seed)`.
@@ -55,16 +46,6 @@ impl TopoSpec {
             TopoSpec::Ring { n, seed } => gen::ring(n, seed),
             TopoSpec::Torus { w, h, seed } => gen::torus(w, h, seed),
             TopoSpec::RandomConnected { n, extra, seed } => gen::random_connected(n, extra, seed),
-            TopoSpec::RandomConnectedHosts {
-                n,
-                extra,
-                per_switch,
-                seed,
-            } => {
-                let mut topo = gen::random_connected(n, extra, seed);
-                gen::add_dual_homed_hosts(&mut topo, per_switch, seed ^ 0x4057);
-                topo
-            }
             TopoSpec::Src { seed } => gen::src_network(seed),
             TopoSpec::FatTree { ref arities, seed } => gen::fat_tree(arities, seed),
             TopoSpec::Hosted {
@@ -90,14 +71,6 @@ impl TopoSpec {
             TopoSpec::RandomConnected { n, extra, seed } => {
                 format!("TopoSpec::RandomConnected {{ n: {n}, extra: {extra}, seed: {seed} }}")
             }
-            TopoSpec::RandomConnectedHosts {
-                n,
-                extra,
-                per_switch,
-                seed,
-            } => format!(
-                "TopoSpec::RandomConnectedHosts {{ n: {n}, extra: {extra}, per_switch: {per_switch}, seed: {seed} }}"
-            ),
             TopoSpec::Src { seed } => format!("TopoSpec::Src {{ seed: {seed} }}"),
             TopoSpec::FatTree { ref arities, seed } => {
                 format!("TopoSpec::FatTree {{ arities: vec!{arities:?}, seed: {seed} }}")

@@ -88,28 +88,46 @@ pub struct Reproducer {
 }
 
 impl Reproducer {
-    /// A copy-pasteable, self-contained Rust test. `runner` is the
-    /// expression that runs the scenario, e.g.
-    /// `run_packet(&scenario, &params, &cfg)`; `setup` is any statements
-    /// it needs (parameter construction), emitted verbatim above it.
-    pub fn snippet(&self, setup: &str, runner: &str) -> String {
+    /// A copy-pasteable, self-contained Rust test that runs the scenario
+    /// with `run_packet(&scenario, &params, &cfg)`. `setup` is the
+    /// statements that bind `params` and `cfg`, emitted verbatim above it.
+    pub fn snippet(&self, setup: &str) -> String {
         let kind = self.violation.kind();
-        let fn_name = kind.replace('-', "_");
-        format!(
-            "// Auto-shrunk reproducer: {violation}\n\
-             #[test]\n\
-             fn reproduces_{fn_name}() {{\n    \
-                 use autonet_check::*;\n    \
-                 {setup}\n    \
-                 let scenario = {code};\n    \
-                 let outcome = {runner};\n    \
-                 let v = outcome.violation.expect(\"violation must reproduce\");\n    \
-                 assert_eq!(v.kind(), {kind:?});\n\
-             }}\n",
-            violation = self.violation,
-            code = self.scenario.to_code(),
+        render_test(
+            &format!("Auto-shrunk reproducer: {}", self.violation),
+            &format!("reproduces_{}", kind.replace('-', "_")),
+            setup,
+            &self.scenario,
+            &format!(
+                "let v = outcome.violation.expect(\"violation must reproduce\");\n    \
+                 assert_eq!(v.kind(), {kind:?});"
+            ),
         )
     }
+}
+
+/// The frame every rendered reproducer shares: a `#[test]` named `name`
+/// under a `comment` line that runs `setup`, then `scenario` through
+/// `run_packet`, then `assertion`. Each piece is emitted verbatim.
+pub(crate) fn render_test(
+    comment: &str,
+    name: &str,
+    setup: &str,
+    scenario: &Scenario,
+    assertion: &str,
+) -> String {
+    format!(
+        "// {comment}\n\
+         #[test]\n\
+         fn {name}() {{\n    \
+             use autonet_check::*;\n    \
+             {setup}\n    \
+             let scenario = {code};\n    \
+             let outcome = run_packet(&scenario, &params, &cfg);\n    \
+             {assertion}\n\
+         }}\n",
+        code = scenario.to_code(),
+    )
 }
 
 #[cfg(test)]
@@ -196,7 +214,6 @@ mod tests {
         };
         let s = rep.snippet(
             "let params = autonet_net::NetParams::tuned();\n    let cfg = OracleConfig::from_params(&params.autopilot);",
-            "run_packet(&scenario, &params, &cfg)",
         );
         assert!(s.contains("#[test]"));
         assert!(s.contains("fn reproduces_settle_timeout()"));

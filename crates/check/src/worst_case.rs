@@ -57,7 +57,7 @@ use crate::engine::{BootedCampaign, CheckOutcome};
 use crate::objective::ParetoFront;
 use crate::oracle::OracleConfig;
 use crate::scenario::{FaultEvent, FaultOp, Scenario, TopoSpec};
-use crate::shrink::shrink_schedule;
+use crate::shrink::{render_test, shrink_schedule};
 
 /// Budget and shape knobs of one search. Everything is deterministic in
 /// `seed`.
@@ -75,8 +75,6 @@ pub struct WorstCaseConfig {
     /// Schedule length cap (the "k" of k-event schedules; goldens pin
     /// k ≤ 3).
     pub max_events: usize,
-    /// Percent chance a generated event lands in its predecessor's slot.
-    pub same_slot_pct: u64,
     /// Latest event offset from first quiescence, in milliseconds.
     pub horizon_ms: u64,
     /// Final settle budget of every candidate scenario.
@@ -99,7 +97,6 @@ impl WorstCaseConfig {
             rounds: 3,
             children: 4,
             max_events: 3,
-            same_slot_pct: 35,
             horizon_ms: 1_500,
             settle_ms: 30_000,
         }
@@ -224,6 +221,9 @@ impl Targets {
     }
 }
 
+/// Percent chance a generated event lands in its predecessor's slot.
+const SAME_SLOT_PCT: u64 = 35;
+
 /// A random k-event schedule on the target topology (the corpus
 /// generator; unlike [`crate::scenario::random_scenario`] the topology
 /// is the caller's, not drawn from the seed).
@@ -232,7 +232,7 @@ fn random_schedule(targets: &Targets, rng: &mut SimRng, cfg: &WorstCaseConfig) -
     let mut t_ms = 0u64;
     let mut events = Vec::with_capacity(k);
     for _ in 0..k {
-        let same_slot = !events.is_empty() && rng.below(100) < cfg.same_slot_pct;
+        let same_slot = !events.is_empty() && rng.below(100) < SAME_SLOT_PCT;
         if !same_slot {
             t_ms += 30 + rng.below(cfg.horizon_ms.max(60) / 3);
         }
@@ -514,24 +514,21 @@ fn search(
 /// Renders a champion as a self-contained `#[test]` asserting its
 /// blackout floor (the shape the golden pins use).
 fn render_reproducer(scenario: &Scenario, damage: &DamageReport) -> String {
-    format!(
-        "// Worst-case champion: {damage}\n\
-         #[test]\n\
-         fn worst_case_reproducer() {{\n    \
-             use autonet_check::*;\n    \
-             let params = autonet_net::NetParams::tuned();\n    \
-             let cfg = OracleConfig::from_params(&params.autopilot);\n    \
-             let scenario = {code};\n    \
-             let outcome = run_packet(&scenario, &params, &cfg);\n    \
-             assert!(\n        \
+    render_test(
+        &format!("Worst-case champion: {damage}"),
+        "worst_case_reproducer",
+        "let params = autonet_net::NetParams::tuned();\n    \
+         let cfg = OracleConfig::from_params(&params.autopilot);",
+        scenario,
+        &format!(
+            "assert!(\n        \
                  outcome.damage.blackout\n            \
                      >= autonet_sim::SimDuration::from_nanos({floor}),\n        \
                  \"blackout objective regressed: {{}}\",\n        \
                  outcome.damage,\n    \
-             );\n\
-         }}\n",
-        code = scenario.to_code(),
-        floor = damage.blackout.as_nanos(),
+             );",
+            floor = damage.blackout.as_nanos(),
+        ),
     )
 }
 

@@ -18,6 +18,9 @@ use crate::params::AutopilotParams;
 use crate::port_state::PortState;
 use crate::skeptic::Skeptic;
 
+/// Missed replies in a row before a good port is demoted.
+const PROBE_MISS_LIMIT: u32 = 3;
+
 /// The identity of a verified neighbor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NeighborId {
@@ -56,7 +59,6 @@ pub struct ConnectivityMonitor {
     good_streak_since: Option<SimTime>,
     probe_interval: SimDuration,
     probe_timeout: SimDuration,
-    probe_miss_limit: u32,
 }
 
 impl ConnectivityMonitor {
@@ -80,7 +82,6 @@ impl ConnectivityMonitor {
             good_streak_since: None,
             probe_interval: params.probe_interval,
             probe_timeout: params.probe_timeout,
-            probe_miss_limit: params.probe_miss_limit,
         }
     }
 
@@ -140,7 +141,7 @@ impl ConnectivityMonitor {
             if now.saturating_since(sent) >= self.probe_timeout {
                 self.outstanding = None;
                 self.misses += 1;
-                if self.misses >= self.probe_miss_limit {
+                if self.misses >= PROBE_MISS_LIMIT {
                     self.misses = 0;
                     self.good_streak_since = None;
                     if self.state == PortState::SwitchGood {

@@ -31,9 +31,6 @@ pub struct AutopilotParams {
     pub sampling_interval: SimDuration,
     /// Consecutive clean samples needed in `s.checking` to classify a port.
     pub classify_samples: u32,
-    /// Consecutive stop-only sampling intervals before a blocked port is
-    /// declared dead (blockage removal, §6.5.3).
-    pub blockage_samples: u32,
     /// Status skeptic: minimum error-free hold before `s.dead` →
     /// `s.checking`.
     pub status_min_hold: SimDuration,
@@ -45,8 +42,6 @@ pub struct AutopilotParams {
     pub probe_interval: SimDuration,
     /// Probe reply timeout.
     pub probe_timeout: SimDuration,
-    /// Missed replies in a row before a good port is demoted.
-    pub probe_miss_limit: u32,
     /// Connectivity skeptic: minimum good-response period before
     /// `s.switch.who` → `s.switch.good`.
     pub conn_min_hold: SimDuration,
@@ -67,13 +62,11 @@ impl AutopilotParams {
             timer_resolution: SimDuration::from_micros(1200),
             sampling_interval: SimDuration::from_millis(5),
             classify_samples: 3,
-            blockage_samples: 40,
             status_min_hold: SimDuration::from_millis(100),
             status_max_hold: SimDuration::from_secs(60),
             status_decay: SimDuration::from_secs(10),
             probe_interval: SimDuration::from_millis(50),
             probe_timeout: SimDuration::from_millis(100),
-            probe_miss_limit: 3,
             conn_min_hold: SimDuration::from_millis(100),
             conn_max_hold: SimDuration::from_secs(60),
             conn_decay: SimDuration::from_secs(10),

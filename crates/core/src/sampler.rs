@@ -15,6 +15,10 @@ use crate::params::AutopilotParams;
 use crate::port_state::PortState;
 use crate::skeptic::Skeptic;
 
+/// Consecutive stop-only sampling intervals before a blocked port is
+/// declared dead (blockage removal, §6.5.3).
+const BLOCKAGE_SAMPLES: u32 = 40;
+
 /// Sampler-level classification (the black arrows of Figure 8).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SamplerEvent {
@@ -43,7 +47,6 @@ pub struct StatusSampler {
     /// Consecutive samples without forwarding progress.
     no_progress_streak: u32,
     classify_samples: u32,
-    blockage_samples: u32,
 }
 
 impl StatusSampler {
@@ -62,7 +65,6 @@ impl StatusSampler {
             stopped_streak: 0,
             no_progress_streak: 0,
             classify_samples: params.classify_samples,
-            blockage_samples: params.blockage_samples,
         }
     }
 
@@ -184,8 +186,7 @@ impl StatusSampler {
         } else {
             self.no_progress_streak += 1;
         }
-        self.stopped_streak >= self.blockage_samples
-            || self.no_progress_streak >= self.blockage_samples
+        self.stopped_streak >= BLOCKAGE_SAMPLES || self.no_progress_streak >= BLOCKAGE_SAMPLES
     }
 
     fn enter(&mut self, state: PortState) {

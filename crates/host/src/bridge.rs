@@ -35,34 +35,18 @@ impl Side {
     }
 }
 
-/// Cost-model parameters, calibrated to the Firefly bridge.
-#[derive(Clone, Copy, Debug)]
-pub struct BridgeParams {
-    /// CPU time to receive and discard one packet (~5000/s ⇒ 200 µs).
-    pub cpu_discard: SimDuration,
-    /// CPU time to forward one packet (~1000/s small ⇒ ~950 µs).
-    pub cpu_forward: SimDuration,
-    /// Effective I/O-bus time per byte: the packet crosses the 14 Mbit/s
-    /// Q-bus twice (in and out) with DMA setup and contention overhead;
-    /// calibrated so max-size forwards land in the paper's 200–300/s band.
-    pub bus_per_byte: SimDuration,
-    /// Fixed latency through the bridge (~1 ms for a small packet).
-    pub latency: SimDuration,
-    /// Largest frame forwardable to the Ethernet.
-    pub max_forward_len: usize,
-}
-
-impl Default for BridgeParams {
-    fn default() -> Self {
-        BridgeParams {
-            cpu_discard: SimDuration::from_micros(200),
-            cpu_forward: SimDuration::from_micros(950),
-            bus_per_byte: SimDuration::from_nanos(2400),
-            latency: SimDuration::from_millis(1),
-            max_forward_len: 1514,
-        }
-    }
-}
+/// CPU time to receive and discard one packet (~5000/s ⇒ 200 µs).
+const CPU_DISCARD: SimDuration = SimDuration::from_micros(200);
+/// CPU time to forward one packet (~1000/s small ⇒ ~950 µs).
+const CPU_FORWARD: SimDuration = SimDuration::from_micros(950);
+/// Effective I/O-bus time per byte: the packet crosses the 14 Mbit/s
+/// Q-bus twice (in and out) with DMA setup and contention overhead;
+/// calibrated so max-size forwards land in the paper's 200–300/s band.
+const BUS_PER_BYTE: SimDuration = SimDuration::from_nanos(2400);
+/// Fixed latency through the bridge (~1 ms for a small packet).
+const LATENCY: SimDuration = SimDuration::from_millis(1);
+/// Largest frame forwardable to the Ethernet.
+const MAX_FORWARD_LEN: usize = 1514;
 
 /// Bridge counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -95,9 +79,8 @@ pub enum BridgeVerdict {
 }
 
 /// A learning Autonet↔Ethernet bridge with a calibrated cost model.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Bridge {
-    params: BridgeParams,
     location: BTreeMap<Uid, Side>,
     /// The forwarding engine is busy until this instant (one logical
     /// forwarding pipeline, as in the two-processor Firefly).
@@ -107,13 +90,8 @@ pub struct Bridge {
 
 impl Bridge {
     /// Creates a bridge.
-    pub fn new(params: BridgeParams) -> Self {
-        Bridge {
-            params,
-            location: BTreeMap::new(),
-            busy_until: SimTime::ZERO,
-            stats: BridgeStats::default(),
-        }
+    pub fn new() -> Self {
+        Bridge::default()
     }
 
     /// Counter snapshot.
@@ -143,21 +121,18 @@ impl Bridge {
         };
         if !forward {
             // Discards still cost receive CPU.
-            let cost = self.params.cpu_discard;
-            self.busy_until = self.start_at(now) + cost;
+            self.busy_until = self.start_at(now) + CPU_DISCARD;
             self.stats.discarded += 1;
             return BridgeVerdict::Discard;
         }
-        if frame.wire_len() > self.params.max_forward_len {
-            let cost = self.params.cpu_discard;
-            self.busy_until = self.start_at(now) + cost;
+        if frame.wire_len() > MAX_FORWARD_LEN {
+            self.busy_until = self.start_at(now) + CPU_DISCARD;
             self.stats.refused += 1;
             return BridgeVerdict::Refuse;
         }
         // Forwarding cost: the larger of CPU and bus occupancy.
-        let bus =
-            SimDuration::from_nanos(self.params.bus_per_byte.as_nanos() * frame.wire_len() as u64);
-        let cost = self.params.cpu_forward.max(bus);
+        let bus = SimDuration::from_nanos(BUS_PER_BYTE.as_nanos() * frame.wire_len() as u64);
+        let cost = CPU_FORWARD.max(bus);
         let start = self.start_at(now);
         self.busy_until = start + cost;
         let to = from.other();
@@ -167,9 +142,7 @@ impl Bridge {
         }
         BridgeVerdict::Forward {
             to,
-            ready_at: self
-                .busy_until
-                .saturating_add(self.params.latency - cost.min(self.params.latency)),
+            ready_at: self.busy_until.saturating_add(LATENCY - cost.min(LATENCY)),
         }
     }
 
@@ -193,7 +166,7 @@ mod tests {
 
     #[test]
     fn learns_sides_and_filters() {
-        let mut b = Bridge::new(BridgeParams::default());
+        let mut b = Bridge::new();
         let t = SimTime::from_millis(1);
         // Host 1 speaks on the Ethernet; host 2 on the Autonet.
         b.process(t, Side::Ethernet, &frame(99, 1, 64));
@@ -215,7 +188,7 @@ mod tests {
 
     #[test]
     fn unknown_destination_forwarded() {
-        let mut b = Bridge::new(BridgeParams::default());
+        let mut b = Bridge::new();
         let v = b.process(SimTime::ZERO, Side::Autonet, &frame(42, 7, 64));
         assert!(matches!(
             v,
@@ -228,7 +201,7 @@ mod tests {
 
     #[test]
     fn broadcast_always_crosses() {
-        let mut b = Bridge::new(BridgeParams::default());
+        let mut b = Bridge::new();
         let f = EthFrame::new(BROADCAST_UID, Uid::new(7), IP_ETHERTYPE, vec![0u8; 10]);
         let v = b.process(SimTime::ZERO, Side::Autonet, &f);
         assert!(matches!(v, BridgeVerdict::Forward { .. }));
@@ -236,7 +209,7 @@ mod tests {
 
     #[test]
     fn oversize_refused() {
-        let mut b = Bridge::new(BridgeParams::default());
+        let mut b = Bridge::new();
         let v = b.process(SimTime::ZERO, Side::Autonet, &frame(42, 7, 4000));
         assert_eq!(v, BridgeVerdict::Refuse);
         assert_eq!(b.stats().refused, 1);
@@ -244,7 +217,7 @@ mod tests {
 
     #[test]
     fn small_packet_forward_rate_near_1000_per_sec() {
-        let mut b = Bridge::new(BridgeParams::default());
+        let mut b = Bridge::new();
         let mut now = SimTime::ZERO;
         let n = 500;
         for i in 0..n {
@@ -263,7 +236,7 @@ mod tests {
 
     #[test]
     fn max_size_forward_rate_200_to_300_per_sec() {
-        let mut b = Bridge::new(BridgeParams::default());
+        let mut b = Bridge::new();
         let mut now = SimTime::ZERO;
         let n = 200;
         for i in 0..n {
@@ -281,7 +254,7 @@ mod tests {
 
     #[test]
     fn discard_rate_near_5000_per_sec() {
-        let mut b = Bridge::new(BridgeParams::default());
+        let mut b = Bridge::new();
         let t = SimTime::ZERO;
         // Teach it both endpoints on the same side.
         b.process(t, Side::Ethernet, &frame(99, 1, 64));

@@ -19,32 +19,29 @@ use autonet_wire::{
 use crate::frame::EthFrame;
 use crate::localnet::{LocalNet, LocalNetStats};
 
+/// Normal liveness-check period ("every few seconds", §6.8.3).
+const LIVENESS_INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// Silence after a check before probing vigorously.
+const REPLY_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+/// Vigorous probe period.
+const VIGOROUS_INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// How long to try a silent link before switching again (§6.8.3: the
+/// driver alternates every ten seconds).
+const ALTERNATE_RETRY: SimDuration = SimDuration::from_secs(10);
+/// Frames buffered while no short address is known.
+const TX_BUFFER_FRAMES: usize = 64;
+
 /// Driver timing parameters (defaults from §6.8.3).
 #[derive(Clone, Copy, Debug)]
 pub struct HostParams {
-    /// Normal liveness-check period ("every few seconds").
-    pub liveness_interval: SimDuration,
-    /// Silence after a check before probing vigorously.
-    pub reply_timeout: SimDuration,
-    /// Vigorous probe period.
-    pub vigorous_interval: SimDuration,
     /// Silence that triggers failover to the alternate port.
     pub failover_threshold: SimDuration,
-    /// How long to try a silent link before switching again.
-    pub alternate_retry: SimDuration,
-    /// Frames buffered while no short address is known.
-    pub tx_buffer_frames: usize,
 }
 
 impl Default for HostParams {
     fn default() -> Self {
         HostParams {
-            liveness_interval: SimDuration::from_secs(2),
-            reply_timeout: SimDuration::from_millis(500),
-            vigorous_interval: SimDuration::from_millis(100),
             failover_threshold: SimDuration::from_secs(3),
-            alternate_retry: SimDuration::from_secs(10),
-            tx_buffer_frames: 64,
         }
     }
 }
@@ -151,7 +148,7 @@ impl HostController {
     /// Client transmission request.
     pub fn send(&mut self, now: SimTime, frame: EthFrame) -> Vec<HostAction> {
         if self.localnet.my_short().is_none() {
-            if self.pending_tx.len() >= self.params.tx_buffer_frames {
+            if self.pending_tx.len() >= TX_BUFFER_FRAMES {
                 self.stats.tx_discards += 1;
             } else {
                 self.pending_tx.push_back(frame);
@@ -235,9 +232,9 @@ impl HostController {
             } else {
                 // Never heard anything on this link since switching: give
                 // it the ten-second trial before alternating again.
-                self.params.alternate_retry
+                ALTERNATE_RETRY
             };
-            if silence >= threshold && since_switch >= threshold.min(self.params.alternate_retry) {
+            if silence >= threshold && since_switch >= threshold.min(ALTERNATE_RETRY) {
                 self.active = 1 - self.active;
                 self.switched_at = now;
                 self.last_contact = None;
@@ -252,10 +249,10 @@ impl HostController {
         }
         // Liveness checking cadence: vigorous when the switch has gone
         // quiet, relaxed otherwise.
-        let interval = if silence > self.params.reply_timeout {
-            self.params.vigorous_interval
+        let interval = if silence > REPLY_TIMEOUT {
+            VIGOROUS_INTERVAL
         } else {
-            self.params.liveness_interval
+            LIVENESS_INTERVAL
         };
         let due = self
             .last_check
@@ -448,17 +445,10 @@ mod tests {
 
     #[test]
     fn tx_buffer_bounds_and_discards() {
-        let mut c = HostController::new(
-            Uid::new(100),
-            HostParams {
-                tx_buffer_frames: 2,
-                ..HostParams::default()
-            },
-            true,
-        );
+        let mut c = controller();
         c.boot(SimTime::ZERO);
         let frame = EthFrame::new(Uid::new(200), Uid::new(100), IP_ETHERTYPE, &b"x"[..]);
-        for _ in 0..5 {
+        for _ in 0..TX_BUFFER_FRAMES + 3 {
             c.send(SimTime::from_millis(1), frame.clone());
         }
         assert_eq!(c.stats().tx_discards, 3);

@@ -24,7 +24,7 @@ mod ethernet;
 mod frame;
 mod localnet;
 
-pub use bridge::{Bridge, BridgeParams, BridgeStats, BridgeVerdict, Side};
+pub use bridge::{Bridge, BridgeStats, BridgeVerdict, Side};
 pub use controller::{HostAction, HostController, HostParams, HostStats};
 pub use ethernet::EthernetSegment;
 pub use frame::{EthFrame, FrameError, ARP_ETHERTYPE, BROADCAST_UID, IP_ETHERTYPE};

@@ -35,21 +35,12 @@ pub struct DatapathConfig {
     /// Free fraction `f` at which `stop` is issued (paper: 0.5 — stop when
     /// more than half full).
     pub fifo_free_fraction: f64,
-    /// Flow-control slot interval `S` (paper: 256).
-    pub fc_interval: u64,
-    /// Bytes of a packet that must be buffered before forwarding may begin
-    /// (paper §3.5: cut-through after 25 bytes).
-    pub cut_through_bytes: usize,
-    /// Slots per router decision (paper: 6 slots = 480 ns).
-    pub router_decision_slots: u64,
     /// Whether transmitters of broadcast packets ignore `stop` until end of
     /// packet — the broadcast-deadlock fix of §6.6.6. Disable to reproduce
     /// the deadlock.
     pub broadcast_ignores_stop: bool,
     /// Use the strict FCFS scheduler instead of FCFC (ablation).
     pub use_fcfs_scheduler: bool,
-    /// Entries per slot drained when discarding a packet.
-    pub discard_drain_rate: usize,
     /// When set, a crossbar connection that makes no progress for this
     /// many slots is aborted by the control software (an `end` terminates
     /// the truncated frame and the rest of the packet is discarded). This
@@ -63,12 +54,8 @@ impl Default for DatapathConfig {
         DatapathConfig {
             fifo_capacity: 4096,
             fifo_free_fraction: 0.5,
-            fc_interval: 256,
-            cut_through_bytes: 25,
-            router_decision_slots: 6,
             broadcast_ignores_stop: true,
             use_fcfs_scheduler: false,
-            discard_drain_rate: 1,
             stall_abort_slots: None,
         }
     }

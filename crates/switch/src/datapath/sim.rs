@@ -3,7 +3,10 @@
 use std::collections::VecDeque;
 
 use autonet_sim::SimRng;
-use autonet_wire::{Command, FifoEntry, PortIndex, ReceiveFifo, ShortAddress, Symbol, MAX_PORTS};
+use autonet_wire::{
+    Command, FifoEntry, PortIndex, ReceiveFifo, ShortAddress, Symbol, FLOW_CONTROL_INTERVAL,
+    MAX_PORTS,
+};
 
 use crate::forwarding::ForwardingTable;
 use crate::portset::PortSet;
@@ -17,6 +20,14 @@ use super::{
 
 /// Tag placeholder for symbols that do not carry one.
 const NO_TAG: PacketTag = PacketTag(u32::MAX);
+
+/// Bytes of a packet that must be buffered before forwarding may begin
+/// (paper §3.5: cut-through after 25 bytes).
+const CUT_THROUGH_BYTES: usize = 25;
+/// Slots per router decision (paper: 6 slots = 480 ns).
+const ROUTER_DECISION_SLOTS: u64 = 6;
+/// Entries per slot drained when discarding a packet.
+const DISCARD_DRAIN_RATE: usize = 1;
 
 /// One symbol in flight, with simulation-only metadata carried by `begin`
 /// symbols: the packet tag (instrumentation) and the receive port of the
@@ -555,7 +566,7 @@ impl DatapathSim {
     }
 
     fn is_fc_slot(&self) -> bool {
-        self.tick % self.cfg.fc_interval == self.cfg.fc_interval - 1
+        self.tick % FLOW_CONTROL_INTERVAL == FLOW_CONTROL_INTERVAL - 1
     }
 
     // ----- Phase A: reception -------------------------------------------
@@ -713,8 +724,7 @@ impl DatapathSim {
 
     fn phase_route(&mut self) {
         let tick = self.tick;
-        let cut_through = self.cfg.cut_through_bytes;
-        let run_round = tick.is_multiple_of(self.cfg.router_decision_slots);
+        let run_round = tick.is_multiple_of(ROUTER_DECISION_SLOTS);
         for si in 0..self.switches.len() {
             // Submit forwarding requests for ports whose head packet has
             // buffered enough for cut-through (port 0 is the control
@@ -731,7 +741,7 @@ impl DatapathSim {
                 if head.requested {
                     continue;
                 }
-                if head.buffered < cut_through && !head.fully_received {
+                if head.buffered < CUT_THROUGH_BYTES && !head.fully_received {
                     continue;
                 }
                 // The head packet's first two entries are its address bytes.
@@ -809,7 +819,7 @@ impl DatapathSim {
                 if !port.discarding {
                     continue;
                 }
-                for _ in 0..self.cfg.discard_drain_rate {
+                for _ in 0..DISCARD_DRAIN_RATE {
                     match port.fifo.pop() {
                         Some(FifoEntry::End) => {
                             port.rx_pkts.pop_front();

@@ -130,4 +130,21 @@ if awk '/^#\[cfg\(test\)\]/ { exit } { print FNR ": " $0 }' crates/check/src/ora
     exit 1
 fi
 
+echo "==> every knob has two users: single-valued fields stay constants"
+# Each former struct's file, checked for the fields that became a const
+# beside their reader. GenOptions::same_slot_pct (scenario.rs) stays.
+if grep -rEn 'BridgeParams|PostmortemConfig' crates src tests examples ||
+    grep -En 'pub (blockage_samples|probe_miss_limit):' crates/core/src/params.rs ||
+    grep -En 'pub (liveness_interval|reply_timeout|vigorous_interval|alternate_retry|tx_buffer_frames):' \
+        crates/host/src/controller.rs ||
+    grep -En 'pub (cpu_discard|cpu_forward|bus_per_byte|latency|max_forward_len):' crates/host/src/bridge.rs ||
+    grep -En 'pub (fc_interval|cut_through_bytes|router_decision_slots|discard_drain_rate):' \
+        crates/switch/src/datapath/mod.rs ||
+    grep -En 'pub (bringup_budget_ms|blackout_slack):' crates/check/src/oracle.rs ||
+    grep -En 'pub (before|after|max_events):' crates/check/src/postmortem.rs ||
+    grep -En 'pub same_slot_pct:' crates/check/src/worst_case.rs; then
+    echo "a field stays settable only while two non-test callers need different values (DESIGN.md, Knobs)" >&2
+    exit 1
+fi
+
 echo "OK in $(($(date +%s) - start)) s"

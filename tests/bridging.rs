@@ -4,8 +4,7 @@
 //! and refusing what the Ethernet cannot carry.
 
 use autonet::host::{
-    Bridge, BridgeParams, BridgeVerdict, EthFrame, EthernetSegment, LocalNet, Side, BROADCAST_UID,
-    IP_ETHERTYPE,
+    Bridge, BridgeVerdict, EthFrame, EthernetSegment, LocalNet, Side, BROADCAST_UID, IP_ETHERTYPE,
 };
 use autonet::sim::{SimDuration, SimTime};
 use autonet::wire::{Packet, ShortAddress, Uid};
@@ -42,7 +41,7 @@ impl ExtendedLan {
         ExtendedLan {
             autonet_host,
             bridge_localnet,
-            bridge: Bridge::new(BridgeParams::default()),
+            bridge: Bridge::new(),
             segment,
             eth_delivered: Vec::new(),
             auto_delivered: Vec::new(),

@@ -23,7 +23,7 @@ use autonet::net::{NetParams, PartitionedNetwork, SlotNet};
 use autonet_check::{
     default_postmortem_dir, degraded_params, packet_reproducer, postmortem_on_failure,
     random_scenario, run_packet, run_scenario, run_slot, write_postmortem, CheckOutcome,
-    FaultEvent, FaultOp, OracleConfig, PostmortemConfig, Reproducer, Scenario, TopoSpec,
+    FaultEvent, FaultOp, OracleConfig, Reproducer, Scenario, TopoSpec,
 };
 
 /// Shrinks a failing campaign, drops a postmortem bundle, and panics with
@@ -43,7 +43,6 @@ fn fail_with_reproducer(
         rep.snippet(
             "let params = autonet::net::NetParams::tuned();\n    \
              let cfg = OracleConfig::from_params(&params.autopilot);",
-            "run_packet(&scenario, &params, &cfg)",
         )
     );
 }
@@ -219,7 +218,6 @@ fn planted_skeptic_bug_is_caught_and_shrunk() {
     let snippet = rep.snippet(
         "let params = autonet::net::NetParams { autopilot: degraded_params(), ..autonet::net::NetParams::tuned() };\n    \
          let cfg = OracleConfig::from_params(&autonet::autopilot::AutopilotParams::tuned());",
-        "run_packet(&scenario, &params, &cfg)",
     );
     assert!(snippet.contains("fn reproduces_skeptic_hold()"));
     assert!(snippet.contains("FaultOp::LinkDown(0)"));
@@ -278,7 +276,6 @@ fn forced_failure_emits_a_complete_postmortem_bundle() {
         &scenario,
         &outcome,
         Some(&rep),
-        &PostmortemConfig::default(),
     )
     .expect("bundle written");
     assert!(dir.ends_with("forced-postmortem-skeptic-hold"));
@@ -324,11 +321,14 @@ fn hosted_campaigns_explain_every_blackout() {
     for (topo_seed, sim_seed) in [(3, 11), (5, 23)] {
         let scenario = Scenario {
             name: format!("hosted-cut-{topo_seed}"),
-            topo: TopoSpec::RandomConnectedHosts {
-                n: 5,
-                extra: 1,
+            topo: TopoSpec::Hosted {
+                base: Box::new(TopoSpec::RandomConnected {
+                    n: 5,
+                    extra: 1,
+                    seed: topo_seed,
+                }),
                 per_switch: 1,
-                seed: topo_seed,
+                seed: topo_seed ^ 0x4057,
             },
             seed: sim_seed,
             events: vec![

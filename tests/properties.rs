@@ -505,11 +505,10 @@ proptest! {
         let cfg = OracleConfig::from_params(&params.autopilot);
         let scenario = Scenario {
             name: format!("prop-hosted-{topo_seed}-{sim_seed}"),
-            topo: TopoSpec::RandomConnectedHosts {
-                n,
-                extra,
+            topo: TopoSpec::Hosted {
+                base: Box::new(TopoSpec::RandomConnected { n, extra, seed: topo_seed }),
                 per_switch: 1,
-                seed: topo_seed,
+                seed: topo_seed ^ 0x4057,
             },
             seed: sim_seed,
             events: vec![FaultEvent {
@@ -622,11 +621,10 @@ proptest! {
         let cfg = OracleConfig::from_params(&params.autopilot);
         let scenario = Scenario {
             name: format!("shrink-objective-{topo_seed}-{sim_seed}"),
-            topo: TopoSpec::RandomConnectedHosts {
-                n: 4,
-                extra: 2,
+            topo: TopoSpec::Hosted {
+                base: Box::new(TopoSpec::RandomConnected { n: 4, extra: 2, seed: topo_seed }),
                 per_switch: 1,
-                seed: topo_seed,
+                seed: topo_seed ^ 0x4057,
             },
             seed: sim_seed,
             events: vec![
