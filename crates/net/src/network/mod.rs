@@ -300,11 +300,19 @@ impl<D: Driver> Net<D> {
     /// consistency-polling period. The check walks every switch's agreed
     /// topology (quadratic in network size), so large-network callers
     /// poll at a coarser grain than the 20 ms default.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step` is zero: the clock would never reach `deadline`.
     pub fn run_until_stable_every(
         &mut self,
         step: SimDuration,
         deadline: SimTime,
     ) -> Option<SimTime> {
+        assert!(
+            step > SimDuration::ZERO,
+            "a zero polling step never advances the clock to the deadline"
+        );
         while self.sim.now() < deadline {
             self.sim.run_for(step);
             if self.control_plane_consistent() {

@@ -29,6 +29,15 @@ fn line_converges_and_matches_reference() {
     net.check_against_reference().expect("reference match");
 }
 
+/// On a network that has not settled, a zero step would poll forever at
+/// the same instant.
+#[test]
+#[should_panic(expected = "a zero polling step never advances the clock")]
+fn a_zero_polling_step_is_refused() {
+    let mut net = Network::new(gen::line(4, 42), NetParams::tuned(), 1);
+    net.run_until_stable_every(SimDuration::ZERO, SimTime::from_secs(1));
+}
+
 fn torus_matches_reference<D: Driver>(net: Net<D>) {
     net.check_against_reference().expect("reference match");
     // Every switch has 4 good ports on a 4x4 torus.

@@ -1,96 +1,51 @@
-//! A calendar (bucket) pending-event queue.
+//! The kernel's event calendar: the pending events of both driver loops.
 //!
 //! Same contract as [`EventQueue`](crate::EventQueue) — events pop in
-//! `(time, scheduling order)` — but backed by a timing wheel instead of a
-//! binary heap. The tie-break is a type parameter: the classic
-//! [`Simulator`](crate::Simulator) uses the default, a queue-assigned
-//! sequence number (FIFO among simultaneous events); the sharded executor
-//! supplies its canonical `(src, seq)` stamp through
-//! [`push_keyed`](CalendarQueue::push_keyed) so pop order is independent of
-//! insertion order. Each pending event lives in the bucket addressed by its
-//! *bucket number* `time >> shift` masked into a power-of-two ring; events
-//! more than one full rotation past the current minimum wait in a small
-//! overflow heap. Pops scan forward from the last minimum's bucket, so the
-//! common case (the next event lands in the same or a nearby bucket, as
-//! tick-driven simulations overwhelmingly do) touches one short contiguous
-//! `Vec` instead of `log n` scattered heap nodes.
+//! `(time, tie-break)` order — with the tie-break a type parameter: the
+//! classic [`Simulator`](crate::Simulator) uses the default, a
+//! queue-assigned sequence number (FIFO among simultaneous events); each
+//! [`ShardedSimulator`](crate::ShardedSimulator) shard supplies its
+//! canonical `(src, seq)` stamp through [`push_keyed`](KeyedHeap::push_keyed)
+//! so pop order is independent of insertion order.
 //!
-//! The queue resizes itself: when the population outgrows the ring (or
-//! shrinks well below it), the ring is rebuilt with a bucket count near the
-//! population and a bucket width near the average event spacing, keeping
-//! expected occupancy around one event per bucket. Every sizing decision
-//! is a pure function of the push/pop history, so runs stay bit-for-bit
-//! reproducible.
+//! A binary min-heap holds only compact `(time, key, slot)` entries (24
+//! bytes FIFO, 32 stamped); the payloads wait in a slab whose freed slots a
+//! free list hands back, so sifting moves no payload and the slab stops
+//! growing at the peak pending count. A heap's cost depends on the pending
+//! count alone, not on how the times spread — and the simulator's spread is
+//! wide: µs packet deliveries, ms timers and faults seconds ahead.
 //!
-//! Because `(time, key)` is a total order (keys are unique among pending
-//! entries), *any* correct priority queue pops in the identical order; the
-//! proptest suite in `tests/` checks this queue against the binary-heap
-//! reference on adversarial batches.
+//! Keys are unique among pending entries, so `slot` never decides an order
+//! and any correct priority queue pops identically; the proptest suite in
+//! `tests/` checks this one against the `EventQueue` reference.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// A pending event; `seq` is the tie-break key among equal times.
+/// A time-ordered queue of simulation events, popping in `(time, K)` order.
 #[derive(Clone)]
-struct Entry<E, K> {
-    time: SimTime,
-    seq: K,
-    event: E,
-}
-
-impl<E, K: Ord> PartialEq for Entry<E, K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E, K: Ord> Eq for Entry<E, K> {}
-
-impl<E, K: Ord> PartialOrd for Entry<E, K> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E, K: Ord> Ord for Entry<E, K> {
-    // BinaryHeap is a max-heap; invert so the earliest (time, seq) is the
-    // overflow top.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, &other.seq).cmp(&(self.time, &self.seq))
-    }
-}
-
-/// Smallest and largest ring sizes the queue will resize between.
-const MIN_BUCKETS: usize = 16;
-const MAX_BUCKETS: usize = 1 << 20;
-
-/// A time-ordered queue of simulation events on a timing wheel, popping in
-/// `(time, K)` order.
-#[derive(Clone)]
-pub struct CalendarQueue<E, K = u64> {
-    /// The ring. An entry with bucket number `b = time >> shift` lives at
-    /// physical index `b & mask`.
-    buckets: Vec<Vec<Entry<E, K>>>,
-    mask: u64,
-    shift: u32,
-    /// Events at least one full rotation past the minimum at push time.
-    overflow: BinaryHeap<Entry<E, K>>,
-    /// Entries currently in the ring (excludes overflow).
-    wheel_len: usize,
-    len: usize,
-    /// `(time, seq)` of the earliest entry, maintained eagerly so peeks
-    /// are O(1) and pops know where to look.
-    min: Option<(SimTime, K)>,
+pub struct KeyedHeap<E, K = u64> {
+    /// `(time, key, slot)` of every pending event; its payload is
+    /// `slab[slot]`.
+    heap: BinaryHeap<Reverse<(SimTime, K, u32)>>,
+    /// Payloads by slot; `None` marks a free slot.
+    slab: Vec<Option<E>>,
+    /// Free slots, last freed first.
+    free: Vec<u32>,
     /// Next queue-assigned key (FIFO queues only).
     next_seq: u64,
 }
 
-impl<E> CalendarQueue<E> {
+/// The queue's former name, which the frozen `benchmark/` crate imports.
+#[doc(hidden)]
+pub type CalendarQueue<E, K = u64> = KeyedHeap<E, K>;
+
+impl<E> KeyedHeap<E> {
     /// Creates an empty FIFO-tie-break queue.
     pub fn new() -> Self {
-        CalendarQueue::keyed()
+        KeyedHeap::keyed()
     }
 
     /// Schedules `event` for delivery at absolute time `time`, after every
@@ -102,190 +57,81 @@ impl<E> CalendarQueue<E> {
     }
 }
 
-impl<E, K: Ord + Copy> CalendarQueue<E, K> {
+impl<E, K: Ord> KeyedHeap<E, K> {
     /// Creates an empty queue whose callers supply the tie-break key.
     pub fn keyed() -> Self {
-        CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            mask: (MIN_BUCKETS - 1) as u64,
-            // 1 µs buckets to start; adapts on first resize.
-            shift: 10,
-            overflow: BinaryHeap::new(),
-            wheel_len: 0,
-            len: 0,
-            min: None,
+        KeyedHeap {
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
         }
-    }
-
-    fn bnum(&self, time: SimTime) -> u64 {
-        time.as_nanos() >> self.shift
     }
 
     /// Schedules `event` at `time` with an explicit tie-break `key`, which
     /// must be unique among pending entries.
     pub fn push_keyed(&mut self, time: SimTime, key: K, event: E) {
-        self.insert(Entry {
-            time,
-            seq: key,
-            event,
-        });
-        self.len += 1;
-        if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
-            self.rebuild();
-        }
-    }
-
-    fn insert(&mut self, e: Entry<E, K>) {
-        let key = (e.time, e.seq);
-        let b = self.bnum(e.time);
-        let horizon = self
-            .min
-            .map_or(u64::MAX, |(t, _)| self.bnum(t) + self.buckets.len() as u64);
-        if b >= horizon {
-            self.overflow.push(e);
-        } else {
-            self.buckets[(b & self.mask) as usize].push(e);
-            self.wheel_len += 1;
-        }
-        if self.min.is_none_or(|m| key < m) {
-            self.min = Some(key);
-        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("fewer than 2^32 pending events");
+                self.slab.push(Some(event));
+                slot
+            }
+        };
+        self.heap.push(Reverse((time, key, slot)));
     }
 
     /// Removes and returns the earliest event together with its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (time, seq) = self.min?;
-        let b0 = self.bnum(time);
-        let bucket = &mut self.buckets[(b0 & self.mask) as usize];
-        let entry = match bucket.iter().position(|e| e.seq == seq) {
-            Some(i) => {
-                self.wheel_len -= 1;
-                bucket.swap_remove(i)
-            }
-            // Not in its wheel bucket: the global minimum must be the
-            // overflow top.
-            None => self.overflow.pop().expect("min entry exists"),
-        };
-        self.len -= 1;
-        // Pull overflow entries whose rotation has come into the ring.
-        let horizon = b0 + self.buckets.len() as u64;
-        while self
-            .overflow
-            .peek()
-            .is_some_and(|e| self.bnum(e.time) < horizon)
-        {
-            let e = self.overflow.pop().expect("peeked");
-            let b = self.bnum(e.time);
-            self.buckets[(b & self.mask) as usize].push(e);
-            self.wheel_len += 1;
-        }
-        self.min = self.search_min(b0);
-        if self.len * 2 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
-            self.rebuild();
-        }
-        Some((entry.time, entry.event))
-    }
-
-    /// Finds the new `(time, seq)` minimum, scanning the ring forward from
-    /// bucket number `b0` (every remaining entry is at `b0` or later).
-    fn search_min(&self, b0: u64) -> Option<(SimTime, K)> {
-        if self.len == 0 {
-            return None;
-        }
-        let of = self.overflow.peek().map(|e| (e.time, e.seq));
-        if self.wheel_len == 0 {
-            return of;
-        }
-        let n = self.buckets.len() as u64;
-        for b in b0..b0 + n {
-            let best = self.buckets[(b & self.mask) as usize]
-                .iter()
-                .filter(|e| self.bnum(e.time) == b)
-                .map(|e| (e.time, e.seq))
-                .min();
-            if let Some(best) = best {
-                return Some(match of {
-                    Some(of) if of < best => of,
-                    _ => best,
-                });
-            }
-        }
-        // A full rotation without a hit: every ring entry aliases a later
-        // rotation (possible after pushes below an old minimum). Direct
-        // search.
-        let best = self.buckets.iter().flatten().map(|e| (e.time, e.seq)).min();
-        match (best, of) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Rebuilds the ring with a bucket count near the population and a
-    /// bucket width near the mean event spacing.
-    fn rebuild(&mut self) {
-        let mut entries: Vec<Entry<E, K>> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            entries.append(b);
-        }
-        entries.extend(std::mem::take(&mut self.overflow));
-        let nbuckets = self.len.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for e in &entries {
-            lo = lo.min(e.time.as_nanos());
-            hi = hi.max(e.time.as_nanos());
-        }
-        let spacing = ((hi - lo) / entries.len().max(1) as u64).max(1);
-        self.shift = 64 - spacing.leading_zeros() - 1;
-        self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        self.mask = (nbuckets - 1) as u64;
-        self.wheel_len = 0;
-        self.min = None;
-        for e in entries {
-            self.insert(e);
-        }
+        let Reverse((time, _, slot)) = self.heap.pop()?;
+        let event = self.slab[slot as usize]
+            .take()
+            .expect("a pending slot holds its payload");
+        self.free.push(slot);
+        Some((time, event))
     }
 
     /// Returns the time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.min.map(|(t, _)| t)
+        self.heap.peek().map(|Reverse((time, _, _))| *time)
     }
 
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Discards all pending events.
     pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.overflow.clear();
-        self.wheel_len = 0;
-        self.len = 0;
-        self.min = None;
+        self.heap.clear();
+        self.slab.clear();
+        self.free.clear();
     }
 }
 
-impl<E> Default for CalendarQueue<E> {
+impl<E> Default for KeyedHeap<E> {
     fn default() -> Self {
-        CalendarQueue::new()
+        KeyedHeap::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = CalendarQueue::new();
+        let mut q = KeyedHeap::new();
         q.push(SimTime::from_nanos(30), "c");
         q.push(SimTime::from_nanos(10), "a");
         q.push(SimTime::from_nanos(20), "b");
@@ -297,7 +143,7 @@ mod tests {
 
     #[test]
     fn simultaneous_events_are_fifo() {
-        let mut q = CalendarQueue::new();
+        let mut q = KeyedHeap::new();
         let t = SimTime::from_micros(1);
         for i in 0..100 {
             q.push(t, i);
@@ -309,7 +155,7 @@ mod tests {
 
     #[test]
     fn peek_matches_pop() {
-        let mut q = CalendarQueue::new();
+        let mut q = KeyedHeap::new();
         assert_eq!(q.peek_time(), None);
         q.push(SimTime::from_nanos(5), ());
         q.push(SimTime::from_nanos(2), ());
@@ -320,20 +166,24 @@ mod tests {
 
     #[test]
     fn len_and_clear() {
-        let mut q = CalendarQueue::new();
+        let mut q = KeyedHeap::new();
         assert!(q.is_empty());
         q.push(SimTime::ZERO, 1);
         q.push(SimTime::ZERO, 2);
         assert_eq!(q.len(), 2);
         q.clear();
         assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+        // The slab went with the entries.
+        q.push(SimTime::ZERO, 3);
+        assert_eq!(q.slab.len(), 1);
     }
 
     #[test]
-    fn far_future_events_round_trip_through_overflow() {
-        let mut q = CalendarQueue::new();
+    fn far_future_events_round_trip() {
+        let mut q = KeyedHeap::new();
         q.push(SimTime::from_nanos(1), 0u64);
-        // Push a spread of events many rotations ahead of the minimum.
+        // A spread of events seconds ahead of the minimum.
         for i in 1..200u64 {
             q.push(SimTime::from_secs(i), i);
         }
@@ -348,52 +198,22 @@ mod tests {
         assert_eq!(n, 200);
     }
 
+    /// At a steady pending count every pop frees the slot the next push
+    /// takes: 10⁵ pop + push cycles at 4 096 pending leave 4 096 slots.
     #[test]
-    fn interleaved_push_pop_keeps_order() {
-        // Pushes below already-popped times are allowed by the queue itself
-        // (the Scheduler enforces causality), so order is only guaranteed
-        // within one contiguous drain.
-        let mut q = CalendarQueue::new();
-        let mut popped = 0usize;
-        for round in 0u64..50 {
-            for k in 0..20u64 {
-                let t = SimTime::from_nanos((round * 7 + k * 131) % 900 + round * 100);
-                q.push(t, (round, k));
-            }
-            if round % 3 == 0 {
-                let mut last = None;
-                for _ in 0..15 {
-                    if let Some((t, _)) = q.pop() {
-                        assert!(last.is_none_or(|l| l <= t));
-                        last = Some(t);
-                        popped += 1;
-                    }
-                }
-            }
+    fn the_slab_stops_growing_at_the_peak_pending_count() {
+        const PENDING: u64 = 4_096;
+        let spread = |i: u64| SimDuration::from_nanos(i.wrapping_mul(0x9E37_79B9) % 2_000_000);
+        let mut q = KeyedHeap::new();
+        for i in 0..PENDING {
+            q.push(SimTime::ZERO + spread(i), i);
         }
-        let mut last = None;
-        while let Some((t, _)) = q.pop() {
-            assert!(last.is_none_or(|l| l <= t));
-            last = Some(t);
-            popped += 1;
+        for i in 0..100_000 {
+            let (t, e) = q.pop().expect("the queue holds its length");
+            q.push(t + spread(i ^ e), e);
         }
-        assert_eq!(popped, 1000);
-    }
-
-    #[test]
-    fn growth_and_shrink_keep_contents() {
-        let mut q = CalendarQueue::new();
-        for i in 0..5000u64 {
-            q.push(SimTime::from_nanos(i * 37 % 10_000), i);
-        }
-        assert_eq!(q.len(), 5000);
-        let mut seen = 0;
-        let mut last = None;
-        while let Some((t, _)) = q.pop() {
-            assert!(last.is_none_or(|l| l <= t));
-            last = Some(t);
-            seen += 1;
-        }
-        assert_eq!(seen, 5000);
+        assert_eq!(q.len(), PENDING as usize);
+        assert_eq!(q.slab.len(), PENDING as usize);
+        assert!(q.free.is_empty());
     }
 }

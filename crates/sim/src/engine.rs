@@ -1,6 +1,6 @@
 //! The simulation driver loop.
 
-use crate::calendar::CalendarQueue;
+use crate::calendar::KeyedHeap;
 use crate::time::{SimDuration, SimTime};
 
 /// The model being simulated.
@@ -22,7 +22,7 @@ pub trait World {
 /// plain list for a caller that routes them itself (the sharded executor
 /// stamps and distributes emissions across partition queues).
 enum Sink<'a, E> {
-    Queue(&'a mut CalendarQueue<E>),
+    Queue(&'a mut KeyedHeap<E>),
     Collect(&'a mut Vec<(SimTime, E)>),
 }
 
@@ -56,8 +56,12 @@ impl<'a, E> Scheduler<'a, E> {
     }
 
     /// Schedules `event` to fire `delay` after the current instant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now + delay` overflows the clock.
     pub fn after(&mut self, delay: SimDuration, event: E) {
-        let at = self.now + delay;
+        let at = not_before(self.now, self.now.checked_add(delay));
         self.push(at, event);
     }
 
@@ -68,12 +72,19 @@ impl<'a, E> Scheduler<'a, E> {
     /// Panics if `at` is in the past: delivering an event before the current
     /// instant would silently reorder history.
     pub fn at(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: {at} < {}",
-            self.now
-        );
+        let at = not_before(self.now, Some(at));
         self.push(at, event);
+    }
+}
+
+/// The one check every scheduling call passes: the instant exists (an
+/// `after` whose delay overflows the clock has none; wrapping would land
+/// it before `now`) and does not precede `now`.
+fn not_before(now: SimTime, at: Option<SimTime>) -> SimTime {
+    match at {
+        Some(at) if at >= now => at,
+        Some(at) => panic!("cannot schedule into the past: {at} < {now}"),
+        None => panic!("cannot schedule into the past: the delay overflows the clock at {now}"),
     }
 }
 
@@ -84,7 +95,7 @@ impl<'a, E> Scheduler<'a, E> {
 #[derive(Clone)]
 pub struct Simulator<W: World> {
     world: W,
-    queue: CalendarQueue<W::Event>,
+    queue: KeyedHeap<W::Event>,
     now: SimTime,
     events_processed: u64,
 }
@@ -94,7 +105,7 @@ impl<W: World> Simulator<W> {
     pub fn new(world: W) -> Self {
         Simulator {
             world,
-            queue: CalendarQueue::new(),
+            queue: KeyedHeap::new(),
             now: SimTime::ZERO,
             events_processed: 0,
         }
@@ -129,8 +140,13 @@ impl<W: World> Simulator<W> {
     }
 
     /// Schedules `event` to fire `delay` after the current instant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now + delay` overflows the clock.
     pub fn schedule_after(&mut self, delay: SimDuration, event: W::Event) {
-        self.queue.push(self.now + delay, event);
+        let at = not_before(self.now, self.now.checked_add(delay));
+        self.queue.push(at, event);
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -139,11 +155,7 @@ impl<W: World> Simulator<W> {
     ///
     /// Panics if `at` is in the past.
     pub fn schedule_at(&mut self, at: SimTime, event: W::Event) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: {at} < {}",
-            self.now
-        );
+        let at = not_before(self.now, Some(at));
         self.queue.push(at, event);
     }
 
@@ -216,8 +228,10 @@ mod tests {
 
         fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<'_, u32>) {
             self.seen.push((now, ev));
-            if ev == 7 {
-                sched.after(SimDuration::from_nanos(5), 8);
+            match ev {
+                7 => sched.after(SimDuration::from_nanos(5), 8),
+                9 => sched.after(SimDuration::MAX, 10),
+                _ => {}
             }
         }
     }
@@ -274,5 +288,23 @@ mod tests {
         s.schedule_at(SimTime::from_nanos(10), 1);
         s.run();
         s.schedule_at(SimTime::from_nanos(5), 2);
+    }
+
+    /// A handler's delay that overflows the clock would wrap to an instant
+    /// before `now`.
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past: the delay overflows")]
+    fn an_overflowing_handler_delay_panics() {
+        let mut s = sim();
+        s.schedule_at(SimTime::from_nanos(10), 9);
+        s.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past: the delay overflows")]
+    fn an_overflowing_schedule_after_panics() {
+        let mut s = sim();
+        s.run_until(SimTime::from_nanos(10));
+        s.schedule_after(SimDuration::MAX, 1);
     }
 }

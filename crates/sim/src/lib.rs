@@ -2,13 +2,15 @@
 //!
 //! This crate provides the substrate on which every Autonet experiment runs:
 //! a virtual clock ([`SimTime`]), a deterministic event queue
-//! ([`CalendarQueue`], under both driver loops), the classic driver loop
+//! ([`KeyedHeap`]: compact `(time, key, slot)` entries in a binary heap over
+//! a payload slab, under both driver loops), the classic driver loop
 //! ([`Simulator`]) and the sharded one ([`ShardedSimulator`]), and a seeded
 //! platform-independent random number generator ([`SimRng`]).
-//! [`EventQueue`], a plain binary heap, is not the kernel's queue: it is
-//! the pop-order oracle the calendar queue is tested against (and a name
-//! the frozen `benchmark/` crate imports). The kernel keeps no event log:
-//! the one trace log is the typed spine of `autonet-trace`.
+//! [`EventQueue`], a plain binary heap of whole entries, is not the
+//! kernel's queue: it is the pop-order oracle the kernel's queue is tested
+//! against (and a name the frozen `benchmark/` crate imports). The kernel
+//! keeps no event log: the one trace log is the typed spine of
+//! `autonet-trace`.
 //!
 //! Determinism is the design center. Two events scheduled for the same
 //! instant are delivered in the order they were scheduled (a monotonic
@@ -49,7 +51,7 @@ mod rng;
 mod shard;
 mod time;
 
-pub use calendar::CalendarQueue;
+pub use calendar::{CalendarQueue, KeyedHeap};
 pub use engine::{Scheduler, Simulator, World};
 pub use queue::EventQueue;
 pub use rng::SimRng;

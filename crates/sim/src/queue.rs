@@ -1,6 +1,6 @@
-//! The reference pending-event queue: a binary heap. The simulators run on
-//! [`CalendarQueue`](crate::CalendarQueue); this one defines the pop order
-//! that queue is proptested against.
+//! The reference pending-event queue: a binary heap of whole entries. The
+//! simulators run on [`KeyedHeap`](crate::KeyedHeap); this one defines the
+//! pop order that queue is proptested against.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

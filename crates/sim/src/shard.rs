@@ -63,7 +63,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as MemOrder};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::calendar::CalendarQueue;
+use crate::calendar::KeyedHeap;
 use crate::time::{SimDuration, SimTime};
 
 /// Stamp source for events scheduled from outside the event loop.
@@ -228,7 +228,7 @@ pub trait ShardWorld: Send {
 
 struct Shard<W: ShardWorld> {
     world: W,
-    queue: CalendarQueue<W::Event, (u32, u64)>,
+    queue: KeyedHeap<W::Event, (u32, u64)>,
     /// Per-node emission counters; only the owner shard ever advances a
     /// node's counter, so counters stay canonical under any partitioning.
     seqs: Vec<u64>,
@@ -574,7 +574,7 @@ impl<W: ShardWorld> ShardedSimulator<W> {
             .into_iter()
             .map(|world| Shard {
                 world,
-                queue: CalendarQueue::keyed(),
+                queue: KeyedHeap::keyed(),
                 seqs: vec![0; nodes],
                 emitted: Vec::new(),
                 staged: (0..nsh).map(|_| Vec::new()).collect(),

@@ -72,6 +72,11 @@ impl SimTime {
     pub fn saturating_add(self, dur: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(dur.0))
     }
+
+    /// Returns `self + dur`, or `None` if that overflows the clock.
+    pub fn checked_add(self, dur: SimDuration) -> Option<SimTime> {
+        self.0.checked_add(dur.0).map(SimTime)
+    }
 }
 
 impl SimDuration {
@@ -297,6 +302,11 @@ mod tests {
             SimTime::MAX
         );
         assert_eq!(SimDuration::MAX.saturating_mul(3), SimDuration::MAX);
+        assert_eq!(SimTime::MAX.checked_add(SimDuration::from_nanos(1)), None);
+        assert_eq!(
+            SimTime::ZERO.checked_add(SimDuration::MAX),
+            Some(SimTime::MAX)
+        );
     }
 
     #[test]

@@ -1,22 +1,28 @@
-//! The calendar queue must be a drop-in replacement for the binary-heap
-//! reference: identical pop order — including FIFO tie-breaking among
-//! simultaneous events — on adversarial batches of clustered, spread, and
-//! far-future timestamps, under arbitrary push/pop interleavings. The
-//! caller-keyed form the sharded executor uses is checked the same way
-//! against a heap of full `(time, src, seq)` stamps.
+//! The kernel's queue, `KeyedHeap`, must be a drop-in replacement for the
+//! binary-heap reference: identical pop order — including FIFO
+//! tie-breaking among simultaneous events — on adversarial batches of
+//! clustered, spread, and far-future timestamps, under arbitrary push/pop
+//! interleavings, and on a simulator-shaped population. The caller-keyed
+//! form the sharded executor uses is checked the same way against a heap
+//! of full `(time, src, seq)` stamps.
 //!
 //! Both forms, and the `Simulator` built on the first, are `Clone`: a
 //! clone taken at any point is an independent queue (kernel) that goes on
 //! exactly as the original does, which is what lets a campaign boot a
 //! network once and fork it per candidate.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
 
-use autonet_sim::{CalendarQueue, EventQueue, Scheduler, SimDuration, SimTime, Simulator, World};
+use autonet_sim::{
+    EventQueue, KeyedHeap, Scheduler, SimDuration, SimRng, SimTime, Simulator, World,
+};
 
 /// Strategy: timestamps drawn from several regimes the simulator actually
 /// produces — dense clusters (same-instant tick storms), microsecond-scale
-/// packet latencies, and far-future timers many wheel rotations out.
+/// packet latencies, timers, and far-future faults hours out.
 fn time_strategy() -> impl Strategy<Value = u64> {
     prop_oneof![
         // Heavy clustering: few distinct instants, many ties.
@@ -55,15 +61,15 @@ proptest! {
     #[test]
     fn full_drain_matches_reference(times in prop::collection::vec(time_strategy(), 1..800)) {
         let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::new();
+        let mut q = KeyedHeap::new();
         for (i, &t) in times.iter().enumerate() {
             heap.push(SimTime::from_nanos(t), i);
-            cal.push(SimTime::from_nanos(t), i);
+            q.push(SimTime::from_nanos(t), i);
         }
-        prop_assert_eq!(heap.len(), cal.len());
+        prop_assert_eq!(heap.len(), q.len());
         loop {
             let a = heap.pop();
-            let b = cal.pop();
+            let b = q.pop();
             prop_assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -77,26 +83,26 @@ proptest! {
     #[test]
     fn interleaved_ops_match_reference(ops in ops_strategy()) {
         let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::new();
+        let mut q = KeyedHeap::new();
         let mut payload = 0usize;
         for op in ops {
             match op {
                 Op::Push(t) => {
                     heap.push(SimTime::from_nanos(t), payload);
-                    cal.push(SimTime::from_nanos(t), payload);
+                    q.push(SimTime::from_nanos(t), payload);
                     payload += 1;
                 }
                 Op::Pop => {
-                    prop_assert_eq!(heap.pop(), cal.pop());
+                    prop_assert_eq!(heap.pop(), q.pop());
                 }
             }
-            prop_assert_eq!(heap.peek_time(), cal.peek_time());
-            prop_assert_eq!(heap.len(), cal.len());
+            prop_assert_eq!(heap.peek_time(), q.peek_time());
+            prop_assert_eq!(heap.len(), q.len());
         }
         // Drain the remainder.
         loop {
             let a = heap.pop();
-            let b = cal.pop();
+            let b = q.pop();
             prop_assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -112,18 +118,18 @@ proptest! {
         seeds in prop::collection::vec((0u64..50_000, 1u8..8), 1..300)
     ) {
         let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::new();
+        let mut q = KeyedHeap::new();
         let mut payload = 0usize;
         let mut now = 0u64;
         for (delay, burst) in seeds {
             for _ in 0..burst {
                 let t = now + delay;
                 heap.push(SimTime::from_nanos(t), payload);
-                cal.push(SimTime::from_nanos(t), payload);
+                q.push(SimTime::from_nanos(t), payload);
                 payload += 1;
             }
             let a = heap.pop();
-            let b = cal.pop();
+            let b = q.pop();
             prop_assert_eq!(a, b);
             if let Some((t, _)) = a {
                 now = t.as_nanos();
@@ -131,7 +137,7 @@ proptest! {
         }
         loop {
             let a = heap.pop();
-            let b = cal.pop();
+            let b = q.pop();
             prop_assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -140,14 +146,13 @@ proptest! {
     }
 }
 
-/// Grows `cal` past its first ring rebuilds (more than twice the 16
-/// initial buckets) with a few entries hours ahead of the rest — beyond
-/// any ring rotation, so in the overflow heap — runs `prefix` on it
-/// (`Some(t)` pushes at `t`, `None` pops), clones it, and runs `suffix` on
-/// both: every pop, peek and length must agree, down to the last entry.
+/// Fills `q` with 80 near entries and a few hours ahead of them, runs
+/// `prefix` on it (`Some(t)` pushes at `t`, `None` pops, freeing slab
+/// slots that later pushes reuse), clones it, and runs `suffix` on both:
+/// every pop, peek and length must agree, down to the last entry.
 fn clone_pops_like_the_original<K: Ord + Copy>(
-    mut cal: CalendarQueue<usize, K>,
-    push: impl Fn(&mut CalendarQueue<usize, K>, SimTime, usize),
+    mut q: KeyedHeap<usize, K>,
+    push: impl Fn(&mut KeyedHeap<usize, K>, SimTime, usize),
     prefix: impl Iterator<Item = Option<u64>>,
     suffix: impl Iterator<Item = Option<u64>>,
 ) -> TestCaseResult {
@@ -156,25 +161,25 @@ fn clone_pops_like_the_original<K: Ord + Copy>(
     let mut payload = 0usize;
     for op in near.chain(far).map(Some).chain(prefix) {
         match op {
-            Some(t) => push(&mut cal, SimTime::from_nanos(t), payload),
-            None => drop(cal.pop()),
+            Some(t) => push(&mut q, SimTime::from_nanos(t), payload),
+            None => drop(q.pop()),
         }
         payload += 1;
     }
-    let mut fork = cal.clone();
+    let mut fork = q.clone();
     for op in suffix {
         match op {
             Some(t) => {
-                push(&mut cal, SimTime::from_nanos(t), payload);
+                push(&mut q, SimTime::from_nanos(t), payload);
                 push(&mut fork, SimTime::from_nanos(t), payload);
             }
-            None => prop_assert_eq!(cal.pop(), fork.pop()),
+            None => prop_assert_eq!(q.pop(), fork.pop()),
         }
         payload += 1;
-        prop_assert_eq!(cal.peek_time(), fork.peek_time());
-        prop_assert_eq!(cal.len(), fork.len());
+        prop_assert_eq!(q.peek_time(), fork.peek_time());
+        prop_assert_eq!(q.len(), fork.len());
     }
-    while let Some(next) = cal.pop() {
+    while let Some(next) = q.pop() {
         prop_assert_eq!(fork.pop(), Some(next));
     }
     prop_assert!(fork.is_empty());
@@ -201,8 +206,8 @@ impl World for Digest {
                 break;
             }
             self.budget -= 1;
-            // Mostly near-term, ties included; now and then a timer far
-            // enough out to land in the queue's overflow heap.
+            // Mostly near-term, ties included; now and then a timer an
+            // hour out.
             let delay = match (self.digest >> (8 * k)) % 16 {
                 0 => 0,
                 15 => 3_600_000_000_000,
@@ -216,9 +221,9 @@ impl World for Digest {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// A FIFO queue cloned after rebuilds, with entries in the overflow
-    /// heap and a used sequence counter, answers every later push, pop
-    /// and peek exactly as the original does.
+    /// A FIFO queue cloned with free slab slots, entries hours ahead and
+    /// a used sequence counter answers every later push, pop and peek
+    /// exactly as the original does.
     #[test]
     fn fifo_clone_pops_like_the_original(prefix in ops_strategy(), suffix in ops_strategy()) {
         let script = |ops: Vec<Op>| ops.into_iter().map(|op| match op {
@@ -226,7 +231,7 @@ proptest! {
             Op::Pop => None,
         });
         clone_pops_like_the_original(
-            CalendarQueue::new(),
+            KeyedHeap::new(),
             |q, t, payload| q.push(t, payload),
             script(prefix),
             script(suffix),
@@ -274,9 +279,6 @@ proptest! {
 /// seq)` stamp supplied by the caller, not by insertion order. Reference:
 /// the `BinaryHeap<Reverse<stamp>>` it replaced.
 mod stamp_keyed {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
     use super::*;
 
     /// One scripted operation: push a stamped event, or pop.
@@ -314,7 +316,7 @@ mod stamp_keyed {
         #[test]
         fn pops_in_stamp_order(ops in ops_strategy()) {
             let mut heap: BinaryHeap<Reverse<(SimTime, u32, u64, usize)>> = BinaryHeap::new();
-            let mut cal: CalendarQueue<usize, (u32, u64)> = CalendarQueue::keyed();
+            let mut q: KeyedHeap<usize, (u32, u64)> = KeyedHeap::keyed();
             for (payload, op) in ops.into_iter().enumerate() {
                 match op {
                     Op::Push(t, src) => {
@@ -323,20 +325,20 @@ mod stamp_keyed {
                         let seq = (payload as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                         let time = SimTime::from_nanos(t);
                         heap.push(Reverse((time, src, seq, payload)));
-                        cal.push_keyed(time, (src, seq), payload);
+                        q.push_keyed(time, (src, seq), payload);
                     }
                     Op::Pop => {
                         let expect = heap.pop().map(|Reverse((t, _, _, p))| (t, p));
-                        prop_assert_eq!(cal.pop(), expect);
+                        prop_assert_eq!(q.pop(), expect);
                     }
                 }
-                prop_assert_eq!(cal.peek_time(), heap.peek().map(|Reverse(e)| e.0));
-                prop_assert_eq!(cal.len(), heap.len());
+                prop_assert_eq!(q.peek_time(), heap.peek().map(|Reverse(e)| e.0));
+                prop_assert_eq!(q.len(), heap.len());
             }
             while let Some(Reverse((t, _, _, p))) = heap.pop() {
-                prop_assert_eq!(cal.pop(), Some((t, p)));
+                prop_assert_eq!(q.pop(), Some((t, p)));
             }
-            prop_assert!(cal.is_empty());
+            prop_assert!(q.is_empty());
         }
 
         /// The keyed form likewise: the same `(time, key, event)` sequence
@@ -349,7 +351,7 @@ mod stamp_keyed {
                 Op::Pop => None,
             });
             clone_pops_like_the_original(
-                CalendarQueue::keyed(),
+                KeyedHeap::keyed(),
                 |q, t, payload| {
                     let seq = (payload as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                     q.push_keyed(t, ((payload % 5) as u32, seq), payload);
@@ -359,4 +361,196 @@ mod stamp_keyed {
             )?;
         }
     }
+}
+
+/// A queue under test and its reference, driven in lockstep.
+trait Pair {
+    /// Pushes `payload` at `time`, emitted by node `src`, onto both.
+    fn push(&mut self, time: SimTime, src: u32, payload: usize);
+    /// Pops both, asserting they agree.
+    fn pop(&mut self) -> Option<(SimTime, usize)>;
+}
+
+/// The classic kernel's FIFO queue against `EventQueue`.
+#[derive(Default)]
+struct Fifo(KeyedHeap<usize>, EventQueue<usize>);
+
+impl Pair for Fifo {
+    fn push(&mut self, time: SimTime, _src: u32, payload: usize) {
+        self.0.push(time, payload);
+        self.1.push(time, payload);
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
+        let next = self.1.pop();
+        assert_eq!(self.0.pop(), next);
+        assert_eq!(self.0.len(), self.1.len());
+        next
+    }
+}
+
+/// A shard's stamp-keyed queue against a heap of whole stamps; the
+/// per-source counters play the shard's `seqs`.
+struct Stamped {
+    queue: KeyedHeap<usize, (u32, u64)>,
+    reference: BinaryHeap<Reverse<(SimTime, u32, u64, usize)>>,
+    seqs: Vec<u64>,
+}
+
+impl Pair for Stamped {
+    fn push(&mut self, time: SimTime, src: u32, payload: usize) {
+        let seq = &mut self.seqs[src as usize];
+        *seq += 1;
+        self.queue.push_keyed(time, (src, *seq), payload);
+        self.reference.push(Reverse((time, src, *seq, payload)));
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
+        let next = self.reference.pop().map(|Reverse((t, _, _, p))| (t, p));
+        assert_eq!(self.queue.pop(), next);
+        assert_eq!(
+            self.queue.peek_time(),
+            self.reference.peek().map(|Reverse(e)| e.0)
+        );
+        next
+    }
+}
+
+/// What a pending payload stands for in [`simulator_shaped`].
+#[derive(Clone, Copy)]
+enum Kind {
+    Tick,
+    Sample,
+    Packet,
+    Fault,
+}
+
+const NODES: u32 = 64;
+/// The source of the pushes made before the run (the sharded kernel's
+/// external source, renumbered to index `Stamped::seqs`).
+const EXTERNAL: u32 = NODES;
+/// Pops after which [`simulator_shaped`] stops emitting and drains.
+const POPS: usize = 400_000;
+
+/// Pushes a payload standing for `kind` at `node`, emitted by `src`.
+fn emit(
+    pair: &mut impl Pair,
+    kinds: &mut Vec<(u32, Kind)>,
+    at: SimTime,
+    src: u32,
+    node_kind: (u32, Kind),
+) {
+    pair.push(at, src, kinds.len());
+    kinds.push(node_kind);
+}
+
+/// The population a network simulation keeps: every node has a 1.2 ms tick
+/// and a 5 ms sample timer on a grid shared by a quarter of the nodes
+/// (ties); each timer firing sends a packet 1–50 µs ahead, and 45 % of the
+/// deliveries send another; four faults wait 1–2 s ahead, each a burst of
+/// one packet per node. Most pushes land in the µs cluster: a bucket ring
+/// sized from the mean spacing of this population piles that cluster into
+/// the few buckets every pop scans. Runs `POPS` pops, then drains.
+fn simulator_shaped(pair: &mut impl Pair) {
+    let mut rng = SimRng::new(1991);
+    // Node and kind of every payload pushed so far, by payload.
+    let mut kinds = Vec::new();
+    for n in 0..NODES {
+        let at = SimTime::from_micros(u64::from(n % 4) * 300);
+        emit(pair, &mut kinds, at, EXTERNAL, (n, Kind::Tick));
+        emit(pair, &mut kinds, at, EXTERNAL, (n, Kind::Sample));
+    }
+    for _ in 0..4 {
+        let at = SimTime::from_secs(1) + SimDuration::from_nanos(rng.below(1_000_000_000));
+        emit(pair, &mut kinds, at, EXTERNAL, (0, Kind::Fault));
+    }
+    let (mut popped, mut bursts) = (0, 0);
+    while let Some((now, payload)) = pair.pop() {
+        popped += 1;
+        let (node, kind) = kinds[payload];
+        let packets = match kind {
+            _ if popped > POPS => 0,
+            Kind::Tick | Kind::Sample => {
+                let period = match kind {
+                    Kind::Tick => SimDuration::from_micros(1_200),
+                    _ => SimDuration::from_millis(5),
+                };
+                emit(pair, &mut kinds, now + period, node, (node, kind));
+                1
+            }
+            Kind::Packet => u32::from(rng.chance(0.45)),
+            Kind::Fault => {
+                bursts += 1;
+                NODES
+            }
+        };
+        for _ in 0..packets {
+            let at = now + SimDuration::from_nanos(rng.range(1_000, 50_001));
+            let to = rng.below(u64::from(NODES)) as u32;
+            emit(pair, &mut kinds, at, node, (to, Kind::Packet));
+        }
+    }
+    assert!(popped > POPS, "the run drained early: {popped} pops");
+    assert_eq!(bursts, 4, "every fault fires before the drain");
+}
+
+#[test]
+fn fifo_matches_reference_on_a_simulator_shaped_population() {
+    simulator_shaped(&mut Fifo::default());
+}
+
+#[test]
+fn keyed_matches_reference_on_a_simulator_shaped_population() {
+    simulator_shaped(&mut Stamped {
+        queue: KeyedHeap::keyed(),
+        reference: BinaryHeap::new(),
+        seqs: vec![0; NODES as usize + 1],
+    });
+}
+
+/// Pops one event per script entry and pushes the entry's delays after
+/// it, so the pending count drifts and the free list fills and drains;
+/// returns what was popped.
+fn churn(
+    q: &mut KeyedHeap<usize>,
+    script: &[Vec<u64>],
+    payload: &mut usize,
+) -> Vec<(SimTime, usize)> {
+    let mut popped = Vec::new();
+    for delays in script {
+        let (t, e) = q.pop().expect("the queue never drains");
+        popped.push((t, e));
+        for &d in delays {
+            q.push(t + SimDuration::from_nanos(d), *payload);
+            *payload += 1;
+        }
+    }
+    popped
+}
+
+/// A clone taken mid-churn — slab slots reused many times over, some on
+/// the free list — pops exactly what the original pops, to the last entry.
+#[test]
+fn a_clone_taken_mid_churn_pops_identically() {
+    let mut rng = SimRng::new(2718);
+    let mut script = |n: usize| -> Vec<Vec<u64>> {
+        (0..n)
+            .map(|_| (0..rng.below(3)).map(|_| rng.below(2_000_000)).collect())
+            .collect()
+    };
+    let (warm, rest) = (script(20_000), script(20_000));
+    let mut q = KeyedHeap::new();
+    for i in 0..2_000 {
+        q.push(SimTime::from_nanos(i as u64 * 997 % 2_000_000), i);
+    }
+    let mut payload = 2_000;
+    churn(&mut q, &warm, &mut payload);
+    let mut fork = q.clone();
+    let mut fork_payload = payload;
+    assert_eq!(
+        churn(&mut q, &rest, &mut payload),
+        churn(&mut fork, &rest, &mut fork_payload)
+    );
+    let drain = |q: &mut KeyedHeap<usize>| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
+    assert_eq!(drain(&mut q), drain(&mut fork));
 }

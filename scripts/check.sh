@@ -147,4 +147,13 @@ if grep -rEn 'BridgeParams|PostmortemConfig' crates src tests examples ||
     exit 1
 fi
 
+echo "==> one kernel queue: no bucket ring or overflow heap beside KeyedHeap"
+# calendar.rs holds the queue both kernels pop, queue.rs the EventQueue
+# oracle; no other file of the kernel keeps pending events in a heap.
+if grep -rEn 'fn rebuild|fn search_min|\bbuckets: Vec<|\boverflow: BinaryHeap' crates/sim/src ||
+    grep -rl 'BinaryHeap' crates/sim/src | grep -vE '^crates/sim/src/(calendar|queue)\.rs$'; then
+    echo "both kernels pop one KeyedHeap, and EventQueue is only its oracle (DESIGN.md, The sim kernel at scale)" >&2
+    exit 1
+fi
+
 echo "OK in $(($(date +%s) - start)) s"

@@ -289,7 +289,7 @@ fn packet_and_slot_environments_agree_across_link_fault() {
 }
 
 /// Scale-tier conformance on a 16×16 torus: the pooled packet backend
-/// under its two executors — the classic single calendar queue
+/// under its two executors — the classic loop over one FIFO-keyed queue
 /// ([`Network`]) and the sharded conservative-lookahead loop
 /// ([`PartitionedNetwork`]) — must classify every trunk port identically
 /// and each settle the whole fabric on one epoch with the same agreed
