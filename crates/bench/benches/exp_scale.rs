@@ -52,6 +52,9 @@ struct Cycle {
     /// Events the cut cost, by `Event` variant: what the kernel handles
     /// between the stable network and the healed one.
     cut_kinds: Vec<(&'static str, u64)>,
+    /// How many of the cut's `SwitchTick`s ran the Autopilot; the rest
+    /// fell before the switch's next due timer.
+    cut_ticks_run: u64,
     events: u64,
     /// The whole run's counters, for its `TopologyDown` floods.
     stats: NetStats,
@@ -71,6 +74,7 @@ fn cycle<D: Driver>(net: &mut Net<D>) -> Option<Cycle> {
     net.schedule_link_down(net.now() + SimDuration::from_millis(10), LinkId(0));
     let cut_from = net.now();
     let kinds_before = net.events_by_kind();
+    let ticks_before = net.stats().ticks_run;
     let wall = Instant::now();
     net.run_until_stable_every(
         SimDuration::from_millis(50),
@@ -87,6 +91,7 @@ fn cycle<D: Driver>(net: &mut Net<D>) -> Option<Cycle> {
         cut_sim: net.now().saturating_since(cut_from),
         cut_wall: wall.elapsed().as_secs_f64(),
         cut_kinds: cut_kinds.map(|((k, n), (_, n0))| (k, n - n0)).collect(),
+        cut_ticks_run: net.stats().ticks_run - ticks_before,
         events: net.events_processed(),
         stats: net.stats(),
     })
@@ -198,6 +203,7 @@ fn tables() -> Tables {
             &[
                 "topology",
                 KINDS[0],
+                "ticks run",
                 KINDS[1],
                 KINDS[2],
                 KINDS[3],
@@ -281,6 +287,7 @@ fn measure(
     t.kinds.row([
         name.into(),
         tick.into(),
+        classic.cut_ticks_run.into(),
         sample.into(),
         rx.into(),
         cpu_done.into(),

@@ -69,6 +69,9 @@ pub struct Autopilot {
     /// [`set_route_cache`](Autopilot::set_route_cache) swaps in the
     /// fleet's.
     route_cache: Arc<RouteCache>,
+    /// A lower bound on the next instant [`on_tick`](Autopilot::on_tick)
+    /// acts (see [`timer_due`](Autopilot::timer_due)).
+    timer_due: SimTime,
 }
 
 impl Autopilot {
@@ -94,6 +97,7 @@ impl Autopilot {
             reconfigs_triggered: 0,
             srp_replies: Vec::new(),
             route_cache: Arc::new(RouteCache::new()),
+            timer_due: SimTime::ZERO,
         }
     }
 
@@ -129,6 +133,25 @@ impl Autopilot {
         &self.params
     }
 
+    /// A lower bound on the next instant at which [`on_tick`] would call
+    /// the environment or change any state: a tick before it may be
+    /// skipped. A full tick sets it exactly, from the connectivity
+    /// monitors' [`due`] times and the reconfiguration engine's
+    /// retransmit and quiescence deadlines; between ticks every other
+    /// entry point only ever lowers it, in O(1) — to a replying port's
+    /// `due`, or to `now` on a monitor activation or any engine input.
+    ///
+    /// [`on_tick`]: Autopilot::on_tick
+    /// [`due`]: ConnectivityMonitor::due
+    pub fn timer_due(&self) -> SimTime {
+        self.timer_due
+    }
+
+    /// Lowers [`timer_due`](Autopilot::timer_due) to `at`.
+    fn timer_due_by(&mut self, at: SimTime) {
+        self.timer_due = self.timer_due.min(at);
+    }
+
     /// The current epoch.
     pub fn epoch(&self) -> Epoch {
         self.engine.epoch()
@@ -142,6 +165,13 @@ impl Autopilot {
     /// The number of reconfigurations this switch has initiated.
     pub fn reconfigs_triggered(&self) -> u64 {
         self.reconfigs_triggered
+    }
+
+    /// Epochs in which this switch, as root, refused to terminate on a
+    /// collected topology of more switches than short addresses can
+    /// number.
+    pub fn oversized_refusals(&self) -> u64 {
+        self.engine.oversized_refusals()
     }
 
     /// Reconfiguration messages this switch has handled since power-on,
@@ -253,6 +283,7 @@ impl Autopilot {
                     let hosts = self.host_ports();
                     let proposed = self.proposed_number;
                     self.engine.update_local_info(proposed, hosts);
+                    self.timer_due_by(now);
                     self.reload_table(env);
                     if from.is_switch() {
                         // Shouldn't happen (sampler goes via checking), but
@@ -262,6 +293,7 @@ impl Autopilot {
                 }
                 (_, PortState::SwitchWho) => {
                     self.monitors[port as usize].activate();
+                    self.timer_due_by(now);
                 }
                 (state, PortState::Dead) if state.is_switch() => {
                     let was_good = self.monitors[port as usize].state() == PortState::SwitchGood;
@@ -309,6 +341,7 @@ impl Autopilot {
                     *responder,
                     *responder_port,
                 );
+                self.timer_due_by(self.monitors[port as usize].due());
                 match ev {
                     Some(ConnectivityEvent::BecameGood(_)) => {
                         self.trace(
@@ -370,6 +403,7 @@ impl Autopilot {
             _ => {
                 // Reconfiguration protocol.
                 let outs = self.engine.on_msg(now, port, msg);
+                self.timer_due_by(now);
                 self.apply_engine_outputs(outs, env);
             }
         }
@@ -389,6 +423,8 @@ impl Autopilot {
         }
         let outs = self.engine.on_tick(now);
         self.apply_engine_outputs(outs, env);
+        let monitors = self.monitors[1..].iter().map(ConnectivityMonitor::due);
+        self.timer_due = monitors.fold(self.engine.next_due(), SimTime::min);
     }
 
     /// Logs a verified switch port falling back to `s.switch.who`, with
@@ -427,6 +463,7 @@ impl Autopilot {
         let hosts = self.host_ports();
         let proposed = self.proposed_number;
         let outs = self.engine.start(now, neighbors, proposed, hosts);
+        self.timer_due_by(now);
         self.apply_engine_outputs(outs, env);
         self.pending_cause = None;
     }
@@ -631,6 +668,19 @@ mod tests {
     /// Two Autopilots wired port 1 <-> port 1, with ideal links.
     struct Pair {
         aps: [Autopilot; 2],
+        /// When set, a twin of each switch that also runs every tick the
+        /// switch itself skips for falling before its `timer_due`, and
+        /// must make the same calls at every other entry point.
+        twins: Option<[Autopilot; 2]>,
+        /// Ticks offered so far, and how many of them were skipped.
+        ticks: usize,
+        skipped: usize,
+        /// Whether the cable is cut: nothing crosses it, and port 1
+        /// samples code violations.
+        cut: bool,
+        /// When set, every n-th message put on the wire is lost.
+        loss: Option<usize>,
+        sent: usize,
         queue: VecDeque<(SimTime, usize, ControlMsg)>,
         now: SimTime,
         /// What each entry point so far asked of its environment, with
@@ -645,19 +695,34 @@ mod tests {
                     Autopilot::new(Uid::new(10), AutopilotParams::tuned()),
                     Autopilot::new(Uid::new(20), AutopilotParams::tuned()),
                 ],
+                twins: None,
+                ticks: 0,
+                skipped: 0,
+                cut: false,
+                loss: None,
+                sent: 0,
                 queue: VecDeque::new(),
                 now: SimTime::ZERO,
                 log: Vec::new(),
             }
         }
 
-        /// Runs one entry point of switch `who` and puts what it sent out
-        /// of port 1 on the wire to the other switch.
-        fn enter(&mut self, who: usize, f: impl FnOnce(&mut Autopilot, &mut Recorder)) {
+        /// Runs one entry point of switch `who` (and of its twin) and puts
+        /// what it sent out of port 1 on the wire to the other switch.
+        fn enter(&mut self, who: usize, f: impl Fn(&mut Autopilot, &mut Recorder)) {
             let mut env = Recorder::default();
             f(&mut self.aps[who], &mut env);
+            if let Some(twins) = &mut self.twins {
+                let mut twin = Recorder::default();
+                f(&mut twins[who], &mut twin);
+                assert_eq!(twin.calls, env.calls, "switch {who} at {:?}", self.now);
+            }
             for call in &env.calls {
                 if let Call::Send(1, msg) = call {
+                    self.sent += 1;
+                    if self.cut || self.loss.is_some_and(|n| self.sent % n == 0) {
+                        continue;
+                    }
                     let at = self.now + SimDuration::from_micros(20);
                     self.queue.push_back((at, 1 - who, msg.clone()));
                 }
@@ -670,6 +735,24 @@ mod tests {
         /// Every call so far, in order.
         fn calls(&self) -> impl Iterator<Item = &Call> {
             self.log.iter().flat_map(|(_, calls)| calls)
+        }
+
+        /// One timer tick of switch `who`. With twins, a tick before the
+        /// switch's `timer_due` is skipped, and the twin runs it instead:
+        /// it must make no call.
+        fn tick(&mut self, who: usize) {
+            let now = self.now;
+            self.ticks += 1;
+            if let Some(twins) = &mut self.twins {
+                if now < self.aps[who].timer_due() {
+                    let mut env = Recorder::default();
+                    twins[who].on_tick(now, &mut env);
+                    assert!(env.calls.is_empty(), "{who} at {now:?}: {:?}", env.calls);
+                    self.skipped += 1;
+                    return;
+                }
+            }
+            self.enter(who, |ap, env| ap.on_tick(now, env));
         }
 
         fn boot(&mut self) {
@@ -691,13 +774,19 @@ mod tests {
                     let (_, to, msg) = self.queue.pop_front().expect("peeked");
                     self.enter(to, |ap, env| ap.on_packet(now, 1, &msg, env));
                 }
+                let status = if self.cut {
+                    LinkUnitStatus {
+                        bad_code: true,
+                        ..LinkUnitStatus::new()
+                    }
+                } else {
+                    clean_switch_status()
+                };
                 for who in 0..2 {
-                    self.enter(who, |ap, env| ap.on_tick(now, env));
+                    self.tick(who);
                     // Status sampling every ~5 ms.
                     if now.as_nanos() % 5_000_000 < 1_200_000 {
-                        self.enter(who, |ap, env| {
-                            ap.on_status_sample(now, 1, clean_switch_status(), env)
-                        });
+                        self.enter(who, |ap, env| ap.on_status_sample(now, 1, status, env));
                     }
                 }
             }
@@ -747,6 +836,46 @@ mod tests {
         assert_eq!(g0.root, Uid::new(10));
         assert_eq!(g0.numbers, g1.numbers);
         assert_eq!(pair.aps[0].epoch(), pair.aps[1].epoch());
+    }
+
+    /// The seam contract of `timer_due`: through boot, sampling, probe
+    /// replies, a port death and two reconfigurations, the second over a
+    /// lossy cable that needs every retransmit timer, every tick before a
+    /// switch's `timer_due` would have made no call, and skipping it
+    /// leaves every later entry point's calls unchanged.
+    #[test]
+    fn ticks_before_timer_due_would_make_no_call() {
+        let mut pair = Pair::new();
+        pair.twins = Some(pair.aps.clone());
+        pair.boot();
+        pair.run_for(SimDuration::from_secs(3));
+        let formed = |pair: &Pair| {
+            pair.aps
+                .iter()
+                .all(|ap| ap.is_open() && ap.port_state(1) == PortState::SwitchGood)
+        };
+        assert!(formed(&pair));
+        let epoch = pair.aps[0].epoch();
+        pair.cut = true;
+        pair.run_for(SimDuration::from_secs(1));
+        assert!(pair
+            .aps
+            .iter()
+            .all(|ap| ap.port_state(1) == PortState::Dead));
+        assert!(pair.aps[0].epoch() > epoch);
+        let epoch = pair.aps[0].epoch();
+        pair.cut = false;
+        pair.loss = Some(3);
+        pair.run_for(SimDuration::from_secs(10));
+        assert!(formed(&pair));
+        assert!(pair.aps[0].epoch() > epoch);
+        // Idle ticks are the rule, not the exception.
+        assert!(
+            pair.skipped * 10 > pair.ticks * 8,
+            "{} of {}",
+            pair.skipped,
+            pair.ticks
+        );
     }
 
     /// One call as a word: a traced event is its kind, an effect is in

@@ -129,6 +129,20 @@ impl ConnectivityMonitor {
         was_good.then_some(ConnectivityEvent::LostGood)
     }
 
+    /// The earliest instant at which [`on_tick`](Self::on_tick) acts: the
+    /// reply timeout while a probe is outstanding, else the next probe
+    /// ([`SimTime::MAX`] while inactive). A tick before it changes nothing.
+    pub fn due(&self) -> SimTime {
+        if !self.active {
+            return SimTime::MAX;
+        }
+        match (self.outstanding, self.last_probe_sent) {
+            (Some((_, sent)), _) => sent.saturating_add(self.probe_timeout),
+            (None, Some(sent)) => sent.saturating_add(self.probe_interval),
+            (None, None) => SimTime::ZERO,
+        }
+    }
+
     /// Periodic poll: emits a probe when due and accounts for reply
     /// timeouts. Returns `(probe to send, event)`.
     pub fn on_tick(&mut self, now: SimTime) -> (Option<ControlMsg>, Option<ConnectivityEvent>) {
@@ -460,5 +474,42 @@ mod tests {
         let (probe, ev) = m.on_tick(SimTime::from_millis(100));
         assert!(probe.is_none());
         assert!(ev.is_none());
+        assert_eq!(m.due(), SimTime::MAX);
+    }
+
+    /// `due` is the first instant a tick acts: every tick before it
+    /// returns nothing and leaves the next `due` where it was.
+    #[test]
+    fn due_is_the_first_acting_tick() {
+        let p = params();
+        let mut m = monitor();
+        assert_eq!(m.due(), SimTime::ZERO, "a fresh activation probes at once");
+        let t0 = SimTime::from_millis(10);
+        assert!(m.on_tick(t0).0.is_some());
+        assert_eq!(m.due(), t0 + p.probe_timeout);
+        // No reply: nothing happens until the timeout, which then acts.
+        let before = m.due() - SimDuration::from_nanos(1);
+        assert_eq!(m.on_tick(before), (None, None));
+        assert_eq!(m.due(), t0 + p.probe_timeout);
+        let _ = m.on_tick(m.due());
+        assert!(m.due() > t0 + p.probe_timeout);
+        // A reply clears the outstanding probe: the next probe is due one
+        // interval after the last one went out.
+        let mut m = monitor();
+        let Some(ControlMsg::Probe {
+            seq,
+            origin,
+            origin_port,
+        }) = m.on_tick(t0).0
+        else {
+            panic!("expected a probe");
+        };
+        let _ = m.on_reply(t0, seq, origin, origin_port, Uid::new(20), 7);
+        assert_eq!(m.due(), t0 + p.probe_interval);
+        assert_eq!(
+            m.on_tick(m.due() - SimDuration::from_nanos(1)),
+            (None, None)
+        );
+        assert!(m.on_tick(m.due()).0.is_some());
     }
 }

@@ -13,7 +13,10 @@ use crate::port_state::PortState;
 /// Backends choose *when* to call the entry points (an event queue
 /// schedules them in the packet-level network; the slot loop polls
 /// [`poll`](NodeHarness::poll) every slot); packets and SRP requests go
-/// straight to the [`Autopilot`].
+/// straight to the [`Autopilot`]. The packet-level network keeps its tick
+/// grid itself, because it skips ticks before
+/// [`Autopilot::timer_due`] without entering the harness; only `poll`
+/// reads the tick cadence kept here.
 #[derive(Clone)]
 pub struct NodeHarness {
     ap: Autopilot,
@@ -41,11 +44,6 @@ impl NodeHarness {
         &mut self.ap
     }
 
-    /// When the next timer tick is due (set by [`boot`](Self::boot)).
-    pub fn next_tick(&self) -> SimTime {
-        self.next_tick
-    }
-
     /// When the next status sample is due.
     pub fn next_sample(&self) -> SimTime {
         self.next_sample
@@ -58,8 +56,8 @@ impl NodeHarness {
         self.next_sample = now + self.ap.params().sampling_interval;
     }
 
-    /// One timer tick (probe/retransmit timers). The caller either honors
-    /// [`next_tick`](Self::next_tick) or uses [`poll`](Self::poll).
+    /// One timer tick (probe/retransmit timers), at the caller's cadence
+    /// or through [`poll`](Self::poll).
     pub fn tick(&mut self, now: SimTime, env: &mut impl Environment) {
         self.ap.on_tick(now, env);
         self.next_tick = now + self.ap.params().timer_resolution;
@@ -113,7 +111,7 @@ mod tests {
         assert_eq!(env.count(|c| matches!(c, Call::NetworkOpened(_))), 1);
         assert!(h.autopilot().is_open());
         let params = AutopilotParams::tuned();
-        assert_eq!(h.next_tick(), t0 + params.timer_resolution);
+        assert_eq!(h.next_tick, t0 + params.timer_resolution);
         assert_eq!(h.next_sample(), t0 + params.sampling_interval);
     }
 
@@ -146,11 +144,11 @@ mod tests {
         let mut h = harness();
         let mut env = Recorder::default();
         h.boot(SimTime::ZERO, &mut env);
-        let (t, s) = (h.next_tick(), h.next_sample());
+        let (t, s) = (h.next_tick, h.next_sample());
         h.poll(SimTime::from_nanos(1), &mut env);
-        assert_eq!((h.next_tick(), h.next_sample()), (t, s), "nothing due yet");
+        assert_eq!((h.next_tick, h.next_sample()), (t, s), "nothing due yet");
         h.poll(t, &mut env);
-        assert_eq!(h.next_tick(), t + AutopilotParams::tuned().timer_resolution);
+        assert_eq!(h.next_tick, t + AutopilotParams::tuned().timer_resolution);
         assert_eq!(h.next_sample(), s, "tick due, sample not");
         h.poll(s, &mut env);
         assert!(h.next_sample() > s, "sample due");

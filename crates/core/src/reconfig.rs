@@ -35,7 +35,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use autonet_sim::{SimDuration, SimTime};
-use autonet_wire::{PortIndex, SwitchNumber, Uid};
+use autonet_wire::{PortIndex, SwitchNumber, Uid, MAX_SWITCH_NUMBER};
 
 use crate::addressing::assign_switch_numbers;
 use crate::epoch::Epoch;
@@ -187,6 +187,11 @@ pub struct ReconfigEngine {
     /// For the quiescence baseline: last local state change.
     last_change: SimTime,
     msgs: MsgDisposition,
+    /// Epochs in which this switch, as root, refused to terminate on a
+    /// report describing more switches than can be numbered, and the last
+    /// such epoch.
+    oversized_refusals: u64,
+    oversized_epoch: Epoch,
 }
 
 impl ReconfigEngine {
@@ -211,12 +216,21 @@ impl ReconfigEngine {
             global: None,
             last_change: SimTime::ZERO,
             msgs: MsgDisposition::default(),
+            oversized_refusals: 0,
+            oversized_epoch: Epoch::ZERO,
         }
     }
 
     /// Reconfiguration messages handled since power-on, by disposition.
     pub fn msg_disposition(&self) -> MsgDisposition {
         self.msgs
+    }
+
+    /// Epochs in which this switch, as root, refused to terminate because
+    /// the collected topology held more switches than short addresses can
+    /// number (4 094).
+    pub fn oversized_refusals(&self) -> u64 {
+        self.oversized_refusals
     }
 
     /// The current epoch.
@@ -492,6 +506,45 @@ impl ReconfigEngine {
         out
     }
 
+    /// The earliest instant at which [`on_tick`](Self::on_tick) acts, as
+    /// of the last input or tick: for every unacknowledged position, report
+    /// and down, its last send plus the retransmit interval; under
+    /// [`TerminationMode::RootQuiescence`], the root's quiet deadline.
+    /// Between inputs, a tick before it returns nothing and changes
+    /// nothing: the rest of a tick's work is [`after_event`], which every
+    /// input already ran and which is idempotent over unchanged state.
+    ///
+    /// [`after_event`]: Self::after_event
+    pub fn next_due(&self) -> SimTime {
+        if !self.running {
+            return SimTime::MAX;
+        }
+        let resend = |last: Option<SimTime>| last.map_or(SimTime::ZERO, |t| t + self.retransmit);
+        let mut due = SimTime::MAX;
+        if self.completed {
+            for ns in self.neighbors.values() {
+                if ns.claims_me && !ns.down_acked {
+                    due = due.min(resend(ns.last_down_tx));
+                }
+            }
+            return due;
+        }
+        for ns in self.neighbors.values() {
+            if ns.acked != Some(self.version) {
+                due = due.min(resend(ns.last_pos_tx));
+            }
+        }
+        if self.reported.is_some() && !self.report_acked {
+            due = due.min(resend(self.last_report_tx));
+        }
+        if let TerminationMode::RootQuiescence(t) = self.termination {
+            if self.pos.is_root(self.uid) {
+                due = due.min(self.last_change.saturating_add(t));
+            }
+        }
+        due
+    }
+
     /// Records a neighbor's advertised position and evaluates adoption.
     fn note_neighbor_position(
         &mut self,
@@ -707,6 +760,17 @@ impl ReconfigEngine {
             if matches!(self.termination, TerminationMode::Stability)
                 && !report.describes_tree(self.uid)
             {
+                return;
+            }
+            // More switches than short addresses can number: only a forged
+            // or corrupted report says so, since no buildable Autonet is
+            // that large. Refuse it like a snapshot that is not a tree, and
+            // count the epoch once.
+            if report.switches.len() > MAX_SWITCH_NUMBER as usize {
+                if self.oversized_epoch != self.epoch {
+                    self.oversized_epoch = self.epoch;
+                    self.oversized_refusals += 1;
+                }
                 return;
             }
             // Termination detected: build the global topology, assign
@@ -1356,6 +1420,76 @@ mod tests {
         let _ = e.on_msg(SimTime::from_micros(20), 1, &dup);
         assert!(!e.completed);
         assert_eq!(e.epoch(), epoch.next());
+    }
+
+    /// A child's report that is a well-formed tree but numbers more
+    /// switches than short addresses can hold reaches the root from the
+    /// wire. The root refuses to terminate on it, counts the epoch once,
+    /// and does not panic.
+    #[test]
+    fn oversized_report_is_refused_not_numbered() {
+        let mut root = ReconfigEngine::new(Uid::new(10), &params());
+        let fifty = NeighborInfo {
+            uid: Uid::new(50),
+            their_port: 2,
+        };
+        let _ = root.start(SimTime::ZERO, BTreeMap::from([(1, fifty)]), 1, vec![]);
+        let epoch = root.epoch();
+        let info = |uid: u64, parent: u64| SwitchInfo {
+            uid: Uid::new(uid),
+            proposed_number: 1,
+            parent: Uid::new(parent),
+            parent_port: 1,
+            links: Vec::new(),
+            host_ports: Vec::new(),
+        };
+        let below = (0..MAX_SWITCH_NUMBER as u64).map(|i| info(100 + i, 50));
+        let report = SubtreeReport {
+            switches: std::iter::once(info(50, 10)).chain(below).collect(),
+        };
+        let wire = [
+            ControlMsg::TreePositionAck {
+                epoch,
+                seq: 1,
+                is_parent: false,
+                sender_seq: 1,
+                sender_from_port: 2,
+                sender_pos: TreePosition::as_child_of(
+                    &TreePosition::myself(Uid::new(10)),
+                    Uid::new(10),
+                    2,
+                ),
+            },
+            ControlMsg::TopologyReport {
+                epoch,
+                seq: 1,
+                report,
+            },
+        ];
+        let mut outs = Vec::new();
+        for (i, msg) in wire.iter().enumerate() {
+            let msg = ControlMsg::decode(&msg.encode()).expect("well-formed");
+            outs.extend(root.on_msg(SimTime::from_micros(10 * (i as u64 + 1)), 1, &msg));
+        }
+        // Stable over a tree of 4 096 switches: only the size refuses it.
+        assert!(root.is_stable());
+        let collected = root.build_report();
+        assert!(collected.describes_tree(Uid::new(10)));
+        assert!(collected.len() > MAX_SWITCH_NUMBER as usize);
+        let terminated = |o: &ReconfigOutput| {
+            matches!(
+                o,
+                ReconfigOutput::Event(ReconfigEvent::RootTerminated(_))
+                    | ReconfigOutput::Completed(_)
+            )
+        };
+        assert!(!outs.iter().any(terminated), "{outs:?}");
+        assert!(!root.completed);
+        assert_eq!(root.oversized_refusals(), 1);
+        // Later ticks refuse again without recounting.
+        let outs = root.on_tick(SimTime::from_millis(50));
+        assert!(!outs.iter().any(terminated));
+        assert_eq!(root.oversized_refusals(), 1);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! environment view may borrow the rest of the world), runs it, and
 //! puts it back. The dead-port mirror is written as each verdict is
 //! reached, so other switches reading it between entry points see
-//! exactly the live state.
+//! exactly the live state. The timer mirror is written at every put, so
+//! a tick that has nothing to do is refused without a take.
 
 use std::sync::Arc;
 
@@ -36,6 +37,10 @@ pub(super) struct SwitchPool {
     /// a looped-back cable reads mid-round); a boot or reboot condemns
     /// the whole row. [`put`](Self::put) holds debug builds to that.
     pub(super) dead: Vec<[bool; MAX_PORTS]>,
+    /// Per-switch timer mirror: [`Autopilot::timer_due`] as of the last
+    /// [`put`](Self::put), a lower bound below which a tick would make no
+    /// call. Zero (every tick runs) until the first put.
+    pub(super) tick_due: Vec<SimTime>,
     /// The currently loaded forwarding table (data-plane hot path).
     pub(super) table: Vec<ForwardingTable>,
     /// When the control processor finishes its current backlog.
@@ -52,6 +57,7 @@ impl SwitchPool {
         SwitchPool {
             slots: Vec::new(),
             dead: Vec::new(),
+            tick_due: Vec::new(),
             table: Vec::new(),
             cpu_free: Vec::new(),
             up: Vec::new(),
@@ -78,6 +84,7 @@ impl SwitchPool {
         let h = self.fresh_harness(uid, params, tracing);
         self.slots.push(Some(h));
         self.dead.push([true; MAX_PORTS]);
+        self.tick_due.push(SimTime::ZERO);
         self.table.push(ForwardingTable::new());
         self.cpu_free.push(cpu_free);
         self.up.push(true);
@@ -95,6 +102,7 @@ impl SwitchPool {
     ) {
         self.slots[s] = Some(self.fresh_harness(uid, params, tracing));
         self.dead[s] = [true; MAX_PORTS];
+        self.tick_due[s] = SimTime::ZERO;
         self.table[s] = ForwardingTable::new();
         self.cpu_free[s] = now;
         self.up[s] = true;
@@ -120,6 +128,7 @@ impl SwitchPool {
             (0..MAX_PORTS).all(|p| self.dead[s][p] == is_dead(&harness, p)),
             "switch {s}: the dead-port mirror missed a verdict"
         );
+        self.tick_due[s] = harness.autopilot().timer_due();
         self.slots[s] = Some(harness);
     }
 
@@ -161,6 +170,7 @@ impl Clone for SwitchPool {
         SwitchPool {
             slots,
             dead: self.dead.clone(),
+            tick_due: self.tick_due.clone(),
             table: self.table.clone(),
             cpu_free: self.cpu_free.clone(),
             up: self.up.clone(),
@@ -242,6 +252,7 @@ mod tests {
     fn reset_installs_a_fresh_node() {
         let mut pool = pool(&[1]);
         pool.dead[0][2] = false;
+        pool.tick_due[0] = SimTime::MAX;
         pool.reset_slot(
             0,
             Uid::new(9),
@@ -251,6 +262,7 @@ mod tests {
         );
         assert_eq!(pool.autopilot(0).uid(), Uid::new(9));
         assert!(pool.dead[0][2]);
+        assert_eq!(pool.tick_due[0], SimTime::ZERO);
     }
 
     #[test]

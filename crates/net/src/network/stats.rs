@@ -25,6 +25,7 @@ impl<D: Driver> Net<D> {
             total.topology_decoded += s.topology_decoded;
             total.lost_in_flight += s.lost_in_flight;
             total.cpu_queue_drops += s.cpu_queue_drops;
+            total.ticks_run += s.ticks_run;
             total.opens += s.opens;
             total.closes += s.closes;
             total.last_state_change = total.last_state_change.max(s.last_state_change);

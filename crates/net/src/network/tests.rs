@@ -374,3 +374,25 @@ fn two_components_flooding_alternately_converge() {
         "the halves displaced each other"
     );
 }
+
+/// Every switch's timer mirror travels with a fork, and the fork skips
+/// exactly the ticks the original skips; on a settled network that is
+/// most of them.
+#[test]
+fn timer_mirror_survives_a_fork() {
+    let mut net = stable_net(gen::torus(3, 3, 5), 2);
+    let mut fork = net.clone();
+    let due = |net: &Network| net.sim.world().switches.tick_due.clone();
+    assert_eq!(due(&fork), due(&net));
+    assert!(due(&net).iter().all(|&t| t > net.now()), "{:?}", due(&net));
+    let before = net.stats().ticks_run;
+    for n in [&mut net, &mut fork] {
+        n.run_for(SimDuration::from_secs(1));
+    }
+    assert_eq!(due(&fork), due(&net));
+    assert_eq!(fork.stats().ticks_run, net.stats().ticks_run);
+    assert_eq!(fork.events_by_kind(), net.events_by_kind());
+    // Nine switches on a 1.2 ms grid for a second.
+    let (run, offered) = (net.stats().ticks_run - before, 9 * 833);
+    assert!(run * 10 < offered, "{run} of ~{offered} ticks ran");
+}

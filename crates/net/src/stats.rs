@@ -30,6 +30,9 @@ pub struct NetStats {
     /// Control packets dropped because the control processor's receive
     /// buffers were full (recovered by retransmission).
     pub cpu_queue_drops: u64,
+    /// Timer ticks that ran the Autopilot; the rest of the `SwitchTick`
+    /// events fell before the switch's `timer_due` and were skipped.
+    pub ticks_run: u64,
     /// Switch reopenings (completed reconfigurations observed).
     pub opens: u64,
     /// Switch closings (reconfigurations begun).
