@@ -17,6 +17,11 @@ pub enum Via {
 
 /// Simulation events (public only because the `World` impl exposes the
 /// type; constructed exclusively through `Network` methods).
+///
+/// A switch's own timer and CPU events carry the incarnation (`inc`) of
+/// the Autopilot that scheduled them; a reboot bumps it, so events of a
+/// crashed incarnation that outlive a quick power cycle are dropped
+/// instead of feeding the new one.
 #[derive(Clone)]
 #[doc(hidden)]
 pub enum Event {
@@ -25,9 +30,11 @@ pub enum Event {
     },
     SwitchTick {
         s: usize,
+        inc: u32,
     },
     SwitchSample {
         s: usize,
+        inc: u32,
     },
     SwitchRx {
         s: usize,
@@ -39,6 +46,7 @@ pub enum Event {
         s: usize,
         port: PortIndex,
         packet: Packet,
+        inc: u32,
     },
     HostBoot {
         h: usize,
@@ -165,8 +173,8 @@ impl Event {
     pub(super) fn node(&self, topo: &Topology) -> usize {
         match *self {
             Event::SwitchBoot { s }
-            | Event::SwitchTick { s }
-            | Event::SwitchSample { s }
+            | Event::SwitchTick { s, .. }
+            | Event::SwitchSample { s, .. }
             | Event::SwitchRx { s, .. }
             | Event::SwitchCpuDone { s, .. }
             | Event::SrpRequest { s, .. }

@@ -330,17 +330,20 @@ impl World for NetWorld {
         self.handled[event.kind()] += 1;
         match event {
             Event::SwitchBoot { s } => self.on_switch_boot(now, s, sched),
-            Event::SwitchTick { s } => self.on_switch_tick(now, s, sched),
-            Event::SwitchSample { s } => self.on_switch_sample(now, s, sched),
+            Event::SwitchTick { s, inc } => self.on_switch_tick(now, s, inc, sched),
+            Event::SwitchSample { s, inc } => self.on_switch_sample(now, s, inc, sched),
             Event::SwitchRx {
                 s,
                 port,
                 packet,
                 via,
             } => self.on_switch_rx(now, s, port, packet, via, sched),
-            Event::SwitchCpuDone { s, port, packet } => {
-                self.on_switch_cpu_done(now, s, port, packet, sched)
-            }
+            Event::SwitchCpuDone {
+                s,
+                port,
+                packet,
+                inc,
+            } => self.on_switch_cpu_done(now, s, port, packet, inc, sched),
             Event::HostBoot { h } => self.on_host_boot(now, h, sched),
             Event::HostTick { h } => self.on_host_tick(now, h, sched),
             Event::HostRx {

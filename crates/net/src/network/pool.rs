@@ -47,6 +47,10 @@ pub(super) struct SwitchPool {
     pub(super) cpu_free: Vec<SimTime>,
     /// Powered and running.
     pub(super) up: Vec<bool>,
+    /// How many times each switch has been rebooted: the stamp its timer
+    /// and CPU events carry, so a crashed incarnation's leftovers can be
+    /// told from the running one's.
+    pub(super) incarnation: Vec<u32>,
     /// Fleet-shared route cache handed to every Autopilot (including
     /// reboots).
     pub(super) route_cache: Arc<RouteCache>,
@@ -61,6 +65,7 @@ impl SwitchPool {
             table: Vec::new(),
             cpu_free: Vec::new(),
             up: Vec::new(),
+            incarnation: Vec::new(),
             route_cache,
         }
     }
@@ -88,10 +93,11 @@ impl SwitchPool {
         self.table.push(ForwardingTable::new());
         self.cpu_free.push(cpu_free);
         self.up.push(true);
+        self.incarnation.push(0);
     }
 
     /// Reboots slot `s` with a fresh Autopilot: new harness, condemned
-    /// ports, empty table, idle CPU, powered up.
+    /// ports, empty table, idle CPU, powered up, next incarnation.
     pub(super) fn reset_slot(
         &mut self,
         s: usize,
@@ -106,6 +112,7 @@ impl SwitchPool {
         self.table[s] = ForwardingTable::new();
         self.cpu_free[s] = now;
         self.up[s] = true;
+        self.incarnation[s] = self.incarnation[s].wrapping_add(1);
     }
 
     /// Number of switches.
@@ -174,6 +181,7 @@ impl Clone for SwitchPool {
             table: self.table.clone(),
             cpu_free: self.cpu_free.clone(),
             up: self.up.clone(),
+            incarnation: self.incarnation.clone(),
             route_cache,
         }
     }
@@ -263,6 +271,7 @@ mod tests {
         assert_eq!(pool.autopilot(0).uid(), Uid::new(9));
         assert!(pool.dead[0][2]);
         assert_eq!(pool.tick_due[0], SimTime::ZERO);
+        assert_eq!(pool.incarnation[0], 1);
     }
 
     #[test]

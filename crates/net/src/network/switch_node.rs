@@ -171,8 +171,13 @@ impl NetWorld {
         }
         self.with_harness(now, s, sched, |h, env| h.boot(now, env));
         self.schedule_tick(now, s, sched);
-        let sample = self.switches.harness(s).next_sample();
-        sched.at(sample, Event::SwitchSample { s });
+        self.schedule_sample(s, sched);
+    }
+
+    /// Whether an event stamped `inc` belongs to switch `s`'s running
+    /// Autopilot: the switch is up and has not rebooted since.
+    fn current(&self, s: usize, inc: u32) -> bool {
+        self.switches.up[s] && self.switches.incarnation[s] == inc
     }
 
     /// Puts switch `s`'s next timer tick on the grid, one timer
@@ -180,7 +185,15 @@ impl NetWorld {
     /// instant, since a skipped tick never reaches the harness.
     fn schedule_tick(&self, now: SimTime, s: usize, sched: &mut Scheduler<'_, Event>) {
         let next = now + self.params.autopilot.timer_resolution;
-        sched.at(next, Event::SwitchTick { s });
+        let inc = self.switches.incarnation[s];
+        sched.at(next, Event::SwitchTick { s, inc });
+    }
+
+    /// Puts switch `s`'s next status sample where its harness wants it.
+    fn schedule_sample(&self, s: usize, sched: &mut Scheduler<'_, Event>) {
+        let next = self.switches.harness(s).next_sample();
+        let inc = self.switches.incarnation[s];
+        sched.at(next, Event::SwitchSample { s, inc });
     }
 
     /// A tick before the switch's timer mirror (`tick_due`) would make no
@@ -192,9 +205,10 @@ impl NetWorld {
         &mut self,
         now: SimTime,
         s: usize,
+        inc: u32,
         sched: &mut Scheduler<'_, Event>,
     ) {
-        if !self.switches.up[s] {
+        if !self.current(s, inc) {
             return;
         }
         if now >= self.switches.tick_due[s] {
@@ -208,14 +222,14 @@ impl NetWorld {
         &mut self,
         now: SimTime,
         s: usize,
+        inc: u32,
         sched: &mut Scheduler<'_, Event>,
     ) {
-        if !self.switches.up[s] {
+        if !self.current(s, inc) {
             return;
         }
         self.with_harness(now, s, sched, |h, env| h.sample(now, env));
-        let next = self.switches.harness(s).next_sample();
-        sched.at(next, Event::SwitchSample { s });
+        self.schedule_sample(s, sched);
     }
 
     pub(super) fn on_switch_rx(
@@ -264,7 +278,14 @@ impl NetWorld {
                 }
                 let start = self.switches.cpu_free[s].max(now);
                 self.switches.cpu_free[s] = start + cost;
-                sched.at(start + cost, Event::SwitchCpuDone { s, port, packet });
+                let inc = self.switches.incarnation[s];
+                let done = Event::SwitchCpuDone {
+                    s,
+                    port,
+                    packet,
+                    inc,
+                };
+                sched.at(start + cost, done);
             }
         }
     }
@@ -275,9 +296,15 @@ impl NetWorld {
         s: usize,
         port: PortIndex,
         packet: autonet_wire::Packet,
+        inc: u32,
         sched: &mut Scheduler<'_, Event>,
     ) {
         if !self.switches.up[s] {
+            return;
+        }
+        if self.switches.incarnation[s] != inc {
+            // Queued before a crash the switch has since rebooted from.
+            self.stats.lost_in_flight += 1;
             return;
         }
         if let Some(msg) = self.decode(&packet.payload) {

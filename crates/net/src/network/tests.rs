@@ -396,3 +396,34 @@ fn timer_mirror_survives_a_fork() {
     let (run, offered) = (net.stats().ticks_run - before, 9 * 833);
     assert!(run * 10 < offered, "{run} of ~{offered} ticks ran");
 }
+
+/// A switch power-cycled within one sampling interval reboots with one
+/// timer chain: the crashed incarnation's pending tick and sample are
+/// dropped when they come due instead of rescheduling beside the new
+/// boot's.
+#[test]
+fn a_quick_power_cycle_leaves_one_timer_chain() {
+    let net = stable_net(gen::ring(4, 5), 3);
+    let window = |n: &mut Network| {
+        let before = n.events_by_kind();
+        n.run_for(SimDuration::from_millis(600));
+        let after = n.events_by_kind();
+        let of = |kind| {
+            let n = |v: &[(&str, u64)]| v.iter().find(|&&(k, _)| k == kind).unwrap().1;
+            n(&after) - n(&before)
+        };
+        [of("SwitchTick"), of("SwitchSample")]
+    };
+    let clean = window(&mut net.clone());
+    assert_eq!(clean, [2000, 480]);
+    for gap in [SimDuration::ZERO, SimDuration::from_micros(500)] {
+        let mut cycled = net.clone();
+        let t = net.now() + SimDuration::from_millis(1);
+        cycled.schedule_switch_down(t, SwitchId(1));
+        cycled.schedule_switch_up(t + gap, SwitchId(1));
+        // One stale tick and one stale sample come due, and stop there.
+        let [ticks, samples] = window(&mut cycled);
+        assert!(ticks <= clean[0] + 1, "{gap:?}: {ticks} ticks");
+        assert!(samples <= clean[1] + 1, "{gap:?}: {samples} samples");
+    }
+}
