@@ -156,4 +156,13 @@ if grep -rEn 'fn rebuild|fn search_min|\bbuckets: Vec<|\boverflow: BinaryHeap' c
     exit 1
 fi
 
+echo "==> one tick grid: the packet backend keeps it, the harness exports none"
+# A skipped tick never reaches the harness, so a harness-side next-tick
+# accessor would go stale under the packet backend.
+if grep -En 'pub fn next_tick' crates/core/src/node.rs ||
+    grep -rEn 'next_tick\(\)' crates/net/src; then
+    echo "switch_node::schedule_tick is the one place the packet backend computes a tick instant (DESIGN.md, The seam)" >&2
+    exit 1
+fi
+
 echo "OK in $(($(date +%s) - start)) s"
