@@ -720,7 +720,7 @@ mod tests {
             for call in &env.calls {
                 if let Call::Send(1, msg) = call {
                     self.sent += 1;
-                    if self.cut || self.loss.is_some_and(|n| self.sent % n == 0) {
+                    if self.cut || self.loss.is_some_and(|n| self.sent.is_multiple_of(n)) {
                         continue;
                     }
                     let at = self.now + SimDuration::from_micros(20);
