@@ -148,7 +148,7 @@ impl Autopilot {
     }
 
     /// Lowers [`timer_due`](Autopilot::timer_due) to `at`.
-    fn timer_due_by(&mut self, at: SimTime) {
+    fn lower_timer_due(&mut self, at: SimTime) {
         self.timer_due = self.timer_due.min(at);
     }
 
@@ -283,7 +283,7 @@ impl Autopilot {
                     let hosts = self.host_ports();
                     let proposed = self.proposed_number;
                     self.engine.update_local_info(proposed, hosts);
-                    self.timer_due_by(now);
+                    self.lower_timer_due(now);
                     self.reload_table(env);
                     if from.is_switch() {
                         // Shouldn't happen (sampler goes via checking), but
@@ -293,7 +293,7 @@ impl Autopilot {
                 }
                 (_, PortState::SwitchWho) => {
                     self.monitors[port as usize].activate();
-                    self.timer_due_by(now);
+                    self.lower_timer_due(now);
                 }
                 (state, PortState::Dead) if state.is_switch() => {
                     let was_good = self.monitors[port as usize].state() == PortState::SwitchGood;
@@ -341,7 +341,7 @@ impl Autopilot {
                     *responder,
                     *responder_port,
                 );
-                self.timer_due_by(self.monitors[port as usize].due());
+                self.lower_timer_due(self.monitors[port as usize].due());
                 match ev {
                     Some(ConnectivityEvent::BecameGood(_)) => {
                         self.trace(
@@ -403,7 +403,7 @@ impl Autopilot {
             _ => {
                 // Reconfiguration protocol.
                 let outs = self.engine.on_msg(now, port, msg);
-                self.timer_due_by(now);
+                self.lower_timer_due(now);
                 self.apply_engine_outputs(outs, env);
             }
         }
@@ -463,7 +463,7 @@ impl Autopilot {
         let hosts = self.host_ports();
         let proposed = self.proposed_number;
         let outs = self.engine.start(now, neighbors, proposed, hosts);
-        self.timer_due_by(now);
+        self.lower_timer_due(now);
         self.apply_engine_outputs(outs, env);
         self.pending_cause = None;
     }
