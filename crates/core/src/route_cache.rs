@@ -565,6 +565,32 @@ mod tests {
         );
     }
 
+    /// Serves hand out handles on one image: a second serve of the same
+    /// key shares the first's storage, and a write through one handle
+    /// copies it first, leaving the memo and every other handle as served.
+    #[test]
+    fn serves_share_one_image_and_copy_on_write() {
+        let topo = gen::torus(4, 4, 9);
+        let g = global_from_view_simple(&topo.view_all()).unwrap();
+        let cache = RouteCache::new();
+        let uid = g.switches[5].uid;
+        let first = cache.table_for(&g, uid, &[6]).unwrap();
+        let second = cache.table_for(&g, uid, &[6]).unwrap();
+        assert!(first.same_image(&second));
+        let mut edited = first.clone();
+        edited.set(
+            1,
+            autonet_wire::ShortAddress::LOOPBACK,
+            autonet_switch::ForwardingEntry::alternatives(autonet_switch::PortSet::single(1)),
+        );
+        assert!(!edited.same_image(&first) && edited != first);
+        let third = cache.table_for(&g, uid, &[6]).unwrap();
+        assert!(third.same_image(&first) && third.same_image(&second));
+        let scratch = compute_forwarding_table(&g, uid, &[6], RouteKind::UpDown).unwrap();
+        assert_eq!(third, scratch);
+        assert_eq!(cache.stats().served_memo, 2);
+    }
+
     #[test]
     fn absent_switch_serves_none() {
         let topo = gen::line(3, 0);

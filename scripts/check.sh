@@ -165,4 +165,15 @@ if grep -En 'pub fn next_tick' crates/core/src/node.rs ||
     exit 1
 fi
 
+echo "==> one table image: dense prefix rows, one one-hop base"
+# Prefix runs live in dense per-in-port rows, not a hash map; the one-hop
+# entries are programmed once, into the base every table starts from.
+if grep -En 'HashMap<\(PortIndex, SwitchNumber\)' crates/switch/src/forwarding.rs ||
+    grep -rn 'program_one_hop(' crates src tests examples --include='*.rs' |
+    grep -v 'fn program_one_hop(' | grep -v '^crates/core/src/routes.rs:' ||
+    [ "$(grep -c 'program_one_hop(' crates/core/src/routes.rs)" -ne 2 ]; then
+    echo "a table is one shared image; synthesis starts from routes::cleared_table (DESIGN.md, Forwarding-table prefix runs)" >&2
+    exit 1
+fi
+
 echo "OK in $(($(date +%s) - start)) s"
