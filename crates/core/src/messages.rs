@@ -14,6 +14,7 @@
 use autonet_wire::{
     decode_short_addr_reply, decode_short_addr_request, encode_short_addr_reply,
     encode_short_addr_request, PortIndex, ShortAddress, SwitchNumber, Uid, MAX_PORTS,
+    MAX_SWITCH_NUMBER,
 };
 
 use crate::epoch::Epoch;
@@ -374,6 +375,18 @@ impl<'a> Reader<'a> {
         port_bound(self.u8()?.into())
     }
 
+    /// A switch number the root assigned: one that names assigned short
+    /// addresses, `1..=MAX_SWITCH_NUMBER`. A table cannot program any
+    /// other, so a flood holding one is no topology.
+    fn switch_number(&mut self) -> Result<SwitchNumber, MsgCodecError> {
+        let num = self.u16()?;
+        if (1..=MAX_SWITCH_NUMBER).contains(&num) {
+            Ok(num)
+        } else {
+            Err(MsgCodecError::BadValue)
+        }
+    }
+
     fn pos(&mut self) -> Result<TreePosition, MsgCodecError> {
         Ok(TreePosition {
             root: self.uid()?,
@@ -693,7 +706,7 @@ impl ControlMsg {
                 let mut numbers = std::collections::BTreeMap::new();
                 for _ in 0..n {
                     let uid = r.uid()?;
-                    let num = r.u16()?;
+                    let num = r.switch_number()?;
                     numbers.insert(uid, num);
                 }
                 ControlMsg::TopologyDown {
@@ -735,7 +748,7 @@ impl ControlMsg {
                 let mut numbers = std::collections::BTreeMap::new();
                 for _ in 0..n {
                     let uid = r.uid_ref(&uids)?;
-                    let num = r.u16()?;
+                    let num = r.switch_number()?;
                     numbers.insert(uid, num);
                 }
                 ControlMsg::TopologyDown {
@@ -927,6 +940,33 @@ mod tests {
         assert_eq!(ControlMsg::decode(&bytes), Err(MsgCodecError::BadValue));
     }
 
+    /// A flood numbering a switch 0 or above `MAX_SWITCH_NUMBER` names no
+    /// assigned address; both encodings of it are refused.
+    #[test]
+    fn topology_down_with_an_unassignable_number_is_refused() {
+        let line = |n| {
+            let topo = autonet_topo::gen::line(n, 0);
+            crate::routes::global_from_view_simple(&topo.view_all()).expect("non-empty")
+        };
+        for (global, tag) in [(line(3), 7), (line(COMPACT_REPORT_THRESHOLD + 1), 13)] {
+            let uid = global.switches[1].uid;
+            for num in [0, 0xFFF, 0xFFFF] {
+                let mut numbers = (*global.numbers).clone();
+                numbers.insert(uid, num);
+                let msg = ControlMsg::TopologyDown {
+                    epoch: global.epoch,
+                    global: GlobalTopology {
+                        numbers: std::sync::Arc::new(numbers),
+                        ..global.clone()
+                    },
+                };
+                let bytes = msg.encode();
+                assert_eq!(bytes[0], tag);
+                assert_eq!(ControlMsg::decode(&bytes), Err(MsgCodecError::BadValue));
+            }
+        }
+    }
+
     #[test]
     fn unknown_tag_rejected() {
         assert_eq!(ControlMsg::decode(&[200]), Err(MsgCodecError::BadTag(200)));
@@ -971,10 +1011,11 @@ mod tests {
         assert_eq!(bytes[0], 12, "large report should take the compact tag");
         assert_eq!(ControlMsg::decode(&bytes).expect("decode"), msg);
 
+        // Assigned numbers start at 1; the synthetic proposals start at 0.
         let numbers = report
             .switches
             .iter()
-            .map(|s| (s.uid, s.proposed_number))
+            .map(|s| (s.uid, s.proposed_number + 1))
             .collect();
         let down = ControlMsg::TopologyDown {
             epoch: Epoch(3),
