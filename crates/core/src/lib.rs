@@ -63,8 +63,8 @@ pub use port_state::PortState;
 pub use reconfig::{MsgDisposition, NeighborInfo};
 pub use route_cache::{RouteCache, RouteCacheStats};
 pub use routes::{
-    compute_forwarding_table, global_from_view, global_from_view_simple, RouteComputer, RouteKind,
-    RoutingStats,
+    compute_forwarding_table, global_from_component, global_from_view, global_from_view_simple,
+    RouteComputer, RouteKind, RoutingStats,
 };
 pub use skeptic::Skeptic;
 pub use topology::{GlobalTopology, LinkInfo, SubtreeReport, SwitchInfo};

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use autonet_core::{global_from_view, Autopilot, Epoch, GlobalTopology, MsgDisposition};
+use autonet_core::{global_from_component, Autopilot, Epoch, GlobalTopology, MsgDisposition};
 use autonet_topo::SwitchId;
 use autonet_wire::{PortIndex, SwitchNumber, Uid};
 
@@ -155,7 +155,11 @@ impl<D: Driver> Net<D> {
     }
 
     /// Verifies the converged control plane against the graph-theoretic
-    /// reference ([`global_from_view`]): same root, same levels.
+    /// reference, one physical component at a time: each switch agrees
+    /// with [`global_from_component`] for its own component (root at the
+    /// component's smallest UID, same level), and an open switch's
+    /// installed table is what a from-scratch computation over its own
+    /// agreed topology produces.
     ///
     /// # Errors
     ///
@@ -164,57 +168,70 @@ impl<D: Driver> Net<D> {
         let w = self.plant();
         let view = w.physical_view();
         let proposals: BTreeMap<Uid, SwitchNumber> = BTreeMap::new();
-        let Some(reference) = global_from_view(&view, Epoch(0), &proposals) else {
-            return Ok(());
+        for component in autonet_topo::connected_components(&view) {
+            let root = component
+                .iter()
+                .map(|&s| w.topo.switch(s).uid)
+                .min()
+                .expect("components are non-empty");
+            let reference = global_from_component(&view, root, Epoch(0), &proposals)
+                .expect("a component's switches are up");
+            let ref_levels = reference.levels().expect("reference is well-formed");
+            for &sid in &component {
+                self.check_switch(sid, &reference, &ref_levels)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// [`Net::check_against_reference`] for switch `sid`, against its
+    /// component's reference topology and levels.
+    fn check_switch(
+        &self,
+        sid: SwitchId,
+        reference: &GlobalTopology,
+        ref_levels: &BTreeMap<Uid, u32>,
+    ) -> Result<(), String> {
+        let si = sid.0;
+        let ap = self.autopilot(sid);
+        let uid = ap.uid();
+        let Some(g) = ap.global() else {
+            return Err(format!("switch {si} has no topology"));
         };
-        let ref_levels = reference.levels().expect("reference is well-formed");
-        for si in 0..w.switches.len() {
-            if !w.switches.up[si] {
-                continue;
-            }
-            let uid = w.topo.switch(SwitchId(si)).uid;
-            if !ref_levels.contains_key(&uid) {
-                continue; // A partition not containing the reference root.
-            }
-            let ap = self.autopilot(SwitchId(si));
-            let Some(g) = ap.global() else {
-                return Err(format!("switch {si} has no topology"));
-            };
-            if g.root != reference.root {
-                return Err(format!(
-                    "switch {si}: root {} != reference {}",
-                    g.root, reference.root
-                ));
-            }
-            let levels = g
-                .levels()
-                .ok_or_else(|| format!("switch {si}: broken tree"))?;
-            if levels.get(&uid) != ref_levels.get(&uid) {
-                return Err(format!(
-                    "switch {si}: level {:?} != reference {:?}",
-                    levels.get(&uid),
-                    ref_levels.get(&uid)
-                ));
-            }
-            // The installed table must be what a from-scratch computation
-            // over the switch's own agreed topology produces — the
-            // end-to-end proof that the shared route cache (when on)
-            // changed no table byte.
-            if ap.is_open() {
-                let hosts = ap.host_ports();
-                if let Some(scratch) = autonet_core::compute_forwarding_table(
-                    g,
-                    uid,
-                    &hosts,
-                    autonet_core::RouteKind::UpDown,
-                ) {
-                    let installed = self.forwarding_table(SwitchId(si)).canonical_digest();
-                    if scratch.canonical_digest() != installed {
-                        return Err(format!(
-                            "switch {si}: installed table {installed:#x} != from-scratch {:#x}",
-                            scratch.canonical_digest()
-                        ));
-                    }
+        if g.root != reference.root {
+            return Err(format!(
+                "switch {si}: root {} != reference {}",
+                g.root, reference.root
+            ));
+        }
+        let levels = g
+            .levels()
+            .ok_or_else(|| format!("switch {si}: broken tree"))?;
+        if levels.get(&uid) != ref_levels.get(&uid) {
+            return Err(format!(
+                "switch {si}: level {:?} != reference {:?}",
+                levels.get(&uid),
+                ref_levels.get(&uid)
+            ));
+        }
+        // The installed table must be what a from-scratch computation
+        // over the switch's own agreed topology produces — the
+        // end-to-end proof that the shared route cache and the shared
+        // table images changed no table byte.
+        if ap.is_open() {
+            let hosts = ap.host_ports();
+            if let Some(scratch) = autonet_core::compute_forwarding_table(
+                g,
+                uid,
+                &hosts,
+                autonet_core::RouteKind::UpDown,
+            ) {
+                let installed = self.forwarding_table(sid).canonical_digest();
+                if scratch.canonical_digest() != installed {
+                    return Err(format!(
+                        "switch {si}: installed table {installed:#x} != from-scratch {:#x}",
+                        scratch.canonical_digest()
+                    ));
                 }
             }
         }
