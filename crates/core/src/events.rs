@@ -26,7 +26,8 @@ use crate::epoch::Epoch;
 use crate::port_state::PortState;
 
 /// Why a reconfiguration was triggered (§4: any change in the set of
-/// usable links or switches).
+/// usable links or switches). The first five are the local triggers; the
+/// last two are epochs the engine enters on a message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReconfigCause {
     /// The switch powered on.
@@ -41,9 +42,24 @@ pub enum ReconfigCause {
     ProbeTimeout,
     /// A neighbor announced a newer epoch; this switch joined it.
     EpochMessage,
+    /// A flooded topology misdescribed this switch: it refused the flood
+    /// and started the next epoch itself (§6.2).
+    UntruthfulTopology,
 }
 
 impl ReconfigCause {
+    /// Every cause, in declaration order: the slot order of
+    /// [`Autopilot::epochs_by_cause`](crate::Autopilot::epochs_by_cause).
+    pub const ALL: [ReconfigCause; 7] = [
+        ReconfigCause::Boot,
+        ReconfigCause::PortDied,
+        ReconfigCause::NewNeighbor,
+        ReconfigCause::NeighborLost,
+        ReconfigCause::ProbeTimeout,
+        ReconfigCause::EpochMessage,
+        ReconfigCause::UntruthfulTopology,
+    ];
+
     /// Stable lowercase tag (used by the canonical JSONL export).
     pub fn tag(self) -> &'static str {
         match self {
@@ -53,6 +69,7 @@ impl ReconfigCause {
             ReconfigCause::NeighborLost => "neighbor-lost",
             ReconfigCause::ProbeTimeout => "probe-timeout",
             ReconfigCause::EpochMessage => "epoch-message",
+            ReconfigCause::UntruthfulTopology => "untruthful-topology",
         }
     }
 }

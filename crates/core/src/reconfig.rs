@@ -39,6 +39,7 @@ use autonet_wire::{PortIndex, SwitchNumber, Uid, MAX_SWITCH_NUMBER};
 
 use crate::addressing::assign_switch_numbers;
 use crate::epoch::Epoch;
+use crate::events::ReconfigCause;
 use crate::messages::ControlMsg;
 use crate::params::{AutopilotParams, TerminationMode};
 use crate::topology::{GlobalTopology, LinkInfo, SubtreeReport, SwitchInfo};
@@ -76,8 +77,8 @@ pub enum ReconfigOutput {
 /// Instrumentation points for the experiments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReconfigEvent {
-    /// A new epoch started (or was joined) at this switch.
-    Started(Epoch),
+    /// A new epoch started (or was joined) at this switch, and why.
+    Started(Epoch, ReconfigCause),
     /// This switch, believing itself root, detected termination.
     RootTerminated(Epoch),
     /// The root assigned short-address switch numbers to the completed
@@ -187,6 +188,9 @@ pub struct ReconfigEngine {
     /// For the quiescence baseline: last local state change.
     last_change: SimTime,
     msgs: MsgDisposition,
+    /// Epochs entered since power-on, by cause, in [`ReconfigCause::ALL`]
+    /// order.
+    epochs_by_cause: [u64; ReconfigCause::ALL.len()],
     /// Epochs in which this switch, as root, refused to terminate on a
     /// report describing more switches than can be numbered, and the last
     /// such epoch.
@@ -216,6 +220,7 @@ impl ReconfigEngine {
             global: None,
             last_change: SimTime::ZERO,
             msgs: MsgDisposition::default(),
+            epochs_by_cause: [0; ReconfigCause::ALL.len()],
             oversized_refusals: 0,
             oversized_epoch: Epoch::ZERO,
         }
@@ -224,6 +229,12 @@ impl ReconfigEngine {
     /// Reconfiguration messages handled since power-on, by disposition.
     pub fn msg_disposition(&self) -> MsgDisposition {
         self.msgs
+    }
+
+    /// Epochs entered since power-on, by cause, in [`ReconfigCause::ALL`]
+    /// order: one per [`ReconfigEvent::Started`].
+    pub fn epochs_by_cause(&self) -> [u64; ReconfigCause::ALL.len()] {
+        self.epochs_by_cause
     }
 
     /// Epochs in which this switch, as root, refused to terminate because
@@ -248,13 +259,14 @@ impl ReconfigEngine {
     pub fn start(
         &mut self,
         now: SimTime,
+        cause: ReconfigCause,
         neighbors: BTreeMap<PortIndex, NeighborInfo>,
         proposed_number: SwitchNumber,
         host_ports: Vec<PortIndex>,
     ) -> Vec<ReconfigOutput> {
         self.latest_neighbors = neighbors.clone();
         let epoch = self.epoch.next();
-        self.reset_for_epoch(now, epoch, neighbors, proposed_number, host_ports)
+        self.reset_for_epoch(now, epoch, cause, neighbors, proposed_number, host_ports)
     }
 
     /// Refreshes the local information used at the next epoch join.
@@ -268,11 +280,13 @@ impl ReconfigEngine {
         &mut self,
         now: SimTime,
         epoch: Epoch,
+        cause: ReconfigCause,
         neighbors: BTreeMap<PortIndex, NeighborInfo>,
         proposed_number: SwitchNumber,
         host_ports: Vec<PortIndex>,
     ) -> Vec<ReconfigOutput> {
         self.epoch = epoch;
+        self.epochs_by_cause[cause as usize] += 1;
         self.running = true;
         self.completed = false;
         self.pos = TreePosition::myself(self.uid);
@@ -288,7 +302,7 @@ impl ReconfigEngine {
         self.last_report_tx = None;
         self.last_change = now;
         let mut out = vec![
-            ReconfigOutput::Event(ReconfigEvent::Started(epoch)),
+            ReconfigOutput::Event(ReconfigEvent::Started(epoch, cause)),
             ReconfigOutput::ClearTable,
         ];
         self.send_position(now, false, &mut out);
@@ -298,10 +312,10 @@ impl ReconfigEngine {
     }
 
     /// Enters `epoch` over the freshest neighbor view and local info.
-    fn join(&mut self, now: SimTime, epoch: Epoch) -> Vec<ReconfigOutput> {
+    fn join(&mut self, now: SimTime, epoch: Epoch, cause: ReconfigCause) -> Vec<ReconfigOutput> {
         let neighbors = self.latest_neighbors.clone();
         let (proposed, hosts) = (self.proposed_number, self.host_ports.clone());
-        self.reset_for_epoch(now, epoch, neighbors, proposed, hosts)
+        self.reset_for_epoch(now, epoch, cause, neighbors, proposed, hosts)
     }
 
     /// Handles an arriving reconfiguration message. `port` is the local
@@ -331,7 +345,7 @@ impl ReconfigEngine {
         match msg_epoch.cmp(&self.epoch) {
             Ordering::Greater => {
                 self.msgs.joined += 1;
-                out = self.join(now, msg_epoch);
+                out = self.join(now, msg_epoch, ReconfigCause::EpochMessage);
             }
             Ordering::Less => {
                 // Stale epoch: ignore. The sender already has, or will get
@@ -438,7 +452,8 @@ impl ReconfigEngine {
                     && mine[0].parent == self.pos.parent
                     && mine[0].parent_port == self.pos.parent_port;
                 if !self.completed && !truthful {
-                    out.extend(self.join(now, self.epoch.next()));
+                    let next = self.epoch.next();
+                    out.extend(self.join(now, next, ReconfigCause::UntruthfulTopology));
                     return out;
                 }
                 out.push(ReconfigOutput::Send {
@@ -905,7 +920,7 @@ mod tests {
                 self.engines[j].latest_neighbors = nbrs;
             }
             let nbrs = self.neighbor_map(i);
-            let outs = self.engines[i].start(self.now, nbrs, 1, vec![]);
+            let outs = self.engines[i].start(self.now, ReconfigCause::NewNeighbor, nbrs, 1, vec![]);
             self.dispatch(i, outs);
         }
 
@@ -983,7 +998,13 @@ mod tests {
     #[test]
     fn lone_switch_configures_itself() {
         let mut e = ReconfigEngine::new(Uid::new(5), &params());
-        let outs = e.start(SimTime::ZERO, BTreeMap::new(), 1, vec![3, 4]);
+        let outs = e.start(
+            SimTime::ZERO,
+            ReconfigCause::Boot,
+            BTreeMap::new(),
+            1,
+            vec![3, 4],
+        );
         let completed = outs.iter().find_map(|o| match o {
             ReconfigOutput::Completed(g) => Some(g.clone()),
             _ => None,
@@ -1281,7 +1302,7 @@ mod tests {
         assert!(net.engines[0].completed);
 
         let nbrs = net.neighbor_map(0);
-        let _ = net.engines[0].start(net.now, nbrs, 1, vec![]);
+        let _ = net.engines[0].start(net.now, ReconfigCause::NewNeighbor, nbrs, 1, vec![]);
         let before = (net.engines[0].epoch(), net.engines[0].pos);
         let handled = net.engines[0].msg_disposition();
         for msg in &stale {
@@ -1307,7 +1328,7 @@ mod tests {
         let old = net.engines[1].epoch();
         let started = net.now;
         let nbrs = net.neighbor_map(0);
-        let lost = net.engines[0].start(started, nbrs, 1, vec![]);
+        let lost = net.engines[0].start(started, ReconfigCause::NewNeighbor, nbrs, 1, vec![]);
         assert!(lost
             .iter()
             .any(|o| matches!(o, ReconfigOutput::Send { .. })));
@@ -1350,7 +1371,13 @@ mod tests {
             uid: Uid::new(10),
             their_port: 2,
         };
-        let _ = e.start(SimTime::ZERO, BTreeMap::from([(1, ten)]), 1, vec![]);
+        let _ = e.start(
+            SimTime::ZERO,
+            ReconfigCause::NewNeighbor,
+            BTreeMap::from([(1, ten)]),
+            1,
+            vec![],
+        );
         let epoch = e.epoch();
         let _ = e.on_msg(SimTime::from_micros(10), 1, &ten_is_root(epoch));
         assert_eq!(e.pos.parent, Uid::new(10));
@@ -1401,9 +1428,11 @@ mod tests {
         assert_eq!(e.epoch(), epoch.next(), "a fresh epoch must start");
         assert!(
             outs.iter()
-                .any(|o| matches!(o, ReconfigOutput::Event(ReconfigEvent::Started(ep)) if *ep == epoch.next())),
+                .any(|o| matches!(o, ReconfigOutput::Event(ReconfigEvent::Started(ep, ReconfigCause::UntruthfulTopology)) if *ep == epoch.next())),
             "{outs:?}"
         );
+        // Counted as its own cause: one start, no join.
+        assert_eq!(e.epochs_by_cause(), [0, 0, 1, 0, 0, 0, 1]);
         // Re-adopt the parent in the new epoch; a truthful topology then
         // completes normally.
         let _ = e.on_msg(SimTime::from_micros(30), 1, &ten_is_root(epoch.next()));
@@ -1433,7 +1462,13 @@ mod tests {
             uid: Uid::new(50),
             their_port: 2,
         };
-        let _ = root.start(SimTime::ZERO, BTreeMap::from([(1, fifty)]), 1, vec![]);
+        let _ = root.start(
+            SimTime::ZERO,
+            ReconfigCause::NewNeighbor,
+            BTreeMap::from([(1, fifty)]),
+            1,
+            vec![],
+        );
         let epoch = root.epoch();
         let info = |uid: u64, parent: u64| SwitchInfo {
             uid: Uid::new(uid),

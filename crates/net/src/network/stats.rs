@@ -3,7 +3,9 @@
 
 use std::collections::BTreeMap;
 
-use autonet_core::{global_from_component, Autopilot, Epoch, GlobalTopology, MsgDisposition};
+use autonet_core::{
+    global_from_component, Autopilot, Epoch, GlobalTopology, MsgDisposition, ReconfigCause,
+};
 use autonet_topo::SwitchId;
 use autonet_wire::{PortIndex, SwitchNumber, Uid};
 
@@ -58,6 +60,21 @@ impl<D: Driver> Net<D> {
             total += ap.reconfig_msgs();
         }
         total
+    }
+
+    /// Epochs entered by cause, summed over every switch's engine (each
+    /// since its last power-on): every [`ReconfigCause`], zeros included.
+    /// Exact and always on, like [`reconfig_msgs`](Net::reconfig_msgs):
+    /// the `epoch-message` slot counts joins, the rest count starts, so
+    /// two switches that mint the same epoch number count twice.
+    pub fn epochs_by_cause(&self) -> Vec<(ReconfigCause, u64)> {
+        let mut total = [0u64; ReconfigCause::ALL.len()];
+        for ap in self.autopilots() {
+            for (sum, n) in total.iter_mut().zip(ap.epochs_by_cause()) {
+                *sum += n;
+            }
+        }
+        ReconfigCause::ALL.into_iter().zip(total).collect()
     }
 
     /// Whether the control plane has converged to the physical truth:

@@ -1,6 +1,8 @@
 use std::sync::Arc;
 
-use autonet_core::{global_from_view_simple, ControlMsg, Epoch, GlobalTopology, RouteCache};
+use autonet_core::{
+    global_from_view_simple, ControlMsg, Epoch, Event, GlobalTopology, ReconfigCause, RouteCache,
+};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{gen, HostId, LinkId, SwitchId, Topology};
 use autonet_wire::Bytes;
@@ -72,6 +74,21 @@ fn counters_add_up<D: Driver>(mut net: Net<D>) {
     let msgs = net.reconfig_msgs();
     assert!(msgs.total() > 0 && msgs.total() <= of("SwitchCpuDone"));
     assert!(msgs.joined >= 15 && msgs.current > msgs.joined);
+    // Every traced `reconfig-triggered` is one epoch in its cause's slot,
+    // each join among them one joining message.
+    let trace = net.merged_trace();
+    let by_cause = net.epochs_by_cause();
+    for &(cause, n) in &by_cause {
+        let traced = trace
+            .iter()
+            .filter(|r| matches!(r.event, Event::ReconfigTriggered { cause: c, .. } if c == cause));
+        assert_eq!(traced.count() as u64, n, "{cause}");
+    }
+    assert_eq!(by_cause[ReconfigCause::Boot as usize].1, 16);
+    assert_eq!(
+        by_cause[ReconfigCause::EpochMessage as usize].1,
+        msgs.joined
+    );
 }
 
 #[test]
