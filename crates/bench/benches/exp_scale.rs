@@ -30,7 +30,7 @@
 //! `SCALE_SMOKE=1` runs only the 256-switch rows (the CI smoke tier).
 
 use autonet_bench::{write_artifact, Report, Table, Value};
-use autonet_core::MsgDisposition;
+use autonet_core::{MsgDisposition, ReconfigCause};
 use autonet_net::{Driver, Net, NetParams, NetStats, Network, PartitionedNetwork};
 use autonet_sim::{bucket_quantile, SimDuration, SimTime};
 use autonet_topo::{gen, LinkId, SwitchId, Topology};
@@ -41,14 +41,21 @@ use std::time::Instant;
 /// exact work of the bring-up: a pure function of topology, preset and
 /// seed, so a change in it is a change in the protocol.
 struct Cycle {
+    /// Power-on to the last switch's open: what the protocol took, not the
+    /// settle poll that noticed it.
     bring_sim: SimDuration,
     bring_wall: f64,
     bring_events: u64,
     bring_ctrl_msgs: u64,
     bring_epochs: u64,
     bring_msgs: MsgDisposition,
+    /// Epochs the switches entered during bring-up, by cause.
+    bring_causes: Vec<(ReconfigCause, u64)>,
+    /// The trunk failing to the last switch's reopen.
     cut_sim: SimDuration,
     cut_wall: f64,
+    /// Sim time the run covered, settle polls included.
+    ran: SimDuration,
     /// Events the cut cost, by `Event` variant: what the kernel handles
     /// between the stable network and the healed one.
     cut_kinds: Vec<(&'static str, u64)>,
@@ -64,32 +71,34 @@ struct Cycle {
 /// trunk 0, run until healed.
 fn cycle<D: Driver>(net: &mut Net<D>) -> Option<Cycle> {
     let wall = Instant::now();
-    net.run_until_stable_every(SimDuration::from_millis(100), SimTime::from_secs(300))?;
+    let up = net.run_until_stable_every(SimDuration::from_millis(100), SimTime::from_secs(300))?;
     let bring_wall = wall.elapsed().as_secs_f64();
-    let bring_sim = SimDuration::from_nanos(net.now().as_nanos());
     let bring_events = net.events_processed();
     let bring_ctrl_msgs = net.stats().control_sent;
     let bring_epochs = net.autopilot(SwitchId(0)).epoch().0;
     let bring_msgs = net.reconfig_msgs();
-    net.schedule_link_down(net.now() + SimDuration::from_millis(10), LinkId(0));
-    let cut_from = net.now();
+    let bring_causes = net.epochs_by_cause();
+    let cut_at = net.now() + SimDuration::from_millis(10);
+    net.schedule_link_down(cut_at, LinkId(0));
     let kinds_before = net.events_by_kind();
     let ticks_before = net.stats().ticks_run;
     let wall = Instant::now();
-    net.run_until_stable_every(
+    let healed = net.run_until_stable_every(
         SimDuration::from_millis(50),
         net.now() + SimDuration::from_secs(60),
     )?;
     let cut_kinds = net.events_by_kind().into_iter().zip(kinds_before);
     Some(Cycle {
-        bring_sim,
+        bring_sim: up.saturating_since(SimTime::ZERO),
         bring_wall,
         bring_events,
         bring_ctrl_msgs,
         bring_epochs,
         bring_msgs,
-        cut_sim: net.now().saturating_since(cut_from),
+        bring_causes,
+        cut_sim: healed.saturating_since(cut_at),
         cut_wall: wall.elapsed().as_secs_f64(),
+        ran: net.now().saturating_since(SimTime::ZERO),
         cut_kinds: cut_kinds.map(|((k, n), (_, n0))| (k, n - n0)).collect(),
         cut_ticks_run: net.stats().ticks_run - ticks_before,
         events: net.events_processed(),
@@ -102,7 +111,7 @@ fn cycle<D: Driver>(net: &mut Net<D>) -> Option<Cycle> {
 /// extra shard) and the per-shard table's row count are exact-gated.
 const PARTITIONS: usize = 2;
 
-/// The report's six tables, one row per topology in each but `shards`
+/// The report's seven tables, one row per topology in each but `shards`
 /// (one per shard of the profile pass).
 struct Tables {
     cost: Table,
@@ -111,6 +120,7 @@ struct Tables {
     route_cache: Table,
     shards: Table,
     kinds: Table,
+    causes: Table,
 }
 
 /// The `Event` variants the cut table names; the rest are its `other`.
@@ -211,6 +221,13 @@ fn tables() -> Tables {
                 "timer share",
             ],
         ),
+        causes: Table::new(
+            "E22: epochs entered during the classic bring-up, by cause (summed over switches; \
+             epoch-message is a join, the rest are starts)",
+            &std::iter::once("topology")
+                .chain(ReconfigCause::ALL.map(ReconfigCause::tag))
+                .collect::<Vec<_>>(),
+        ),
     }
 }
 
@@ -237,7 +254,7 @@ fn measure(
         .expect("every network shares a route cache");
     drop(net);
     let total_wall = classic.bring_wall + classic.cut_wall;
-    let total_sim = (classic.bring_sim + classic.cut_sim).as_secs_f64();
+    let total_sim = classic.ran.as_secs_f64();
     let sharded1 = cycle(&mut PartitionedNetwork::new(topo.clone(), scale, 2, 1))?;
     let sharded2 = cycle(&mut PartitionedNetwork::new(topo.clone(), scale, 2, 2))?;
     let wall = Value::Wall;
@@ -274,6 +291,8 @@ fn measure(
         classic.stats.topology_encoded.into(),
         classic.stats.topology_decoded.into(),
     ]);
+    let causes = classic.bring_causes.iter().map(|&(_, n)| n.into());
+    t.causes.row(std::iter::once(name.into()).chain(causes));
     let of = |kind| {
         classic
             .cut_kinds
@@ -426,5 +445,6 @@ fn main() {
         .table(t.profile)
         .table(t.shards)
         .table(t.kinds)
+        .table(t.causes)
         .finish();
 }

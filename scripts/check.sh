@@ -44,14 +44,15 @@ echo "==> bench gate self-test"
 # files: one whose first champion (src-30's) was lowered to 1 ns, below its
 # random median, one whose first champion over a zero median was lowered to
 # 0, and one whose first seed sweep's min and median champion were both
-# lowered to 0, below the 1 ns floor (min <= median still holds).
+# lowered to 0, below the 1 ns floor (min <= median still holds); and an
+# E22 file whose fat_tree-1024 bring-up is back at its 231 epochs.
 # Each edit changes the first match only.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 f=BENCH_worst_case.json
 smoke=BENCH_scale_smoke.json
 first() { awk -v re="$2" -v to="$3" '!done && sub(re, to) { done = 1 } { print }' "$1"; }
-mkdir "$tmp/same" "$tmp/wall" "$tmp/moved" "$tmp/decoded" "$tmp/weak" "$tmp/dark" "$tmp/sweep"
+mkdir "$tmp/same" "$tmp/wall" "$tmp/moved" "$tmp/decoded" "$tmp/weak" "$tmp/dark" "$tmp/sweep" "$tmp/storm"
 cp $f "$tmp/same/"
 first $f '"search wall [^"]*": [0-9.]+' '"search wall (s)": 99.5' >"$tmp/wall/$f"
 first $f '"evals": [0-9]+' '"evals": 99' >"$tmp/moved/$f"
@@ -60,6 +61,8 @@ first $f '"worst blackout": [0-9]+, "random median": 0,' '"worst blackout": 0, "
 first $f '"min worst": [0-9]+, "median worst": [0-9]+' '"min worst": 0, "median worst": 0' >"$tmp/sweep/$f"
 first $smoke '"bring-up events": [0-9]+' '"bring-up events": 99' >"$tmp/moved/$smoke"
 first $smoke '"decoded": [0-9]+' '"decoded": 99' >"$tmp/decoded/$smoke"
+first BENCH_scale.json '"fat_tree 1024", "bring-up events": [0-9]+, "bring-up control messages": [0-9]+, "bring-up epochs": [0-9]+' \
+    '"fat_tree 1024", "bring-up events": 1, "bring-up control messages": 1, "bring-up epochs": 231' >"$tmp/storm/BENCH_scale.json"
 python3 scripts/check_bench.py "$tmp/same/$f" "$tmp/wall/$f" >/dev/null
 if cmp -s $f "$tmp/wall/$f" || python3 scripts/check_bench.py "$tmp/moved/$f" >/dev/null 2>&1 ||
     python3 scripts/check_bench.py "$tmp/moved/$smoke" >/dev/null 2>&1; then
@@ -77,6 +80,10 @@ if ! python3 scripts/check_bench.py "$tmp/weak/$f" 2>&1 | grep -q 'does not hold
 fi
 if ! python3 scripts/check_bench.py "$tmp/sweep/$f" 2>&1 | grep -q 'does not hold: every seed sweep'; then
     echo "the bench gate's E24 sweep predicate passed a median champion of 0" >&2
+    exit 1
+fi
+if ! python3 scripts/check_bench.py "$tmp/storm/BENCH_scale.json" 2>&1 | grep -q 'does not hold: the fat_tree-1024 bring-up'; then
+    echo "the bench gate's E22 epoch predicate passed a fat_tree-1024 bring-up of 231 epochs" >&2
     exit 1
 fi
 
