@@ -2,13 +2,14 @@
 //!
 //! The engine turns a declarative [`Scenario`] into a simulation run:
 //! bring the network up and wait for first quiescence, then walk the
-//! fault schedule, running the backend from one fault to the next and
+//! fault schedule, running the network from one fault to the next and
 //! folding each gap's drained event spine through the online oracles. A
 //! firing oracle stops the run at the end of that gap with the violation
 //! (timed where the spine put it); the caller (usually a test) hands the
 //! scenario to the shrinker and prints a minimal reproducer. Waiting for
-//! quiescence is the one poll: the engine asks the backend every
-//! `step_ms` whether it has settled.
+//! quiescence is the one poll: the engine asks the network every
+//! `step_ms` whether it has settled. The network is the packet-level
+//! [`Net`] on either kernel.
 //!
 //! The run is two halves, `boot` (to first quiescence) and `resume` (the
 //! schedule from there), with a [`BootedCampaign`] in between. A single
@@ -18,8 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use autonet_core::AutopilotParams;
-use autonet_net::{link_flap_events, NetParams, Network};
+use autonet_net::{link_flap_events, Driver, Net, NetParams, Network};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{HostId, LinkId, NetView, SwitchId, Topology};
 use autonet_trace::{
@@ -28,7 +28,7 @@ use autonet_trace::{
 
 use crate::oracle::{audit_blackouts, OracleConfig, OracleState, Violation};
 use crate::scenario::{FaultOp, Scenario, TopoSpec};
-use crate::substrate::{crossing_links, SlotSubstrate, Substrate};
+use crate::substrate::{apply, crossing_links, quiescent, ProbeFlows};
 
 /// What a campaign run produced.
 #[derive(Clone, Debug, PartialEq)]
@@ -127,7 +127,7 @@ fn probing(topo: &Topology) -> bool {
 }
 
 /// The engine's own state at first quiescence: everything a run has
-/// accumulated besides the substrate itself. Plain data, so a settled
+/// accumulated besides the network itself. Plain data, so a settled
 /// campaign can be copied and walked more than once.
 #[derive(Clone)]
 struct Settled {
@@ -140,9 +140,9 @@ struct Settled {
     origin: SimTime,
 }
 
-/// One run in flight: the substrate plus what the engine keeps about it.
-struct Run<'a, S> {
-    sub: &'a mut S,
+/// One run in flight: the network plus what the engine keeps about it.
+struct Run<'a, D: Driver> {
+    net: &'a mut Net<D>,
     topo: &'a Topology,
     cfg: &'a OracleConfig,
     oracle: OracleState,
@@ -159,49 +159,52 @@ struct Run<'a, S> {
     exempt: BTreeSet<usize>,
 }
 
-impl<S: Substrate> Run<'_, S> {
+impl<D: Driver> Run<'_, D>
+where
+    Net<D>: ProbeFlows,
+{
     /// Advances `span`, then folds the drained spine through the oracles.
     fn advance(&mut self, span: SimDuration) -> Result<(), Violation> {
-        self.sub.run_for(span);
-        let records = self.sub.drain_control();
+        self.net.run_for(span);
+        let records = self.net.drain_trace_records();
         let verdict = self.oracle.ingest(self.topo, &records);
         self.spine.extend(records);
         verdict.map_or(Ok(()), Err)
     }
 
-    /// Runs until the substrate reports quiescence, oracles firing along
+    /// Runs until the network is [`quiescent`], oracles firing along
     /// the way, then counts the quiescence point and checks agreement at
     /// it. Running out of budget is a [`Violation::SettleTimeout`].
     fn settle(&mut self, budget_ms: u64) -> Result<(), Violation> {
         let step = SimDuration::from_millis(self.cfg.step_ms.max(1));
-        let deadline = self.sub.now() + SimDuration::from_millis(budget_ms);
+        let deadline = self.net.now() + SimDuration::from_millis(budget_ms);
         loop {
-            if self.sub.now() >= deadline {
+            if self.net.now() >= deadline {
                 return Err(Violation::SettleTimeout {
-                    at: self.sub.now(),
+                    at: self.net.now(),
                     budget_ms,
                 });
             }
             self.advance(step)?;
-            if self.sub.quiescent(&self.view) {
+            if quiescent(self.net, &self.view) {
                 break;
             }
         }
         self.quiescences += 1;
         self.oracle
-            .at_quiescence(self.sub.now(), &self.view)
+            .at_quiescence(self.net.now(), &self.view)
             .map_or(Ok(()), Err)
     }
 
     /// Walks the fault schedule from first quiescence (`origin`) through
-    /// the final settle and the backend's audit.
+    /// the final settle and the reference audit.
     fn walk(&mut self, scenario: &Scenario, origin: SimTime) -> Result<(), Violation> {
         let mut events = scenario.events.clone();
         events.sort_by_key(|e| e.at_ms);
         for event in &events {
             let due = origin + SimDuration::from_millis(event.at_ms);
-            if due > self.sub.now() {
-                self.advance(due - self.sub.now())?;
+            if due > self.net.now() {
+                self.advance(due - self.net.now())?;
             }
             if let FaultOp::Waypoint { settle_ms } = event.op {
                 self.settle(settle_ms)?;
@@ -209,8 +212,8 @@ impl<S: Substrate> Run<'_, S> {
                 if let FaultOp::HostPowerOff(h) = event.op {
                     self.exempt.insert(h);
                 }
-                self.sub.apply(&event.op, self.topo);
-                let now = self.sub.now();
+                apply(self.net, &event.op, self.topo);
+                let now = self.net.now();
                 mirror(
                     &mut self.view,
                     self.topo,
@@ -223,11 +226,11 @@ impl<S: Substrate> Run<'_, S> {
         }
         // Final settle: the reconfiguration-termination liveness bound.
         self.settle(scenario.settle_ms)?;
-        self.sub
-            .final_audit()
+        self.net
+            .check_against_reference()
             .map_err(|detail| Violation::ReferenceMismatch {
                 detail,
-                time: self.sub.now(),
+                time: self.net.now(),
             })
     }
 
@@ -235,12 +238,12 @@ impl<S: Substrate> Run<'_, S> {
     /// is built once and feeds the interruption ledger, the damage
     /// objectives, the critical path and the blackout oracle alike.
     fn finish(self, verdict: Result<(), Violation>, origin: SimTime) -> CheckOutcome {
-        let end = self.sub.now();
+        let end = self.net.now();
         let timeline = Timeline::build(&self.spine);
         let interruption = probing(self.topo).then(|| {
             InterruptionReport::build(
-                &self.sub.probe_pairs(),
-                &self.sub.probe_records(),
+                &self.net.probe_pairs(),
+                &self.net.probe_records(),
                 &timeline,
                 end,
                 InterruptionConfig {
@@ -285,13 +288,16 @@ const BRINGUP_BUDGET_MS: u64 = 120_000;
 /// Panics if bring-up drained no trace record: every switch logs `Boot`
 /// when tracing is on, and oracles folding over an empty spine would
 /// pass vacuously.
-fn boot<S: Substrate>(
-    sub: &mut S,
+fn boot<D: Driver>(
+    net: &mut Net<D>,
     topo: &Topology,
     cfg: &OracleConfig,
-) -> Result<Settled, Box<CheckOutcome>> {
+) -> Result<Settled, Box<CheckOutcome>>
+where
+    Net<D>: ProbeFlows,
+{
     let mut run = Run {
-        sub,
+        net,
         topo,
         cfg,
         oracle: OracleState::new(topo, cfg.clone()),
@@ -308,7 +314,7 @@ fn boot<S: Substrate>(
          so campaigns need NetParams::tracing on"
     );
     if let Err(v) = verdict {
-        let origin = run.sub.now();
+        let origin = run.net.now();
         return Err(Box::new(run.finish(Err(v), origin)));
     }
     if probing(topo) {
@@ -317,31 +323,34 @@ fn boot<S: Substrate>(
         let n = topo.num_hosts();
         let pairs: Vec<(HostId, HostId)> =
             (0..n).map(|i| (HostId(i), HostId((i + 1) % n))).collect();
-        run.sub.start_probes(&pairs, cfg.probe_interval);
+        run.net.start_probes(&pairs, cfg.probe_interval);
     }
     Ok(Settled {
-        origin: run.sub.now(),
+        origin: run.net.now(),
         oracle: run.oracle,
         spine: run.spine,
     })
 }
 
-/// The resume half: walks `scenario`'s schedule on a substrate that
+/// The resume half: walks `scenario`'s schedule on a network that
 /// [`boot`] left at first quiescence.
-fn resume<S: Substrate>(
+fn resume<D: Driver>(
     settled: Settled,
     scenario: &Scenario,
-    sub: &mut S,
+    net: &mut Net<D>,
     topo: &Topology,
     cfg: &OracleConfig,
-) -> CheckOutcome {
+) -> CheckOutcome
+where
+    Net<D>: ProbeFlows,
+{
     let Settled {
         oracle,
         spine,
         origin,
     } = settled;
     let mut run = Run {
-        sub,
+        net,
         topo,
         cfg,
         oracle,
@@ -355,30 +364,34 @@ fn resume<S: Substrate>(
     run.finish(verdict, origin)
 }
 
-/// Runs a prepared substrate through a scenario: boot, then resume in
-/// place. Shared by every backend.
-pub fn run_scenario<S: Substrate>(
+/// Runs a prepared network, on either kernel, through a scenario: boot,
+/// then resume in place.
+pub fn run_scenario<D: Driver>(
     scenario: &Scenario,
-    sub: &mut S,
+    net: &mut Net<D>,
     topo: &Topology,
     cfg: &OracleConfig,
-) -> CheckOutcome {
-    match boot(sub, topo, cfg) {
-        Ok(settled) => resume(settled, scenario, sub, topo, cfg),
+) -> CheckOutcome
+where
+    Net<D>: ProbeFlows,
+{
+    match boot(net, topo, cfg) {
+        Ok(settled) => resume(settled, scenario, net, topo, cfg),
         Err(outcome) => *outcome,
     }
 }
 
 /// A campaign booted to first quiescence and not yet given a schedule:
-/// the settled substrate, the armed oracles, the bring-up spine, probes
-/// started. Every scenario on the same topology and seed begins with
-/// exactly this bring-up, so where the substrate is `Clone` (the classic
-/// packet kernel) a search boots once and resumes a clone per candidate;
+/// the settled network `N` (a [`Net`] on either kernel), the armed
+/// oracles, the bring-up spine, probes started. Every scenario on the
+/// same topology and seed begins with exactly this bring-up, so where
+/// the network is `Clone` (the classic kernel's [`Network`]) a search
+/// boots once and resumes a clone per candidate;
 /// a clone resumed is indistinguishable from a cold run of the same
 /// scenario. `BootedCampaign<Network>` is `Send + Sync`, so forks of one
 /// booted world can be taken and resumed on any thread.
-pub struct BootedCampaign<S> {
-    sub: S,
+pub struct BootedCampaign<N> {
+    net: N,
     topo: Topology,
     cfg: OracleConfig,
     /// What the world was booted for: [`resume`](Self::resume) refuses
@@ -395,10 +408,10 @@ pub struct BootedCampaign<S> {
 /// A clone is a fork: it continues the world the original booted and
 /// pays no bring-up of its own, so its [`boots`](BootedCampaign::boots)
 /// is 0.
-impl<S: Clone> Clone for BootedCampaign<S> {
+impl<N: Clone> Clone for BootedCampaign<N> {
     fn clone(&self) -> Self {
         BootedCampaign {
-            sub: self.sub.clone(),
+            net: self.net.clone(),
             topo: self.topo.clone(),
             cfg: self.cfg.clone(),
             spec: self.spec.clone(),
@@ -417,21 +430,24 @@ const _: () = {
     send::<CheckOutcome>();
 };
 
-impl<S: Substrate> BootedCampaign<S> {
-    /// Builds `spec`'s topology, has `build` make the backend for it
+impl<D: Driver> BootedCampaign<Net<D>>
+where
+    Net<D>: ProbeFlows,
+{
+    /// Builds `spec`'s topology, has `build` make the network for it
     /// (seeded with `seed`, nothing run yet), and boots that to first
     /// quiescence under `cfg`.
     pub fn boot(
         spec: &TopoSpec,
         seed: u64,
         cfg: &OracleConfig,
-        build: impl FnOnce(&Topology) -> S,
+        build: impl FnOnce(&Topology) -> Net<D>,
     ) -> Self {
         let topo = spec.build();
-        let mut sub = build(&topo);
-        let settled = boot(&mut sub, &topo, cfg);
+        let mut net = build(&topo);
+        let settled = boot(&mut net, &topo, cfg);
         BootedCampaign {
-            sub,
+            net,
             topo,
             cfg: cfg.clone(),
             spec: spec.clone(),
@@ -451,14 +467,14 @@ impl<S: Substrate> BootedCampaign<S> {
     }
 
     /// Walks `scenario`'s schedule from first quiescence, in place, and
-    /// hands back the substrate for backend-specific assertions.
+    /// hands back the network for further assertions.
     ///
     /// # Panics
     ///
     /// Panics if `scenario` names another topology or seed than the
     /// campaign was booted for: the run would be a silent evaluation on
     /// the wrong world.
-    pub fn resume(mut self, scenario: &Scenario) -> (CheckOutcome, S) {
+    pub fn resume(mut self, scenario: &Scenario) -> (CheckOutcome, Net<D>) {
         assert!(
             scenario.topo == self.spec && scenario.seed == self.seed,
             "campaign booted for {:?} seed {} cannot resume scenario '{}' on {:?} seed {}",
@@ -469,10 +485,10 @@ impl<S: Substrate> BootedCampaign<S> {
             scenario.seed,
         );
         let outcome = match self.settled {
-            Ok(settled) => resume(settled, scenario, &mut self.sub, &self.topo, &self.cfg),
+            Ok(settled) => resume(settled, scenario, &mut self.net, &self.topo, &self.cfg),
             Err(outcome) => *outcome,
         };
-        (outcome, self.sub)
+        (outcome, self.net)
     }
 }
 
@@ -488,16 +504,6 @@ impl BootedCampaign<Network> {
 /// Runs a scenario on the packet-level backend.
 pub fn run_packet(scenario: &Scenario, params: &NetParams, cfg: &OracleConfig) -> CheckOutcome {
     let booted = BootedCampaign::packet(&scenario.topo, scenario.seed, params, cfg);
-    booted.resume(scenario).0
-}
-
-/// Runs a scenario on the slot-level backend: link faults only, emulated
-/// with line noise on both ends, so the campaign must keep the switch set
-/// fixed.
-pub fn run_slot(scenario: &Scenario, params: AutopilotParams, cfg: &OracleConfig) -> CheckOutcome {
-    let booted = BootedCampaign::boot(&scenario.topo, scenario.seed, cfg, |topo| {
-        SlotSubstrate::new(topo, params, scenario.seed)
-    });
     booted.resume(scenario).0
 }
 

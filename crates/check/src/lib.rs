@@ -12,12 +12,12 @@
 //!   timed waypoints), replayable deterministically from a seed;
 //! - online invariant checkers ([`OracleConfig`], [`Violation`]) evaluated
 //!   at every table install and epoch transition, fed by the typed event
-//!   spine both simulation backends drain;
-//! - [`run_packet`] / [`run_slot`] — one engine over both network
-//!   substrates (full-vocabulary packet level, link faults emulated as
-//!   line noise at slot level); [`BootedCampaign`] is the same engine
-//!   stopped at first quiescence, to boot a world once and resume a clone
-//!   of it per schedule;
+//!   spine the network drains;
+//! - [`run_packet`] / [`run_scenario`] — one engine over the packet-level
+//!   network on either event kernel (only the classic one has the
+//!   [`ProbeFlows`] a hosted campaign needs); [`BootedCampaign`] is the
+//!   same engine stopped at first quiescence, to boot a world once and
+//!   resume a clone of it per schedule;
 //! - [`shrink_schedule`] / [`Reproducer`] — when an oracle fires, the
 //!   schedule is greedily minimized under deterministic re-runs and
 //!   printed as a self-contained Rust test.
@@ -37,14 +37,14 @@ mod substrate;
 mod tables;
 mod worst_case;
 
-pub use engine::{run_packet, run_scenario, run_slot, BootedCampaign, CheckOutcome};
+pub use engine::{run_packet, run_scenario, BootedCampaign, CheckOutcome};
 pub use oracle::{OracleConfig, Violation};
 pub use postmortem::{default_postmortem_dir, postmortem_on_failure, write_postmortem};
 pub use scenario::{
     random_scenario, random_scenario_with, FaultEvent, FaultOp, GenOptions, Scenario, TopoSpec,
 };
 pub use shrink::{packet_reproducer, shrink_schedule, Reproducer};
-pub use substrate::Substrate;
+pub use substrate::ProbeFlows;
 pub use worst_case::{worst_case_search, WorstCaseConfig, WorstCaseResult};
 
 use autonet_core::AutopilotParams;
@@ -54,7 +54,7 @@ use autonet_sim::SimDuration;
 /// holds collapse to a single timer tick, so flapping hardware is
 /// readmitted almost immediately. The monitoring tower still *works* —
 /// ports classify, probes verify — but the damping the paper argues for
-/// (§6.5.5) is gone. Running a backend with these parameters against an
+/// (§6.5.5) is gone. Running a network with these parameters against an
 /// [`OracleConfig`] derived from the honest ones is the planted-bug
 /// check: the skeptic oracle must fire, and the shrinker must reduce the
 /// campaign to a few events.

@@ -48,7 +48,7 @@ pub struct OracleConfig {
     /// next entry into `s.switch.good` (armed after first quiescence).
     pub skeptic_bound: SimDuration,
     /// Period of the settle poll: while waiting for quiescence the engine
-    /// runs this long between two `Substrate::quiescent` checks.
+    /// runs this long between two `substrate::quiescent` checks.
     pub step_ms: u64,
     /// Probe cadence on topologies with at least two hosts.
     pub probe_interval: SimDuration,
@@ -503,7 +503,7 @@ impl OracleState {
     /// The engine reached quiescence: arm the skeptic oracle and check
     /// that every up switch of each physical component is open on one
     /// common epoch, and has entered none past it. One root per component
-    /// is the substrate's side of quiescence (`Substrate::quiescent`).
+    /// is the network's side of quiescence (`substrate::quiescent`).
     pub fn at_quiescence(&mut self, now: SimTime, view: &NetView<'_>) -> Option<Violation> {
         self.armed = true;
         let disagreement = |detail| Violation::QuiescenceDisagreement { detail, time: now };

@@ -310,6 +310,19 @@ impl Autopilot {
         self.samplers[port as usize].set_switch_refinement(refined);
     }
 
+    /// One status-sampling round (companion §6.5), every
+    /// `params.sampling_interval`: reads each external port's hardware
+    /// status from the environment, feeds it to that port's sampler, and
+    /// pushes the port's dead/alive verdict back down (the `idhy`
+    /// hardware hook).
+    pub fn sample_ports(&mut self, now: SimTime, env: &mut impl Environment) {
+        for port in 1..MAX_PORTS as PortIndex {
+            let status = env.read_status(port);
+            self.on_status_sample(now, port, status, env);
+            env.set_port_dead(port, self.port_state(port) == PortState::Dead);
+        }
+    }
+
     /// Handles an arriving control packet.
     pub fn on_packet(
         &mut self,
@@ -648,7 +661,10 @@ mod tests {
     use crate::env::recording::{Call, Recorder};
     use crate::tree::TreePosition;
     use autonet_sim::SimDuration;
+    use proptest::prelude::*;
+    use proptest::sample::Index;
     use std::collections::VecDeque;
+    use std::sync::OnceLock;
 
     fn clean_switch_status() -> LinkUnitStatus {
         LinkUnitStatus {
@@ -669,6 +685,7 @@ mod tests {
 
     /// Two Autopilots wired port p <-> port p for each of their parallel
     /// cables (port 1 alone, unless built `cabled`), with ideal links.
+    #[derive(Clone)]
     struct Pair {
         aps: [Autopilot; 2],
         /// When set, a twin of each switch that also runs every tick the
@@ -695,6 +712,7 @@ mod tests {
 
     /// One logged entry point: the switch, which entry point, when, and
     /// its calls.
+    #[derive(Clone)]
     struct Entry {
         who: usize,
         name: &'static str,
@@ -864,6 +882,44 @@ mod tests {
         assert_eq!(env.count(|c| matches!(c, Call::NetworkOpened(_))), 1);
         assert!(ap.is_open());
         assert_eq!(ap.switch_number(), Some(1));
+    }
+
+    /// A lone switch's boot hands its trace events over as they happen,
+    /// in order: boot first, the epoch start before the open, the open
+    /// last. An entry point with no new work hands over nothing.
+    #[test]
+    fn trace_events_flow_through_the_environment_hook() {
+        let mut ap = Autopilot::new(Uid::new(7), AutopilotParams::tuned());
+        let mut env = Recorder::default();
+        let t0 = SimTime::from_millis(3);
+        ap.boot(t0, &mut env);
+        let kinds: Vec<&str> = env.traced().iter().map(|e| e.kind()).collect();
+        let at = |kind| kinds.iter().position(|&k| k == kind);
+        assert_eq!(at("boot"), Some(0), "{kinds:?}");
+        assert!(at("reconfig-triggered") < at("network-opened"), "{kinds:?}");
+        assert_eq!(at("network-opened"), Some(kinds.len() - 1), "{kinds:?}");
+        let before = kinds.len();
+        ap.on_tick(t0 + SimDuration::from_nanos(1), &mut env);
+        assert_eq!(env.traced().len(), before);
+    }
+
+    /// One sampling round reads every external port and hands its
+    /// verdict down once, in port order; a fresh switch's ports are all
+    /// still dead.
+    #[test]
+    fn sample_ports_sets_every_port_dead_or_alive_once() {
+        let mut ap = booted(7);
+        let mut env = Recorder::default();
+        ap.sample_ports(SimTime::from_millis(5), &mut env);
+        let verdicts: Vec<Call> = env
+            .calls
+            .into_iter()
+            .filter(|c| matches!(c, Call::SetPortDead(..)))
+            .collect();
+        let want: Vec<Call> = (1..MAX_PORTS as PortIndex)
+            .map(|port| Call::SetPortDead(port, true))
+            .collect();
+        assert_eq!(verdicts, want);
     }
 
     #[test]
@@ -1317,5 +1373,87 @@ mod tests {
         let mut env = Recorder::default();
         ap.on_packet(SimTime::from_millis(1), 6, &probe, &mut env);
         assert!(env.calls.is_empty());
+    }
+
+    /// Where one hostile message comes from: random bytes, or a real
+    /// message of some variant, truncated or with one byte flipped. Only
+    /// what decodes reaches the switch.
+    #[derive(Debug)]
+    enum Hostile {
+        Bytes(Vec<u8>),
+        Truncated { variant: Index, keep: Index },
+        Corrupted { variant: Index, at: Index, flip: u8 },
+    }
+
+    impl Hostile {
+        fn strategy() -> impl Strategy<Value = Hostile> {
+            prop_oneof![
+                prop::collection::vec(any::<u8>(), 0..48).prop_map(Hostile::Bytes),
+                (any::<Index>(), any::<Index>())
+                    .prop_map(|(variant, keep)| Hostile::Truncated { variant, keep }),
+                (any::<Index>(), any::<Index>(), 1u8..=u8::MAX)
+                    .prop_map(|(variant, at, flip)| Hostile::Corrupted { variant, at, flip }),
+            ]
+        }
+
+        fn decode(&self, real: &[ControlMsg]) -> Option<ControlMsg> {
+            let bytes = match self {
+                Hostile::Bytes(bytes) => bytes.clone(),
+                Hostile::Truncated { variant, keep } => {
+                    let bytes = real[variant.index(real.len())].encode();
+                    bytes[..keep.index(bytes.len())].to_vec()
+                }
+                Hostile::Corrupted { variant, at, flip } => {
+                    let mut bytes = real[variant.index(real.len())].encode();
+                    let at = at.index(bytes.len());
+                    bytes[at] ^= flip;
+                    bytes
+                }
+            };
+            ControlMsg::decode(&bytes).ok()
+        }
+    }
+
+    /// A formed pair, and real messages: one sample of every variant,
+    /// plus the first of each kind the pair itself sent (its epochs and
+    /// UIDs, so a corrupted one gets past the first checks).
+    fn formed() -> &'static (Pair, Vec<ControlMsg>) {
+        static FORMED: OnceLock<(Pair, Vec<ControlMsg>)> = OnceLock::new();
+        FORMED.get_or_init(|| {
+            let pair = Pair::settled();
+            let mut real = crate::messages::tests::all_samples();
+            let samples = real.len();
+            let kind = std::mem::discriminant::<ControlMsg>;
+            for call in pair.calls() {
+                let Call::Send(_, msg) = call else { continue };
+                if real[samples..].iter().all(|m| kind(m) != kind(msg)) {
+                    real.push(msg.clone());
+                }
+            }
+            (pair, real)
+        })
+    }
+
+    proptest! {
+        /// Nothing reachable from the wire panics a formed switch: switch
+        /// 0 takes a run of hostile messages on any port, with time
+        /// passing in between, and both switches keep running.
+        #[test]
+        fn no_control_message_panics_a_formed_switch(
+            msgs in prop::collection::vec(
+                (0..MAX_PORTS as PortIndex, Hostile::strategy(), 0u64..20_000),
+                1..12,
+            ),
+        ) {
+            let (formed, real) = formed();
+            let mut pair = formed.clone();
+            for (port, hostile, gap_us) in &msgs {
+                if let Some(msg) = hostile.decode(real) {
+                    let now = pair.now;
+                    pair.enter(0, "packet", |ap, env| ap.on_packet(now, *port, &msg, env));
+                }
+                pair.run_for(SimDuration::from_micros(*gap_us));
+            }
+        }
     }
 }

@@ -24,8 +24,8 @@
 //!   a run-to-completion state machine (`on_packet` / `on_status_sample` /
 //!   `on_tick`) that reaches its switch through one trait, [`Environment`]
 //!   — directly testable without a simulator and bindable to any
-//!   transport; [`NodeHarness`] adds the tick/sample cadence every backend
-//!   drives it at.
+//!   transport. Each backend keeps its own tick and sample cadence and
+//!   calls `on_tick` and [`Autopilot::sample_ports`] when they fall due.
 //! - Baselines for the experiments: timeout-based termination
 //!   ([`TerminationMode::RootQuiescence`]) and unrestricted shortest-path
 //!   routing ([`RouteKind::Unrestricted`]).
@@ -38,7 +38,6 @@ mod env;
 mod epoch;
 pub mod events;
 mod messages;
-mod node;
 mod params;
 mod port_state;
 mod reconfig;
@@ -57,7 +56,6 @@ pub use env::Environment;
 pub use epoch::Epoch;
 pub use events::{Event, ReconfigCause, SkepticKind, SkepticVerdict, TransitionCause};
 pub use messages::{ControlMsg, MsgCodecError, SrpPayload};
-pub use node::NodeHarness;
 pub use params::{AutopilotParams, TerminationMode};
 pub use port_state::PortState;
 pub use reconfig::{MsgDisposition, NeighborInfo};

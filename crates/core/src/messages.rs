@@ -354,20 +354,28 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// The next `N` bytes. `take(N)` returns exactly `N` or fails, so the
+    /// conversion cannot miss; were it to, that too is a short message.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], MsgCodecError> {
+        self.take(N)?
+            .try_into()
+            .map_err(|_| MsgCodecError::Truncated)
+    }
+
     fn u16(&mut self) -> Result<u16, MsgCodecError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("len 2")))
+        self.array().map(u16::from_be_bytes)
     }
 
     fn u32(&mut self) -> Result<u32, MsgCodecError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("len 4")))
+        self.array().map(u32::from_be_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, MsgCodecError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("len 8")))
+        self.array().map(u64::from_be_bytes)
     }
 
     fn uid(&mut self) -> Result<Uid, MsgCodecError> {
-        Ok(Uid::from_bytes(self.take(6)?.try_into().expect("len 6")))
+        self.array().map(Uid::from_bytes)
     }
 
     /// A port number inside a topology report.
@@ -807,7 +815,7 @@ impl ControlMsg {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn sample_info() -> SwitchInfo {
@@ -832,7 +840,8 @@ mod tests {
         }
     }
 
-    fn all_samples() -> Vec<ControlMsg> {
+    /// One message of every variant.
+    pub(crate) fn all_samples() -> Vec<ControlMsg> {
         let pos = TreePosition {
             root: Uid::new(1),
             level: 4,

@@ -13,8 +13,8 @@
 //! - `events`: the event vocabulary ([`Event`], [`NetEvent`], ...);
 //! - `driver`: the seam to the kernels (clock, scheduling, which world
 //!   owns a node); `partitioned`: the sharded kernel's world and latch;
-//! - `switch_node`: one switch = one `autonet_core::NodeHarness` whose
-//!   Autopilot calls a packet-level `Environment` view;
+//! - `switch_node`: one switch = one `autonet_core::Autopilot` calling a
+//!   packet-level `Environment` view, on tick and sample grids of its own;
 //! - `host_node`: host controllers and data injection;
 //! - `links`: the wires — serialization, propagation, reflection, status
 //!   synthesis, data forwarding;

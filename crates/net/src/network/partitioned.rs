@@ -15,7 +15,7 @@
 //! construction path (same topology, same seed), so replicated state
 //! starts bit-identical everywhere. From there:
 //!
-//! - **Node state** (harnesses, tables, CPU backlogs, host controllers)
+//! - **Node state** (Autopilots, tables, CPU backlogs, host controllers)
 //!   is authoritative only on the owning shard — only that shard ever
 //!   processes the node's events.
 //! - **Plant state** (link/host-link up flags, power flags) is replicated:

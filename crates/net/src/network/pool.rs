@@ -6,9 +6,9 @@
 //! the dead-port mirror, the receive path reads and writes the CPU
 //! backlog. Keeping every field in its own `Vec` (instead of a `Vec`
 //! of per-node structs) means those paths scan small dense arrays and
-//! never load the harnesses at all.
+//! never load the control programs at all.
 //!
-//! An entry point takes the switch's harness out of its slot (so the
+//! An entry point takes the switch's Autopilot out of its slot (so the
 //! environment view may borrow the rest of the world), runs it, and
 //! puts it back. The dead-port mirror is written as each verdict is
 //! reached, so other switches reading it between entry points see
@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use autonet_core::{Autopilot, AutopilotParams, NodeHarness, PortState, RouteCache};
+use autonet_core::{Autopilot, AutopilotParams, PortState, RouteCache};
 use autonet_host::HostController;
 use autonet_sim::SimTime;
 use autonet_switch::ForwardingTable;
@@ -28,12 +28,12 @@ pub(super) struct SwitchPool {
     /// The control programs. `None` only while that switch's entry
     /// point is running (between [`take`](Self::take) and
     /// [`put`](Self::put)).
-    slots: Vec<Option<NodeHarness>>,
+    slots: Vec<Option<Autopilot>>,
     /// Per-switch dead-port mirror: the packet-level stand-in for the
-    /// link unit's `idhy` hook, readable without touching the harness.
+    /// link unit's `idhy` hook, readable without touching the Autopilot.
     /// A port enters or leaves `Dead` only inside a status sample, and
     /// the sampling round writes each verdict here through the
-    /// environment's `set_port_dead` hook while the harness is out (what
+    /// environment's `set_port_dead` hook while the Autopilot is out (what
     /// a looped-back cable reads mid-round); a boot or reboot condemns
     /// the whole row. [`put`](Self::put) holds debug builds to that.
     pub(super) dead: Vec<[bool; MAX_PORTS]>,
@@ -70,11 +70,11 @@ impl SwitchPool {
         }
     }
 
-    fn fresh_harness(&self, uid: Uid, params: AutopilotParams, tracing: bool) -> NodeHarness {
+    fn fresh_autopilot(&self, uid: Uid, params: AutopilotParams, tracing: bool) -> Autopilot {
         let mut ap = Autopilot::new(uid, params);
         ap.set_tracing(tracing);
         ap.set_route_cache(Arc::clone(&self.route_cache));
-        NodeHarness::new(ap)
+        ap
     }
 
     /// Appends a switch. Ports boot Dead, so the mirror starts
@@ -86,8 +86,8 @@ impl SwitchPool {
         cpu_free: SimTime,
         tracing: bool,
     ) {
-        let h = self.fresh_harness(uid, params, tracing);
-        self.slots.push(Some(h));
+        let ap = self.fresh_autopilot(uid, params, tracing);
+        self.slots.push(Some(ap));
         self.dead.push([true; MAX_PORTS]);
         self.tick_due.push(SimTime::ZERO);
         self.table.push(ForwardingTable::new());
@@ -96,7 +96,7 @@ impl SwitchPool {
         self.incarnation.push(0);
     }
 
-    /// Reboots slot `s` with a fresh Autopilot: new harness, condemned
+    /// Reboots slot `s` with a fresh Autopilot: condemned
     /// ports, empty table, idle CPU, powered up, next incarnation.
     pub(super) fn reset_slot(
         &mut self,
@@ -106,7 +106,7 @@ impl SwitchPool {
         now: SimTime,
         tracing: bool,
     ) {
-        self.slots[s] = Some(self.fresh_harness(uid, params, tracing));
+        self.slots[s] = Some(self.fresh_autopilot(uid, params, tracing));
         self.dead[s] = [true; MAX_PORTS];
         self.tick_due[s] = SimTime::ZERO;
         self.table[s] = ForwardingTable::new();
@@ -120,46 +120,38 @@ impl SwitchPool {
         self.up.len()
     }
 
-    /// Removes switch `s`'s harness for an entry-point run.
+    /// Removes switch `s`'s Autopilot for an entry-point run.
     ///
     /// # Panics
     ///
-    /// Panics if the harness is already taken (a re-entered switch).
-    pub(super) fn take(&mut self, s: usize) -> NodeHarness {
-        self.slots[s].take().expect("harness re-entered")
+    /// Panics if the Autopilot is already taken (a re-entered switch).
+    pub(super) fn take(&mut self, s: usize) -> Autopilot {
+        self.slots[s].take().expect("autopilot re-entered")
     }
 
-    /// Returns switch `s`'s harness after an entry-point run.
-    pub(super) fn put(&mut self, s: usize, harness: NodeHarness) {
+    /// Returns switch `s`'s Autopilot after an entry-point run.
+    pub(super) fn put(&mut self, s: usize, ap: Autopilot) {
         debug_assert!(
-            (0..MAX_PORTS).all(|p| self.dead[s][p] == is_dead(&harness, p)),
+            (0..MAX_PORTS).all(|p| self.dead[s][p] == is_dead(&ap, p)),
             "switch {s}: the dead-port mirror missed a verdict"
         );
-        self.tick_due[s] = harness.autopilot().timer_due();
-        self.slots[s] = Some(harness);
-    }
-
-    /// Switch `s`'s harness, for inspection.
-    pub(super) fn harness(&self, s: usize) -> &NodeHarness {
-        self.slots[s].as_ref().expect("harness in place")
+        self.tick_due[s] = ap.timer_due();
+        self.slots[s] = Some(ap);
     }
 
     /// Switch `s`'s control program, for inspection.
     pub(super) fn autopilot(&self, s: usize) -> &Autopilot {
-        self.harness(s).autopilot()
+        self.slots[s].as_ref().expect("autopilot in place")
     }
 
     /// Switch `s`'s control program, mutably (SRP reply draining).
     pub(super) fn autopilot_mut(&mut self, s: usize) -> &mut Autopilot {
-        self.slots[s]
-            .as_mut()
-            .expect("harness in place")
-            .autopilot_mut()
+        self.slots[s].as_mut().expect("autopilot in place")
     }
 }
 
-fn is_dead(harness: &NodeHarness, port: usize) -> bool {
-    harness.autopilot().port_state(port as PortIndex) == PortState::Dead
+fn is_dead(ap: &Autopilot, port: usize) -> bool {
+    ap.port_state(port as PortIndex) == PortState::Dead
 }
 
 /// A clone is a fork of the fleet, so it gets a route cache of its own:
@@ -171,8 +163,8 @@ impl Clone for SwitchPool {
     fn clone(&self) -> Self {
         let mut slots = self.slots.clone();
         let route_cache = Arc::new(RouteCache::clone(&self.route_cache));
-        for h in slots.iter_mut().flatten() {
-            h.autopilot_mut().set_route_cache(Arc::clone(&route_cache));
+        for ap in slots.iter_mut().flatten() {
+            ap.set_route_cache(Arc::clone(&route_cache));
         }
         SwitchPool {
             slots,
@@ -238,9 +230,9 @@ mod tests {
     fn push_take_put_round_trips() {
         let mut pool = pool(&[1, 2]);
         assert_eq!(pool.len(), 2);
-        let h = pool.take(1);
-        assert_eq!(h.autopilot().uid(), Uid::new(2));
-        pool.put(1, h);
+        let ap = pool.take(1);
+        assert_eq!(ap.uid(), Uid::new(2));
+        pool.put(1, ap);
         assert_eq!(pool.autopilot(0).uid(), Uid::new(1));
         assert_eq!(pool.autopilot(1).uid(), Uid::new(2));
     }
@@ -251,9 +243,9 @@ mod tests {
         assert_eq!(pool.dead[0], [true; MAX_PORTS]);
         // Which is a fresh Autopilot's verdict on every port: the row
         // put() holds the mirror to.
-        let h = pool.take(0);
-        assert!((0..MAX_PORTS).all(|p| is_dead(&h, p)));
-        pool.put(0, h);
+        let ap = pool.take(0);
+        assert!((0..MAX_PORTS).all(|p| is_dead(&ap, p)));
+        pool.put(0, ap);
     }
 
     #[test]
@@ -275,10 +267,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "harness re-entered")]
+    #[should_panic(expected = "autopilot re-entered")]
     fn double_take_panics() {
         let mut pool = pool(&[1]);
-        let _h = pool.take(0);
+        let _ap = pool.take(0);
         pool.take(0);
     }
 }

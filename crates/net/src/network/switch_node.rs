@@ -1,11 +1,11 @@
-//! One switch: a [`NodeHarness`] whose Autopilot calls a packet-level
-//! [`Environment`] view.
+//! One switch: an [`Autopilot`] calling a packet-level [`Environment`]
+//! view.
 //!
-//! The harness owns the control program and its cadence; this module
-//! supplies the substrate view ([`PacketEnv`]) and the event handlers
-//! that decide *when* the entry points run. Switch state itself lives
-//! struct-of-arrays in the [`SwitchPool`](super::pool::SwitchPool),
-//! indexed by dense id.
+//! This module supplies the substrate view ([`PacketEnv`]) and the event
+//! handlers that decide *when* the entry points run: each switch's tick
+//! and sample grids are events this backend schedules itself. Switch
+//! state lives struct-of-arrays in the
+//! [`SwitchPool`](super::pool::SwitchPool), indexed by dense id.
 //!
 //! The topology flood of step 4 is the same message at every switch, so
 //! the world holds the last one as a pair — payload and decoded
@@ -16,7 +16,7 @@
 //! what the codec would return; debug builds assert that on every hit.
 
 use autonet_core::{
-    Autopilot, ControlMsg, Environment, Epoch, GlobalTopology, NodeHarness, PortState, SrpPayload,
+    Autopilot, ControlMsg, Environment, Epoch, GlobalTopology, PortState, SrpPayload,
 };
 use autonet_sim::{Scheduler, SimTime};
 use autonet_switch::{ForwardingTable, LinkUnitStatus};
@@ -28,7 +28,7 @@ use super::{Driver, Net, NetWorld};
 use crate::encoded_control_packet;
 
 /// The per-event [`Environment`] for switch `s`: the whole world (with
-/// `s`'s own harness temporarily removed), the event scheduler and the
+/// `s`'s own Autopilot temporarily removed), the event scheduler and the
 /// event's time.
 struct PacketEnv<'a, 'b> {
     w: &'a mut NetWorld,
@@ -142,22 +142,22 @@ impl NetWorld {
     /// refreshes the dead-port mirror from the Autopilot's verdicts
     /// (port states only change inside entry points, so other switches
     /// reading the mirror see exactly the live state).
-    fn with_harness(
+    fn with_autopilot(
         &mut self,
         now: SimTime,
         s: usize,
         sched: &mut Scheduler<'_, Event>,
-        f: impl FnOnce(&mut NodeHarness, &mut PacketEnv<'_, '_>),
+        f: impl FnOnce(&mut Autopilot, &mut PacketEnv<'_, '_>),
     ) {
-        let mut h = self.switches.take(s);
+        let mut ap = self.switches.take(s);
         let mut env = PacketEnv {
             w: &mut *self,
             sched,
             s,
             now,
         };
-        f(&mut h, &mut env);
-        self.switches.put(s, h);
+        f(&mut ap, &mut env);
+        self.switches.put(s, ap);
     }
 
     pub(super) fn on_switch_boot(
@@ -169,9 +169,9 @@ impl NetWorld {
         if !self.switches.up[s] {
             return;
         }
-        self.with_harness(now, s, sched, |h, env| h.boot(now, env));
+        self.with_autopilot(now, s, sched, |ap, env| ap.boot(now, env));
         self.schedule_tick(now, s, sched);
-        self.schedule_sample(s, sched);
+        self.schedule_sample(now, s, sched);
     }
 
     /// Whether an event stamped `inc` belongs to switch `s`'s running
@@ -182,16 +182,17 @@ impl NetWorld {
 
     /// Puts switch `s`'s next timer tick on the grid, one timer
     /// resolution after `now`: the one place this backend computes that
-    /// instant, since a skipped tick never reaches the harness.
+    /// instant, since a skipped tick never reaches the Autopilot.
     fn schedule_tick(&self, now: SimTime, s: usize, sched: &mut Scheduler<'_, Event>) {
         let next = now + self.params.autopilot.timer_resolution;
         let inc = self.switches.incarnation[s];
         sched.at(next, Event::SwitchTick { s, inc });
     }
 
-    /// Puts switch `s`'s next status sample where its harness wants it.
-    fn schedule_sample(&self, s: usize, sched: &mut Scheduler<'_, Event>) {
-        let next = self.switches.harness(s).next_sample();
+    /// Puts switch `s`'s next status sample on the grid, one sampling
+    /// interval after `now`.
+    fn schedule_sample(&self, now: SimTime, s: usize, sched: &mut Scheduler<'_, Event>) {
+        let next = now + self.params.autopilot.sampling_interval;
         let inc = self.switches.incarnation[s];
         sched.at(next, Event::SwitchSample { s, inc });
     }
@@ -213,7 +214,7 @@ impl NetWorld {
         }
         if now >= self.switches.tick_due[s] {
             self.stats.ticks_run += 1;
-            self.with_harness(now, s, sched, |h, env| h.tick(now, env));
+            self.with_autopilot(now, s, sched, |ap, env| ap.on_tick(now, env));
         }
         self.schedule_tick(now, s, sched);
     }
@@ -228,8 +229,8 @@ impl NetWorld {
         if !self.current(s, inc) {
             return;
         }
-        self.with_harness(now, s, sched, |h, env| h.sample(now, env));
-        self.schedule_sample(s, sched);
+        self.with_autopilot(now, s, sched, |ap, env| ap.sample_ports(now, env));
+        self.schedule_sample(now, s, sched);
     }
 
     pub(super) fn on_switch_rx(
@@ -308,9 +309,7 @@ impl NetWorld {
             return;
         }
         if let Some(msg) = self.decode(&packet.payload) {
-            self.with_harness(now, s, sched, |h, env| {
-                h.autopilot_mut().on_packet(now, port, &msg, env)
-            });
+            self.with_autopilot(now, s, sched, |ap, env| ap.on_packet(now, port, &msg, env));
         }
     }
 
@@ -325,9 +324,7 @@ impl NetWorld {
         if !self.switches.up[s] {
             return;
         }
-        self.with_harness(now, s, sched, |h, env| {
-            h.autopilot_mut().srp_request(route, payload, env)
-        });
+        self.with_autopilot(now, s, sched, |ap, env| ap.srp_request(route, payload, env));
     }
 }
 

@@ -163,12 +163,20 @@ if grep -rEn 'fn rebuild|fn search_min|\bbuckets: Vec<|\boverflow: BinaryHeap' c
     exit 1
 fi
 
-echo "==> one tick grid: the packet backend keeps it, the harness exports none"
-# A skipped tick never reaches the harness, so a harness-side next-tick
-# accessor would go stale under the packet backend.
-if grep -En 'pub fn next_tick' crates/core/src/node.rs ||
-    grep -rEn 'next_tick\(\)' crates/net/src; then
-    echo "switch_node::schedule_tick is the one place the packet backend computes a tick instant (DESIGN.md, The seam)" >&2
+echo "==> one tick grid: each backend keeps its own, the control program exports none"
+# A skipped tick never reaches the Autopilot, so a core-side next-tick or
+# next-sample accessor would go stale under the packet backend.
+if grep -rEn 'pub fn next_(tick|sample)' crates/core/src ||
+    grep -rEn 'next_(tick|sample)\(\)' crates/net/src; then
+    echo "switch_node::schedule_tick and schedule_sample are where the packet backend computes its instants (DESIGN.md, The seam)" >&2
+    exit 1
+fi
+
+echo "==> one sampling entry point, one campaign backend"
+# The sampling round is Autopilot::sample_ports; the campaign engine
+# drives Net<D> on either kernel, with no adapter trait between them.
+if grep -rEn 'NodeHarness|SlotSubstrate|run_slot\b|trait Substrate' crates src tests examples; then
+    echo "backends call Autopilot::sample_ports at their own cadence; campaigns run on Net<D> (DESIGN.md, The seam; The scenario engine)" >&2
     exit 1
 fi
 

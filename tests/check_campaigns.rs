@@ -11,19 +11,16 @@
 //!    deliberately disabled (`degraded_params`) against the bounds the
 //!    tuned parameters promise. The skeptic oracle must fire, and the
 //!    shrinker must cut the campaign down to a handful of events.
-//! 3. **Slot-level campaign** — a cable fault driven through the
-//!    slot-accurate backend (emulated as line noise), proving the engine
-//!    and oracles are substrate-independent.
-//! 4. **Sharded corpus** — the seeded corpus again through the packet
+//! 3. **Sharded corpus** — the seeded corpus again through the packet
 //!    backend on the sharded kernel: the same oracles, the same final
 //!    reference audit, zero violations.
 
 use autonet::autopilot::AutopilotParams;
-use autonet::net::{NetParams, PartitionedNetwork, SlotNet};
+use autonet::net::{NetParams, PartitionedNetwork};
 use autonet_check::{
     default_postmortem_dir, degraded_params, packet_reproducer, postmortem_on_failure,
-    random_scenario, run_packet, run_scenario, run_slot, write_postmortem, CheckOutcome,
-    FaultEvent, FaultOp, OracleConfig, Reproducer, Scenario, TopoSpec,
+    random_scenario, run_packet, run_scenario, write_postmortem, CheckOutcome, FaultEvent, FaultOp,
+    OracleConfig, Reproducer, Scenario, TopoSpec,
 };
 
 /// Shrinks a failing campaign, drops a postmortem bundle, and panics with
@@ -469,30 +466,4 @@ fn a_cut_after_a_flaps_final_repair_settles() {
         }
         assert_eq!(outcome.quiescences, 2, "{}", scenario.name);
     }
-}
-
-/// The same engine and oracles over the slot-accurate backend: a cable is
-/// killed with line noise, the network must reconfigure around it and
-/// every oracle must stay silent.
-#[test]
-fn slot_campaign_survives_cable_fault() {
-    let params = SlotNet::fast_params();
-    let cfg = OracleConfig::from_params(&params);
-    let scenario = Scenario {
-        name: "slot-cable-fault".into(),
-        topo: TopoSpec::Ring { n: 3, seed: 0 },
-        seed: 99,
-        events: vec![FaultEvent {
-            at_ms: 10,
-            op: FaultOp::LinkDown(0),
-        }],
-        settle_ms: 2_000,
-    };
-    let outcome = run_slot(&scenario, params, &cfg);
-    assert!(
-        outcome.passed(),
-        "slot campaign violated an invariant: {}",
-        outcome.violation.unwrap()
-    );
-    assert!(outcome.quiescences >= 2);
 }

@@ -1,10 +1,10 @@
 //! Conformance between the two simulation backends.
 //!
-//! The same Autopilot — inside the same `autonet_core::NodeHarness` —
-//! calls two very different `Environment` implementations: the
-//! packet-level transport of [`Network`] (synthesized status bits,
-//! abstract links) and the slot-accurate datapath of [`SlotNet`] (real
-//! symbols, real FIFOs, status bits latched by link units). If the
+//! The same Autopilot, at the same tick and sample cadences, calls two
+//! very different `Environment` implementations: the packet-level
+//! transport of [`Network`] (synthesized status bits, abstract links) and
+//! the slot-accurate datapath of [`SlotNet`] (real symbols, real FIFOs,
+//! status bits latched by link units). If the
 //! packet model's synthesis is faithful, the control plane must reach
 //! the same conclusions about what the network *is* on both: identical
 //! classifications for every cabled port, and the same final epoch.
@@ -19,7 +19,7 @@ use autonet::autopilot::PortState;
 use autonet::net::{CpuModel, Driver, Net, NetParams, Network, PartitionedNetwork, SlotNet};
 use autonet::sim::{SimDuration, SimTime};
 use autonet::topo::{gen, HostId, LinkId, PortUse, SwitchId, Topology};
-use autonet::wire::{LinkTiming, PortIndex, Uid, MAX_PORTS};
+use autonet::wire::{LinkTiming, PortIndex, Uid, MAX_PORTS, SLOT_NS};
 
 /// Two switches joined by one trunk, a single-homed host on each — small
 /// enough for the slot-level model, rich enough to exercise the trunk and
@@ -34,6 +34,22 @@ fn small_topo() -> Topology {
     t
 }
 
+/// The slot level's protocol constants for a packet-level run; no boot
+/// jitter (the slot-level backend boots everything at t = 0 too) and a
+/// control processor scaled to the ~50×-faster protocol cadences, as the
+/// slot model's CP also keeps up with them.
+fn packet_params() -> NetParams {
+    NetParams {
+        autopilot: SlotNet::fast_params(),
+        boot_jitter: SimDuration::ZERO,
+        cpu: CpuModel {
+            per_packet: SimDuration::from_micros(5),
+            per_byte: SimDuration::from_nanos(50),
+        },
+        ..NetParams::tuned()
+    }
+}
+
 #[test]
 fn packet_and_slot_environments_agree() {
     let params = SlotNet::fast_params();
@@ -46,20 +62,7 @@ fn packet_and_slot_environments_agree() {
         slot.now()
     );
 
-    // Same protocol constants for the packet-level run; no boot jitter
-    // (the slot-level backend boots everything at t = 0 too) and a
-    // control processor scaled to the ~50×-faster protocol cadences, as
-    // the slot model's CP also keeps up with them.
-    let net_params = NetParams {
-        autopilot: params,
-        boot_jitter: SimDuration::ZERO,
-        cpu: CpuModel {
-            per_packet: SimDuration::from_micros(5),
-            per_byte: SimDuration::from_nanos(50),
-        },
-        ..NetParams::tuned()
-    };
-    let mut pkt = Network::new(small_topo(), net_params, 1);
+    let mut pkt = Network::new(small_topo(), packet_params(), 1);
     assert!(
         pkt.run_until_stable(SimTime::from_secs(10)).is_some(),
         "packet-level bring-up failed"
@@ -171,16 +174,7 @@ fn packet_and_slot_environments_agree_across_link_fault() {
         slot.now()
     );
 
-    let net_params = NetParams {
-        autopilot: params,
-        boot_jitter: SimDuration::ZERO,
-        cpu: CpuModel {
-            per_packet: SimDuration::from_micros(5),
-            per_byte: SimDuration::from_nanos(50),
-        },
-        ..NetParams::tuned()
-    };
-    let mut pkt = Network::new(ring3(), net_params, 1);
+    let mut pkt = Network::new(ring3(), packet_params(), 1);
     assert!(
         pkt.run_until_stable(SimTime::from_secs(10)).is_some(),
         "packet-level bring-up failed"
@@ -225,20 +219,15 @@ fn packet_and_slot_environments_agree_across_link_fault() {
         trunk_states(&topo, |s, p| slot.autopilot(s).port_state(p)),
         "post-cut trunk classifications"
     );
-    for (end, backend_pkt, backend_slot) in [
-        (
-            spec.a,
-            pkt.autopilot(spec.a.switch),
-            slot.autopilot(spec.a.switch),
-        ),
-        (
-            spec.b,
-            pkt.autopilot(spec.b.switch),
-            slot.autopilot(spec.b.switch),
-        ),
-    ] {
-        assert_eq!(backend_pkt.port_state(end.port), PortState::Dead);
-        assert_eq!(backend_slot.port_state(end.port), PortState::Dead);
+    for end in [spec.a, spec.b] {
+        assert_eq!(
+            pkt.autopilot(end.switch).port_state(end.port),
+            PortState::Dead
+        );
+        assert_eq!(
+            slot.autopilot(end.switch).port_state(end.port),
+            PortState::Dead
+        );
     }
 
     // Splice the cable back. The skeptics must readmit it on both
@@ -375,16 +364,7 @@ fn packet_and_slot_environments_agree_on_4x4_torus() {
         slot.now()
     );
 
-    let net_params = NetParams {
-        autopilot: params,
-        boot_jitter: SimDuration::ZERO,
-        cpu: CpuModel {
-            per_packet: SimDuration::from_micros(5),
-            per_byte: SimDuration::from_nanos(50),
-        },
-        ..NetParams::tuned()
-    };
-    let mut pkt = Network::new(topo.clone(), net_params, 1);
+    let mut pkt = Network::new(topo.clone(), packet_params(), 1);
     assert!(
         pkt.run_until_stable(SimTime::from_secs(10)).is_some(),
         "packet-level bring-up failed"
@@ -465,17 +445,8 @@ fn packet_and_slot_blackouts_overlap_across_link_fault() {
         slot.now(),
     );
 
-    // Packet backend: same protocol constants (see above), same fault.
-    let net_params = NetParams {
-        autopilot: params,
-        boot_jitter: SimDuration::ZERO,
-        cpu: CpuModel {
-            per_packet: SimDuration::from_micros(5),
-            per_byte: SimDuration::from_nanos(50),
-        },
-        ..NetParams::tuned()
-    };
-    let mut pkt = Network::new(ring3_hosts(), net_params, 1);
+    // Packet backend: same protocol constants, same fault.
+    let mut pkt = Network::new(ring3_hosts(), packet_params(), 1);
     assert!(
         pkt.run_until_stable(SimTime::from_secs(10)).is_some(),
         "packet-level bring-up failed"
@@ -536,19 +507,18 @@ fn packet_and_slot_blackouts_overlap_across_link_fault() {
     }
 }
 
-/// The scenario engine end to end over both substrates: a *pinned
-/// adversarial schedule* — the worst-case search's favorite move, two
-/// simultaneous trunk cuts in one slot — must darken probe flows on the
-/// packet-level and the slot-level backend alike, and the fault-aligned
-/// blackout windows must overlap. This is the conformance guarantee the
-/// worst-case goldens lean on: a champion found on one substrate
-/// describes real damage on the other, not a modeling artifact.
+/// A *pinned adversarial schedule* — the worst-case search's favorite
+/// move, two simultaneous trunk cuts in one slot — run by the scenario
+/// engine on the packet level and by hand on the slot level, must darken
+/// probe flows on both backends, and the fault-aligned blackout windows
+/// must overlap. This is the conformance guarantee the worst-case goldens
+/// lean on: a champion found on one substrate describes real damage on
+/// the other, not a modeling artifact. The slot level emulates each cut
+/// as the hardware would see it, heavy code-violation noise on both ends.
 #[test]
 fn pinned_adversarial_schedule_blackouts_overlap_on_both_substrates() {
-    use autonet::trace::InterruptionReport;
-    use autonet_check::{
-        run_packet, run_slot, FaultEvent, FaultOp, OracleConfig, Scenario, TopoSpec,
-    };
+    use autonet::trace::{InterruptionConfig, InterruptionReport, Timeline};
+    use autonet_check::{run_packet, FaultEvent, FaultOp, OracleConfig, Scenario, TopoSpec};
 
     let params = SlotNet::fast_params();
     // Two cuts in the same millisecond slot: the base graph (3 switches,
@@ -589,17 +559,47 @@ fn pinned_adversarial_schedule_blackouts_overlap_on_both_substrates() {
     cfg.probe_interval = SimDuration::from_micros(100);
     cfg.step_ms = 5;
 
-    let slot_out = run_slot(&scenario, params, &cfg);
-    let net_params = NetParams {
-        autopilot: params,
-        boot_jitter: SimDuration::ZERO,
-        cpu: CpuModel {
-            per_packet: SimDuration::from_micros(5),
-            per_byte: SimDuration::from_nanos(50),
+    // Slot backend: bring-up, then probes on the engine's ring over the
+    // hosts from first convergence (the origin), then both cuts as noise.
+    let topo = scenario.topo.build();
+    let mut slot = SlotNet::new(&topo, params);
+    slot.boot();
+    assert!(
+        slot.run_until_converged(3, 8_000_000),
+        "slot-level bring-up failed (t = {})",
+        slot.now()
+    );
+    let hosts = topo.num_hosts();
+    let ring: Vec<(HostId, HostId)> = (0..hosts)
+        .map(|i| (HostId(i), HostId((i + 1) % hosts)))
+        .collect();
+    slot.start_probes(&ring, cfg.probe_interval);
+    let slot_fault = slot.now() + SimDuration::from_millis(800);
+    slot.run_slots(SimDuration::from_millis(800).as_nanos() / SLOT_NS);
+    for l in [0, 3] {
+        let spec = topo.link(LinkId(l));
+        slot.inject_noise(spec.a.switch, spec.a.port, 20_000, 7);
+        slot.inject_noise(spec.b.switch, spec.b.port, 20_000, 8);
+    }
+    slot.run_slots(1_000_000);
+    assert!(
+        slot.run_until_converged(3, 16_000_000),
+        "slot-level reconfiguration after the double cut failed (t = {})",
+        slot.now()
+    );
+    slot.run_slots(500_000);
+    let slot_report = InterruptionReport::build(
+        &slot.probe_pairs(),
+        slot.probe_records(),
+        &Timeline::build(slot.trace_log().records()),
+        slot.now(),
+        InterruptionConfig {
+            interval: cfg.probe_interval,
+            min_run: 2,
         },
-        ..NetParams::tuned()
-    };
-    let pkt_out = run_packet(&scenario, &net_params, &cfg);
+    );
+
+    let pkt_out = run_packet(&scenario, &packet_params(), &cfg);
 
     // Windows that overlap the fault instant (origin-aligned), as
     // (start, end) relative to the fault.
@@ -631,11 +631,9 @@ fn pinned_adversarial_schedule_blackouts_overlap_on_both_substrates() {
         );
         out
     };
-    let slot_report = slot_out.interruption.as_ref().expect("slot probes ran");
     let pkt_report = pkt_out.interruption.as_ref().expect("packet probes ran");
-    let slot_fault = slot_out.origin + SimDuration::from_millis(800);
     let pkt_fault = pkt_out.origin + SimDuration::from_millis(800);
-    let slot_ws = fault_windows(slot_report, slot_fault, "slot");
+    let slot_ws = fault_windows(&slot_report, slot_fault, "slot");
     let pkt_ws = fault_windows(pkt_report, pkt_fault, "packet");
 
     // Some pair must be darkened by the fault on BOTH substrates, with
