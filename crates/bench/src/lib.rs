@@ -3,10 +3,11 @@
 //! Every `exp_*` bench target reproduces one quantitative claim from the
 //! paper (see DESIGN.md's experiment index and EXPERIMENTS.md for the
 //! paper-vs-measured record). Each one pushes typed rows into [`Table`]s
-//! and hands them to a [`Report`], which prints them as EXPERIMENTS.md
-//! shows them and writes the same rows to `BENCH_<experiment>.json`, where
+//! and hands them to a [`Report`], which writes them to
+//! `BENCH_<experiment>.json` and prints that document.
 //! `scripts/check_bench.py` holds every value that is not off a real clock
-//! to the committed copy.
+//! to the committed copy, and `scripts/render_experiments.py` renders
+//! EXPERIMENTS.md's tables from the file.
 
 use autonet_net::{NetParams, Network};
 use autonet_sim::{SimDuration, SimTime};
@@ -58,18 +59,6 @@ impl Value {
             Value::Text(s) => json_string(s),
             Value::Bool(b) => b.to_string(),
             Value::Missing => "null".into(),
-        }
-    }
-
-    fn cell(&self) -> String {
-        match self {
-            Value::Count(n) => n.to_string(),
-            Value::Time(d) if d.as_nanos() < 1_000_000 => format!("{:.2} µs", d.as_micros_f64()),
-            Value::Time(d) => format!("{:.2} ms", d.as_millis_f64()),
-            Value::Real(x) | Value::Wall(x) => number(*x),
-            Value::Text(s) => s.clone(),
-            Value::Bool(b) => if *b { "yes" } else { "no" }.into(),
-            Value::Missing => "-".into(),
         }
     }
 }
@@ -129,8 +118,8 @@ pub struct Table {
 }
 
 impl Table {
-    /// An empty table. The names become both the printed header and the
-    /// keys of each JSON row, so they must differ.
+    /// An empty table. The names become the keys of each JSON row and the
+    /// header EXPERIMENTS.md renders, so they must differ.
     pub fn new(title: &str, columns: &[&str]) -> Table {
         for (i, c) in columns.iter().enumerate() {
             assert!(!columns[..i].contains(c), "{title}: column {c:?} twice");
@@ -166,32 +155,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// The aligned pipe form EXPERIMENTS.md pastes.
-    pub fn render(&self) -> String {
-        let mut grid: Vec<Vec<String>> = vec![self.columns.iter().map(|c| c.0.clone()).collect()];
-        grid.extend(
-            self.rows
-                .iter()
-                .map(|r| r.iter().map(Value::cell).collect()),
-        );
-        // Rust pads `{:<w$}` by characters, so count them the same way.
-        let widths: Vec<usize> = (0..self.columns.len())
-            .map(|i| grid.iter().map(|r| r[i].chars().count()).max().unwrap_or(0))
-            .collect();
-        let rule: Vec<String> = widths.iter().map(|w| "-".repeat(w + 2)).collect();
-        let mut out = format!("\n{}\n", self.title);
-        for (n, cells) in grid.iter().enumerate() {
-            out.push_str("\n|");
-            for (cell, &w) in cells.iter().zip(&widths) {
-                write!(out, " {cell:<w$} |").expect("writing to a String");
-            }
-            if n == 0 {
-                write!(out, "\n|{}|", rule.join("|")).expect("writing to a String");
-            }
-        }
-        out + "\n"
-    }
-
     fn json(&self) -> String {
         let columns: Vec<String> = self
             .columns
@@ -218,7 +181,7 @@ impl Table {
 }
 
 /// The result of one experiment: its tables, in order. [`Report::finish`]
-/// prints them and writes `BENCH_<experiment>.json` from the same rows.
+/// writes them to `BENCH_<experiment>.json` and prints that document.
 pub struct Report {
     experiment: String,
     tables: Vec<Table>,
@@ -248,14 +211,15 @@ impl Report {
         )
     }
 
-    /// Prints the tables and writes `BENCH_<experiment>.json` at the
-    /// repository root (resolved relative to this crate's manifest, so the
-    /// bench can run from any working directory).
+    /// Writes `BENCH_<experiment>.json` at the repository root (resolved
+    /// relative to this crate's manifest, so the bench can run from any
+    /// working directory) and prints the same document.
     pub fn finish(self) {
-        self.tables.iter().for_each(|t| print!("{}", t.render()));
+        let json = self.to_json();
         let path = repo_root().join(format!("BENCH_{}.json", self.experiment));
-        std::fs::write(&path, self.to_json()).expect("bench JSON must be writable");
-        println!("\nwrote {}", path.display());
+        std::fs::write(&path, &json).expect("bench JSON must be writable");
+        print!("{json}");
+        println!("wrote {}", path.display());
     }
 }
 
@@ -393,16 +357,6 @@ mod tests {
             assert!(json.contains(want), "{want} not in {json}");
         }
         assert_eq!(json_string("a\nb"), r#""a\u000ab""#);
-    }
-
-    #[test]
-    fn non_ascii_cells_keep_the_table_aligned() {
-        let text = demo().render();
-        let lines: Vec<&str> = text.lines().filter(|l| l.starts_with('|')).collect();
-        assert_eq!(lines.len(), 4);
-        let width = lines[0].chars().count();
-        assert!(lines.iter().all(|l| l.chars().count() == width), "{text}");
-        assert_eq!(lines[2], "| torus 4×8 | 32 | 5.00 ms | 1.500    |");
     }
 
     #[test]

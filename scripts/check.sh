@@ -87,6 +87,25 @@ if ! python3 scripts/check_bench.py "$tmp/storm/BENCH_scale.json" 2>&1 | grep -q
     exit 1
 fi
 
+echo "==> EXPERIMENTS.md: every table rendered from its BENCH file"
+python3 scripts/render_experiments.py
+
+echo "==> render gate self-test"
+# So the renderer cannot rot into always-pass: it must refuse a copy with
+# one cell edited inside a block, one with a pipe table pasted outside
+# every block, and one whose marker names a title no file has.
+doc=EXPERIMENTS.md
+first $doc '^\| naive ' '| NAIVE ' >"$tmp/cell.md"
+{ cat $doc; printf '\n| a | b |\n|---|---|\n| 1 | 2 |\n'; } >"$tmp/pasted.md"
+first $doc '^<!-- BENCH_reconfig\.json: E1: ' '<!-- BENCH_reconfig.json: E0: ' >"$tmp/title.md"
+if cmp -s $doc "$tmp/cell.md" || cmp -s $doc "$tmp/title.md" ||
+    ! python3 scripts/render_experiments.py "$tmp/cell.md" 2>&1 | grep -q 're-rendered 1 stale table' ||
+    ! python3 scripts/render_experiments.py "$tmp/pasted.md" 2>&1 | grep -q 'a table outside every rendered block' ||
+    ! python3 scripts/render_experiments.py "$tmp/title.md" 2>&1 | grep -q 'has no table titled'; then
+    echo "the renderer passed an edited cell, a pasted table or a missing title, or an edit matched nothing" >&2
+    exit 1
+fi
+
 echo "==> Perfetto trace schema"
 # The smoke E22 above just emitted the flagship span trace; validate it
 # together with the committed golden export.

@@ -140,6 +140,23 @@ fn dead_destination_falls_back_to_broadcast_after_arp_timeout() {
         Some(autonet::wire::ShortAddress::BROADCAST_HOSTS),
         "entry must decay to broadcast when the peer is gone"
     );
+    // Repair b's primary cable. 15 s covers the driver's 10 s retry of the
+    // still-dead alternate (§6.8.3) before it settles back on port 0.
+    net.schedule_host_link_up(net.now() + SimDuration::from_millis(10), b, 0);
+    net.run_for(SimDuration::from_secs(15));
+    assert_eq!(net.host(b).active_port(), 0);
+    net.schedule_host_send(net.now() + SimDuration::from_millis(5), a, dst, 64, 3);
+    net.run_for(SimDuration::from_secs(1));
+    assert!(
+        net.deliveries().iter().any(|d| d.tag == 3 && d.host == b),
+        "a frame sent after the repair must reach b"
+    );
+    let b_address = net.host(b).short_address().expect("b is addressed again");
+    assert_eq!(
+        net.host(a).localnet().lookup(dst),
+        Some(b_address),
+        "a must re-learn b's address"
+    );
 }
 
 #[test]
