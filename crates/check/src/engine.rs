@@ -364,23 +364,6 @@ where
     run.finish(verdict, origin)
 }
 
-/// Runs a prepared network, on either kernel, through a scenario: boot,
-/// then resume in place.
-pub fn run_scenario<D: Driver>(
-    scenario: &Scenario,
-    net: &mut Net<D>,
-    topo: &Topology,
-    cfg: &OracleConfig,
-) -> CheckOutcome
-where
-    Net<D>: ProbeFlows,
-{
-    match boot(net, topo, cfg) {
-        Ok(settled) => resume(settled, scenario, net, topo, cfg),
-        Err(outcome) => *outcome,
-    }
-}
-
 /// A campaign booted to first quiescence and not yet given a schedule:
 /// the settled network `N` (a [`Net`] on either kernel), the armed
 /// oracles, the bring-up spine, probes started. Every scenario on the

@@ -13,11 +13,11 @@
 //! - online invariant checkers ([`OracleConfig`], [`Violation`]) evaluated
 //!   at every table install and epoch transition, fed by the typed event
 //!   spine the network drains;
-//! - [`run_packet`] / [`run_scenario`] — one engine over the packet-level
-//!   network on either event kernel (only the classic one has the
-//!   [`ProbeFlows`] a hosted campaign needs); [`BootedCampaign`] is the
-//!   same engine stopped at first quiescence, to boot a world once and
-//!   resume a clone of it per schedule;
+//! - [`BootedCampaign`] — one engine over the packet-level network on
+//!   either event kernel (only the classic one has the [`ProbeFlows`] a
+//!   hosted campaign needs), stopped at first quiescence: boot a world
+//!   once, then resume it, or a clone of it per schedule;
+//!   [`run_packet`] is boot-then-resume on a fresh classic network;
 //! - [`shrink_schedule`] / [`Reproducer`] — when an oracle fires, the
 //!   schedule is greedily minimized under deterministic re-runs and
 //!   printed as a self-contained Rust test.
@@ -37,7 +37,7 @@ mod substrate;
 mod tables;
 mod worst_case;
 
-pub use engine::{run_packet, run_scenario, BootedCampaign, CheckOutcome};
+pub use engine::{run_packet, BootedCampaign, CheckOutcome};
 pub use oracle::{OracleConfig, Violation};
 pub use postmortem::{default_postmortem_dir, postmortem_on_failure, write_postmortem};
 pub use scenario::{

@@ -11,6 +11,17 @@
 //! do all of this in software, and the experiments charge transmission
 //! time by encoded size, so the encoding is real, not estimated.
 
+// Every neighbor's bytes reach this decoder: no path through it may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 use autonet_wire::{
     decode_short_addr_reply, decode_short_addr_request, encode_short_addr_reply,
     encode_short_addr_request, PortIndex, ShortAddress, SwitchNumber, Uid, MAX_PORTS,
@@ -342,16 +353,17 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], MsgCodecError> {
-        if self.at + n > self.buf.len() {
-            return Err(MsgCodecError::Truncated);
-        }
-        let s = &self.buf[self.at..self.at + n];
+        let s = self
+            .buf
+            .get(self.at..)
+            .and_then(|rest| rest.get(..n))
+            .ok_or(MsgCodecError::Truncated)?;
         self.at += n;
         Ok(s)
     }
 
     fn u8(&mut self) -> Result<u8, MsgCodecError> {
-        Ok(self.take(1)?[0])
+        self.array().map(|[b]| b)
     }
 
     /// The next `N` bytes. `take(N)` returns exactly `N` or fails, so the

@@ -85,8 +85,9 @@ pub struct NetWorld {
     /// Service-interruption probe flows; `None` until
     /// [`Network::start_probes`].
     probes: Option<probes::ProbeState>,
-    /// Randomness for loss injection (seeded; deterministic).
-    rng: SimRng,
+    /// Seed of the control-loss draw (see `NetWorld::lost`), which is a
+    /// pure function of it and the arrival, so no random state is carried.
+    loss_seed: u64,
     /// Latched cross-node observations (dead-port verdicts, host active
     /// ports). `None` in the classic single-queue loop, where
     /// [`synthesize_status`](NetWorld::synthesize_status) reads the live
@@ -176,7 +177,7 @@ impl NetWorld {
             flood: None,
             handled: [0; Event::KINDS.len()],
             probes: None,
-            rng: rng.fork(1),
+            loss_seed: rng.next_u64(),
             latched: None,
             topo,
             params,

@@ -35,9 +35,8 @@
 //!   including one, which is what makes results bit-identical at 1, 2
 //!   or 8 shards.
 //!
-//! Unsupported here: control packet loss (`control_loss_rate > 0` draws
-//! from one shared RNG; asserted at construction) and service-interruption
-//! probes (one network-wide tick; this facade instantiation has no probe API).
+//! Unsupported here: service-interruption probes (one network-wide tick;
+//! this facade instantiation has no probe API).
 
 use std::sync::Arc;
 
@@ -243,14 +242,9 @@ impl PartitionedNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `nparts` is zero, or if `params` enable control-packet
-    /// loss (whose shared RNG cannot be sharded deterministically).
+    /// Panics if `nparts` is zero.
     pub fn new(topo: Topology, params: NetParams, seed: u64, nparts: usize) -> Self {
         assert!(nparts >= 1, "at least one partition");
-        assert!(
-            params.control_loss_rate == 0.0,
-            "control loss is unsupported in partitioned mode (shared RNG)"
-        );
         let n_nodes = (topo.num_switches() + topo.num_hosts()).max(1);
         let nparts = nparts.min(n_nodes);
         // Block partition: contiguous dense-id ranges, a pure function of
@@ -351,11 +345,14 @@ mod tests {
     use super::*;
     use autonet_topo::{gen, SwitchId};
 
-    /// A short fault campaign on a small torus; returns the canonical
-    /// trace digest plus final control-plane state.
-    fn campaign(nparts: usize) -> (String, Vec<(bool, Option<u64>)>) {
+    /// A short fault campaign on a small torus, losing each control
+    /// packet with probability `loss`; returns the canonical trace digest,
+    /// the final control-plane state and the packets lost in flight.
+    fn campaign(nparts: usize, loss: f64) -> (String, Vec<(bool, Option<u64>)>, u64) {
         let topo = gen::torus(3, 3, 7);
-        let mut net = PartitionedNetwork::new(topo, NetParams::tuned(), 11, nparts);
+        let mut params = NetParams::tuned();
+        params.control_loss_rate = loss;
+        let mut net = PartitionedNetwork::new(topo, params, 11, nparts);
         net.run_for(SimDuration::from_millis(400));
         net.schedule_link_down(net.now() + SimDuration::from_millis(1), LinkId(2));
         net.run_for(SimDuration::from_millis(300));
@@ -368,16 +365,24 @@ mod tests {
                 (ap.is_open(), ap.global().map(|g| g.epoch.0))
             })
             .collect();
-        (digest, state)
+        (digest, state, net.stats().lost_in_flight)
     }
 
+    /// Loss included: each draw is keyed by its arrival, not taken in
+    /// handling order, so it is the same at any partition count.
     #[test]
     fn partition_count_does_not_change_history() {
-        let base = campaign(1);
-        assert!(!base.0.is_empty());
-        for nparts in [2, 4] {
-            assert_eq!(campaign(nparts), base, "divergence at {nparts} partitions");
+        let mut lost = Vec::new();
+        for loss in [0.0, 0.05] {
+            let base = campaign(1, loss);
+            assert!(!base.0.is_empty());
+            for nparts in [2, 4] {
+                let run = campaign(nparts, loss);
+                assert_eq!(run, base, "divergence at {nparts} partitions, loss {loss}");
+            }
+            lost.push(base.2);
         }
+        assert!(lost[1] > lost[0], "5 % loss dropped no packet: {lost:?}");
     }
 
     #[test]
@@ -401,13 +406,5 @@ mod tests {
         assert!(!whole.is_empty());
         assert_eq!(net.drain_trace_records(), whole);
         assert!(net.merged_trace().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "control loss is unsupported")]
-    fn loss_params_rejected() {
-        let mut params = NetParams::tuned();
-        params.control_loss_rate = 0.01;
-        let _ = PartitionedNetwork::new(gen::torus(2, 2, 1), params, 1, 2);
     }
 }

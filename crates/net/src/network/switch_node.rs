@@ -18,7 +18,7 @@
 use autonet_core::{
     Autopilot, ControlMsg, Environment, Epoch, GlobalTopology, PortState, SrpPayload,
 };
-use autonet_sim::{Scheduler, SimTime};
+use autonet_sim::{Scheduler, SimRng, SimTime};
 use autonet_switch::{ForwardingTable, LinkUnitStatus};
 use autonet_topo::SwitchId;
 use autonet_wire::{Bytes, PacketType, PortIndex};
@@ -246,10 +246,7 @@ impl NetWorld {
             self.stats.lost_in_flight += 1;
             return;
         }
-        if packet.ptype != PacketType::Data
-            && self.params.control_loss_rate > 0.0
-            && self.rng.chance(self.params.control_loss_rate)
-        {
+        if packet.ptype != PacketType::Data && self.lost(s, port, now) {
             // A marginal link corrupted the packet; the CRC check on the
             // control processor rejects it.
             self.stats.lost_in_flight += 1;
@@ -288,6 +285,26 @@ impl NetWorld {
                 };
                 sched.at(start + cost, done);
             }
+        }
+    }
+
+    /// Whether the control packet arriving at switch `s`'s `port` at
+    /// `now` is lost, with probability `control_loss_rate`. The draw is
+    /// keyed by the run's seed and the arrival, not taken from a stream,
+    /// so it does not depend on the order in which same-instant arrivals
+    /// are handled, which differs between the kernels and between
+    /// partition counts. Every cable serializes its arrivals, so the key
+    /// names one packet; only the zero-width reflections (a free port
+    /// after 2 µs, port 0 after 1 µs) can land two packets on one key,
+    /// and those share the draw.
+    fn lost(&self, s: usize, port: PortIndex, now: SimTime) -> bool {
+        let rate = self.params.control_loss_rate;
+        rate > 0.0 && {
+            let mut draw = SimRng::new(self.loss_seed);
+            for part in [s as u64, u64::from(port), now.as_nanos()] {
+                draw = draw.fork(part);
+            }
+            draw.chance(rate)
         }
     }
 

@@ -17,6 +17,17 @@
 //! processor computed in software) — the 4-byte difference is irrelevant to
 //! every experiment and is noted in DESIGN.md.
 
+// Every cable's bytes reach this decoder: no path through it may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::fmt;
 
 use bytes::Bytes;
@@ -143,29 +154,26 @@ impl Packet {
 
     /// Parses and CRC-checks a packet from its wire bytes.
     pub fn decode(bytes: &[u8]) -> Result<Packet, PacketCodecError> {
-        if bytes.len() < AUTONET_HEADER_LEN + CRC_LEN {
-            return Err(PacketCodecError::Truncated { len: bytes.len() });
-        }
-        let body_len = bytes.len() - CRC_LEN;
-        let expected = crc32(&bytes[..body_len]);
-        let stored = u32::from_be_bytes(bytes[body_len..].try_into().expect("CRC_LEN bytes"));
+        let truncated = PacketCodecError::Truncated { len: bytes.len() };
+        let (body, stored) = bytes.split_last_chunk::<CRC_LEN>().ok_or(truncated)?;
+        let (header, payload) = body
+            .split_first_chunk::<AUTONET_HEADER_LEN>()
+            .ok_or(truncated)?;
+        let expected = crc32(body);
+        let stored = u32::from_be_bytes(*stored);
         if expected != stored {
             return Err(PacketCodecError::BadCrc { expected, stored });
         }
-        let dst = ShortAddress::from_bytes([bytes[0], bytes[1]]);
-        let src = ShortAddress::from_bytes([bytes[2], bytes[3]]);
-        let raw_type = u16::from_be_bytes([bytes[4], bytes[5]]);
+        let [d0, d1, s0, s1, t0, t1, enc @ ..] = *header;
+        let raw_type = u16::from_be_bytes([t0, t1]);
         let ptype = PacketType::from_u16(raw_type)
             .ok_or(PacketCodecError::UnknownType { raw: raw_type })?;
-        let mut enc_info = [0u8; ENC_INFO_LEN];
-        enc_info.copy_from_slice(&bytes[6..6 + ENC_INFO_LEN]);
-        let payload = Bytes::copy_from_slice(&bytes[AUTONET_HEADER_LEN..body_len]);
         Ok(Packet {
-            dst,
-            src,
+            dst: ShortAddress::from_bytes([d0, d1]),
+            src: ShortAddress::from_bytes([s0, s1]),
             ptype,
-            enc_info,
-            payload,
+            enc_info: enc,
+            payload: Bytes::copy_from_slice(payload),
         })
     }
 }

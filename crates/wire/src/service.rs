@@ -5,6 +5,17 @@
 //! two variants (tags 9 and 10) of the control plane's message space; both
 //! the control-plane codec and the host controller go through this one.
 
+// Every host's bytes reach this decoder: no path through it may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::{ShortAddress, Uid};
 
 const REQUEST_TAG: u8 = 9;

@@ -4,7 +4,8 @@
 //!
 //! Run with: `cargo run --example trace_timeline [scenario] [--critical-path]`
 //!
-//! Scenarios (the same three the golden-trace tests lock down):
+//! Scenarios, from `autonet::scenarios` (the first three are the ones the
+//! golden-trace tests lock down):
 //!   single_link_cut        one trunk cut on a 4-switch ring (default)
 //!   switch_crash_revive    a switch dies and later rejoins
 //!   simultaneous_failures  four link cuts within 1 ms on a 4x4 torus
@@ -23,56 +24,8 @@
 //! tree in Chrome Trace Event Format — drop the file onto
 //! <https://ui.perfetto.dev> to scrub through the epochs visually.
 
-use autonet::net::{NetParams, Network};
-use autonet::sim::{SimDuration, SimTime};
-use autonet::topo::{gen, LinkId, SwitchId};
-use autonet::trace::{Timeline, TraceRecord};
-
-fn single_link_cut() -> Vec<TraceRecord> {
-    let mut net = Network::new(gen::ring(4, 5), NetParams::tuned(), 1);
-    net.run_until_stable(SimTime::from_secs(60))
-        .expect("bring-up converges");
-    net.schedule_link_down(net.now() + SimDuration::from_millis(1), LinkId(0));
-    net.run_until_stable(net.now() + SimDuration::from_secs(60))
-        .expect("heals around the cut");
-    net.trace_log().records().to_vec()
-}
-
-fn switch_crash_revive() -> Vec<TraceRecord> {
-    let mut net = Network::new(gen::ring(4, 5), NetParams::tuned(), 2);
-    net.run_until_stable(SimTime::from_secs(60))
-        .expect("bring-up converges");
-    net.schedule_switch_down(net.now() + SimDuration::from_millis(1), SwitchId(1));
-    net.run_until_stable(net.now() + SimDuration::from_secs(60))
-        .expect("survivors reconfigure");
-    net.schedule_switch_up(net.now() + SimDuration::from_millis(1), SwitchId(1));
-    net.run_until_stable(net.now() + SimDuration::from_secs(60))
-        .expect("revived switch rejoins");
-    net.trace_log().records().to_vec()
-}
-
-fn simultaneous_failures() -> Vec<TraceRecord> {
-    let mut net = Network::new(gen::torus(4, 4, 3), NetParams::tuned(), 3);
-    net.run_until_stable(SimTime::from_secs(60))
-        .expect("bring-up converges");
-    let t0 = net.now() + SimDuration::from_millis(1);
-    for (i, l) in [0usize, 5, 9, 14].into_iter().enumerate() {
-        net.schedule_link_down(t0 + SimDuration::from_micros(200) * i as u64, LinkId(l));
-    }
-    net.run_until_stable(net.now() + SimDuration::from_secs(120))
-        .expect("absorbs the simultaneous failures");
-    net.trace_log().records().to_vec()
-}
-
-fn src_link_cut() -> Vec<TraceRecord> {
-    let mut net = Network::new(gen::src_network(1991), NetParams::tuned(), 100);
-    net.run_until_stable(SimTime::from_secs(60))
-        .expect("bring-up converges");
-    net.schedule_link_down(net.now() + SimDuration::from_millis(1), LinkId(0));
-    net.run_until_stable(net.now() + SimDuration::from_secs(60))
-        .expect("heals around the cut");
-    net.trace_log().records().to_vec()
-}
+use autonet::scenarios;
+use autonet::trace::Timeline;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -99,19 +52,12 @@ fn main() {
         }
     }
     let scenario = positional.unwrap_or_else(|| "single_link_cut".to_string());
-    let records = match scenario.as_str() {
-        "single_link_cut" => single_link_cut(),
-        "switch_crash_revive" => switch_crash_revive(),
-        "simultaneous_failures" => simultaneous_failures(),
-        "src_link_cut" => src_link_cut(),
-        other => {
-            eprintln!(
-                "unknown scenario '{other}'; pick one of: \
-                 single_link_cut, switch_crash_revive, simultaneous_failures, \
-                 src_link_cut"
-            );
-            std::process::exit(2);
-        }
+    let Some(records) = scenarios::run(&scenario) else {
+        eprintln!(
+            "unknown scenario '{scenario}'; pick one of: {}",
+            scenarios::NAMES.join(", ")
+        );
+        std::process::exit(2);
     };
 
     let tl = Timeline::build(&records);

@@ -22,6 +22,8 @@
 //! | [`net`] | `autonet-net` | integrated network simulator + workloads |
 //! | [`trace`] | `autonet-trace` | typed event spine, metrics, timelines, JSONL |
 //!
+//! [`scenarios`] holds the named fault scenarios the golden traces pin.
+//!
 //! # Examples
 //!
 //! Build a network, let it configure itself, break it, watch it heal:
@@ -57,6 +59,8 @@ pub use autonet_switch as switch;
 pub use autonet_topo as topo;
 pub use autonet_trace as trace;
 pub use autonet_wire as wire;
+
+pub mod scenarios;
 
 /// The most commonly used types, re-exported flat.
 pub mod prelude {

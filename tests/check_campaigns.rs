@@ -19,8 +19,8 @@ use autonet::autopilot::AutopilotParams;
 use autonet::net::{NetParams, PartitionedNetwork};
 use autonet_check::{
     default_postmortem_dir, degraded_params, packet_reproducer, postmortem_on_failure,
-    random_scenario, run_packet, run_scenario, write_postmortem, CheckOutcome, FaultEvent, FaultOp,
-    OracleConfig, Reproducer, Scenario, TopoSpec,
+    random_scenario, run_packet, write_postmortem, BootedCampaign, CheckOutcome, FaultEvent,
+    FaultOp, OracleConfig, Reproducer, Scenario, TopoSpec,
 };
 
 /// Shrinks a failing campaign, drops a postmortem bundle, and panics with
@@ -70,9 +70,10 @@ fn run_corpus_sharded(seeds: impl Iterator<Item = u64>, n_events: usize) {
     let cfg = OracleConfig::from_params(&params.autopilot);
     for seed in seeds {
         let scenario = random_scenario(seed, n_events);
-        let topo = scenario.topo.build();
-        let mut net = PartitionedNetwork::new(topo.clone(), params, scenario.seed, 2);
-        let outcome = run_scenario(&scenario, &mut net, &topo, &cfg);
+        let booted = BootedCampaign::boot(&scenario.topo, scenario.seed, &cfg, |t| {
+            PartitionedNetwork::new(t.clone(), params, scenario.seed, 2)
+        });
+        let outcome = booted.resume(&scenario).0;
         assert!(
             outcome.passed(),
             "{} (sharded): {}",

@@ -1,5 +1,6 @@
-//! Golden-trace regression tests: three canonical fault scenarios whose
-//! full typed event streams, serialized as canonical JSONL, must stay
+//! Golden-trace regression tests: three canonical fault scenarios (from
+//! `autonet::scenarios`, which `scripts/trace.sh` renders) whose full
+//! typed event streams, serialized as canonical JSONL, must stay
 //! byte-identical to the checked-in goldens under `tests/goldens/`.
 //!
 //! The event taxonomy, the node attribution, the timestamps and the
@@ -17,6 +18,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use autonet::net::{NetParams, Network, SlotNet};
+use autonet::scenarios;
 use autonet::sim::{SimDuration, SimTime};
 use autonet::topo::{gen, HostId, LinkId, SwitchId, Topology};
 use autonet::trace::{to_jsonl, InterruptionConfig, InterruptionReport, Timeline, TraceRecord};
@@ -67,49 +69,6 @@ fn assert_golden(name: &str, jsonl: &str) {
     }
 }
 
-/// Single link cut on a small ring: the minimal reconfiguration story.
-fn run_single_link_cut() -> Vec<TraceRecord> {
-    let topo = gen::ring(4, 5);
-    let mut net = Network::new(topo, NetParams::tuned(), 1);
-    net.run_until_stable(SimTime::from_secs(60))
-        .expect("bring-up converges");
-    net.schedule_link_down(net.now() + SimDuration::from_millis(1), LinkId(0));
-    net.run_until_stable(net.now() + SimDuration::from_secs(60))
-        .expect("heals around the cut");
-    net.trace_log().records().to_vec()
-}
-
-/// A switch crashes and later revives; both transitions reconfigure.
-fn run_switch_crash_revive() -> Vec<TraceRecord> {
-    let topo = gen::ring(4, 5);
-    let mut net = Network::new(topo, NetParams::tuned(), 2);
-    net.run_until_stable(SimTime::from_secs(60))
-        .expect("bring-up converges");
-    net.schedule_switch_down(net.now() + SimDuration::from_millis(1), SwitchId(1));
-    net.run_until_stable(net.now() + SimDuration::from_secs(60))
-        .expect("survivors reconfigure");
-    net.schedule_switch_up(net.now() + SimDuration::from_millis(1), SwitchId(1));
-    net.run_until_stable(net.now() + SimDuration::from_secs(60))
-        .expect("revived switch rejoins");
-    net.trace_log().records().to_vec()
-}
-
-/// E15's race: four link failures within one millisecond on a 4x4 torus,
-/// coalescing into a few epochs.
-fn run_simultaneous_failures() -> Vec<TraceRecord> {
-    let topo = gen::torus(4, 4, 3);
-    let mut net = Network::new(topo, NetParams::tuned(), 3);
-    net.run_until_stable(SimTime::from_secs(60))
-        .expect("bring-up converges");
-    let t0 = net.now() + SimDuration::from_millis(1);
-    for (i, l) in [0usize, 5, 9, 14].into_iter().enumerate() {
-        net.schedule_link_down(t0 + SimDuration::from_micros(200) * i as u64, LinkId(l));
-    }
-    net.run_until_stable(net.now() + SimDuration::from_secs(120))
-        .expect("absorbs the simultaneous failures");
-    net.trace_log().records().to_vec()
-}
-
 /// The hosted variant of the single link cut: probe flows across the cut,
 /// and the canonical `InterruptionReport` JSONL (per-pair counters plus
 /// every epoch-attributed blackout window) is golden too.
@@ -152,7 +111,7 @@ fn run_interruption_single_link_cut() -> String {
 
 #[test]
 fn golden_single_link_cut() {
-    assert_golden("single_link_cut", &to_jsonl(&run_single_link_cut()));
+    assert_golden("single_link_cut", &to_jsonl(&scenarios::single_link_cut()));
 }
 
 /// The causal span export of the canonical scenario is golden too: the
@@ -161,7 +120,7 @@ fn golden_single_link_cut() {
 /// thread layout — on top of the raw event stream pinned above.
 #[test]
 fn golden_single_link_cut_chrome_trace() {
-    let records = run_single_link_cut();
+    let records = scenarios::single_link_cut();
     let timeline = Timeline::build(&records);
     let tree = timeline.span_tree();
     tree.check_well_formed().expect("golden span tree");
@@ -170,14 +129,17 @@ fn golden_single_link_cut_chrome_trace() {
 
 #[test]
 fn golden_switch_crash_revive() {
-    assert_golden("switch_crash_revive", &to_jsonl(&run_switch_crash_revive()));
+    assert_golden(
+        "switch_crash_revive",
+        &to_jsonl(&scenarios::switch_crash_revive()),
+    );
 }
 
 #[test]
 fn golden_simultaneous_failures() {
     assert_golden(
         "simultaneous_failures",
-        &to_jsonl(&run_simultaneous_failures()),
+        &to_jsonl(&scenarios::simultaneous_failures()),
     );
 }
 
@@ -193,8 +155,8 @@ fn golden_interruption_single_link_cut() {
 /// runs of the same seeded scenario give byte-identical JSONL.
 #[test]
 fn goldens_are_deterministic() {
-    let a = to_jsonl(&run_single_link_cut());
-    let b = to_jsonl(&run_single_link_cut());
+    let a = to_jsonl(&scenarios::single_link_cut());
+    let b = to_jsonl(&scenarios::single_link_cut());
     assert_eq!(a, b, "same seed, same scenario, different bytes");
     assert!(!a.is_empty());
 }
