@@ -7,7 +7,7 @@
 //! the end-to-end traffic outage, across a sweep of the failover threshold.
 
 use autonet_bench::{Report, Table};
-use autonet_net::{NetEventKind, NetParams, Network};
+use autonet_net::{NetParams, Network};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{gen, HostId};
 
@@ -40,24 +40,15 @@ fn run(threshold: SimDuration, seed: u64) -> [SimDuration; 3] {
     let victim = net.topology().host(h).primary.switch;
     net.schedule_switch_down(crash_at, victim);
     net.run_for(SimDuration::from_secs(28));
-    let mut failover = None;
-    let mut relearn = None;
-    for e in net.events() {
-        if e.time <= crash_at {
-            continue;
-        }
-        match e.kind {
-            NetEventKind::HostPortSwitched(hid, _) if hid == h => {
-                failover.get_or_insert(e.time);
-            }
-            NetEventKind::HostAddressLearned(hid, _) if hid == h && failover.is_some() => {
-                relearn.get_or_insert(e.time);
-            }
-            _ => {}
-        }
-    }
-    let failover = failover.expect("failover happens");
-    let relearn = relearn.expect("address relearned");
+    // The driver fails over once and re-learns once, so its last port
+    // switch and last address change are those.
+    let host = net.host(h);
+    let failover = host.switched_at();
+    assert!(failover > crash_at, "failover happens");
+    let relearn = host
+        .address_changed_at()
+        .filter(|&t| t > failover)
+        .expect("address relearned");
     // Outage: gap between the last pre-crash delivery and the first
     // post-recovery delivery to the host.
     let last_before = net

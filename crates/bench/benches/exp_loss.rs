@@ -36,7 +36,7 @@ fn main() {
                 continue;
             }
             if let Some(m) = measure_reconfiguration(&mut net, LinkId(link)) {
-                reconfigs.push(m.reconfiguration);
+                reconfigs.extend(m.reconfiguration);
             }
         }
         t.row([

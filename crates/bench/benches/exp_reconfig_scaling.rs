@@ -50,7 +50,7 @@ fn main() {
             name.into(),
             n.into(),
             d.into(),
-            m.map(|m| m.reconfiguration).into(),
+            m.and_then(|m| m.reconfiguration).into(),
             m.map(|m| m.total).into(),
         ]);
     }

@@ -14,7 +14,7 @@
 
 use autonet_bench::{Report, Table, Value};
 use autonet_core::{Event, TerminationMode};
-use autonet_net::{NetEventKind, NetParams, Network};
+use autonet_net::{NetParams, Network};
 use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{gen, LinkId, Topology};
 
@@ -40,20 +40,19 @@ fn run_mode(name: &str, topo: Topology, mode: TerminationMode, seed: u64) -> Vec
     let fault_at = net.now() + SimDuration::from_millis(10);
     net.schedule_link_down(fault_at, LinkId(0));
     net.run_for(SimDuration::from_secs(20));
-    // What the one cut cost, from the event log: every reopen after it.
+    // What the one cut cost, from the typed spine: every reopen after it.
+    let records = net.trace_log().records();
     let mut last_open = vec![None; n];
     let mut opens = 0u64;
-    for e in net.events().iter().filter(|e| e.time > fault_at) {
-        if let NetEventKind::SwitchOpened(s, _) = e.kind {
-            last_open[s.0] = Some(e.time);
+    for r in records.iter().filter(|r| r.time > fault_at) {
+        if let Event::NetworkOpened { .. } = r.event {
+            last_open[r.node] = Some(r.time);
             opens += 1;
         }
     }
-    // And from the typed spine, over the whole run: every topology a switch
-    // was handed that could not route, so it kept its cleared table.
-    let unroutable = net
-        .trace_log()
-        .records()
+    // And over the whole run: every topology a switch was handed that
+    // could not route, so it kept its cleared table.
+    let unroutable = records
         .iter()
         .filter(|r| matches!(r.event, Event::UnroutableTopology { .. }))
         .count();

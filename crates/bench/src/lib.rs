@@ -239,43 +239,43 @@ pub fn converge(topo: Topology, params: NetParams, seed: u64) -> Network {
 #[derive(Clone, Copy, Debug)]
 pub struct ReconfigMeasurement {
     /// Fault to the first switch closing (the monitoring tower's
-    /// detection latency).
-    pub detection: SimDuration,
+    /// detection latency); `None` on an untraced network, whose spine
+    /// keeps no per-switch instants.
+    pub detection: Option<SimDuration>,
     /// First switch closed to last switch reopened — the paper's
     /// definition of reconfiguration time (§6.6.5: from the first
     /// tree-position packet of the new epoch to the last forwarding-table
-    /// load).
-    pub reconfiguration: SimDuration,
+    /// load); `None` on an untraced network.
+    pub reconfiguration: Option<SimDuration>,
     /// Fault to fully reopened (what a user experiences).
     pub total: SimDuration,
 }
 
 /// Injects a link failure into a converged network and measures detection
 /// and reconfiguration latency. Returns `None` if the network never
-/// stabilizes within the deadline.
+/// stabilizes within the deadline or no switch closed.
+///
+/// The first close is read off the typed spine, undrained; the last
+/// reopen is the instant [`Network::run_until_stable`] returns, which the
+/// spine's last `NetworkOpened` equals.
 pub fn measure_reconfiguration(net: &mut Network, link: LinkId) -> Option<ReconfigMeasurement> {
-    use autonet_net::NetEventKind;
     let fault_at = net.now() + SimDuration::from_millis(10);
-    let events_before = net.events().len();
+    let traced_before = net.trace_log().len();
+    let closes_before = net.stats().closes;
     net.schedule_link_down(fault_at, link);
     net.run_for(SimDuration::from_millis(20));
-    net.run_until_stable(net.now() + SimDuration::from_secs(120))?;
-    let mut first_closed = None;
-    let mut last_open = None;
-    for e in &net.events()[events_before..] {
-        match e.kind {
-            NetEventKind::SwitchClosed(_) => {
-                first_closed.get_or_insert(e.time);
-            }
-            NetEventKind::SwitchOpened(..) => last_open = Some(e.time),
-            _ => {}
-        }
+    let last_open = net.run_until_stable(net.now() + SimDuration::from_secs(120))?;
+    // Without a close the last state change can predate the fault.
+    if net.stats().closes == closes_before {
+        return None;
     }
-    let first_closed = first_closed?;
-    let last_open = last_open?;
+    let first_closed = net.trace_log().records()[traced_before..]
+        .iter()
+        .find(|r| matches!(r.event, autonet_core::Event::NetworkClosed { .. }))
+        .map(|r| r.time);
     Some(ReconfigMeasurement {
-        detection: first_closed.saturating_since(fault_at),
-        reconfiguration: last_open.saturating_since(first_closed),
+        detection: first_closed.map(|t| t.saturating_since(fault_at)),
+        reconfiguration: first_closed.map(|t| last_open.saturating_since(t)),
         total: last_open.saturating_since(fault_at),
     })
 }

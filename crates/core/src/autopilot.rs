@@ -520,7 +520,7 @@ impl Autopilot {
                             epoch: global.epoch,
                         },
                     );
-                    env.network_opened(global.epoch);
+                    env.network_opened();
                 }
                 ReconfigOutput::Event(ReconfigEvent::Started(epoch, cause)) => {
                     self.trace(env, Event::ReconfigTriggered { epoch, cause });
@@ -879,7 +879,7 @@ mod tests {
         let mut ap = Autopilot::new(Uid::new(1), AutopilotParams::tuned());
         let mut env = Recorder::default();
         ap.boot(SimTime::ZERO, &mut env);
-        assert_eq!(env.count(|c| matches!(c, Call::NetworkOpened(_))), 1);
+        assert_eq!(env.count(|c| matches!(c, Call::NetworkOpened)), 1);
         assert!(ap.is_open());
         assert_eq!(ap.switch_number(), Some(1));
     }
@@ -992,7 +992,7 @@ mod tests {
             }
             Call::LoadTable(_) => "LOAD".into(),
             Call::SetPortDead(..) => return None,
-            Call::NetworkOpened(epoch) => format!("OPEN({})", epoch.0),
+            Call::NetworkOpened => "OPEN".into(),
             Call::NetworkClosed => "CLOSE".into(),
             Call::Trace(event) => event.kind().into(),
         })
@@ -1018,7 +1018,7 @@ mod tests {
         // 10 becomes root, floods the topology and opens; 20 opens on the
         // flood.
         const ALONE: &str = "boot reconfig-triggered table-installed LOAD tree-stable \
-            addresses-assigned table-installed LOAD network-opened OPEN(1)";
+            addresses-assigned table-installed LOAD network-opened OPEN";
         const START: &str =
             "reconfig-triggered network-closed CLOSE table-installed LOAD SEND(1,TreePosition)";
         let want = [
@@ -1037,9 +1037,9 @@ mod tests {
             "0: SEND(1,TreePositionAck)".into(),
             "1: SEND(1,TopologyReport)".into(),
             "0: SEND(1,TopologyReportAck) tree-stable addresses-assigned SEND(1,TopologyDown) \
-                table-installed LOAD network-opened OPEN(2)"
+                table-installed LOAD network-opened OPEN"
                 .into(),
-            "1: SEND(1,TopologyDownAck) table-installed LOAD network-opened OPEN(2)".into(),
+            "1: SEND(1,TopologyDownAck) table-installed LOAD network-opened OPEN".into(),
         ];
         assert_eq!(got, want, "{got:#?}");
     }

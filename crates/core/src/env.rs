@@ -3,7 +3,6 @@
 use autonet_switch::{ForwardingTable, LinkUnitStatus};
 use autonet_wire::PortIndex;
 
-use crate::epoch::Epoch;
 use crate::events::Event;
 use crate::messages::ControlMsg;
 
@@ -34,8 +33,8 @@ pub trait Environment {
     /// keep the default no-op.
     fn set_port_dead(&mut self, _port: PortIndex, _dead: bool) {}
 
-    /// Host traffic re-enabled: a reconfiguration completed at `epoch`.
-    fn network_opened(&mut self, _epoch: Epoch) {}
+    /// Host traffic re-enabled: a reconfiguration completed.
+    fn network_opened(&mut self) {}
 
     /// Host traffic stopped: a reconfiguration began.
     fn network_closed(&mut self) {}
@@ -58,7 +57,7 @@ pub(crate) mod recording {
         Send(PortIndex, ControlMsg),
         LoadTable(ForwardingTable),
         SetPortDead(PortIndex, bool),
-        NetworkOpened(Epoch),
+        NetworkOpened,
         NetworkClosed,
         Trace(Event),
     }
@@ -115,8 +114,8 @@ pub(crate) mod recording {
             self.calls.push(Call::SetPortDead(port, dead));
         }
 
-        fn network_opened(&mut self, epoch: Epoch) {
-            self.calls.push(Call::NetworkOpened(epoch));
+        fn network_opened(&mut self) {
+            self.calls.push(Call::NetworkOpened);
         }
 
         fn network_closed(&mut self) {

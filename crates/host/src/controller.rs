@@ -69,13 +69,6 @@ pub enum HostAction {
     },
     /// Deliver a received frame to the client.
     Deliver(EthFrame),
-    /// The driver switched the active port.
-    PortSwitched {
-        /// The now-active controller port.
-        active: usize,
-    },
-    /// The host learned (or re-learned) its short address.
-    AddressLearned(ShortAddress),
 }
 
 /// The host controller + driver + LocalNet stack.
@@ -89,6 +82,7 @@ pub struct HostController {
     last_contact: Option<SimTime>,
     last_check: Option<SimTime>,
     switched_at: SimTime,
+    address_changed_at: Option<SimTime>,
     pending_tx: VecDeque<EthFrame>,
     stats: HostStats,
 }
@@ -105,6 +99,7 @@ impl HostController {
             last_contact: None,
             last_check: None,
             switched_at: SimTime::ZERO,
+            address_changed_at: None,
             pending_tx: VecDeque::new(),
             stats: HostStats::default(),
         }
@@ -123,6 +118,18 @@ impl HostController {
     /// The current short address, if known.
     pub fn short_address(&self) -> Option<ShortAddress> {
         self.localnet.my_short()
+    }
+
+    /// When the driver last switched the active port (boot counts as
+    /// a switch to port 0 at t = 0).
+    pub fn switched_at(&self) -> SimTime {
+        self.switched_at
+    }
+
+    /// When the host last learned a short address different from the one
+    /// it held; `None` before the first.
+    pub fn address_changed_at(&self) -> Option<SimTime> {
+        self.address_changed_at
     }
 
     /// Driver counters.
@@ -177,15 +184,14 @@ impl HostController {
                 if let Some((host_uid, addr)) = decode_short_addr_reply(&packet.payload) {
                     if host_uid == self.uid {
                         self.last_contact = Some(now);
-                        let changed = self.localnet.my_short() != Some(addr);
+                        if self.localnet.my_short() != Some(addr) {
+                            self.address_changed_at = Some(now);
+                        }
                         for p in self.localnet.set_own_address(addr) {
                             actions.push(HostAction::Transmit {
                                 port: self.active,
                                 packet: p,
                             });
-                        }
-                        if changed {
-                            actions.push(HostAction::AddressLearned(addr));
                         }
                         // Flush frames queued while addressless.
                         while let Some(frame) = self.pending_tx.pop_front() {
@@ -218,7 +224,6 @@ impl HostController {
 
     /// Periodic driver tick.
     pub fn on_tick(&mut self, now: SimTime) -> Vec<HostAction> {
-        let mut actions = Vec::new();
         self.localnet.on_tick(now);
         let silence = self.last_contact.map_or_else(
             || now.saturating_since(self.switched_at),
@@ -240,11 +245,7 @@ impl HostController {
                 self.last_contact = None;
                 self.last_check = None;
                 self.stats.failovers += 1;
-                actions.push(HostAction::PortSwitched {
-                    active: self.active,
-                });
-                actions.extend(self.send_check(now));
-                return actions;
+                return self.send_check(now);
             }
         }
         // Liveness checking cadence: vigorous when the switch has gone
@@ -258,9 +259,10 @@ impl HostController {
             .last_check
             .is_none_or(|t| now.saturating_since(t) >= interval);
         if due {
-            actions.extend(self.send_check(now));
+            self.send_check(now)
+        } else {
+            Vec::new()
         }
-        actions
     }
 
     fn send_check(&mut self, now: SimTime) -> Vec<HostAction> {
@@ -326,14 +328,30 @@ mod tests {
             0,
             &reply_packet(Uid::new(100), addr),
         );
-        assert!(actions
-            .iter()
-            .any(|a| matches!(a, HostAction::AddressLearned(a2) if *a2 == addr)));
+        assert_eq!(c.address_changed_at(), Some(SimTime::from_millis(2)));
         // The queued frame went out (as a broadcast fallback).
         assert!(actions.iter().any(
             |a| matches!(a, HostAction::Transmit { packet, .. } if packet.ptype == PacketType::Data)
         ));
         assert_eq!(c.short_address(), Some(addr));
+    }
+
+    #[test]
+    fn address_changed_at_moves_only_when_the_address_changes() {
+        let mut c = controller();
+        c.boot(SimTime::ZERO);
+        assert_eq!(c.address_changed_at(), None);
+        let first = ShortAddress::assigned(1, 1);
+        let uid = Uid::new(100);
+        c.on_packet(SimTime::from_millis(10), 0, &reply_packet(uid, first));
+        assert_eq!(c.address_changed_at(), Some(SimTime::from_millis(10)));
+        // A liveness reply re-sends the same address: nothing changed.
+        c.on_packet(SimTime::from_millis(20), 0, &reply_packet(uid, first));
+        assert_eq!(c.address_changed_at(), Some(SimTime::from_millis(10)));
+        let second = ShortAddress::assigned(2, 3);
+        c.on_packet(SimTime::from_millis(30), 0, &reply_packet(uid, second));
+        assert_eq!(c.address_changed_at(), Some(SimTime::from_millis(30)));
+        assert_eq!(c.short_address(), Some(second));
     }
 
     #[test]
@@ -351,16 +369,14 @@ mod tests {
         let mut switched = None;
         for _ in 0..200 {
             now += SimDuration::from_millis(100);
-            let actions = c.on_tick(now);
-            if actions
-                .iter()
-                .any(|a| matches!(a, HostAction::PortSwitched { .. }))
-            {
+            c.on_tick(now);
+            if c.stats().failovers > 0 {
                 switched = Some(now);
                 break;
             }
         }
         let switched = switched.expect("must fail over");
+        assert_eq!(c.switched_at(), switched);
         let silence = switched.saturating_since(SimTime::from_millis(100));
         assert!(
             silence >= SimDuration::from_secs(3) && silence < SimDuration::from_secs(4),
@@ -387,11 +403,8 @@ mod tests {
         let mut switch_times = Vec::new();
         for _ in 0..600 {
             now += SimDuration::from_millis(100);
-            let actions = c.on_tick(now);
-            if actions
-                .iter()
-                .any(|a| matches!(a, HostAction::PortSwitched { .. }))
-            {
+            c.on_tick(now);
+            if c.switched_at() == now {
                 switch_times.push(now);
             }
         }
@@ -461,11 +474,9 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..300 {
             now += SimDuration::from_millis(100);
-            let actions = c.on_tick(now);
-            assert!(!actions
-                .iter()
-                .any(|a| matches!(a, HostAction::PortSwitched { .. })));
+            c.on_tick(now);
         }
         assert_eq!(c.stats().failovers, 0);
+        assert_eq!(c.switched_at(), SimTime::ZERO);
     }
 }

@@ -37,10 +37,7 @@ pub mod workload;
 pub use autonet_core::{ProbeOutcome, ProbeRecord};
 #[doc(hidden)]
 pub use network::Driver;
-pub use network::{
-    link_flap_events, DeliveryRecord, Net, NetEvent, NetEventKind, NetStats, Network,
-    PartitionedNetwork,
-};
+pub use network::{link_flap_events, DeliveryRecord, Net, NetStats, Network, PartitionedNetwork};
 pub use params::{CpuModel, NetParams};
 pub use ring::{RingStats, TokenRing};
 pub use slotnet::SlotNet;
@@ -137,10 +134,8 @@ mod tests {
         );
         let addr = ShortAddress::assigned(3, 4);
         let reply = control_packet(4, &ControlMsg::ShortAddrReply { host_uid, addr });
-        let learned = host.on_packet(SimTime::from_millis(1), 0, &reply);
-        assert!(
-            matches!(learned.as_slice(), [.., HostAction::AddressLearned(a)] if *a == addr),
-            "{learned:?}"
-        );
+        host.on_packet(SimTime::from_millis(1), 0, &reply);
+        assert_eq!(host.short_address(), Some(addr));
+        assert_eq!(host.address_changed_at(), Some(SimTime::from_millis(1)));
     }
 }

@@ -1,9 +1,9 @@
 //! The event vocabulary of the packet-level simulation.
 
-use autonet_core::{Epoch, SrpPayload};
+use autonet_core::SrpPayload;
 use autonet_sim::SimTime;
-use autonet_topo::{HostId, LinkId, SwitchId, Topology};
-use autonet_wire::{Packet, PortIndex, ShortAddress, Uid};
+use autonet_topo::{HostId, LinkId, Topology};
+use autonet_wire::{Packet, PortIndex, Uid};
 
 /// Which physical path carried a packet (checked again at delivery so
 /// packets in flight on a failing link are lost).
@@ -194,30 +194,6 @@ impl Event {
             Event::ProbeTick => unreachable!("probes exist only on the classic driver"),
         }
     }
-}
-
-/// Observable network happenings, timestamped.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NetEvent {
-    /// When it happened.
-    pub time: SimTime,
-    /// What happened.
-    pub kind: NetEventKind,
-}
-
-/// Kinds of observable events.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum NetEventKind {
-    /// A switch closed for host traffic (reconfiguration step 1).
-    SwitchClosed(SwitchId),
-    /// A switch reopened with the given epoch.
-    SwitchOpened(SwitchId, Epoch),
-    /// A host failed over to the other controller port.
-    HostPortSwitched(HostId, usize),
-    /// A host learned a short address.
-    HostAddressLearned(HostId, ShortAddress),
-    /// A fault-injection event took effect.
-    Fault(String),
 }
 
 /// One delivered data frame.

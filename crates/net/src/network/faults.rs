@@ -5,25 +5,10 @@ use autonet_host::HostController;
 use autonet_sim::{Scheduler, SimDuration, SimTime};
 use autonet_topo::{HostId, LinkId, SwitchId};
 
-use super::events::{Event, NetEventKind};
+use super::events::Event;
 use super::{Driver, Net, NetWorld};
 
 impl NetWorld {
-    pub(super) fn on_link_down(&mut self, now: SimTime, l: usize) {
-        self.link_up[l] = false;
-        self.log_event(now, NetEventKind::Fault(format!("link {l} down")));
-    }
-
-    pub(super) fn on_link_up(&mut self, now: SimTime, l: usize) {
-        self.link_up[l] = true;
-        self.log_event(now, NetEventKind::Fault(format!("link {l} up")));
-    }
-
-    pub(super) fn on_switch_down(&mut self, now: SimTime, s: usize) {
-        self.switches.up[s] = false;
-        self.log_event(now, NetEventKind::Fault(format!("switch {s} down")));
-    }
-
     /// Reboots the switch with a fresh Autopilot (and a fresh dead-port
     /// mirror: everything starts condemned again).
     pub(super) fn on_switch_up(
@@ -35,45 +20,21 @@ impl NetWorld {
         let uid = self.topo.switch(SwitchId(s)).uid;
         self.switches
             .reset_slot(s, uid, self.params.autopilot, now, self.params.tracing);
-        self.log_event(now, NetEventKind::Fault(format!("switch {s} up")));
         sched.after(SimDuration::ZERO, Event::SwitchBoot { s });
     }
 
     pub(super) fn on_host_power_off(&mut self, now: SimTime, h: usize) {
         self.hosts.up[h] = false;
         self.host_powered_off_at[h] = Some(now);
-        self.log_event(now, NetEventKind::Fault(format!("host {h} powered off")));
     }
 
-    pub(super) fn on_host_power_on(
-        &mut self,
-        now: SimTime,
-        h: usize,
-        sched: &mut Scheduler<'_, Event>,
-    ) {
+    pub(super) fn on_host_power_on(&mut self, h: usize, sched: &mut Scheduler<'_, Event>) {
         self.hosts.up[h] = true;
         self.host_powered_off_at[h] = None;
         let uid = self.topo.host(HostId(h)).uid;
         let dual = self.topo.host(HostId(h)).alternate.is_some();
         self.hosts.ctl[h] = HostController::new(uid, self.params.host, dual);
-        self.log_event(now, NetEventKind::Fault(format!("host {h} powered on")));
         sched.after(SimDuration::ZERO, Event::HostBoot { h });
-    }
-
-    pub(super) fn on_host_link_down(&mut self, now: SimTime, h: usize, which: usize) {
-        self.host_link_up[h][which] = false;
-        self.log_event(
-            now,
-            NetEventKind::Fault(format!("host {h} link {which} down")),
-        );
-    }
-
-    pub(super) fn on_host_link_up(&mut self, now: SimTime, h: usize, which: usize) {
-        self.host_link_up[h][which] = true;
-        self.log_event(
-            now,
-            NetEventKind::Fault(format!("host {h} link {which} up")),
-        );
     }
 }
 

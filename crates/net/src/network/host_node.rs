@@ -7,7 +7,7 @@ use autonet_sim::{Scheduler, SimTime};
 use autonet_topo::HostId;
 use autonet_wire::{Packet, Uid};
 
-use super::events::{DeliveryRecord, Event, NetEventKind, Via};
+use super::events::{DeliveryRecord, Event, Via};
 use super::links::HOST_TICK;
 use super::{Driver, Net, NetWorld};
 
@@ -45,12 +45,6 @@ impl NetWorld {
                         tag,
                         len: frame.payload.len(),
                     });
-                }
-                HostAction::PortSwitched { active } => {
-                    self.log_event(now, NetEventKind::HostPortSwitched(HostId(h), active));
-                }
-                HostAction::AddressLearned(addr) => {
-                    self.log_event(now, NetEventKind::HostAddressLearned(HostId(h), addr));
                 }
             }
         }

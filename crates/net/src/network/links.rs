@@ -6,7 +6,7 @@ use autonet_switch::LinkUnitStatus;
 use autonet_topo::{HostId, LinkId, NetView, PortUse, SwitchId};
 use autonet_wire::{Packet, PortIndex};
 
-use super::events::{Event, NetEvent, NetEventKind, Via};
+use super::events::{Event, Via};
 use super::NetWorld;
 
 pub(super) const HOST_LINK_LATENCY_NS: u64 = 7 * 80; // 100 m coax.
@@ -36,10 +36,6 @@ impl NetWorld {
             }
         }
         view
-    }
-
-    pub(super) fn log_event(&mut self, time: SimTime, kind: NetEventKind) {
-        self.events.push(NetEvent { time, kind });
     }
 
     /// Transmits `packet` out of switch `s` port `port`.

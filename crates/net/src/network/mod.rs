@@ -10,7 +10,7 @@
 //! classic single-queue `Simulator`, [`PartitionedNetwork`] on the sharded
 //! one — assembled from focused submodules:
 //!
-//! - `events`: the event vocabulary ([`Event`], [`NetEvent`], ...);
+//! - `events`: the event vocabulary ([`Event`]) and the delivery record;
 //! - `driver`: the seam to the kernels (clock, scheduling, which world
 //!   owns a node); `partitioned`: the sharded kernel's world and latch;
 //! - `switch_node`: one switch = one `autonet_core::Autopilot` calling a
@@ -37,9 +37,9 @@ mod tests;
 pub use crate::stats::NetStats;
 #[doc(hidden)]
 pub use driver::Driver;
+pub use events::DeliveryRecord;
 #[doc(hidden)]
 pub use events::Event;
-pub use events::{DeliveryRecord, NetEvent, NetEventKind};
 pub use faults::link_flap_events;
 
 use std::sync::Arc;
@@ -70,7 +70,6 @@ pub struct NetWorld {
     host_powered_off_at: Vec<Option<SimTime>>,
     /// [host][attachment][direction]; direction 0 = host→switch.
     host_link_busy: Vec<[[SimTime; 2]; 2]>,
-    events: Vec<NetEvent>,
     deliveries: Vec<DeliveryRecord>,
     /// The network-wide typed event spine: every Autopilot trace event,
     /// node-attributed, for online invariant checkers and trace exports.
@@ -170,7 +169,6 @@ impl NetWorld {
             host_link_busy: vec![[[SimTime::ZERO; 2]; 2]; topo.num_hosts()],
             switches,
             hosts,
-            events: Vec::new(),
             deliveries: Vec::new(),
             trace: autonet_trace::EventLog::new(),
             stats: NetStats::default(),
@@ -207,11 +205,6 @@ impl Network {
             sim.schedule_at(at, event);
         }
         Net { sim }
-    }
-
-    /// The observable event log, in processing order.
-    pub fn events(&self) -> &[NetEvent] {
-        &self.sim.world().events
     }
 
     /// Delivered data frames, in processing order.
@@ -357,14 +350,14 @@ impl World for NetWorld {
             Event::SrpRequest { s, route, payload } => {
                 self.on_srp_request(now, s, route, payload, sched)
             }
-            Event::LinkDown { l } => self.on_link_down(now, l),
-            Event::LinkUp { l } => self.on_link_up(now, l),
-            Event::SwitchDown { s } => self.on_switch_down(now, s),
+            Event::LinkDown { l } => self.link_up[l] = false,
+            Event::LinkUp { l } => self.link_up[l] = true,
+            Event::SwitchDown { s } => self.switches.up[s] = false,
             Event::SwitchUp { s } => self.on_switch_up(now, s, sched),
             Event::HostPowerOff { h } => self.on_host_power_off(now, h),
-            Event::HostPowerOn { h } => self.on_host_power_on(now, h, sched),
-            Event::HostLinkDown { h, which } => self.on_host_link_down(now, h, which),
-            Event::HostLinkUp { h, which } => self.on_host_link_up(now, h, which),
+            Event::HostPowerOn { h } => self.on_host_power_on(h, sched),
+            Event::HostLinkDown { h, which } => self.host_link_up[h][which] = false,
+            Event::HostLinkUp { h, which } => self.host_link_up[h][which] = true,
             Event::ProbeTick => self.on_probe_tick(now, sched),
         }
     }

@@ -22,9 +22,9 @@
 //!   fault events are broadcast to every shard with the *same* canonical
 //!   stamp, so each shard applies the flip at the same point in its local
 //!   event order. Only the primary shard (the owner of the fault's
-//!   anchor node) keeps the log entries and follow-up emissions; the
-//!   other shards run the handler for its flag flips and then discard
-//!   its observable effects.
+//!   anchor node) keeps the follow-up emissions, trace records and
+//!   counter changes; the other shards run the handler for its flag
+//!   flips and then discard its observable effects.
 //! - **Channel state** (per-direction busy times) is owned by the sending
 //!   node's shard; nobody else reads it.
 //! - **Cross-node observations** (a neighbor's dead-port verdict, a
@@ -46,7 +46,7 @@ use autonet_wire::{PortIndex, MAX_PORTS};
 
 use crate::params::NetParams;
 
-use super::events::{DeliveryRecord, Event, NetEvent};
+use super::events::{DeliveryRecord, Event};
 use super::links::{wire_time, HOST_LINK_LATENCY_NS};
 use super::{Driver, Net, NetWorld, PartitionedNetwork};
 
@@ -99,9 +99,6 @@ pub struct PartWorld {
     pub(super) net: NetWorld,
     me: u32,
     owner: Vec<u32>,
-    /// The node each entry of `net.events` is about (the node of the
-    /// event whose handler logged it) — the canonical merge's tie-break.
-    event_nodes: Vec<u32>,
     /// Own nodes that handled an event since the last window boundary —
     /// the only ones whose latched observables can have moved (a node's
     /// state changes only inside its own events). Filled by
@@ -144,7 +141,6 @@ impl ShardWorld for PartWorld {
         if own && self.touched.last() != Some(&node) {
             self.touched.push(node);
         }
-        let events_len = self.net.events.len();
         let trace_len = self.net.trace.len();
         let stats_before = self.net.stats;
         let mut sched = Scheduler::collecting(now, out);
@@ -154,11 +150,9 @@ impl ShardWorld for PartWorld {
             // keep the flag flips, discard the observable side effects
             // (the primary shard produces the single authoritative copy).
             out.clear();
-            self.net.events.truncate(events_len);
             self.net.trace.truncate(trace_len);
             self.net.stats = stats_before;
         }
-        self.event_nodes.resize(self.net.events.len(), node);
     }
 
     fn export_mirror(&self, into: &mut NetMirror) {
@@ -220,19 +214,6 @@ fn lookahead_window(topo: &Topology) -> SimDuration {
     wire_time(36) + SimDuration::from_nanos(latency)
 }
 
-/// One history out of per-shard logs: stable-sorted by `(time, subject
-/// node)`, the rule [`autonet_trace::merge_sorted`] applies to trace
-/// records. All of a node's entries come from the shard that owns it, in
-/// that shard's processing order, so the result does not depend on the
-/// partition count.
-fn merge_by_node<'a, T: Clone + 'a>(
-    keyed: impl Iterator<Item = ((SimTime, u32), &'a T)>,
-) -> Vec<T> {
-    let mut keyed: Vec<_> = keyed.collect();
-    keyed.sort_by_key(|&(key, _)| key);
-    keyed.into_iter().map(|(_, entry)| entry.clone()).collect()
-}
-
 impl PartitionedNetwork {
     /// Builds a network partitioned into `nparts` shards (clamped to the
     /// node count). Semantics match [`Network::new`](super::Network::new)
@@ -271,7 +252,6 @@ impl PartitionedNetwork {
                     net,
                     me,
                     owner: owner.clone(),
-                    event_nodes: Vec::new(),
                     touched: Vec::new(),
                 }
             })
@@ -322,21 +302,20 @@ impl PartitionedNetwork {
         Some(max as f64 * tel.len() as f64 / total as f64)
     }
 
-    /// Observable network events from every shard, in canonical order
-    /// (by time, then subject node) — the same at any partition count.
-    pub fn events(&self) -> Vec<NetEvent> {
-        let shards = (0..self.sim.num_shards()).map(|k| self.sim.world(k));
-        merge_by_node(shards.flat_map(|w| {
-            let log = w.net.events.iter().zip(&w.event_nodes);
-            log.map(|(e, &node)| ((e.time, node), e))
-        }))
-    }
-
-    /// Delivered data frames from every shard, in canonical order (by
-    /// time, then receiving host).
+    /// Delivered data frames from every shard, in canonical order:
+    /// stable-sorted by `(time, receiving host)`, the rule
+    /// [`autonet_trace::merge_sorted`] applies to trace records. All of a
+    /// host's deliveries come from the shard that owns it, in that shard's
+    /// processing order, so the result does not depend on the partition
+    /// count.
     pub fn deliveries(&self) -> Vec<DeliveryRecord> {
-        let log = self.sim.worlds().flat_map(|w| &w.deliveries);
-        merge_by_node(log.map(|d| ((d.time, d.host.0 as u32), d)))
+        let mut log: Vec<DeliveryRecord> = self
+            .sim
+            .worlds()
+            .flat_map(|w| w.deliveries.clone())
+            .collect();
+        log.sort_by_key(|d| (d.time, d.host.0));
+        log
     }
 }
 

@@ -15,15 +15,13 @@
 //! allocation the held clone keeps alive and immutable), so a hit is
 //! what the codec would return; debug builds assert that on every hit.
 
-use autonet_core::{
-    Autopilot, ControlMsg, Environment, Epoch, GlobalTopology, PortState, SrpPayload,
-};
+use autonet_core::{Autopilot, ControlMsg, Environment, GlobalTopology, PortState, SrpPayload};
 use autonet_sim::{Scheduler, SimRng, SimTime};
 use autonet_switch::{ForwardingTable, LinkUnitStatus};
 use autonet_topo::SwitchId;
 use autonet_wire::{Bytes, PacketType, PortIndex};
 
-use super::events::{Event, NetEventKind};
+use super::events::Event;
 use super::{Driver, Net, NetWorld};
 use crate::encoded_control_packet;
 
@@ -57,18 +55,12 @@ impl Environment for PacketEnv<'_, '_> {
         self.w.switches.dead[self.s][port as usize] = dead;
     }
 
-    fn network_opened(&mut self, epoch: Epoch) {
+    fn network_opened(&mut self) {
         self.w.stats.note_open(self.now);
-        self.w.log_event(
-            self.now,
-            NetEventKind::SwitchOpened(SwitchId(self.s), epoch),
-        );
     }
 
     fn network_closed(&mut self) {
         self.w.stats.note_close(self.now);
-        self.w
-            .log_event(self.now, NetEventKind::SwitchClosed(SwitchId(self.s)));
     }
 
     fn trace(&mut self, event: autonet_core::Event) {

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example host_failover`
 
-use autonet::net::{NetEventKind, NetParams, Network};
+use autonet::net::{NetParams, Network};
 use autonet::sim::{SimDuration, SimTime};
 use autonet::topo::{gen, HostId};
 
@@ -53,29 +53,20 @@ fn main() {
 
     net.run_for(SimDuration::from_secs(20));
 
-    // Find the failover and the re-learned address in the event log.
-    let mut switched_at = None;
-    let mut relearned = None;
-    for e in net.events() {
-        if e.time < crash_at {
-            continue;
-        }
-        match &e.kind {
-            NetEventKind::HostPortSwitched(hid, active) if *hid == h => {
-                switched_at.get_or_insert((e.time, *active));
-            }
-            NetEventKind::HostAddressLearned(hid, addr) if *hid == h && switched_at.is_some() => {
-                relearned.get_or_insert((e.time, *addr));
-            }
-            _ => {}
-        }
-    }
-    let (sw_t, active) = switched_at.expect("driver must fail over");
+    // The failover and the re-learned address, from the host's own state.
+    let host = net.host(h);
+    let sw_t = host.switched_at();
+    assert!(sw_t > crash_at, "driver must fail over");
     println!(
-        "\nfailover to controller port {active} after {}",
+        "\nfailover to controller port {} after {}",
+        host.active_port(),
         sw_t.saturating_since(crash_at)
     );
-    let (addr_t, addr) = relearned.expect("address re-learned on the alternate switch");
+    let addr_t = host
+        .address_changed_at()
+        .filter(|&t| t > sw_t)
+        .expect("address re-learned on the alternate switch");
+    let addr = host.short_address().expect("address known");
     println!(
         "new address {addr} learned {} after the crash",
         addr_t.saturating_since(crash_at)

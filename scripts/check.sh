@@ -44,15 +44,17 @@ echo "==> bench gate self-test"
 # files: one whose first champion (src-30's) was lowered to 1 ns, below its
 # random median, one whose first champion over a zero median was lowered to
 # 0, and one whose first seed sweep's min and median champion were both
-# lowered to 0, below the 1 ns floor (min <= median still holds); and an
-# E22 file whose fat_tree-1024 bring-up is back at its 231 epochs.
+# lowered to 0, below the 1 ns floor (min <= median still holds); an
+# E22 file whose fat_tree-1024 bring-up is back at its 231 epochs; and an
+# E1 file whose untraced tuned row reopens at 1 ns, not at the traced one's
+# fault-to-open.
 # Each edit changes the first match only.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 f=BENCH_worst_case.json
 smoke=BENCH_scale_smoke.json
 first() { awk -v re="$2" -v to="$3" '!done && sub(re, to) { done = 1 } { print }' "$1"; }
-mkdir "$tmp/same" "$tmp/wall" "$tmp/moved" "$tmp/decoded" "$tmp/weak" "$tmp/dark" "$tmp/sweep" "$tmp/storm"
+mkdir "$tmp/same" "$tmp/wall" "$tmp/moved" "$tmp/decoded" "$tmp/weak" "$tmp/dark" "$tmp/sweep" "$tmp/storm" "$tmp/untraced"
 cp $f "$tmp/same/"
 first $f '"search wall [^"]*": [0-9.]+' '"search wall (s)": 99.5' >"$tmp/wall/$f"
 first $f '"evals": [0-9]+' '"evals": 99' >"$tmp/moved/$f"
@@ -63,6 +65,8 @@ first $smoke '"bring-up events": [0-9]+' '"bring-up events": 99' >"$tmp/moved/$s
 first $smoke '"decoded": [0-9]+' '"decoded": 99' >"$tmp/decoded/$smoke"
 first BENCH_scale.json '"fat_tree 1024", "bring-up events": [0-9]+, "bring-up control messages": [0-9]+, "bring-up epochs": [0-9]+' \
     '"fat_tree 1024", "bring-up events": 1, "bring-up control messages": 1, "bring-up epochs": 231' >"$tmp/storm/BENCH_scale.json"
+untraced='"tuned, tracing off", "topology": "src-30", "paper reconfig": "~170 ms", "faults": 3, "reconfig": null, "detection": null, "fault-to-open": '
+first BENCH_reconfig.json "$untraced[0-9]+" "${untraced}1" >"$tmp/untraced/BENCH_reconfig.json"
 python3 scripts/check_bench.py "$tmp/same/$f" "$tmp/wall/$f" >/dev/null
 if cmp -s $f "$tmp/wall/$f" || python3 scripts/check_bench.py "$tmp/moved/$f" >/dev/null 2>&1 ||
     python3 scripts/check_bench.py "$tmp/moved/$smoke" >/dev/null 2>&1; then
@@ -84,6 +88,11 @@ if ! python3 scripts/check_bench.py "$tmp/sweep/$f" 2>&1 | grep -q 'does not hol
 fi
 if ! python3 scripts/check_bench.py "$tmp/storm/BENCH_scale.json" 2>&1 | grep -q 'does not hold: the fat_tree-1024 bring-up'; then
     echo "the bench gate's E22 epoch predicate passed a fat_tree-1024 bring-up of 231 epochs" >&2
+    exit 1
+fi
+if cmp -s BENCH_reconfig.json "$tmp/untraced/BENCH_reconfig.json" ||
+    ! python3 scripts/check_bench.py "$tmp/untraced/BENCH_reconfig.json" 2>&1 | grep -q 'does not hold: tuned with tracing off'; then
+    echo "the bench gate's E1 predicate passed an untraced fault-to-open of 1 ns, or the edit matched nothing" >&2
     exit 1
 fi
 
@@ -196,6 +205,15 @@ echo "==> one sampling entry point, one campaign backend"
 # drives Net<D> on either kernel, with no adapter trait between them.
 if grep -rEn 'NodeHarness|SlotSubstrate|run_slot\b|trait Substrate' crates src tests examples; then
     echo "backends call Autopilot::sample_ports at their own cadence; campaigns run on Net<D> (DESIGN.md, The seam; The scenario engine)" >&2
+    exit 1
+fi
+
+echo "==> one observation log: the spine, deliveries, NetStats and node state"
+# Opens and closes are spine events, completion is NetStats, host
+# failover is the host controller's own state; no second per-event log.
+if grep -rEn 'NetEvent|NetEventKind|fn log_event|HostAction::(PortSwitched|AddressLearned)' \
+    crates src tests examples; then
+    echo "the network keeps one typed log, autonet_trace::EventLog (DESIGN.md, Observability: the typed event spine)" >&2
     exit 1
 fi
 

@@ -52,8 +52,8 @@ def by(doc, key, table=0):
     return groups
 
 
-def reconfig_of(doc, implementation):
-    return by(doc, "implementation")[implementation][0]["reconfig"]
+def e1(doc, implementation, column):
+    return by(doc, "implementation")[implementation][0][column]
 
 
 def cycle_ms(doc, workload):
@@ -70,7 +70,11 @@ def boot_events(doc):
 # box, so host speed cancels.
 PREDICATES = [
     ("reconfig", "incremental reconfigures strictly faster than tuned (E1)",
-     lambda d: reconfig_of(d, "incremental") < reconfig_of(d, "tuned")),
+     lambda d: e1(d, "incremental", "reconfig") < e1(d, "tuned", "reconfig")),
+    # Tracing is observability, not behaviour.
+    ("reconfig", "tuned with tracing off reopens at tuned's fault-to-open to the nanosecond (E1)",
+     lambda d: e1(d, "tuned", "fault-to-open") is not None
+     and e1(d, "tuned, tracing off", "fault-to-open") == e1(d, "tuned", "fault-to-open")),
     ("interruption", "median <= p90 <= max blackout on every row (E21)",
      lambda d: all((r["median blackout"] or 0) <= (r["p90 blackout"] or 0) <= (r["max blackout"] or 0)
                    for r in rows(d))),

@@ -7,13 +7,14 @@ use autonet::net::{Driver, Net, NetParams, Network, PartitionedNetwork};
 use autonet::sim::{bucket_quantile, SimDuration, SimTime};
 use autonet::topo::{gen, HostId, LinkId, SwitchId};
 use autonet::trace::TraceRecord;
+use autonet::wire::ShortAddress;
 use autonet_check::{
     degraded_params, random_scenario_with, run_packet, BootedCampaign, CheckOutcome, FaultEvent,
     FaultOp, GenOptions, OracleConfig, Scenario, TopoSpec,
 };
 use std::time::Duration;
 
-fn run_once(seed: u64) -> (Vec<String>, Vec<(u64, usize)>) {
+fn run_once(seed: u64) -> (String, Vec<(u64, usize)>) {
     let mut topo = gen::torus(3, 3, 77);
     gen::add_dual_homed_hosts(&mut topo, 1, 3);
     let mut net = Network::new(topo, NetParams::tuned(), seed);
@@ -32,21 +33,17 @@ fn run_once(seed: u64) -> (Vec<String>, Vec<(u64, usize)>) {
     }
     net.schedule_link_down(net.now() + SimDuration::from_millis(40), LinkId(2));
     net.run_for(SimDuration::from_secs(2));
-    let events: Vec<String> = net
-        .events()
-        .iter()
-        .map(|e| format!("{} {:?}", e.time, e.kind))
-        .collect();
+    let trace = autonet::trace::to_jsonl(net.trace_log().records());
     let deliveries: Vec<(u64, usize)> =
         net.deliveries().iter().map(|d| (d.tag, d.host.0)).collect();
-    (events, deliveries)
+    (trace, deliveries)
 }
 
 #[test]
 fn identical_seeds_identical_histories() {
     let (e1, d1) = run_once(11);
     let (e2, d2) = run_once(11);
-    assert_eq!(e1, e2, "event logs must match bit for bit");
+    assert_eq!(e1, e2, "traces must match bit for bit");
     assert_eq!(d1, d2, "delivery records must match");
     assert!(!e1.is_empty() && !d1.is_empty());
 }
@@ -103,7 +100,7 @@ fn disabled_tracing_is_zero_cost_and_behavior_neutral() {
 /// The datapath side of the same guarantee: with tracing off, no probe
 /// state is ever allocated (probes are opt-in) and a hosted workload
 /// produces the exact same byte stream — identical delivery records,
-/// identical event log.
+/// identical `NetStats`, the same events handled, kind by kind.
 #[test]
 fn disabled_tracing_keeps_the_datapath_byte_identical() {
     let run = |tracing: bool| {
@@ -145,13 +142,9 @@ fn disabled_tracing_keeps_the_datapath_byte_identical() {
         deliveries(&off),
         "delivery stream must be bit-identical with tracing off"
     );
-    let events = |net: &Network| {
-        net.events()
-            .iter()
-            .map(|e| format!("{} {:?}", e.time, e.kind))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(events(&on), events(&off), "event log must be bit-identical");
+    assert_eq!(format!("{:?}", on.stats()), format!("{:?}", off.stats()));
+    assert_eq!(on.events_processed(), off.events_processed());
+    assert_eq!(on.events_by_kind(), off.events_by_kind());
 }
 
 /// A 16-switch torus on 2 partitions: bring-up, then one trunk cut.
@@ -250,6 +243,8 @@ fn kernel_histograms_are_per_window_and_telemetry_is_neutral() {
     assert!(p50 < Duration::from_millis(10), "per-window p50: {p50:?}");
 }
 
+type HostState = (usize, Option<ShortAddress>, SimTime, Option<SimTime>);
+
 /// Everything observable a partitioned campaign produces, in canonical
 /// (partition-count-independent) form.
 #[derive(Debug, PartialEq)]
@@ -257,7 +252,9 @@ struct PartitionedHistory {
     trace_jsonl: String,
     switches: Vec<(bool, u64, u64)>,
     deliveries: Vec<(u64, u64, usize)>,
-    events: Vec<String>,
+    /// Per host: active port, short address, last port switch, last
+    /// address change.
+    hosts: Vec<HostState>,
     reconfigs: u64,
 }
 
@@ -283,8 +280,8 @@ fn partitioned_campaign(nparts: usize) -> PartitionedHistory {
     }
     net.schedule_link_down(net.now() + SimDuration::from_millis(40), LinkId(2));
     net.run_for(SimDuration::from_millis(400));
-    // Two faults at one instant, scheduled against node order: their log
-    // entries must still come out in one order at every partition count.
+    // Two faults at one instant, scheduled against node order: what they
+    // cause must still come out in one order at every partition count.
     net.schedule_host_power_off(net.now() + SimDuration::from_millis(10), HostId(2));
     net.schedule_switch_down(net.now() + SimDuration::from_millis(10), SwitchId(6));
     net.schedule_link_flaps(
@@ -302,23 +299,31 @@ fn partitioned_campaign(nparts: usize) -> PartitionedHistory {
     // (time, node), serialized to JSONL, byte-comparable across runs.
     let trace_jsonl = autonet::trace::to_jsonl(&net.merged_trace());
     let switches = control_plane(&net);
-    // Deliveries and events come out merged by (time, subject node), so
-    // their order is part of what must not depend on the partitioning.
+    // Deliveries come out merged by (time, receiving host), so their
+    // order is part of what must not depend on the partitioning.
     let deliveries: Vec<(u64, u64, usize)> = net
         .deliveries()
         .iter()
         .map(|d| (d.time.as_nanos(), d.tag, d.host.0))
         .collect();
-    let events: Vec<String> = net
-        .events()
-        .iter()
-        .map(|e| format!("{} {:?}", e.time, e.kind))
+    let hosts = net
+        .topology()
+        .host_ids()
+        .map(|h| {
+            let c = net.host(h);
+            (
+                c.active_port(),
+                c.short_address(),
+                c.switched_at(),
+                c.address_changed_at(),
+            )
+        })
         .collect();
     PartitionedHistory {
         trace_jsonl,
         switches,
         deliveries,
-        events,
+        hosts,
         reconfigs: net.total_reconfigs_triggered(),
     }
 }
@@ -340,7 +345,7 @@ fn partition_count_is_invisible() {
         );
         assert_eq!(base.switches, other.switches, "{nparts} shards");
         assert_eq!(base.deliveries, other.deliveries, "{nparts} shards");
-        assert_eq!(base.events, other.events, "{nparts} shards");
+        assert_eq!(base.hosts, other.hosts, "{nparts} shards");
         assert_eq!(base.reconfigs, other.reconfigs, "{nparts} shards");
     }
 }

@@ -1,7 +1,7 @@
 //! Integration: host failover and short-address learning end to end,
 //! through real reconfigurations.
 
-use autonet::net::{NetEventKind, NetParams, Network};
+use autonet::net::{NetParams, Network};
 use autonet::sim::{SimDuration, SimTime};
 use autonet::topo::{gen, HostId, SwitchId};
 
@@ -33,10 +33,8 @@ fn host_survives_active_switch_crash() {
     net.run_for(SimDuration::from_secs(15));
     // The driver failed over within a few seconds and re-learned an
     // address on the alternate switch.
-    let switched = net.events().iter().find(|e| {
-        e.time > crash_at && matches!(e.kind, NetEventKind::HostPortSwitched(hid, _) if hid == h)
-    });
-    let sw_time = switched.expect("failover must happen").time;
+    let sw_time = net.host(h).switched_at();
+    assert!(sw_time > crash_at, "failover must happen");
     let took = sw_time.saturating_since(crash_at);
     // The driver counts 3 s of silence from the *last successful contact*,
     // which can precede the crash by up to one liveness interval (2 s), so
@@ -47,6 +45,7 @@ fn host_survives_active_switch_crash() {
     );
     assert_eq!(net.host(h).active_port(), 1);
     let addr = net.host(h).short_address().expect("re-learned");
+    assert!(net.host(h).address_changed_at() > Some(sw_time));
     let alternate = net.topology().host(h).alternate.unwrap();
     let alt_number = net
         .autopilot(alternate.switch)
