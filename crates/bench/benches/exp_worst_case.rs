@@ -12,19 +12,24 @@
 //! schedules are pinned as goldens in `tests/worst_case_goldens.rs`.
 //!
 //! One search seed is an anecdote, so a second table runs each topology
-//! at consecutive search seeds from 24 (8, or 4 on the 256-switch fabric)
-//! and reports the champion blackout's spread, the median of the random
-//! medians, and the sweep's total evaluations, violations and wall. Seed
+//! at 8 consecutive search seeds from 24 and reports the champion
+//! blackout's spread, the median of the random medians, and the sweep's
+//! total evaluations, runs, violations and wall. Seed
 //! 24 of the sweep is the first table's row, run once. The gate holds
 //! min ≤ median ≤ max and the median champion ≥ max(median random median,
 //! 1 ns); medians are upper medians.
 //!
 //! Every candidate of a search shares its topology, parameters and seed,
-//! so the search boots the network once and resumes a clone per
-//! evaluation, each generation's clones on one thread per core: `boots`
-//! (counted by each booted campaign, held at exactly 1 by
-//! `scripts/check_bench.py`) and the search's wall clock ride along in
-//! the row. The gate also holds `worst blackout` ≥ `random median`.
+//! so the search boots the network once and judges every candidate
+//! through one fork cache, each generation on one thread per core: a
+//! schedule judged before is answered from the memo, any other resumes
+//! the deepest paused walk it shares a prefix with. `evals` counts the
+//! candidates judged, `runs` the engine runs that took, and `simulated
+//! share` the virtual time those runs simulated over the time the judged
+//! outcomes span from first quiescence. `boots` (counted by each booted
+//! campaign) and the search's wall clock ride along in the row.
+//! `scripts/check_bench.py` holds `boots` at exactly 1, `runs` ≤ `evals`,
+//! the share ≤ 1, and `worst blackout` ≥ `random median`.
 //!
 //! `WORST_CASE_SMOKE=1` runs the CI-budget variant (ring-8 only, smoke
 //! search budget, 4 sweep seeds) and writes `BENCH_worst_case_smoke.json`
@@ -33,8 +38,14 @@
 use autonet_bench::{quantile, Report, Table, Value};
 use autonet_check::{worst_case_search, OracleConfig, TopoSpec, WorstCaseConfig};
 use autonet_net::NetParams;
+use autonet_sim::SimDuration;
 
 const SEARCH_SEED: u64 = 24;
+
+/// Simulated over judged virtual time.
+fn share(simulated: SimDuration, judged: SimDuration) -> Value {
+    Value::Real(simulated.as_secs_f64() / judged.as_secs_f64())
+}
 
 fn hosted(base: TopoSpec) -> TopoSpec {
     TopoSpec::Hosted {
@@ -112,7 +123,7 @@ fn main() {
                 }),
                 scale,
                 WorstCaseConfig::smoke,
-                4,
+                8,
             ),
         ]
     };
@@ -129,6 +140,8 @@ fn main() {
             "skeptic hold",
             "unroutable",
             "evals",
+            "runs",
+            "simulated share",
             "violations",
             "boots",
             "search wall (s)",
@@ -144,6 +157,8 @@ fn main() {
             "max worst",
             "median random median",
             "evals",
+            "runs",
+            "simulated share",
             "violations",
             "search wall (s)",
         ],
@@ -151,7 +166,8 @@ fn main() {
     for (name, topo, params, budget, seeds) in cases {
         let oracle = OracleConfig::from_params(&params.autopilot);
         let (mut worsts, mut medians) = (Vec::new(), Vec::new());
-        let (mut evals, mut violations, mut sweep_wall) = (0, 0, 0.0);
+        let (mut evals, mut runs, mut violations, mut sweep_wall) = (0, 0, 0, 0.0);
+        let (mut simulated, mut judged) = (SimDuration::ZERO, SimDuration::ZERO);
         for seed in SEARCH_SEED..SEARCH_SEED + seeds {
             let started = std::time::Instant::now();
             let res = worst_case_search(&topo, &params, &oracle, &budget(seed));
@@ -160,6 +176,9 @@ fn main() {
             worsts.push(worst);
             medians.push(median);
             evals += res.evaluations;
+            runs += res.runs;
+            simulated += res.simulated;
+            judged += res.judged_time;
             violations += res.violations;
             sweep_wall += wall_s;
             if seed != SEARCH_SEED {
@@ -177,6 +196,8 @@ fn main() {
                 res.damage.skeptic_hold.into(),
                 res.damage.unroutable.into(),
                 res.evaluations.into(),
+                res.runs.into(),
+                share(res.simulated, res.judged_time),
                 res.violations.into(),
                 res.boots.into(),
                 Value::Wall(wall_s),
@@ -190,6 +211,8 @@ fn main() {
             worsts.iter().max().copied().into(),
             quantile(&medians, 0.5).into(),
             evals.into(),
+            runs.into(),
+            share(simulated, judged),
             violations.into(),
             Value::Wall(sweep_wall),
         ]);

@@ -14,10 +14,13 @@
 //! The run is two halves, `boot` (to first quiescence) and `resume` (the
 //! schedule from there), with a [`BootedCampaign`] in between. A single
 //! run does both in place; callers with many schedules for one world —
-//! the worst-case search, the shrinker — boot once and resume a clone of
-//! the settled campaign per schedule.
+//! the worst-case search, the shrinker — boot once and judge each
+//! schedule through a [`ForkCache`], which resumes a copy of the walk
+//! paused right before the first event the schedule does not share with
+//! one walked before.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use autonet_net::{link_flap_events, Driver, Net, NetParams, Network};
 use autonet_sim::{SimDuration, SimTime};
@@ -27,7 +30,7 @@ use autonet_trace::{
 };
 
 use crate::oracle::{audit_blackouts, OracleConfig, OracleState, Violation};
-use crate::scenario::{FaultOp, Scenario, TopoSpec};
+use crate::scenario::{FaultEvent, FaultOp, Scenario, TopoSpec};
 use crate::substrate::{apply, crossing_links, quiescent, ProbeFlows};
 
 /// What a campaign run produced.
@@ -126,18 +129,42 @@ fn probing(topo: &Topology) -> bool {
     topo.num_hosts() >= 2
 }
 
-/// The engine's own state at first quiescence: everything a run has
-/// accumulated besides the network itself. Plain data, so a settled
-/// campaign can be copied and walked more than once.
+/// `events` in the order a walk applies them: by offset, ties in schedule
+/// order. The walk and the [`ForkCache`]'s keys both go through here, so
+/// two schedules with one walk order are one schedule to the engine.
+fn walk_order(events: &[FaultEvent]) -> Vec<FaultEvent> {
+    let mut events = events.to_vec();
+    events.sort_by_key(|e| e.at_ms);
+    events
+}
+
+/// A walk paused right before it applies its next event: everything a
+/// run has accumulated besides the network itself. Plain data, so a
+/// paused walk can be copied and resumed more than once. The pause at
+/// first quiescence (nothing applied yet) is where every schedule starts.
 #[derive(Clone)]
-struct Settled {
-    /// The online oracles, armed.
+struct Pause {
+    /// The online oracles.
     oracle: OracleState,
     /// Every record drained during bring-up (the end-of-run timeline
-    /// needs the whole spine, bring-up included).
+    /// needs the whole spine), shared by every fork of the world.
+    bringup: Arc<Vec<TraceRecord>>,
+    /// Every record drained since first quiescence.
     spine: Vec<TraceRecord>,
     /// First quiescence: the instant `at_ms` offsets count from.
     origin: SimTime,
+    quiescences: u32,
+    /// The events applied so far, in walk order, each with the instant it
+    /// was applied at. The engine's mirror of the physical state and the
+    /// hosts exempt from the blackout oracle follow from them.
+    applied: Vec<(SimTime, FaultEvent)>,
+}
+
+impl Pause {
+    /// The whole spine, bring-up first.
+    fn records(&self) -> Vec<TraceRecord> {
+        [&self.bringup[..], &self.spine[..]].concat()
+    }
 }
 
 /// One run in flight: the network plus what the engine keeps about it.
@@ -145,30 +172,41 @@ struct Run<'a, D: Driver> {
     net: &'a mut Net<D>,
     topo: &'a Topology,
     cfg: &'a OracleConfig,
-    oracle: OracleState,
-    /// The drained spine is kept whole: the end-of-run blackout oracle
-    /// rebuilds the full reconfiguration timeline from it.
-    spine: Vec<TraceRecord>,
+    state: Pause,
     /// The engine's mirror of the intended physical state.
     view: NetView<'a>,
     /// Per link, when its last flap's final repair lands (see [`mirror`]).
     flap_ends: BTreeMap<usize, SimTime>,
-    quiescences: u32,
-    /// Pairs touching a host that ever lost power are exempt from the
-    /// blackout oracle (their outage is the fault itself, not an epoch).
-    exempt: BTreeSet<usize>,
 }
 
-impl<D: Driver> Run<'_, D>
+impl<'a, D: Driver> Run<'a, D>
 where
     Net<D>: ProbeFlows,
 {
+    /// Takes up `state` on `net`, which stands where the walk paused;
+    /// the mirror is replayed from the events applied so far.
+    fn new(net: &'a mut Net<D>, topo: &'a Topology, cfg: &'a OracleConfig, state: Pause) -> Self {
+        let mut view = topo.view_all();
+        let mut flap_ends = BTreeMap::new();
+        for (at, event) in &state.applied {
+            mirror(&mut view, topo, &event.op, *at, &mut flap_ends);
+        }
+        Run {
+            net,
+            topo,
+            cfg,
+            state,
+            view,
+            flap_ends,
+        }
+    }
+
     /// Advances `span`, then folds the drained spine through the oracles.
     fn advance(&mut self, span: SimDuration) -> Result<(), Violation> {
         self.net.run_for(span);
         let records = self.net.drain_trace_records();
-        let verdict = self.oracle.ingest(self.topo, &records);
-        self.spine.extend(records);
+        let verdict = self.state.oracle.ingest(self.topo, &records);
+        self.state.spine.extend(records);
         verdict.map_or(Ok(()), Err)
     }
 
@@ -190,30 +228,42 @@ where
                 break;
             }
         }
-        self.quiescences += 1;
-        self.oracle
+        self.state.quiescences += 1;
+        self.state
+            .oracle
             .at_quiescence(self.net.now(), &self.view)
             .map_or(Ok(()), Err)
     }
 
-    /// Walks the fault schedule from first quiescence (`origin`) through
-    /// the final settle and the reference audit.
-    fn walk(&mut self, scenario: &Scenario, origin: SimTime) -> Result<(), Violation> {
-        let mut events = scenario.events.clone();
-        events.sort_by_key(|e| e.at_ms);
-        for event in &events {
-            let due = origin + SimDuration::from_millis(event.at_ms);
+    /// Walks the rest of `events` (in [`walk_order`], the first
+    /// `applied` of them already applied) through the final settle and
+    /// the reference audit. Right before applying each event, once the
+    /// network stands at its due instant, the walk shows itself to
+    /// `on_pause`, which may copy it.
+    fn walk(
+        &mut self,
+        events: &[FaultEvent],
+        settle_ms: u64,
+        on_pause: &mut dyn FnMut(&Run<'_, D>),
+    ) -> Result<(), Violation> {
+        let done = self.state.applied.len();
+        debug_assert!(self
+            .state
+            .applied
+            .iter()
+            .map(|(_, e)| e)
+            .eq(&events[..done]));
+        for event in &events[done..] {
+            let due = self.state.origin + SimDuration::from_millis(event.at_ms);
             if due > self.net.now() {
                 self.advance(due - self.net.now())?;
             }
+            on_pause(self);
+            let now = self.net.now();
             if let FaultOp::Waypoint { settle_ms } = event.op {
                 self.settle(settle_ms)?;
             } else {
-                if let FaultOp::HostPowerOff(h) = event.op {
-                    self.exempt.insert(h);
-                }
                 apply(self.net, &event.op, self.topo);
-                let now = self.net.now();
                 mirror(
                     &mut self.view,
                     self.topo,
@@ -221,11 +271,12 @@ where
                     now,
                     &mut self.flap_ends,
                 );
-                self.oracle.on_fault(&event.op);
+                self.state.oracle.on_fault(&event.op);
             }
+            self.state.applied.push((now, event.clone()));
         }
         // Final settle: the reconfiguration-termination liveness bound.
-        self.settle(scenario.settle_ms)?;
+        self.settle(settle_ms)?;
         self.net
             .check_against_reference()
             .map_err(|detail| Violation::ReferenceMismatch {
@@ -237,9 +288,10 @@ where
     /// Assembles the outcome from whatever the run produced: the timeline
     /// is built once and feeds the interruption ledger, the damage
     /// objectives, the critical path and the blackout oracle alike.
-    fn finish(self, verdict: Result<(), Violation>, origin: SimTime) -> CheckOutcome {
+    fn finish(self, verdict: Result<(), Violation>) -> CheckOutcome {
         let end = self.net.now();
-        let timeline = Timeline::build(&self.spine);
+        let spine = self.state.records();
+        let timeline = Timeline::build(&spine);
         let interruption = probing(self.topo).then(|| {
             InterruptionReport::build(
                 &self.net.probe_pairs(),
@@ -252,22 +304,33 @@ where
                 },
             )
         });
+        // Pairs touching a host that ever lost power are exempt from the
+        // blackout oracle (their outage is the fault itself, not an epoch).
+        let exempt: BTreeSet<usize> = self
+            .state
+            .applied
+            .iter()
+            .filter_map(|(_, e)| match e.op {
+                FaultOp::HostPowerOff(h) => Some(h),
+                _ => None,
+            })
+            .collect();
         // Every online oracle stayed silent: the blackout ledger gets the
         // last word.
         let violation = verdict
             .err()
-            .or_else(|| audit_blackouts(interruption.as_ref()?, &timeline, &self.exempt, end));
+            .or_else(|| audit_blackouts(interruption.as_ref()?, &timeline, &exempt, end));
         CheckOutcome {
             end,
-            origin,
-            quiescences: self.quiescences,
+            origin: self.state.origin,
+            quiescences: self.state.quiescences,
             damage: DamageReport::measure(interruption.as_ref(), &timeline, end),
             critical: timeline.last_fault_critical_path(),
             interruption,
             // The spine goes into the outcome only when an oracle fired:
             // postmortems need it, passing runs don't pay for it.
             records: if violation.is_some() {
-                self.spine
+                spine
             } else {
                 Vec::new()
             },
@@ -280,8 +343,9 @@ where
 const BRINGUP_BUDGET_MS: u64 = 120_000;
 
 /// The boot half: brings the network up to first quiescence, where the
-/// skeptic oracle arms and the probe flows start. A run that dies during
-/// bring-up never reaches a schedule, so its outcome is already final.
+/// skeptic oracle arms and the probe flows start, and pauses the walk
+/// there. A run that dies during bring-up never reaches a schedule, so
+/// its outcome is already final.
 ///
 /// # Panics
 ///
@@ -292,30 +356,28 @@ fn boot<D: Driver>(
     net: &mut Net<D>,
     topo: &Topology,
     cfg: &OracleConfig,
-) -> Result<Settled, Box<CheckOutcome>>
+) -> Result<Pause, Box<CheckOutcome>>
 where
     Net<D>: ProbeFlows,
 {
-    let mut run = Run {
-        net,
-        topo,
-        cfg,
+    let state = Pause {
         oracle: OracleState::new(topo, cfg.clone()),
+        bringup: Arc::default(),
         spine: Vec::new(),
-        view: topo.view_all(),
-        flap_ends: BTreeMap::new(),
+        origin: SimTime::ZERO,
         quiescences: 0,
-        exempt: BTreeSet::new(),
+        applied: Vec::new(),
     };
+    let mut run = Run::new(net, topo, cfg, state);
     let verdict = run.settle(BRINGUP_BUDGET_MS);
     assert!(
-        !run.spine.is_empty(),
+        !run.state.spine.is_empty(),
         "bring-up drained no trace record: the oracles fold over the event spine, \
          so campaigns need NetParams::tracing on"
     );
+    run.state.origin = run.net.now();
     if let Err(v) = verdict {
-        let origin = run.net.now();
-        return Err(Box::new(run.finish(Err(v), origin)));
+        return Err(Box::new(run.finish(Err(v))));
     }
     if probing(topo) {
         // Probe a ring over the hosts: every host both sends and
@@ -325,43 +387,28 @@ where
             (0..n).map(|i| (HostId(i), HostId((i + 1) % n))).collect();
         run.net.start_probes(&pairs, cfg.probe_interval);
     }
-    Ok(Settled {
-        origin: run.net.now(),
-        oracle: run.oracle,
-        spine: run.spine,
-    })
+    let mut state = run.state;
+    state.bringup = Arc::new(std::mem::take(&mut state.spine));
+    Ok(state)
 }
 
-/// The resume half: walks `scenario`'s schedule on a network that
-/// [`boot`] left at first quiescence.
+/// The resume half: walks `events` (in [`walk_order`]) on `net`, which
+/// stands where `state` paused, showing `on_pause` every later pause point.
 fn resume<D: Driver>(
-    settled: Settled,
-    scenario: &Scenario,
+    state: Pause,
+    events: &[FaultEvent],
+    settle_ms: u64,
     net: &mut Net<D>,
     topo: &Topology,
     cfg: &OracleConfig,
+    on_pause: &mut dyn FnMut(&Run<'_, D>),
 ) -> CheckOutcome
 where
     Net<D>: ProbeFlows,
 {
-    let Settled {
-        oracle,
-        spine,
-        origin,
-    } = settled;
-    let mut run = Run {
-        net,
-        topo,
-        cfg,
-        oracle,
-        spine,
-        view: topo.view_all(),
-        flap_ends: BTreeMap::new(),
-        quiescences: 1,
-        exempt: BTreeSet::new(),
-    };
-    let verdict = run.walk(scenario, origin);
-    run.finish(verdict, origin)
+    let mut run = Run::new(net, topo, cfg, state);
+    let verdict = run.walk(events, settle_ms, on_pause);
+    run.finish(verdict)
 }
 
 /// A campaign booted to first quiescence and not yet given a schedule:
@@ -369,7 +416,8 @@ where
 /// oracles, the bring-up spine, probes started. Every scenario on the
 /// same topology and seed begins with exactly this bring-up, so where
 /// the network is `Clone` (the classic kernel's [`Network`]) a search
-/// boots once and resumes a clone per candidate;
+/// boots once and resumes a clone per candidate, or hands the campaign
+/// to a [`ForkCache`];
 /// a clone resumed is indistinguishable from a cold run of the same
 /// scenario. `BootedCampaign<Network>` is `Send + Sync`, so forks of one
 /// booted world can be taken and resumed on any thread.
@@ -381,9 +429,9 @@ pub struct BootedCampaign<N> {
     /// a scenario that names anything else.
     spec: TopoSpec,
     seed: u64,
-    /// The engine state at first quiescence, or the final outcome of a
+    /// The walk paused at first quiescence, or the final outcome of a
     /// bring-up that never got there.
-    settled: Result<Settled, Box<CheckOutcome>>,
+    settled: Result<Pause, Box<CheckOutcome>>,
     /// See [`boots`](Self::boots).
     boots: usize,
 }
@@ -408,10 +456,37 @@ impl<N: Clone> Clone for BootedCampaign<N> {
 // Forks are resumed on worker threads and their outcomes sent back.
 const _: () = {
     const fn send_sync<T: Send + Sync>() {}
-    const fn send<T: Send>() {}
     send_sync::<BootedCampaign<Network>>();
-    send::<CheckOutcome>();
+    send_sync::<ForkCache>();
+    send_sync::<CheckOutcome>();
 };
+
+impl<N> BootedCampaign<N> {
+    /// Cold bring-ups this value paid for: 1 for a campaign
+    /// [`boot`](BootedCampaign::boot) made, 0 for a clone. A search
+    /// reports its cache's, so going back to a boot per candidate would
+    /// show as an exact number rather than as a slower wall clock.
+    pub fn boots(&self) -> usize {
+        self.boots
+    }
+
+    /// # Panics
+    ///
+    /// Panics if `scenario` names another topology or seed than the
+    /// campaign was booted for: the run would be a silent evaluation on
+    /// the wrong world.
+    fn admit(&self, scenario: &Scenario) {
+        assert!(
+            scenario.topo == self.spec && scenario.seed == self.seed,
+            "campaign booted for {:?} seed {} cannot resume scenario '{}' on {:?} seed {}",
+            self.spec,
+            self.seed,
+            scenario.name,
+            scenario.topo,
+            scenario.seed,
+        );
+    }
+}
 
 impl<D: Driver> BootedCampaign<Net<D>>
 where
@@ -440,35 +515,25 @@ where
         }
     }
 
-    /// Cold bring-ups this value paid for: 1 for a campaign
-    /// [`boot`](Self::boot) made, 0 for a clone. Summing it over the
-    /// campaigns a search evaluated counts every boot where it happened,
-    /// on whichever thread, so going back to a boot per candidate shows
-    /// as an exact number rather than as a slower wall clock.
-    pub fn boots(&self) -> usize {
-        self.boots
-    }
-
     /// Walks `scenario`'s schedule from first quiescence, in place, and
     /// hands back the network for further assertions.
     ///
     /// # Panics
     ///
     /// Panics if `scenario` names another topology or seed than the
-    /// campaign was booted for: the run would be a silent evaluation on
-    /// the wrong world.
+    /// campaign was booted for.
     pub fn resume(mut self, scenario: &Scenario) -> (CheckOutcome, Net<D>) {
-        assert!(
-            scenario.topo == self.spec && scenario.seed == self.seed,
-            "campaign booted for {:?} seed {} cannot resume scenario '{}' on {:?} seed {}",
-            self.spec,
-            self.seed,
-            scenario.name,
-            scenario.topo,
-            scenario.seed,
-        );
+        self.admit(scenario);
         let outcome = match self.settled {
-            Ok(settled) => resume(settled, scenario, &mut self.net, &self.topo, &self.cfg),
+            Ok(state) => resume(
+                state,
+                &walk_order(&scenario.events),
+                scenario.settle_ms,
+                &mut self.net,
+                &self.topo,
+                &self.cfg,
+                &mut |_| {},
+            ),
             Err(outcome) => *outcome,
         };
         (outcome, self.net)
@@ -488,6 +553,248 @@ impl BootedCampaign<Network> {
 pub fn run_packet(scenario: &Scenario, params: &NetParams, cfg: &OracleConfig) -> CheckOutcome {
     let booted = BootedCampaign::packet(&scenario.topo, scenario.seed, params, cfg);
     booted.resume(scenario).0
+}
+
+/// A walk paused on its own copy of the network.
+struct Paused {
+    net: Network,
+    state: Pause,
+}
+
+impl Paused {
+    /// How deep the walk got, then how late it paused: the order the
+    /// cache prefers pauses in.
+    fn depth(&self) -> (usize, SimTime) {
+        (self.state.applied.len(), self.net.now())
+    }
+
+    /// Whether `events` (in [`walk_order`]) may resume here: they begin
+    /// with the events applied so far and go on with one due no earlier
+    /// than the instant the walk paused at.
+    fn resumes(&self, events: &[FaultEvent]) -> bool {
+        let k = self.state.applied.len();
+        events.get(k).is_some_and(|next| {
+            self.state.applied.iter().map(|(_, e)| e).eq(&events[..k])
+                && self.net.now() <= self.state.origin + SimDuration::from_millis(next.at_ms)
+        })
+    }
+}
+
+/// Exact counts of what a [`ForkCache`] judged and what that cost.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ForkWork {
+    /// Schedules judged, memo hits included.
+    pub evaluations: usize,
+    /// Engine runs started for them: one per judgement the memo did not
+    /// answer.
+    pub runs: usize,
+    /// Virtual time those runs simulated, each from the pause it resumed.
+    pub simulated: SimDuration,
+    /// Virtual time the judged outcomes span, each from first quiescence
+    /// to its end: what resuming every judgement at first quiescence
+    /// would have simulated.
+    pub judged_time: SimDuration,
+}
+
+/// One run from the deepest kept pause: its outcome, the network it
+/// ended on, the pauses the schedule may be forked from again, and the
+/// virtual time it simulated.
+struct Forked {
+    outcome: CheckOutcome,
+    net: Network,
+    pauses: Vec<Arc<Paused>>,
+    simulated: SimDuration,
+}
+
+/// A judgement made while the cache was read-only, for
+/// [`ForkCache::record`]: the outcome, plus the run when the memo did
+/// not answer.
+pub(crate) struct Evaluation {
+    outcome: CheckOutcome,
+    run: Option<(SimDuration, Vec<Arc<Paused>>)>,
+}
+
+/// One booted world plus what walking schedules on it has left behind:
+/// every judged schedule's outcome, and paused walks to fork the next
+/// schedule from. A schedule that shares its first *k* events (in walk
+/// order) with a kept pause taken before event *k* resumes a copy of the
+/// deepest such pause, then the latest, instead of replaying that past;
+/// a schedule judged before is answered from the memo. Either way the
+/// outcome is the cold run's, field for field.
+///
+/// Outcomes are kept for every judged schedule; pauses only for the
+/// schedules named to [`keep_pauses_of`](Self::keep_pauses_of), the ones
+/// that may still be forked. The worst-case search judges a generation
+/// without changing the cache, on many threads, and records the
+/// judgements afterwards in candidate order, so the worker count cannot
+/// show in what the cache holds.
+pub struct ForkCache {
+    booted: BootedCampaign<Network>,
+    /// Kept pauses, listed under the schedule (in walk order) whose run
+    /// took them or could have resumed from them.
+    kept: Vec<(Vec<FaultEvent>, Vec<Arc<Paused>>)>,
+    /// Every judged schedule's outcome, by walk order and settle budget.
+    memo: Vec<((Vec<FaultEvent>, u64), CheckOutcome)>,
+    work: ForkWork,
+}
+
+impl ForkCache {
+    /// A cache over `booted`, holding only its pause at first quiescence.
+    pub fn new(booted: BootedCampaign<Network>) -> ForkCache {
+        ForkCache {
+            booted,
+            kept: Vec::new(),
+            memo: Vec::new(),
+            work: ForkWork::default(),
+        }
+    }
+
+    /// The booted campaign's [`boots`](BootedCampaign::boots): forks and
+    /// pauses pay none.
+    pub fn boots(&self) -> usize {
+        self.booted.boots()
+    }
+
+    /// What the cache has judged so far, and what that cost.
+    pub fn work(&self) -> ForkWork {
+        self.work
+    }
+
+    /// Runs `scenario` from the deepest kept pause it may resume, never
+    /// from the memo, and hands back the network it ended on. Changes
+    /// nothing in the cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scenario` names another topology or seed than the
+    /// campaign was booted for.
+    pub fn resume(&self, scenario: &Scenario) -> (CheckOutcome, Network) {
+        self.booted.admit(scenario);
+        let forked = self.fork(&walk_order(&scenario.events), scenario.settle_ms);
+        (forked.outcome, forked.net)
+    }
+
+    /// Judges `scenario`: from the memo if it was judged before, else by
+    /// a run from the deepest kept pause, whose outcome is memoized and
+    /// whose pauses are kept until [`keep_pauses_of`](Self::keep_pauses_of)
+    /// drops them.
+    pub fn judge(&mut self, scenario: &Scenario) -> CheckOutcome {
+        let evaluation = self.evaluate(scenario);
+        self.record(scenario, evaluation)
+    }
+
+    /// Judges `scenario` without changing the cache: from the memo if it
+    /// was judged before, else by a run from the deepest kept pause.
+    pub(crate) fn evaluate(&self, scenario: &Scenario) -> Evaluation {
+        self.booted.admit(scenario);
+        let events = walk_order(&scenario.events);
+        let key = (events, scenario.settle_ms);
+        if let Some((_, outcome)) = self.memo.iter().find(|(k, _)| *k == key) {
+            return Evaluation {
+                outcome: outcome.clone(),
+                run: None,
+            };
+        }
+        let forked = self.fork(&key.0, key.1);
+        Evaluation {
+            outcome: forked.outcome,
+            // A bring-up that died started no run: its outcome is final.
+            run: self
+                .booted
+                .settled
+                .is_ok()
+                .then_some((forked.simulated, forked.pauses)),
+        }
+    }
+
+    /// Counts a judgement of `scenario` made by `evaluate`, memoizes its
+    /// outcome and keeps the pauses its run left, then returns the
+    /// outcome.
+    pub(crate) fn record(&mut self, scenario: &Scenario, evaluation: Evaluation) -> CheckOutcome {
+        let Evaluation { outcome, run } = evaluation;
+        self.work.evaluations += 1;
+        self.work.judged_time += outcome.end - outcome.origin;
+        if let Some((simulated, pauses)) = run {
+            self.work.runs += 1;
+            self.work.simulated += simulated;
+            let events = walk_order(&scenario.events);
+            // A schedule that ran twice in one generation paused and
+            // ended alike both times.
+            if !self.kept.iter().any(|(owner, _)| *owner == events) {
+                self.kept.push((events.clone(), pauses));
+            }
+            let key = (events, scenario.settle_ms);
+            if !self.memo.iter().any(|(k, _)| *k == key) {
+                self.memo.push((key, outcome.clone()));
+            }
+        }
+        outcome
+    }
+
+    /// Drops every kept pause but those of `schedules`: the ones that may
+    /// still be forked.
+    pub fn keep_pauses_of<'s>(&mut self, schedules: impl IntoIterator<Item = &'s Scenario>) {
+        let keep: Vec<Vec<FaultEvent>> = schedules
+            .into_iter()
+            .map(|s| walk_order(&s.events))
+            .collect();
+        self.kept.retain(|(owner, _)| keep.contains(owner));
+    }
+
+    /// Every kept pause `events` may resume from.
+    fn resumable<'c>(&'c self, events: &'c [FaultEvent]) -> impl Iterator<Item = &'c Arc<Paused>> {
+        self.kept
+            .iter()
+            .flat_map(|(_, pauses)| pauses)
+            .filter(|p| p.resumes(events))
+    }
+
+    /// Walks `events` (in [`walk_order`]) from the deepest kept pause
+    /// they may resume, then the latest, or from first quiescence.
+    fn fork(&self, events: &[FaultEvent], settle_ms: u64) -> Forked {
+        let settled = match &self.booted.settled {
+            Ok(settled) => settled,
+            Err(outcome) => {
+                return Forked {
+                    outcome: (**outcome).clone(),
+                    net: self.booted.net.clone(),
+                    pauses: Vec::new(),
+                    simulated: SimDuration::ZERO,
+                }
+            }
+        };
+        let deepest = self.resumable(events).max_by_key(|p| p.depth());
+        let (mut net, state) = match deepest {
+            Some(p) => (p.net.clone(), p.state.clone()),
+            None => (self.booted.net.clone(), settled.clone()),
+        };
+        let (depth, start) = (state.applied.len(), net.now());
+        // The schedule may be forked from every pause it could resume,
+        // and from each one its run passes after the one it resumed.
+        let mut pauses: Vec<Arc<Paused>> = self.resumable(events).cloned().collect();
+        let outcome = resume(
+            state,
+            events,
+            settle_ms,
+            &mut net,
+            &self.booted.topo,
+            &self.booted.cfg,
+            &mut |run| {
+                if run.state.applied.len() > depth || run.net.now() > start {
+                    pauses.push(Arc::new(Paused {
+                        net: run.net.clone(),
+                        state: run.state.clone(),
+                    }));
+                }
+            },
+        );
+        Forked {
+            simulated: outcome.end - start,
+            outcome,
+            net,
+            pauses,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -558,6 +865,49 @@ mod tests {
             (100, idle),
             (100, FaultOp::LinkDown(1))
         ]));
+    }
+
+    /// A schedule resumes the deepest kept pause it may, then the latest:
+    /// the one right before its first event that differs from what was
+    /// judged, unless that pause stands later than the event is due. A
+    /// schedule judged before runs nothing.
+    #[test]
+    fn a_schedule_resumes_the_deepest_pause_it_may() {
+        let mut forks = ForkCache::new(booted_ring());
+        let cut = |at_ms, l| FaultEvent {
+            at_ms,
+            op: FaultOp::LinkDown(l),
+        };
+        let schedule = |events| Scenario {
+            events,
+            settle_ms: 60_000,
+            ..empty_scenario(TopoSpec::Ring { n: 4, seed: 0 }, 7)
+        };
+        let parent = schedule(vec![cut(100, 0), cut(200, 1), cut(300, 2)]);
+        forks.judge(&parent);
+        // Each child, and how far past first quiescence its run resumed.
+        let children = [
+            (vec![cut(100, 0), cut(200, 1), cut(350, 3)], 300),
+            (vec![cut(100, 0), cut(200, 1), cut(250, 3)], 200),
+            (vec![cut(100, 0), cut(150, 2)], 100),
+            (vec![cut(50, 3)], 0),
+        ];
+        for (events, from_ms) in children {
+            let before = forks.work();
+            let outcome = forks.judge(&schedule(events.clone()));
+            let simulated = forks.work().simulated - before.simulated;
+            let resumed_at = outcome.end - simulated;
+            assert_eq!(
+                resumed_at,
+                outcome.origin + SimDuration::from_millis(from_ms),
+                "{events:?}"
+            );
+        }
+        let runs = forks.work().runs;
+        assert_eq!(runs, 5);
+        forks.judge(&parent);
+        assert_eq!(forks.work().runs, runs);
+        assert_eq!(forks.work().evaluations, 6);
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //!   hosted campaign needs), stopped at first quiescence: boot a world
 //!   once, then resume it, or a clone of it per schedule;
 //!   [`run_packet`] is boot-then-resume on a fresh classic network;
+//! - [`ForkCache`] — many schedules judged on one booted world: each
+//!   resumes the deepest paused walk whose events it begins with, and a
+//!   schedule judged before is answered from a memo;
 //! - [`shrink_schedule`] / [`Reproducer`] — when an oracle fires, the
 //!   schedule is greedily minimized under deterministic re-runs and
 //!   printed as a self-contained Rust test.
@@ -37,7 +40,7 @@ mod substrate;
 mod tables;
 mod worst_case;
 
-pub use engine::{run_packet, BootedCampaign, CheckOutcome};
+pub use engine::{run_packet, BootedCampaign, CheckOutcome, ForkCache, ForkWork};
 pub use oracle::{OracleConfig, Violation};
 pub use postmortem::{default_postmortem_dir, postmortem_on_failure, write_postmortem};
 pub use scenario::{
@@ -45,7 +48,7 @@ pub use scenario::{
 };
 pub use shrink::{packet_reproducer, shrink_schedule, Reproducer};
 pub use substrate::ProbeFlows;
-pub use worst_case::{worst_case_search, WorstCaseConfig, WorstCaseResult};
+pub use worst_case::{mutants, worst_case_search, WorstCaseConfig, WorstCaseResult};
 
 use autonet_core::AutopilotParams;
 use autonet_sim::SimDuration;

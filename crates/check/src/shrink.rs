@@ -10,7 +10,7 @@
 
 use autonet_net::NetParams;
 
-use crate::engine::BootedCampaign;
+use crate::engine::{BootedCampaign, ForkCache};
 use crate::oracle::{OracleConfig, Violation};
 use crate::scenario::Scenario;
 
@@ -26,10 +26,12 @@ pub fn packet_reproducer(
     // Shrinking only edits the schedule, so one bring-up serves the first
     // run and every shrink step.
     let booted = BootedCampaign::packet(&scenario.topo, scenario.seed, params, cfg);
-    let run = |s: &Scenario| booted.clone().resume(s).0.violation;
-    let violation = run(scenario)?;
+    let mut forks = ForkCache::new(booted);
+    let violation = forks.judge(scenario).violation?;
     let kind = violation.kind();
-    let scenario = shrink_schedule(scenario, |s| run(s).is_some_and(|v| v.kind() == kind));
+    let scenario = shrink_forked(&mut forks, scenario, |forks, s| {
+        forks.judge(s).violation.is_some_and(|v| v.kind() == kind)
+    });
     Some(Reproducer {
         scenario,
         violation,
@@ -76,6 +78,31 @@ where
         current = candidate;
     }
     current
+}
+
+/// [`shrink_schedule`] with every candidate judged through `forks`
+/// (`still_fails` gets the cache to judge with): each step forks from
+/// the deepest pause of the current schedule it shares. The shrinker
+/// moves on to a candidate exactly when it still fails, so pauses are
+/// kept for the current schedule and no other.
+pub(crate) fn shrink_forked<F>(
+    forks: &mut ForkCache,
+    scenario: &Scenario,
+    mut still_fails: F,
+) -> Scenario
+where
+    F: FnMut(&mut ForkCache, &Scenario) -> bool,
+{
+    let mut current = scenario.clone();
+    forks.keep_pauses_of([&current]);
+    shrink_schedule(scenario, |s| {
+        let fails = still_fails(forks, s);
+        if fails {
+            current = s.clone();
+        }
+        forks.keep_pauses_of([&current]);
+        fails
+    })
 }
 
 /// A minimal failing campaign plus the violation it reproduces.

@@ -13,10 +13,11 @@
 //! generation is drawn from the rng first, against the archive and the
 //! bias as they stood when the generation began; then each is evaluated
 //! on its own fork of the one booted world, on a pool of scoped threads
-//! (one per core, the caller's among them); then the outcomes are walked
-//! in candidate order. Nothing a fork computes feeds a draw of its own
-//! generation, so the result depends on the seed alone, at any worker
-//! count.
+//! (one per core, the caller's among them), against the fork cache as
+//! the generation found it; then the outcomes are recorded and walked in
+//! candidate order. Nothing a fork computes feeds a draw or a fork of
+//! its own generation, so the result depends on the seed alone, at any
+//! worker count.
 //!
 //! 1. **seed corpus** — one generation of random k-event schedules on
 //!    the target topology establishes both the Pareto archive and the
@@ -43,21 +44,27 @@
 //!    step starts from the one before, so shrinking and the final
 //!    re-measure run one fork at a time.
 //!
+//! Every candidate is judged through one [`ForkCache`] over the booted
+//! world: a schedule judged before is answered from its memo, and any
+//! other resumes the deepest paused walk whose events it begins with.
+//! Pauses are kept for the schedules children are bred from (the Pareto
+//! front) and, while shrinking, for the shrink's current schedule.
+//!
 //! [`Timeline::last_fault_critical_path`]: autonet_trace::Timeline::last_fault_critical_path
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use autonet_net::{NetParams, Network};
+use autonet_net::NetParams;
 use autonet_sim::{SimDuration, SimRng};
 use autonet_topo::Topology;
 use autonet_trace::DamageReport;
 
-use crate::engine::{BootedCampaign, CheckOutcome};
+use crate::engine::{BootedCampaign, CheckOutcome, Evaluation, ForkCache};
 use crate::objective::ParetoFront;
 use crate::oracle::OracleConfig;
 use crate::scenario::{FaultEvent, FaultOp, Scenario, TopoSpec};
-use crate::shrink::{render_test, shrink_schedule};
+use crate::shrink::{render_test, shrink_forked};
 
 /// Budget and shape knobs of one search. Everything is deterministic in
 /// `seed`.
@@ -83,13 +90,13 @@ pub struct WorstCaseConfig {
 
 impl WorstCaseConfig {
     /// The default search budget: 5 + 3×4 = 17 evaluations plus the
-    /// shrink re-runs. Every evaluation is a full packet simulation
-    /// (bring-up, faults, reconvergence), so the budget is sized for the
-    /// bench topologies, not for exhaustiveness; the 30 s settle window
-    /// is an order of magnitude above any legal heal (E21 heals in tens
-    /// of milliseconds; escalated skeptic quarantines run a few seconds)
-    /// while keeping candidates that never settle from dominating the
-    /// wall clock.
+    /// shrink re-runs. Every evaluation the memo cannot answer is a
+    /// packet simulation of its faults and the reconvergence after them,
+    /// so the budget is sized for the bench topologies, not for
+    /// exhaustiveness; the 30 s settle window is an order of magnitude
+    /// above any legal heal (E21 heals in tens of milliseconds;
+    /// escalated skeptic quarantines run a few seconds) while keeping
+    /// candidates that never settle from dominating the wall clock.
     pub fn new(seed: u64) -> WorstCaseConfig {
         WorstCaseConfig {
             seed,
@@ -130,13 +137,21 @@ pub struct WorstCaseResult {
     /// Median blackout across the seed corpus: the random baseline the
     /// champion is compared against in E24.
     pub random_median_blackout: SimDuration,
-    /// Total engine runs spent (corpus + children + shrink re-runs).
+    /// Candidates judged: corpus, children, shrink steps and the final
+    /// re-measure, memo hits included.
     pub evaluations: usize,
-    /// Cold bring-ups paid for them, on whichever thread: the booted
-    /// campaign's own plus any an evaluation paid for
-    /// ([`BootedCampaign::boots`]). Every candidate shares the search's
-    /// topology, parameters and seed, so the world is booted once and
-    /// each evaluation resumes a clone: 1.
+    /// Engine runs started for them: every judgement the memo did not
+    /// answer ([`ForkWork::runs`](crate::ForkWork::runs)).
+    pub runs: usize,
+    /// Virtual time those runs simulated, each from the pause it resumed.
+    pub simulated: SimDuration,
+    /// Virtual time the judged outcomes span, each from first quiescence
+    /// to its end; `simulated` over this is the share of the judged past
+    /// that was simulated rather than forked or remembered.
+    pub judged_time: SimDuration,
+    /// Cold bring-ups paid for them ([`BootedCampaign::boots`]). Every
+    /// candidate shares the search's topology, parameters and seed, so
+    /// the world is booted once and every run resumes a copy of it: 1.
     pub boots: usize,
     /// Candidates discarded because a hard oracle fired.
     pub violations: usize,
@@ -315,6 +330,24 @@ fn mutate(
     }
 }
 
+/// `n` children of `parent`, each one step of the search's mutation
+/// drawn from `cfg.seed` with unbiased targets: what a generation breeds
+/// from a front member, for checking what is forked from it.
+pub fn mutants(parent: &Scenario, cfg: &WorstCaseConfig, n: usize) -> Vec<Scenario> {
+    let targets = Targets::new(&parent.topo.build());
+    let mut rng = SimRng::new(cfg.seed);
+    (0..n)
+        .map(|_| {
+            let mut events = parent.events.clone();
+            mutate(&mut events, &targets, &mut rng, cfg);
+            Scenario {
+                events,
+                ..parent.clone()
+            }
+        })
+        .collect()
+}
+
 /// Runs the counter-example-guided worst-case search on `topo` (which
 /// must carry hosts for the blackout objectives to be non-trivial) and
 /// returns the shrunk champion with its Pareto front. Each generation is
@@ -330,23 +363,11 @@ pub fn worst_case_search(
     search(topo, params, oracle, cfg, workers)
 }
 
-/// One candidate on its own fork of `booted`: the outcome and the
-/// bring-ups the evaluation paid for (a fork pays none).
-fn evaluate(booted: &BootedCampaign<Network>, s: &Scenario) -> (CheckOutcome, usize) {
-    let fork = booted.clone();
-    let boots = fork.boots();
-    (fork.resume(s).0, boots)
-}
-
 /// Evaluates one generation on `min(workers, batch.len())` threads, the
 /// caller's among them: each takes the next unclaimed candidate until
-/// none is left. The outcomes come back in candidate order, whichever
-/// fork finished first.
-fn evaluate_generation(
-    booted: &BootedCampaign<Network>,
-    batch: &[Scenario],
-    workers: usize,
-) -> Vec<(CheckOutcome, usize)> {
+/// none is left. The cache is read-only meanwhile, and the evaluations
+/// come back in candidate order, whichever fork finished first.
+fn evaluate_generation(forks: &ForkCache, batch: &[Scenario], workers: usize) -> Vec<Evaluation> {
     // The counter only hands out indices, each once (a read-modify-write
     // is atomic at any ordering); the outcomes reach this thread through
     // `join`, which synchronizes.
@@ -358,7 +379,7 @@ fn evaluate_generation(
             let Some(s) = batch.get(i) else {
                 return done;
             };
-            done.push((i, evaluate(booted, s)));
+            done.push((i, forks.evaluate(s)));
         }
     };
     let mut done = std::thread::scope(|scope| {
@@ -397,24 +418,21 @@ fn search(
         events,
         settle_ms: cfg.settle_ms,
     };
-    let booted = BootedCampaign::packet(topo, cfg.seed, params, oracle);
-    let mut boots = booted.boots();
-    let mut evaluations = 0usize;
+    let mut forks = ForkCache::new(BootedCampaign::packet(topo, cfg.seed, params, oracle));
     let mut violations = 0usize;
     let mut best_rank = DamageReport::default().rank();
 
-    // Evaluates a generation, then walks it in candidate order: counts
+    // Evaluates a generation, then records it in candidate order: counts
     // violations and re-points the bias at each legal run at least as
     // damaging as every one before it. Hands back each candidate with its
     // damage and legality.
-    let mut generation = |batch: Vec<Scenario>, targets: &mut Targets| {
-        evaluations += batch.len();
-        let outcomes = evaluate_generation(&booted, &batch, workers);
+    let mut generation = |forks: &mut ForkCache, batch: Vec<Scenario>, targets: &mut Targets| {
+        let evaluated = evaluate_generation(forks, &batch, workers);
         batch
             .into_iter()
-            .zip(outcomes)
-            .map(|(s, (outcome, paid))| {
-                boots += paid;
+            .zip(evaluated)
+            .map(|(s, evaluation)| {
+                let outcome = forks.record(&s, evaluation);
                 let legal = outcome.passed();
                 if !legal {
                     violations += 1;
@@ -433,7 +451,7 @@ fn search(
     let corpus: Vec<Scenario> = (0..cfg.corpus.max(1))
         .map(|_| mk(random_schedule(&targets, &mut rng, cfg)))
         .collect();
-    let corpus_runs = generation(corpus, &mut targets);
+    let corpus_runs = generation(&mut forks, corpus, &mut targets);
     let mut blackouts: Vec<SimDuration> = corpus_runs.iter().map(|(v, _, _)| v.blackout).collect();
     blackouts.sort_unstable();
     let random_median_blackout = blackouts[blackouts.len() / 2];
@@ -448,6 +466,7 @@ fn search(
             front.offer(v, s);
         }
     }
+    forks.keep_pauses_of(front.entries().iter().map(|(_, s)| s));
 
     // One generation per round of guided mutation, bred from the front
     // and the bias as the previous generation left them.
@@ -460,11 +479,12 @@ fn search(
                 mk(events)
             })
             .collect();
-        for (v, child, legal) in generation(children, &mut targets) {
+        for (v, child, legal) in generation(&mut forks, children, &mut targets) {
             if legal || !legal_only {
                 front.offer(v, child);
             }
         }
+        forks.keep_pauses_of(front.entries().iter().map(|(_, s)| s));
     }
 
     // Shrink the champion, preserving legality and the blackout
@@ -475,24 +495,21 @@ fn search(
         .map(|(v, s)| (*v, s.clone()))
         .expect("corpus is non-empty, so the front is too");
     let floor = pre_shrink.blackout;
-    let mut eval = |s: &Scenario| {
-        let (outcome, paid) = evaluate(&booted, s);
-        evaluations += 1;
-        boots += paid;
-        outcome
-    };
     // A zero floor would let the shrinker discard every event (the empty
     // schedule is legal and trivially reaches blackout >= 0), so the
     // predicate also insists on a non-empty schedule.
-    let champion = shrink_schedule(&champion_raw, |s| {
+    let champion = shrink_forked(&mut forks, &champion_raw, |forks, s| {
         if s.events.is_empty() {
             return false;
         }
-        let outcome = eval(s);
+        let outcome = forks.judge(s);
         (outcome.passed() || !legal_only) && outcome.damage.blackout >= floor
     });
-    let damage = eval(&champion).damage;
+    // The shrunk champion was judged when the shrinker kept it, or in its
+    // generation if it kept nothing: a memo hit.
+    let damage = forks.judge(&champion).damage;
     let reproducer = render_reproducer(&champion, &damage);
+    let work = forks.work();
 
     WorstCaseResult {
         champion,
@@ -504,8 +521,11 @@ fn search(
             .map(|(v, s)| (*v, s.clone()))
             .collect(),
         random_median_blackout,
-        evaluations,
-        boots,
+        evaluations: work.evaluations,
+        runs: work.runs,
+        simulated: work.simulated,
+        judged_time: work.judged_time,
+        boots: forks.boots(),
         violations,
         reproducer,
     }
@@ -574,10 +594,11 @@ mod tests {
         assert_eq!(a.damage, b.damage);
     }
 
-    /// Outcomes are merged in candidate order, so the worker count is
-    /// invisible: one thread and three (more than the two-candidate
-    /// generations need, so one idles) find the same champion, damage,
-    /// front, counts and reproducer.
+    /// Outcomes are merged in candidate order and the cache grows only
+    /// between generations, so the worker count is invisible: one thread
+    /// and three (more than the two-candidate generations need, so one
+    /// idles) find the same champion, damage, front, counts (runs and
+    /// simulated time included) and reproducer.
     #[test]
     fn worker_count_is_invisible() {
         let params = NetParams::tuned();
@@ -593,8 +614,11 @@ mod tests {
         };
         let one = search(&hosted_ring(4), &params, &oracle, &cfg, 1);
         let three = search(&hosted_ring(4), &params, &oracle, &cfg, 3);
-        // Corpus, children, then at least the final re-measure.
+        // Corpus, children, then at least the final re-measure, which the
+        // memo answers without a run.
         assert!(one.evaluations > 3 + 2 * 2, "{}", one.evaluations);
+        assert!(one.runs < one.evaluations, "{one:?}");
+        assert!(one.simulated < one.judged_time, "{one:?}");
         assert_eq!(one.boots, 1);
         assert_eq!(one, three);
     }

@@ -4,10 +4,12 @@
 //! time (companion paper §3.9, §6.8.3). The driver confirms the host's
 //! short address with the local switch every few seconds; when the switch
 //! stops answering it probes more vigorously, and after three seconds of
-//! silence it fails over to the alternate port, forgets its short address,
-//! and re-learns it from the new switch. If neither link answers, the
-//! driver alternates between them every ten seconds. Failover happens
-//! below LocalNet, so higher-level protocols usually survive it.
+//! silence it fails over to the alternate port and asks the new switch
+//! for its short address. It keeps the old address until the new switch
+//! answers, so frames sent in that window leave the alternate port with
+//! the dead switch's address as their source. If neither link answers,
+//! the driver alternates between them every ten seconds. Failover
+//! happens below LocalNet, so higher-level protocols usually survive it.
 
 use std::collections::VecDeque;
 

@@ -59,6 +59,11 @@ fn main() {
         res.evaluations, res.boots, res.violations
     );
     println!(
+        "engine runs: {} ({:.0} % of the judged virtual time simulated)",
+        res.runs,
+        100.0 * res.simulated.as_secs_f64() / res.judged_time.as_secs_f64()
+    );
+    println!(
         "random corpus median blackout: {}",
         res.random_median_blackout
     );

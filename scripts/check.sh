@@ -43,8 +43,9 @@ echo "==> bench gate self-test"
 # whose flood was decoded more often than one send in 16, and three E24
 # files: one whose first champion (src-30's) was lowered to 1 ns, below its
 # random median, one whose first champion over a zero median was lowered to
-# 0, and one whose first seed sweep's min and median champion were both
-# lowered to 0, below the 1 ns floor (min <= median still holds); an
+# 0, one whose first seed sweep's min and median champion were both
+# lowered to 0, below the 1 ns floor (min <= median still holds), and one
+# whose first search started more runs than it judged candidates; an
 # E22 file whose fat_tree-1024 bring-up is back at its 231 epochs; and an
 # E1 file whose untraced tuned row reopens at 1 ns, not at the traced one's
 # fault-to-open.
@@ -54,13 +55,14 @@ trap 'rm -rf "$tmp"' EXIT
 f=BENCH_worst_case.json
 smoke=BENCH_scale_smoke.json
 first() { awk -v re="$2" -v to="$3" '!done && sub(re, to) { done = 1 } { print }' "$1"; }
-mkdir "$tmp/same" "$tmp/wall" "$tmp/moved" "$tmp/decoded" "$tmp/weak" "$tmp/dark" "$tmp/sweep" "$tmp/storm" "$tmp/untraced"
+mkdir "$tmp/same" "$tmp/wall" "$tmp/moved" "$tmp/decoded" "$tmp/weak" "$tmp/dark" "$tmp/sweep" "$tmp/runs" "$tmp/storm" "$tmp/untraced"
 cp $f "$tmp/same/"
 first $f '"search wall [^"]*": [0-9.]+' '"search wall (s)": 99.5' >"$tmp/wall/$f"
 first $f '"evals": [0-9]+' '"evals": 99' >"$tmp/moved/$f"
 first $f '"worst blackout": [0-9]+' '"worst blackout": 1' >"$tmp/weak/$f"
 first $f '"worst blackout": [0-9]+, "random median": 0,' '"worst blackout": 0, "random median": 0,' >"$tmp/dark/$f"
 first $f '"min worst": [0-9]+, "median worst": [0-9]+' '"min worst": 0, "median worst": 0' >"$tmp/sweep/$f"
+first $f '"runs": [0-9]+' '"runs": 999' >"$tmp/runs/$f"
 first $smoke '"bring-up events": [0-9]+' '"bring-up events": 99' >"$tmp/moved/$smoke"
 first $smoke '"decoded": [0-9]+' '"decoded": 99' >"$tmp/decoded/$smoke"
 first BENCH_scale.json '"fat_tree 1024", "bring-up events": [0-9]+, "bring-up control messages": [0-9]+, "bring-up epochs": [0-9]+' \
@@ -84,6 +86,11 @@ if ! python3 scripts/check_bench.py "$tmp/weak/$f" 2>&1 | grep -q 'does not hold
 fi
 if ! python3 scripts/check_bench.py "$tmp/sweep/$f" 2>&1 | grep -q 'does not hold: every seed sweep'; then
     echo "the bench gate's E24 sweep predicate passed a median champion of 0" >&2
+    exit 1
+fi
+if cmp -s $f "$tmp/runs/$f" ||
+    ! python3 scripts/check_bench.py "$tmp/runs/$f" 2>&1 | grep -q 'does not hold: every search and seed sweep starts'; then
+    echo "the bench gate's E24 work predicate passed a search with more runs than evaluations, or the edit matched nothing" >&2
     exit 1
 fi
 if ! python3 scripts/check_bench.py "$tmp/storm/BENCH_scale.json" 2>&1 | grep -q 'does not hold: the fat_tree-1024 bring-up'; then
@@ -214,6 +221,15 @@ echo "==> one observation log: the spine, deliveries, NetStats and node state"
 if grep -rEn 'NetEvent|NetEventKind|fn log_event|HostAction::(PortSwitched|AddressLearned)' \
     crates src tests examples; then
     echo "the network keeps one typed log, autonet_trace::EventLog (DESIGN.md, Observability: the typed event spine)" >&2
+    exit 1
+fi
+
+echo "==> one walk: resuming from first quiescence and from a pause share one loop"
+# A second walk loop, or a second ordering of a schedule's events, could
+# drift from the one the fork cache keys its pauses and memo by.
+if [ "$(grep -rn 'fn walk\b' crates/check/src | wc -l)" -ne 1 ] ||
+    [ "$(grep -rnF 'sort_by_key(|e| e.at_ms)' crates/check/src | wc -l)" -ne 1 ]; then
+    echo "runs walk one Run::walk, in engine::walk_order (DESIGN.md, Boot once, fork per candidate)" >&2
     exit 1
 fi
 

@@ -92,6 +92,12 @@ PREDICATES = [
                    for r in rows(d, 3))),
     ("worst_case", "every search boots its world exactly once (E24)",
      lambda d: all(r["boots"] == 1 for r in rows(d))),
+    # A judgement the memo answers starts no run, and a run resumed from a
+    # pause simulates less than the past it is judged on.
+    ("worst_case", "every search and seed sweep starts at most one run per evaluation and simulates"
+                   " at most the virtual time it judged (E24)",
+     lambda d: all(r["runs"] <= r["evals"] and r["simulated share"] <= 1
+                   for table in (0, 1) for r in rows(d, table))),
     # Nonzero as well: on a row whose corpus found no blackout the median
     # alone would pass a search that found nothing either.
     ("worst_case", "every champion's blackout is nonzero and at least its random corpus median (E24)",

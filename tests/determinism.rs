@@ -9,8 +9,8 @@ use autonet::topo::{gen, HostId, LinkId, SwitchId};
 use autonet::trace::TraceRecord;
 use autonet::wire::ShortAddress;
 use autonet_check::{
-    degraded_params, random_scenario_with, run_packet, BootedCampaign, CheckOutcome, FaultEvent,
-    FaultOp, GenOptions, OracleConfig, Scenario, TopoSpec,
+    degraded_params, mutants, random_scenario_with, run_packet, BootedCampaign, CheckOutcome,
+    FaultEvent, FaultOp, ForkCache, GenOptions, OracleConfig, Scenario, TopoSpec, WorstCaseConfig,
 };
 use std::time::Duration;
 
@@ -577,6 +577,113 @@ fn forked_campaigns_equal_cold_runs() {
     }
 }
 
+/// Judges `parent` through a cache over `base`, then checks every
+/// child against its cold run in `colds`: first each resumed from the
+/// parent's pauses alone, route cache work included; then each judged in
+/// reverse order, so a child may resume a pause its sibling left; then
+/// each judged again, which the memo answers without a run. Returns what
+/// the cache spent.
+fn children_equal_cold(
+    base: &BootedCampaign<Network>,
+    parent: &Scenario,
+    children: &[Scenario],
+    colds: &[RunResult],
+) -> autonet_check::ForkWork {
+    let mut forks = ForkCache::new(base.clone());
+    forks.judge(parent);
+    for (child, cold) in children.iter().zip(colds) {
+        let resumed = with_cache_work(forks.resume(child));
+        assert_eq!(&resumed, cold, "{}: {:?}", child.name, child.events);
+    }
+    for (child, cold) in children.iter().zip(colds).rev() {
+        assert_eq!(
+            forks.judge(child),
+            cold.0,
+            "{}: {:?}",
+            child.name,
+            child.events
+        );
+    }
+    let runs = forks.work().runs;
+    for (child, cold) in children.iter().zip(colds) {
+        assert_eq!(forks.judge(child), cold.0, "{} from the memo", child.name);
+    }
+    assert_eq!(forks.work().runs, runs, "a second judgement runs nothing");
+    forks.work()
+}
+
+/// Fork ≡ cold from any pause: a child that begins with its parent's
+/// first k events (in walk order) resumes the parent's walk paused right
+/// before event k, and nobody can tell. The children are the search's
+/// own mutations of the parent plus hand-built ones that keep a prefix
+/// through a host power-off, a flap whose repair lands after the pause,
+/// two events at one instant (forked between them) and a waypoint.
+/// However it is judged, each equals its cold run field for field,
+/// route-cache work counters included, and some resumed past origin.
+#[test]
+fn prefix_forks_equal_cold_runs() {
+    let params = NetParams::tuned();
+    let cfg = OracleConfig::from_params(&params.autopilot);
+    let topos = [
+        hosted(TopoSpec::Ring { n: 8, seed: 2 }),
+        hosted(TopoSpec::Torus {
+            w: 4,
+            h: 4,
+            seed: 3,
+        }),
+        hosted(TopoSpec::Src { seed: 1991 }),
+    ];
+    let at = |at_ms, op| FaultEvent { at_ms, op };
+    for (k, topo) in topos.into_iter().enumerate() {
+        let seed = 60 + k as u64;
+        let base = BootedCampaign::packet(&topo, seed, &params, &cfg);
+        // Link 0 flaps from 60 ms until its last repair at 300 ms.
+        let flap = FaultOp::LinkFlaps {
+            link: 0,
+            half_period_ms: 60,
+            cycles: 2,
+        };
+        let parent = Scenario {
+            name: format!("prefix-{seed}"),
+            topo: topo.clone(),
+            seed,
+            events: vec![
+                at(40, FaultOp::HostPowerOff(1)),
+                at(60, flap),
+                at(120, FaultOp::LinkDown(2)),
+                at(120, FaultOp::SwitchDown(3)),
+                at(150, FaultOp::Waypoint { settle_ms: 60_000 }),
+                at(1_000, FaultOp::LinkUp(2)),
+            ],
+            settle_ms: 60_000,
+        };
+        let child = |edit: &dyn Fn(&mut Vec<FaultEvent>)| {
+            let mut c = parent.clone();
+            edit(&mut c.events);
+            c
+        };
+        let mut children = vec![
+            // Forked mid-flap, at 120 ms: the flap's last repair, at
+            // 300 ms, undoes its cut of the flapping link at 130 ms.
+            child(&|e| e[2] = at(130, FaultOp::LinkDown(0))),
+            // Forked between the two events due at 120 ms.
+            child(&|e| e[3] = at(120, FaultOp::SwitchDown(4))),
+            // Forked after the waypoint settled.
+            child(&|e| e[5] = at(1_200, FaultOp::SwitchUp(3))),
+            // Forked right before the waypoint: the last event dropped.
+            child(&|e| {
+                e.pop();
+            }),
+        ];
+        children.extend(mutants(&parent, &WorstCaseConfig::new(seed), 3));
+        let colds: Vec<RunResult> = children.iter().map(|c| cold(c, &params, &cfg)).collect();
+        assert!(colds[2].0.quiescences >= 3, "{:?}", colds[2].0);
+        let work = children_equal_cold(&base, &parent, &children, &colds);
+        assert_eq!(work.evaluations, 2 * children.len() + 1);
+        assert!(work.simulated < work.judged_time, "{topo:?}: {work:?}");
+    }
+}
+
 /// The same on a failing run, where the outcome carries the whole event
 /// spine: the planted skeptic bug (hysteresis disabled, honest bounds)
 /// convicts identically from a fork and from a cold start.
@@ -610,4 +717,13 @@ fn forked_violation_equals_the_cold_one() {
     assert_eq!(violation.kind(), "skeptic-hold");
     assert!(!fork.0.records.is_empty(), "failing runs carry the spine");
     assert_eq!(fork, cold(&bounce, &params, &cfg));
+    // A child bouncing the link 40 ms later resumes the parent paused
+    // right before its repair, and convicts as its cold run does.
+    let mut later = bounce.clone();
+    later.events[1].at_ms = 180;
+    let colds = [cold(&later, &params, &cfg)];
+    let violation = colds[0].0.violation.as_ref().expect("the child fails too");
+    assert_eq!(violation.kind(), "skeptic-hold");
+    let work = children_equal_cold(&base, &bounce, &[later], &colds);
+    assert!(work.simulated < work.judged_time, "{work:?}");
 }
