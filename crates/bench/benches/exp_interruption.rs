@@ -5,8 +5,8 @@
 //! restores service in well under a second (§6.6.5). The probes measure
 //! that interruption directly: continuous tagged flows over every host,
 //! a trunk cut, and per-pair blackout windows from the
-//! `InterruptionReport` — plus the critical-path attribution of the
-//! reconfiguration that caused them.
+//! `InterruptionReport` — plus the critical-path attribution of the cut's
+//! fault burst.
 
 use autonet_bench::{converge, quantile, Report, Table, Value};
 use autonet_net::NetParams;
@@ -19,7 +19,7 @@ use autonet_trace::{InterruptionConfig, InterruptionReport, Timeline};
 const PROBE_INTERVAL: SimDuration = SimDuration::from_millis(10);
 
 /// One row: the topology's name, pairs, pairs dark, the median, p90 and max
-/// over the dark pairs' longest windows, and the critical path.
+/// over the dark pairs' longest windows, and the cut's critical path.
 fn measure(name: &str, topo: Topology, cut: LinkId, seed: u64) -> Vec<Value> {
     let n_hosts = topo.num_hosts();
     let mut net = converge(topo, NetParams::tuned(), seed);
@@ -31,7 +31,8 @@ fn measure(name: &str, topo: Topology, cut: LinkId, seed: u64) -> Vec<Value> {
     net.start_probes(&pairs, PROBE_INTERVAL);
     net.run_for(SimDuration::from_secs(1));
     // The fault, reconvergence, and time for hosts to relearn addresses.
-    net.schedule_link_down(net.now() + SimDuration::from_millis(10), cut);
+    let cut_at = net.now() + SimDuration::from_millis(10);
+    net.schedule_link_down(cut_at, cut);
     net.run_for(SimDuration::from_millis(50));
     net.run_until_stable(net.now() + SimDuration::from_secs(120))
         .expect("network must reconverge after a single cut");
@@ -53,13 +54,12 @@ fn measure(name: &str, topo: Topology, cut: LinkId, seed: u64) -> Vec<Value> {
         .iter()
         .filter_map(|p| p.max_blackout())
         .collect();
-    // A cut usually triggers a short cascade of epochs; attribute the
-    // longest one (the reconfiguration that dominated the blackout).
+    // A cut usually triggers a short cascade of epochs; its burst folds
+    // them into one path from the first detection to the last reopen.
     let cp = timeline
-        .epochs
-        .iter()
-        .filter_map(|r| timeline.critical_path(r.epoch))
-        .max_by_key(|cp| cp.total);
+        .critical_paths()
+        .map(|(cp, _)| cp)
+        .find(|cp| cp.segments[0].start >= cut_at);
     let dominant = cp.as_ref().map(|cp| cp.dominant());
     vec![
         name.into(),
@@ -104,9 +104,9 @@ fn main() {
     }
     Report::new("interruption").table(t).finish();
     println!(
-        "\nShape check: every pair goes dark for roughly the closed span\n\
-         (the paper closes the whole network during reconfiguration), the\n\
-         max stays well under one second, and the critical path accounts\n\
-         for all of the reconfiguration latency."
+        "\nShape check: on src-30 every pair goes dark (the whole network\n\
+         closes) and no window reaches 100 ms. The critical path is the cut's\n\
+         burst, first detection to last reopen; tree-stabilize is its longest\n\
+         phase on all three topologies. Coverage is 1.000 by construction."
     );
 }

@@ -12,8 +12,8 @@
 //! Only tracing-on rows have per-switch instants, read off the typed
 //! spine: they record reconfig and detection (from the first close) and
 //! the reconfiguration's critical path
-//! (`Timeline::critical_path`): which phase dominated and how long the
-//! table-distribute phase took — the acceptance instrument for the
+//! (`Timeline::last_fault_critical_path`): which phase dominated and how
+//! long the table-distribute phase took — the acceptance instrument for the
 //! incremental pipeline (table-distribute must shrink vs `tuned`). Every
 //! time is the median over the row's faults.
 

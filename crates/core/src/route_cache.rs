@@ -58,7 +58,7 @@ use std::sync::Mutex;
 use autonet_switch::ForwardingTable;
 use autonet_wire::{PortIndex, Uid};
 
-use crate::routes::{link_ports_of, synthesize_table, Phase, RouteComputer, RouteKind};
+use crate::routes::{link_ports_of, synthesize_table, Phase, RouteComputer};
 use crate::topology::GlobalTopology;
 
 /// Work counters, for the benches and the equivalence experiments. Purely
@@ -181,7 +181,6 @@ impl SharedRoutes {
             global,
             my_uid,
             live_host_ports,
-            RouteKind::UpDown,
             &self.from_up[me],
             &self.from_down[me],
             &far_fields,
@@ -215,7 +214,7 @@ struct Inner {
 /// The fleet-shared route cache. See the module docs for the contract:
 /// for every input, [`RouteCache::table_for`] returns exactly what
 /// [`compute_forwarding_table`](crate::routes::compute_forwarding_table)
-/// with [`RouteKind::UpDown`] returns.
+/// with [`RouteKind::UpDown`](crate::routes::RouteKind::UpDown) returns.
 pub struct RouteCache {
     inner: Mutex<Inner>,
 }
@@ -402,7 +401,9 @@ impl Inner {
 mod tests {
     use super::*;
     use crate::epoch::Epoch;
-    use crate::routes::{compute_forwarding_table, global_from_view, global_from_view_simple};
+    use crate::routes::{
+        compute_forwarding_table, global_from_view, global_from_view_simple, RouteKind,
+    };
     use autonet_topo::gen;
     use std::collections::BTreeMap;
 

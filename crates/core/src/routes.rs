@@ -218,37 +218,20 @@ impl RouteComputer {
 
     /// Minimal legal hop counts from every (node, phase) state to `dst`.
     /// `u32::MAX` marks unreachable states.
+    ///
+    /// A legal route reversed is still legal: its down links read
+    /// backwards are up links and vice versa, so up\*down\* turns into
+    /// up\*down\* again. This is therefore a read of the forward field
+    /// from `(dst, Up)`: a fresh packet at `u` is as far from `dst` as
+    /// `dst` is from `u` in either phase, and a down-phase packet at `u`
+    /// (down links only) as far as `dst` is from `(u, Up)` (up links
+    /// only).
     fn legal_dists_to(&self, dst: usize) -> Vec<u32> {
-        let n = self.uids.len();
-        let mut dist = vec![u32::MAX; n * 2];
-        let mut queue = std::collections::VecDeque::new();
-        for phase in [Phase::Up, Phase::Down] {
-            dist[self.state(dst, phase)] = 0;
-            queue.push_back((dst, phase));
-        }
-        // Reverse BFS: predecessors of (v, Down) are (u, *) where u→v is a
-        // down traversal; predecessors of (v, Up) are (u, Up) where u→v is
-        // up.
-        while let Some((v, phase)) = queue.pop_front() {
-            let d = dist[self.state(v, phase)];
-            for &(li, u) in &self.adj[v] {
-                let up = self.is_up_traversal(li, v);
-                let preds: &[Phase] = match (up, phase) {
-                    // u→v up keeps phase Up; only reachable into (v, Up).
-                    (true, Phase::Up) => &[Phase::Up],
-                    (true, Phase::Down) => &[],
-                    // u→v down lands in (v, Down) from either phase at u.
-                    (false, Phase::Down) => &[Phase::Up, Phase::Down],
-                    (false, Phase::Up) => &[],
-                };
-                for &p in preds {
-                    let s = self.state(u, p);
-                    if dist[s] == u32::MAX {
-                        dist[s] = d + 1;
-                        queue.push_back((u, p));
-                    }
-                }
-            }
+        let from_dst = self.legal_dists_from_state(dst, Phase::Up);
+        let mut dist = vec![u32::MAX; from_dst.len()];
+        for u in 0..self.uids.len() {
+            dist[self.state(u, Phase::Up)] = self.dist_to_node(&from_dst, u);
+            dist[self.state(u, Phase::Down)] = from_dst[self.state(u, Phase::Up)];
         }
         dist
     }
@@ -318,7 +301,7 @@ impl RouteComputer {
                     continue;
                 }
                 let total = legal[self.state(s, Phase::Up)];
-                let from_src = self.legal_dists_from(s);
+                let from_src = self.legal_dists_from_state(s, Phase::Up);
                 for (li, _) in self.links.iter().enumerate() {
                     if self.link_on_min_route(li, &from_src, &legal, total) {
                         out.link_loads[li] += 1;
@@ -327,12 +310,6 @@ impl RouteComputer {
             }
         }
         out
-    }
-
-    /// Minimal legal hop counts from the fresh state at `src` to every
-    /// (node, phase) state, by forward BFS.
-    fn legal_dists_from(&self, src: usize) -> Vec<u32> {
-        self.legal_dists_from_state(src, Phase::Up)
     }
 
     /// Minimal legal hop counts from the state `(src, start)` to every
@@ -420,28 +397,26 @@ impl RouteComputer {
             match kind {
                 RouteKind::UpDown => {
                     let to_dst = self.legal_dists_to(d);
-                    // For every in-channel (n→u) and phase it induces, add
-                    // edges to the out-channels the table would use.
+                    // For every in-channel (into u) and the phase it induces,
+                    // add edges to the out-channels the table would use.
                     for (li_in, l) in self.links.iter().enumerate() {
-                        for (_n, u) in [(l.a, l.b), (l.b, l.a)] {
+                        for u in [l.a, l.b] {
                             let phase = if self.is_up_traversal(li_in, u) {
                                 Phase::Up
                             } else {
                                 Phase::Down
                             };
-                            if u == d {
+                            let du = to_dst[self.state(u, phase)];
+                            if u == d || du == u32::MAX {
                                 continue;
                             }
                             for &(li_out, v) in &self.adj[u] {
-                                let up = self.is_up_traversal(li_out, v);
-                                let next = match (phase, up) {
+                                let next = match (phase, self.is_up_traversal(li_out, v)) {
                                     (Phase::Up, true) => Phase::Up,
                                     (_, false) => Phase::Down,
                                     (Phase::Down, true) => continue,
                                 };
-                                let dv = to_dst[self.state(v, next)];
-                                let du = to_dst[self.state(u, phase)];
-                                if du != u32::MAX && dv != u32::MAX && dv + 1 == du {
+                                if to_dst[self.state(v, next)].checked_add(1) == Some(du) {
                                     edges.insert((ch(li_in, u), ch(li_out, v)));
                                 }
                             }
@@ -533,54 +508,37 @@ pub(crate) fn link_ports_of(rc: &RouteComputer, me: usize) -> Vec<(PortIndex, us
 /// `s.host` (which may differ from the epoch snapshot — host arrivals and
 /// departures patch tables locally without reconfiguration).
 ///
-/// Returns `None` if `my_uid` is not part of the topology.
+/// Returns `None` if `my_uid` is not part of the topology, and for
+/// [`RouteKind::Unrestricted`]: the deadlock-prone baseline is analyzed
+/// ([`RouteComputer::has_dependency_cycle`]), never installed.
 pub fn compute_forwarding_table(
     global: &GlobalTopology,
     my_uid: Uid,
     live_host_ports: &[PortIndex],
     kind: RouteKind,
 ) -> Option<ForwardingTable> {
+    if kind != RouteKind::UpDown {
+        return None;
+    }
     // A malformed topology (possible with the timeout-termination baseline,
     // which can ship partial trees) cannot be routed; the caller keeps the
     // cleared table.
     let rc = RouteComputer::new(global)?;
     let me = rc.node(my_uid)?;
-    let link_ports = link_ports_of(&rc, me);
 
     // Forward distance fields, computed once per table: from my own two
     // in-phases, and from the landing state of each of my links (a hop out
     // of an `up` link lands in `(far, Up)`, a hop down in `(far, Down)`).
     // Next hops for *every* destination fall out of the minimality
-    // equality `dist(far) + 1 == dist(me)` over these O(degree) fields —
-    // identical tables to a reverse BFS per destination at a fraction of
-    // the cost (legal distances are phase-path lengths either way).
-    let (from_me_up, from_me_down, far_fields) = match kind {
-        RouteKind::UpDown => {
-            let fields: Vec<(PortIndex, bool, Vec<u32>)> = link_ports
-                .iter()
-                .map(|&(port, li, far)| {
-                    let up = rc.is_up_traversal(li, far);
-                    let landing = if up { Phase::Up } else { Phase::Down };
-                    (port, up, rc.legal_dists_from_state(far, landing))
-                })
-                .collect();
-            (
-                rc.legal_dists_from_state(me, Phase::Up),
-                rc.legal_dists_from_state(me, Phase::Down),
-                fields,
-            )
-        }
-        RouteKind::Unrestricted => {
-            // Unrestricted distances are symmetric (undirected graph), so
-            // `shortest_dists_to` doubles as a from-field.
-            let fields: Vec<(PortIndex, bool, Vec<u32>)> = link_ports
-                .iter()
-                .map(|&(port, _li, far)| (port, false, rc.shortest_dists_to(far)))
-                .collect();
-            let from_me = rc.shortest_dists_to(me);
-            (from_me.clone(), from_me, fields)
-        }
-    };
+    // equality `dist(far) + 1 == dist(me)` over these O(degree) fields.
+    let far_fields: Vec<(PortIndex, bool, Vec<u32>)> = link_ports_of(&rc, me)
+        .iter()
+        .map(|&(port, li, far)| {
+            let up = rc.is_up_traversal(li, far);
+            let landing = if up { Phase::Up } else { Phase::Down };
+            (port, up, rc.legal_dists_from_state(far, landing))
+        })
+        .collect();
     let field_refs: Vec<(PortIndex, bool, &[u32])> = far_fields
         .iter()
         .map(|(port, up, field)| (*port, *up, field.as_slice()))
@@ -590,9 +548,8 @@ pub fn compute_forwarding_table(
         global,
         my_uid,
         live_host_ports,
-        kind,
-        &from_me_up,
-        &from_me_down,
+        &rc.legal_dists_from_state(me, Phase::Up),
+        &rc.legal_dists_from_state(me, Phase::Down),
         &field_refs,
     )
 }
@@ -611,7 +568,6 @@ pub(crate) fn synthesize_table(
     global: &GlobalTopology,
     my_uid: Uid,
     live_host_ports: &[PortIndex],
-    kind: RouteKind,
     from_me_up: &[u32],
     from_me_down: &[u32],
     far_fields: &[(PortIndex, bool, &[u32])],
@@ -631,15 +587,10 @@ pub(crate) fn synthesize_table(
     for &(port, li, _far) in &link_ports {
         // A packet arriving here traversed far→me; that traversal is up if
         // I am the up end.
-        let phase = match kind {
-            RouteKind::UpDown => {
-                if rc.is_up_traversal(li, me) {
-                    Phase::Up
-                } else {
-                    Phase::Down
-                }
-            }
-            RouteKind::Unrestricted => Phase::Up,
+        let phase = if rc.is_up_traversal(li, me) {
+            Phase::Up
+        } else {
+            Phase::Down
         };
         in_ports.push((port, phase));
     }
@@ -668,36 +619,21 @@ pub(crate) fn synthesize_table(
         // way; program a per-switch-number prefix entry per in-port.
         let next_hops = |phase: Phase| -> PortSet {
             let mut set = PortSet::EMPTY;
-            match kind {
-                RouteKind::UpDown => {
-                    let from_me = match phase {
-                        Phase::Up => &from_me_up,
-                        Phase::Down => &from_me_down,
-                    };
-                    let here = rc.dist_to_node(from_me, d);
-                    if here == u32::MAX {
-                        return set;
-                    }
-                    for (port, up, field) in far_fields {
-                        if phase == Phase::Down && *up {
-                            continue; // Down-phase packets cannot go up.
-                        }
-                        let dv = rc.dist_to_node(field, d);
-                        if dv != u32::MAX && dv + 1 == here {
-                            set.insert(*port);
-                        }
-                    }
+            let from_me = match phase {
+                Phase::Up => &from_me_up,
+                Phase::Down => &from_me_down,
+            };
+            let here = rc.dist_to_node(from_me, d);
+            if here == u32::MAX {
+                return set;
+            }
+            for (port, up, field) in far_fields {
+                if phase == Phase::Down && *up {
+                    continue; // Down-phase packets cannot go up.
                 }
-                RouteKind::Unrestricted => {
-                    let here = from_me_up[d];
-                    if here == u32::MAX {
-                        return set;
-                    }
-                    for (port, _up, field) in far_fields {
-                        if field[d] != u32::MAX && field[d] + 1 == here {
-                            set.insert(*port);
-                        }
-                    }
+                let dv = rc.dist_to_node(field, d);
+                if dv != u32::MAX && dv + 1 == here {
+                    set.insert(*port);
                 }
             }
             set
@@ -908,6 +844,41 @@ mod tests {
                         a.uid,
                         b.uid
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reversed_forward_field_solves_the_route_equation() {
+        // `legal_dists_to` reads a forward field backwards. The equation
+        // pins the field it must equal: 0 at the destination, elsewhere one
+        // more than the best legal next hop (`u32::MAX` if none reaches).
+        for topo in [
+            gen::ring(8, 4),
+            gen::tree(3, 2, 6),
+            gen::random_connected(20, 8, 7),
+        ] {
+            let (_, rc) = rc_for(&topo);
+            for d in 0..rc.num_switches() {
+                let to = rc.legal_dists_to(d);
+                for (u, phase) in
+                    (0..rc.num_switches()).flat_map(|u| [(u, Phase::Up), (u, Phase::Down)])
+                {
+                    let best = rc.adj[u].iter().filter_map(|&(li, v)| {
+                        let next = match (phase, rc.is_up_traversal(li, v)) {
+                            (Phase::Down, true) => return None,
+                            (_, true) => Phase::Up,
+                            (_, false) => Phase::Down,
+                        };
+                        to[rc.state(v, next)].checked_add(1)
+                    });
+                    let want = if u == d {
+                        0
+                    } else {
+                        best.min().unwrap_or(u32::MAX)
+                    };
+                    assert_eq!(to[rc.state(u, phase)], want, "{u} {phase:?} to {d}");
                 }
             }
         }

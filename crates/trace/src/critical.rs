@@ -1,4 +1,4 @@
-//! Critical-path extraction for one epoch's reconfiguration.
+//! Critical-path extraction for one fault's reconfiguration.
 //!
 //! A reconfiguration's total latency (trigger → last reopen) is the sum
 //! of six telescoping segments, each attributable to one named node —
@@ -63,7 +63,7 @@ pub struct CriticalPath {
 impl CriticalPath {
     /// Builds the critical path from a completed epoch report; `None` if
     /// any of the six phases is missing.
-    pub fn from_report(r: &EpochReport) -> Option<CriticalPath> {
+    fn from_report(r: &EpochReport) -> Option<CriticalPath> {
         let [detected, closed, tree_stable, addresses, first_table, opened] = r.phases()?;
 
         // Named nodes, with graceful fallbacks for hand-built reports.
@@ -233,11 +233,6 @@ fn fold_burst(merged: &mut EpochReport, r: &EpochReport) {
 }
 
 impl Timeline {
-    /// The critical path of one epoch, if all six phases completed.
-    pub fn critical_path(&self, e: Epoch) -> Option<CriticalPath> {
-        self.epoch(e).and_then(CriticalPath::from_report)
-    }
-
     /// The settled fault bursts, in settle order: each settled epoch's
     /// report and the epochs folded into it.
     ///
@@ -269,12 +264,18 @@ impl Timeline {
         })
     }
 
-    /// The critical path of the last *fault*, merging coalesced epochs:
-    /// [`critical_path`](Self::critical_path) of a burst's settled epoch
-    /// is `None` when superseded epochs carry its detection and close
-    /// wave. This one reads the last settled epoch with those folded in —
-    /// first detection to final settlement — and stops at any earlier
-    /// settled epoch (a previous reconfiguration).
+    /// Each settled fault burst's critical path, first detection to final
+    /// settlement, with the superseded epochs folded into it, in settle
+    /// order; a burst whose merged report lacks a phase yields nothing.
+    pub fn critical_paths(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (CriticalPath, Vec<Epoch>)> + '_ {
+        self.bursts()
+            .filter_map(|(merged, from)| Some((CriticalPath::from_report(&merged)?, from)))
+    }
+
+    /// The critical path of the last settled fault burst, or `None` if
+    /// that burst lacks a phase; never an earlier burst's.
     pub fn last_fault_critical_path(&self) -> Option<CriticalPath> {
         let (merged, _) = self.bursts().next_back()?;
         CriticalPath::from_report(&merged)
@@ -401,8 +402,9 @@ mod tests {
             records: Vec::new(),
             epochs: vec![report()],
         };
-        let only = tl.epochs[0].epoch;
-        assert_eq!(tl.last_fault_critical_path(), tl.critical_path(only));
+        let cp = CriticalPath::from_report(&tl.epochs[0]).unwrap();
+        assert_eq!(tl.last_fault_critical_path().as_ref(), Some(&cp));
+        assert!(tl.critical_paths().eq([(cp, Vec::new())]));
     }
 
     #[test]

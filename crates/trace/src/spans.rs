@@ -2,8 +2,8 @@
 //!
 //! [`Timeline`] answers "what were the phases of epoch N"; this module
 //! folds the whole run into the shape a human profiler expects — one
-//! span per *fault burst* (coalesced epochs merged exactly the way
-//! [`Timeline::last_fault_critical_path`] merges them), six phase child
+//! span per *fault burst* (coalesced epochs merged as
+//! [`Timeline::critical_paths`] merges them), six phase child
 //! spans attributed to the critical-path node, and every probe blackout
 //! window nested under the epoch that explains it — and exports it in
 //! Chrome Trace Event Format JSON, so any run opens directly in Perfetto
@@ -34,7 +34,7 @@ use std::fmt::Write as _;
 use autonet_core::Epoch;
 use autonet_sim::{SimDuration, SimTime};
 
-use crate::critical::{CriticalPath, Segment};
+use crate::critical::Segment;
 use crate::interruption::InterruptionReport;
 use crate::timeline::Timeline;
 
@@ -103,21 +103,17 @@ impl SpanTree {
     /// settling successor (a run cut off mid-reconfiguration) produce no
     /// span: a span needs both ends.
     pub fn build(timeline: &Timeline, interruption: Option<&InterruptionReport>) -> SpanTree {
-        let mut epochs = Vec::new();
-        for (merged, merged_from) in timeline.bursts() {
-            if let Some(cp) = CriticalPath::from_report(&merged) {
-                let start = cp.segments.first().expect("six segments").start;
-                let end = cp.segments.last().expect("six segments").end;
-                epochs.push(EpochSpan {
-                    epoch: merged.epoch,
-                    merged_from,
-                    start,
-                    end,
-                    phases: cp.segments,
-                    blackouts: Vec::new(),
-                });
-            }
-        }
+        let mut epochs: Vec<EpochSpan> = timeline
+            .critical_paths()
+            .map(|(cp, merged_from)| EpochSpan {
+                epoch: cp.epoch,
+                merged_from,
+                start: cp.segments[0].start,
+                end: cp.segments.last().expect("six segments").end,
+                phases: cp.segments,
+                blackouts: Vec::new(),
+            })
+            .collect();
 
         let mut orphan_blackouts = Vec::new();
         if let Some(report) = interruption {

@@ -211,11 +211,6 @@ impl Timeline {
         }
     }
 
-    /// The report for one epoch.
-    pub fn epoch(&self, e: Epoch) -> Option<&EpochReport> {
-        self.epochs.iter().find(|r| r.epoch == e)
-    }
-
     /// The latest epoch whose six phases all completed — the natural
     /// "what did the last full reconfiguration cost" query.
     pub fn last_complete(&self) -> Option<&EpochReport> {
@@ -312,7 +307,8 @@ mod tests {
         // An epoch that only ever closed: everything else None, no panic.
         let records = vec![rec(5, 0, Event::NetworkClosed { epoch: Epoch(9) })];
         let tl = Timeline::build(&records);
-        let r = tl.epoch(Epoch(9)).unwrap();
+        let r = &tl.epochs[0];
+        assert_eq!(r.epoch, Epoch(9));
         assert_eq!(r.closed, Some(SimTime::from_nanos(5)));
         assert_eq!(r.detected, None);
         assert!(tl.last_complete().is_none());

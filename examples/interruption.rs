@@ -9,8 +9,8 @@
 //!   src    the 30-switch SRC network from the paper
 //!
 //! Prints the `InterruptionReport` (per-pair delivery counts, blackout
-//! windows, duration quantiles) and the critical path of the dominant
-//! reconfiguration — which node's phase the blackout was waiting on.
+//! windows, duration quantiles) and the critical path of the cut's fault
+//! burst — which node's phase the blackout was waiting on.
 
 use autonet::net::{NetParams, Network};
 use autonet::sim::{SimDuration, SimTime};
@@ -47,7 +47,8 @@ fn main() {
 
     println!("topology: {topology} ({n} hosts; one probe per pair per {PROBE_INTERVAL})");
     println!("cutting link {} ...\n", cut.0);
-    net.schedule_link_down(net.now() + SimDuration::from_millis(10), cut);
+    let cut_at = net.now() + SimDuration::from_millis(10);
+    net.schedule_link_down(cut_at, cut);
     net.run_for(SimDuration::from_millis(50));
     net.run_until_stable(net.now() + SimDuration::from_secs(120))
         .expect("network reconverges after the cut");
@@ -66,15 +67,13 @@ fn main() {
     );
     println!("{report}");
 
-    // A cut usually triggers a short cascade of epochs; show the one the
-    // blackout was actually waiting on.
-    if let Some(cp) = timeline
-        .epochs
-        .iter()
-        .filter_map(|r| timeline.critical_path(r.epoch))
-        .max_by_key(|cp| cp.total)
-    {
-        println!("critical path of the dominant reconfiguration:");
+    // A cut usually triggers a short cascade of epochs; its burst folds
+    // them into one path from the first detection to the last reopen.
+    let cut_burst = timeline
+        .critical_paths()
+        .find(|(cp, _)| cp.segments[0].start >= cut_at);
+    if let Some((cp, _)) = cut_burst {
+        println!("critical path of the cut's reconfiguration:");
         println!("{cp}");
     }
 }

@@ -14,9 +14,9 @@
 //! E20 phase-breakdown numbers):
 //!   src_link_cut           one trunk cut on the 30-switch SRC network
 //!
-//! `--critical-path` appends, for every epoch with a complete causal
-//! chain, the per-phase per-node critical path: which node's detect /
-//! close-propagation / tree-stabilize / address-assign /
+//! `--critical-path` appends, for every settled fault burst (coalesced
+//! epochs folded together), the per-phase per-node critical path: which
+//! node's detect / close-propagation / tree-stabilize / address-assign /
 //! table-distribute / reopen step the reconfiguration latency is
 //! actually waiting on.
 //!
@@ -92,14 +92,12 @@ fn main() {
     if critical {
         println!("\ncritical paths:");
         let mut any = false;
-        for r in &tl.epochs {
-            if let Some(cp) = tl.critical_path(r.epoch) {
-                println!("{cp}");
-                any = true;
-            }
+        for (cp, _) in tl.critical_paths() {
+            println!("{cp}");
+            any = true;
         }
         if !any {
-            println!("  (no epoch has a complete causal chain)");
+            println!("  (no fault burst has a complete causal chain)");
         }
     }
 

@@ -5,6 +5,9 @@
 set -eu
 cd "$(dirname "$0")/.."
 start=$(date +%s)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+tab=$(printf '\t')
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
@@ -35,92 +38,56 @@ SCALE_SMOKE=1 WORST_CASE_SMOKE=1 cargo bench -q -p autonet-bench --benches >/dev
 echo "==> bench gate: rows equal their committed copies"
 python3 scripts/check_bench.py
 
-echo "==> bench gate self-test"
-# So the gate cannot rot into always-pass: it must accept an untouched copy
-# of a committed file and one whose wall clock moved, and refuse one whose
-# exact value moved, and a smoke file (no committed copy: held to the full
-# file's rows) with one — and, by the predicates themselves, a smoke file
-# whose flood was decoded more often than one send in 16, and three E24
-# files: one whose first champion (src-30's) was lowered to 1 ns, below its
-# random median, one whose first champion over a zero median was lowered to
-# 0, one whose first seed sweep's min and median champion were both
-# lowered to 0, below the 1 ns floor (min <= median still holds), and one
-# whose first search started more runs than it judged candidates; an
-# E22 file whose fat_tree-1024 bring-up is back at its 231 epochs; and an
-# E1 file whose untraced tuned row reopens at 1 ns, not at the traced one's
-# fault-to-open.
-# Each edit changes the first match only.
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
-f=BENCH_worst_case.json
-smoke=BENCH_scale_smoke.json
-first() { awk -v re="$2" -v to="$3" '!done && sub(re, to) { done = 1 } { print }' "$1"; }
-mkdir "$tmp/same" "$tmp/wall" "$tmp/moved" "$tmp/decoded" "$tmp/weak" "$tmp/dark" "$tmp/sweep" "$tmp/runs" "$tmp/storm" "$tmp/untraced"
-cp $f "$tmp/same/"
-first $f '"search wall [^"]*": [0-9.]+' '"search wall (s)": 99.5' >"$tmp/wall/$f"
-first $f '"evals": [0-9]+' '"evals": 99' >"$tmp/moved/$f"
-first $f '"worst blackout": [0-9]+' '"worst blackout": 1' >"$tmp/weak/$f"
-first $f '"worst blackout": [0-9]+, "random median": 0,' '"worst blackout": 0, "random median": 0,' >"$tmp/dark/$f"
-first $f '"min worst": [0-9]+, "median worst": [0-9]+' '"min worst": 0, "median worst": 0' >"$tmp/sweep/$f"
-first $f '"runs": [0-9]+' '"runs": 999' >"$tmp/runs/$f"
-first $smoke '"bring-up events": [0-9]+' '"bring-up events": 99' >"$tmp/moved/$smoke"
-first $smoke '"decoded": [0-9]+' '"decoded": 99' >"$tmp/decoded/$smoke"
-first BENCH_scale.json '"fat_tree 1024", "bring-up events": [0-9]+, "bring-up control messages": [0-9]+, "bring-up epochs": [0-9]+' \
-    '"fat_tree 1024", "bring-up events": 1, "bring-up control messages": 1, "bring-up epochs": 231' >"$tmp/storm/BENCH_scale.json"
-untraced='"tuned, tracing off", "topology": "src-30", "paper reconfig": "~170 ms", "faults": 3, "reconfig": null, "detection": null, "fault-to-open": '
-first BENCH_reconfig.json "$untraced[0-9]+" "${untraced}1" >"$tmp/untraced/BENCH_reconfig.json"
-python3 scripts/check_bench.py "$tmp/same/$f" "$tmp/wall/$f" >/dev/null
-if cmp -s $f "$tmp/wall/$f" || python3 scripts/check_bench.py "$tmp/moved/$f" >/dev/null 2>&1 ||
-    python3 scripts/check_bench.py "$tmp/moved/$smoke" >/dev/null 2>&1; then
-    echo "the bench gate passed a file whose exact value moved, or the wall edit matched nothing" >&2
-    exit 1
-fi
-if ! python3 scripts/check_bench.py "$tmp/decoded/$smoke" 2>&1 | grep -q 'does not hold: a topology flood'; then
-    echo "the bench gate's flood predicate passed a smoke file that decoded 99 of 510 floods" >&2
-    exit 1
-fi
-if ! python3 scripts/check_bench.py "$tmp/weak/$f" 2>&1 | grep -q 'does not hold: every champion' ||
-    ! python3 scripts/check_bench.py "$tmp/dark/$f" 2>&1 | grep -q 'does not hold: every champion'; then
-    echo "the bench gate's E24 predicate passed a champion below its random median, or one with no blackout" >&2
-    exit 1
-fi
-if ! python3 scripts/check_bench.py "$tmp/sweep/$f" 2>&1 | grep -q 'does not hold: every seed sweep'; then
-    echo "the bench gate's E24 sweep predicate passed a median champion of 0" >&2
-    exit 1
-fi
-if cmp -s $f "$tmp/runs/$f" ||
-    ! python3 scripts/check_bench.py "$tmp/runs/$f" 2>&1 | grep -q 'does not hold: every search and seed sweep starts'; then
-    echo "the bench gate's E24 work predicate passed a search with more runs than evaluations, or the edit matched nothing" >&2
-    exit 1
-fi
-if ! python3 scripts/check_bench.py "$tmp/storm/BENCH_scale.json" 2>&1 | grep -q 'does not hold: the fat_tree-1024 bring-up'; then
-    echo "the bench gate's E22 epoch predicate passed a fat_tree-1024 bring-up of 231 epochs" >&2
-    exit 1
-fi
-if cmp -s BENCH_reconfig.json "$tmp/untraced/BENCH_reconfig.json" ||
-    ! python3 scripts/check_bench.py "$tmp/untraced/BENCH_reconfig.json" 2>&1 | grep -q 'does not hold: tuned with tracing off'; then
-    echo "the bench gate's E1 predicate passed an untraced fault-to-open of 1 ns, or the edit matched nothing" >&2
-    exit 1
-fi
-
 echo "==> EXPERIMENTS.md: every table rendered from its BENCH file"
 python3 scripts/render_experiments.py
 
-echo "==> render gate self-test"
-# So the renderer cannot rot into always-pass: it must refuse a copy with
-# one cell edited inside a block, one with a pipe table pasted outside
-# every block, and one whose marker names a title no file has.
-doc=EXPERIMENTS.md
-first $doc '^\| naive ' '| NAIVE ' >"$tmp/cell.md"
-{ cat $doc; printf '\n| a | b |\n|---|---|\n| 1 | 2 |\n'; } >"$tmp/pasted.md"
-first $doc '^<!-- BENCH_reconfig\.json: E1: ' '<!-- BENCH_reconfig.json: E0: ' >"$tmp/title.md"
-if cmp -s $doc "$tmp/cell.md" || cmp -s $doc "$tmp/title.md" ||
-    ! python3 scripts/render_experiments.py "$tmp/cell.md" 2>&1 | grep -q 're-rendered 1 stale table' ||
-    ! python3 scripts/render_experiments.py "$tmp/pasted.md" 2>&1 | grep -q 'a table outside every rendered block' ||
-    ! python3 scripts/render_experiments.py "$tmp/title.md" 2>&1 | grep -q 'has no table titled'; then
-    echo "the renderer passed an edited cell, a pasted table or a missing title, or an edit matched nothing" >&2
-    exit 1
-fi
+echo "==> gate self-tests: every planted edit gets its verdict"
+# So neither gate can rot into always-pass. A row edits the first match of
+# REGEX in a copy of FILE (`-`: no edit; an edit must change the copy),
+# runs the gate on the copy and wants `ok` or a refusal that prints TEXT.
+# The bench gate accepts an untouched file and a moved wall clock; it
+# refuses a moved exact value (a smoke file is held to the full file's
+# rows) and each predicate broken: floods decoded more often than one send
+# in 16; an E24 champion at 1 ns, below its random median, or at 0 over a
+# zero median; a seed sweep at 0, under the 1 ns floor; more runs than
+# evaluations; fat_tree-1024 back at its 231 bring-up epochs; an untraced
+# tuned E1 row reopening at 1 ns. The renderer refuses an edited cell, a
+# table pasted outside every block and a marker naming a missing title.
+first() { awk -v re="$2" -v to="$3" '!done && sub(re, to) { done = 1 } { print }' "$1"; }
+n=0
+while IFS="$tab" read -r file re to gate want; do
+    n=$((n + 1))
+    mkdir "$tmp/p$n"
+    copy="$tmp/p$n/$(basename "$file")"
+    if [ "$re" = - ]; then cp "$file" "$copy"; else first "$file" "$re" "$to" >"$copy"; fi
+    if [ "$re" != - ] && cmp -s "$file" "$copy"; then
+        echo "planted edit $n matched nothing in $file" >&2
+        exit 1
+    fi
+    if out=$(python3 "scripts/$gate.py" "$copy" 2>&1); then got=ok; else got="refused: $out"; fi
+    case $want in
+        ok) [ "$got" = ok ] ;;
+        *) case $got in "refused: "*"$want"*) ;; *) false ;; esac ;;
+    esac || {
+        echo "planted edit $n in $file wants '$want' from $gate.py, got: $got" >&2
+        exit 1
+    }
+done <<'EOF'
+BENCH_worst_case.json	-	-	check_bench	ok
+BENCH_worst_case.json	"search wall [^"]*": [0-9.]+	"search wall (s)": 99.5	check_bench	ok
+BENCH_worst_case.json	"evals": [0-9]+	"evals": 99	check_bench	'evals' is 99
+BENCH_scale_smoke.json	"bring-up events": [0-9]+	"bring-up events": 99	check_bench	'bring-up events' is 99
+BENCH_scale_smoke.json	"decoded": [0-9]+	"decoded": 99	check_bench	does not hold: a topology flood
+BENCH_worst_case.json	"worst blackout": [0-9]+	"worst blackout": 1	check_bench	does not hold: every champion
+BENCH_worst_case.json	"worst blackout": [0-9]+, "random median": 0,	"worst blackout": 0, "random median": 0,	check_bench	does not hold: every champion
+BENCH_worst_case.json	"min worst": [0-9]+, "median worst": [0-9]+	"min worst": 0, "median worst": 0	check_bench	does not hold: every seed sweep
+BENCH_worst_case.json	"runs": [0-9]+	"runs": 999	check_bench	does not hold: every search and seed sweep starts
+BENCH_scale.json	"fat_tree 1024", "bring-up events": [0-9]+, "bring-up control messages": [0-9]+, "bring-up epochs": [0-9]+	"fat_tree 1024", "bring-up events": 1, "bring-up control messages": 1, "bring-up epochs": 231	check_bench	does not hold: the fat_tree-1024 bring-up
+BENCH_reconfig.json	"tuned, tracing off", "topology": "src-30", "paper reconfig": "~170 ms", "faults": 3, "reconfig": null, "detection": null, "fault-to-open": [0-9]+	"tuned, tracing off", "topology": "src-30", "paper reconfig": "~170 ms", "faults": 3, "reconfig": null, "detection": null, "fault-to-open": 1	check_bench	does not hold: tuned with tracing off
+EXPERIMENTS.md	^\| naive 	| NAIVE 	render_experiments	re-rendered 1 stale table
+EXPERIMENTS.md	^<!-- /BENCH -->	&\n\n| a | b |\n|---|---|\n| 1 | 2 |	render_experiments	a table outside every rendered block
+EXPERIMENTS.md	^<!-- BENCH_reconfig\.json: E1: 	<!-- BENCH_reconfig.json: E0: 	render_experiments	has no table titled
+EOF
 
 echo "==> Perfetto trace schema"
 # The smoke E22 above just emitted the flagship span trace; validate it
@@ -144,103 +111,80 @@ python3 scripts/check_bench.py benchmark/out/results-smoke.json
 echo "==> tracked Rust lines outside benchmark/ (ROADMAP item 7: this number falls)"
 git ls-files '*.rs' ':!benchmark' | xargs wc -l | tail -1
 
-echo "==> one seam: no harness crate, no Action enum, no datapath telemetry"
-if [ -e crates/harness ] ||
-    grep -rEn 'enum Action|Action::|DatapathTelemetry|sample_datapath' \
-        crates src tests examples --include='*.rs' | grep -v HostAction; then
-    echo "the Autopilot reaches its switch through Environment only (DESIGN.md, The seam)" >&2
-    exit 1
-fi
-
-echo "==> one bucket layout: no metrics registry beside the spine"
-if [ -e crates/trace/src/metrics.rs ] ||
-    grep -rEn 'MetricsRegistry|MetricsSnapshot|kernel_metrics|Histogram::' crates src tests examples; then
-    echo "quantiles come from autonet_sim::bucket_quantile or exact sorted values (DESIGN.md, Profiling and postmortems)" >&2
-    exit 1
-fi
-
-echo "==> oracles fold over the spine: no port poll, no snapshots, no blackout switch"
-if grep -rEn 'observe_ports|PortObservation|NodeSnapshot|check_blackouts' crates src tests examples; then
-    echo "every oracle reads the event spine only (DESIGN.md, Oracle list)" >&2
-    exit 1
-fi
-
-echo "==> the table oracle holds channel edges, not tables"
-# Everything above the unit tests, which build tables to install.
-if awk '/^#\[cfg\(test\)\]/ { exit } { print FNR ": " $0 }' crates/check/src/oracle.rs | grep 'ForwardingTable'; then
-    echo "each installed table is folded once, at install (DESIGN.md, Oracle list)" >&2
-    exit 1
-fi
-
-echo "==> every knob has two users: single-valued fields stay constants"
-# Each former struct's file, checked for the fields that became a const
-# beside their reader. GenOptions::same_slot_pct (scenario.rs) stays.
-if grep -rEn 'BridgeParams|PostmortemConfig' crates src tests examples ||
-    grep -En 'pub (blockage_samples|probe_miss_limit):' crates/core/src/params.rs ||
-    grep -En 'pub (liveness_interval|reply_timeout|vigorous_interval|alternate_retry|tx_buffer_frames):' \
-        crates/host/src/controller.rs ||
-    grep -En 'pub (cpu_discard|cpu_forward|bus_per_byte|latency|max_forward_len):' crates/host/src/bridge.rs ||
-    grep -En 'pub (fc_interval|cut_through_bytes|router_decision_slots|discard_drain_rate):' \
-        crates/switch/src/datapath/mod.rs ||
-    grep -En 'pub (bringup_budget_ms|blackout_slack):' crates/check/src/oracle.rs ||
-    grep -En 'pub (before|after|max_events):' crates/check/src/postmortem.rs ||
-    grep -En 'pub same_slot_pct:' crates/check/src/worst_case.rs; then
-    echo "a field stays settable only while two non-test callers need different values (DESIGN.md, Knobs)" >&2
-    exit 1
-fi
-
-echo "==> one kernel queue: no bucket ring or overflow heap beside KeyedHeap"
-# calendar.rs holds the queue both kernels pop, queue.rs the EventQueue
-# oracle; no other file of the kernel keeps pending events in a heap.
-if grep -rEn 'fn rebuild|fn search_min|\bbuckets: Vec<|\boverflow: BinaryHeap' crates/sim/src ||
-    grep -rl 'BinaryHeap' crates/sim/src | grep -vE '^crates/sim/src/(calendar|queue)\.rs$'; then
-    echo "both kernels pop one KeyedHeap, and EventQueue is only its oracle (DESIGN.md, The sim kernel at scale)" >&2
-    exit 1
-fi
-
-echo "==> one tick grid: each backend keeps its own, the control program exports none"
-# A skipped tick never reaches the Autopilot, so a core-side next-tick or
-# next-sample accessor would go stale under the packet backend.
-if grep -rEn 'pub fn next_(tick|sample)' crates/core/src ||
-    grep -rEn 'next_(tick|sample)\(\)' crates/net/src; then
-    echo "switch_node::schedule_tick and schedule_sample are where the packet backend computes its instants (DESIGN.md, The seam)" >&2
-    exit 1
-fi
-
-echo "==> one sampling entry point, one campaign backend"
-# The sampling round is Autopilot::sample_ports; the campaign engine
-# drives Net<D> on either kernel, with no adapter trait between them.
-if grep -rEn 'NodeHarness|SlotSubstrate|run_slot\b|trait Substrate' crates src tests examples; then
-    echo "backends call Autopilot::sample_ports at their own cadence; campaigns run on Net<D> (DESIGN.md, The seam; The scenario engine)" >&2
-    exit 1
-fi
-
-echo "==> one observation log: the spine, deliveries, NetStats and node state"
-# Opens and closes are spine events, completion is NetStats, host
-# failover is the host controller's own state; no second per-event log.
-if grep -rEn 'NetEvent|NetEventKind|fn log_event|HostAction::(PortSwitched|AddressLearned)' \
-    crates src tests examples; then
-    echo "the network keeps one typed log, autonet_trace::EventLog (DESIGN.md, Observability: the typed event spine)" >&2
-    exit 1
-fi
-
-echo "==> one walk: resuming from first quiescence and from a pause share one loop"
-# A second walk loop, or a second ordering of a schedule's events, could
-# drift from the one the fork cache keys its pauses and memo by.
-if [ "$(grep -rn 'fn walk\b' crates/check/src | wc -l)" -ne 1 ] ||
-    [ "$(grep -rnF 'sort_by_key(|e| e.at_ms)' crates/check/src | wc -l)" -ne 1 ]; then
-    echo "runs walk one Run::walk, in engine::walk_order (DESIGN.md, Boot once, fork per candidate)" >&2
-    exit 1
-fi
-
-echo "==> one table image: dense prefix rows, one one-hop base"
-# Prefix runs live in dense per-in-port rows, not a hash map; the one-hop
-# entries are programmed once, into the base every table starts from.
-if grep -En 'HashMap<\(PortIndex, SwitchNumber\)' crates/switch/src/forwarding.rs ||
-    grep -rn 'program_one_hop(' crates src tests examples --include='*.rs' |
-    grep -v 'fn program_one_hop(' | grep -v '^crates/core/src/routes.rs:' ||
-    [ "$(grep -c 'program_one_hop(' crates/core/src/routes.rs)" -ne 2 ]; then
-    echo "a table is one shared image; synthesis starts from routes::cleared_table (DESIGN.md, Forwarding-table prefix runs)" >&2
+echo "==> guards: one way to do each thing, each guard caught by its plant"
+# A row: name; ERE (`-`: the scope paths must not exist); scope; files
+# allowed to match (`cfg(test)`: each file from its first `#[cfg(test)]`
+# on); expected matches (0: forbidden); the DESIGN.md text saying why; a
+# plant, one line the row must catch. hits ROOT ERE SCOPE ALLOWED prints
+# the row's matches under ROOT, and exits 2 if a scope path is missing.
+hits() (
+    cd "$1"
+    if [ "$2" = - ]; then
+        for p in $3; do [ ! -e "$p" ] || echo "$p exists"; done
+        exit 0
+    fi
+    for p in $3; do [ -e "$p" ] || exit 2; done
+    grep -rIHEn -- "$2" $3 | while IFS=: read -r f line text; do
+        case " $4 " in *" $f "*) continue ;; esac
+        if [ "$4" = 'cfg(test)' ]; then
+            t=$(grep -n -m1 '^#\[cfg(test)\]' "$f" | cut -d: -f1)
+            [ -z "$t" ] || [ "$line" -lt "$t" ] || continue
+        fi
+        printf '%s:%s:%s\n' "$f" "$line" "$text"
+    done
+)
+count() { printf '%s' "$1" | grep -c . || true; }
+while IFS="$tab" read -r name ere scope allowed want anchor plant; do
+    grep -qF "$anchor" DESIGN.md || { echo "guard '$name': DESIGN.md lost '$anchor'" >&2; exit 1; }
+    found=$(hits . "$ere" "$scope" "$allowed") || { echo "guard '$name': missing scope in $scope" >&2; exit 1; }
+    if [ "$(count "$found")" -ne "$want" ]; then
+        printf '%s\n' "$found" >&2
+        echo "guard '$name': want $want matches in $scope (DESIGN.md, $anchor)" >&2
+        exit 1
+    fi
+    # The self-test: a copy of the scope with the plant in its first path.
+    root="$tmp/guard"
+    rm -rf "$root" && mkdir "$root"
+    for p in $scope; do
+        [ ! -e "$p" ] || { mkdir -p "$root/$(dirname "$p")" && cp -R "$p" "$root/$p"; }
+    done
+    p=${scope%% *}
+    if [ "$ere" = - ]; then mkdir -p "$root/$p"
+    elif [ -d "$p" ]; then printf '%s\n' "$plant" >"$root/$p/guard_plant.rs"
+    else { printf '%s\n' "$plant"; cat "$p"; } >"$root/$p"; fi
+    if ! found=$(hits "$root" "$ere" "$scope" "$allowed") || [ "$(count "$found")" -ne $((want + 1)) ]; then
+        echo "guard '$name' did not catch its plant ($plant)" >&2
+        exit 1
+    fi
+done <<'EOF'
+harness crate	-	crates/harness	-	0	The seam	-
+Action enum	enum Action|\bAction::|DatapathTelemetry|sample_datapath	crates src tests examples	-	0	The seam	enum Action {}
+metrics module	-	crates/trace/src/metrics.rs	-	0	Profiling and postmortems	-
+metrics registry	MetricsRegistry|MetricsSnapshot|kernel_metrics|Histogram::	crates src tests examples	-	0	Profiling and postmortems	let r = MetricsRegistry::new();
+port polls	observe_ports|PortObservation|NodeSnapshot|check_blackouts	crates src tests examples	-	0	Oracle list	fn observe_ports() {}
+tables in the table oracle	ForwardingTable	crates/check/src/oracle.rs	cfg(test)	0	Oracle list	use autonet_switch::ForwardingTable;
+knob structs	BridgeParams|PostmortemConfig	crates src tests examples	-	0	Knobs	struct BridgeParams;
+autopilot knobs	pub (blockage_samples|probe_miss_limit):	crates/core/src/params.rs	-	0	Knobs	pub blockage_samples: u32,
+host driver knobs	pub (liveness_interval|reply_timeout|vigorous_interval|alternate_retry|tx_buffer_frames):	crates/host/src/controller.rs	-	0	Knobs	pub reply_timeout: u64,
+bridge knobs	pub (cpu_discard|cpu_forward|bus_per_byte|latency|max_forward_len):	crates/host/src/bridge.rs	-	0	Knobs	pub latency: u64,
+datapath knobs	pub (fc_interval|cut_through_bytes|router_decision_slots|discard_drain_rate):	crates/switch/src/datapath/mod.rs	-	0	Knobs	pub fc_interval: u64,
+oracle knobs	pub (bringup_budget_ms|blackout_slack):	crates/check/src/oracle.rs	-	0	Knobs	pub blackout_slack: u64,
+postmortem knobs	pub (before|after|max_events):	crates/check/src/postmortem.rs	-	0	Knobs	pub max_events: usize,
+search knob	pub same_slot_pct:	crates/check/src/worst_case.rs	-	0	Knobs	pub same_slot_pct: u8,
+bucket ring	fn rebuild|fn search_min|\bbuckets: Vec<|\boverflow: BinaryHeap	crates/sim/src	-	0	The sim kernel at scale	fn rebuild() {}
+second kernel heap	BinaryHeap	crates/sim/src	crates/sim/src/calendar.rs crates/sim/src/queue.rs	0	The sim kernel at scale	use std::collections::BinaryHeap;
+core tick accessor	pub fn next_(tick|sample)	crates/core/src	-	0	The seam	pub fn next_tick() {}
+net tick reads	next_(tick|sample)\(\)	crates/net/src	-	0	The seam	let t = ap.next_sample();
+campaign adapters	NodeHarness|SlotSubstrate|run_slot\b|trait Substrate	crates src tests examples	-	0	scenario engine	trait Substrate {}
+second event log	NetEvent|NetEventKind|fn log_event|HostAction::(PortSwitched|AddressLearned)	crates src tests examples	-	0	Observability: the typed event spine	fn log_event() {}
+one walk	fn walk\b	crates/check/src	-	1	Boot once, fork per candidate	fn walk() {}
+one walk order	sort_by_key\(\|e\| e\.at_ms\)	crates/check/src	-	1	Boot once, fork per candidate	events.sort_by_key(|e| e.at_ms);
+hashed prefix runs	HashMap<\(PortIndex, SwitchNumber\)	crates/switch/src/forwarding.rs	-	0	Forwarding-table prefix runs	runs: HashMap<(PortIndex, SwitchNumber), u8>,
+one-hop entries elsewhere	program_one_hop\(	crates src tests examples	crates/core/src/routes.rs	0	Forwarding-table prefix runs	program_one_hop(&mut table);
+one-hop base	program_one_hop\(	crates/core/src/routes.rs	-	2	Forwarding-table prefix runs	program_one_hop(&mut table);
+EOF
+if hits . x no/such/path -; then
+    echo "a guard whose scope is missing passed" >&2
     exit 1
 fi
 

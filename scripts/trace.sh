@@ -8,7 +8,7 @@
 #   simultaneous_failures  four link cuts within 1 ms on a 4x4 torus
 #   src_link_cut           one trunk cut on the 30-switch SRC network (E1)
 #
-# --critical-path appends each epoch's per-phase per-node critical path
+# --critical-path appends each burst's per-phase per-node critical path
 # (see also scripts/interruption.sh for the data-plane blackout view).
 # --perfetto <out.json> exports the causal span tree in Chrome Trace
 # Event Format; drop the file onto https://ui.perfetto.dev to scrub

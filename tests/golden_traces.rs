@@ -151,6 +151,41 @@ fn golden_interruption_single_link_cut() {
     );
 }
 
+/// E21's attribution on E21's src-30 cut: the burst holding the first
+/// epoch the cut started begins at or after the cut, and it is the one
+/// E21 reports (the first settled burst to do so), not a bring-up epoch.
+#[test]
+fn src30_cut_is_attributed_to_its_own_burst() {
+    let mut topo = gen::src_network(1991);
+    gen::add_dual_homed_hosts(&mut topo, 1, 7);
+    let mut net = Network::new(topo, NetParams::tuned(), 42);
+    net.run_until_stable(SimTime::from_secs(120))
+        .expect("bring-up");
+    net.run_for(SimDuration::from_secs(2));
+    let before = net.autopilot(SwitchId(0)).epoch();
+    let cut_at = net.now() + SimDuration::from_millis(10);
+    net.schedule_link_down(cut_at, LinkId(11));
+    net.run_for(SimDuration::from_millis(50));
+    net.run_until_stable(net.now() + SimDuration::from_secs(120))
+        .expect("heals");
+    let timeline = Timeline::build(net.trace_log().records());
+    let mut epochs = timeline.epochs.iter().map(|r| r.epoch);
+    let first = epochs
+        .find(|&e| e > before)
+        .expect("the cut starts an epoch");
+    let paths: Vec<_> = timeline.critical_paths().collect();
+    let (cut_path, _) = paths
+        .iter()
+        .find(|(cp, from)| cp.epoch == first || from.contains(&first))
+        .expect("the cut's burst settles");
+    assert!(
+        cut_path.segments[0].start >= cut_at,
+        "the cut's burst starts before the cut"
+    );
+    let reported = paths.iter().find(|(cp, _)| cp.segments[0].start >= cut_at);
+    assert_eq!(reported.map(|(cp, _)| cp.epoch), Some(cut_path.epoch));
+}
+
 /// The golden serialization itself must be reproducible: two consecutive
 /// runs of the same seeded scenario give byte-identical JSONL.
 #[test]
