@@ -2,20 +2,33 @@
 //! §4.2, §6.6.4).
 //!
 //! Two instruments: (a) the formal criterion — cycles in the channel
-//! dependency graph induced by each discipline's forwarding tables — over
-//! a family of topologies; (b) a live demonstration on the slot-level
+//! dependency graph — over a family of topologies. The up\*/down\*
+//! column synthesizes every switch's table and reads them through the
+//! online table oracle's fold (`autonet_check::table_cycle`); the
+//! unrestricted column is a model over every minimal route
+//! (`RouteComputer::unrestricted_dependency_cycle`), since those tables
+//! are never synthesized. (b) A live demonstration on the slot-level
 //! datapath, where cyclically-routed traffic wedges the fabric and
 //! up\*/down\* drains it.
 
 use autonet_bench::{Report, Table, Value};
-use autonet_core::{global_from_view_simple, RouteComputer, RouteKind};
+use autonet_check::table_cycle;
+use autonet_core::{compute_forwarding_table, global_from_view_simple, RouteComputer, RouteKind};
 use autonet_topo::{gen, Topology};
 
 fn cdg_row(name: &str, topo: &Topology) -> [Value; 5] {
     let global = global_from_view_simple(&topo.view_all()).expect("non-empty");
     let rc = RouteComputer::new(&global).expect("well-formed");
-    let updown = rc.has_dependency_cycle(RouteKind::UpDown);
-    let shortest = rc.has_dependency_cycle(RouteKind::Unrestricted);
+    let tables: Vec<_> = topo
+        .switch_ids()
+        .map(|s| {
+            let table =
+                compute_forwarding_table(&global, topo.switch(s).uid, &[], RouteKind::UpDown);
+            (s, table.expect("routable"))
+        })
+        .collect();
+    let updown = table_cycle(topo, tables.iter().map(|(s, t)| (*s, t))).is_some();
+    let shortest = rc.unrestricted_dependency_cycle();
     assert!(!updown, "{name}: up*/down* produced a dependency cycle");
     [
         name.into(),

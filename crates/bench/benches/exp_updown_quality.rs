@@ -20,24 +20,11 @@ fn row(name: &str, topo: &Topology) -> [Value; 4] {
     let total: u64 = loads.iter().sum();
     let mean = total as f64 / loads.len().max(1) as f64;
     let max = *loads.iter().max().unwrap_or(&0) as f64;
-    // Pairs with the same legal and shortest distance.
-    let mut optimal_pairs = 0u64;
-    let mut pairs = 0u64;
-    for a in global.switches.iter() {
-        for b in global.switches.iter() {
-            if a.uid == b.uid {
-                continue;
-            }
-            pairs += 1;
-            if rc.legal_dist(a.uid, b.uid) == rc.unrestricted_dist(a.uid, b.uid) {
-                optimal_pairs += 1;
-            }
-        }
-    }
+    let at_shortest = stats.shortest_pairs as f64 * 100.0 / stats.pairs.max(1) as f64;
     [
         name.into(),
         inflation.into(),
-        (optimal_pairs as f64 * 100.0 / pairs.max(1) as f64).into(),
+        at_shortest.into(),
         (max / mean.max(1e-9)).into(),
     ]
 }

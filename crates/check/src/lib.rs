@@ -12,7 +12,8 @@
 //!   timed waypoints), replayable deterministically from a seed;
 //! - online invariant checkers ([`OracleConfig`], [`Violation`]) evaluated
 //!   at every table install and epoch transition, fed by the typed event
-//!   spine the network drains;
+//!   spine the network drains; [`table_cycle`] is the table oracle's
+//!   channel-dependency fold over any given tables;
 //! - [`BootedCampaign`] — one engine over the packet-level network on
 //!   either event kernel (only the classic one has the [`ProbeFlows`] a
 //!   hosted campaign needs), stopped at first quiescence: boot a world
@@ -48,6 +49,7 @@ pub use scenario::{
 };
 pub use shrink::{packet_reproducer, shrink_schedule, Reproducer};
 pub use substrate::ProbeFlows;
+pub use tables::table_cycle;
 pub use worst_case::{mutants, worst_case_search, WorstCaseConfig, WorstCaseResult};
 
 use autonet_core::AutopilotParams;

@@ -21,7 +21,9 @@
 //! Each table is read once, when it is installed, down to that switch's
 //! channel edges ([`table_edges`]); a check concatenates the edge lists of
 //! the switches open on one epoch and runs one cycle search
-//! ([`channel_cycle`]).
+//! ([`channel_cycle`]). [`table_cycle`] is the same fold over a given set
+//! of tables, for judging synthesized tables outside a run (E4 and the
+//! routing tests).
 //!
 //! Broadcast addresses are excluded. Broadcast traffic is confined to
 //! spanning-tree links by construction (the flood sets name tree children
@@ -77,6 +79,21 @@ pub(crate) fn table_edges(
     edges
 }
 
+/// Looks for a cycle in the channel dependency graph of the given
+/// `(switch, table)` pairs of `topo`, one pair per switch, and names its
+/// channels; `None` if the tables are acyclic. Up\*/down\* tables, as
+/// `compute_forwarding_table` synthesizes them, always are.
+pub fn table_cycle<'t>(
+    topo: &Topology,
+    tables: impl IntoIterator<Item = (SwitchId, &'t ForwardingTable)>,
+) -> Option<Vec<String>> {
+    let edges: Vec<(usize, usize)> = tables
+        .into_iter()
+        .flat_map(|(s, table)| table_edges(topo, s, table))
+        .collect();
+    channel_cycle(topo, &edges)
+}
+
 /// Looks for a cycle among the concatenated [`table_edges`] of some
 /// switches and names its channels, or returns `None` if they are acyclic.
 /// Each list holds all out-edges of its channels in order, so however the
@@ -122,12 +139,10 @@ mod tests {
         tables: &[Option<ForwardingTable>],
         order: &[usize],
     ) -> Option<Vec<String>> {
-        let edges: Vec<(usize, usize)> = order
+        let open = order
             .iter()
-            .filter_map(|&s| Some(table_edges(topo, SwitchId(s), tables[s].as_ref()?)))
-            .flatten()
-            .collect();
-        channel_cycle(topo, &edges)
+            .filter_map(|&s| Some((SwitchId(s), tables[s].as_ref()?)));
+        table_cycle(topo, open)
     }
 
     fn check(topo: &Topology, tables: &[Option<ForwardingTable>]) -> Option<Vec<String>> {
@@ -190,19 +205,29 @@ mod tests {
         channel_cycle(topo, &edges)
     }
 
-    /// Tables the real route computation produces are cycle-free.
+    /// Tables the real route computation produces are cycle-free: on
+    /// tori, a tree and random graphs.
     #[test]
     fn computed_tables_have_no_channel_cycle() {
-        let topo = gen::torus(3, 3, 5);
-        let view = topo.view_all();
-        let global = global_from_view(&view, Epoch(1), &BTreeMap::new()).unwrap();
-        let tables: Vec<Option<ForwardingTable>> = topo
-            .switch_ids()
-            .map(|s| compute_forwarding_table(&global, topo.switch(s).uid, &[], RouteKind::UpDown))
-            .collect();
-        assert!(tables.iter().all(|t| t.is_some()));
-        assert_eq!(check(&topo, &tables), None);
-        assert_eq!(per_in_port_scan(&topo, &tables), None);
+        let random = (1..15).map(|seed| gen::random_connected(16, 10, seed));
+        let topos = [
+            gen::torus(3, 3, 5),
+            gen::torus(4, 4, 11),
+            gen::tree(2, 3, 13),
+        ];
+        for topo in topos.into_iter().chain(random) {
+            let view = topo.view_all();
+            let global = global_from_view(&view, Epoch(1), &BTreeMap::new()).unwrap();
+            let tables: Vec<Option<ForwardingTable>> = topo
+                .switch_ids()
+                .map(|s| {
+                    compute_forwarding_table(&global, topo.switch(s).uid, &[], RouteKind::UpDown)
+                })
+                .collect();
+            assert!(tables.iter().all(|t| t.is_some()));
+            assert_eq!(check(&topo, &tables), None);
+            assert_eq!(per_in_port_scan(&topo, &tables), None);
+        }
     }
 
     /// A hand-built two-switch ping-pong entry is the smallest loop.

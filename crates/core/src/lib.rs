@@ -27,8 +27,9 @@
 //!   transport. Each backend keeps its own tick and sample cadence and
 //!   calls `on_tick` and [`Autopilot::sample_ports`] when they fall due.
 //! - Baselines for the experiments: timeout-based termination
-//!   ([`TerminationMode::RootQuiescence`]) and unrestricted shortest-path
-//!   routing ([`RouteKind::Unrestricted`]).
+//!   ([`TerminationMode::RootQuiescence`]) and a model of unrestricted
+//!   shortest-path routing
+//!   ([`RouteComputer::unrestricted_dependency_cycle`]).
 
 mod addressing;
 mod autopilot;

@@ -58,7 +58,7 @@ use std::sync::Mutex;
 use autonet_switch::ForwardingTable;
 use autonet_wire::{PortIndex, Uid};
 
-use crate::routes::{link_ports_of, synthesize_table, Phase, RouteComputer};
+use crate::routes::{link_ports_of, synthesize_table, LegalFields, Phase, RouteComputer};
 use crate::topology::GlobalTopology;
 
 /// Work counters, for the benches and the equivalence experiments. Purely
@@ -108,10 +108,7 @@ impl RouteCacheStats {
 #[derive(Clone)]
 struct SharedRoutes {
     rc: RouteComputer,
-    /// `from_up[v]` = legal distances from the fresh state `(v, Up)`.
-    from_up: Vec<Vec<u32>>,
-    /// `from_down[v]` = legal distances from `(v, Down)`.
-    from_down: Vec<Vec<u32>>,
+    fields: LegalFields,
     /// Per node: `(local port, far uid, far port, arriving-at-far is up)`
     /// for each incident deduplicated trunk link — everything synthesis
     /// reads about a switch's own attachment, for the delta proof.
@@ -123,14 +120,8 @@ impl SharedRoutes {
     /// same condition under which `compute_forwarding_table` bails).
     fn build(global: &GlobalTopology) -> Option<SharedRoutes> {
         let rc = RouteComputer::new(global)?;
-        let n = rc.num_switches();
-        let from_up: Vec<Vec<u32>> = (0..n)
-            .map(|v| rc.legal_dists_from_state(v, Phase::Up))
-            .collect();
-        let from_down: Vec<Vec<u32>> = (0..n)
-            .map(|v| rc.legal_dists_from_state(v, Phase::Down))
-            .collect();
-        let link_sig: Vec<Vec<(PortIndex, Uid, PortIndex, bool)>> = (0..n)
+        let fields = rc.legal_fields();
+        let link_sig: Vec<Vec<(PortIndex, Uid, PortIndex, bool)>> = (0..rc.num_switches())
             .map(|v| {
                 link_ports_of(&rc, v)
                     .into_iter()
@@ -149,42 +140,9 @@ impl SharedRoutes {
             .collect();
         Some(SharedRoutes {
             rc,
-            from_up,
-            from_down,
+            fields,
             link_sig,
         })
-    }
-
-    /// Synthesizes one switch's table from slices of the shared pool —
-    /// exactly the fields `compute_forwarding_table` would have BFS'd.
-    fn table_for_switch(
-        &self,
-        global: &GlobalTopology,
-        my_uid: Uid,
-        live_host_ports: &[PortIndex],
-    ) -> Option<ForwardingTable> {
-        let me = self.rc.node(my_uid)?;
-        let far_fields: Vec<(PortIndex, bool, &[u32])> = link_ports_of(&self.rc, me)
-            .into_iter()
-            .map(|(port, li, far)| {
-                let up = self.rc.is_up_traversal(li, far);
-                let field = if up {
-                    self.from_up[far].as_slice()
-                } else {
-                    self.from_down[far].as_slice()
-                };
-                (port, up, field)
-            })
-            .collect();
-        synthesize_table(
-            &self.rc,
-            global,
-            my_uid,
-            live_host_ports,
-            &self.from_up[me],
-            &self.from_down[me],
-            &far_fields,
-        )
     }
 }
 
@@ -247,15 +205,17 @@ impl RouteCache {
         live_host_ports: &[PortIndex],
     ) -> Option<ForwardingTable> {
         let mut inner = self.inner.lock().expect("route cache poisoned");
-        let held = inner.current.as_ref();
-        if !held.is_some_and(|g| g.global.same_object(global)) {
-            // Hash outside the lock: shards share one cache.
-            drop(inner);
-            let digest = global.content_digest();
-            inner = self.inner.lock().expect("route cache poisoned");
-            inner.ensure_generation(digest, global);
-        }
-        inner.serve(my_uid, live_host_ports)
+        let cur = match inner.current.take_if(|g| g.global.same_object(global)) {
+            Some(cur) => cur,
+            None => {
+                // Hash outside the lock: shards share one cache.
+                drop(inner);
+                let digest = global.content_digest();
+                inner = self.inner.lock().expect("route cache poisoned");
+                inner.generation(digest, global)
+            }
+        };
+        inner.serve(cur, my_uid, live_host_ports)
     }
 }
 
@@ -291,19 +251,20 @@ fn tree_preserved(a: &GlobalTopology, b: &GlobalTopology) -> bool {
 }
 
 impl Inner {
-    /// Makes `current` the generation for `digest`, rotating or swapping
-    /// as needed. A digest matching `previous` (a fault that healed back
-    /// to the prior shape) promotes it back without rebuilding.
-    fn ensure_generation(&mut self, digest: u64, global: &GlobalTopology) {
+    /// Takes the generation for `digest` out of `current`, rotating or
+    /// building as needed; [`Inner::serve`] puts it back. A digest
+    /// matching `previous` (a fault that healed back to the prior shape)
+    /// promotes it back without rebuilding.
+    fn generation(&mut self, digest: u64, global: &GlobalTopology) -> Generation {
         if self.previous.as_ref().is_some_and(|g| g.digest == digest) {
             // `delta_ok` is symmetric; the swap preserves it.
             std::mem::swap(&mut self.current, &mut self.previous);
         }
-        if let Some(g) = self.current.as_mut().filter(|g| g.digest == digest) {
+        if let Some(mut g) = self.current.take_if(|g| g.digest == digest) {
             // Same content under new allocations (the next epoch's flood):
             // hold those, so the rest of that flood is served by identity.
             g.global = global.clone();
-            return;
+            return g;
         }
         let t0 = std::time::Instant::now();
         let shared = SharedRoutes::build(global);
@@ -317,39 +278,38 @@ impl Inner {
             shared,
             tables: BTreeMap::new(),
         };
-        self.previous = self.current.replace(fresh);
-        self.delta_ok = match (&self.current, &self.previous) {
-            (Some(c), Some(p)) => {
-                c.shared.is_some() && p.shared.is_some() && tree_preserved(&c.global, &p.global)
-            }
-            _ => false,
-        };
+        self.previous = self.current.take();
+        self.delta_ok = fresh.shared.is_some()
+            && self
+                .previous
+                .as_ref()
+                .is_some_and(|p| p.shared.is_some() && tree_preserved(&fresh.global, &p.global));
+        fresh
     }
 
-    /// The delta proof for one switch: its link signature and every
-    /// distance field its synthesis reads are unchanged from the previous
-    /// generation, so the previous table is the current table.
-    fn delta_donor(&self, my_uid: Uid, live_host_ports: &[PortIndex]) -> Option<ForwardingTable> {
+    /// The delta proof for one switch of `cur`: its link signature and
+    /// every distance field its synthesis reads are unchanged from the
+    /// previous generation, so the previous table is the current table.
+    fn delta_donor(
+        &self,
+        cur: &Generation,
+        my_uid: Uid,
+        live_host_ports: &[PortIndex],
+    ) -> Option<ForwardingTable> {
         if !self.delta_ok {
             return None;
         }
-        let cur = self.current.as_ref()?.shared.as_ref()?;
+        let cur = cur.shared.as_ref()?;
         let prev_gen = self.previous.as_ref()?;
         let prev = prev_gen.shared.as_ref()?;
         let me = cur.rc.node(my_uid)?;
-        if cur.link_sig[me] != prev.link_sig[me]
-            || cur.from_up[me] != prev.from_up[me]
-            || cur.from_down[me] != prev.from_down[me]
-        {
+        let same =
+            |v: usize, phase: Phase| cur.fields.field(v, phase) == prev.fields.field(v, phase);
+        if cur.link_sig[me] != prev.link_sig[me] || !same(me, Phase::Up) || !same(me, Phase::Down) {
             return None;
         }
         for (_port, li, far) in link_ports_of(&cur.rc, me) {
-            let changed = if cur.rc.is_up_traversal(li, far) {
-                cur.from_up[far] != prev.from_up[far]
-            } else {
-                cur.from_down[far] != prev.from_down[far]
-            };
-            if changed {
+            if !same(far, cur.rc.arrival_phase(li, far)) {
                 return None;
             }
         }
@@ -359,27 +319,37 @@ impl Inner {
             .clone()
     }
 
-    fn serve(&mut self, my_uid: Uid, live_host_ports: &[PortIndex]) -> Option<ForwardingTable> {
+    /// Serves one table from `cur`, the generation [`RouteCache::table_for`]
+    /// took out of `current`, and makes `cur` current again.
+    fn serve(
+        &mut self,
+        mut cur: Generation,
+        my_uid: Uid,
+        live_host_ports: &[PortIndex],
+    ) -> Option<ForwardingTable> {
         let t0 = std::time::Instant::now();
         let key = (my_uid, live_host_ports.to_vec());
-        if let Some(memo) = self.current.as_ref().and_then(|g| g.tables.get(&key)) {
+        if let Some(memo) = cur.tables.get(&key) {
             self.stats.served_memo += 1;
             let memo = memo.clone();
             self.stats.serve_wall_ns += t0.elapsed().as_nanos() as u64;
+            self.current = Some(cur);
             return memo;
         }
-        let table = match self.delta_donor(my_uid, live_host_ports) {
+        let table = match self.delta_donor(&cur, my_uid, live_host_ports) {
             Some(t) => {
                 self.stats.delta_reused += 1;
                 self.stats.delta_wall_ns += t0.elapsed().as_nanos() as u64;
                 Some(t)
             }
             None => {
-                let cur = self.current.as_mut().expect("generation ensured");
-                let t = cur
-                    .shared
-                    .as_ref()
-                    .and_then(|s| s.table_for_switch(&cur.global, my_uid, live_host_ports));
+                // Exactly the fields `compute_forwarding_table` would BFS,
+                // read off the shared pool.
+                let t = cur.shared.as_ref().and_then(|s| {
+                    synthesize_table(&s.rc, &cur.global, my_uid, live_host_ports, |v, phase| {
+                        s.fields.field(v, phase)
+                    })
+                });
                 match &t {
                     Some(_) => self.stats.synthesized += 1,
                     None => self.stats.unroutable += 1,
@@ -388,11 +358,8 @@ impl Inner {
                 t
             }
         };
-        self.current
-            .as_mut()
-            .expect("generation ensured")
-            .tables
-            .insert(key, table.clone());
+        cur.tables.insert(key, table.clone());
+        self.current = Some(cur);
         table
     }
 }

@@ -13,10 +13,11 @@
 //! programmed as alternative ports (dynamic multipath, trunk grouping).
 //! Broadcast addresses route up the tree to the root and flood down.
 //!
-//! [`RouteComputer`] also implements the unrestricted-shortest-path
-//! baseline and the channel-dependency-graph analysis used to demonstrate
-//! that up\*/down\* is deadlock-free where the baseline is not.
+//! [`RouteComputer`] also models the unrestricted-shortest-path baseline
+//! and its channel dependencies, for the experiments: up\*/down\* tables
+//! are judged acyclic as synthesized, the baseline is never synthesized.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -28,13 +29,13 @@ use autonet_wire::{PortIndex, ShortAddress, SwitchNumber, Uid, MAX_PORTS};
 use crate::epoch::Epoch;
 use crate::topology::{GlobalTopology, LinkInfo, SwitchInfo};
 
-/// Which routing discipline to synthesize.
+/// The routing discipline a table is synthesized for. Up\*/down\* is
+/// the only one; the type stays because `compute_forwarding_table` takes
+/// it and the repo benchmark under `benchmark/` calls that with it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RouteKind {
     /// The paper's deadlock-free discipline.
     UpDown,
-    /// Unrestricted minimal routing (the deadlock-prone baseline).
-    Unrestricted,
 }
 
 /// A deduplicated physical link in the global topology.
@@ -55,6 +56,8 @@ pub struct RoutingStats {
     pub shortest_hops_total: u64,
     /// Number of ordered pairs measured.
     pub pairs: u64,
+    /// Of those, the pairs whose legal distance equals the shortest.
+    pub shortest_pairs: u64,
     /// For every link, how many ordered pairs have it on a minimal legal
     /// route.
     pub link_loads: Vec<u64>,
@@ -93,6 +96,39 @@ pub(crate) enum Phase {
     Up,
     /// Has gone down; may only continue down.
     Down,
+}
+
+impl Phase {
+    /// The phase after one more hop, up (`up`) or down; `None` for the
+    /// one illegal turn, a down-phase packet going up.
+    pub(crate) fn after(self, up: bool) -> Option<Phase> {
+        match (self, up) {
+            (Phase::Up, true) => Some(Phase::Up),
+            (_, false) => Some(Phase::Down),
+            (Phase::Down, true) => None,
+        }
+    }
+}
+
+/// The pool of forward legal-distance fields, one per (node, phase)
+/// state: every field table synthesis, the route statistics and the
+/// route cache's delta proof read.
+#[derive(Clone)]
+pub(crate) struct LegalFields {
+    /// `from_up[v]` = legal distances from the fresh state `(v, Up)`.
+    from_up: Vec<Vec<u32>>,
+    /// `from_down[v]` = legal distances from `(v, Down)`.
+    from_down: Vec<Vec<u32>>,
+}
+
+impl LegalFields {
+    /// The field from the state `(node, phase)`.
+    pub(crate) fn field(&self, node: usize, phase: Phase) -> &[u32] {
+        match phase {
+            Phase::Up => &self.from_up[node],
+            Phase::Down => &self.from_down[node],
+        }
+    }
 }
 
 impl RouteComputer {
@@ -207,6 +243,16 @@ impl RouteComputer {
         to == up_end
     }
 
+    /// The phase a hop over `link` into `to` lands in: a hop up lands
+    /// fresh, a hop down in the down phase.
+    pub(crate) fn arrival_phase(&self, link: usize, to: usize) -> Phase {
+        if self.is_up_traversal(link, to) {
+            Phase::Up
+        } else {
+            Phase::Down
+        }
+    }
+
     /// State index for the (node, phase) BFS.
     fn state(&self, node: usize, phase: Phase) -> usize {
         node * 2
@@ -214,26 +260,6 @@ impl RouteComputer {
                 Phase::Up => 0,
                 Phase::Down => 1,
             }
-    }
-
-    /// Minimal legal hop counts from every (node, phase) state to `dst`.
-    /// `u32::MAX` marks unreachable states.
-    ///
-    /// A legal route reversed is still legal: its down links read
-    /// backwards are up links and vice versa, so up\*down\* turns into
-    /// up\*down\* again. This is therefore a read of the forward field
-    /// from `(dst, Up)`: a fresh packet at `u` is as far from `dst` as
-    /// `dst` is from `u` in either phase, and a down-phase packet at `u`
-    /// (down links only) as far as `dst` is from `(u, Up)` (up links
-    /// only).
-    fn legal_dists_to(&self, dst: usize) -> Vec<u32> {
-        let from_dst = self.legal_dists_from_state(dst, Phase::Up);
-        let mut dist = vec![u32::MAX; from_dst.len()];
-        for u in 0..self.uids.len() {
-            dist[self.state(u, Phase::Up)] = self.dist_to_node(&from_dst, u);
-            dist[self.state(u, Phase::Down)] = from_dst[self.state(u, Phase::Up)];
-        }
-        dist
     }
 
     /// Unrestricted BFS hop counts from every node to `dst`.
@@ -257,8 +283,7 @@ impl RouteComputer {
     /// Minimal legal hop count from `src` (fresh packet) to `dst`.
     pub fn legal_dist(&self, src: Uid, dst: Uid) -> Option<u32> {
         let (s, d) = (self.node(src)?, self.node(dst)?);
-        let dist = self.legal_dists_to(d);
-        let v = dist[self.state(s, Phase::Up)];
+        let v = self.dist_to_node(&self.legal_dists_from_state(s, Phase::Up), d);
         (v != u32::MAX).then_some(v)
     }
 
@@ -270,46 +295,50 @@ impl RouteComputer {
         (v != u32::MAX).then_some(v)
     }
 
-    /// All-pairs statistics: path inflation and per-link route load.
+    /// All-pairs statistics: path inflation and per-link route load, read
+    /// off the field pool (2·V legal BFS) and one unrestricted BFS per
+    /// source.
     pub fn stats(&self) -> RoutingStats {
         let n = self.uids.len();
+        let fields = self.legal_fields();
         let mut out = RoutingStats {
             link_loads: vec![0; self.links.len()],
             ..RoutingStats::default()
         };
-        for d in 0..n {
-            let legal = self.legal_dists_to(d);
-            let short = self.shortest_dists_to(d);
-            for s in 0..n {
-                if s == d {
-                    continue;
-                }
-                let lv = legal[self.state(s, Phase::Up)];
-                let sv = short[s];
-                if lv == u32::MAX || sv == u32::MAX {
+        for s in 0..n {
+            let from_src = fields.field(s, Phase::Up);
+            let short = self.shortest_dists_to(s);
+            for (d, &sv) in short.iter().enumerate() {
+                let lv = self.dist_to_node(from_src, d);
+                if s == d || lv == u32::MAX || sv == u32::MAX {
                     continue;
                 }
                 out.pairs += 1;
+                out.shortest_pairs += u64::from(lv == sv);
                 out.legal_hops_total += lv as u64;
                 out.shortest_hops_total += sv as u64;
-            }
-            // Link load: a traversal u→v on link li lies on a minimal legal
-            // route from s to d iff dist_from_start(u,p) + 1 + legal(v,p')
-            // equals the total. Count once per (s, d) pair per link.
-            for s in 0..n {
-                if s == d || legal[self.state(s, Phase::Up)] == u32::MAX {
-                    continue;
-                }
-                let total = legal[self.state(s, Phase::Up)];
-                let from_src = self.legal_dists_from_state(s, Phase::Up);
-                for (li, _) in self.links.iter().enumerate() {
-                    if self.link_on_min_route(li, &from_src, &legal, total) {
+                // Link load: count each link once per (s, d) pair it lies
+                // on some minimal legal route of.
+                for li in 0..self.links.len() {
+                    if self.link_on_min_route(li, &fields, from_src, d, lv) {
                         out.link_loads[li] += 1;
                     }
                 }
             }
         }
         out
+    }
+
+    /// The field pool: the forward field from every (node, phase) state.
+    pub(crate) fn legal_fields(&self) -> LegalFields {
+        let n = self.num_switches();
+        let from_up: Vec<Vec<u32>> = (0..n)
+            .map(|v| self.legal_dists_from_state(v, Phase::Up))
+            .collect();
+        let from_down: Vec<Vec<u32>> = (0..n)
+            .map(|v| self.legal_dists_from_state(v, Phase::Down))
+            .collect();
+        LegalFields { from_up, from_down }
     }
 
     /// Minimal legal hop counts from the state `(src, start)` to every
@@ -321,7 +350,8 @@ impl RouteComputer {
     /// dedup goes further still: every one of those fields is the
     /// from-field of *some* (node, phase) state, so a shared
     /// [`RouteCache`](crate::route_cache::RouteCache) computes the 2·V
-    /// fields once and serves every switch slices of them.
+    /// fields once ([`RouteComputer::legal_fields`]) and serves every
+    /// switch slices of them.
     pub(crate) fn legal_dists_from_state(&self, src: usize, start: Phase) -> Vec<u32> {
         let n = self.uids.len();
         let mut dist = vec![u32::MAX; n * 2];
@@ -331,13 +361,7 @@ impl RouteComputer {
         while let Some((u, phase)) = queue.pop_front() {
             let d = dist[self.state(u, phase)];
             for &(li, v) in &self.adj[u] {
-                let up = self.is_up_traversal(li, v);
-                let next = match (phase, up) {
-                    (Phase::Up, true) => Some(Phase::Up),
-                    (_, false) => Some(Phase::Down),
-                    (Phase::Down, true) => None,
-                };
-                if let Some(p) = next {
+                if let Some(p) = phase.after(self.is_up_traversal(li, v)) {
                     let s = self.state(v, p);
                     if dist[s] == u32::MAX {
                         dist[s] = d + 1;
@@ -355,22 +379,28 @@ impl RouteComputer {
         field[self.state(d, Phase::Up)].min(field[self.state(d, Phase::Down)])
     }
 
-    /// Whether some minimal legal route of length `total` crosses `link`.
-    fn link_on_min_route(&self, li: usize, from_src: &[u32], to_dst: &[u32], total: u32) -> bool {
+    /// Whether some minimal legal route of length `total` to `d`, whose
+    /// source's field is `from_src`, crosses link `li`.
+    fn link_on_min_route(
+        &self,
+        li: usize,
+        fields: &LegalFields,
+        from_src: &[u32],
+        d: usize,
+        total: u32,
+    ) -> bool {
         let l = &self.links[li];
         for (u, v) in [(l.a, l.b), (l.b, l.a)] {
             let up = self.is_up_traversal(li, v);
             for phase in [Phase::Up, Phase::Down] {
                 let du = from_src[self.state(u, phase)];
+                let Some(next) = phase.after(up) else {
+                    continue;
+                };
                 if du == u32::MAX {
                     continue;
                 }
-                let next = match (phase, up) {
-                    (Phase::Up, true) => Phase::Up,
-                    (_, false) => Phase::Down,
-                    (Phase::Down, true) => continue,
-                };
-                let dv = to_dst[self.state(v, next)];
+                let dv = self.dist_to_node(fields.field(v, next), d);
                 if dv != u32::MAX && du + 1 + dv == total {
                     return true;
                 }
@@ -379,12 +409,13 @@ impl RouteComputer {
         false
     }
 
-    /// Builds the channel-dependency edges induced by the forwarding
-    /// discipline and reports whether they contain a cycle — the formal
-    /// deadlock-possibility criterion. `UpDown` must always return `false`;
-    /// `Unrestricted` returns `true` on any topology with a cycle of
-    /// alternating shortest paths (e.g. a ring or torus).
-    pub fn has_dependency_cycle(&self, kind: RouteKind) -> bool {
+    /// Whether unrestricted shortest-path routing, modelled over every
+    /// minimal route to each destination, has a cycle in its channel
+    /// dependency graph: true on any topology with a cycle of alternating
+    /// shortest paths (a ring, a torus), false on trees. Up\*/down\*
+    /// tables are judged as synthesized instead, by the table fold in
+    /// `autonet-check`.
+    pub fn unrestricted_dependency_cycle(&self) -> bool {
         let nch = self.links.len() * 2;
         // Channel id: 2*link + (0 if delivering into `a`, 1 into `b`).
         let ch = |li: usize, to: usize| -> usize {
@@ -394,53 +425,20 @@ impl RouteComputer {
         let mut edges: std::collections::BTreeSet<(usize, usize)> =
             std::collections::BTreeSet::new();
         for d in 0..self.uids.len() {
-            match kind {
-                RouteKind::UpDown => {
-                    let to_dst = self.legal_dists_to(d);
-                    // For every in-channel (into u) and the phase it induces,
-                    // add edges to the out-channels the table would use.
-                    for (li_in, l) in self.links.iter().enumerate() {
-                        for u in [l.a, l.b] {
-                            let phase = if self.is_up_traversal(li_in, u) {
-                                Phase::Up
-                            } else {
-                                Phase::Down
-                            };
-                            let du = to_dst[self.state(u, phase)];
-                            if u == d || du == u32::MAX {
-                                continue;
-                            }
-                            for &(li_out, v) in &self.adj[u] {
-                                let next = match (phase, self.is_up_traversal(li_out, v)) {
-                                    (Phase::Up, true) => Phase::Up,
-                                    (_, false) => Phase::Down,
-                                    (Phase::Down, true) => continue,
-                                };
-                                if to_dst[self.state(v, next)].checked_add(1) == Some(du) {
-                                    edges.insert((ch(li_in, u), ch(li_out, v)));
-                                }
-                            }
-                        }
+            let to_dst = self.shortest_dists_to(d);
+            for (li_in, l) in self.links.iter().enumerate() {
+                for (n, u) in [(l.a, l.b), (l.b, l.a)] {
+                    if u == d || to_dst[u] == u32::MAX {
+                        continue;
                     }
-                }
-                RouteKind::Unrestricted => {
-                    let to_dst = self.shortest_dists_to(d);
-                    for (li_in, l) in self.links.iter().enumerate() {
-                        for (n, u) in [(l.a, l.b), (l.b, l.a)] {
-                            if u == d || to_dst[u] == u32::MAX {
-                                continue;
-                            }
-                            // Only in-channels that actually carry packets
-                            // to d: the upstream hop was itself a shortest
-                            // step toward d.
-                            if n == d || to_dst[n] != to_dst[u] + 1 {
-                                continue;
-                            }
-                            for &(li_out, v) in &self.adj[u] {
-                                if to_dst[v] != u32::MAX && to_dst[v] + 1 == to_dst[u] {
-                                    edges.insert((ch(li_in, u), ch(li_out, v)));
-                                }
-                            }
+                    // Only in-channels that actually carry packets to d:
+                    // the upstream hop was itself a shortest step toward d.
+                    if n == d || to_dst[n] != to_dst[u] + 1 {
+                        continue;
+                    }
+                    for &(li_out, v) in &self.adj[u] {
+                        if to_dst[v] != u32::MAX && to_dst[v] + 1 == to_dst[u] {
+                            edges.insert((ch(li_in, u), ch(li_out, v)));
                         }
                     }
                 }
@@ -487,9 +485,7 @@ fn program_one_hop(table: &mut ForwardingTable) {
 }
 
 /// This switch's trunk attachment points: `(local port, link index, far
-/// node)` pairs in deterministic [`RouteComputer`] link order. Shared by
-/// the from-scratch path and the route cache so the distance fields they
-/// pass to [`synthesize_table`] align positionally.
+/// node)` pairs in deterministic [`RouteComputer`] link order.
 pub(crate) fn link_ports_of(rc: &RouteComputer, me: usize) -> Vec<(PortIndex, usize, usize)> {
     let mut link_ports: Vec<(PortIndex, usize, usize)> = Vec::new();
     for (li, l) in rc.links.iter().enumerate() {
@@ -508,69 +504,43 @@ pub(crate) fn link_ports_of(rc: &RouteComputer, me: usize) -> Vec<(PortIndex, us
 /// `s.host` (which may differ from the epoch snapshot — host arrivals and
 /// departures patch tables locally without reconfiguration).
 ///
-/// Returns `None` if `my_uid` is not part of the topology, and for
-/// [`RouteKind::Unrestricted`]: the deadlock-prone baseline is analyzed
-/// ([`RouteComputer::has_dependency_cycle`]), never installed.
+/// Returns `None` if `my_uid` is not part of the topology. This is the
+/// from-scratch reference the route cache is checked against: it runs
+/// only the degree + 2 BFS its switch reads, not the whole field pool.
 pub fn compute_forwarding_table(
     global: &GlobalTopology,
     my_uid: Uid,
     live_host_ports: &[PortIndex],
-    kind: RouteKind,
+    _kind: RouteKind,
 ) -> Option<ForwardingTable> {
-    if kind != RouteKind::UpDown {
-        return None;
-    }
     // A malformed topology (possible with the timeout-termination baseline,
     // which can ship partial trees) cannot be routed; the caller keeps the
     // cleared table.
     let rc = RouteComputer::new(global)?;
-    let me = rc.node(my_uid)?;
-
-    // Forward distance fields, computed once per table: from my own two
-    // in-phases, and from the landing state of each of my links (a hop out
-    // of an `up` link lands in `(far, Up)`, a hop down in `(far, Down)`).
-    // Next hops for *every* destination fall out of the minimality
-    // equality `dist(far) + 1 == dist(me)` over these O(degree) fields.
-    let far_fields: Vec<(PortIndex, bool, Vec<u32>)> = link_ports_of(&rc, me)
-        .iter()
-        .map(|&(port, li, far)| {
-            let up = rc.is_up_traversal(li, far);
-            let landing = if up { Phase::Up } else { Phase::Down };
-            (port, up, rc.legal_dists_from_state(far, landing))
-        })
-        .collect();
-    let field_refs: Vec<(PortIndex, bool, &[u32])> = far_fields
-        .iter()
-        .map(|(port, up, field)| (*port, *up, field.as_slice()))
-        .collect();
-    synthesize_table(
-        &rc,
-        global,
-        my_uid,
-        live_host_ports,
-        &rc.legal_dists_from_state(me, Phase::Up),
-        &rc.legal_dists_from_state(me, Phase::Down),
-        &field_refs,
-    )
+    // Forward distance fields, each computed on first read: my own two
+    // in-phases and the landing state of each of my links. Next hops for
+    // *every* destination fall out of the minimality equality
+    // `dist(far) + 1 == dist(me)` over these O(degree) fields.
+    let fields: Vec<OnceCell<Vec<u32>>> = vec![OnceCell::new(); 2 * rc.num_switches()];
+    synthesize_table(&rc, global, my_uid, live_host_ports, |v, phase| {
+        fields[rc.state(v, phase)].get_or_init(|| rc.legal_dists_from_state(v, phase))
+    })
 }
 
-/// Synthesizes switch `my_uid`'s forwarding table from precomputed
-/// distance fields: the switch's own two in-phase fields plus, for each
-/// trunk link in [`link_ports_of`] order, `(local port, is-up, landing
-/// field of the far end)`. This is the single table-construction body —
-/// [`compute_forwarding_table`] feeds it per-switch BFS results, the
-/// shared [`RouteCache`](crate::route_cache::RouteCache) feeds it slices
-/// of the fleet-wide field pool — so cached and from-scratch tables are
-/// identical by construction, not by test alone.
-#[allow(clippy::too_many_arguments)] // the full synthesis input, spelled out
-pub(crate) fn synthesize_table(
+/// Synthesizes switch `my_uid`'s forwarding table from the distance
+/// fields `field(node, phase)` returns: it reads the switch's own two
+/// in-phase fields and, per trunk link, the far end's landing field. This
+/// is the single table-construction body — [`compute_forwarding_table`]
+/// feeds it per-switch BFS results, the shared
+/// [`RouteCache`](crate::route_cache::RouteCache) the fleet-wide field
+/// pool — so cached and from-scratch tables are identical by
+/// construction, not by test alone.
+pub(crate) fn synthesize_table<'f>(
     rc: &RouteComputer,
     global: &GlobalTopology,
     my_uid: Uid,
     live_host_ports: &[PortIndex],
-    from_me_up: &[u32],
-    from_me_down: &[u32],
-    far_fields: &[(PortIndex, bool, &[u32])],
+    field: impl Fn(usize, Phase) -> &'f [u32],
 ) -> Option<ForwardingTable> {
     let me = rc.node(my_uid)?;
     let my_info = global.switch(my_uid)?;
@@ -578,6 +548,17 @@ pub(crate) fn synthesize_table(
     let link_ports = link_ports_of(rc, me);
     let mut table = cleared_table();
     table.reserve_switch_numbers(numbers.iter().copied().max().unwrap_or(1));
+
+    // The fields this table reads, gathered once: my two in-phases, and
+    // per trunk link `(local port, is-up, landing field of the far end)`.
+    let (from_me_up, from_me_down) = (field(me, Phase::Up), field(me, Phase::Down));
+    let far_fields: Vec<(PortIndex, bool, &[u32])> = link_ports
+        .iter()
+        .map(|&(port, li, far)| {
+            let phase = rc.arrival_phase(li, far);
+            (port, phase == Phase::Up, field(far, phase))
+        })
+        .collect();
 
     // In-ports and the phase a packet arriving there is in.
     let mut in_ports: Vec<(PortIndex, Phase)> = vec![(0, Phase::Up)];
@@ -587,12 +568,7 @@ pub(crate) fn synthesize_table(
     for &(port, li, _far) in &link_ports {
         // A packet arriving here traversed far→me; that traversal is up if
         // I am the up end.
-        let phase = if rc.is_up_traversal(li, me) {
-            Phase::Up
-        } else {
-            Phase::Down
-        };
-        in_ports.push((port, phase));
+        in_ports.push((port, rc.arrival_phase(li, me)));
     }
 
     // --- Unicast entries per destination switch --------------------------
@@ -620,20 +596,20 @@ pub(crate) fn synthesize_table(
         let next_hops = |phase: Phase| -> PortSet {
             let mut set = PortSet::EMPTY;
             let from_me = match phase {
-                Phase::Up => &from_me_up,
-                Phase::Down => &from_me_down,
+                Phase::Up => from_me_up,
+                Phase::Down => from_me_down,
             };
             let here = rc.dist_to_node(from_me, d);
             if here == u32::MAX {
                 return set;
             }
-            for (port, up, field) in far_fields {
-                if phase == Phase::Down && *up {
+            for &(port, up, far_field) in &far_fields {
+                if phase == Phase::Down && up {
                     continue; // Down-phase packets cannot go up.
                 }
-                let dv = rc.dist_to_node(field, d);
+                let dv = rc.dist_to_node(far_field, d);
                 if dv != u32::MAX && dv + 1 == here {
-                    set.insert(*port);
+                    set.insert(port);
                 }
             }
             set
@@ -850,41 +826,6 @@ mod tests {
     }
 
     #[test]
-    fn reversed_forward_field_solves_the_route_equation() {
-        // `legal_dists_to` reads a forward field backwards. The equation
-        // pins the field it must equal: 0 at the destination, elsewhere one
-        // more than the best legal next hop (`u32::MAX` if none reaches).
-        for topo in [
-            gen::ring(8, 4),
-            gen::tree(3, 2, 6),
-            gen::random_connected(20, 8, 7),
-        ] {
-            let (_, rc) = rc_for(&topo);
-            for d in 0..rc.num_switches() {
-                let to = rc.legal_dists_to(d);
-                for (u, phase) in
-                    (0..rc.num_switches()).flat_map(|u| [(u, Phase::Up), (u, Phase::Down)])
-                {
-                    let best = rc.adj[u].iter().filter_map(|&(li, v)| {
-                        let next = match (phase, rc.is_up_traversal(li, v)) {
-                            (Phase::Down, true) => return None,
-                            (_, true) => Phase::Up,
-                            (_, false) => Phase::Down,
-                        };
-                        to[rc.state(v, next)].checked_add(1)
-                    });
-                    let want = if u == d {
-                        0
-                    } else {
-                        best.min().unwrap_or(u32::MAX)
-                    };
-                    assert_eq!(to[rc.state(u, phase)], want, "{u} {phase:?} to {d}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn legal_routes_at_least_as_long_as_shortest() {
         let topo = gen::torus(4, 4, 9);
         let (g, rc) = rc_for(&topo);
@@ -898,31 +839,11 @@ mod tests {
     }
 
     #[test]
-    fn updown_is_deadlock_free_where_unrestricted_is_not() {
-        let topo = gen::torus(4, 4, 11);
-        let (_, rc) = rc_for(&topo);
-        assert!(!rc.has_dependency_cycle(RouteKind::UpDown));
-        assert!(rc.has_dependency_cycle(RouteKind::Unrestricted));
-    }
-
-    #[test]
-    fn updown_deadlock_free_on_random_topologies() {
-        for seed in 1..15 {
-            let topo = gen::random_connected(16, 10, seed);
-            let (_, rc) = rc_for(&topo);
-            assert!(
-                !rc.has_dependency_cycle(RouteKind::UpDown),
-                "seed {seed} produced a cycle"
-            );
-        }
-    }
-
-    #[test]
-    fn tree_topology_has_no_cycles_even_unrestricted() {
-        let topo = gen::tree(2, 3, 13);
-        let (_, rc) = rc_for(&topo);
-        assert!(!rc.has_dependency_cycle(RouteKind::UpDown));
-        assert!(!rc.has_dependency_cycle(RouteKind::Unrestricted));
+    fn unrestricted_routes_cycle_except_on_trees() {
+        let (_, torus) = rc_for(&gen::torus(4, 4, 11));
+        assert!(torus.unrestricted_dependency_cycle());
+        let (_, tree) = rc_for(&gen::tree(2, 3, 13));
+        assert!(!tree.unrestricted_dependency_cycle());
     }
 
     #[test]
@@ -949,6 +870,15 @@ mod tests {
             infl < 2.0,
             "inflation {infl} implausibly high for a 4x4 torus"
         );
+    }
+
+    #[test]
+    fn ring_stats_count_the_pairs_at_shortest() {
+        // E5's ring-12 row: 84.848 % of the pairs at shortest.
+        let (_, rc) = rc_for(&gen::ring(12, 3));
+        let stats = rc.stats();
+        assert_eq!((stats.pairs, stats.shortest_pairs), (132, 112));
+        assert_eq!(format!("{:.3}", stats.inflation()), "1.185");
     }
 
     #[test]

@@ -182,6 +182,8 @@ one walk order	sort_by_key\(\|e\| e\.at_ms\)	crates/check/src	-	1	Boot once, for
 hashed prefix runs	HashMap<\(PortIndex, SwitchNumber\)	crates/switch/src/forwarding.rs	-	0	Forwarding-table prefix runs	runs: HashMap<(PortIndex, SwitchNumber), u8>,
 one-hop entries elsewhere	program_one_hop\(	crates src tests examples	crates/core/src/routes.rs	0	Forwarding-table prefix runs	program_one_hop(&mut table);
 one-hop base	program_one_hop\(	crates/core/src/routes.rs	-	2	Forwarding-table prefix runs	program_one_hop(&mut table);
+second distance read	fn legal_dists_to|RouteKind::Unrestricted|has_dependency_cycle	crates src tests examples	-	0	One field pool, one table fold	fn legal_dists_to() {}
+one table fold	fn table_edges\b	crates src tests examples	-	1	One field pool, one table fold	fn table_edges() {}
 EOF
 if hits . x no/such/path -; then
     echo "a guard whose scope is missing passed" >&2

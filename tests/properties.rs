@@ -58,10 +58,19 @@ proptest! {
         extra in 0usize..12,
         seed in 1u64..10_000,
     ) {
+        use autonet::autopilot::compute_forwarding_table;
+        use autonet_check::table_cycle;
         let topo = gen::random_connected(n, extra, seed);
         let global = global_from_view_simple(&topo.view_all()).expect("non-empty");
-        let rc = RouteComputer::new(&global).expect("well-formed");
-        prop_assert!(!rc.has_dependency_cycle(RouteKind::UpDown));
+        let tables: Vec<_> = topo
+            .switch_ids()
+            .map(|s| {
+                let uid = topo.switch(s).uid;
+                let table = compute_forwarding_table(&global, uid, &[], RouteKind::UpDown);
+                (s, table.expect("routable"))
+            })
+            .collect();
+        prop_assert_eq!(table_cycle(&topo, tables.iter().map(|(s, t)| (*s, t))), None);
     }
 
     /// Every switch can reach every other via a legal route, and legal

@@ -15,7 +15,6 @@ use autonet::wire::{ShortAddress, Uid};
 /// Returns the sim plus each host's (id, short address).
 fn datapath_with_computed_tables(
     topo: &Topology,
-    kind: RouteKind,
     config: DatapathConfig,
 ) -> (DatapathSim, Vec<(DpHostId, ShortAddress)>) {
     let global = global_from_view_simple(&topo.view_all()).expect("non-empty topology");
@@ -61,8 +60,8 @@ fn datapath_with_computed_tables(
         .collect();
     for s in topo.switch_ids() {
         let uid = topo.switch(s).uid;
-        let table =
-            compute_forwarding_table(&global, uid, &live[&s], kind).expect("switch in topology");
+        let table = compute_forwarding_table(&global, uid, &live[&s], RouteKind::UpDown)
+            .expect("switch in topology");
         *sim.table_mut(sw[s.0]) = table;
     }
     (sim, hosts)
@@ -83,8 +82,7 @@ fn torus_with_hosts(seed: u64) -> Topology {
 #[test]
 fn computed_updown_tables_deliver_all_pairs() {
     let topo = torus_with_hosts(3);
-    let (mut sim, hosts) =
-        datapath_with_computed_tables(&topo, RouteKind::UpDown, DatapathConfig::default());
+    let (mut sim, hosts) = datapath_with_computed_tables(&topo, DatapathConfig::default());
     // Every host sends one packet to every other host.
     let mut expected = 0;
     for (i, &(h, _)) in hosts.iter().enumerate() {
@@ -107,8 +105,7 @@ fn heavy_updown_traffic_never_deadlocks() {
     // Long packets, all-pairs, limited buffering: the stress pattern that
     // wedges cyclic routes. Up*/down* must drain it.
     let topo = torus_with_hosts(5);
-    let (mut sim, hosts) =
-        datapath_with_computed_tables(&topo, RouteKind::UpDown, DatapathConfig::default());
+    let (mut sim, hosts) = datapath_with_computed_tables(&topo, DatapathConfig::default());
     for round in 0..3 {
         for (i, &(h, _)) in hosts.iter().enumerate() {
             let j = (i + 1 + round) % hosts.len();
@@ -134,8 +131,7 @@ fn cyclic_routes_deadlock_on_a_ring_where_updown_does_not() {
                 .expect("port");
         }
         if !clockwise {
-            let (sim, hosts) =
-                datapath_with_computed_tables(&topo, RouteKind::UpDown, DatapathConfig::default());
+            let (sim, hosts) = datapath_with_computed_tables(&topo, DatapathConfig::default());
             return (sim, hosts);
         }
         // Manual clockwise tables. Ring links from gen::ring: link i joins
@@ -251,8 +247,7 @@ fn cyclic_routes_deadlock_on_a_ring_where_updown_does_not() {
 #[test]
 fn broadcast_tables_flood_every_host_exactly_once() {
     let topo = torus_with_hosts(7);
-    let (mut sim, hosts) =
-        datapath_with_computed_tables(&topo, RouteKind::UpDown, DatapathConfig::default());
+    let (mut sim, hosts) = datapath_with_computed_tables(&topo, DatapathConfig::default());
     sim.send(hosts[4].0, ShortAddress::BROADCAST_HOSTS, 300, true);
     let outcome = sim.run_until_drained(30_000_000, 50_000);
     assert_eq!(outcome, RunOutcome::Drained);
