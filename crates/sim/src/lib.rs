@@ -2,8 +2,8 @@
 //!
 //! This crate provides the substrate on which every Autonet experiment runs:
 //! a virtual clock ([`SimTime`]), a deterministic event queue
-//! ([`KeyedHeap`]: compact `(time, key, slot)` entries in a binary heap over
-//! a payload slab, under both driver loops), the classic driver loop
+//! ([`KeyedHeap`]: a monotone radix queue of `(time, key)` entries over a
+//! payload slab, under both driver loops), the classic driver loop
 //! ([`Simulator`]) and the sharded one ([`ShardedSimulator`]), and a seeded
 //! platform-independent random number generator ([`SimRng`]).
 //! [`EventQueue`], a plain binary heap of whole entries, is not the

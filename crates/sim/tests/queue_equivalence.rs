@@ -1,10 +1,11 @@
 //! The kernel's queue, `KeyedHeap`, must be a drop-in replacement for the
 //! binary-heap reference: identical pop order — including FIFO
-//! tie-breaking among simultaneous events — on adversarial batches of
-//! clustered, spread, and far-future timestamps, under arbitrary push/pop
-//! interleavings, and on a simulator-shaped population. The caller-keyed
-//! form the sharded executor uses is checked the same way against a heap
-//! of full `(time, src, seq)` stamps.
+//! tie-breaking among simultaneous events, also across the refills that
+//! move a bucket's instant into the radix queue's `near` heap — on
+//! adversarial batches of clustered, spread, and far-future timestamps,
+//! under arbitrary push/pop interleavings, and on simulator-shaped
+//! populations. The caller-keyed form the sharded executor uses is checked
+//! the same way against a heap of full `(time, src, seq)` stamps.
 //!
 //! Both forms, and the `Simulator` built on the first, are `Clone`: a
 //! clone taken at any point is an independent queue (kernel) that goes on
@@ -51,6 +52,19 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
         ],
         1..600,
     )
+}
+
+/// Delays a network simulation schedules: zero-delay follow-ups, µs packet
+/// deliveries, ms timers and faults seconds ahead. Each spread lands in a
+/// different bucket above the floor, and its entries are placed again as
+/// the floor climbs through them.
+fn delay_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        1 => Just(0u64),
+        4 => 1_000u64..50_001,
+        2 => prop_oneof![Just(1_200_000u64), Just(5_000_000u64), 1_000_000u64..20_000_000],
+        1 => 1_000_000_000u64..=3_000_000_000,
+    ]
 }
 
 proptest! {
@@ -112,38 +126,75 @@ proptest! {
 
     /// A simulator-shaped workload: monotone "now" advancing with each
     /// pop, pushes always at or after now (the Scheduler's contract), with
-    /// bursts of simultaneous events.
+    /// bursts of simultaneous events at mixed delays. Each step pushes a
+    /// burst at `now + delay` and pops up to two; every pop, peek and
+    /// length agrees with the reference, down to the last entry.
     #[test]
     fn causal_workload_matches_reference(
-        seeds in prop::collection::vec((0u64..50_000, 1u8..8), 1..300)
+        steps in prop::collection::vec((delay_strategy(), 1usize..12, 0usize..3), 1..400)
     ) {
         let mut heap = EventQueue::new();
         let mut q = KeyedHeap::new();
         let mut payload = 0usize;
         let mut now = 0u64;
-        for (delay, burst) in seeds {
+        for (delay, burst, pops) in steps {
+            let at = SimTime::from_nanos(now + delay);
             for _ in 0..burst {
-                let t = now + delay;
-                heap.push(SimTime::from_nanos(t), payload);
-                q.push(SimTime::from_nanos(t), payload);
+                heap.push(at, payload);
+                q.push(at, payload);
                 payload += 1;
             }
-            let a = heap.pop();
-            let b = q.pop();
-            prop_assert_eq!(a, b);
-            if let Some((t, _)) = a {
-                now = t.as_nanos();
+            for _ in 0..pops {
+                let next = heap.pop();
+                prop_assert_eq!(q.pop(), next);
+                if let Some((t, _)) = next {
+                    now = t.as_nanos();
+                }
             }
+            prop_assert_eq!(q.peek_time(), heap.peek_time());
+            prop_assert_eq!(q.len(), heap.len());
         }
-        loop {
-            let a = heap.pop();
-            let b = q.pop();
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
+        while let Some(next) = heap.pop() {
+            prop_assert_eq!(q.pop(), Some(next));
         }
+        prop_assert!(q.is_empty());
     }
+}
+
+/// Entries at one instant pop in push order whether they were pushed
+/// before the refill that moved the instant into `near`, after it, or
+/// after a push below the floor.
+#[test]
+fn equal_times_stay_fifo_across_a_refill() {
+    let at = SimTime::from_nanos;
+    let mut pair = Fifo::default();
+    pair.push(at(10), 0, 0);
+    // Above the floor (10): 1 000 and 1 500 wait in buckets.
+    for payload in 1..4 {
+        pair.push(at(1_000), 0, payload);
+    }
+    pair.push(at(1_500), 0, 4);
+    // Popping 10 empties `near`, so 1 000 becomes the floor and its three
+    // entries move to `near`.
+    assert_eq!(pair.pop(), Some((at(10), 0)));
+    // At the floor: these queue behind the three moved there.
+    for payload in 5..8 {
+        pair.push(at(1_000), 0, payload);
+    }
+    // Below the floor, as an outside caller may push.
+    pair.push(at(900), 0, 8);
+    assert_eq!(pair.pop(), Some((at(900), 8)));
+    for payload in [1, 2, 3] {
+        assert_eq!(pair.pop(), Some((at(1_000), payload)));
+    }
+    // Once more at the floor while `near` still holds that instant;
+    // popping the last of them refills `near` from 1 500's bucket.
+    pair.push(at(1_000), 0, 9);
+    for payload in [5, 6, 7, 9] {
+        assert_eq!(pair.pop(), Some((at(1_000), payload)));
+    }
+    assert_eq!(pair.pop(), Some((at(1_500), 4)));
+    assert_eq!(pair.pop(), None);
 }
 
 /// Fills `q` with 80 near entries and a few hours ahead of them, runs
@@ -275,6 +326,37 @@ proptest! {
     }
 }
 
+/// A fork taken right after a refill: the helper's earliest entries are at
+/// 0, 35, 36 and 37 ns; the prefix pushes two more at 35 ns and pops 0 ns,
+/// which refills `near` with 35 ns's three entries just before the clone.
+/// The suffix pushes at that instant, below it and hours ahead, and pops
+/// through all of it.
+#[test]
+fn a_fork_taken_right_after_a_refill_pops_like_the_original() {
+    let prefix = || [Some(35), Some(35), None].into_iter();
+    let hour = 3_600_000_000_000;
+    let suffix = || {
+        [Some(35), None, Some(20), Some(35), Some(2 * hour + 1)]
+            .into_iter()
+            .chain(std::iter::repeat_n(None, 12))
+            .chain([Some(999), Some(999), None, None, None])
+    };
+    clone_pops_like_the_original(
+        KeyedHeap::new(),
+        |q, t, payload| q.push(t, payload),
+        prefix(),
+        suffix(),
+    )
+    .expect("the FIFO fork pops like the original");
+    clone_pops_like_the_original(
+        KeyedHeap::keyed(),
+        |q, t, payload| q.push_keyed(t, (u32::MAX - payload as u32, payload), payload),
+        prefix(),
+        suffix(),
+    )
+    .expect("the keyed fork pops like the original");
+}
+
 /// The sharded executor's queue: ordered by the canonical `(time, src,
 /// seq)` stamp supplied by the caller, not by insertion order. Reference:
 /// the `BinaryHeap<Reverse<stamp>>` it replaced.
@@ -385,6 +467,7 @@ impl Pair for Fifo {
         let next = self.1.pop();
         assert_eq!(self.0.pop(), next);
         assert_eq!(self.0.len(), self.1.len());
+        assert_eq!(self.0.peek_time(), self.1.peek_time());
         next
     }
 }
@@ -448,9 +531,9 @@ fn emit(
 /// and a 5 ms sample timer on a grid shared by a quarter of the nodes
 /// (ties); each timer firing sends a packet 1–50 µs ahead, and 45 % of the
 /// deliveries send another; four faults wait 1–2 s ahead, each a burst of
-/// one packet per node. Most pushes land in the µs cluster: a bucket ring
-/// sized from the mean spacing of this population piles that cluster into
-/// the few buckets every pop scans. Runs `POPS` pops, then drains.
+/// one packet per node. Most pushes land in the µs cluster a few bits
+/// above the floor; the timers' and faults' entries are placed again each
+/// time the floor climbs past their bucket. Runs `POPS` pops, then drains.
 fn simulator_shaped(pair: &mut impl Pair) {
     let mut rng = SimRng::new(1991);
     // Node and kind of every payload pushed so far, by payload.

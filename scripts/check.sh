@@ -171,7 +171,7 @@ datapath knobs	pub (fc_interval|cut_through_bytes|router_decision_slots|discard_
 oracle knobs	pub (bringup_budget_ms|blackout_slack):	crates/check/src/oracle.rs	-	0	Knobs	pub blackout_slack: u64,
 postmortem knobs	pub (before|after|max_events):	crates/check/src/postmortem.rs	-	0	Knobs	pub max_events: usize,
 search knob	pub same_slot_pct:	crates/check/src/worst_case.rs	-	0	Knobs	pub same_slot_pct: u8,
-bucket ring	fn rebuild|fn search_min|\bbuckets: Vec<|\boverflow: BinaryHeap	crates/sim/src	-	0	The sim kernel at scale	fn rebuild() {}
+bucket ring	fn rebuild|fn search_min|bucket_width|\boverflow: BinaryHeap	crates/sim/src	-	0	The sim kernel at scale	fn rebuild() {}
 second kernel heap	BinaryHeap	crates/sim/src	crates/sim/src/calendar.rs crates/sim/src/queue.rs	0	The sim kernel at scale	use std::collections::BinaryHeap;
 core tick accessor	pub fn next_(tick|sample)	crates/core/src	-	0	The seam	pub fn next_tick() {}
 net tick reads	next_(tick|sample)\(\)	crates/net/src	-	0	The seam	let t = ap.next_sample();
