@@ -31,7 +31,7 @@
 
 use autonet_bench::{write_artifact, Report, Table, Value};
 use autonet_core::{MsgDisposition, ReconfigCause};
-use autonet_net::{Driver, Net, NetParams, NetStats, Network, PartitionedNetwork};
+use autonet_net::{Driver, HandlerProfile, Net, NetParams, NetStats, Network, PartitionedNetwork};
 use autonet_sim::{bucket_quantile, SimDuration, SimTime};
 use autonet_topo::{gen, LinkId, SwitchId, Topology};
 use autonet_trace::SpanTree;
@@ -59,9 +59,9 @@ struct Cycle {
     /// Events the cut cost, by `Event` variant: what the kernel handles
     /// between the stable network and the healed one.
     cut_kinds: Vec<(&'static str, u64)>,
-    /// How many of the cut's `SwitchTick`s ran the Autopilot; the rest
-    /// fell before the switch's next due timer.
-    cut_ticks_run: u64,
+    /// The cut's counters: `ticks_run` and `ticks_superseded` (together
+    /// every `SwitchTick`), and `samples_run`.
+    cut_stats: NetStats,
     events: u64,
     /// The whole run's counters, for its `TopologyDown` floods.
     stats: NetStats,
@@ -81,7 +81,7 @@ fn cycle<D: Driver>(net: &mut Net<D>) -> Option<Cycle> {
     let cut_at = net.now() + SimDuration::from_millis(10);
     net.schedule_link_down(cut_at, LinkId(0));
     let kinds_before = net.events_by_kind();
-    let ticks_before = net.stats().ticks_run;
+    let stats_before = net.stats();
     let wall = Instant::now();
     let healed = net.run_until_stable_every(
         SimDuration::from_millis(50),
@@ -100,7 +100,12 @@ fn cycle<D: Driver>(net: &mut Net<D>) -> Option<Cycle> {
         cut_wall: wall.elapsed().as_secs_f64(),
         ran: net.now().saturating_since(SimTime::ZERO),
         cut_kinds: cut_kinds.map(|((k, n), (_, n0))| (k, n - n0)).collect(),
-        cut_ticks_run: net.stats().ticks_run - ticks_before,
+        cut_stats: NetStats {
+            ticks_run: net.stats().ticks_run - stats_before.ticks_run,
+            ticks_superseded: net.stats().ticks_superseded - stats_before.ticks_superseded,
+            samples_run: net.stats().samples_run - stats_before.samples_run,
+            ..NetStats::default()
+        },
         events: net.events_processed(),
         stats: net.stats(),
     })
@@ -111,12 +116,13 @@ fn cycle<D: Driver>(net: &mut Net<D>) -> Option<Cycle> {
 /// extra shard) and the per-shard table's row count are exact-gated.
 const PARTITIONS: usize = 2;
 
-/// The report's seven tables, one row per topology in each but `shards`
+/// The report's eight tables, one row per topology in each but `shards`
 /// (one per shard of the profile pass).
 struct Tables {
     cost: Table,
     work: Table,
     profile: Table,
+    handlers: Table,
     route_cache: Table,
     shards: Table,
     kinds: Table,
@@ -179,6 +185,24 @@ fn tables() -> Tables {
                 "barrier wait p99.9 (µs)",
             ],
         ),
+        handlers: Table::new(
+            "E25: profile-pass events by kind, with each kind's handler wall \
+             (count × timed mean, one event in 1009 timed; ms)",
+            &[
+                "topology",
+                KINDS[0],
+                "tick ms",
+                KINDS[1],
+                "sample ms",
+                KINDS[2],
+                "rx ms",
+                KINDS[3],
+                "cpu ms",
+                "other",
+                "other ms",
+                "timed",
+            ],
+        ),
         route_cache: Table::new(
             "E22: the shared route cache over the classic cycle",
             &[
@@ -214,7 +238,9 @@ fn tables() -> Tables {
                 "topology",
                 KINDS[0],
                 "ticks run",
+                "ticks superseded",
                 KINDS[1],
+                "samples run",
                 KINDS[2],
                 KINDS[3],
                 "other",
@@ -306,8 +332,10 @@ fn measure(
     t.kinds.row([
         name.into(),
         tick.into(),
-        classic.cut_ticks_run.into(),
+        classic.cut_stats.ticks_run.into(),
+        classic.cut_stats.ticks_superseded.into(),
         sample.into(),
+        classic.cut_stats.samples_run.into(),
         rx.into(),
         cpu_done.into(),
         (total - tick - sample - rx - cpu_done).into(),
@@ -351,6 +379,18 @@ fn measure(
         wait_us(0.99),
         wait_us(0.999),
     ]);
+    let handlers = prof.handler_profile();
+    let (named, other): (Vec<&HandlerProfile>, Vec<_>) =
+        handlers.iter().partition(|h| KINDS.contains(&h.kind));
+    let mut cells = vec![name.into()];
+    for h in named {
+        cells.extend([h.events.into(), wall(h.wall_s() * 1e3)]);
+    }
+    let other_events = other.iter().map(|h| h.events).sum::<u64>();
+    let other_wall = other.iter().map(|h| h.wall_s()).sum::<f64>();
+    let timed = handlers.iter().map(|h| h.timed).sum::<u64>();
+    cells.extend([other_events.into(), wall(other_wall * 1e3), timed.into()]);
+    t.handlers.row(cells);
     for (i, s) in shards.iter().enumerate() {
         t.shards.row([
             name.into(),
@@ -446,5 +486,6 @@ fn main() {
         .table(t.shards)
         .table(t.kinds)
         .table(t.causes)
+        .table(t.handlers)
         .finish();
 }

@@ -62,10 +62,12 @@ pub(crate) mod recording {
         Trace(Event),
     }
 
-    /// Records every call; every port reads as silent.
+    /// Records every call; port `p` reads as `status[p]`, silent where
+    /// that is missing.
     #[derive(Default)]
     pub(crate) struct Recorder {
         pub(crate) calls: Vec<Call>,
+        pub(crate) status: Vec<LinkUnitStatus>,
     }
 
     impl Recorder {
@@ -106,8 +108,9 @@ pub(crate) mod recording {
             self.calls.push(Call::LoadTable(table));
         }
 
-        fn read_status(&mut self, _port: PortIndex) -> LinkUnitStatus {
-            LinkUnitStatus::new()
+        fn read_status(&mut self, port: PortIndex) -> LinkUnitStatus {
+            let status = self.status.get(port as usize).copied();
+            status.unwrap_or_else(LinkUnitStatus::new)
         }
 
         fn set_port_dead(&mut self, port: PortIndex, dead: bool) {

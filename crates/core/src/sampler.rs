@@ -32,7 +32,7 @@ pub enum SamplerEvent {
 }
 
 /// Per-port status sampler.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StatusSampler {
     state: PortState,
     skeptic: Skeptic,
@@ -152,6 +152,15 @@ impl StatusSampler {
             from,
             to: self.state,
         })
+    }
+
+    /// Whether another sample of `status` would change nothing: a step
+    /// on a clone at `now` makes no transition and leaves the clone equal,
+    /// and the port is not a clean `s.dead` port waiting out its hold
+    /// (the one state whose next step depends on the clock alone).
+    pub fn settled(&self, now: SimTime, status: LinkUnitStatus) -> bool {
+        let mut twin = self.clone();
+        self.clean_since.is_none() && twin.on_sample(now, status).is_none() && twin == *self
     }
 
     /// The connectivity monitor's refinement of an `s.switch.*` port; the
@@ -427,5 +436,25 @@ mod tests {
         let mut d = StatusSampler::new(&params());
         d.set_switch_refinement(PortState::SwitchGood);
         assert_eq!(d.state(), PortState::Dead);
+    }
+
+    /// A fresh port is dark until its hold runs out, a clean dead port
+    /// waits on the clock, a classifying port counts, and a classified
+    /// port under its own signature holds still.
+    #[test]
+    fn settles_only_where_a_sample_changes_nothing() {
+        let mut s = StatusSampler::new(&params());
+        let t = SimTime::from_millis(5);
+        assert!(s.settled(t, bad()));
+        assert!(!s.settled(t, clean_switch()));
+        s.on_sample(t, clean_switch());
+        assert!(!s.settled(t, clean_switch()), "waiting out the hold");
+        let (now, _) = drive(&mut s, t, clean_switch(), 100);
+        assert_eq!(s.state(), PortState::Checking);
+        assert!(!s.settled(now, clean_switch()), "counting the signature");
+        let (now, _) = drive(&mut s, now, clean_switch(), 10);
+        assert_eq!(s.state(), PortState::SwitchWho);
+        assert!(s.settled(now, clean_switch()));
+        assert!(!s.settled(now, bad()), "a relapse is a transition");
     }
 }

@@ -33,7 +33,7 @@ use autonet_sim::{SimDuration, SimTime};
 /// skeptic.on_bad(SimTime::from_secs(2));
 /// assert_eq!(skeptic.required_hold(), SimDuration::from_millis(400));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Skeptic {
     min_hold: SimDuration,
     max_hold: SimDuration,

@@ -37,7 +37,9 @@ pub mod workload;
 pub use autonet_core::{ProbeOutcome, ProbeRecord};
 #[doc(hidden)]
 pub use network::Driver;
-pub use network::{link_flap_events, DeliveryRecord, Net, NetStats, Network, PartitionedNetwork};
+pub use network::{
+    link_flap_events, DeliveryRecord, HandlerProfile, Net, NetStats, Network, PartitionedNetwork,
+};
 pub use params::{CpuModel, NetParams};
 pub use ring::{RingStats, TokenRing};
 pub use slotnet::SlotNet;
