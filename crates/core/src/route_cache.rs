@@ -15,14 +15,13 @@
 //! - **Shared route state.** The first serve of a topology (keyed by
 //!   [`GlobalTopology::content_digest`], which deliberately excludes the
 //!   epoch number so back-to-back epochs that agree on the same shape
-//!   coalesce into one build) constructs one [`RouteComputer`] and the
-//!   full pool of per-(node, phase) legal-distance fields. Every
-//!   per-switch field that `compute_forwarding_table` would BFS for —
-//!   the switch's own two in-phase fields and each trunk link's landing
-//!   field — is a slice of that pool, so the fleet does the route
-//!   analysis once and each switch only runs table *synthesis*
-//!   ([`synthesize_table`], the same code the from-scratch path runs —
-//!   identical output by construction).
+//!   coalesce into one build) constructs one [`RouteComputer`]. Its
+//!   per-(node, phase) legal-distance fields fill on first read, so
+//!   every field `compute_forwarding_table` would BFS for — the
+//!   switch's own two in-phase fields and each trunk link's landing
+//!   field — is computed once for the fleet, and each switch only runs
+//!   table *synthesis* ([`synthesize_table`], the same code the
+//!   from-scratch path runs — identical output by construction).
 //! - **Memoized serves.** Tables are memoized per `(switch, live host
 //!   ports)` within a topology generation, so re-serves (host-port
 //!   transitions, retransmitted completions) are a map lookup.
@@ -58,7 +57,7 @@ use std::sync::Mutex;
 use autonet_switch::ForwardingTable;
 use autonet_wire::{PortIndex, Uid};
 
-use crate::routes::{link_ports_of, synthesize_table, LegalFields, Phase, RouteComputer};
+use crate::routes::{synthesize_table, Phase, RouteComputer};
 use crate::topology::GlobalTopology;
 
 /// Work counters, for the benches and the equivalence experiments. Purely
@@ -77,14 +76,15 @@ pub struct RouteCacheStats {
     /// Serves that returned no table (switch absent or topology
     /// malformed).
     pub unroutable: u64,
-    /// Wall-clock nanoseconds spent building shared route state (the
-    /// once-per-topology 2V field sweep).
+    /// Wall-clock nanoseconds spent constructing analyzers (link dedup
+    /// and orientation, once per topology; no distance field).
     pub build_wall_ns: u64,
-    /// Wall-clock nanoseconds serving tables (memo hits and synthesis;
-    /// everything in `serve` except delta reuse).
+    /// Wall-clock nanoseconds serving tables (memo hits and synthesis,
+    /// with the fields it fills; everything in `serve` except delta
+    /// reuse).
     pub serve_wall_ns: u64,
-    /// Wall-clock nanoseconds spent on delta-proof serves (proof plus
-    /// the table handover).
+    /// Wall-clock nanoseconds spent on delta-proof serves (proof, with
+    /// the fields it fills, plus the table handover).
     pub delta_wall_ns: u64,
 }
 
@@ -103,57 +103,15 @@ impl RouteCacheStats {
     }
 }
 
-/// The shared per-topology route state: one analyzer plus the complete
-/// pool of forward legal-distance fields and per-node link signatures.
-#[derive(Clone)]
-struct SharedRoutes {
-    rc: RouteComputer,
-    fields: LegalFields,
-    /// Per node: `(local port, far uid, far port, arriving-at-far is up)`
-    /// for each incident deduplicated trunk link — everything synthesis
-    /// reads about a switch's own attachment, for the delta proof.
-    link_sig: Vec<Vec<(PortIndex, Uid, PortIndex, bool)>>,
-}
-
-impl SharedRoutes {
-    /// Builds the shared state; `None` if the tree cannot be leveled (the
-    /// same condition under which `compute_forwarding_table` bails).
-    fn build(global: &GlobalTopology) -> Option<SharedRoutes> {
-        let rc = RouteComputer::new(global)?;
-        let fields = rc.legal_fields();
-        let link_sig: Vec<Vec<(PortIndex, Uid, PortIndex, bool)>> = (0..rc.num_switches())
-            .map(|v| {
-                link_ports_of(&rc, v)
-                    .into_iter()
-                    .map(|(port, li, far)| {
-                        let l = &rc.links[li];
-                        let far_port = if l.a == far { l.a_port } else { l.b_port };
-                        (
-                            port,
-                            rc.node_uid(far),
-                            far_port,
-                            rc.is_up_traversal(li, far),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        Some(SharedRoutes {
-            rc,
-            fields,
-            link_sig,
-        })
-    }
-}
-
-/// One topology generation: the digest it is keyed by, the shared route
-/// state (absent when the topology is malformed), the topology itself
+/// One topology generation: the digest it is keyed by, the shared
+/// analyzer (absent when the tree cannot be leveled, the same condition
+/// under which `compute_forwarding_table` bails), the topology itself
 /// (cheap: `Arc` fields), and the tables served so far.
 #[derive(Clone)]
 struct Generation {
     digest: u64,
     global: GlobalTopology,
-    shared: Option<SharedRoutes>,
+    rc: Option<RouteComputer>,
     tables: BTreeMap<(Uid, Vec<PortIndex>), Option<ForwardingTable>>,
 }
 
@@ -267,29 +225,31 @@ impl Inner {
             return g;
         }
         let t0 = std::time::Instant::now();
-        let shared = SharedRoutes::build(global);
+        let rc = RouteComputer::new(global);
         self.stats.build_wall_ns += t0.elapsed().as_nanos() as u64;
-        if shared.is_some() {
+        if rc.is_some() {
             self.stats.builds += 1;
         }
         let fresh = Generation {
             digest,
             global: global.clone(),
-            shared,
+            rc,
             tables: BTreeMap::new(),
         };
         self.previous = self.current.take();
-        self.delta_ok = fresh.shared.is_some()
+        self.delta_ok = fresh.rc.is_some()
             && self
                 .previous
                 .as_ref()
-                .is_some_and(|p| p.shared.is_some() && tree_preserved(&fresh.global, &p.global));
+                .is_some_and(|p| p.rc.is_some() && tree_preserved(&fresh.global, &p.global));
         fresh
     }
 
     /// The delta proof for one switch of `cur`: its link signature and
     /// every distance field its synthesis reads are unchanged from the
     /// previous generation, so the previous table is the current table.
+    /// Node indices agree across the pair: `delta_ok` proved the same
+    /// switch sequence.
     fn delta_donor(
         &self,
         cur: &Generation,
@@ -299,17 +259,19 @@ impl Inner {
         if !self.delta_ok {
             return None;
         }
-        let cur = cur.shared.as_ref()?;
+        let cur = cur.rc.as_ref()?;
         let prev_gen = self.previous.as_ref()?;
-        let prev = prev_gen.shared.as_ref()?;
-        let me = cur.rc.node(my_uid)?;
-        let same =
-            |v: usize, phase: Phase| cur.fields.field(v, phase) == prev.fields.field(v, phase);
-        if cur.link_sig[me] != prev.link_sig[me] || !same(me, Phase::Up) || !same(me, Phase::Down) {
+        let prev = prev_gen.rc.as_ref()?;
+        let me = cur.node(my_uid)?;
+        let same = |v: usize, phase: Phase| cur.field(v, phase) == prev.field(v, phase);
+        if !cur.link_signature(me).eq(prev.link_signature(me))
+            || !same(me, Phase::Up)
+            || !same(me, Phase::Down)
+        {
             return None;
         }
-        for (_port, li, far) in link_ports_of(&cur.rc, me) {
-            if !same(far, cur.rc.arrival_phase(li, far)) {
+        for (_port, li, far) in cur.link_ports(me) {
+            if !same(far, cur.arrival_phase(li, far)) {
                 return None;
             }
         }
@@ -344,12 +306,11 @@ impl Inner {
             }
             None => {
                 // Exactly the fields `compute_forwarding_table` would BFS,
-                // read off the shared pool.
-                let t = cur.shared.as_ref().and_then(|s| {
-                    synthesize_table(&s.rc, &cur.global, my_uid, live_host_ports, |v, phase| {
-                        s.fields.field(v, phase)
-                    })
-                });
+                // read off the shared analyzer.
+                let t = cur
+                    .rc
+                    .as_ref()
+                    .and_then(|rc| synthesize_table(rc, &cur.global, my_uid, live_host_ports));
                 match &t {
                     Some(_) => self.stats.synthesized += 1,
                     None => self.stats.unroutable += 1,

@@ -40,11 +40,11 @@ pub enum RouteKind {
 
 /// A deduplicated physical link in the global topology.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct GLink {
-    pub(crate) a: usize,
-    pub(crate) a_port: PortIndex,
-    pub(crate) b: usize,
-    pub(crate) b_port: PortIndex,
+struct GLink {
+    a: usize,
+    a_port: PortIndex,
+    b: usize,
+    b_port: PortIndex,
 }
 
 /// Aggregate statistics over a route computation, for the experiments.
@@ -75,7 +75,9 @@ impl RoutingStats {
 }
 
 /// Analyzer for one global topology: link directions, legal distances,
-/// baseline distances, deadlock analysis and table synthesis.
+/// baseline distances, deadlock analysis and table synthesis. It is the
+/// one owner of the topology's legal-distance fields: each is computed
+/// on its first read and kept.
 #[derive(Clone)]
 pub struct RouteComputer {
     uids: Vec<Uid>,
@@ -84,9 +86,12 @@ pub struct RouteComputer {
     /// Per node: its assigned switch number; `None` unless the topology
     /// numbers every switch (no table can be synthesized then).
     numbers: Option<Vec<SwitchNumber>>,
-    pub(crate) links: Vec<GLink>,
-    /// Per node: outgoing (link index, far node) pairs.
+    links: Vec<GLink>,
+    /// Per node: outgoing (link index, far node) pairs, in link order.
     adj: Vec<Vec<(usize, usize)>>,
+    /// Per (node, phase) state: the forward legal-distance field from it,
+    /// filled on first read.
+    fields: Vec<OnceCell<Vec<u32>>>,
 }
 
 /// Phase of a packet under the up\*/down\* rule.
@@ -106,27 +111,6 @@ impl Phase {
             (Phase::Up, true) => Some(Phase::Up),
             (_, false) => Some(Phase::Down),
             (Phase::Down, true) => None,
-        }
-    }
-}
-
-/// The pool of forward legal-distance fields, one per (node, phase)
-/// state: every field table synthesis, the route statistics and the
-/// route cache's delta proof read.
-#[derive(Clone)]
-pub(crate) struct LegalFields {
-    /// `from_up[v]` = legal distances from the fresh state `(v, Up)`.
-    from_up: Vec<Vec<u32>>,
-    /// `from_down[v]` = legal distances from `(v, Down)`.
-    from_down: Vec<Vec<u32>>,
-}
-
-impl LegalFields {
-    /// The field from the state `(node, phase)`.
-    pub(crate) fn field(&self, node: usize, phase: Phase) -> &[u32] {
-        match phase {
-            Phase::Up => &self.from_up[node],
-            Phase::Down => &self.from_down[node],
         }
     }
 }
@@ -196,6 +180,7 @@ impl RouteComputer {
             adj[l.b].push((li, l.a));
         }
         let numbers = uids.iter().map(|&u| global.number_of(u)).collect();
+        let fields = vec![OnceCell::new(); 2 * uids.len()];
         Some(RouteComputer {
             uids,
             index,
@@ -203,6 +188,7 @@ impl RouteComputer {
             numbers,
             links,
             adj,
+            fields,
         })
     }
 
@@ -220,13 +206,43 @@ impl RouteComputer {
         self.index.get(&uid).copied()
     }
 
-    pub(crate) fn node_uid(&self, node: usize) -> Uid {
-        self.uids[node]
+    /// The port at which `node` attaches to link `link`.
+    fn port_at(&self, link: usize, node: usize) -> PortIndex {
+        let l = &self.links[link];
+        if l.a == node {
+            l.a_port
+        } else {
+            l.b_port
+        }
+    }
+
+    /// Switch `me`'s trunk attachment points: `(local port, link index,
+    /// far node)` in link order.
+    pub(crate) fn link_ports(
+        &self,
+        me: usize,
+    ) -> impl Iterator<Item = (PortIndex, usize, usize)> + '_ {
+        self.adj[me]
+            .iter()
+            .map(move |&(li, far)| (self.port_at(li, me), li, far))
+    }
+
+    /// Everything synthesis reads about switch `me`'s own attachment: per
+    /// trunk link, `(local port, far uid, far port, whether the hop to the
+    /// far end goes up)`. The route cache's delta proof compares it.
+    pub(crate) fn link_signature(
+        &self,
+        me: usize,
+    ) -> impl Iterator<Item = (PortIndex, Uid, PortIndex, bool)> + '_ {
+        self.link_ports(me).map(move |(port, li, far)| {
+            let up = self.is_up_traversal(li, far);
+            (port, self.uids[far], self.port_at(li, far), up)
+        })
     }
 
     /// Returns `true` if traversing `link` arriving at `to` moves toward
     /// the "up" end.
-    pub(crate) fn is_up_traversal(&self, link: usize, to: usize) -> bool {
+    fn is_up_traversal(&self, link: usize, to: usize) -> bool {
         let l = &self.links[link];
         let (a, b) = (l.a, l.b);
         let up_end = match self.levels[a].cmp(&self.levels[b]) {
@@ -283,7 +299,7 @@ impl RouteComputer {
     /// Minimal legal hop count from `src` (fresh packet) to `dst`.
     pub fn legal_dist(&self, src: Uid, dst: Uid) -> Option<u32> {
         let (s, d) = (self.node(src)?, self.node(dst)?);
-        let v = self.dist_to_node(&self.legal_dists_from_state(s, Phase::Up), d);
+        let v = self.dist_to_node(self.field(s, Phase::Up), d);
         (v != u32::MAX).then_some(v)
     }
 
@@ -296,17 +312,15 @@ impl RouteComputer {
     }
 
     /// All-pairs statistics: path inflation and per-link route load, read
-    /// off the field pool (2·V legal BFS) and one unrestricted BFS per
-    /// source.
+    /// off the legal-distance fields and one unrestricted BFS per source.
     pub fn stats(&self) -> RoutingStats {
         let n = self.uids.len();
-        let fields = self.legal_fields();
         let mut out = RoutingStats {
             link_loads: vec![0; self.links.len()],
             ..RoutingStats::default()
         };
         for s in 0..n {
-            let from_src = fields.field(s, Phase::Up);
+            let from_src = self.field(s, Phase::Up);
             let short = self.shortest_dists_to(s);
             for (d, &sv) in short.iter().enumerate() {
                 let lv = self.dist_to_node(from_src, d);
@@ -320,7 +334,7 @@ impl RouteComputer {
                 // Link load: count each link once per (s, d) pair it lies
                 // on some minimal legal route of.
                 for li in 0..self.links.len() {
-                    if self.link_on_min_route(li, &fields, from_src, d, lv) {
+                    if self.link_on_min_route(li, from_src, d, lv) {
                         out.link_loads[li] += 1;
                     }
                 }
@@ -329,30 +343,30 @@ impl RouteComputer {
         out
     }
 
-    /// The field pool: the forward field from every (node, phase) state.
-    pub(crate) fn legal_fields(&self) -> LegalFields {
-        let n = self.num_switches();
-        let from_up: Vec<Vec<u32>> = (0..n)
-            .map(|v| self.legal_dists_from_state(v, Phase::Up))
-            .collect();
-        let from_down: Vec<Vec<u32>> = (0..n)
-            .map(|v| self.legal_dists_from_state(v, Phase::Down))
-            .collect();
-        LegalFields { from_up, from_down }
+    /// The legal-distance field from the state `(node, phase)`, computed
+    /// on its first read and kept.
+    pub(crate) fn field(&self, node: usize, phase: Phase) -> &[u32] {
+        self.fields[self.state(node, phase)]
+            .get_or_init(|| self.legal_dists_from_state(node, phase))
+    }
+
+    /// How many fields have been read so far.
+    #[cfg(test)]
+    pub(crate) fn filled_fields(&self) -> usize {
+        self.fields.iter().filter(|f| f.get().is_some()).count()
     }
 
     /// Minimal legal hop counts from the state `(src, start)` to every
-    /// (node, phase) state, by forward BFS. The workhorse of table
-    /// synthesis: a switch needs one field per in-phase plus one per
-    /// outgoing link's landing state — O(degree) BFS per table — where a
-    /// reverse field per destination would cost O(switches) BFS per table
-    /// and make 1024-switch reconfigurations quadratic. The fleet-wide
-    /// dedup goes further still: every one of those fields is the
-    /// from-field of *some* (node, phase) state, so a shared
-    /// [`RouteCache`](crate::route_cache::RouteCache) computes the 2·V
-    /// fields once ([`RouteComputer::legal_fields`]) and serves every
-    /// switch slices of them.
-    pub(crate) fn legal_dists_from_state(&self, src: usize, start: Phase) -> Vec<u32> {
+    /// (node, phase) state, by forward BFS: the body of
+    /// [`RouteComputer::field`]. A table reads one field per in-phase plus
+    /// one per outgoing link's landing state — O(degree) BFS per table —
+    /// where a reverse field per destination would cost O(switches) BFS
+    /// per table and make 1024-switch reconfigurations quadratic. Every
+    /// one of those fields is the from-field of *some* (node, phase)
+    /// state, so switches served from one analyzer by the shared
+    /// [`RouteCache`](crate::route_cache::RouteCache) share each field,
+    /// and the fleet runs at most 2·V BFS per topology.
+    fn legal_dists_from_state(&self, src: usize, start: Phase) -> Vec<u32> {
         let n = self.uids.len();
         let mut dist = vec![u32::MAX; n * 2];
         let mut queue = std::collections::VecDeque::new();
@@ -381,14 +395,7 @@ impl RouteComputer {
 
     /// Whether some minimal legal route of length `total` to `d`, whose
     /// source's field is `from_src`, crosses link `li`.
-    fn link_on_min_route(
-        &self,
-        li: usize,
-        fields: &LegalFields,
-        from_src: &[u32],
-        d: usize,
-        total: u32,
-    ) -> bool {
+    fn link_on_min_route(&self, li: usize, from_src: &[u32], d: usize, total: u32) -> bool {
         let l = &self.links[li];
         for (u, v) in [(l.a, l.b), (l.b, l.a)] {
             let up = self.is_up_traversal(li, v);
@@ -400,7 +407,7 @@ impl RouteComputer {
                 if du == u32::MAX {
                     continue;
                 }
-                let dv = self.dist_to_node(fields.field(v, next), d);
+                let dv = self.dist_to_node(self.field(v, next), d);
                 if dv != u32::MAX && du + 1 + dv == total {
                     return true;
                 }
@@ -484,29 +491,14 @@ fn program_one_hop(table: &mut ForwardingTable) {
     }
 }
 
-/// This switch's trunk attachment points: `(local port, link index, far
-/// node)` pairs in deterministic [`RouteComputer`] link order.
-pub(crate) fn link_ports_of(rc: &RouteComputer, me: usize) -> Vec<(PortIndex, usize, usize)> {
-    let mut link_ports: Vec<(PortIndex, usize, usize)> = Vec::new();
-    for (li, l) in rc.links.iter().enumerate() {
-        if l.a == me {
-            link_ports.push((l.a_port, li, l.b));
-        }
-        if l.b == me {
-            link_ports.push((l.b_port, li, l.a));
-        }
-    }
-    link_ports
-}
-
 /// Computes the full forwarding table for switch `my_uid` from the global
 /// topology, with `live_host_ports` being the ports currently classified
 /// `s.host` (which may differ from the epoch snapshot — host arrivals and
 /// departures patch tables locally without reconfiguration).
 ///
 /// Returns `None` if `my_uid` is not part of the topology. This is the
-/// from-scratch reference the route cache is checked against: it runs
-/// only the degree + 2 BFS its switch reads, not the whole field pool.
+/// from-scratch reference the route cache is checked against: a fresh
+/// analyzer, so only the degree + 2 fields its switch reads are computed.
 pub fn compute_forwarding_table(
     global: &GlobalTopology,
     my_uid: Uid,
@@ -517,46 +509,39 @@ pub fn compute_forwarding_table(
     // which can ship partial trees) cannot be routed; the caller keeps the
     // cleared table.
     let rc = RouteComputer::new(global)?;
-    // Forward distance fields, each computed on first read: my own two
-    // in-phases and the landing state of each of my links. Next hops for
-    // *every* destination fall out of the minimality equality
-    // `dist(far) + 1 == dist(me)` over these O(degree) fields.
-    let fields: Vec<OnceCell<Vec<u32>>> = vec![OnceCell::new(); 2 * rc.num_switches()];
-    synthesize_table(&rc, global, my_uid, live_host_ports, |v, phase| {
-        fields[rc.state(v, phase)].get_or_init(|| rc.legal_dists_from_state(v, phase))
-    })
+    synthesize_table(&rc, global, my_uid, live_host_ports)
 }
 
-/// Synthesizes switch `my_uid`'s forwarding table from the distance
-/// fields `field(node, phase)` returns: it reads the switch's own two
-/// in-phase fields and, per trunk link, the far end's landing field. This
-/// is the single table-construction body — [`compute_forwarding_table`]
-/// feeds it per-switch BFS results, the shared
-/// [`RouteCache`](crate::route_cache::RouteCache) the fleet-wide field
-/// pool — so cached and from-scratch tables are identical by
+/// Synthesizes switch `my_uid`'s forwarding table from `rc`'s fields: the
+/// switch's own two in-phase fields and, per trunk link, the far end's
+/// landing field. Next hops for *every* destination fall out of the
+/// minimality equality `dist(far) + 1 == dist(me)` over these O(degree)
+/// fields. This is the single table-construction body —
+/// [`compute_forwarding_table`] runs it on a fresh analyzer, the shared
+/// [`RouteCache`](crate::route_cache::RouteCache) on one analyzer per
+/// topology — so cached and from-scratch tables are identical by
 /// construction, not by test alone.
-pub(crate) fn synthesize_table<'f>(
+pub(crate) fn synthesize_table(
     rc: &RouteComputer,
     global: &GlobalTopology,
     my_uid: Uid,
     live_host_ports: &[PortIndex],
-    field: impl Fn(usize, Phase) -> &'f [u32],
 ) -> Option<ForwardingTable> {
     let me = rc.node(my_uid)?;
     let my_info = global.switch(my_uid)?;
     let numbers = rc.numbers.as_deref()?;
-    let link_ports = link_ports_of(rc, me);
+    let link_ports: Vec<(PortIndex, usize, usize)> = rc.link_ports(me).collect();
     let mut table = cleared_table();
     table.reserve_switch_numbers(numbers.iter().copied().max().unwrap_or(1));
 
     // The fields this table reads, gathered once: my two in-phases, and
     // per trunk link `(local port, is-up, landing field of the far end)`.
-    let (from_me_up, from_me_down) = (field(me, Phase::Up), field(me, Phase::Down));
+    let (from_me_up, from_me_down) = (rc.field(me, Phase::Up), rc.field(me, Phase::Down));
     let far_fields: Vec<(PortIndex, bool, &[u32])> = link_ports
         .iter()
         .map(|&(port, li, far)| {
             let phase = rc.arrival_phase(li, far);
-            (port, phase == Phase::Up, field(far, phase))
+            (port, phase == Phase::Up, rc.field(far, phase))
         })
         .collect();
 
@@ -652,13 +637,7 @@ pub(crate) fn synthesize_table<'f>(
     for child in global.children_of(my_uid) {
         // Find the link whose child-side port is the child's parent port.
         for &(port, li, far) in &link_ports {
-            let l = &rc.links[li];
-            let far_uid = rc.uids[far];
-            if far_uid != child.uid {
-                continue;
-            }
-            let far_port = if l.a == far { l.a_port } else { l.b_port };
-            if far_port == child.parent_port {
+            if rc.uids[far] == child.uid && rc.port_at(li, far) == child.parent_port {
                 child_ports.insert(port);
             }
         }
@@ -879,6 +858,24 @@ mod tests {
         let stats = rc.stats();
         assert_eq!((stats.pairs, stats.shortest_pairs), (132, 112));
         assert_eq!(format!("{:.3}", stats.inflation()), "1.185");
+    }
+
+    /// The analyzer computes a field on its first read and no other: one
+    /// table reads its switch's two in-phases and one landing state per
+    /// trunk link, the statistics read every state a legal route reaches.
+    #[test]
+    fn fields_fill_on_first_read() {
+        let (g, rc) = rc_for(&gen::fat_tree(&[2, 2], 3));
+        assert_eq!(rc.filled_fields(), 0);
+        let me = rc.num_switches() / 2;
+        let trunks = rc.link_ports(me).count();
+        assert!(trunks > 1);
+        synthesize_table(&rc, &g, rc.uids[me], &[]).unwrap();
+        assert_eq!(rc.filled_fields(), 2 + trunks);
+        rc.stats();
+        // Every state but the root's down phase: a hop into the root
+        // always goes up, so no packet is ever there going down.
+        assert_eq!(rc.filled_fields(), 2 * rc.num_switches() - 1);
     }
 
     #[test]

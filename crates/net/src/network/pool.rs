@@ -12,8 +12,8 @@
 //! environment view may borrow the rest of the world), runs it, and
 //! puts it back. The dead-port mirror is written as each verdict is
 //! reached, so other switches reading it between entry points see
-//! exactly the live state. The timer mirror is written at every put, and
-//! the tick it calls for is armed from it (see `switch_node`).
+//! exactly the live state. The tick a put calls for is armed from the
+//! Autopilot's own timer bound (see `switch_node`).
 
 use std::sync::Arc;
 
@@ -37,10 +37,6 @@ pub(super) struct SwitchPool {
     /// a looped-back cable reads mid-round); a boot or reboot condemns
     /// the whole row. [`put`](Self::put) holds debug builds to that.
     pub(super) dead: Vec<[bool; MAX_PORTS]>,
-    /// Per-switch timer mirror: [`Autopilot::timer_due`] as of the last
-    /// [`put`](Self::put), a lower bound below which a tick would make no
-    /// call. Zero (every tick runs) until the first put.
-    pub(super) tick_due: Vec<SimTime>,
     /// The instant of the switch's one live pending `SwitchTick`; `MAX`
     /// when none is armed.
     pub(super) tick_at: Vec<SimTime>,
@@ -71,7 +67,6 @@ impl SwitchPool {
         SwitchPool {
             slots: Vec::new(),
             dead: Vec::new(),
-            tick_due: Vec::new(),
             tick_at: Vec::new(),
             last_tick: Vec::new(),
             sample_at: Vec::new(),
@@ -103,7 +98,6 @@ impl SwitchPool {
         let ap = self.fresh_autopilot(uid, params, tracing);
         self.slots.push(Some(ap));
         self.dead.push([true; MAX_PORTS]);
-        self.tick_due.push(SimTime::ZERO);
         self.tick_at.push(SimTime::MAX);
         self.last_tick.push(SimTime::ZERO);
         self.sample_at.push(SimTime::MAX);
@@ -127,7 +121,6 @@ impl SwitchPool {
     ) {
         self.slots[s] = Some(self.fresh_autopilot(uid, params, tracing));
         self.dead[s] = [true; MAX_PORTS];
-        self.tick_due[s] = SimTime::ZERO;
         self.tick_at[s] = SimTime::MAX;
         self.sample_at[s] = SimTime::MAX;
         self.table[s] = ForwardingTable::new();
@@ -156,7 +149,6 @@ impl SwitchPool {
             (0..MAX_PORTS).all(|p| self.dead[s][p] == is_dead(&ap, p)),
             "switch {s}: the dead-port mirror missed a verdict"
         );
-        self.tick_due[s] = ap.timer_due();
         self.slots[s] = Some(ap);
     }
 
@@ -190,7 +182,6 @@ impl Clone for SwitchPool {
         SwitchPool {
             slots,
             dead: self.dead.clone(),
-            tick_due: self.tick_due.clone(),
             tick_at: self.tick_at.clone(),
             last_tick: self.last_tick.clone(),
             sample_at: self.sample_at.clone(),
@@ -277,7 +268,6 @@ mod tests {
     fn reset_installs_a_fresh_node() {
         let mut pool = pool(&[1]);
         pool.dead[0][2] = false;
-        pool.tick_due[0] = SimTime::MAX;
         pool.tick_at[0] = SimTime::ZERO;
         pool.reset_slot(
             0,
@@ -288,7 +278,7 @@ mod tests {
         );
         assert_eq!(pool.autopilot(0).uid(), Uid::new(9));
         assert!(pool.dead[0][2]);
-        assert_eq!(pool.tick_due[0], SimTime::ZERO);
+        assert_eq!(pool.autopilot(0).timer_due(), SimTime::ZERO);
         assert_eq!(pool.tick_at[0], SimTime::MAX);
         assert_eq!(pool.incarnation[0], 1);
     }

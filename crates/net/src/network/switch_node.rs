@@ -134,11 +134,8 @@ impl NetWorld {
         Some(msg)
     }
 
-    /// Runs one entry point of switch `s` at `now`; the pool's put
-    /// refreshes the dead-port mirror from the Autopilot's verdicts
-    /// (port states only change inside entry points, so other switches
-    /// reading the mirror see exactly the live state) and the timer
-    /// mirror, from which the switch's tick is re-armed.
+    /// Runs one entry point of switch `s` at `now`, then re-arms the
+    /// switch's tick from the Autopilot's timer bound.
     fn with_autopilot(
         &mut self,
         now: SimTime,
@@ -154,8 +151,9 @@ impl NetWorld {
             now,
         };
         f(&mut ap, &mut env);
+        let due = ap.timer_due();
         self.switches.put(s, ap);
-        self.arm_tick(now, s, sched);
+        self.arm_tick(now, s, due, sched);
     }
 
     pub(super) fn on_switch_boot(
@@ -180,14 +178,14 @@ impl NetWorld {
     }
 
     /// Arms switch `s`'s tick at the first point of its timer grid that is
-    /// at or after both `now` and the timer mirror and later than the last
-    /// tick handled: the tick the fixed grid would run next. A tick armed
-    /// no later stays; one armed later is superseded (its event is dropped
-    /// when it comes due). The mirror only falls between ticks, so one
+    /// at or after both `now` and `due`, the Autopilot's
+    /// [`timer_due`](Autopilot::timer_due), and later than the last tick
+    /// handled: the tick the fixed grid would run next. A tick armed no
+    /// later stays; one armed later is superseded (its event is dropped
+    /// when it comes due). The bound only falls between ticks, so one
     /// comparison settles most calls.
-    fn arm_tick(&mut self, now: SimTime, s: usize, sched: &mut Scheduler<'_, Event>) {
+    fn arm_tick(&mut self, now: SimTime, s: usize, due: SimTime, sched: &mut Scheduler<'_, Event>) {
         let pool = &mut self.switches;
-        let due = pool.tick_due[s];
         if due >= pool.tick_at[s] {
             return;
         }
@@ -237,7 +235,10 @@ impl NetWorld {
             sched.at(now, Event::SwitchTick { s, inc });
             return;
         }
-        debug_assert!(now >= self.switches.tick_due[s], "switch {s}: an idle tick");
+        debug_assert!(
+            now >= self.switches.autopilot(s).timer_due(),
+            "switch {s}: an idle tick"
+        );
         self.switches.tick_at[s] = SimTime::MAX;
         self.switches.last_tick[s] = now;
         self.stats.ticks_run += 1;

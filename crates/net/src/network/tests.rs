@@ -392,14 +392,19 @@ fn two_components_flooding_alternately_converge() {
     );
 }
 
-/// Every switch's timer mirror travels with a fork, and the fork runs
+/// Every switch's timer bound travels with a fork, and the fork runs
 /// exactly the ticks and rounds the original runs; on a settled network
 /// that is few of the grids' instants.
 #[test]
-fn timer_mirror_survives_a_fork() {
+fn timer_bounds_survive_a_fork() {
     let mut net = stable_net(gen::torus(3, 3, 5), 2);
     let mut fork = net.clone();
-    let due = |net: &Network| net.sim.world().switches.tick_due.clone();
+    let due = |net: &Network| -> Vec<SimTime> {
+        let pool = &net.sim.world().switches;
+        (0..pool.len())
+            .map(|s| pool.autopilot(s).timer_due())
+            .collect()
+    };
     let rounds = |net: &Network| net.events_by_kind()[2];
     assert_eq!(due(&fork), due(&net));
     assert!(due(&net).iter().all(|&t| t > net.now()), "{:?}", due(&net));

@@ -190,6 +190,8 @@ one-hop entries elsewhere	program_one_hop\(	crates src tests examples	crates/cor
 one-hop base	program_one_hop\(	crates/core/src/routes.rs	-	2	Forwarding-table prefix runs	program_one_hop(&mut table);
 second distance read	fn legal_dists_to|RouteKind::Unrestricted|has_dependency_cycle	crates src tests examples	-	0	One field pool, one table fold	fn legal_dists_to() {}
 one table fold	fn table_edges\b	crates src tests examples	-	1	One field pool, one table fold	fn table_edges() {}
+second field pool	LegalFields|fn legal_fields|SharedRoutes	crates src tests examples	-	0	One field pool	struct SharedRoutes;
+field cells elsewhere	OnceCell<Vec<u32>>	crates src tests examples	crates/core/src/routes.rs	0	One field pool	let f: Vec<OnceCell<Vec<u32>>> = Vec::new();
 EOF
 if hits . x no/such/path -; then
     echo "a guard whose scope is missing passed" >&2
