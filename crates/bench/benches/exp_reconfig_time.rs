@@ -90,7 +90,6 @@ fn measure_preset(spec: &PresetRow<'_>, times: &mut Table, cache: &mut Table) {
         spec.topo_label.into(),
         s.builds.into(),
         s.served_memo.into(),
-        s.delta_reused.into(),
         s.synthesized.into(),
     ]);
 }
@@ -122,7 +121,6 @@ fn main() {
             "topology",
             "builds",
             "served memo",
-            "delta reused",
             "synthesized",
         ],
     );

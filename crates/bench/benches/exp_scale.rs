@@ -209,12 +209,10 @@ fn tables() -> Tables {
                 "topology",
                 "builds",
                 "served memo",
-                "delta reused",
                 "synthesized",
                 "unroutable",
                 "build wall (ms)",
                 "serve wall (ms)",
-                "delta wall (ms)",
             ],
         ),
         shards: Table::new(
@@ -346,12 +344,10 @@ fn measure(
         name.into(),
         rc.builds.into(),
         rc.served_memo.into(),
-        rc.delta_reused.into(),
         rc.synthesized.into(),
         rc.unroutable.into(),
         ms(rc.build_wall_ns),
         ms(rc.serve_wall_ns),
-        ms(rc.delta_wall_ns),
     ]);
 
     // Profile pass: same scenario, partitioned kernel, tracing and shard

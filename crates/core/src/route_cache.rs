@@ -1,4 +1,4 @@
-//! Fleet-shared, incremental forwarding-table computation.
+//! Fleet-shared forwarding-table computation.
 //!
 //! Step 5 of reconfiguration runs at every switch independently: each one
 //! receives the same agreed [`GlobalTopology`] and derives its own
@@ -7,32 +7,29 @@
 //! simulator all N switches live in one process, so the fleet was paying
 //! the O(V+E) route analysis (link dedup and orientation, legal-distance
 //! BFS fields) N times per epoch for byte-identical inputs. At the scale
-//! tier this dominated the cut-heal wall clock (ROADMAP open item 2).
+//! tier this dominated the cut-heal wall clock (E23).
 //!
 //! [`RouteCache`] deduplicates that work without changing a single table
 //! byte:
 //!
 //! - **Shared route state.** The first serve of a topology (keyed by
-//!   [`GlobalTopology::content_digest`], which deliberately excludes the
-//!   epoch number so back-to-back epochs that agree on the same shape
-//!   coalesce into one build) constructs one [`RouteComputer`]. Its
-//!   per-(node, phase) legal-distance fields fill on first read, so
-//!   every field `compute_forwarding_table` would BFS for — the
-//!   switch's own two in-phase fields and each trunk link's landing
-//!   field — is computed once for the fleet, and each switch only runs
-//!   table *synthesis* ([`synthesize_table`], the same code the
-//!   from-scratch path runs — identical output by construction).
+//!   [`GlobalTopology::content_digest`], which hashes exactly what
+//!   analyzer construction and synthesis read, so back-to-back epochs
+//!   that agree on the same shape coalesce into one build) constructs
+//!   one [`RouteComputer`]. Its per-(node, phase) legal-distance fields
+//!   fill on first read, so every field `compute_forwarding_table` would
+//!   BFS for — the switch's own two in-phase fields and each trunk
+//!   link's landing field — is computed once for the fleet, and each
+//!   switch only runs table *synthesis* ([`synthesize_table`], the same
+//!   code the from-scratch path runs — identical output by
+//!   construction).
 //! - **Memoized serves.** Tables are memoized per `(switch, live host
 //!   ports)` within a topology generation, so re-serves (host-port
 //!   transitions, retransmitted completions) are a map lookup.
-//! - **Delta reuse across epochs.** The cache keeps the previous
-//!   generation. When a fault leaves the stable subtree intact — same
-//!   root, same parent pointers, same switch numbering, only the link
-//!   set changed — a switch whose own link signature and whose relevant
-//!   distance fields are unchanged gets the previous epoch's table
-//!   back verbatim: every input to synthesis has been proven equal, so
-//!   the output is equal and need not be rebuilt. Switches whose up/down
-//!   neighborhood actually changed fall through to synthesis.
+//! - **Heal promotion.** The cache keeps the previous generation. A
+//!   topology whose digest names it — a fault that healed back to the
+//!   shape before it — promotes it back, memo and all, so the heal's
+//!   serves are memo hits.
 //!
 //! The digest reads the whole topology, so a serve skips it when the
 //! topology asked about is the current generation's held one by identity
@@ -42,11 +39,11 @@
 //! and the generation its digest names takes over the new handle. One
 //! switch per flood hashes, the rest are recognised.
 //!
-//! A full rebuild is forced whenever the digest is new (switch set,
-//! spanning tree, numbering or any adjacency changed) or the topology
-//! cannot be leveled (malformed tree from the timeout-termination
-//! baseline); delta reuse is forced off whenever the tree precondition
-//! fails. The cache is shared through the harness/pool layers as an
+//! A build happens whenever the digest names neither generation (switch
+//! set, spanning tree, numbering or any adjacency changed); a topology
+//! that cannot be leveled (malformed tree from the timeout-termination
+//! baseline) gets a generation with no analyzer, whose serves are all
+//! `None`. The cache is shared through the harness/pool layers as an
 //! `Arc<RouteCache>`; every serve is a pure function of its inputs, so
 //! sharing it across worlds, shards or threads cannot perturb behavior —
 //! only wall-clock cost.
@@ -57,7 +54,7 @@ use std::sync::Mutex;
 use autonet_switch::ForwardingTable;
 use autonet_wire::{PortIndex, Uid};
 
-use crate::routes::{synthesize_table, Phase, RouteComputer};
+use crate::routes::{synthesize_table, RouteComputer};
 use crate::topology::GlobalTopology;
 
 /// Work counters, for the benches and the equivalence experiments. Purely
@@ -66,10 +63,11 @@ use crate::topology::GlobalTopology;
 pub struct RouteCacheStats {
     /// Shared-route builds: one per distinct topology content served.
     pub builds: u64,
-    /// Serves answered from the current generation's memo.
+    /// Serves answered from the current generation's memo (a promoted
+    /// generation's included).
     pub served_memo: u64,
-    /// Serves answered by reusing the previous generation's table after
-    /// the delta proof (tree intact, fields unchanged).
+    /// Always 0: tables are reused by memo and heal promotion only. Kept
+    /// because `benchmark/` reads it.
     pub delta_reused: u64,
     /// Serves that ran table synthesis against the shared fields.
     pub synthesized: u64,
@@ -80,23 +78,20 @@ pub struct RouteCacheStats {
     /// and orientation, once per topology; no distance field).
     pub build_wall_ns: u64,
     /// Wall-clock nanoseconds serving tables (memo hits and synthesis,
-    /// with the fields it fills; everything in `serve` except delta
-    /// reuse).
+    /// with the fields it fills).
     pub serve_wall_ns: u64,
-    /// Wall-clock nanoseconds spent on delta-proof serves (proof, with
-    /// the fields it fills, plus the table handover).
+    /// Always 0, like `delta_reused`, and kept for the same reason.
     pub delta_wall_ns: u64,
 }
 
 impl RouteCacheStats {
     /// The work counters without the wall-clock attribution — what the
     /// equivalence experiments compare, since wall time is never
-    /// reproducible.
-    pub fn work(&self) -> (u64, u64, u64, u64, u64) {
+    /// reproducible: builds, memo hits, syntheses, unroutable serves.
+    pub fn work(&self) -> (u64, u64, u64, u64) {
         (
             self.builds,
             self.served_memo,
-            self.delta_reused,
             self.synthesized,
             self.unroutable,
         )
@@ -118,12 +113,8 @@ struct Generation {
 #[derive(Clone)]
 struct Inner {
     current: Option<Generation>,
+    /// Kept for heal promotion only.
     previous: Option<Generation>,
-    /// Whether the (current, previous) pair satisfies the delta
-    /// precondition: identical switch sequence, root, numbering and
-    /// parent pointers (the comparison is symmetric, so swapping the
-    /// generations preserves it).
-    delta_ok: bool,
     stats: RouteCacheStats,
 }
 
@@ -142,7 +133,6 @@ impl RouteCache {
             inner: Mutex::new(Inner {
                 current: None,
                 previous: None,
-                delta_ok: false,
                 stats: RouteCacheStats::default(),
             }),
         }
@@ -185,27 +175,15 @@ impl Default for RouteCache {
 
 /// A deep copy: both generations, their memoized tables and the work
 /// counters, behind a lock of its own. A forked world continues from the
-/// copy exactly as the original would have — same memo hits, same delta
-/// proofs, same counters — without either side seeing the other's serves.
+/// copy exactly as the original would have — same memo hits, same
+/// promotions, same counters — without either side seeing the other's
+/// serves.
 impl Clone for RouteCache {
     fn clone(&self) -> Self {
         RouteCache {
             inner: Mutex::new(self.inner.lock().expect("route cache poisoned").clone()),
         }
     }
-}
-
-/// The delta precondition: the stable tree and addressing survived — same
-/// switch sequence, root, numbering and parent pointers. Only the link
-/// set may differ. Symmetric in its arguments.
-fn tree_preserved(a: &GlobalTopology, b: &GlobalTopology) -> bool {
-    a.root == b.root
-        && a.switches.len() == b.switches.len()
-        && a.numbers == b.numbers
-        && a.switches
-            .iter()
-            .zip(b.switches.iter())
-            .all(|(x, y)| x.uid == y.uid && x.parent == y.parent && x.parent_port == y.parent_port)
 }
 
 impl Inner {
@@ -215,7 +193,6 @@ impl Inner {
     /// promotes it back without rebuilding.
     fn generation(&mut self, digest: u64, global: &GlobalTopology) -> Generation {
         if self.previous.as_ref().is_some_and(|g| g.digest == digest) {
-            // `delta_ok` is symmetric; the swap preserves it.
             std::mem::swap(&mut self.current, &mut self.previous);
         }
         if let Some(mut g) = self.current.take_if(|g| g.digest == digest) {
@@ -230,55 +207,13 @@ impl Inner {
         if rc.is_some() {
             self.stats.builds += 1;
         }
-        let fresh = Generation {
+        self.previous = self.current.take();
+        Generation {
             digest,
             global: global.clone(),
             rc,
             tables: BTreeMap::new(),
-        };
-        self.previous = self.current.take();
-        self.delta_ok = fresh.rc.is_some()
-            && self
-                .previous
-                .as_ref()
-                .is_some_and(|p| p.rc.is_some() && tree_preserved(&fresh.global, &p.global));
-        fresh
-    }
-
-    /// The delta proof for one switch of `cur`: its link signature and
-    /// every distance field its synthesis reads are unchanged from the
-    /// previous generation, so the previous table is the current table.
-    /// Node indices agree across the pair: `delta_ok` proved the same
-    /// switch sequence.
-    fn delta_donor(
-        &self,
-        cur: &Generation,
-        my_uid: Uid,
-        live_host_ports: &[PortIndex],
-    ) -> Option<ForwardingTable> {
-        if !self.delta_ok {
-            return None;
         }
-        let cur = cur.rc.as_ref()?;
-        let prev_gen = self.previous.as_ref()?;
-        let prev = prev_gen.rc.as_ref()?;
-        let me = cur.node(my_uid)?;
-        let same = |v: usize, phase: Phase| cur.field(v, phase) == prev.field(v, phase);
-        if !cur.link_signature(me).eq(prev.link_signature(me))
-            || !same(me, Phase::Up)
-            || !same(me, Phase::Down)
-        {
-            return None;
-        }
-        for (_port, li, far) in cur.link_ports(me) {
-            if !same(far, cur.arrival_phase(li, far)) {
-                return None;
-            }
-        }
-        prev_gen
-            .tables
-            .get(&(my_uid, live_host_ports.to_vec()))?
-            .clone()
     }
 
     /// Serves one table from `cur`, the generation [`RouteCache::table_for`]
@@ -291,18 +226,10 @@ impl Inner {
     ) -> Option<ForwardingTable> {
         let t0 = std::time::Instant::now();
         let key = (my_uid, live_host_ports.to_vec());
-        if let Some(memo) = cur.tables.get(&key) {
-            self.stats.served_memo += 1;
-            let memo = memo.clone();
-            self.stats.serve_wall_ns += t0.elapsed().as_nanos() as u64;
-            self.current = Some(cur);
-            return memo;
-        }
-        let table = match self.delta_donor(&cur, my_uid, live_host_ports) {
-            Some(t) => {
-                self.stats.delta_reused += 1;
-                self.stats.delta_wall_ns += t0.elapsed().as_nanos() as u64;
-                Some(t)
+        let table = match cur.tables.get(&key) {
+            Some(memo) => {
+                self.stats.served_memo += 1;
+                memo.clone()
             }
             None => {
                 // Exactly the fields `compute_forwarding_table` would BFS,
@@ -315,11 +242,11 @@ impl Inner {
                     Some(_) => self.stats.synthesized += 1,
                     None => self.stats.unroutable += 1,
                 }
-                self.stats.serve_wall_ns += t0.elapsed().as_nanos() as u64;
+                cur.tables.insert(key, t.clone());
                 t
             }
         };
-        cur.tables.insert(key, table.clone());
+        self.stats.serve_wall_ns += t0.elapsed().as_nanos() as u64;
         self.current = Some(cur);
         table
     }
@@ -379,13 +306,12 @@ mod tests {
             // Wall attribution tracks the work that actually happened.
             assert!(stats.build_wall_ns > 0, "the build took real time");
             assert!(stats.serve_wall_ns > 0, "serves took real time");
-            assert_eq!(stats.delta_wall_ns, 0, "no delta serves happened");
+            assert_eq!((stats.delta_reused, stats.delta_wall_ns), (0, 0));
             assert_eq!(
                 stats.work(),
                 (
                     stats.builds,
                     stats.served_memo,
-                    stats.delta_reused,
                     stats.synthesized,
                     stats.unroutable
                 )
@@ -433,46 +359,9 @@ mod tests {
         digests_match(&fresh, &cache, &[5]);
     }
 
-    #[test]
-    fn nontree_link_cut_delta_reuses_far_switches() {
-        // A 6-switch ring: cutting one link keeps the BFS tree intact for
-        // the right choice of link (the ring's "back" edge is not a tree
-        // link), so switches far from the cut must delta-reuse.
-        let topo = gen::ring(6, 0);
-        let mut view = topo.view_all();
-        let g1 = global_from_view(&view, Epoch(1), &BTreeMap::new()).unwrap();
-        // Find a non-tree link: one where neither end's parent_port names
-        // the other end.
-        let non_tree = topo
-            .link_ids()
-            .find(|&l| {
-                let spec = topo.link(l);
-                let a = topo.switch(spec.a.switch).uid;
-                let b = topo.switch(spec.b.switch).uid;
-                let ia = g1.switch(a).unwrap();
-                let ib = g1.switch(b).unwrap();
-                !((ia.parent == b && ia.parent_port == spec.a.port)
-                    || (ib.parent == a && ib.parent_port == spec.b.port))
-            })
-            .expect("a ring has one non-tree link");
-        view.fail_link(non_tree);
-        let g2 = global_from_view(&view, Epoch(2), &BTreeMap::new()).unwrap();
-        assert!(
-            tree_preserved(&g1, &g2),
-            "cutting a non-tree link keeps the tree"
-        );
-
-        let cache = RouteCache::new();
-        digests_match(&g1, &cache, &[]);
-        digests_match(&g2, &cache, &[]);
-        let stats = cache.stats();
-        assert_eq!(stats.builds, 2);
-        assert!(
-            stats.delta_reused > 0,
-            "switches away from the cut must reuse: {stats:?}"
-        );
-    }
-
+    /// A heal back to the pre-cut shape promotes the pre-cut generation,
+    /// memo and all, even when proposals and snapshot host ports moved in
+    /// between: neither is read by analyzer construction or synthesis.
     #[test]
     fn healed_fault_promotes_the_previous_generation() {
         let topo = gen::torus(3, 3, 2);
@@ -483,14 +372,25 @@ mod tests {
         let cache = RouteCache::new();
         digests_match(&g1, &cache, &[]);
         digests_match(&g2, &cache, &[]);
-        // Heal: back to the original shape under a new epoch.
+        let before = cache.stats();
+        // Heal: back to the original shape under a new epoch, with one
+        // switch proposing another number than the one it is assigned
+        // and reporting another host port.
         view.repair_link(autonet_topo::LinkId(0));
-        let g3 = global_from_view(&view, Epoch(3), &BTreeMap::new()).unwrap();
+        let mut g3 = global_from_view(&view, Epoch(3), &BTreeMap::new()).unwrap();
+        let info = &mut std::sync::Arc::make_mut(&mut g3.switches)[4];
+        info.proposed_number += 6;
+        info.host_ports.push(9);
+        assert_eq!(g3.numbers, g1.numbers);
+        assert_ne!(g3.switches, g1.switches);
         digests_match(&g3, &cache, &[]);
+        let after = cache.stats();
+        assert_eq!(after.builds, 2, "healing back must promote, not rebuild");
+        assert_eq!(after.synthesized, before.synthesized);
         assert_eq!(
-            cache.stats().builds,
-            2,
-            "healing back must promote, not rebuild"
+            after.served_memo - before.served_memo,
+            g3.switches.len() as u64,
+            "the heal is served from the promoted memo"
         );
     }
 

@@ -96,7 +96,7 @@ pub struct RouteComputer {
 
 /// Phase of a packet under the up\*/down\* rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Phase {
+enum Phase {
     /// Has not yet traversed a link downward; may still go up.
     Up,
     /// Has gone down; may only continue down.
@@ -106,7 +106,7 @@ pub(crate) enum Phase {
 impl Phase {
     /// The phase after one more hop, up (`up`) or down; `None` for the
     /// one illegal turn, a down-phase packet going up.
-    pub(crate) fn after(self, up: bool) -> Option<Phase> {
+    fn after(self, up: bool) -> Option<Phase> {
         match (self, up) {
             (Phase::Up, true) => Some(Phase::Up),
             (_, false) => Some(Phase::Down),
@@ -202,7 +202,7 @@ impl RouteComputer {
         self.uids.len()
     }
 
-    pub(crate) fn node(&self, uid: Uid) -> Option<usize> {
+    fn node(&self, uid: Uid) -> Option<usize> {
         self.index.get(&uid).copied()
     }
 
@@ -218,26 +218,10 @@ impl RouteComputer {
 
     /// Switch `me`'s trunk attachment points: `(local port, link index,
     /// far node)` in link order.
-    pub(crate) fn link_ports(
-        &self,
-        me: usize,
-    ) -> impl Iterator<Item = (PortIndex, usize, usize)> + '_ {
+    fn link_ports(&self, me: usize) -> impl Iterator<Item = (PortIndex, usize, usize)> + '_ {
         self.adj[me]
             .iter()
             .map(move |&(li, far)| (self.port_at(li, me), li, far))
-    }
-
-    /// Everything synthesis reads about switch `me`'s own attachment: per
-    /// trunk link, `(local port, far uid, far port, whether the hop to the
-    /// far end goes up)`. The route cache's delta proof compares it.
-    pub(crate) fn link_signature(
-        &self,
-        me: usize,
-    ) -> impl Iterator<Item = (PortIndex, Uid, PortIndex, bool)> + '_ {
-        self.link_ports(me).map(move |(port, li, far)| {
-            let up = self.is_up_traversal(li, far);
-            (port, self.uids[far], self.port_at(li, far), up)
-        })
     }
 
     /// Returns `true` if traversing `link` arriving at `to` moves toward
@@ -261,7 +245,7 @@ impl RouteComputer {
 
     /// The phase a hop over `link` into `to` lands in: a hop up lands
     /// fresh, a hop down in the down phase.
-    pub(crate) fn arrival_phase(&self, link: usize, to: usize) -> Phase {
+    fn arrival_phase(&self, link: usize, to: usize) -> Phase {
         if self.is_up_traversal(link, to) {
             Phase::Up
         } else {
@@ -345,14 +329,14 @@ impl RouteComputer {
 
     /// The legal-distance field from the state `(node, phase)`, computed
     /// on its first read and kept.
-    pub(crate) fn field(&self, node: usize, phase: Phase) -> &[u32] {
+    fn field(&self, node: usize, phase: Phase) -> &[u32] {
         self.fields[self.state(node, phase)]
             .get_or_init(|| self.legal_dists_from_state(node, phase))
     }
 
     /// How many fields have been read so far.
     #[cfg(test)]
-    pub(crate) fn filled_fields(&self) -> usize {
+    fn filled_fields(&self) -> usize {
         self.fields.iter().filter(|f| f.get().is_some()).count()
     }
 

@@ -191,16 +191,20 @@ impl GlobalTopology {
             && Arc::ptr_eq(&self.numbers, &other.numbers)
     }
 
-    /// A canonical 64-bit digest of the topology *content* — everything
-    /// forwarding tables are derived from — excluding the epoch number.
+    /// A canonical 64-bit digest of exactly what route analysis and table
+    /// synthesis read: the root, the switch order, and per switch its
+    /// uid, parent, parent port and links, then the number assignment.
     ///
-    /// Two epochs whose agreed topologies are byte-identical (a fault
-    /// detected and repaired between snapshots, or back-to-back faults
-    /// that converge to the same shape) hash equal, so a route cache
-    /// keyed on this digest coalesces their table computations into one.
-    /// FNV-1a over the in-memory order, which is itself canonical: the
-    /// switch list is the root's tree accumulation order and the number
-    /// map iterates sorted by UID.
+    /// It excludes the epoch number, so epochs whose agreed topologies
+    /// have the same shape (back-to-back faults that converge to it, or a
+    /// heal back to the pre-cut shape) hash equal and a route cache keyed
+    /// on this digest shares their tables. It excludes `proposed_number`
+    /// (only the root's number assignment reads it, and its outcome is
+    /// hashed) and the snapshot's `host_ports` (tables read the live host
+    /// ports, which the cache's memo key carries). FNV-1a over the
+    /// in-memory order, which is itself canonical: the switch list is the
+    /// root's tree accumulation order and the number map iterates sorted
+    /// by UID.
     pub fn content_digest(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -215,7 +219,6 @@ impl GlobalTopology {
         for s in self.switches.iter() {
             eat(0xA0); // section tag: one switch
             eat(s.uid.as_u64());
-            eat(u64::from(s.proposed_number));
             eat(s.parent.as_u64());
             eat(u64::from(s.parent_port));
             for l in &s.links {
@@ -223,10 +226,6 @@ impl GlobalTopology {
                 eat(u64::from(l.local_port));
                 eat(l.neighbor.as_u64());
                 eat(u64::from(l.neighbor_port));
-            }
-            for &p in &s.host_ports {
-                eat(0xA2); // section tag: one host port
-                eat(u64::from(p));
             }
         }
         for (&uid, &num) in self.numbers.iter() {
@@ -344,18 +343,29 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn content_digest_ignores_epoch_only() {
+    fn content_digest_hashes_what_routing_reads() {
         let a = three_chain();
+        // Epoch, proposals and snapshot host ports leave it unchanged.
         let mut b = three_chain();
         b.epoch = Epoch(99);
+        let switches = Arc::make_mut(&mut b.switches);
+        switches[1].proposed_number = 5;
+        switches[2].host_ports.push(4);
         assert_eq!(a.content_digest(), b.content_digest());
-        // Any structural change moves the digest.
+        // Parent port, links and numbers move it.
         let mut c = three_chain();
         Arc::make_mut(&mut c.switches)[2].parent_port = 7;
         assert_ne!(a.content_digest(), c.content_digest());
         let mut d = three_chain();
-        Arc::make_mut(&mut d.numbers).insert(Uid::new(3), 9);
+        Arc::make_mut(&mut d.switches)[0].links.push(LinkInfo {
+            local_port: 2,
+            neighbor: Uid::new(2),
+            neighbor_port: 1,
+        });
         assert_ne!(a.content_digest(), d.content_digest());
+        let mut e = three_chain();
+        Arc::make_mut(&mut e.numbers).insert(Uid::new(3), 9);
+        assert_ne!(a.content_digest(), e.content_digest());
     }
 
     #[test]

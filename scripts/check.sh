@@ -192,6 +192,7 @@ second distance read	fn legal_dists_to|RouteKind::Unrestricted|has_dependency_cy
 one table fold	fn table_edges\b	crates src tests examples	-	1	One field pool, one table fold	fn table_edges() {}
 second field pool	LegalFields|fn legal_fields|SharedRoutes	crates src tests examples	-	0	One field pool	struct SharedRoutes;
 field cells elsewhere	OnceCell<Vec<u32>>	crates src tests examples	crates/core/src/routes.rs	0	One field pool	let f: Vec<OnceCell<Vec<u32>>> = Vec::new();
+delta proof	fn delta_donor|fn tree_preserved|fn link_signature|delta_ok	crates src tests examples	-	0	Memo and promotion are the only reuse	fn delta_donor() {}
 EOF
 if hits . x no/such/path -; then
     echo "a guard whose scope is missing passed" >&2

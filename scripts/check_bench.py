@@ -11,8 +11,7 @@
 
 A Report file carries its own schema: each table lists its columns with a
 kind. Every value must have its column's kind; a `wall` value (read off a
-real clock) must be finite and not negative (a cache that served no delta
-spent no time on one) and is otherwise ignored; every
+real clock) must be finite and not negative and is otherwise ignored; every
 other value is a pure function of the experiment's seeds and must equal
 the committed copy (`git show HEAD:<file name>`) exactly. A file with no
 committed copy (the smoke tiers) is held to its kinds and the predicates,

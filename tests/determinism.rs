@@ -487,7 +487,7 @@ fn schedule_on(topo: TopoSpec, seed: u64, schedule_seed: u64, n_events: usize) -
 }
 
 /// A run's outcome plus the route cache's work counters at its end.
-type RunResult = (CheckOutcome, Option<(u64, u64, u64, u64, u64)>);
+type RunResult = (CheckOutcome, Option<(u64, u64, u64, u64)>);
 
 fn with_cache_work((outcome, net): (CheckOutcome, Network)) -> RunResult {
     let work = net.route_cache_stats().map(|s| s.work());

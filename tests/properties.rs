@@ -792,9 +792,11 @@ proptest! {
     }
 
     /// Equivalence holds across multi-fault sequences served through ONE
-    /// cache — the generation rotation, promotion of healed shapes, and
-    /// delta-reuse paths must all reproduce the from-scratch tables
-    /// exactly, epoch after epoch.
+    /// cache — the generation rotation and promotion of healed shapes
+    /// must reproduce the from-scratch tables exactly, epoch after epoch,
+    /// while every epoch proposes its own numbers and reports its own
+    /// host ports (neither is in the digest) and every serve asks with
+    /// its own live host ports (the memo key).
     #[test]
     fn route_cache_matches_scratch_across_fault_sequences(
         n in 4usize..14,
@@ -802,6 +804,8 @@ proptest! {
         seed in 1u64..10_000,
         cuts in proptest::collection::vec(0usize..40, 1..5),
         heal_first in 0u8..2,
+        proposals in proptest::collection::vec(proptest::collection::vec(1u16..4, 14..15), 1..10),
+        hosts in proptest::collection::vec(proptest::collection::vec(1u8..11, 0..3), 1..16),
     ) {
         use autonet::autopilot::{compute_forwarding_table, global_from_view, RouteCache};
         use autonet::topo::LinkId;
@@ -810,16 +814,32 @@ proptest! {
         let cache = RouteCache::new();
         let nlinks = topo.num_links();
         let mut epoch = 1u64;
-        let check_epoch = |view: &autonet::topo::NetView<'_>, epoch: u64| {
-            let Some(global) = global_from_view(view, Epoch(epoch), &BTreeMap::new()) else {
+        let hosts_of = |i: usize| {
+            let mut ports = hosts[i % hosts.len()].clone();
+            ports.sort_unstable();
+            ports.dedup();
+            ports
+        };
+        let mut serves = 0usize;
+        let mut check_epoch = |view: &autonet::topo::NetView<'_>, epoch: u64| {
+            let Some(mut global) = global_from_view(view, Epoch(epoch), &BTreeMap::new()) else {
                 return Ok(());
             };
+            // Proposals and snapshot host ports that move while the number
+            // assignment and the shape may not, so healed shapes promote.
+            let proposed = &proposals[epoch as usize % proposals.len()];
+            for (i, info) in std::sync::Arc::make_mut(&mut global.switches).iter_mut().enumerate() {
+                info.proposed_number = proposed[i];
+                info.host_ports = hosts_of(epoch as usize + i);
+            }
             for s in global.switches.iter() {
+                let live = hosts_of(serves);
+                serves += 1;
                 let scratch =
-                    compute_forwarding_table(&global, s.uid, &[], RouteKind::UpDown)
+                    compute_forwarding_table(&global, s.uid, &live, RouteKind::UpDown)
                         .map(|t| t.canonical_digest());
                 let cached = cache
-                    .table_for(&global, s.uid, &[])
+                    .table_for(&global, s.uid, &live)
                     .map(|t| t.canonical_digest());
                 prop_assert_eq!(scratch, cached, "epoch {} switch {:?}", epoch, s.uid);
             }
