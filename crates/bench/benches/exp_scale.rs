@@ -15,14 +15,13 @@
 //!    the acceptance bar) was recorded under — and the same scenario,
 //!    still untraced, through [`PartitionedNetwork`] at 1 and at 2
 //!    partitions, so the price of the sharded executor (×1 − classic)
-//!    and what the second core buys (×1 / ×2) are each one subtraction
-//!    with tracing held fixed; the shared route cache's work counters and
-//!    wall split are the classic run's (with threads, which of two
-//!    simultaneous asks builds and which is served the memo is a race);
+//!    and of a second partition (×2 − ×1) are each one subtraction with
+//!    tracing held fixed; the shared route cache's work counters and wall
+//!    split are the classic run's;
 //! 2. a **profile pass** — the same scenario through
 //!    [`PartitionedNetwork`] with tracing and shard telemetry on, which
-//!    answers *where the wall time goes*: barrier-wait fraction,
-//!    load-imbalance index, per-shard execution profiles, and (for the
+//!    answers *where the wall time goes*: load-imbalance index,
+//!    per-shard execution profiles, handler wall by event kind, and (for the
 //!    flagship row) the causal span tree exported as a Perfetto-loadable
 //!    Chrome trace under `artifacts/`. The profile pass's own wall is in
 //!    its row, so the price of observation stays visible.
@@ -32,7 +31,7 @@
 use autonet_bench::{write_artifact, Report, Table, Value};
 use autonet_core::{MsgDisposition, ReconfigCause};
 use autonet_net::{Driver, HandlerProfile, Net, NetParams, NetStats, Network, PartitionedNetwork};
-use autonet_sim::{bucket_quantile, SimDuration, SimTime};
+use autonet_sim::{SimDuration, SimTime};
 use autonet_topo::{gen, LinkId, SwitchId, Topology};
 use autonet_trace::SpanTree;
 use std::time::Instant;
@@ -179,10 +178,6 @@ fn tables() -> Tables {
                 "profile events",
                 "load imbalance",
                 "profile wall (s)",
-                "barrier wait fraction",
-                "barrier wait p50 (µs)",
-                "barrier wait p99 (µs)",
-                "barrier wait p99.9 (µs)",
             ],
         ),
         handlers: Table::new(
@@ -227,7 +222,6 @@ fn tables() -> Tables {
                 "mailbox in",
                 "mailbox out",
                 "work (ms)",
-                "barrier wait (ms)",
             ],
         ),
         kinds: Table::new(
@@ -360,20 +354,12 @@ fn measure(
     let mut prof = PartitionedNetwork::new(topo, params, 2, PARTITIONS);
     let profiled = cycle(&mut prof)?;
     let shards = prof.shard_telemetry().unwrap_or_default();
-    let wait_us = |q: f64| {
-        let waits = shards.iter().map(|s| &s.barrier_wait_buckets);
-        wall(bucket_quantile(waits, q).as_secs_f64() * 1e6)
-    };
     t.profile.row([
         name.into(),
         shards.len().into(),
         profiled.events.into(),
         prof.load_imbalance().into(),
         wall(profiled.bring_wall + profiled.cut_wall),
-        prof.barrier_wait_fraction().map(wall).into(),
-        wait_us(0.50),
-        wait_us(0.99),
-        wait_us(0.999),
     ]);
     let handlers = prof.handler_profile();
     let (named, other): (Vec<&HandlerProfile>, Vec<_>) =
@@ -398,7 +384,6 @@ fn measure(
             s.mailbox_in.into(),
             s.mailbox_out.into(),
             ms(s.work_ns),
-            ms(s.barrier_wait_ns),
         ]);
     }
 

@@ -202,7 +202,7 @@ impl NetWorld {
                     // (the pool mirrors the verdict into the dead-port
                     // flags after every Autopilot entry point). Under the
                     // sharded executor the far end may live on another
-                    // shard, so the read goes through the barrier-latched
+                    // shard, so the read goes through the window-latched
                     // snapshot instead of the live pool.
                     status.idhy_seen = match &self.latched {
                         Some(l) => l.is_dead(other.switch.0, other.port),

@@ -96,7 +96,7 @@ pub struct NetWorld {
     /// ports). `None` in the classic single-queue loop, where
     /// [`synthesize_status`](NetWorld::synthesize_status) reads the live
     /// state; `Some` under the sharded executor, which refreshes the
-    /// latch at every lookahead-window barrier so observation timing is
+    /// latch at every lookahead-window boundary so observation timing is
     /// identical at any partition count.
     latched: Option<partitioned::Latched>,
 }
@@ -118,8 +118,9 @@ pub struct Net<D> {
 /// A running Autonet on the classic single-queue kernel.
 pub type Network = Net<Simulator<NetWorld>>;
 
-/// A running Autonet sharded across CPU cores, bit-for-bit deterministic
-/// for any partition count (see [`PartitionedNetwork::new`]).
+/// A running Autonet partitioned into shards that run in turn on the
+/// caller's thread, bit-for-bit deterministic for any partition count
+/// (see [`PartitionedNetwork::new`]).
 ///
 /// Service-interruption probes draw on one network-wide tick, so the
 /// probe API exists on [`Network`] only:

@@ -1,4 +1,4 @@
-//! The sharded (multi-core) execution mode of the packet-level network.
+//! The sharded execution mode of the packet-level network.
 //!
 //! [`PartitionedNetwork`] runs the same [`NetWorld`] model as
 //! [`Network`](super::Network) behind the same [`Net`] facade, but
@@ -30,7 +30,7 @@
 //! - **Cross-node observations** (a neighbor's dead-port verdict, a
 //!   host's active controller port — the inputs to
 //!   [`synthesize_status`](NetWorld::synthesize_status)) go through
-//!   [`Latched`], a snapshot exchanged at every window barrier. The
+//!   [`Latched`], a snapshot exchanged at every window boundary. The
 //!   latch is refreshed on the same schedule at *every* partition count,
 //!   including one, which is what makes results bit-identical at 1, 2
 //!   or 8 shards.
@@ -50,7 +50,7 @@ use super::events::{DeliveryRecord, Event};
 use super::links::{wire_time, HOST_LINK_LATENCY_NS};
 use super::{Driver, Net, NetWorld, PartitionedNetwork};
 
-/// Barrier-latched cross-node observations: what `synthesize_status` is
+/// Window-latched cross-node observations: what `synthesize_status` is
 /// allowed to see of nodes that may live on other shards.
 #[derive(Clone)]
 pub(super) struct Latched {
@@ -84,7 +84,7 @@ impl Latched {
     }
 }
 
-/// One shard's slice of the latch, exchanged at every window barrier:
+/// One shard's slice of the latch, exchanged at every window boundary:
 /// only the rows and ports that changed since the shard's previous export.
 #[derive(Default)]
 #[doc(hidden)]
@@ -218,7 +218,7 @@ impl PartitionedNetwork {
     /// Builds a network partitioned into `nparts` shards (clamped to the
     /// node count). Semantics match [`Network::new`](super::Network::new)
     /// except for event interleaving at identical timestamps and the
-    /// barrier-latched cross-node observations; results are identical for
+    /// window-latched cross-node observations; results are identical for
     /// any `nparts`.
     ///
     /// # Panics
@@ -271,22 +271,17 @@ impl PartitionedNetwork {
     }
 
     /// Per-shard kernel telemetry (`None` unless `params.tracing`): what
-    /// each shard's worker did and what it waited on.
+    /// each shard did.
     pub fn shard_telemetry(&self) -> Option<Vec<autonet_sim::ShardTelemetry>> {
         self.sim.telemetry()
     }
 
-    /// Fraction of accounted wall time the shards spent blocked at round
-    /// barriers (`barrier / (barrier + work)`); `None` without telemetry,
-    /// zero when nothing was measured yet.
+    /// Fraction of accounted wall time the shards spent waiting for each
+    /// other; `None` without telemetry. Always zero, since the shards run
+    /// in turn on one thread; kept because the frozen `benchmark/` crate
+    /// reads it.
     pub fn barrier_wait_fraction(&self) -> Option<f64> {
-        let tel = self.sim.telemetry()?;
-        let barrier: u64 = tel.iter().map(|t| t.barrier_wait_ns).sum();
-        let work: u64 = tel.iter().map(|t| t.work_ns).sum();
-        if barrier + work == 0 {
-            return Some(0.0);
-        }
-        Some(barrier as f64 / (barrier + work) as f64)
+        self.sim.telemetry().map(|_| 0.0)
     }
 
     /// Load-imbalance index: the hottest shard's event count relative to
@@ -362,6 +357,30 @@ mod tests {
             lost.push(base.2);
         }
         assert!(lost[1] > lost[0], "5 % loss dropped no packet: {lost:?}");
+    }
+
+    /// The classic kernel's sampling rule holds on the partitioned one: a
+    /// settled network skips rounds that would read what the last round
+    /// read, so over a quiet second fewer rounds run than are offered.
+    #[test]
+    fn a_settled_partitioned_network_skips_sampling_rounds() {
+        let topo = gen::torus(3, 3, 7);
+        let mut net = PartitionedNetwork::new(topo, NetParams::tuned(), 11, 2);
+        let t = net.run_until_stable_every(SimDuration::from_millis(20), SimTime::from_secs(5));
+        assert!(t.is_some(), "partitioned bring-up did not converge");
+        let offered = |net: &PartitionedNetwork| {
+            let by_kind = net.events_by_kind();
+            by_kind
+                .iter()
+                .find(|&&(k, _)| k == "SwitchSample")
+                .unwrap()
+                .1
+        };
+        let (run0, offered0) = (net.stats().samples_run, offered(&net));
+        net.run_for(SimDuration::from_secs(1));
+        let (run, offered) = (net.stats().samples_run - run0, offered(&net) - offered0);
+        assert!(offered > 0, "no sampling round was offered");
+        assert!(run < offered, "{run} of {offered} rounds ran");
     }
 
     #[test]

@@ -247,8 +247,9 @@ impl NetWorld {
 
     /// A sampling round runs unless it would read what the last round
     /// that ran read and the Autopilot reports every sampler settled under
-    /// that: then it would move nothing and repeat the verdicts held. The
-    /// sharded kernel runs every round.
+    /// that: then it would move nothing and repeat the verdicts held. Both
+    /// kernels apply the rule; the sharded one reads the latched statuses
+    /// it would sample.
     pub(super) fn on_switch_sample(
         &mut self,
         now: SimTime,
@@ -259,8 +260,7 @@ impl NetWorld {
         if !self.current(s, inc) {
             return;
         }
-        if self.latched.is_none()
-            && self.switches.autopilot(s).sampling_settled()
+        if self.switches.autopilot(s).sampling_settled()
             && (1..MAX_PORTS as PortIndex)
                 .all(|p| self.synthesize_status(now, s, p) == self.switches.read[s][p as usize])
         {

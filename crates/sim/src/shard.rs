@@ -1,16 +1,15 @@
-//! Conservative parallel (sharded) event execution.
+//! Conservative sharded event execution.
 //!
 //! The classic [`Simulator`](crate::Simulator) drives one world through one
-//! queue. At the scale tier (1024 switches) the event loop itself becomes
-//! the bottleneck, so this module partitions the world's *nodes* across
-//! shards and runs the shards on real threads, synchronized by the oldest
-//! trick in conservative parallel discrete-event simulation: a lookahead
-//! window. If every cross-node event is scheduled at least `window` after
-//! its cause (for a network simulation, the minimum link latency plus the
-//! minimum serialization time), then events in `[T, T + window)` at one
-//! shard cannot affect any other shard inside the same window — each shard
-//! may process its window without communicating, and cross-shard events are
-//! exchanged at the barrier between windows.
+//! queue. This module partitions the world's *nodes* across shards, each a
+//! complete world replica with its own queue, and advances them with the
+//! oldest trick in conservative parallel discrete-event simulation: a
+//! lookahead window. If every cross-node event is scheduled at least
+//! `window` after its cause (for a network simulation, the minimum link
+//! latency plus the minimum serialization time), then events in
+//! `[T, T + window)` at one shard cannot affect any other shard inside the
+//! same window — each shard may process its window without communicating,
+//! and cross-shard events are exchanged between windows.
 //!
 //! # Determinism
 //!
@@ -24,10 +23,10 @@
 //!   driver-wide counter). Shard queues pop by that total order, so the
 //!   interleaving inside a shard never depends on insertion order, and
 //!   therefore not on which nodes happen to share the shard.
-//! - Cross-shard mailboxes feed the same ordered queues, so exchange
-//!   timing (which *is* thread-racy) cannot reorder anything.
+//! - Cross-shard mailboxes feed the same ordered queues, so the order of
+//!   the exchange cannot reorder anything.
 //! - Reads of another node's latched state go through a [`Mirror`]
-//!   snapshot refreshed at every window barrier — at *every* shard count,
+//!   snapshot refreshed at every window boundary — at *every* shard count,
 //!   including one — so observation latency is a property of the window
 //!   grid, not of the partitioning.
 //!
@@ -35,18 +34,13 @@
 //! event time rounded down to a multiple of `window`, clamped by the
 //! caller's deadline.
 //!
-//! # One rendezvous per window
+//! # One loop for every shard count
 //!
-//! A threaded round costs a single barrier. A shard runs its window, then
-//! moves what it staged for shard *d* into mailbox slot `(me, d)`, its
-//! mirror slice into mirror slot `me`, and `next = min(own queue head,
-//! earliest time staged for anyone)` into the buffer set selected by the
-//! window's parity. After the barrier every shard drains the slots
-//! addressed to it, latches every mirror, and computes the same next
-//! window from the same `next` values, while the next window writes the
-//! *other* set: nobody writes set `w & 1` again before passing barrier
-//! `w + 1`, which every reader of window `w`'s buffers attends only after
-//! reading them. DESIGN.md ("sim kernel at scale") has the full argument.
+//! Each window runs every shard's window in turn on the caller's thread,
+//! and each shard exports its mirror slice when done. Then what each shard
+//! staged for another moves into that shard's queue, and every shard
+//! latches every export. The next window is computed from the queue heads,
+//! which now hold everything staged.
 //!
 //! # World contract
 //!
@@ -58,9 +52,6 @@
 //! read through the latched mirror. At every window boundary the executor
 //! calls `export_mirror` once and then `apply_mirror` once per shard.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as MemOrder};
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::calendar::KeyedHeap;
@@ -81,29 +72,29 @@ const TELEMETRY_BUCKETS: usize = 32;
 /// it).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardTelemetry {
-    /// Events this shard's worker processed.
+    /// Events this shard processed.
     pub events: u64,
     /// Lookahead windows the shard participated in.
     pub windows: u64,
     /// Windows in which this shard processed at least one event — the
     /// utilization numerator (`busy_windows / windows`): a shard that
-    /// mostly idles through windows is along for the barrier ride.
+    /// mostly idles through windows is along for the window grid's ride.
     pub busy_windows: u64,
-    /// Wall time spent on windows: draining the mailbox and latching the
-    /// mirrors, `run_window`, and the window's publish step.
+    /// Wall time spent on windows: `run_window` and the mirror export,
+    /// then draining the mailbox and latching the mirrors.
     pub work_ns: u64,
-    /// Wall time blocked on the round barrier (always zero on the
-    /// thread-free single-shard path).
+    /// Always zero: shards run in turn on one thread, so none waits for
+    /// another. Kept because the frozen `benchmark/` crate reads it.
     pub barrier_wait_ns: u64,
     /// Cross-shard events this shard staged into other shards' mailboxes.
     pub mailbox_out: u64,
     /// Cross-shard events this shard drained from its own mailbox.
     pub mailbox_in: u64,
-    /// Per-window barrier waits, one sample per window: bucket `i` counts
-    /// waits of `2^i ns <= d < 2^(i+1) ns` (bucket 0 also absorbs zero,
-    /// the last bucket everything longer).
+    /// Always zero, like `barrier_wait_ns`, and kept for the same reader.
     pub barrier_wait_buckets: [u64; TELEMETRY_BUCKETS],
-    /// Per-window work, bucketed like `barrier_wait_buckets`.
+    /// Per-window wall of `run_window` and the mirror export, one sample
+    /// per window: bucket `i` counts windows of `2^i ns <= d < 2^(i+1) ns`
+    /// (bucket 0 also absorbs zero, the last bucket everything longer).
     pub work_buckets: [u64; TELEMETRY_BUCKETS],
 }
 
@@ -167,12 +158,6 @@ impl ShardTelemetry {
         self.work_buckets[bucket_of(ns)] += 1;
     }
 
-    fn note_wait(&mut self, wait: Duration) {
-        let ns = wait.as_nanos() as u64;
-        self.barrier_wait_ns += ns;
-        self.barrier_wait_buckets[bucket_of(ns)] += 1;
-    }
-
     /// Fraction of windows in which the shard had any event to process.
     pub fn utilization(&self) -> f64 {
         if self.windows == 0 {
@@ -196,11 +181,12 @@ struct Stamped<E> {
 /// delivers a node's events only to the shard that owns the node, so a
 /// shard's instance is authoritative for its own nodes and a latched
 /// replica for everyone else's.
-pub trait ShardWorld: Send {
+pub trait ShardWorld {
     /// The event payload type.
-    type Event: Send;
-    /// The latched cross-shard state snapshot exchanged at every barrier.
-    type Mirror: Default + Send;
+    type Event;
+    /// The latched cross-shard state snapshot exchanged at every window
+    /// boundary.
+    type Mirror: Default;
 
     /// The dense id of the node an event is addressed to. Must be a pure
     /// function of the event (it keys both routing and the canonical
@@ -221,8 +207,8 @@ pub trait ShardWorld: Send {
     fn export_mirror(&self, into: &mut Self::Mirror);
 
     /// Folds a shard's export (possibly this shard's own) into the local
-    /// latched view. Exports cover disjoint nodes, and the executor applies
-    /// them in no particular order.
+    /// latched view. Exports cover disjoint nodes, so the order they are
+    /// applied in does not matter.
     fn apply_mirror(&mut self, from: &Self::Mirror);
 }
 
@@ -236,8 +222,6 @@ struct Shard<W: ShardWorld> {
     emitted: Vec<(SimTime, W::Event)>,
     /// Cross-shard emissions staged per destination during a window.
     staged: Vec<Vec<Stamped<W::Event>>>,
-    /// Earliest time staged for any other shard in the current window.
-    staged_min_ns: u64,
     processed: u64,
     /// `Some` once telemetry is enabled; the loop timestamps nothing
     /// while this is `None`.
@@ -245,13 +229,9 @@ struct Shard<W: ShardWorld> {
 }
 
 impl<W: ShardWorld> Shard<W> {
-    fn peek_ns(&self) -> u64 {
-        self.queue.peek_time().map_or(u64::MAX, SimTime::as_nanos)
-    }
-
     /// Processes every pending event with `time < end` in canonical stamp
     /// order; same-shard emissions join the live queue, cross-shard ones
-    /// are staged for the barrier exchange.
+    /// are staged for the exchange after the window.
     fn run_window(&mut self, owner: &[u32], me: u32, end: SimTime) {
         while self.queue.peek_time().is_some_and(|t| t < end) {
             let (time, event) = self.queue.pop().expect("peeked");
@@ -271,7 +251,6 @@ impl<W: ShardWorld> Shard<W> {
                         at >= end,
                         "lookahead violation: cross-shard event at {at} inside window ending {end}"
                     );
-                    self.staged_min_ns = self.staged_min_ns.min(at.as_nanos());
                     self.staged[dst as usize].push(Stamped {
                         time: at,
                         key,
@@ -283,262 +262,8 @@ impl<W: ShardWorld> Shard<W> {
     }
 }
 
-/// Rendezvous polls before a waiter starts yielding its time slice, and
-/// yields before it parks. With a core per shard the straggler is usually
-/// a window's work (~1 µs) behind, so the spin catches most rounds; with
-/// more shards than cores the spin is a bounded loss, the yields hand the
-/// core to a shard that has not arrived yet, and parking guarantees
-/// progress however the scheduler treats `yield_now`.
-///
-/// The spin stays short because it is what an oversubscribed waiter burns
-/// per window while its straggler is descheduled (two 2-shard runs at once
-/// on 2 cores: 6x slower at 4 096 polls, 24x at 16 384). The yield phase is
-/// long (~1 ms when nothing else wants the core, a `yield_now` costing
-/// ~0.25 µs) because parking is the expensive and the erratic exit: on
-/// fat_tree-256 one wait in six outlasts the spin (a burst of events, a
-/// route build), and a parked waiter pays a futex sleep and wake — on a
-/// virtual CPU a halt and a reschedule by the host — whose cost swings
-/// with whatever else the host is doing. Yielding costs a waiter with a
-/// core of its own no more than spinning, and hands the core over at once
-/// when something else wants it. DESIGN.md ("The barrier") has the sweep.
-const SPIN_POLLS: u32 = 256;
-const YIELD_POLLS: u32 = 4096;
-
-/// A reusable sense-reversing barrier on atomics: the low bit of
-/// `generation` is the sense, flipped by the last arrival of each round.
-/// Waiters spin, then yield, then park on a condvar.
-struct Rendezvous {
-    parties: usize,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    /// Waiters parked (or about to park) on `wake`; the releaser skips the
-    /// lock entirely while this is zero.
-    sleepers: AtomicUsize,
-    lock: Mutex<()>,
-    wake: Condvar,
-}
-
-impl Rendezvous {
-    fn new(parties: usize) -> Self {
-        Rendezvous {
-            parties,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            sleepers: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            wake: Condvar::new(),
-        }
-    }
-
-    /// Blocks until all parties have called `wait` for this round.
-    /// Everything any party wrote before its call is visible to every
-    /// party after it returns: each arrival's `fetch_add` releases into
-    /// the last arrival's (an acquire), whose generation store releases
-    /// into every waiter's acquire load.
-    fn wait(&self) {
-        // The round cannot complete without this caller, so the generation
-        // read here is the round's.
-        let round = self.generation.load(MemOrder::Acquire);
-        if self.arrived.fetch_add(1, MemOrder::AcqRel) + 1 == self.parties {
-            // Nobody re-arrives before the generation moves.
-            self.arrived.store(0, MemOrder::Relaxed);
-            self.generation
-                .store(round.wrapping_add(1), MemOrder::SeqCst);
-            // SeqCst pairs with the sleeper's increment-then-recheck: either
-            // we see the sleeper and notify under the lock it rechecks
-            // under, or it sees the new generation and never sleeps.
-            if self.sleepers.load(MemOrder::SeqCst) > 0 {
-                let _guard = self.lock.lock().expect("rendezvous lock");
-                self.wake.notify_all();
-            }
-            return;
-        }
-        let released = || self.generation.load(MemOrder::Acquire) != round;
-        for _ in 0..SPIN_POLLS {
-            if released() {
-                return;
-            }
-            std::hint::spin_loop();
-        }
-        for _ in 0..YIELD_POLLS {
-            if released() {
-                return;
-            }
-            std::thread::yield_now();
-        }
-        self.sleepers.fetch_add(1, MemOrder::SeqCst);
-        let mut guard = self.lock.lock().expect("rendezvous lock");
-        while self.generation.load(MemOrder::SeqCst) == round {
-            guard = self.wake.wait(guard).expect("rendezvous lock");
-        }
-        drop(guard);
-        self.sleepers.fetch_sub(1, MemOrder::SeqCst);
-    }
-}
-
-/// What one shard staged for one other shard in one window.
-type Slot<E> = Mutex<Vec<Stamped<E>>>;
-
-/// One of the two buffer sets a threaded run alternates between. Each
-/// entry is written by its `src` alone before a barrier and read only
-/// after it, so the locks are never contended between writer and reader.
-struct Buffers<W: ShardWorld> {
-    /// `slots[src][dst]`: what `src` staged for `dst`.
-    slots: Vec<Vec<Slot<W::Event>>>,
-    /// `src`'s mirror export (a mutex, not a reader-writer lock, because
-    /// `Mirror` is only `Send`; readers start at their own entry so they
-    /// rarely meet).
-    mirrors: Vec<Mutex<W::Mirror>>,
-    /// Earliest pending time `src` knows of.
-    next: Vec<AtomicU64>,
-}
-
-/// What the workers of one threaded run share.
-struct Exchange<'a, W: ShardWorld> {
-    owner: &'a [u32],
-    window_ns: u64,
-    deadline: SimTime,
-    /// End of the first window, computed before the workers start.
-    first_end: SimTime,
-    /// Window `w` writes `sets[w & 1]` and reads `sets[!w & 1]`.
-    sets: [Buffers<W>; 2],
-    barrier: Rendezvous,
-    /// A panic inside a worker (a world handler, or the lookahead assert)
-    /// must not strand the others at the barrier: the panicking thread
-    /// records its window here, *still attends that window's barrier*, and
-    /// only then unwinds; everyone else sees the mark after the same
-    /// barrier and exits cleanly, so the join propagates the original
-    /// panic. A window number, not a flag: a shard still leaving barrier
-    /// `w` may read it after a faster one has panicked in window `w + 1`,
-    /// and must then still attend barrier `w + 1`. `usize::MAX` = healthy.
-    poisoned_at: AtomicUsize,
-}
-
-impl<W: ShardWorld> Buffers<W> {
-    fn new(nsh: usize) -> Self {
-        Buffers {
-            slots: (0..nsh)
-                .map(|_| (0..nsh).map(|_| Mutex::default()).collect())
-                .collect(),
-            mirrors: (0..nsh).map(|_| Mutex::default()).collect(),
-            next: (0..nsh).map(|_| AtomicU64::new(u64::MAX)).collect(),
-        }
-    }
-}
-
-impl<W: ShardWorld> Shard<W> {
-    /// Moves this window's staged events, mirror slice and `next` into
-    /// `set`.
-    fn publish(&mut self, me: usize, set: &Buffers<W>) {
-        let mut staged_out = 0u64;
-        for (staged, slot) in self.staged.iter_mut().zip(&set.slots[me]) {
-            if !staged.is_empty() {
-                staged_out += staged.len() as u64;
-                // The slot was drained two windows ago; swapping hands its
-                // spare capacity back to the stager.
-                let mut slot = slot.lock().expect("slot lock");
-                debug_assert!(slot.is_empty(), "slot reused before it was drained");
-                std::mem::swap(staged, &mut *slot);
-            }
-        }
-        self.world
-            .export_mirror(&mut set.mirrors[me].lock().expect("mirror lock"));
-        let next = self.peek_ns().min(self.staged_min_ns);
-        self.staged_min_ns = u64::MAX;
-        // Relaxed: written before and read after the rendezvous, which
-        // orders them.
-        set.next[me].store(next, MemOrder::Relaxed);
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.mailbox_out += staged_out;
-        }
-    }
-
-    /// Drains the slots addressed to this shard (arrival order is racy;
-    /// the keyed queue restores canonical order) and latches every
-    /// shard's mirror, from `set`.
-    fn collect(&mut self, me: usize, set: &Buffers<W>) {
-        let mut drained = 0u64;
-        for (src, row) in set.slots.iter().enumerate() {
-            if src == me {
-                continue;
-            }
-            let mut slot = row[me].lock().expect("slot lock");
-            drained += slot.len() as u64;
-            for st in slot.drain(..) {
-                self.queue.push_keyed(st.time, st.key, st.event);
-            }
-        }
-        for mirror in set.mirrors[me..].iter().chain(&set.mirrors[..me]) {
-            self.world
-                .apply_mirror(&mirror.lock().expect("mirror lock"));
-        }
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.mailbox_in += drained;
-        }
-    }
-
-    /// One shard's side of a threaded run: window, publish, meet, collect.
-    fn work(&mut self, me: usize, x: &Exchange<'_, W>) {
-        let mut end = Some(x.first_end);
-        // Windows completed so far; its parity selects the buffer set the
-        // current window writes, the other one is what the last one wrote.
-        let mut window = 0usize;
-        let mut mark = self.telemetry.map(|_| Instant::now());
-        loop {
-            let cur = window & 1;
-            let before = self.processed;
-            let step = catch_unwind(AssertUnwindSafe(|| {
-                if window > 0 {
-                    self.collect(me, &x.sets[cur ^ 1]);
-                }
-                if let Some(end) = end {
-                    self.run_window(x.owner, me as u32, end);
-                    self.publish(me, &x.sets[cur]);
-                }
-            }));
-            if end.is_none() {
-                // Every shard computed the same `None` from the same
-                // published values: nobody attends another barrier.
-                return step.unwrap_or_else(|payload| resume_unwind(payload));
-            }
-            if step.is_err() {
-                x.poisoned_at.fetch_min(window, MemOrder::SeqCst);
-            }
-            if let Some((tel, work)) = self.telemetry.as_mut().zip(lap(&mut mark)) {
-                tel.note_window(self.processed - before, work);
-            }
-            x.barrier.wait();
-            // Barrier stalls are accounted to the waiting shard: a shard
-            // that arrives early is waiting on the round's straggler.
-            if let Some((tel, wait)) = self.telemetry.as_mut().zip(lap(&mut mark)) {
-                tel.note_wait(wait);
-            }
-            if x.poisoned_at.load(MemOrder::SeqCst) <= window {
-                return step.unwrap_or_else(|payload| resume_unwind(payload));
-            }
-            end = x.sets[cur]
-                .next
-                .iter()
-                .map(|n| n.load(MemOrder::Relaxed))
-                .min()
-                .filter(|&m| m != u64::MAX)
-                .and_then(|m| next_end(m, x.window_ns, x.deadline));
-            window += 1;
-        }
-    }
-}
-
-/// Time since `mark`, which moves to now; no clock is read while it is
-/// `None` (telemetry off).
-fn lap(mark: &mut Option<Instant>) -> Option<Duration> {
-    let since = (*mark)?;
-    let now = Instant::now();
-    *mark = Some(now);
-    Some(now - since)
-}
-
 /// Drives a partitioned [`ShardWorld`] with conservative lookahead
-/// windows; one thread per shard when there is more than one.
+/// windows, running the shards in turn.
 pub struct ShardedSimulator<W: ShardWorld> {
     shards: Vec<Shard<W>>,
     /// Node dense id → owning shard.
@@ -547,7 +272,8 @@ pub struct ShardedSimulator<W: ShardWorld> {
     window_ns: u64,
     now: SimTime,
     ext_seq: u64,
-    scratch_mirror: W::Mirror,
+    /// Shard `i`'s latest mirror export, kept for its storage.
+    mirrors: Vec<W::Mirror>,
 }
 
 impl<W: ShardWorld> ShardedSimulator<W> {
@@ -570,7 +296,7 @@ impl<W: ShardWorld> ShardedSimulator<W> {
             "owner entry out of shard range"
         );
         let nodes = owner.len();
-        let shards = worlds
+        let shards: Vec<Shard<W>> = worlds
             .into_iter()
             .map(|world| Shard {
                 world,
@@ -578,18 +304,17 @@ impl<W: ShardWorld> ShardedSimulator<W> {
                 seqs: vec![0; nodes],
                 emitted: Vec::new(),
                 staged: (0..nsh).map(|_| Vec::new()).collect(),
-                staged_min_ns: u64::MAX,
                 processed: 0,
                 telemetry: None,
             })
             .collect();
         ShardedSimulator {
+            mirrors: shards.iter().map(|_| W::Mirror::default()).collect(),
             shards,
             owner,
             window_ns: window.as_nanos().max(1),
             now: SimTime::ZERO,
             ext_seq: 0,
-            scratch_mirror: W::Mirror::default(),
         }
     }
 
@@ -674,17 +399,25 @@ impl<W: ShardWorld> ShardedSimulator<W> {
     /// `deadline` inclusively. `None` once nothing is pending by the
     /// deadline.
     fn next_window_end(&self, deadline: SimTime) -> Option<SimTime> {
-        let min = self.shards.iter().map(|s| s.peek_ns()).min()?;
-        next_end(min, self.window_ns, deadline)
+        let min_ns = self
+            .shards
+            .iter()
+            .filter_map(|s| s.queue.peek_time())
+            .min()?
+            .as_nanos();
+        if min_ns > deadline.as_nanos() {
+            return None;
+        }
+        let base = min_ns / self.window_ns * self.window_ns;
+        let end = (base + self.window_ns).min(deadline.as_nanos().saturating_add(1));
+        Some(SimTime::from_nanos(end))
     }
 
     /// Runs until every event at or before `deadline` is processed, then
     /// advances the clock to `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        if self.shards.len() == 1 {
-            self.run_until_single(deadline);
-        } else {
-            self.run_until_threaded(deadline);
+        while let Some(end) = self.next_window_end(deadline) {
+            self.run_window(end);
         }
         self.now = self.now.max(deadline);
     }
@@ -694,79 +427,51 @@ impl<W: ShardWorld> ShardedSimulator<W> {
         self.run_until(self.now + span);
     }
 
-    /// One shard: the same window/latch schedule, no threads. Kept
-    /// separate so single-shard runs are the determinism baseline rather
-    /// than a degenerate barrier dance.
-    fn run_until_single(&mut self, deadline: SimTime) {
-        while let Some(end) = self.next_window_end(deadline) {
-            let shard = &mut self.shards[0];
+    /// One window ending at `end`: every shard runs it and exports its
+    /// mirror slice, then every shard drains what the others staged for
+    /// it and latches every export, its own first.
+    fn run_window(&mut self, end: SimTime) {
+        for (me, (shard, mirror)) in self.shards.iter_mut().zip(&mut self.mirrors).enumerate() {
             let t0 = shard.telemetry.map(|_| Instant::now());
             let before = shard.processed;
-            shard.run_window(&self.owner, 0, end);
-            debug_assert!(shard.staged.iter().all(Vec::is_empty));
-            shard.world.export_mirror(&mut self.scratch_mirror);
-            shard.world.apply_mirror(&self.scratch_mirror);
-            if let Some(t0) = t0 {
-                let delta = shard.processed - before;
-                let tel = shard.telemetry.as_mut().expect("telemetry enabled");
-                tel.note_window(delta, t0.elapsed());
-                tel.note_wait(Duration::ZERO);
+            shard.run_window(&self.owner, me as u32, end);
+            shard.world.export_mirror(mirror);
+            if let Some((tel, t0)) = shard.telemetry.as_mut().zip(t0) {
+                tel.note_window(shard.processed - before, t0.elapsed());
+            }
+        }
+        let nsh = self.shards.len();
+        for me in 0..nsh {
+            let t0 = self.shards[me].telemetry.map(|_| Instant::now());
+            let mut drained = 0;
+            for src in (0..nsh).filter(|&src| src != me) {
+                // Taken and handed back, so the stager keeps its capacity.
+                let mut mail = std::mem::take(&mut self.shards[src].staged[me]);
+                if let Some(tel) = self.shards[src].telemetry.as_mut() {
+                    tel.mailbox_out += mail.len() as u64;
+                }
+                drained += mail.len() as u64;
+                for st in mail.drain(..) {
+                    self.shards[me].queue.push_keyed(st.time, st.key, st.event);
+                }
+                self.shards[src].staged[me] = mail;
+            }
+            let shard = &mut self.shards[me];
+            for mirror in self.mirrors[me..].iter().chain(&self.mirrors[..me]) {
+                shard.world.apply_mirror(mirror);
+            }
+            if let Some((tel, t0)) = shard.telemetry.as_mut().zip(t0) {
+                tel.mailbox_in += drained;
+                tel.work_ns += t0.elapsed().as_nanos() as u64;
             }
         }
     }
-
-    /// One thread per shard (the caller's is shard 0's), one rendezvous
-    /// per window; see the module docs for the buffer-parity protocol.
-    fn run_until_threaded(&mut self, deadline: SimTime) {
-        // Nothing pending by the deadline: no threads, no barrier.
-        let Some(first_end) = self.next_window_end(deadline) else {
-            return;
-        };
-        let nsh = self.shards.len();
-        let run = &Exchange {
-            owner: &self.owner,
-            window_ns: self.window_ns,
-            deadline,
-            first_end,
-            sets: [Buffers::new(nsh), Buffers::new(nsh)],
-            barrier: Rendezvous::new(nsh),
-            poisoned_at: AtomicUsize::new(usize::MAX),
-        };
-        let (shard0, rest) = self.shards.split_first_mut().expect("at least one shard");
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = rest
-                .iter_mut()
-                .enumerate()
-                .map(|(i, shard)| scope.spawn(move || shard.work(i + 1, run)))
-                .collect();
-            let mut outcome = catch_unwind(AssertUnwindSafe(|| shard0.work(0, run)));
-            // Join explicitly so the *original* panic payload (not the
-            // scope's generic one) reaches the caller.
-            for handle in handles {
-                outcome = outcome.and(handle.join());
-            }
-            if let Err(payload) = outcome {
-                resume_unwind(payload);
-            }
-        });
-    }
-}
-
-/// End of the grid-aligned window containing an event at `min_ns`, clamped
-/// so events at the deadline itself are still processed; `None` if the
-/// earliest event lies beyond the deadline.
-fn next_end(min_ns: u64, window_ns: u64, deadline: SimTime) -> Option<SimTime> {
-    if min_ns > deadline.as_nanos() {
-        return None;
-    }
-    let base = min_ns / window_ns * window_ns;
-    let end = (base + window_ns).min(deadline.as_nanos().saturating_add(1));
-    Some(SimTime::from_nanos(end))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     const NODES: usize = 12;
     const HOP: u64 = 1_000; // cross-node delay ≥ window
@@ -852,19 +557,12 @@ mod tests {
         run_with_telemetry(nshards, false).0
     }
 
+    /// Four tokens of 200 hops each around the ring, to completion.
     fn run_with_telemetry(
         nshards: usize,
         telemetry: bool,
     ) -> (RingHistory, Option<Vec<ShardTelemetry>>, u64) {
-        run_ring(nshards, telemetry, 200)
-    }
-
-    /// Four tokens of `hops` hops each around the ring, to completion.
-    fn run_ring(
-        nshards: usize,
-        telemetry: bool,
-        hops: u64,
-    ) -> (RingHistory, Option<Vec<ShardTelemetry>>, u64) {
+        let hops = 200;
         let owner: Vec<u32> = (0..NODES).map(|n| (n * nshards / NODES) as u32).collect();
         let worlds: Vec<Ring> = (0..nshards as u32)
             .map(|k| Ring {
@@ -983,10 +681,10 @@ mod tests {
             let tel = tel.expect("telemetry enabled");
             assert_eq!(tel.len(), nshards);
             for t in &tel {
-                // One wait sample and one work sample per window, and the
-                // buckets account for exactly the totals' windows.
-                assert_eq!(t.barrier_wait_buckets.iter().sum::<u64>(), t.windows);
+                // One work sample per window, and no shard ever waits.
                 assert_eq!(t.work_buckets.iter().sum::<u64>(), t.windows);
+                assert_eq!(t.barrier_wait_ns, 0);
+                assert_eq!(t.barrier_wait_buckets, [0; TELEMETRY_BUCKETS]);
             }
             let events: u64 = tel.iter().map(|t| t.events).sum();
             assert_eq!(events, processed, "every processed event is counted");
@@ -1000,8 +698,6 @@ mod tests {
             }
             if nshards == 1 {
                 assert_eq!(mail_out, 0, "single shard never crosses");
-                assert_eq!(tel[0].barrier_wait_ns, 0, "no barriers on one shard");
-                assert_eq!(tel[0].barrier_wait_buckets[0], tel[0].windows);
             } else {
                 assert!(mail_out > 0, "the ring token must cross shards");
             }
@@ -1029,114 +725,6 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_nanos(500));
         sim.run_until(SimTime::from_nanos(600));
         assert_eq!(sim.world(0).log.len(), 2);
-    }
-
-    /// Runs `f` on its own thread and fails the test if it has not
-    /// returned (or panicked) within `budget`: a hung rendezvous must fail
-    /// a test, not wedge the suite. A panic inside `f` is re-raised with
-    /// its original payload.
-    fn within<T: Send + 'static>(budget: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let worker = std::thread::spawn(move || {
-            let _ = tx.send(f());
-        });
-        match rx.recv_timeout(budget) {
-            Ok(value) => value,
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                panic!("still running after {budget:?}")
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                resume_unwind(worker.join().expect_err("sender dropped without sending"))
-            }
-        }
-    }
-
-    /// Nobody leaves a round before everybody has arrived, with more
-    /// parties than cores (waits end in the spin or the yields, and in a
-    /// park when a descheduled straggler outlasts them).
-    #[test]
-    fn rendezvous_releases_only_full_rounds() {
-        const PARTIES: usize = 8;
-        const ROUNDS: usize = 2_000;
-        let barrier = Rendezvous::new(PARTIES);
-        let arrivals = AtomicUsize::new(0);
-        within(Duration::from_secs(60), move || {
-            std::thread::scope(|scope| {
-                for _ in 0..PARTIES {
-                    scope.spawn(|| {
-                        for round in 1..=ROUNDS {
-                            arrivals.fetch_add(1, MemOrder::Relaxed);
-                            barrier.wait();
-                            let seen = arrivals.load(MemOrder::Relaxed);
-                            // The fastest party can be one round ahead.
-                            assert!(
-                                (PARTIES * round..=PARTIES * (round + 1)).contains(&seen),
-                                "round {round}: {seen} arrivals"
-                            );
-                        }
-                    });
-                }
-            });
-        });
-    }
-
-    /// The park phase, entered for certain: the last party holds back until
-    /// it sees the other one registered as a sleeper, so every round is
-    /// released through the lock-and-notify path.
-    #[test]
-    fn a_late_party_wakes_a_parked_one() {
-        const ROUNDS: usize = 5;
-        let barrier = Rendezvous::new(2);
-        within(Duration::from_secs(60), move || {
-            let left = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    for _ in 0..ROUNDS {
-                        barrier.wait();
-                        left.fetch_add(1, MemOrder::SeqCst);
-                    }
-                });
-                for round in 0..ROUNDS {
-                    while barrier.sleepers.load(MemOrder::SeqCst) == 0 {
-                        std::thread::yield_now();
-                    }
-                    barrier.wait();
-                    assert_eq!(barrier.generation.load(MemOrder::SeqCst), round + 1);
-                    // Let the sleeper leave this round's wait (and so
-                    // deregister) before looking for the next round's. A
-                    // count, not `sleepers == 0`: a descheduled observer
-                    // can miss that window and wait for it forever.
-                    while left.load(MemOrder::SeqCst) <= round {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        });
-    }
-
-    /// More shards than cores, twice over: two concurrent 8-shard runs
-    /// (the reference box has 2 cores; a parallel `cargo test` adds more
-    /// load) must still get through ~7 000 windows each. Measured there:
-    /// ~0.8 s, against ~0.9 s for the three-`std::sync::Barrier` loop this
-    /// replaced; with the park phase removed (spin only) it does not
-    /// finish in two minutes, because every waiter burns its whole time
-    /// slice while the shard it waits for is descheduled.
-    #[test]
-    fn oversubscribed_shards_degrade_gracefully() {
-        const HOPS: u64 = 6_000;
-        let reference = run_ring(1, false, HOPS).0;
-        let started = Instant::now();
-        let runs: Vec<_> = (0..2)
-            .map(|_| std::thread::spawn(|| run_ring(8, false, HOPS).0))
-            .collect();
-        for run in runs {
-            assert_eq!(run.join().expect("run completes"), reference);
-        }
-        let wall = started.elapsed();
-        assert!(
-            wall < Duration::from_secs(30),
-            "two concurrent 8-shard runs took {wall:?} (budget 30 s)"
-        );
     }
 
     /// A token that hops half-way round the ring (always to another shard
@@ -1255,8 +843,8 @@ mod tests {
 
     /// Misbehaves when node `trip` handles its token: either an illegal
     /// zero-delay cross-node emission or a plain handler panic. Every
-    /// other node keeps a token circulating so the other workers are
-    /// mid-round when it happens.
+    /// other node keeps a token circulating so the other shards are
+    /// mid-window when it happens.
     struct Bad {
         trip: u32,
         violate: bool,
@@ -1289,25 +877,23 @@ mod tests {
     /// The panic message of running `Bad` on `nshards` shards with node
     /// `trip` misbehaving.
     fn bad_run(nshards: u32, trip: u32, violate: bool) -> String {
-        let payload = within(Duration::from_secs(20), move || {
-            let worlds = (0..nshards).map(|_| Bad { trip, violate }).collect();
-            let owner = (0..8).map(|n| n * nshards / 8).collect();
-            let mut sim = ShardedSimulator::new(worlds, owner, SimDuration::from_nanos(100));
-            for node in 0..8 {
-                sim.schedule_external(SimTime::ZERO, node);
-            }
-            catch_unwind(AssertUnwindSafe(|| sim.run_until(SimTime::from_micros(5))))
-                .expect_err("the run must panic")
-        });
+        let worlds = (0..nshards).map(|_| Bad { trip, violate }).collect();
+        let owner = (0..8).map(|n| n * nshards / 8).collect();
+        let mut sim = ShardedSimulator::new(worlds, owner, SimDuration::from_nanos(100));
+        for node in 0..8 {
+            sim.schedule_external(SimTime::ZERO, node);
+        }
+        let payload = catch_unwind(AssertUnwindSafe(|| sim.run_until(SimTime::from_micros(5))))
+            .expect_err("the run must panic");
         match payload.downcast::<String>() {
             Ok(message) => *message,
             Err(_) => panic!("payload is not the original message"),
         }
     }
 
-    /// A worker that panics — in the caller's thread (node 0) or a spawned
-    /// one (node 7) — surfaces its *own* payload through `run_until`, and
-    /// the other workers leave the rendezvous instead of waiting forever.
+    /// A handler that panics — on the first shard (node 0) or the last
+    /// (node 7) — surfaces its *own* payload through `run_until`, and so
+    /// does the lookahead assert.
     #[test]
     fn worker_panics_surface_the_original_payload_without_hanging() {
         for nshards in [1, 2, 8] {

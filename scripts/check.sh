@@ -193,6 +193,7 @@ one table fold	fn table_edges\b	crates src tests examples	-	1	One field pool, on
 second field pool	LegalFields|fn legal_fields|SharedRoutes	crates src tests examples	-	0	One field pool	struct SharedRoutes;
 field cells elsewhere	OnceCell<Vec<u32>>	crates src tests examples	crates/core/src/routes.rs	0	One field pool	let f: Vec<OnceCell<Vec<u32>>> = Vec::new();
 delta proof	fn delta_donor|fn tree_preserved|fn link_signature|delta_ok	crates src tests examples	-	0	Memo and promotion are the only reuse	fn delta_donor() {}
+threaded shard loop	struct Rendezvous|fn run_until_threaded|thread::scope|SPIN_POLLS	crates/sim/src	-	0	One sequential loop serves every shard	struct Rendezvous;
 EOF
 if hits . x no/such/path -; then
     echo "a guard whose scope is missing passed" >&2
